@@ -17,10 +17,8 @@ import time
 import numpy as np
 
 from .report import Report, VerificationError
-from .fingroupoid import (FIXTURE_NAMES, arrow_weights, counting_weights,
-                          fixture, groupoid_from_dict,
-                          pair_groupoid, space_groupoid,
-                          cyclic_group_groupoid, transformation_groupoid,
+from .fingroupoid import (FIXTURE_NAMES, arrow_weights, build_preset,
+                          counting_weights, fixture, groupoid_from_dict,
                           validate_groupoid, validate_haar)
 from .measures import check_family_identities, check_iterated_integrals
 from .hilbmod import check_gamma, dump_module_map, module_from_dims
@@ -40,16 +38,12 @@ SCHEMA_VERSION = 1
 
 EPILOG = """\
 presets: Z2 P2 X2 T2 W2 (built-in fixtures), group:n, pair:n, space:n,
-transformation:n (cyclic shift on n points), random (uses --seed).
+transformation:n (cyclic shift on n points) for a positive n, random
+(uses --seed).
 Randomness comes from a splitmix-style 64-bit generator seeded by
 --seed; Haar random unitaries are QR factors of complex Gaussian
 matrices with the R diagonal made positive.
 """
-
-
-def load_fixture(name):
-    """Named bundle of (groupoid, object weights)."""
-    return fixture(name)
 
 
 def emit_report(report, fmt="text"):
@@ -71,33 +65,40 @@ def emit_report(report, fmt="text"):
 # ---------------------------------------------------------------------------
 # input loading
 
+def _shift(n):
+    """The cyclic shift x -> x + 1 on the points 1..n."""
+    return {x: x % n + 1 for x in range(1, n + 1)}
+
+
+# the size n of NAME:n as build_preset parameters
+_SIZED_PRESETS = {
+    "group": lambda n: {"order": n},
+    "pair": lambda n: {"points": n},
+    "space": lambda n: {"points": n},
+    "transformation": lambda n: {"order": n, "action": _shift(n)},
+}
+
+
 def parse_preset(text, seed=0):
-    """NAME or NAME:params; returns (groupoid, object weights)."""
-    name, _, rest = text.partition(":")
-    params = rest.split(":") if rest else []
+    """NAME or NAME:n; returns (groupoid, object weights)."""
+    name, colon, size = text.partition(":")
     if name in FIXTURE_NAMES:
-        if params:
+        if colon:
             raise ValueError(f"fixture {name} takes no parameters")
         return fixture(name)
-    if name == "group":
-        return _with_counting(cyclic_group_groupoid(int(params[0])))
-    if name == "pair":
-        n = int(params[0])
-        return _with_counting(pair_groupoid(tuple(range(1, n + 1))))
-    if name == "space":
-        n = int(params[0])
-        return _with_counting(space_groupoid(tuple(range(1, n + 1))))
-    if name == "transformation":
-        n = int(params[0])
-        shift = {x: x % n + 1 for x in range(1, n + 1)}
-        return _with_counting(transformation_groupoid(n, shift))
     if name == "random":
-        rng = SplitMix64(seed)
-        return random_groupoid(rng)
-    raise ValueError(f"unknown preset {text!r}")
-
-
-def _with_counting(gpd):
+        return random_groupoid(SplitMix64(seed))
+    if name not in _SIZED_PRESETS:
+        raise ValueError(f"unknown preset {text!r}")
+    try:
+        n = int(size)
+    except ValueError:
+        raise ValueError(f"preset {text!r} needs a positive size, "
+                         f"as {name}:n") from None
+    try:
+        gpd = build_preset(name, **_SIZED_PRESETS[name](n))
+    except ValueError as exc:
+        raise ValueError(f"preset {text!r}: {exc}") from None
     return gpd, counting_weights(gpd)
 
 
@@ -321,11 +322,6 @@ def cmd_roundtrip(args):
 def cmd_etale(args):
     gpd, weights = load_groupoid(args)
     require_valid(gpd, weights)
-    bad = next((x for x, v in weights.items() if float(v) != 1.0), None)
-    if bad is not None:
-        raise ValueError(
-            f"etale verification needs counting weights; object {bad!r} "
-            f"has weight {weights[bad]!r}")
     sgrp = None
     if args.semigroup is not None:
         sgrp = load_semigroup(args.semigroup, gpd)
@@ -349,7 +345,7 @@ def cmd_trafo(args):
             action[int(x)] = int(y)
         except (TypeError, ValueError):
             action[x] = y
-    gpd = transformation_groupoid(order, action)
+    gpd = build_preset("transformation", order=order, action=action)
     weights = counting_weights(gpd)
     rng = SplitMix64(args.seed)
     rep = _random_rep(gpd, weights, rng)
@@ -359,6 +355,9 @@ def cmd_trafo(args):
 
 
 def cmd_suite(args):
+    if args.file or args.groupoid or args.preset:
+        raise ValueError("suite runs the built-in fixtures and random "
+                         "instances; it takes no groupoid file or preset")
     rng = SplitMix64(args.seed)
     tol = max(args.tolerance, 1e-10)
     reports = []
@@ -399,7 +398,7 @@ def cmd_suite(args):
         reports.append(out)
 
     swap = {1: 2, 2: 1}
-    tg = transformation_groupoid(2, swap)
+    tg = build_preset("transformation", order=2, action=swap)
     trep = _random_rep(tg, counting_weights(tg), rng)
     out = Report("transformation swap")
     out.extend(transformation_theorem(2, swap, rep=trep, tol=tol))

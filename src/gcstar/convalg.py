@@ -4,18 +4,15 @@ Functions on the arrows are dicts arrow -> complex.  Convolution
 integrates over the range fiber with the invariant weights, the
 involution composes conjugation with inversion, and the regular
 matrix is the action of a function on the arrow space by left
-convolution.  The operator norm is computed on the similarity
-transformed matrix with a hand rolled Hermitian Jacobi iteration so
-the whole pipeline stays inspectable.
+convolution.  The operator norm is the spectral norm of the similarity
+transformed matrix, computed with LAPACK through numpy.linalg.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .report import Report
+from .report import Report, max_abs
 from .hilbmod import GradedSpace, ModuleMap
 
 
@@ -103,55 +100,7 @@ def regular_matrix(gpd, weights, f):
 
 
 # ---------------------------------------------------------------------------
-# eigenvalues and norms
-
-def jacobi_eigenvalues(matrix, tol=1e-12, max_sweeps=100):
-    """Eigenvalues of a Hermitian matrix by cyclic complex Jacobi.
-
-    Sweeps Givens rotations with the phase of the pivot entry folded in
-    until the off diagonal Frobenius mass falls below tol relative to
-    the matrix scale.  Raises ArithmeticError with the residual if the
-    sweep budget runs out.
-    """
-    a = np.array(matrix, dtype=complex)
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    herm = float(np.max(np.abs(a - a.conj().T)))
-    if herm > 1e-9 * max(1.0, float(np.max(np.abs(a)))):
-        raise ValueError(f"matrix is not Hermitian, defect {herm:.3e}")
-    a = (a + a.conj().T) / 2.0
-    scale = max(1.0, float(np.linalg.norm(a)))
-
-    def offmass():
-        d = a - np.diag(np.diag(a))
-        return float(np.linalg.norm(d))
-
-    for _ in range(max_sweeps):
-        if offmass() <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= 1e-300:
-                    continue
-                phase = apq / r
-                theta = 0.5 * math.atan2(
-                    2.0 * r, (a[q, q] - a[p, p]).real)
-                cth, sth = math.cos(theta), math.sin(theta)
-                colp = cth * a[:, p] - sth * np.conj(phase) * a[:, q]
-                colq = sth * phase * a[:, p] + cth * a[:, q]
-                a[:, p], a[:, q] = colp, colq
-                rowp = cth * a[p, :] - sth * phase * a[q, :]
-                rowq = sth * np.conj(phase) * a[p, :] + cth * a[q, :]
-                a[p, :], a[q, :] = rowp, rowq
-    if offmass() > tol * scale:
-        raise ArithmeticError(
-            f"jacobi did not converge in {max_sweeps} sweeps; "
-            f"off-diagonal residual {offmass():.3e}")
-    return np.sort(np.diag(a).real)
-
+# operator norms
 
 def operator_norm(m):
     """Operator norm of a ModuleMap between weighted spaces.
@@ -164,7 +113,7 @@ def operator_norm(m):
     ds = np.sqrt(m.source.gram_diagonal())
     dt = np.sqrt(m.target.gram_diagonal())
     hat = (dt[:, None] * m.matrix) / ds[None, :]
-    eigs = jacobi_eigenvalues(hat.conj().T @ hat)
+    eigs = np.linalg.eigvalsh(hat.conj().T @ hat)
     return float(np.sqrt(max(float(eigs[-1]), 0.0)))
 
 
@@ -212,14 +161,14 @@ def check_convolution(gpd, weights, funcs, tol=1e-10):
         prod = regular_matrix(gpd, weights, convolve(gpd, weights, f1, f2))
         two = regular_matrix(gpd, weights, f1).compose(
             regular_matrix(gpd, weights, f2))
-        worst = max(worst, float(np.max(np.abs(prod.matrix - two.matrix))))
+        worst = max(worst, max_abs(prod.matrix - two.matrix))
     rep.add("regular-multiplicative", worst <= tol, defect=worst)
 
     worst = 0.0
     for f in funcs:
         adj = regular_matrix(gpd, weights, f).adjoint()
         direct = regular_matrix(gpd, weights, star(gpd, f))
-        worst = max(worst, float(np.max(np.abs(adj.matrix - direct.matrix))))
+        worst = max(worst, max_abs(adj.matrix - direct.matrix))
     rep.add("regular-star", worst <= tol, defect=worst)
 
     worst = 0.0

@@ -12,10 +12,13 @@ convolution algebra of the germ groupoid with counting weights.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from .report import Report, VerificationError
+from .report import Report, VerificationError, max_abs
 from .fingroupoid import FiniteGroupoid, transformation_groupoid
+from .convalg import delta_function
 from .reps import blockwise, check_cocycle, from_cocycle
 from .hilbmod import module_from_dims
 from .intdis import integrate_rep
@@ -34,14 +37,6 @@ class PartialBijection:
             raise ValueError("mapping is not injective")
         self.tag = frozenset(tag) if tag is not None else None
         self._key = (frozenset(self.mapping.items()), self.tag)
-
-    @property
-    def domain(self):
-        return frozenset(self.mapping.keys())
-
-    @property
-    def image(self):
-        return frozenset(self.mapping.values())
 
     def __call__(self, x):
         return self.mapping[x]
@@ -227,20 +222,23 @@ class InverseSemigroup:
         return rep
 
 
-def semigroup_from_bisections(gpd, generators, max_size=4096):
-    """Close tagged bisections under composition and inversion."""
+def _close(carrier, generators, compose, invert, max_size):
+    """Inverse semigroup generated under compose(a, b) and invert(a).
+
+    Elements are listed in _sort_key order, and act on the carrier
+    through their own partial bijections.
+    """
     seen = set()
     work = []
     for a in generators:
-        for b in (a, invert_bisection(gpd, a)):
+        for b in (a, invert(a)):
             if b not in seen:
                 seen.add(b)
                 work.append(b)
     while work:
         a = work.pop()
         for b in list(seen):
-            for c in (compose_bisections(gpd, a, b),
-                      compose_bisections(gpd, b, a)):
+            for c in (compose(a, b), compose(b, a)):
                 if c not in seen:
                     if len(seen) >= max_size:
                         raise ValueError(
@@ -248,41 +246,22 @@ def semigroup_from_bisections(gpd, generators, max_size=4096):
                     seen.add(c)
                     work.append(c)
     elements = sorted(seen, key=_sort_key)
-    mul = {(a, b): compose_bisections(gpd, a, b)
-           for a in elements for b in elements}
-    star = {a: invert_bisection(gpd, a) for a in elements}
+    mul = {(a, b): compose(a, b) for a in elements for b in elements}
+    star = {a: invert(a) for a in elements}
     theta = {a: dict(a.mapping) for a in elements}
-    return InverseSemigroup(elements, mul, star, theta, gpd.objects)
+    return InverseSemigroup(elements, mul, star, theta, tuple(carrier))
+
+
+def semigroup_from_bisections(gpd, generators, max_size=4096):
+    """Close tagged bisections under composition and inversion."""
+    return _close(gpd.objects, generators, partial(compose_bisections, gpd),
+                  partial(invert_bisection, gpd), max_size)
 
 
 def semigroup_from_maps(carrier, generators, max_size=4096):
     """Close untagged partial bijections; for external generator files."""
-    seen = set()
-    work = []
-    for a in generators:
-        for b in (a, a.invert()):
-            if b not in seen:
-                seen.add(b)
-                work.append(b)
-    while work:
-        a = work.pop()
-        for b in list(seen):
-            for c in (a.compose(b), b.compose(a)):
-                if c not in seen:
-                    if len(seen) >= max_size:
-                        raise ValueError(
-                            f"semigroup closure exceeded {max_size} elements")
-                    seen.add(c)
-                    work.append(c)
-
-    def key(pb):
-        return (len(pb.mapping), sorted(map(str, pb.mapping.items())))
-
-    elements = sorted(seen, key=key)
-    mul = {(a, b): a.compose(b) for a in elements for b in elements}
-    star = {a: a.invert() for a in elements}
-    theta = {a: dict(a.mapping) for a in elements}
-    return InverseSemigroup(elements, mul, star, theta, tuple(carrier))
+    return _close(carrier, generators, PartialBijection.compose,
+                  PartialBijection.invert, max_size)
 
 
 def bisection_semigroup(gpd):
@@ -323,6 +302,14 @@ def is_wide(gpd, sgrp):
 
 # ---------------------------------------------------------------------------
 # germs
+
+def _covering(sgrp, idem, x, missing):
+    """Idempotents among idem acting at x; raises with missing if none."""
+    covering = [e for e in idem if x in sgrp.theta[e]]
+    if not covering:
+        raise VerificationError(f"no idempotent acts at {x!r}{missing}")
+    return covering
+
 
 def _side_set(sgrp, a, side):
     th = sgrp.theta[a]
@@ -389,23 +376,22 @@ def germ_groupoid(sgrp):
     """
     classes, class_of = germ_classes(sgrp, side="dom")
     labels = tuple(members[0] for members in classes)
-    label_of = {i: labels[i] for i in range(len(classes))}
 
     src = {}
     rng = {}
     for i, members in enumerate(classes):
         a, x = members[0]
-        src[label_of[i]] = x
-        rng[label_of[i]] = sgrp.theta[a][x]
+        src[labels[i]] = x
+        rng[labels[i]] = sgrp.theta[a][x]
         for (b, y) in members:
-            if sgrp.theta[b][y] != rng[label_of[i]]:
+            if sgrp.theta[b][y] != rng[labels[i]]:
                 raise VerificationError(
-                    f"germ class {label_of[i]!r} has inconsistent range")
+                    f"germ class {labels[i]!r} has inconsistent range")
 
     comp = {}
     for i, mem1 in enumerate(classes):
         for j, mem2 in enumerate(classes):
-            la, lb = label_of[i], label_of[j]
+            la, lb = labels[i], labels[j]
             if src[la] != rng[lb]:
                 continue
             results = set()
@@ -419,22 +405,19 @@ def germ_groupoid(sgrp):
                 raise VerificationError(
                     f"germ composition of {la!r} and {lb!r} is not "
                     f"representative independent: {sorted(results)!r}")
-            comp[(la, lb)] = label_of[results.pop()]
+            comp[(la, lb)] = labels[results.pop()]
 
     inv = {}
     for i, members in enumerate(classes):
         a, x = members[0]
-        inv[label_of[i]] = label_of[
+        inv[labels[i]] = labels[
             class_of[(sgrp.star[a], sgrp.theta[a][x])]]
 
     idem = sgrp.idempotents()
     unit = {}
     for x in sgrp.carrier:
-        covering = [e for e in idem if x in sgrp.theta[e]]
-        if not covering:
-            raise VerificationError(
-                f"no idempotent acts at {x!r}; units are missing")
-        unit[x] = label_of[class_of[(covering[0], x)]]
+        e = _covering(sgrp, idem, x, "; units are missing")[0]
+        unit[x] = labels[class_of[(e, x)]]
     return FiniteGroupoid(sgrp.carrier, labels, src, rng, comp, inv, unit)
 
 
@@ -517,7 +500,6 @@ class CrossedProductAlgebra:
         self.members = classes
         self.class_of = class_of
         self.basis = tuple(members[0] for members in classes)
-        self._by_index = dict(enumerate(self.basis))
 
         theta_inv = {a: {y: x for x, y in sgrp.theta[a].items()}
                      for a in sgrp.elements}
@@ -552,11 +534,8 @@ class CrossedProductAlgebra:
         idem = sgrp.idempotents()
         self.unit_indices = []
         for x in sgrp.carrier:
-            covering = [e for e in idem if x in sgrp.theta[e]]
-            if not covering:
-                raise VerificationError(
-                    f"no idempotent acts at {x!r}; the algebra has no unit")
-            self.unit_indices.append(self.class_of[(covering[0], x)])
+            e = _covering(sgrp, idem, x, "; the algebra has no unit")[0]
+            self.unit_indices.append(self.class_of[(e, x)])
         if len(set(self.unit_indices)) != len(self.unit_indices):
             raise VerificationError("unit summands collide")
 
@@ -573,12 +552,6 @@ class CrossedProductAlgebra:
                 k = self.product_table[(i, j)]
                 if k is not None:
                     out[k] += v1 * v2
-        return out
-
-    def star_vec(self, vec):
-        out = {i: 0.0 + 0.0j for i in range(self.dim)}
-        for i, v in vec.items():
-            out[self.star_table[i]] += np.conj(v)
         return out
 
     def unit_vector(self):
@@ -633,6 +606,11 @@ class CrossedProductAlgebra:
                 break
         rep.add("unital", bad is None, witness=bad)
         return rep
+
+
+def _spread(mats):
+    """Largest entrywise distance of the matrices from the first one."""
+    return max((max_abs(m - mats[0]) for m in mats[1:]), default=0.0)
 
 
 def crossed_product(sgrp, max_size=4096):
@@ -751,29 +729,27 @@ def check_covariant_rep(cov, tol=1e-10):
     worst = 0.0
     for x in sgrp.carrier:
         p = cov.projections[x]
-        worst = max(worst, float(np.max(np.abs(p @ p - p))),
-                    float(np.max(np.abs(p - p.conj().T))))
+        worst = max(worst, max_abs(p @ p - p),
+                    max_abs(p - p.conj().T))
     rep.add("projections", worst <= tol, defect=worst)
 
     total = sum(cov.projections.values()) if sgrp.carrier else eye * 0
-    d = float(np.max(np.abs(total - eye)))
+    d = max_abs(total - eye)
     rep.add("projections-sum", d <= tol, defect=d)
 
     worst, bad = 0.0, None
     for a in sgrp.elements:
         u = cov.isometries[a]
-        d = max(float(np.max(np.abs(u.conj().T @ u
-                                    - cov.domain_projection(a)))),
-                float(np.max(np.abs(u @ u.conj().T
-                                    - cov.image_projection(a)))))
+        d = max(max_abs(u.conj().T @ u - cov.domain_projection(a)),
+                max_abs(u @ u.conj().T - cov.image_projection(a)))
         if d > worst:
             worst, bad = d, a
     rep.add("partial-isometries", worst <= tol, defect=worst, witness=bad)
 
     worst, bad = 0.0, None
     for a in sgrp.elements:
-        d = float(np.max(np.abs(cov.isometries[sgrp.star[a]]
-                                - cov.isometries[a].conj().T)))
+        d = max_abs(cov.isometries[sgrp.star[a]]
+                    - cov.isometries[a].conj().T)
         if d > worst:
             worst, bad = d, a
     rep.add("involution", worst <= tol, defect=worst, witness=bad)
@@ -783,9 +759,9 @@ def check_covariant_rep(cov, tol=1e-10):
         for b in sgrp.elements:
             if not sgrp.leq(a, b):
                 continue
-            d = float(np.max(np.abs(
+            d = max_abs(
                 cov.isometries[a]
-                - cov.isometries[b] @ cov.domain_projection(a))))
+                - cov.isometries[b] @ cov.domain_projection(a))
             if d > worst:
                 worst, bad = d, (a, b)
     rep.add("restriction", worst <= tol, defect=worst, witness=bad)
@@ -794,8 +770,8 @@ def check_covariant_rep(cov, tol=1e-10):
     for a in sgrp.elements:
         u = cov.isometries[a]
         for x, y in sgrp.theta[a].items():
-            d = float(np.max(np.abs(u @ cov.projections[x] @ u.conj().T
-                                    - cov.projections[y])))
+            d = max_abs(u @ cov.projections[x] @ u.conj().T
+                        - cov.projections[y])
             if d > worst:
                 worst, bad = d, (a, x)
     rep.add("covariance", worst <= tol, defect=worst, witness=bad)
@@ -809,9 +785,9 @@ def partial_isometry_form(cov, tol=1e-10):
     worst, bad = 0.0, None
     for a in sgrp.elements:
         for b in sgrp.elements:
-            d = float(np.max(np.abs(
+            d = max_abs(
                 cov.isometries[a] @ cov.isometries[b]
-                - cov.isometries[sgrp.mul[(a, b)]])))
+                - cov.isometries[sgrp.mul[(a, b)]])
             if d > worst:
                 worst, bad = d, (a, b)
     rep.add("multiplicative", worst <= tol, defect=worst, witness=bad)
@@ -828,21 +804,20 @@ def check_crossed_rep(alg, rho, tol=1e-10):
             k = alg.product_table[(i, j)]
             want = rho[k] if k is not None \
                 else np.zeros((dim, dim), dtype=complex)
-            d = float(np.max(np.abs(rho[i] @ rho[j] - want)))
+            d = max_abs(rho[i] @ rho[j] - want)
             if d > worst:
                 worst, bad = d, (i, j)
     rep.add("multiplicative", worst <= tol, defect=worst, witness=bad)
 
     worst, bad = 0.0, None
     for i in range(alg.dim):
-        d = float(np.max(np.abs(rho[alg.star_table[i]]
-                                - rho[i].conj().T)))
+        d = max_abs(rho[alg.star_table[i]] - rho[i].conj().T)
         if d > worst:
             worst, bad = d, i
     rep.add("star", worst <= tol, defect=worst, witness=bad)
 
     total = sum(rho[i] for i in alg.unit_indices)
-    d = float(np.max(np.abs(total - np.eye(dim))))
+    d = max_abs(total - np.eye(dim))
     rep.add("unital", d <= tol, defect=d)
     return rep
 
@@ -859,15 +834,12 @@ def rep_of_crossed_to_covariant(alg, rho, tol=1e-10):
     projections = {}
     worst, bad = 0.0, None
     for x in sgrp.carrier:
-        covering = [e for e in idem if x in sgrp.theta[e]]
-        if not covering:
-            raise VerificationError(f"no idempotent acts at {x!r}")
-        mats = [rho[alg.class_of[(e, x)]] for e in covering]
+        mats = [rho[alg.class_of[(e, x)]]
+                for e in _covering(sgrp, idem, x, "")]
         projections[x] = mats[0]
-        for m in mats[1:]:
-            d = float(np.max(np.abs(m - mats[0])))
-            if d > worst:
-                worst, bad = d, x
+        d = _spread(mats)
+        if d > worst:
+            worst, bad = d, x
     out.add("projection-well-defined", worst <= tol, defect=worst,
             witness=bad)
 
@@ -889,7 +861,6 @@ def integrate_covariant(alg, cov, tol=1e-10):
     isometry of a; the result is checked to be independent of the
     representative and to be a star homomorphism.
     """
-    sgrp = alg.semigroup
     out = Report("covariant to crossed")
     rho = {}
     worst, bad = 0.0, None
@@ -897,10 +868,9 @@ def integrate_covariant(alg, cov, tol=1e-10):
         mats = [cov.projections[x] @ cov.isometries[a]
                 for (a, x) in members]
         rho[i] = mats[0]
-        for m in mats[1:]:
-            d = float(np.max(np.abs(m - mats[0])))
-            if d > worst:
-                worst, bad = d, i
+        d = _spread(mats)
+        if d > worst:
+            worst, bad = d, i
     out.add("representative-independent", worst <= tol, defect=worst,
             witness=bad)
     out.extend(check_crossed_rep(alg, rho, tol))
@@ -975,7 +945,7 @@ def covariant_to_groupoid_rep(gpd, weights, cov, tol=1e-10):
         p = cov.projections[x]
         size = int(round(float(np.trace(p).real)))
         off = p - np.diag(np.diag(p))
-        offmass = float(np.max(np.abs(off))) if off.size else 0.0
+        offmass = max_abs(off)
         if offmass <= tol:
             # indicator projection: keep the standard basis and its order
             keep = [i for i in range(cov.dim) if p[i, i].real > 0.5]
@@ -993,10 +963,9 @@ def covariant_to_groupoid_rep(gpd, weights, cov, tol=1e-10):
         mats = [frames[gpd.rng[g]].conj().T @ cov.isometries[a]
                 @ frames[gpd.src[g]] for a in cover[g]]
         blocks[g] = mats[0]
-        for m in mats[1:]:
-            d = float(np.max(np.abs(m - mats[0])))
-            if d > worst:
-                worst, bad = d, g
+        d = _spread(mats)
+        if d > worst:
+            worst, bad = d, g
     out.add("blocks-agree", worst <= tol, defect=worst, witness=bad)
 
     worst, bad = 0.0, None
@@ -1009,7 +978,7 @@ def covariant_to_groupoid_rep(gpd, weights, cov, tol=1e-10):
             continue
         through = frames[gpd.rng[gh]].conj().T @ cov.isometries[ab] \
             @ frames[gpd.src[gh]]
-        d = float(np.max(np.abs(blocks[g] @ blocks[h] - through)))
+        d = max_abs(blocks[g] @ blocks[h] - through)
         if d > worst:
             worst, bad = d, (g, h)
     out.add("trisection", worst <= tol, defect=worst, witness=bad)
@@ -1054,13 +1023,13 @@ def etale_battery(gpd, weights, sgrp=None, rep=None, tol=1e-10):
         out.extend(cov2_rep, prefix="split-")
         worst = 0.0
         for a in sgrp.elements:
-            worst = max(worst, float(np.max(np.abs(
-                cov2.isometries[a] - cov.isometries[a]))))
+            worst = max(worst,
+                        max_abs(cov2.isometries[a] - cov.isometries[a]))
         out.add("split-roundtrip", worst <= tol, defect=worst)
         back, back_rep = covariant_to_groupoid_rep(
             gpd, rep.weights, cov, tol)
         out.extend(back_rep, prefix="back-")
-        d = float(np.max(np.abs(back.umap.matrix - rep.umap.matrix)))
+        d = max_abs(back.umap.matrix - rep.umap.matrix)
         out.add("translation-roundtrip", d <= tol, defect=d)
     return out
 
@@ -1101,14 +1070,10 @@ def transformation_theorem(order, action, rep=None, tol=1e-10):
     out.extend(canonical_iso_cstar(sgrp), prefix="iso-")
 
     if rep is not None:
-        _require_counting(rep.weights)
         cov = groupoid_rep_to_covariant(rep, sgrp)
         out.extend(check_covariant_rep(cov, tol), prefix="covariant-")
         out.extend(partial_isometry_form(cov, tol), prefix="covariant-")
 
-        module = rep.module
-        fibers = {x: [module.index[m] for m in module.left_fiber(x)]
-                  for x in gpd.objects}
         worst, bad = 0.0, None
         for k in range(int(order)):
             a = next(el for el in sgrp.elements
@@ -1116,11 +1081,9 @@ def transformation_theorem(order, action, rep=None, tol=1e-10):
             w = cov.isometries[a]
             for x in gpd.objects:
                 g = (k, x)
-                f = {h: (1.0 + 0.0j if h == g else 0.0 + 0.0j)
-                     for h in gpd.arrows}
-                lit = integrate_rep(rep, f).matrix
+                lit = integrate_rep(rep, delta_function(gpd, g)).matrix
                 want = cov.projections[gpd.rng[g]] @ w
-                d = float(np.max(np.abs(lit - want))) if lit.size else 0.0
+                d = max_abs(lit - want)
                 if d > worst:
                     worst, bad = d, g
         out.add("integrated-agreement", worst <= tol, defect=worst,
@@ -1129,6 +1092,6 @@ def transformation_theorem(order, action, rep=None, tol=1e-10):
         back, back_rep = covariant_to_groupoid_rep(
             gpd, rep.weights, cov, tol)
         out.extend(back_rep, prefix="back-")
-        d = float(np.max(np.abs(back.umap.matrix - rep.umap.matrix)))
+        d = max_abs(back.umap.matrix - rep.umap.matrix)
         out.add("translation-roundtrip", d <= tol, defect=d)
     return out

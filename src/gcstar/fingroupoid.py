@@ -8,6 +8,8 @@ validation returns an exact witness for any breakage.
 
 from __future__ import annotations
 
+import math
+
 from .report import Report
 
 
@@ -35,15 +37,6 @@ class FiniteGroupoid:
                       for x in self.objects}
         self._outof = {x: tuple(g for g in self.arrows if self.src.get(g) == x)
                        for x in self.objects}
-
-    def compose(self, g, h):
-        return self.comp[(g, h)]
-
-    def inverse(self, g):
-        return self.inv[g]
-
-    def is_composable(self, g, h):
-        return self.src[g] == self.rng[h]
 
     def arrows_into(self, x):
         """All arrows g with rng(g) == x."""
@@ -105,7 +98,6 @@ class Nerve:
     def __init__(self, gpd):
         self.groupoid = gpd
         self.pairs = gpd.composable_pairs()
-        self.triples = gpd.composable_triples()
         self.d0 = {p: p[1] for p in self.pairs}
         self.d2 = {p: p[0] for p in self.pairs}
         self.d1 = {p: gpd.comp[p] for p in self.pairs}
@@ -194,7 +186,7 @@ def validate_groupoid(gpd):
 def validate_haar(gpd, weight):
     """Check that an arrow weight system is positive and left invariant.
 
-    weight maps every arrow to a positive number; left invariance says
+    weight maps every arrow to a finite positive number; left invariance says
     weight(gh) == weight(h) for every composable pair, compared exactly.
     A valid system is determined by its values on units, which is what
     object_weights() extracts.
@@ -205,7 +197,7 @@ def validate_haar(gpd, weight):
     if not rep.ok:
         return rep
     bad = next((g for g in gpd.arrows
-                if not (float(weight[g]) > 0.0)), None)
+                if not (0.0 < float(weight[g]) < math.inf)), None)
     rep.add("weight-positive", bad is None, witness=bad)
     if not rep.ok:
         return rep
@@ -377,13 +369,7 @@ def build_preset(name, **params):
             raise ValueError(f"action image of {bad!r} is not a point")
         if len(set(step.values())) != len(pts):
             raise ValueError("action is not injective")
-        for x in sorted(pts, key=str):
-            y = x
-            for _ in range(n):
-                y = step[y]
-            if y != x:
-                raise ValueError(
-                    f"action order does not divide {n} at point {x!r}")
+        # transformation_groupoid checks that the order divides n
         return transformation_groupoid(n, step)
     if name == "disjoint_union":
         specs = params["parts"]
@@ -443,8 +429,12 @@ def groupoid_from_dict(data):
 
     Missing haar data means counting weights.  The unit table is derived
     from the composition table, so a malformed file fails validate().
+    Raises ValueError for a groupoid without objects and for haar data
+    that misses an object.
     """
     objects = tuple(data["objects"])
+    if not objects:
+        raise ValueError("the groupoid has no objects")
     arrows = tuple(a["id"] for a in data["arrows"])
     src = {a["id"]: a["src"] for a in data["arrows"]}
     rng = {a["id"]: a["rng"] for a in data["arrows"]}
@@ -458,6 +448,9 @@ def groupoid_from_dict(data):
     gpd = FiniteGroupoid(objects, arrows, src, rng, comp, inv, unit)
     if "haar" in data:
         weights = {x: float(w) for x, w in data["haar"].items()}
+        bad = next((x for x in objects if x not in weights), None)
+        if bad is not None:
+            raise ValueError(f"haar weights miss object {bad!r}")
     else:
         weights = counting_weights(gpd)
     return gpd, weights

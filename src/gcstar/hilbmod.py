@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from .report import Report
+from .report import Report, max_abs
 from .measures import (arrow_correspondence, compose_families,
                        family_correspondence, fibre_product,
                        groupoid_families)
@@ -52,14 +52,6 @@ class GradedSpace:
 
     def left_fiber(self, x):
         return tuple(b for b in self.basis if self.left[b] == x)
-
-    def right_fiber(self, y):
-        return tuple(b for b in self.basis if self.right[b] == y)
-
-    def delta(self, b):
-        v = np.zeros(self.dim, dtype=complex)
-        v[self.index[b]] = 1.0
-        return v
 
     def inner(self, v, w):
         """Inner product valued in functions on the right space."""
@@ -111,10 +103,6 @@ class ModuleMap:
         mat = self.matrix.conj().T * (wt[None, :] / ws[:, None])
         return ModuleMap(self.target, self.source, mat)
 
-    def inverse(self):
-        return ModuleMap(self.target, self.source,
-                         np.linalg.inv(self.matrix))
-
     def __repr__(self):
         return f"ModuleMap({self.source!r} -> {self.target!r})"
 
@@ -160,17 +148,42 @@ def tensor(e, f):
         left_space=e.left_space, right_space=f.right_space)
 
 
+def grade_leak(m, side):
+    """Largest matrix entry joining basis vectors of different grades.
+
+    side is "left" or "right".  Returns (worst, witness), the witness
+    being the (source, target) basis pair of the first largest entry in
+    source-major, target-minor order, or None when nothing leaks.
+    """
+    codes = {}
+    src = np.array([codes.setdefault(getattr(m.source, side)[b], len(codes))
+                    for b in m.source.basis], dtype=int)
+    tgt = np.array([codes.setdefault(getattr(m.target, side)[b], len(codes))
+                    for b in m.target.basis], dtype=int)
+    # transposed so that the flat scan runs source-major; np.hypot
+    # rounds like abs() on one entry, where np.abs may differ by an ulp
+    leak = np.hypot(m.matrix.real, m.matrix.imag).T
+    leak[src[:, None] == tgt[None, :]] = 0.0
+    if not leak.size:
+        return 0.0, None
+    j, i = divmod(int(np.argmax(leak)), leak.shape[1])
+    worst = float(leak[j, i])
+    if worst == 0.0:
+        return 0.0, None
+    return worst, (m.source.basis[j], m.target.basis[i])
+
+
+def _require_graded(m, side):
+    worst, bad = grade_leak(m, side)
+    if worst > _GRADE_GUARD:
+        raise ValueError(f"map moves {side} grade {bad[0]!r} -> {bad[1]!r}")
+
+
 def tensor_map(m, f):
     """m tensor identity; m must preserve right grades."""
+    _require_graded(m, "right")
     src = tensor(m.source, f)
     tgt = tensor(m.target, f)
-    for a in m.source.basis:
-        for a2 in m.target.basis:
-            if m.source.right[a] != m.target.right[a2]:
-                if abs(m.matrix[m.target.index[a2], m.source.index[a]]) \
-                        > _GRADE_GUARD:
-                    raise ValueError(
-                        f"map moves right grade {a!r} -> {a2!r}")
     mat = np.zeros((tgt.dim, src.dim), dtype=complex)
     for (a, b) in src.basis:
         j = src.index[(a, b)]
@@ -183,15 +196,9 @@ def tensor_map(m, f):
 
 def tensor_map_left(e, m):
     """Identity tensor m; m must preserve left grades."""
+    _require_graded(m, "left")
     src = tensor(e, m.source)
     tgt = tensor(e, m.target)
-    for b in m.source.basis:
-        for b2 in m.target.basis:
-            if m.source.left[b] != m.target.left[b2]:
-                if abs(m.matrix[m.target.index[b2], m.source.index[b]]) \
-                        > _GRADE_GUARD:
-                    raise ValueError(
-                        f"map moves left grade {b!r} -> {b2!r}")
     mat = np.zeros((tgt.dim, src.dim), dtype=complex)
     for (a, b) in src.basis:
         j = src.index[(a, b)]
@@ -273,33 +280,21 @@ def creation(e, xi, f):
 def check_module_map(m, tol=1e-12):
     """Right module structure: no matrix mass across right grades."""
     rep = Report("module map")
-    worst, bad = 0.0, None
-    for a in m.source.basis:
-        for a2 in m.target.basis:
-            if m.source.right[a] != m.target.right[a2]:
-                v = abs(m.matrix[m.target.index[a2], m.source.index[a]])
-                if v > worst:
-                    worst, bad = v, (a, a2)
+    worst, bad = grade_leak(m, "right")
     rep.add("right-grade-preserved", worst <= tol, defect=worst, witness=bad)
     return rep
 
 
-def _op_defect(mat):
-    return float(np.max(np.abs(mat))) if mat.size else 0.0
-
-
 def is_isometry(m, tol=1e-10):
     rep = check_module_map(m, tol)
-    d = _op_defect(m.adjoint().compose(m).matrix
-                   - np.eye(m.source.dim))
+    d = max_abs(m.adjoint().compose(m).matrix - np.eye(m.source.dim))
     rep.add("isometry", d <= tol, defect=d)
     return rep
 
 
 def is_unitary(m, tol=1e-10):
     rep = is_isometry(m, tol)
-    d = _op_defect(m.compose(m.adjoint()).matrix
-                   - np.eye(m.target.dim))
+    d = max_abs(m.compose(m.adjoint()).matrix - np.eye(m.target.dim))
     rep.add("coisometry", d <= tol, defect=d)
     return rep
 
@@ -307,13 +302,7 @@ def is_unitary(m, tol=1e-10):
 def is_intertwiner(m, tol=1e-10):
     """Left module structure: no matrix mass across left grades."""
     rep = Report("intertwiner")
-    worst, bad = 0.0, None
-    for a in m.source.basis:
-        for a2 in m.target.basis:
-            if m.source.left[a] != m.target.left[a2]:
-                v = abs(m.matrix[m.target.index[a2], m.source.index[a]])
-                if v > worst:
-                    worst, bad = v, (a, a2)
+    worst, bad = grade_leak(m, "left")
     rep.add("left-grade-preserved", worst <= tol, defect=worst, witness=bad)
     return rep
 

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .report import Report, VerificationError
-from .measures import family_correspondence
-from .hilbmod import ModuleMap, creation, l2, module_from_dims
-from .convalg import (convolve, fiber_sups, identity_element,
-                      operator_norm, star)
+from .report import Report, VerificationError, max_abs
+from .hilbmod import ModuleMap, creation, module_from_dims
+from .convalg import (convolve, delta_function, fiber_sups,
+                      identity_element, operator_norm, star)
 from .reps import CocycleFamily, blockwise, check_cocycle, from_cocycle
 
 
@@ -37,12 +36,9 @@ def integrate_rep(rep, f):
     unitary; the absolute value splits as a product of square roots
     and the phase rides on the range side factor.
     """
-    fam = rep.families
-    src_leg = l2(family_correspondence(fam.alpha_r))
-    tgt_leg = l2(family_correspondence(fam.alpha))
-    f1, f2 = _sqrt_factors(f, src_leg.basis)
-    lift = creation(src_leg, f2, rep.module)
-    drop = creation(tgt_leg, f1, rep.module).adjoint()
+    f1, f2 = _sqrt_factors(f, rep.source_leg.basis)
+    lift = creation(rep.source_leg, f2, rep.module)
+    drop = creation(rep.target_leg, f1, rep.module).adjoint()
     return drop.compose(rep.umap).compose(lift)
 
 
@@ -87,14 +83,12 @@ def check_integration(rep, funcs, tol=1e-10):
     for f in funcs:
         lit = integrate_rep(rep, f)
         ora = oracle_integrate(rep, f)
-        d = float(np.max(np.abs(lit.matrix - ora.matrix))) \
-            if lit.matrix.size else 0.0
+        d = max_abs(lit.matrix - ora.matrix)
         worst = max(worst, d)
     out.add("oracle-agreement", worst <= tol, defect=worst)
 
     ident = integrate_rep(rep, identity_element(gpd, c))
-    d = float(np.max(np.abs(ident.matrix - np.eye(rep.module.dim)))) \
-        if ident.matrix.size else 0.0
+    d = max_abs(ident.matrix - np.eye(rep.module.dim))
     out.add("identity", d <= tol, defect=d)
 
     worst = 0.0
@@ -102,8 +96,7 @@ def check_integration(rep, funcs, tol=1e-10):
         f1, f2 = funcs[i], funcs[i + 1]
         prod = integrate_rep(rep, convolve(gpd, c, f1, f2))
         two = integrate_rep(rep, f1).compose(integrate_rep(rep, f2))
-        d = float(np.max(np.abs(prod.matrix - two.matrix))) \
-            if prod.matrix.size else 0.0
+        d = max_abs(prod.matrix - two.matrix)
         worst = max(worst, d)
     out.add("multiplicative", worst <= tol, defect=worst)
 
@@ -111,8 +104,7 @@ def check_integration(rep, funcs, tol=1e-10):
     for f in funcs:
         one = integrate_rep(rep, star(gpd, f))
         two = integrate_rep(rep, f).adjoint()
-        d = float(np.max(np.abs(one.matrix - two.matrix))) \
-            if one.matrix.size else 0.0
+        d = max_abs(one.matrix - two.matrix)
         worst = max(worst, d)
     out.add("star", worst <= tol, defect=worst)
 
@@ -159,10 +151,8 @@ class ConvRep:
 def conv_rep_of(rep):
     """Integrate every arrow delta of a representation."""
     gpd = rep.groupoid
-    ops = {}
-    for g in gpd.arrows:
-        f = {h: (1.0 + 0.0j if h == g else 0.0 + 0.0j) for h in gpd.arrows}
-        ops[g] = integrate_rep(rep, f).matrix
+    ops = {g: integrate_rep(rep, delta_function(gpd, g)).matrix
+           for g in gpd.arrows}
     return ConvRep(gpd, rep.weights, rep.module, ops)
 
 
@@ -173,8 +163,7 @@ def check_conv_rep(conv, funcs, tol=1e-10):
     funcs = list(funcs)
 
     ident = conv.op(identity_element(gpd, c))
-    d = float(np.max(np.abs(ident.matrix - np.eye(conv.space.dim)))) \
-        if ident.matrix.size else 0.0
+    d = max_abs(ident.matrix - np.eye(conv.space.dim))
     out.add("identity", d <= tol, defect=d)
 
     worst = 0.0
@@ -182,8 +171,7 @@ def check_conv_rep(conv, funcs, tol=1e-10):
         f1, f2 = funcs[i], funcs[i + 1]
         one = conv.op(convolve(gpd, c, f1, f2))
         two = conv.op(f1).compose(conv.op(f2))
-        d = float(np.max(np.abs(one.matrix - two.matrix))) \
-            if one.matrix.size else 0.0
+        d = max_abs(one.matrix - two.matrix)
         worst = max(worst, d)
     out.add("multiplicative", worst <= tol, defect=worst)
 
@@ -191,8 +179,7 @@ def check_conv_rep(conv, funcs, tol=1e-10):
     for f in funcs:
         one = conv.op(star(gpd, f))
         two = conv.op(f).adjoint()
-        d = float(np.max(np.abs(one.matrix - two.matrix))) \
-            if one.matrix.size else 0.0
+        d = max_abs(one.matrix - two.matrix)
         worst = max(worst, d)
     out.add("star", worst <= tol, defect=worst)
 
@@ -217,8 +204,7 @@ def check_integrated_intertwiner(conv1, conv2, vmatrix, tol=1e-10):
     v = np.asarray(vmatrix, dtype=complex)
     worst = 0.0
     for g in gpd.arrows:
-        d = float(np.max(np.abs(conv2.delta_ops[g] @ v
-                                - v @ conv1.delta_ops[g])))
+        d = max_abs(conv2.delta_ops[g] @ v - v @ conv1.delta_ops[g])
         worst = max(worst, d)
     return worst <= tol, worst
 
@@ -294,10 +280,6 @@ def check_pair_exchange(gpd, weights, functions):
 # ---------------------------------------------------------------------------
 # disintegration
 
-def _delta_fn(gpd, g):
-    return {h: (1.0 + 0.0j if h == g else 0.0 + 0.0j) for h in gpd.arrows}
-
-
 def disintegrate(conv, tol=1e-9):
     """Recover a representation from its integrated operator family.
 
@@ -313,19 +295,20 @@ def disintegrate(conv, tol=1e-9):
     out = Report("disintegration")
 
     ident = conv.op(identity_element(gpd, c))
-    d = float(np.max(np.abs(ident.matrix - np.eye(space.dim)))) \
-        if ident.matrix.size else 0.0
+    d = max_abs(ident.matrix - np.eye(space.dim))
     out.add("nondegenerate", d <= tol, defect=d)
 
     gram = np.diag(space.gram_diagonal())
+    deltas = {g: delta_function(gpd, g) for g in gpd.arrows}
     worst = 0.0
     for g in gpd.arrows:
+        left = conv.delta_ops[g].conj().T @ gram
+        starred = star(gpd, deltas[g])
         for g2 in gpd.arrows:
-            lhs = conv.delta_ops[g].conj().T @ gram @ conv.delta_ops[g2]
+            lhs = left @ conv.delta_ops[g2]
             rhs = gram @ conv.op(
-                convolve(gpd, c, star(gpd, _delta_fn(gpd, g)),
-                         _delta_fn(gpd, g2))).matrix
-            d = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
+                convolve(gpd, c, starred, deltas[g2])).matrix
+            d = max_abs(lhs - rhs)
             worst = max(worst, d)
     out.add("star-certificate", worst <= tol, defect=worst)
 
@@ -344,17 +327,13 @@ def disintegrate(conv, tol=1e-9):
     for x in gpd.objects:
         p = conv.delta_ops[gpd.unit[x]] / c[x]
         projections[x] = p
-        worst_idem = max(worst_idem,
-                         float(np.max(np.abs(p @ p - p))) if p.size else 0.0)
+        worst_idem = max(worst_idem, max_abs(p @ p - p))
         pm = ModuleMap(space, space, p)
-        worst_adj = max(worst_adj,
-                        float(np.max(np.abs(pm.adjoint().matrix - p)))
-                        if p.size else 0.0)
+        worst_adj = max(worst_adj, max_abs(pm.adjoint().matrix - p))
     out.add("projections-idempotent", worst_idem <= tol, defect=worst_idem)
     out.add("projections-selfadjoint", worst_adj <= tol, defect=worst_adj)
     total = sum(projections.values())
-    d = float(np.max(np.abs(total - np.eye(space.dim)))) \
-        if space.dim else 0.0
+    d = max_abs(total - np.eye(space.dim))
     out.add("projections-sum", d <= tol, defect=d)
 
     if not out.ok:
@@ -398,8 +377,7 @@ def disintegrate(conv, tol=1e-9):
         for i in range(cols.shape[1]):
             frame_mat[idx, module.index[(x, w, i)]] = cols[:, i]
     frame = ModuleMap(module, space, frame_mat)
-    d = float(np.max(np.abs(frame.adjoint().compose(frame).matrix
-                            - np.eye(module.dim)))) if module.dim else 0.0
+    d = max_abs(frame.adjoint().compose(frame).matrix - np.eye(module.dim))
     out.add("frame-isometry", d <= tol, defect=d)
 
     unitaries = {}
@@ -412,10 +390,7 @@ def disintegrate(conv, tol=1e-9):
         mask = np.ones_like(small, dtype=bool)
         if trows and srows:
             mask[np.ix_(trows, srows)] = False
-        if small.size:
-            offblock = max(offblock,
-                           float(np.max(np.abs(small[mask])))
-                           if mask.any() else 0.0)
+        offblock = max(offblock, max_abs(small[mask]))
         block = small[np.ix_(trows, srows)]
         unitaries[g] = np.sqrt(c[gpd.src[g]] / c[gpd.rng[g]]) * block
     out.add("compression-offblock", offblock <= tol, defect=offblock)
@@ -475,8 +450,7 @@ def extend_prerep(pre, tol=1e-9):
             pushed = hat_iota @ (
                 (dhat_dom[:, None] * pre.ops[g]) / dhat_dom[None, :]
             ) @ kernel
-            worst = max(worst,
-                        float(np.max(np.abs(pushed))) if pushed.size else 0.0)
+            worst = max(worst, max_abs(pushed))
     out.add("kernel-invariant", worst <= tol, defect=worst)
     out.add("continuity", True, witness="vacuous, finite dimensional")
 
@@ -497,20 +471,33 @@ def extend_prerep(pre, tol=1e-9):
 # ---------------------------------------------------------------------------
 # round trips
 
+def _operator_roundtrip(conv, rep):
+    """Worst delta operator of conv against rep integrated in its frame."""
+    gpd, frame = conv.groupoid, rep.frame
+    worst, bad = 0.0, None
+    for g in gpd.arrows:
+        lg = integrate_rep(rep, delta_function(gpd, g))
+        back = frame.compose(lg).compose(frame.adjoint()).matrix
+        d = max_abs(back - conv.delta_ops[g])
+        if d > worst:
+            worst, bad = d, g
+    return worst, bad
+
+
+def _grade_dims(objects, module):
+    """Module dimension over each (object, coefficient label)."""
+    dims = {(x, w): 0 for x in objects for w in module.right_space}
+    for b in module.basis:
+        dims[(module.left[b], module.right[b])] += 1
+    return dims
+
+
 def roundtrip_conv(conv, tol=1e-9):
     """Disintegrate, integrate again, compare every delta operator."""
     rep, inner = disintegrate(conv, tol)
     out = Report("integrate after disintegrate")
     out.extend(inner)
-    frame = rep.frame
-    worst, bad = 0.0, None
-    for g in conv.groupoid.arrows:
-        lg = integrate_rep(rep, _delta_fn(conv.groupoid, g))
-        back = frame.compose(lg).compose(frame.adjoint()).matrix
-        d = float(np.max(np.abs(back - conv.delta_ops[g]))) \
-            if back.size else 0.0
-        if d > worst:
-            worst, bad = d, g
+    worst, bad = _operator_roundtrip(conv, rep)
     out.add("delta-roundtrip", worst <= tol, defect=worst, witness=bad)
     return out
 
@@ -522,25 +509,11 @@ def roundtrip_rep(rep, tol=1e-9):
     out = Report("disintegrate after integrate")
     out.extend(inner)
 
-    dims1 = {(x, w): 0 for x in rep.groupoid.objects
-             for w in rep.module.right_space}
-    for b in rep.module.basis:
-        dims1[(rep.module.left[b], rep.module.right[b])] += 1
-    dims2 = {(x, w): 0 for x in rep.groupoid.objects
-             for w in rep2.module.right_space}
-    for b in rep2.module.basis:
-        dims2[(rep2.module.left[b], rep2.module.right[b])] += 1
+    dims1 = _grade_dims(rep.groupoid.objects, rep.module)
+    dims2 = _grade_dims(rep.groupoid.objects, rep2.module)
     out.add("dims-match", dims1 == dims2,
             witness=None if dims1 == dims2 else (dims1, dims2))
 
-    frame = rep2.frame
-    worst, bad = 0.0, None
-    for g in rep.groupoid.arrows:
-        lg = integrate_rep(rep2, _delta_fn(rep.groupoid, g))
-        back = frame.compose(lg).compose(frame.adjoint()).matrix
-        d = float(np.max(np.abs(back - conv.delta_ops[g]))) \
-            if back.size else 0.0
-        if d > worst:
-            worst, bad = d, g
+    worst, bad = _operator_roundtrip(conv, rep2)
     out.add("operator-roundtrip", worst <= tol, defect=worst, witness=bad)
     return out

@@ -198,11 +198,6 @@ class Correspondence:
             if not (self.weight[p] > 0.0):
                 raise ValueError(f"nonpositive weight at {p!r}")
 
-    @property
-    def family(self):
-        return MeasureFamily(self.points, self.right_space, self.fmap,
-                             self.weight)
-
 
 def arrow_correspondence(gpd, weights, leg):
     """The arrow set as a correspondence over the objects.

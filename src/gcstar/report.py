@@ -9,6 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+
+def max_abs(x):
+    """Largest absolute entry of an array, 0.0 when it is empty."""
+    x = np.asarray(x)
+    return float(np.max(np.abs(x))) if x.size else 0.0
+
 
 class VerificationError(Exception):
     """Raised by Report.require when a check failed."""

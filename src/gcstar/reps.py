@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .report import Report, VerificationError
+from .report import Report, VerificationError, max_abs
 from .measures import (arrow_correspondence, check_corr_isomorphism,
                        family_correspondence, fibre_product,
                        groupoid_families)
 from .hilbmod import (ModuleMap, check_module_map, gamma_compose,
-                      gamma_fibre, induced_unitary, is_intertwiner,
-                      is_unitary, l2, regroup, tensor, tensor_map,
-                      tensor_map_left)
+                      gamma_fibre, grade_leak, induced_unitary,
+                      is_intertwiner, is_unitary, l2, regroup, tensor,
+                      tensor_map, tensor_map_left)
 
 
 class Representation:
@@ -29,30 +29,35 @@ class Representation:
 
     module : GradedSpace, left grades objects, right grades coefficient
              labels
-    umap   : ModuleMap tensor(l2 source leg, module) -> tensor(l2 range
-             leg, module)
+    umap   : ModuleMap tensor(source_leg, module) -> tensor(target_leg,
+             module), the legs being the arrow spaces weighted along
+             source and along range
     frame  : optional ModuleMap of the module into an ambient space,
              recorded by disintegration so raw blocks can be compared
              at the operator level
+
+    umap None starts from the zero map on the expected spaces, for the
+    caller to fill in.
     """
 
     def __init__(self, gpd, weights, module, umap, frame=None):
         self.groupoid = gpd
         self.weights = {x: float(weights[x]) for x in gpd.objects}
         self.module = module
-        self.umap = umap
         self.frame = frame
         fam = groupoid_families(gpd, self.weights)
         self.families = fam
-        self.source = tensor(l2(family_correspondence(fam.alpha_r)), module)
-        self.target = tensor(l2(family_correspondence(fam.alpha)), module)
-        if umap.source.basis != self.source.basis \
+        self.source_leg = l2(family_correspondence(fam.alpha_r))
+        self.target_leg = l2(family_correspondence(fam.alpha))
+        self.source = tensor(self.source_leg, module)
+        self.target = tensor(self.target_leg, module)
+        if umap is None:
+            umap = ModuleMap(self.source, self.target,
+                             np.zeros((self.target.dim, self.source.dim)))
+        elif umap.source.basis != self.source.basis \
                 or umap.target.basis != self.target.basis:
             raise ValueError("unitary does not live on the expected spaces")
-
-    def fiber_dims(self):
-        return {x: len(self.module.left_fiber(x))
-                for x in self.groupoid.objects}
+        self.umap = umap
 
     def __repr__(self):
         return (f"Representation({self.groupoid!r}, "
@@ -105,25 +110,17 @@ def blockwise(rep):
 def from_cocycle(gpd, weights, module, unitaries):
     """Assemble a representation from normalized fiber blocks."""
     fam = CocycleFamily(gpd, weights, module, unitaries)
-    source, target = _spaces_for(gpd, weights, module)
-    mat = np.zeros((target.dim, source.dim), dtype=complex)
+    rep = Representation(gpd, weights, module, None)
+    mat = rep.umap.matrix
     for g in gpd.arrows:
         sfib = module.left_fiber(gpd.src[g])
         tfib = module.left_fiber(gpd.rng[g])
         block = fam.raw[g]
         for j, m in enumerate(sfib):
-            col = source.index[(g, m)]
+            col = rep.source.index[(g, m)]
             for i, m2 in enumerate(tfib):
-                mat[target.index[(g, m2)], col] = block[i, j]
-    umap = ModuleMap(source, target, mat)
-    return Representation(gpd, weights, module, umap)
-
-
-def _spaces_for(gpd, weights, module):
-    fam = groupoid_families(gpd, weights)
-    source = tensor(l2(family_correspondence(fam.alpha_r)), module)
-    target = tensor(l2(family_correspondence(fam.alpha)), module)
-    return source, target
+                mat[rep.target.index[(g, m2)], col] = block[i, j]
+    return rep
 
 
 def check_cocycle(fam, tol=1e-10):
@@ -134,7 +131,7 @@ def check_cocycle(fam, tol=1e-10):
     worst, bad = 0.0, None
     for x in gpd.objects:
         u = fam.unitaries[gpd.unit[x]]
-        d = float(np.max(np.abs(u - np.eye(u.shape[0])))) if u.size else 0.0
+        d = max_abs(u - np.eye(u.shape[0]))
         if d > worst:
             worst, bad = d, x
     rep.add("unit-blocks", worst <= tol, defect=worst, witness=bad)
@@ -143,7 +140,7 @@ def check_cocycle(fam, tol=1e-10):
     for (g, h) in gpd.composable_pairs():
         lhs = fam.unitaries[gpd.comp[(g, h)]]
         rhs = fam.unitaries[g] @ fam.unitaries[h]
-        d = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
+        d = max_abs(lhs - rhs)
         if d > worst:
             worst, bad = d, (g, h)
     rep.add("multiplicative", worst <= tol, defect=worst, witness=bad)
@@ -156,7 +153,9 @@ def check_cocycle(fam, tol=1e-10):
         wt = np.array([fam.module.weight[m] for m in tfib])
         u = fam.unitaries[g]
         gram = u.conj().T @ (wt[:, None] * u)
-        d = float(np.max(np.abs(gram - np.diag(ws)))) if u.size else 0.0
+        # an empty block between fibres of different sizes is flagged
+        # by the size test below, with defect 1
+        d = max_abs(gram - np.diag(ws)) if u.size else 0.0
         if len(sfib) != len(tfib):
             d = max(d, 1.0)
         if d > worst:
@@ -168,11 +167,6 @@ def check_cocycle(fam, tol=1e-10):
 # ---------------------------------------------------------------------------
 # simplicial transfer
 
-def _face_data(fam, index):
-    lam = (fam.lam0, fam.lam1, fam.lam2)[index]
-    return lam
-
-
 def face_transfer(rep, index):
     """The unitary a representation induces over the composable pairs.
 
@@ -181,16 +175,14 @@ def face_transfer(rep, index):
     between the two composite weighted pair spaces of that face.
     """
     fam = rep.families
-    lam = _face_data(fam, index)
+    lam = (fam.lam0, fam.lam1, fam.lam2)[index]
     pair_space = l2(family_correspondence(lam))
-    src_leg = l2(family_correspondence(fam.alpha_r))
-    tgt_leg = l2(family_correspondence(fam.alpha))
     module = rep.module
 
     gam_s = tensor_map(gamma_compose(lam, fam.alpha_r), module)
     gam_t = tensor_map(gamma_compose(lam, fam.alpha), module)
-    reg_s = regroup(pair_space, src_leg, module)
-    reg_t = regroup(pair_space, tgt_leg, module)
+    reg_s = regroup(pair_space, rep.source_leg, module)
+    reg_t = regroup(pair_space, rep.target_leg, module)
     mid = tensor_map_left(pair_space, rep.umap)
     return gam_t.compose(reg_t.adjoint()).compose(mid) \
         .compose(reg_s).compose(gam_s.adjoint())
@@ -222,19 +214,13 @@ def check_representation(rep, tol=1e-10):
     if d1.source.basis != composed.source.basis \
             or d1.target.basis != composed.target.basis:
         raise VerificationError("face transfers landed on distinct bases")
-    d = float(np.max(np.abs(d1.matrix - composed.matrix))) \
-        if d1.matrix.size else 0.0
+    d = max_abs(d1.matrix - composed.matrix)
     out.add("transfer-cocycle", d <= tol, defect=d)
     return out
 
 
 # ---------------------------------------------------------------------------
 # the regular representation
-
-def regular_module(gpd, weights):
-    """Arrow functions graded by range and source, weighted by range."""
-    return l2(arrow_correspondence(gpd, weights, "s"))
-
 
 def regular_representation(gpd, weights):
     """Translation of arrow functions, built from exact relabelings.
@@ -275,10 +261,8 @@ def induce(rep, ebasis):
     """
     gpd, c = rep.groupoid, rep.weights
     module2 = tensor(rep.module, ebasis)
-    src_leg = l2(family_correspondence(rep.families.alpha_r))
-    tgt_leg = l2(family_correspondence(rep.families.alpha))
-    reg_s = regroup(src_leg, rep.module, ebasis)
-    reg_t = regroup(tgt_leg, rep.module, ebasis)
+    reg_s = regroup(rep.source_leg, rep.module, ebasis)
+    reg_t = regroup(rep.target_leg, rep.module, ebasis)
     big = tensor_map(rep.umap, ebasis)
     umap = reg_t.compose(big).compose(reg_s.adjoint())
     return Representation(gpd, c, module2, umap)
@@ -293,28 +277,18 @@ def check_intertwiner(rep1, rep2, vmap, tol=1e-10):
     """
     out = Report("intertwiner")
     out.extend(check_module_map(vmap, tol))
-    worst, bad = 0.0, None
-    for m in vmap.source.basis:
-        for m2 in vmap.target.basis:
-            if vmap.source.left[m] != vmap.target.left[m2]:
-                v = abs(vmap.matrix[vmap.target.index[m2],
-                                    vmap.source.index[m]])
-                if v > worst:
-                    worst, bad = v, (m, m2)
+    worst, bad = grade_leak(vmap, "left")
     out.add("object-grade-preserved", worst <= tol, defect=worst,
             witness=bad)
     if worst > 1e-13:
         out.add("commutes", False, witness="blocked by grade mismatch")
         return out
 
-    src_leg = l2(family_correspondence(rep1.families.alpha_r))
-    tgt_leg = l2(family_correspondence(rep1.families.alpha))
-    lift_s = tensor_map_left(src_leg, vmap)
-    lift_t = tensor_map_left(tgt_leg, vmap)
+    lift_s = tensor_map_left(rep1.source_leg, vmap)
+    lift_t = tensor_map_left(rep1.target_leg, vmap)
     one = lift_t.compose(rep1.umap)
     two = rep2.umap.compose(lift_s)
-    d = float(np.max(np.abs(one.matrix - two.matrix))) \
-        if one.matrix.size else 0.0
+    d = max_abs(one.matrix - two.matrix)
     out.add("commutes", d <= tol, defect=d)
     return out
 

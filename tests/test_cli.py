@@ -59,6 +59,15 @@ def test_unknown_preset_exits_2(capsys):
     assert "unknown preset" in err
 
 
+@pytest.mark.parametrize("preset", ["group", "group:0", "group:x",
+                                    "pair:0", "transformation:0"])
+def test_bad_sized_preset_exits_2(capsys, preset):
+    code, _, err = run(capsys, "validate", "--preset", preset)
+    assert code == 2
+    assert f"preset {preset!r}" in err
+    assert "Traceback" not in err
+
+
 def test_fixture_preset_rejects_params():
     with pytest.raises(ValueError):
         parse_preset("Z2:3")
@@ -174,6 +183,43 @@ def test_trafo_needs_both_files(capsys):
     code, _, err = run(capsys, "trafo")
     assert code == 2
     assert "trafo needs" in err
+
+
+@pytest.mark.parametrize("extra", [["--preset", "P2"], ["--groupoid", "g"],
+                                   ["g.json"]])
+def test_suite_refuses_groupoid_arguments(capsys, extra):
+    code, out, err = run(capsys, "suite", "--trials", "1", *extra)
+    assert code == 2
+    assert "built-in fixtures" in err
+    assert out == ""
+
+
+def test_infinite_haar_weight_exits_2(capsys, tmp_path):
+    path = write_groupoid(tmp_path, name="W2")
+    with open(path) as fh:
+        text = fh.read().replace("4.0", "1e309")
+    with open(path, "w") as fh:
+        fh.write(text)
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 2
+    assert "FAIL  haar-weight-positive" in out
+    code, _, err = run(capsys, "algebra", path)
+    assert code == 2
+    assert "weight-positive" in err
+
+
+def test_malformed_haar_and_empty_groupoid_exit_2(capsys, tmp_path):
+    def drop_object(data):
+        del data["haar"]["1"]
+    path = write_groupoid(tmp_path, name="W2", corrupt=drop_object)
+    code, _, err = run(capsys, "algebra", path)
+    assert code == 2
+    assert "haar weights miss object '1'" in err
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"objects": [], "arrows": []}))
+    code, _, err = run(capsys, "algebra", str(path))
+    assert code == 2
+    assert "no objects" in err
 
 
 def test_suite_small(capsys):

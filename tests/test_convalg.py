@@ -10,9 +10,8 @@ import pytest
 
 from gcstar.convalg import (check_convolution, convolve, cstar_norm,
                             delta_function, delta_product, fiber_sups,
-                            i_norm, identity_element, jacobi_eigenvalues,
-                            operator_norm, regular_matrix, star,
-                            zero_function)
+                            i_norm, identity_element, operator_norm,
+                            regular_matrix, star, zero_function)
 from gcstar.fingroupoid import FIXTURE_NAMES, fixture
 from gcstar.hilbmod import ModuleMap, module_from_dims
 from gcstar.sampling import SplitMix64
@@ -93,29 +92,6 @@ def test_cstar_norm_equality_case_z2():
     f[1] = 1.0
     assert i_norm(gpd, w, f) == 2.0
     assert cstar_norm(gpd, w, f) == pytest.approx(2.0, abs=1e-9)
-
-
-def test_jacobi_two_by_two_oracles():
-    eigs = jacobi_eigenvalues(np.array([[0.0, 2.0], [2.0, 0.0]]))
-    assert np.allclose(eigs, [-2.0, 2.0], atol=1e-12)
-    eigs = jacobi_eigenvalues(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    assert np.allclose(eigs, [0.0, 2.0], atol=1e-12)
-
-
-def test_jacobi_against_library_solver():
-    rng = SplitMix64(99)
-    for n in (1, 2, 3, 5, 8):
-        raw = np.array([[rng.cgauss() for _ in range(n)]
-                        for _ in range(n)])
-        herm = raw + raw.conj().T
-        mine = jacobi_eigenvalues(herm)
-        ref = np.linalg.eigvalsh(herm)
-        assert np.max(np.abs(mine - ref)) <= 1e-9
-
-
-def test_jacobi_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        jacobi_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_operator_norm_weighted():

@@ -139,6 +139,16 @@ def test_haar_positivity():
     assert not validate_haar(gpd, aw).ok
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), -1.0])
+def test_haar_weights_must_be_finite_and_positive(value):
+    gpd, weights = fixture("P2")
+    aw = arrow_weights(gpd, weights)
+    aw[(1, 2)] = value
+    rep = validate_haar(gpd, aw)
+    assert [c.name for c in rep.failures()] == ["weight-positive"]
+    assert rep.failures()[0].witness == (1, 2)
+
+
 def test_arrow_and_object_weights_inverse():
     gpd, weights = fixture("W2")
     aw = arrow_weights(gpd, weights)
@@ -166,6 +176,20 @@ def test_from_dict_missing_haar_is_counting():
     data = groupoid_to_dict(gpd)
     gpd2, weights2 = groupoid_from_dict(data)
     assert set(weights2.values()) == {1.0}
+
+
+def test_from_dict_haar_missing_object():
+    gpd, weights = fixture("W2")
+    data = groupoid_to_dict(gpd, weights)
+    del data["haar"]["1"]
+    with pytest.raises(ValueError, match="haar weights miss object '1'"):
+        groupoid_from_dict(data)
+
+
+def test_from_dict_empty_groupoid():
+    data = {"objects": [], "arrows": [], "inverse": {}, "compose": []}
+    with pytest.raises(ValueError, match="no objects"):
+        groupoid_from_dict(data)
 
 
 def test_build_preset_validation():

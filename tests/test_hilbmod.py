@@ -6,13 +6,14 @@ import pytest
 from gcstar.fingroupoid import FIXTURE_NAMES, fixture
 from gcstar.hilbmod import (GradedSpace, ModuleMap, check_gamma,
                             check_module_map, creation, dump_module_map,
-                            gamma_compose, gamma_fibre, identity_map,
-                            induced_unitary, is_isometry, is_unitary, l2,
-                            l2_family, module_from_dims, regroup, tensor,
-                            tensor_map)
+                            gamma_compose, gamma_fibre, grade_leak,
+                            identity_map, induced_unitary, is_intertwiner,
+                            is_isometry, is_unitary, l2, l2_family,
+                            module_from_dims, regroup, tensor, tensor_map)
 from gcstar.measures import (Correspondence, arrow_correspondence,
                              family_correspondence, groupoid_families,
                              haar_system)
+from gcstar.sampling import SplitMix64
 
 
 def two_point_space():
@@ -79,6 +80,69 @@ def test_tensor_map_grade_guard():
     swap = ModuleMap(src, src, [[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         tensor_map(swap, f)
+
+
+def _leak_by_scan(m, side):
+    """Per-entry scan, source-major, that grade_leak must reproduce."""
+    grade_s, grade_t = getattr(m.source, side), getattr(m.target, side)
+    worst, bad = 0.0, None
+    for a in m.source.basis:
+        for a2 in m.target.basis:
+            if grade_s[a] != grade_t[a2]:
+                v = abs(m.matrix[m.target.index[a2], m.source.index[a]])
+                if v > worst:
+                    worst, bad = v, (a, a2)
+    return worst, bad
+
+
+def _random_graded(rng, tag):
+    basis = tuple((tag, i) for i in range(1 + rng.randint(6)))
+    grades = ("x", "y", 3)
+    return GradedSpace(basis, {b: rng.choice(grades) for b in basis},
+                       {b: rng.choice(grades) for b in basis},
+                       {b: 1.0 for b in basis})
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("kind", ["planted", "none", "tie", "dense"])
+def test_grade_leak_matches_scan(side, kind):
+    rng = SplitMix64(17)
+    for _ in range(25):
+        src, tgt = _random_graded(rng, "s"), _random_graded(rng, "t")
+        gs, gt = getattr(src, side), getattr(tgt, side)
+        same = np.array([[gt[b2] == gs[b] for b in src.basis]
+                         for b2 in tgt.basis])
+        mat = np.array([[rng.cgauss() for _ in src.basis]
+                        for _ in tgt.basis])
+        leaks = np.argwhere(~same)
+        if kind != "dense":
+            mat = mat * same
+        if kind == "planted" and len(leaks):
+            i, j = leaks[rng.randint(len(leaks))]
+            mat[i, j] = 3.0 + 4.0j
+        if kind == "tie":
+            for n, (i, j) in enumerate(leaks):
+                mat[i, j] = (2.0, -2.0, 2.0j)[n % 3]
+        m = ModuleMap(src, tgt, mat)
+        got = grade_leak(m, side)
+        assert got == _leak_by_scan(m, side)
+        if kind == "none":
+            assert got == (0.0, None)
+        if kind == "planted" and len(leaks):
+            assert got[0] == 5.0
+
+
+def test_grade_leak_tie_takes_first_source():
+    sp = GradedSpace(("a", "b"), {"a": "x", "b": "y"}, {"a": 0, "b": 0},
+                     {"a": 1.0, "b": 1.0})
+    tp = GradedSpace(("c", "d"), {"c": "x", "d": "y"}, {"c": 0, "d": 0},
+                     {"c": 1.0, "d": 1.0})
+    m = ModuleMap(sp, tp, [[0.0, 1.0], [1.0, 0.0]])
+    assert grade_leak(m, "left") == (1.0, ("a", "d"))
+    assert grade_leak(m, "right") == (0.0, None)
+    out = is_intertwiner(m, tol=0.5)
+    assert not out.ok and out.checks[0].witness == ("a", "d")
+    assert check_module_map(m).ok
 
 
 def test_regroup_unitary():

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from gcstar.report import Check, Report, VerificationError
+from gcstar.report import Check, Report, VerificationError, max_abs
 
 
 def test_empty_report_is_ok():
@@ -44,3 +45,10 @@ def test_to_dict_round_trip():
     assert data["title"] == "t"
     assert data["ok"] is True
     assert data["checks"][0]["name"] == "a"
+
+
+def test_max_abs():
+    assert max_abs(np.array([[1.0, -3.0], [2.0j, 0.0]])) == 3.0
+    assert max_abs(np.array([3.0 + 4.0j])) == 5.0
+    assert max_abs(np.zeros((0, 4))) == 0.0
+    assert type(max_abs(np.ones(2))) is float
