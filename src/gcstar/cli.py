@@ -87,6 +87,9 @@ def parse_preset(text, seed=0):
             raise ValueError(f"fixture {name} takes no parameters")
         return fixture(name)
     if name == "random":
+        if colon:
+            raise ValueError(f"preset {text!r}: random takes no parameters; "
+                             "it uses --seed")
         return random_groupoid(SplitMix64(seed))
     if name not in _SIZED_PRESETS:
         raise ValueError(f"unknown preset {text!r}")
@@ -138,9 +141,17 @@ def load_bundle(path):
         data = json.load(fh)
     gpd, weights = groupoid_from_dict(data["groupoid"])
     require_valid(gpd, weights)
-    dims = {(x, "w"): int(data["dims"][str(x)]) for x in gpd.objects}
+
+    def entry(table, key, what):
+        try:
+            return data[table][str(key)]
+        except KeyError:
+            raise ValueError(f"bundle {table!r} table misses {what} "
+                             f"{key!r}") from None
+
+    dims = {(x, "w"): int(entry("dims", x, "object")) for x in gpd.objects}
     module = module_from_dims(gpd.objects, ("w",), dims)
-    unitaries = {g: _matrix_from_json(data["U"][str(g)])
+    unitaries = {g: _matrix_from_json(entry("U", g, "arrow"))
                  for g in gpd.arrows}
     return from_cocycle(gpd, weights, module, unitaries)
 
@@ -149,16 +160,26 @@ def load_semigroup(path, gpd):
     """Generator file of partial object maps, lifted to bisections.
 
     Each generator needs exactly one arrow realizing every point of
-    its graph, so the lift to arrows is unambiguous.
+    its graph, so the lift to arrows is unambiguous.  A "dom" list, if
+    given, must name exactly the keys of "map".
     """
     with open(path) as fh:
         data = json.load(fh)
+    if "generators" not in data:
+        raise ValueError("semigroup file has no \"generators\" list")
     label = {str(x): x for x in gpd.objects}
+
+    def obj(i, x):
+        if str(x) not in label:
+            raise ValueError(f"generator {i} names unknown object {str(x)!r}")
+        return label[str(x)]
+
     gens = []
     for i, gen in enumerate(data["generators"]):
-        mapping = {label[str(x)]: label[str(y)]
-                   for x, y in gen["map"].items()}
-        dom = [label[str(x)] for x in gen.get("dom", mapping.keys())]
+        if "map" not in gen:
+            raise ValueError(f"generator {i} has no \"map\"")
+        mapping = {obj(i, x): obj(i, y) for x, y in gen["map"].items()}
+        dom = [obj(i, x) for x in gen.get("dom", mapping.keys())]
         if set(dom) != set(mapping.keys()):
             raise ValueError(f"generator {i}: dom and map keys disagree")
         tag = []

@@ -8,6 +8,14 @@ set of bisections under composition and inversion gives an inverse
 semigroup acting on the objects; its germs reconstruct the groupoid,
 and the crossed product of the action is compared against the
 convolution algebra of the germ groupoid with counting weights.
+
+Inside, elements are numbered 0..n-1 and carrier points 0..m-1, and
+every structure is one integer table over those numbers: the product,
+the involution, the action (-1 off the domain), the order as a boolean
+matrix, the germ classes of (element, point) pairs, and the product
+and involution of the crossed product (-1 for a zero product).  The
+element and point labels appear only in witnesses, error messages and
+the label views: theta, basis and the germ groupoid's arrows.
 """
 
 from __future__ import annotations
@@ -49,14 +57,6 @@ class PartialBijection:
 
     def invert(self):
         return PartialBijection({y: x for x, y in self.mapping.items()})
-
-    def restricts(self, other):
-        """Whether self is other cut down to a smaller domain."""
-        ok = all(other.mapping.get(x) == y
-                 for x, y in self.mapping.items())
-        if ok and self.tag is not None and other.tag is not None:
-            ok = self.tag <= other.tag
-        return ok
 
     def __eq__(self, other):
         return isinstance(other, PartialBijection) and self._key == other._key
@@ -121,104 +121,126 @@ def all_bisections(gpd, max_arrows=16):
     return sorted(found, key=_sort_key)
 
 
+# ---------------------------------------------------------------------------
+# table scans
+
+def _first(mask):
+    """Row-major index of the first True entry (an int for a vector), or
+    None; the order is that of nested loops over the axes."""
+    hit = np.argwhere(mask)
+    if not len(hit):
+        return None
+    return int(hit[0, 0]) if hit.shape[1] == 1 else tuple(map(int, hit[0]))
+
+
+def _scan(n, mask_of):
+    """First (a, ...) of _first(mask_of(a)) over a = 0..n-1, or None."""
+    for a in range(n):
+        rest = _first(mask_of(a))
+        if rest is not None:
+            return (a,) + (rest if isinstance(rest, tuple) else (rest,))
+    return None
+
+
+def _block_range(vals, bounds):
+    """Least and largest entry of vals per column block i, the columns
+    bounds[i]:bounds[i + 1]."""
+    vals = np.atleast_2d(vals)
+    return (np.minimum.reduceat(vals.min(axis=0), bounds[:-1]),
+            np.maximum.reduceat(vals.max(axis=0), bounds[:-1]))
+
+
+def _inverse_action(act):
+    """Table of the inverse partial bijections: out[a, act[a, x]] = x."""
+    out = np.full_like(act, -1)
+    a, x = np.nonzero(act >= 0)
+    out[a, act[a, x]] = x
+    return out
+
+
+def _outside(table, n):
+    return (table < 0) | (table >= n)
+
+
 class InverseSemigroup:
     """Finite inverse semigroup with an action on a carrier set.
 
-    elements are hashable keys; mul and star are total tables; theta
-    assigns each element a partial bijection of the carrier (as a
-    plain dict).  Validation is exhaustive and cubic in the size.
+    Elements and carrier points are numbered by their places in the
+    two tuples.  mul[a, b] is the product ab, star[a] the inverse and
+    act[a, x] the image of x under a, -1 off its domain.  The
+    constructor derives the order once, le[a, b] for a <= b (a = b a* a),
+    and the idempotent flags idem; theta is the label view of act.
+    Validation is exhaustive.
     """
 
-    def __init__(self, elements, mul, star, theta, carrier):
+    def __init__(self, elements, mul, star, act, carrier):
         self.elements = tuple(elements)
-        self.mul = dict(mul)
-        self.star = dict(star)
-        self.theta = {a: dict(theta[a]) for a in self.elements}
         self.carrier = tuple(carrier)
-        self.position = {a: i for i, a in enumerate(self.elements)}
+        n, m = len(self.elements), len(self.carrier)
+        self.mul = np.asarray(mul, dtype=np.intp).reshape(n, n)
+        self.star = np.asarray(star, dtype=np.intp).reshape(n)
+        self.act = np.asarray(act, dtype=np.intp).reshape(n, m)
+        ids = np.arange(n)
+        self.idem = (self.mul[ids, ids] == ids) & (self.star == ids)
+        self.le = np.zeros((n, n), dtype=bool)
+        # an entry naming no element fails validate's closure instead
+        if not (_outside(self.mul, n).any() or _outside(self.star, n).any()):
+            self.le = self.mul[:, self.mul[self.star, ids]].T == ids[:, None]
+        self.theta = {a: {self.carrier[x]: self.carrier[y]
+                          for x, y in enumerate(row) if y >= 0}
+                      for a, row in zip(self.elements, self.act.tolist())}
 
     def leq(self, a, b):
-        """Algebraic order: a equals b cut down to a's own domain."""
-        return a == self.mul[(b, self.mul[(self.star[a], a)])]
+        """The order on element labels."""
+        return bool(self.le[self.elements.index(a), self.elements.index(b)])
 
-    def idempotents(self):
-        return tuple(e for e in self.elements
-                     if self.mul[(e, e)] == e and self.star[e] == e)
+    def label(self, idx):
+        """Element label of an index or a tuple of indices; None stays."""
+        if isinstance(idx, tuple):
+            return tuple(self.elements[i] for i in idx)
+        return None if idx is None else self.elements[idx]
 
     def validate(self):
         rep = Report("inverse semigroup")
-        els = self.elements
-        missing = next(((a, b) for a in els for b in els
-                        if (a, b) not in self.mul
-                        or self.mul[(a, b)] not in self.position), None)
-        rep.add("closure", missing is None, witness=missing)
-        if missing is not None:
-            return rep
-
-        bad = next(((a, b, c) for a in els for b in els for c in els
-                    if self.mul[(self.mul[(a, b)], c)]
-                    != self.mul[(a, self.mul[(b, c)])]), None)
-        rep.add("associativity", bad is None, witness=bad)
-
-        bad = next((a for a in els if self.star[self.star[a]] != a), None)
-        rep.add("involution", bad is None, witness=bad)
-
-        bad = next(((a, b) for a in els for b in els
-                    if self.star[self.mul[(a, b)]]
-                    != self.mul[(self.star[b], self.star[a])]), None)
-        rep.add("involution-antimultiplicative", bad is None, witness=bad)
-
-        bad = next((a for a in els
-                    if self.mul[(self.mul[(a, self.star[a])], a)] != a),
-                   None)
-        rep.add("regularity", bad is None, witness=bad)
-
-        idem = self.idempotents()
-        bad = next(((e, f) for e in idem for f in idem
-                    if self.mul[(e, f)] != self.mul[(f, e)]), None)
-        rep.add("idempotents-commute", bad is None, witness=bad)
-
-        bad = None
-        for a in els:
-            th = self.theta[a]
-            if len(set(th.values())) != len(th):
-                bad = a
-                break
-            if any(x not in self.carrier or y not in self.carrier
-                   for x, y in th.items()):
-                bad = a
-                break
-        rep.add("action-partial-bijections", bad is None, witness=bad)
+        mul, star, act, idem = self.mul, self.star, self.act, self.idem
+        n, m = act.shape
+        ids = np.arange(n)
+        bad = _first(_outside(mul, n))
+        if bad is None:
+            bad = _first(_outside(star, n))
+        rep.add("closure", bad is None, witness=self.label(bad))
         if bad is not None:
             return rep
 
-        bad = None
-        for a in els:
-            want = {y: x for x, y in self.theta[a].items()}
-            if self.theta[self.star[a]] != want:
-                bad = a
-                break
-        rep.add("action-involution", bad is None, witness=bad)
+        checks = (
+            ("associativity", _scan(n, lambda a: mul[mul[a]] != mul[a][mul])),
+            ("involution", _first(star[star] != ids)),
+            ("involution-antimultiplicative",
+             _first(star[mul] != mul[np.ix_(star, star)].T)),
+            ("regularity", _first(mul[mul[ids, star], ids] != ids)),
+            ("idempotents-commute",
+             _first(np.outer(idem, idem) & (mul != mul.T))))
+        for name, bad in checks:
+            rep.add(name, bad is None, witness=self.label(bad))
 
-        bad = None
-        for a in els:
-            for b in els:
-                thb = self.theta[b]
-                tha = self.theta[a]
-                composite = {x: tha[y] for x, y in thb.items() if y in tha}
-                if self.theta[self.mul[(a, b)]] != composite:
-                    bad = (a, b)
-                    break
-            if bad:
-                break
-        rep.add("action-multiplicative", bad is None, witness=bad)
+        ordered = np.sort(act, axis=1)
+        repeated = (ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)
+        bad = _first(np.hstack([repeated, act < -1, act >= m]).any(axis=1))
+        rep.add("action-partial-bijections", bad is None,
+                witness=self.label(bad))
+        if bad is not None:
+            return rep
 
-        bad = None
-        for e in self.idempotents():
-            if any(x != y for x, y in self.theta[e].items()):
-                bad = e
-                break
-        rep.add("action-idempotent-identity", bad is None, witness=bad)
+        moved = (act >= 0) & (act != np.arange(m))
+        checks = (
+            ("action-involution",
+             _first((act[star] != _inverse_action(act)).any(axis=1))),
+            # row b of the composite: a after b, -1 where it is undefined
+            ("action-multiplicative", _scan(n, lambda a: (act[mul[a]] != (
+                np.where(act >= 0, act[a][act], -1))).any(axis=1))),
+            ("action-idempotent-identity", _first(idem & moved.any(axis=1))))
+        for name, bad in checks:
+            rep.add(name, bad is None, witness=self.label(bad))
         return rep
 
 
@@ -246,10 +268,14 @@ def _close(carrier, generators, compose, invert, max_size):
                     seen.add(c)
                     work.append(c)
     elements = sorted(seen, key=_sort_key)
-    mul = {(a, b): compose(a, b) for a in elements for b in elements}
-    star = {a: invert(a) for a in elements}
-    theta = {a: dict(a.mapping) for a in elements}
-    return InverseSemigroup(elements, mul, star, theta, tuple(carrier))
+    carrier = tuple(carrier)
+    index = {a: i for i, a in enumerate(elements)}
+    point = {x: i for i, x in enumerate(carrier)}
+    act = [[point[a.mapping[x]] if x in a.mapping else -1 for x in carrier]
+           for a in elements]
+    return InverseSemigroup(
+        elements, [[index[compose(a, b)] for b in elements] for a in elements],
+        [index[invert(a)] for a in elements], act, carrier)
 
 
 def semigroup_from_bisections(gpd, generators, max_size=4096):
@@ -272,153 +298,150 @@ def bisection_semigroup(gpd):
 def is_wide(gpd, sgrp):
     """Tags cover all arrows and meets of tags are unions of tags."""
     rep = Report("wide semigroup")
-    tags = {}
-    for a in sgrp.elements:
-        if a.tag is None:
-            rep.add("tagged", False, witness=a)
-            return rep
-        tags[a] = a.tag
+    els = sgrp.elements
+    bad = next((a for a in els if a.tag is None), None)
+    if bad is not None:
+        rep.add("tagged", False, witness=bad)
+        return rep
     rep.add("tagged", True)
-    covered = frozenset().union(*tags.values()) if tags else frozenset()
+    covered = frozenset().union(*(a.tag for a in els))
     rep.add("covers-arrows", covered == frozenset(gpd.arrows),
             witness=sorted(frozenset(gpd.arrows) - covered, key=str) or None)
-    bad, gap = None, None
-    for a in sgrp.elements:
-        for b in sgrp.elements:
-            meet = tags[a] & tags[b]
-            union = frozenset().union(
-                frozenset(),
-                *(tags[v] for v in sgrp.elements
-                  if sgrp.leq(v, a) and sgrp.leq(v, b)))
-            if union != meet:
-                bad, gap = (a, b), sorted(meet - union, key=str)
-                break
-        if bad:
-            break
-    rep.add("meets-realized", bad is None,
-            witness=(bad, gap) if bad else None)
+
+    arrows = sorted(covered, key=str)
+    tags = np.array([[g in a.tag for g in arrows] for a in els], dtype=float)
+    # row b: the union of the tags below a and b, against their meet
+    le = sgrp.le
+    bad = _scan(len(els), lambda a: (((le[:, a] & le.T) @ tags) > 0)
+                != (tags[a] * tags > 0))
+    witness = None
+    if bad is not None:
+        a, b = bad[:2]
+        meet = els[a].tag & els[b].tag
+        union = frozenset().union(
+            *(els[v].tag for v in np.flatnonzero(le[:, a] & le[:, b])))
+        witness = ((els[a], els[b]), sorted(meet - union, key=str))
+    rep.add("meets-realized", bad is None, witness=witness)
     return rep
 
 
 # ---------------------------------------------------------------------------
 # germs
 
-def _covering(sgrp, idem, x, missing):
-    """Idempotents among idem acting at x; raises with missing if none."""
-    covering = [e for e in idem if x in sgrp.theta[e]]
-    if not covering:
-        raise VerificationError(f"no idempotent acts at {x!r}{missing}")
+def _covering(sgrp, x, missing):
+    """Idempotents acting at point x; raises with missing if none."""
+    covering = np.flatnonzero(sgrp.idem & (sgrp.act[:, x] >= 0))
+    if not covering.size:
+        raise VerificationError(
+            f"no idempotent acts at {sgrp.carrier[x]!r}{missing}")
     return covering
-
-
-def _side_set(sgrp, a, side):
-    th = sgrp.theta[a]
-    return tuple(sorted(th.keys() if side == "dom" else th.values(),
-                        key=str))
 
 
 def germ_classes(sgrp, side="dom"):
     """Equivalence classes of (element, point) pairs at the given side.
 
-    Two pairs at the same point are identified when some common lower
-    element still carries the point.  Returns (classes, class_of):
-    classes is a tuple of tuples of pairs, class_of maps each pair to
-    its class index; the first pair of each class, minimal in element
-    order, is the canonical representative.
+    Two pairs at the same point x are identified when some common
+    lower element still carries x: one boolean product of the order
+    rows of the elements carrying x, closed transitively.  Returns
+    (reps, cls): cls[a, x] is the class of (a, x), -1 where a does not
+    carry x, and reps[i] = (a, x) is the canonical representative of
+    class i, its pair with the least element.  Classes are ordered by
+    the str of their point label, then by that element.
     """
-    pairs = [(a, x) for a in sgrp.elements for x in _side_set(sgrp, a, side)]
-    index = {p: i for i, p in enumerate(pairs)}
-    parent = list(range(len(pairs)))
+    carries = (sgrp.act if side == "dom" else _inverse_action(sgrp.act)) >= 0
+    least = np.full(carries.shape, -1)
+    for x in np.flatnonzero(carries.any(axis=0)):
+        members = np.flatnonzero(carries[:, x])
+        below = sgrp.le[np.ix_(members, members)].astype(float)
+        joined = (below.T @ below > 0) | np.eye(len(members), dtype=bool)
+        while True:
+            grown = joined.astype(float) @ joined > 0
+            if (grown == joined).all():
+                break
+            joined = grown
+        # each pair's class is named by its least element
+        least[members, x] = members[joined.argmax(axis=1)]
+    a, x = np.nonzero(least >= 0)
+    reps = sorted(set(zip(least[a, x].tolist(), x.tolist())),
+                  key=lambda r: (str(sgrp.carrier[r[1]]), r))
+    cls = np.full(carries.shape, -1)
+    for i, (a, x) in enumerate(reps):
+        cls[least[:, x] == a, x] = i
+    return np.array(reps, dtype=np.intp).reshape(len(reps), 2), cls
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    by_point = {}
-    for (a, x) in pairs:
-        by_point.setdefault(x, []).append(a)
-    for x, members in by_point.items():
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                if find(index[(a, x)]) == find(index[(b, x)]):
-                    continue
-                joined = any(
-                    sgrp.leq(c, a) and sgrp.leq(c, b)
-                    and x in set(_side_set(sgrp, c, side))
-                    for c in sgrp.elements)
-                if joined:
-                    parent[find(index[(a, x)])] = find(index[(b, x)])
+def _members(cls, count):
+    """The pairs (a, x) of a class table sorted by class, then element,
+    and the bounds of each class: class i is bounds[i]:bounds[i + 1]."""
+    a, x = np.nonzero(cls >= 0)
+    order = np.argsort(cls[a, x], kind="stable")
+    a, x = a[order], x[order]
+    return a, x, np.searchsorted(cls[a, x], np.arange(count + 1))
 
-    groups = {}
-    for p in pairs:
-        groups.setdefault(find(index[p]), []).append(p)
-    classes = []
-    for _, members in groups.items():
-        members.sort(key=lambda p: sgrp.position[p[0]])
-        classes.append(tuple(members))
-    classes.sort(key=lambda m: (str(m[0][1]), sgrp.position[m[0][0]]))
-    class_of = {}
-    for i, members in enumerate(classes):
-        for p in members:
-            class_of[p] = i
-    return tuple(classes), class_of
+
+def _germ_label(sgrp, rep):
+    return (sgrp.elements[rep[0]], sgrp.carrier[rep[1]])
+
+
+def _germ_tables(sgrp):
+    """The source side germ groupoid as index tables.
+
+    Returns (reps, cls, src, rng, comp, inv, unit): the germ classes,
+    each class's source and range point, the class of each composable
+    product (-1 elsewhere), each class's inverse and each point's unit.
+    Ranges and products are verified to be independent of members, and
+    units need an idempotent through every point.
+    """
+    reps, cls = germ_classes(sgrp, side="dom")
+    k = len(reps)
+    a, x, bounds = _members(cls, k)
+    ends = sgrp.act[a, x]
+    src, rng = reps[:, 1], ends[bounds[:-1]]
+    bad = _first(ends != rng[cls[a, x]])
+    if bad is not None:
+        label = _germ_label(sgrp, reps[cls[a[bad], x[bad]]])
+        raise VerificationError(f"germ class {label!r} has inconsistent range")
+
+    comp = np.full((k, k), -1)
+    for i in range(k):
+        first = a[bounds[i]:bounds[i + 1]]
+        # the class of (a' b, y) for each member a' of i and pair (b, y)
+        vals = cls[sgrp.mul[np.ix_(first, a)], x]
+        low = _block_range(np.where(vals >= 0, vals, k), bounds)[0]
+        composable = rng == src[i]
+        j = _first(composable & (low != _block_range(vals, bounds)[1]))
+        if j is not None:
+            got = sorted(set(vals[:, bounds[j]:bounds[j + 1]].ravel().tolist())
+                         - {-1})
+            raise VerificationError(
+                f"germ composition of {_germ_label(sgrp, reps[i])!r} and "
+                f"{_germ_label(sgrp, reps[j])!r} is not "
+                f"representative independent: {got!r}")
+        comp[i, composable] = low[composable]
+
+    inv = cls[sgrp.star[reps[:, 0]], sgrp.act[reps[:, 0], reps[:, 1]]]
+    unit = np.array([cls[_covering(sgrp, x, "; units are missing")[0], x]
+                     for x in range(len(sgrp.carrier))], dtype=np.intp)
+    return reps, cls, src, rng, comp, inv, unit
 
 
 def germ_groupoid(sgrp):
     """Groupoid of source side germs of the action.
 
     Arrows are the germ classes, labeled by canonical representatives;
-    composition multiplies representatives and is verified to be
-    independent of their choice.  Units need an idempotent through
-    every carrier point.
+    see _germ_tables for the checks made on the way.
     """
-    classes, class_of = germ_classes(sgrp, side="dom")
-    labels = tuple(members[0] for members in classes)
-
-    src = {}
-    rng = {}
-    for i, members in enumerate(classes):
-        a, x = members[0]
-        src[labels[i]] = x
-        rng[labels[i]] = sgrp.theta[a][x]
-        for (b, y) in members:
-            if sgrp.theta[b][y] != rng[labels[i]]:
-                raise VerificationError(
-                    f"germ class {labels[i]!r} has inconsistent range")
-
-    comp = {}
-    for i, mem1 in enumerate(classes):
-        for j, mem2 in enumerate(classes):
-            la, lb = labels[i], labels[j]
-            if src[la] != rng[lb]:
-                continue
-            results = set()
-            for (a, _) in mem1:
-                for (b, y) in mem2:
-                    prod = sgrp.mul[(a, b)]
-                    if y not in sgrp.theta[prod]:
-                        continue
-                    results.add(class_of[(prod, y)])
-            if len(results) != 1:
-                raise VerificationError(
-                    f"germ composition of {la!r} and {lb!r} is not "
-                    f"representative independent: {sorted(results)!r}")
-            comp[(la, lb)] = labels[results.pop()]
-
-    inv = {}
-    for i, members in enumerate(classes):
-        a, x = members[0]
-        inv[labels[i]] = labels[
-            class_of[(sgrp.star[a], sgrp.theta[a][x])]]
-
-    idem = sgrp.idempotents()
-    unit = {}
-    for x in sgrp.carrier:
-        e = _covering(sgrp, idem, x, "; units are missing")[0]
-        unit[x] = labels[class_of[(e, x)]]
-    return FiniteGroupoid(sgrp.carrier, labels, src, rng, comp, inv, unit)
+    reps, _, src, rng, comp, inv, unit = _germ_tables(sgrp)
+    labels = [_germ_label(sgrp, r) for r in reps]
+    pts = sgrp.carrier
+    return FiniteGroupoid(
+        pts, labels,
+        {g: pts[x] for g, x in zip(labels, src)},
+        {g: pts[x] for g, x in zip(labels, rng)},
+        {(labels[i], labels[j]): labels[c]
+         for (i, j), c in np.ndenumerate(comp) if c >= 0},
+        {g: labels[c] for g, c in zip(labels, inv)},
+        {x: labels[c] for x, c in zip(pts, unit)})
 
 
 def germ_reconstruction(gpd, sgrp):
@@ -428,55 +451,58 @@ def germ_reconstruction(gpd, sgrp):
     and checks the map is a bijection respecting all structure.
     """
     rep = Report("germ reconstruction")
-    germ = germ_groupoid(sgrp)
+    reps, cls, src, rng, comp, inv, unit = _germ_tables(sgrp)
+    els, pts, arrows = sgrp.elements, sgrp.carrier, gpd.arrows
+    k = len(reps)
+    a, x, bounds = _members(cls, k)
+    bad = next((els[i] for i in a if els[i].tag is None), None)
+    if bad is not None:
+        rep.add("tagged", False, witness=bad)
+        return rep
 
-    classes, _ = germ_classes(sgrp, side="dom")
-    arrow_of = {}
-    bad = None
-    for members in classes:
-        label = members[0]
-        images = set()
-        for (a, x) in members:
-            if a.tag is None:
-                rep.add("tagged", False, witness=a)
-                return rep
-            hit = [g for g in a.tag if gpd.src[g] == x]
-            if len(hit) != 1:
-                bad = (a, x)
-                break
-            images.add(hit[0])
-        if bad or len(images) != 1:
-            bad = bad or label
-            break
-        arrow_of[label] = images.pop()
+    def label(c):
+        return _germ_label(sgrp, reps[c])
+
+    # the arrow of each member at its point, -1 unless there is just one
+    number = {g: i for i, g in enumerate(arrows)}
+    hit = [[g for g in els[i].tag if gpd.src[g] == pts[p]]
+           for i, p in zip(a, x)]
+    hit = np.array([number[h[0]] if len(h) == 1 else -1 for h in hit],
+                   dtype=np.intp)
+    low, high = _block_range(hit, bounds)
+    c = _first((low != high) | (low < 0))
+    bad = None if c is None else label(c)
+    if c is not None and low[c] < 0:
+        e = bounds[c] + int(np.argmin(hit[bounds[c]:bounds[c + 1]]))
+        bad = (els[a[e]], pts[x[e]])
     rep.add("well-defined", bad is None, witness=bad)
     if bad is not None:
         return rep
 
-    values = list(arrow_of.values())
-    onto = set(values) == set(gpd.arrows) and len(values) == len(gpd.arrows)
+    arrow_of = hit[bounds[:-1]]
+    onto = np.array_equal(np.sort(arrow_of), np.arange(len(arrows)))
     rep.add("bijective", onto,
-            witness=None if onto
-            else f"{len(values)} germs for {len(gpd.arrows)} arrows")
+            witness=None if onto else f"{k} germs for {len(arrows)} arrows")
     if not onto:
         return rep
 
-    bad = next((l for l in germ.arrows
-                if gpd.src[arrow_of[l]] != germ.src[l]
-                or gpd.rng[arrow_of[l]] != germ.rng[l]), None)
+    g = [arrows[i] for i in arrow_of]
+    bad = next((label(c) for c in range(k)
+                if gpd.src[g[c]] != pts[src[c]]
+                or gpd.rng[g[c]] != pts[rng[c]]), None)
     rep.add("ends-match", bad is None, witness=bad)
 
-    bad = next(((l1, l2) for (l1, l2) in germ.comp
-                if gpd.comp[(arrow_of[l1], arrow_of[l2])]
-                != arrow_of[germ.comp[(l1, l2)]]), None)
+    bad = next(((label(i), label(j)) for i, j in np.argwhere(comp >= 0)
+                if gpd.comp[(g[i], g[j])] != g[comp[i, j]]), None)
     rep.add("composition-match", bad is None, witness=bad)
 
-    bad = next((l for l in germ.arrows
-                if gpd.inv[arrow_of[l]] != arrow_of[germ.inv[l]]), None)
+    bad = next((label(c) for c in range(k) if gpd.inv[g[c]] != g[inv[c]]),
+               None)
     rep.add("inverse-match", bad is None, witness=bad)
 
-    bad = next((x for x in gpd.objects
-                if arrow_of[germ.unit[x]] != gpd.unit[x]), None)
+    point = {p: i for i, p in enumerate(pts)}
+    bad = next((y for y in gpd.objects
+                if g[unit[point[y]]] != gpd.unit[y]), None)
     rep.add("unit-match", bad is None, witness=bad)
     return rep
 
@@ -484,58 +510,67 @@ def germ_reconstruction(gpd, sgrp):
 # ---------------------------------------------------------------------------
 # crossed product
 
+class _ZeroIsNone:
+    """Read-only view of an int product table giving None for -1."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def __getitem__(self, key):
+        k = int(self.table[key])
+        return None if k < 0 else k
+
+
 class CrossedProductAlgebra:
     """Linear span of range side germs with the convolution product.
 
-    Basis classes are labeled by canonical (element, point) pairs with
-    the point in the image of the action; the product of two classes
-    is a third class or zero, and both the product and the involution
-    are verified to be independent of representatives during
-    construction.
+    Basis index i is the range side germ class i (class_of and members
+    as in germ_classes and _members), labeled in basis by its canonical
+    (element, point) pair.  table[i, j] is the class of the product,
+    -1 for zero (None in product_table); star_table is the involution
+    and unit_indices the classes summing to the unit.  Product and
+    involution are verified to be independent of representatives.
     """
 
     def __init__(self, sgrp):
         self.semigroup = sgrp
-        classes, class_of = germ_classes(sgrp, side="img")
-        self.members = classes
-        self.class_of = class_of
-        self.basis = tuple(members[0] for members in classes)
+        reps, cls = germ_classes(sgrp, side="img")
+        self.class_of = cls
+        self.basis = tuple(_germ_label(sgrp, r) for r in reps)
+        k = len(reps)
+        a, x, bounds = self.members = _members(cls, k)
+        # the preimage under a of x, for each member (a, x)
+        pre = _inverse_action(sgrp.act)[a, x]
 
-        theta_inv = {a: {y: x for x, y in sgrp.theta[a].items()}
-                     for a in sgrp.elements}
-        self.product_table = {}
-        for i, mem1 in enumerate(classes):
-            for j, mem2 in enumerate(classes):
-                results = set()
-                for (a, x) in mem1:
-                    for (b, y) in mem2:
-                        if theta_inv[a][x] != y:
-                            results.add(None)
-                            continue
-                        prod = sgrp.mul[(a, b)]
-                        results.add(self.class_of[(prod, x)])
-                if len(results) != 1:
-                    raise VerificationError(
-                        f"crossed product of classes {i} and {j} is not "
-                        f"representative independent: {sorted(map(str, results))!r}")
-                got = results.pop()
-                self.product_table[(i, j)] = got
-
-        self.star_table = {}
-        for i, mem in enumerate(classes):
-            results = {self.class_of[(sgrp.star[a], theta_inv[a][x])]
-                       for (a, x) in mem}
-            if len(results) != 1:
+        self.table = np.full((k, k), -1)
+        for i in range(k):
+            first = slice(bounds[i], bounds[i + 1])
+            # (a', x')(b, y) is the class of (a' b, x') if a' maps y to x'
+            vals = np.where(pre[first, None] == x,
+                            cls[sgrp.mul[np.ix_(a[first], a)], x[first, None]],
+                            -1)
+            low, high = _block_range(vals, bounds)
+            j = _first(low != high)
+            if j is not None:
+                got = set(vals[:, bounds[j]:bounds[j + 1]].ravel().tolist())
+                got = sorted(str(None if v < 0 else v) for v in got)
                 raise VerificationError(
-                    f"involution of class {i} is not representative "
-                    f"independent")
-            self.star_table[i] = results.pop()
+                    f"crossed product of classes {i} and {j} is not "
+                    f"representative independent: {got!r}")
+            self.table[i] = low
+        self.product_table = _ZeroIsNone(self.table)
 
-        idem = sgrp.idempotents()
-        self.unit_indices = []
-        for x in sgrp.carrier:
-            e = _covering(sgrp, idem, x, "; the algebra has no unit")[0]
-            self.unit_indices.append(self.class_of[(e, x)])
+        stars = cls[sgrp.star[a], pre]
+        self.star_table, high = _block_range(stars, bounds)
+        i = _first(self.star_table != high)
+        if i is not None:
+            raise VerificationError(
+                f"involution of class {i} is not representative "
+                f"independent")
+
+        self.unit_indices = [
+            int(cls[_covering(sgrp, x, "; the algebra has no unit")[0], x])
+            for x in range(len(sgrp.carrier))]
         if len(set(self.unit_indices)) != len(self.unit_indices):
             raise VerificationError("unit summands collide")
 
@@ -543,69 +578,34 @@ class CrossedProductAlgebra:
     def dim(self):
         return len(self.basis)
 
-    def multiply(self, vec1, vec2):
-        out = {i: 0.0 + 0.0j for i in range(self.dim)}
-        for i, v1 in vec1.items():
-            if v1 == 0:
-                continue
-            for j, v2 in vec2.items():
-                k = self.product_table[(i, j)]
-                if k is not None:
-                    out[k] += v1 * v2
-        return out
-
-    def unit_vector(self):
-        out = {i: 0.0 + 0.0j for i in range(self.dim)}
-        for i in self.unit_indices:
-            out[i] = 1.0 + 0.0j
-        return out
-
     def check(self):
         rep = Report("crossed product algebra")
-        bad = None
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    ij = self.product_table[(i, j)]
-                    jk = self.product_table[(j, k)]
-                    left = None if ij is None else self.product_table[(ij, k)]
-                    right = None if jk is None else self.product_table[(i, jk)]
-                    if left != right:
-                        bad = (i, j, k)
-                        break
-                if bad:
-                    break
-            if bad:
-                break
+        d, table = self.dim, self.table
+        # a last row and column of -1 make the zero product absorbing
+        pad = np.full((d + 1, d + 1), -1)
+        pad[:d, :d] = table
+        bad = _scan(d, lambda i: pad[pad[i, :d], :d] != pad[i][table])
         rep.add("associativity", bad is None, witness=bad)
 
-        bad = None
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.product_table[(i, j)]
-                want = self.product_table[(self.star_table[j],
-                                           self.star_table[i])]
-                got = None if ij is None else self.star_table[ij]
-                if got != want:
-                    bad = (i, j)
-                    break
-            if bad:
-                break
+        star = np.append(self.star_table, -1)
+        bad = _first(star[table]
+                     != table[np.ix_(self.star_table, self.star_table)].T)
         rep.add("star-antimultiplicative", bad is None, witness=bad)
 
-        ident = self.unit_vector()
-        bad = None
-        for i in range(self.dim):
-            e = {i: 1.0 + 0.0j}
-            left = self.multiply(ident, e)
-            right = self.multiply(e, ident)
-            want = {j: (1.0 if j == i else 0.0) for j in range(self.dim)}
-            if any(abs(left.get(j, 0) - want[j]) > 0 for j in want) \
-                    or any(abs(right.get(j, 0) - want[j]) > 0 for j in want):
-                bad = i
-                break
+        # the unit times basis element i, on either side, is i itself:
+        # exactly one unit summand gives i and the others give zero
+        units = sorted(set(self.unit_indices))
+        ids = np.arange(d)
+        bad = _first(~(_exactly_once(table[units], ids)
+                       & _exactly_once(table[:, units].T, ids)))
         rep.add("unital", bad is None, witness=bad)
         return rep
+
+
+def _exactly_once(products, ids):
+    """Columns i of products holding i once and -1 everywhere else."""
+    hit = products == ids
+    return (hit.sum(axis=0) == 1) & (hit | (products < 0)).all(axis=0)
 
 
 def _spread(mats):
@@ -630,62 +630,34 @@ def canonical_iso_cstar(sgrp):
     """
     rep = Report("canonical isomorphism")
     alg = crossed_product(sgrp)
-    germ = germ_groupoid(sgrp)
-    rep.add("dimensions", alg.dim == len(germ.arrows),
-            witness=(alg.dim, len(germ.arrows)))
+    reps, cls, _, _, comp, inv, unit = _germ_tables(sgrp)
+    k = len(reps)
+    rep.add("dimensions", alg.dim == k, witness=(alg.dim, k))
 
-    classes_dom, class_of_dom = germ_classes(sgrp, side="dom")
-    dom_labels = {i: members[0] for i, members in enumerate(classes_dom)}
-
-    arrow_of = {}
-    bad = None
-    for i, members in enumerate(alg.members):
-        images = set()
-        for (a, x) in members:
-            y = {v: k for k, v in sgrp.theta[a].items()}[x]
-            images.add(class_of_dom[(a, y)])
-        if len(images) != 1:
-            bad = i
-            break
-        arrow_of[i] = dom_labels[images.pop()]
+    a, x, bounds = alg.members
+    image = cls[a, _inverse_action(sgrp.act)[a, x]]
+    arrow_of, high = _block_range(image, bounds)
+    bad = _first(arrow_of != high)
     rep.add("translation-well-defined", bad is None, witness=bad)
     if bad is not None:
         return rep
 
-    onto = (set(arrow_of.values()) == set(germ.arrows)
-            and len(arrow_of) == len(germ.arrows))
+    onto = np.array_equal(np.sort(arrow_of), np.arange(k))
     rep.add("translation-bijective", onto)
     if not onto:
         return rep
 
-    bad = None
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            k = alg.product_table[(i, j)]
-            g, h = arrow_of[i], arrow_of[j]
-            if germ.src[g] == germ.rng[h]:
-                want = germ.comp[(g, h)]
-                if k is None or arrow_of[k] != want:
-                    bad = (i, j)
-                    break
-            else:
-                if k is not None:
-                    bad = (i, j)
-                    break
-        if bad:
-            break
+    got = np.append(arrow_of, -1)[alg.table]
+    bad = _first(got != comp[np.ix_(arrow_of, arrow_of)])
     rep.add("products-match", bad is None, witness=bad)
 
-    bad = next((i for i in range(alg.dim)
-                if arrow_of[alg.star_table[i]] != germ.inv[arrow_of[i]]),
-               None)
+    bad = _first(arrow_of[alg.star_table] != inv[arrow_of])
     rep.add("stars-match", bad is None, witness=bad)
 
-    unit_arrows = {arrow_of[i] for i in alg.unit_indices}
-    want_units = {germ.unit[x] for x in germ.objects}
-    rep.add("units-match", unit_arrows == want_units,
-            witness=None if unit_arrows == want_units
-            else sorted(unit_arrows ^ want_units, key=str))
+    diff = set(arrow_of[alg.unit_indices].tolist()) ^ set(unit.tolist())
+    rep.add("units-match", not diff,
+            witness=sorted((_germ_label(sgrp, reps[c]) for c in diff),
+                           key=str) or None)
     return rep
 
 
@@ -707,17 +679,24 @@ class CovariantRep:
         self.isometries = {a: np.asarray(isometries[a], dtype=complex)
                            for a in sgrp.elements}
 
-    def domain_projection(self, a):
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for x in self.semigroup.theta[a]:
-            out += self.projections[x]
-        return out
 
-    def image_projection(self, a):
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for x in self.semigroup.theta[a].values():
-            out += self.projections[x]
-        return out
+def _side_projections(cov, table):
+    """Per element, the sum of the point projections where its row of
+    the action table is defined."""
+    pts = [cov.projections[x] for x in cov.semigroup.carrier]
+    zero = np.zeros((cov.dim, cov.dim), dtype=complex)
+    return [sum((pts[x] for x in np.flatnonzero(row >= 0)), zero)
+            for row in table]
+
+
+def _add_worst(rep, name, tol, defects):
+    """Add a check from (defect, witness) pairs: the largest defect and
+    the first witness reaching it, None when every defect is 0."""
+    worst, bad = 0.0, None
+    for d, witness in defects:
+        if d > worst:
+            worst, bad = d, witness
+    rep.add(name, worst <= tol, defect=worst, witness=bad)
 
 
 def check_covariant_rep(cov, tol=1e-10):
@@ -725,56 +704,34 @@ def check_covariant_rep(cov, tol=1e-10):
     sgrp = cov.semigroup
     rep = Report("covariant representation")
     eye = np.eye(cov.dim)
+    els, act = sgrp.elements, sgrp.act
+    iso = [cov.isometries[a] for a in els]
+    pts = [cov.projections[x] for x in sgrp.carrier]
+    dom = _side_projections(cov, act)
+    img = _side_projections(cov, _inverse_action(act))
 
-    worst = 0.0
-    for x in sgrp.carrier:
-        p = cov.projections[x]
-        worst = max(worst, max_abs(p @ p - p),
-                    max_abs(p - p.conj().T))
-    rep.add("projections", worst <= tol, defect=worst)
+    _add_worst(rep, "projections", tol,
+               ((max(max_abs(p @ p - p), max_abs(p - p.conj().T)), None)
+                for p in pts))
 
     total = sum(cov.projections.values()) if sgrp.carrier else eye * 0
     d = max_abs(total - eye)
     rep.add("projections-sum", d <= tol, defect=d)
 
-    worst, bad = 0.0, None
-    for a in sgrp.elements:
-        u = cov.isometries[a]
-        d = max(max_abs(u.conj().T @ u - cov.domain_projection(a)),
-                max_abs(u @ u.conj().T - cov.image_projection(a)))
-        if d > worst:
-            worst, bad = d, a
-    rep.add("partial-isometries", worst <= tol, defect=worst, witness=bad)
-
-    worst, bad = 0.0, None
-    for a in sgrp.elements:
-        d = max_abs(cov.isometries[sgrp.star[a]]
-                    - cov.isometries[a].conj().T)
-        if d > worst:
-            worst, bad = d, a
-    rep.add("involution", worst <= tol, defect=worst, witness=bad)
-
-    worst, bad = 0.0, None
-    for a in sgrp.elements:
-        for b in sgrp.elements:
-            if not sgrp.leq(a, b):
-                continue
-            d = max_abs(
-                cov.isometries[a]
-                - cov.isometries[b] @ cov.domain_projection(a))
-            if d > worst:
-                worst, bad = d, (a, b)
-    rep.add("restriction", worst <= tol, defect=worst, witness=bad)
-
-    worst, bad = 0.0, None
-    for a in sgrp.elements:
-        u = cov.isometries[a]
-        for x, y in sgrp.theta[a].items():
-            d = max_abs(u @ cov.projections[x] @ u.conj().T
-                        - cov.projections[y])
-            if d > worst:
-                worst, bad = d, (a, x)
-    rep.add("covariance", worst <= tol, defect=worst, witness=bad)
+    _add_worst(rep, "partial-isometries", tol,
+               ((max(max_abs(u.conj().T @ u - dom[a]),
+                     max_abs(u @ u.conj().T - img[a])), els[a])
+                for a, u in enumerate(iso)))
+    _add_worst(rep, "involution", tol,
+               ((max_abs(iso[sgrp.star[a]] - u.conj().T), els[a])
+                for a, u in enumerate(iso)))
+    _add_worst(rep, "restriction", tol,
+               ((max_abs(iso[a] - iso[b] @ dom[a]), (els[a], els[b]))
+                for a, b in np.argwhere(sgrp.le)))
+    _add_worst(rep, "covariance", tol,
+               ((max_abs(iso[a] @ pts[x] @ iso[a].conj().T - pts[act[a, x]]),
+                 (els[a], sgrp.carrier[x]))
+                for a, x in np.argwhere(act >= 0)))
     return rep
 
 
@@ -782,15 +739,10 @@ def partial_isometry_form(cov, tol=1e-10):
     """Full multiplicativity of the zero extended isometries."""
     sgrp = cov.semigroup
     rep = Report("partial isometry form")
-    worst, bad = 0.0, None
-    for a in sgrp.elements:
-        for b in sgrp.elements:
-            d = max_abs(
-                cov.isometries[a] @ cov.isometries[b]
-                - cov.isometries[sgrp.mul[(a, b)]])
-            if d > worst:
-                worst, bad = d, (a, b)
-    rep.add("multiplicative", worst <= tol, defect=worst, witness=bad)
+    iso = [cov.isometries[a] for a in sgrp.elements]
+    _add_worst(rep, "multiplicative", tol,
+               ((max_abs(iso[a] @ iso[b] - iso[ab]), sgrp.label((a, b)))
+                for (a, b), ab in np.ndenumerate(sgrp.mul)))
     return rep
 
 
@@ -798,23 +750,13 @@ def check_crossed_rep(alg, rho, tol=1e-10):
     """rho is a unital star homomorphism out of the crossed product."""
     rep = Report("crossed product representation")
     dim = next(iter(rho.values())).shape[0] if rho else 0
-    worst, bad = 0.0, None
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            k = alg.product_table[(i, j)]
-            want = rho[k] if k is not None \
-                else np.zeros((dim, dim), dtype=complex)
-            d = max_abs(rho[i] @ rho[j] - want)
-            if d > worst:
-                worst, bad = d, (i, j)
-    rep.add("multiplicative", worst <= tol, defect=worst, witness=bad)
-
-    worst, bad = 0.0, None
-    for i in range(alg.dim):
-        d = max_abs(rho[alg.star_table[i]] - rho[i].conj().T)
-        if d > worst:
-            worst, bad = d, i
-    rep.add("star", worst <= tol, defect=worst, witness=bad)
+    zero = np.zeros((dim, dim), dtype=complex)
+    _add_worst(rep, "multiplicative", tol,
+               ((max_abs(rho[i] @ rho[j] - (rho[k] if k >= 0 else zero)),
+                 (i, j)) for (i, j), k in np.ndenumerate(alg.table)))
+    _add_worst(rep, "star", tol,
+               ((max_abs(rho[alg.star_table[i]] - rho[i].conj().T), i)
+                for i in range(alg.dim)))
 
     total = sum(rho[i] for i in alg.unit_indices)
     d = max_abs(total - np.eye(dim))
@@ -830,25 +772,15 @@ def rep_of_crossed_to_covariant(alg, rho, tol=1e-10):
     out.extend(check_crossed_rep(alg, rho, tol))
     dim = next(iter(rho.values())).shape[0] if rho else 0
 
-    idem = sgrp.idempotents()
-    projections = {}
-    worst, bad = 0.0, None
-    for x in sgrp.carrier:
-        mats = [rho[alg.class_of[(e, x)]]
-                for e in _covering(sgrp, idem, x, "")]
-        projections[x] = mats[0]
-        d = _spread(mats)
-        if d > worst:
-            worst, bad = d, x
-    out.add("projection-well-defined", worst <= tol, defect=worst,
-            witness=bad)
+    mats = {label: [rho[alg.class_of[e, x]] for e in _covering(sgrp, x, "")]
+            for x, label in enumerate(sgrp.carrier)}
+    _add_worst(out, "projection-well-defined", tol,
+               ((_spread(m), x) for x, m in mats.items()))
+    projections = {x: m[0] for x, m in mats.items()}
 
-    isometries = {}
-    for a in sgrp.elements:
-        u = np.zeros((dim, dim), dtype=complex)
-        for x in sgrp.theta[a].values():
-            u += rho[alg.class_of[(a, x)]]
-        isometries[a] = u
+    zero = np.zeros((dim, dim), dtype=complex)
+    isometries = {a: sum((rho[c] for c in row[row >= 0]), zero)
+                  for a, row in zip(sgrp.elements, alg.class_of)}
     cov = CovariantRep(sgrp, dim, projections, isometries)
     out.extend(check_covariant_rep(cov, tol))
     return cov, out
@@ -862,17 +794,14 @@ def integrate_covariant(alg, cov, tol=1e-10):
     representative and to be a star homomorphism.
     """
     out = Report("covariant to crossed")
-    rho = {}
-    worst, bad = 0.0, None
-    for i, members in enumerate(alg.members):
-        mats = [cov.projections[x] @ cov.isometries[a]
-                for (a, x) in members]
-        rho[i] = mats[0]
-        d = _spread(mats)
-        if d > worst:
-            worst, bad = d, i
-    out.add("representative-independent", worst <= tol, defect=worst,
-            witness=bad)
+    sgrp = alg.semigroup
+    a, x, bounds = alg.members
+    mats = [cov.projections[sgrp.carrier[p]] @ cov.isometries[sgrp.elements[e]]
+            for e, p in zip(a, x)]
+    classes = [mats[bounds[i]:bounds[i + 1]] for i in range(alg.dim)]
+    rho = {i: m[0] for i, m in enumerate(classes)}
+    _add_worst(out, "representative-independent", tol,
+               ((_spread(m), i) for i, m in enumerate(classes)))
     out.extend(check_crossed_rep(alg, rho, tol))
     return rho, out
 
@@ -901,12 +830,8 @@ def groupoid_rep_to_covariant(rep, sgrp):
     dim = module.dim
     fibers = {x: [module.index[m] for m in module.left_fiber(x)]
               for x in gpd.objects}
-    projections = {}
-    for x in gpd.objects:
-        p = np.zeros((dim, dim), dtype=complex)
-        for i in fibers[x]:
-            p[i, i] = 1.0
-        projections[x] = p
+    projections = {x: np.diag(np.isin(np.arange(dim), fibers[x]))
+                   .astype(complex) for x in gpd.objects}
     isometries = {}
     for a in sgrp.elements:
         if a.tag is None:
@@ -931,8 +856,9 @@ def covariant_to_groupoid_rep(gpd, weights, cov, tol=1e-10):
     _require_counting(weights)
     sgrp = cov.semigroup
     out = Report("covariant to groupoid")
-    tagged = [a for a in sgrp.elements if a.tag]
-    cover = {g: [a for a in tagged if g in a.tag] for g in gpd.arrows}
+    els = sgrp.elements
+    tagged = [i for i, a in enumerate(els) if a.tag]
+    cover = {g: [i for i in tagged if g in els[i].tag] for g in gpd.arrows}
     missing = sorted((g for g in gpd.arrows if not cover[g]), key=str)
     out.add("arrows-covered", not missing, witness=missing or None)
     if missing:
@@ -957,22 +883,15 @@ def covariant_to_groupoid_rep(gpd, weights, cov, tol=1e-10):
         if hat[x] != size:
             raise VerificationError(f"projection at {x!r} has fuzzy rank")
 
-    blocks = {}
-    worst, bad = 0.0, None
-    for g in gpd.arrows:
-        mats = [frames[gpd.rng[g]].conj().T @ cov.isometries[a]
-                @ frames[gpd.src[g]] for a in cover[g]]
-        blocks[g] = mats[0]
-        d = _spread(mats)
-        if d > worst:
-            worst, bad = d, g
-    out.add("blocks-agree", worst <= tol, defect=worst, witness=bad)
+    mats = {g: [frames[gpd.rng[g]].conj().T @ cov.isometries[els[a]]
+                @ frames[gpd.src[g]] for a in cover[g]] for g in gpd.arrows}
+    _add_worst(out, "blocks-agree", tol,
+               ((_spread(m), g) for g, m in mats.items()))
+    blocks = {g: m[0] for g, m in mats.items()}
 
     worst, bad = 0.0, None
     for (g, h) in gpd.composable_pairs():
-        a = cover[g][0]
-        b = cover[h][0]
-        ab = sgrp.mul[(a, b)]
+        ab = els[sgrp.mul[cover[g][0], cover[h][0]]]
         gh = gpd.comp[(g, h)]
         if ab.tag is None or gh not in ab.tag:
             continue
@@ -1021,10 +940,8 @@ def etale_battery(gpd, weights, sgrp=None, rep=None, tol=1e-10):
         out.extend(rho_rep, prefix="integrated-")
         cov2, cov2_rep = rep_of_crossed_to_covariant(alg, rho, tol)
         out.extend(cov2_rep, prefix="split-")
-        worst = 0.0
-        for a in sgrp.elements:
-            worst = max(worst,
-                        max_abs(cov2.isometries[a] - cov.isometries[a]))
+        worst = max((max_abs(cov2.isometries[a] - cov.isometries[a])
+                     for a in sgrp.elements), default=0.0)
         out.add("split-roundtrip", worst <= tol, defect=worst)
         back, back_rep = covariant_to_groupoid_rep(
             gpd, rep.weights, cov, tol)

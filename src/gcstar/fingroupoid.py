@@ -429,12 +429,17 @@ def groupoid_from_dict(data):
 
     Missing haar data means counting weights.  The unit table is derived
     from the composition table, so a malformed file fails validate().
-    Raises ValueError for a groupoid without objects and for haar data
-    that misses an object.
+    Raises ValueError for a groupoid without objects, for an arrow
+    entry without "id", "src" or "rng", and for haar data that misses
+    an object.
     """
     objects = tuple(data["objects"])
     if not objects:
         raise ValueError("the groupoid has no objects")
+    for i, a in enumerate(data["arrows"]):
+        key = next((k for k in ("id", "src", "rng") if k not in a), None)
+        if key is not None:
+            raise ValueError(f"arrow entry {i} ({a!r}) has no {key!r}")
     arrows = tuple(a["id"] for a in data["arrows"])
     src = {a["id"]: a["src"] for a in data["arrows"]}
     rng = {a["id"]: a["rng"] for a in data["arrows"]}

@@ -60,7 +60,8 @@ def test_unknown_preset_exits_2(capsys):
 
 
 @pytest.mark.parametrize("preset", ["group", "group:0", "group:x",
-                                    "pair:0", "transformation:0"])
+                                    "pair:0", "transformation:0",
+                                    "random:abc"])
 def test_bad_sized_preset_exits_2(capsys, preset):
     code, _, err = run(capsys, "validate", "--preset", preset)
     assert code == 2
@@ -140,6 +141,27 @@ def test_rep_bundle(capsys, tmp_path):
     assert code == 0, out
 
 
+def test_bundle_dims_missing_object_exits_2(capsys, tmp_path):
+    gpd, w = fixture("P2")
+    bundle = {"groupoid": groupoid_to_dict(gpd, w), "dims": {"1": 1},
+              "U": {}}
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(bundle))
+    code, out, err = run(capsys, "rep", "--bundle", str(path))
+    assert code == 2
+    assert "bundle 'dims' table misses object '2'" in err
+    assert out == ""
+
+
+def test_arrow_without_src_exits_2(capsys, tmp_path):
+    def drop_src(data):
+        del data["arrows"][1]["src"]
+    path = write_groupoid(tmp_path, corrupt=drop_src)
+    code, _, err = run(capsys, "validate", path)
+    assert code == 2
+    assert "arrow entry 1" in err and "has no 'src'" in err
+
+
 def test_rep_dump_writes_files(capsys, tmp_path):
     dump = tmp_path / "dump"
     code, _, _ = run(capsys, "rep", "--preset", "Z2", "--dump", str(dump))
@@ -167,6 +189,25 @@ def test_etale_semigroup_file(capsys, tmp_path):
     code, out, _ = run(capsys, "etale", "--preset", "P2",
                        "--semigroup", str(path))
     assert code == 0, out
+
+
+@pytest.mark.parametrize("generator, message", [
+    ({"map": {"9": "1"}}, "generator 1 names unknown object '9'"),
+    ({"map": {"1": "9"}}, "generator 1 names unknown object '9'"),
+    ({"map": {"1": "1"}, "dom": ["7"]},
+     "generator 1 names unknown object '7'"),
+    ({"dom": ["1"]}, 'generator 1 has no "map"'),
+    ({"map": {"1": "1"}, "dom": ["2"]}, "generator 1: dom and map keys"),
+])
+def test_etale_semigroup_file_errors(capsys, tmp_path, generator, message):
+    gens = {"generators": [{"map": {"1": "2", "2": "1"}}, generator]}
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(gens))
+    code, out, err = run(capsys, "etale", "--preset", "P2",
+                         "--semigroup", str(path))
+    assert code == 2
+    assert message in err
+    assert out == ""
 
 
 def test_trafo_files(capsys, tmp_path):

@@ -47,13 +47,6 @@ def test_partial_bijection_tags_distinguish():
     assert PartialBijection({1: 1}, tag=[("a",)]) == a
 
 
-def test_restricts_order():
-    small = PartialBijection({1: 2})
-    big = PartialBijection({1: 2, 2: 1})
-    assert small.restricts(big)
-    assert not big.restricts(small)
-
-
 def test_bisection_from_arrows_guard():
     gpd, _ = fixture("P2")
     with pytest.raises(ValueError):

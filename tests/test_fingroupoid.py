@@ -186,6 +186,15 @@ def test_from_dict_haar_missing_object():
         groupoid_from_dict(data)
 
 
+@pytest.mark.parametrize("key", ["id", "src", "rng"])
+def test_from_dict_arrow_entry_missing_key(key):
+    gpd, weights = fixture("P2")
+    data = groupoid_to_dict(gpd, weights)
+    del data["arrows"][2][key]
+    with pytest.raises(ValueError, match=f"arrow entry 2 .* has no '{key}'"):
+        groupoid_from_dict(data)
+
+
 def test_from_dict_empty_groupoid():
     data = {"objects": [], "arrows": [], "inverse": {}, "compose": []}
     with pytest.raises(ValueError, match="no objects"):
