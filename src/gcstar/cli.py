@@ -149,10 +149,18 @@ def load_bundle(path):
             raise ValueError(f"bundle {table!r} table misses {what} "
                              f"{key!r}") from None
 
-    dims = {(x, "w"): int(entry("dims", x, "object")) for x in gpd.objects}
+    dims, unitaries = {}, {}
+    for x in gpd.objects:
+        n = dims[(x, "w")] = entry("dims", x, "object")
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise ValueError(f"bundle 'dims' of object {x!r} must be a "
+                             f"non-negative integer, got {n!r}")
+    for g in gpd.arrows:
+        u = unitaries[g] = _matrix_from_json(entry("U", g, "arrow"))
+        if not np.isfinite(u).all():
+            raise ValueError(f"bundle 'U' block of arrow {g!r} has a "
+                             "non-finite entry")
     module = module_from_dims(gpd.objects, ("w",), dims)
-    unitaries = {g: _matrix_from_json(entry("U", g, "arrow"))
-                 for g in gpd.arrows}
     return from_cocycle(gpd, weights, module, unitaries)
 
 

@@ -131,58 +131,59 @@ def check_convolution(gpd, weights, funcs, tol=1e-10):
     funcs = list(funcs)
 
     ident = identity_element(gpd, weights)
-    worst = 0.0
+    defects = []
     for f in funcs:
         left = convolve(gpd, weights, ident, f)
         right = convolve(gpd, weights, f, ident)
         for g in gpd.arrows:
-            worst = max(worst, abs(left[g] - f[g]), abs(right[g] - f[g]))
-    rep.add("identity-neutral", worst <= tol, defect=worst)
+            defects += [(abs(left[g] - f[g]), None),
+                        (abs(right[g] - f[g]), None)]
+    rep.add_worst("identity-neutral", defects, tol)
 
-    worst = 0.0
+    defects = []
     for i in range(len(funcs) - 2):
         f1, f2, f3 = funcs[i], funcs[i + 1], funcs[i + 2]
         left = convolve(gpd, weights, convolve(gpd, weights, f1, f2), f3)
         right = convolve(gpd, weights, f1, convolve(gpd, weights, f2, f3))
-        worst = max(worst, max(abs(left[g] - right[g]) for g in gpd.arrows))
-    rep.add("associativity", worst <= tol, defect=worst)
+        defects += [(abs(left[g] - right[g]), None) for g in gpd.arrows]
+    rep.add_worst("associativity", defects, tol)
 
-    worst = 0.0
+    defects = []
     for i in range(len(funcs) - 1):
         f1, f2 = funcs[i], funcs[i + 1]
         left = star(gpd, convolve(gpd, weights, f1, f2))
         right = convolve(gpd, weights, star(gpd, f2), star(gpd, f1))
-        worst = max(worst, max(abs(left[g] - right[g]) for g in gpd.arrows))
-    rep.add("star-antimultiplicative", worst <= tol, defect=worst)
+        defects += [(abs(left[g] - right[g]), None) for g in gpd.arrows]
+    rep.add_worst("star-antimultiplicative", defects, tol)
 
-    worst = 0.0
+    defects = []
     for i in range(len(funcs) - 1):
         f1, f2 = funcs[i], funcs[i + 1]
         prod = regular_matrix(gpd, weights, convolve(gpd, weights, f1, f2))
         two = regular_matrix(gpd, weights, f1).compose(
             regular_matrix(gpd, weights, f2))
-        worst = max(worst, max_abs(prod.matrix - two.matrix))
-    rep.add("regular-multiplicative", worst <= tol, defect=worst)
+        defects.append((max_abs(prod.matrix - two.matrix), None))
+    rep.add_worst("regular-multiplicative", defects, tol)
 
-    worst = 0.0
+    defects = []
     for f in funcs:
         adj = regular_matrix(gpd, weights, f).adjoint()
         direct = regular_matrix(gpd, weights, star(gpd, f))
-        worst = max(worst, max_abs(adj.matrix - direct.matrix))
-    rep.add("regular-star", worst <= tol, defect=worst)
+        defects.append((max_abs(adj.matrix - direct.matrix), None))
+    rep.add_worst("regular-star", defects, tol)
 
-    worst = 0.0
+    defects = []
     for f in funcs:
         n1 = cstar_norm(gpd, weights,
                         convolve(gpd, weights, star(gpd, f), f))
         n2 = cstar_norm(gpd, weights, f)
         scale = max(n2 * n2, 1.0)
-        worst = max(worst, abs(n1 - n2 * n2) / scale)
-    rep.add("cstar-identity", worst <= max(tol, 1e-9), defect=worst)
+        defects.append((abs(n1 - n2 * n2) / scale, None))
+    rep.add_worst("cstar-identity", defects, max(tol, 1e-9))
 
-    worst = 0.0
+    defects = []
     for f in funcs:
         gap = cstar_norm(gpd, weights, f) - i_norm(gpd, weights, f)
-        worst = max(worst, gap)
-    rep.add("norm-bound", worst <= 1e-9, defect=max(worst, 0.0))
+        defects.append((gap, None))
+    rep.add_worst("norm-bound", defects, 1e-9)
     return rep

@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .report import Report, VerificationError, max_abs
+from .report import Report, VerificationError, max_abs, worst
 from .fingroupoid import FiniteGroupoid, transformation_groupoid
 from .convalg import delta_function
 from .reps import blockwise, check_cocycle, from_cocycle
@@ -247,35 +247,42 @@ class InverseSemigroup:
 def _close(carrier, generators, compose, invert, max_size):
     """Inverse semigroup generated under compose(a, b) and invert(a).
 
+    Every ordered pair of elements is composed once, when the later of
+    the two is found, and the table is read from those products.
     Elements are listed in _sort_key order, and act on the carrier
     through their own partial bijections.
     """
-    seen = set()
-    work = []
+    found, position, prod = [], {}, {}
+
+    def place(c, limit=max_size):
+        if c not in position:
+            if len(found) >= limit:
+                raise ValueError(
+                    f"semigroup closure exceeded {max_size} elements")
+            position[c] = len(found)
+            found.append(c)
+        return position[c]
+
     for a in generators:
-        for b in (a, invert(a)):
-            if b not in seen:
-                seen.add(b)
-                work.append(b)
-    while work:
-        a = work.pop()
-        for b in list(seen):
-            for c in (compose(a, b), compose(b, a)):
-                if c not in seen:
-                    if len(seen) >= max_size:
-                        raise ValueError(
-                            f"semigroup closure exceeded {max_size} elements")
-                    seen.add(c)
-                    work.append(c)
-    elements = sorted(seen, key=_sort_key)
+        place(a, np.inf)
+        place(invert(a), np.inf)
+    # found grows while it is scanned
+    for i, a in enumerate(found):
+        for j in range(i):
+            prod[i, j] = place(compose(a, found[j]))
+            prod[j, i] = place(compose(found[j], a))
+        prod[i, i] = place(compose(a, a))
+
+    order = sorted(range(len(found)), key=lambda k: _sort_key(found[k]))
+    rank = np.argsort(order)
+    elements = [found[k] for k in order]
     carrier = tuple(carrier)
-    index = {a: i for i, a in enumerate(elements)}
     point = {x: i for i, x in enumerate(carrier)}
     act = [[point[a.mapping[x]] if x in a.mapping else -1 for x in carrier]
            for a in elements]
     return InverseSemigroup(
-        elements, [[index[compose(a, b)] for b in elements] for a in elements],
-        [index[invert(a)] for a in elements], act, carrier)
+        elements, rank[[[prod[i, j] for j in order] for i in order]],
+        rank[[position[invert(a)] for a in elements]], act, carrier)
 
 
 def semigroup_from_bisections(gpd, generators, max_size=4096):
@@ -610,7 +617,7 @@ def _exactly_once(products, ids):
 
 def _spread(mats):
     """Largest entrywise distance of the matrices from the first one."""
-    return max((max_abs(m - mats[0]) for m in mats[1:]), default=0.0)
+    return worst((max_abs(m - mats[0]), None) for m in mats[1:])[0]
 
 
 def crossed_product(sgrp, max_size=4096):
@@ -689,16 +696,6 @@ def _side_projections(cov, table):
             for row in table]
 
 
-def _add_worst(rep, name, tol, defects):
-    """Add a check from (defect, witness) pairs: the largest defect and
-    the first witness reaching it, None when every defect is 0."""
-    worst, bad = 0.0, None
-    for d, witness in defects:
-        if d > worst:
-            worst, bad = d, witness
-    rep.add(name, worst <= tol, defect=worst, witness=bad)
-
-
 def check_covariant_rep(cov, tol=1e-10):
     """Projection axioms, partial isometry axioms, covariance."""
     sgrp = cov.semigroup
@@ -710,28 +707,29 @@ def check_covariant_rep(cov, tol=1e-10):
     dom = _side_projections(cov, act)
     img = _side_projections(cov, _inverse_action(act))
 
-    _add_worst(rep, "projections", tol,
-               ((max(max_abs(p @ p - p), max_abs(p - p.conj().T)), None)
-                for p in pts))
+    rep.add_worst("projections",
+                  ((d, None) for p in pts
+                   for d in (max_abs(p @ p - p), max_abs(p - p.conj().T))),
+                  tol)
 
     total = sum(cov.projections.values()) if sgrp.carrier else eye * 0
     d = max_abs(total - eye)
     rep.add("projections-sum", d <= tol, defect=d)
 
-    _add_worst(rep, "partial-isometries", tol,
-               ((max(max_abs(u.conj().T @ u - dom[a]),
-                     max_abs(u @ u.conj().T - img[a])), els[a])
-                for a, u in enumerate(iso)))
-    _add_worst(rep, "involution", tol,
-               ((max_abs(iso[sgrp.star[a]] - u.conj().T), els[a])
-                for a, u in enumerate(iso)))
-    _add_worst(rep, "restriction", tol,
-               ((max_abs(iso[a] - iso[b] @ dom[a]), (els[a], els[b]))
-                for a, b in np.argwhere(sgrp.le)))
-    _add_worst(rep, "covariance", tol,
-               ((max_abs(iso[a] @ pts[x] @ iso[a].conj().T - pts[act[a, x]]),
-                 (els[a], sgrp.carrier[x]))
-                for a, x in np.argwhere(act >= 0)))
+    rep.add_worst("partial-isometries",
+                  ((d, els[a]) for a, u in enumerate(iso)
+                   for d in (max_abs(u.conj().T @ u - dom[a]),
+                             max_abs(u @ u.conj().T - img[a]))), tol)
+    rep.add_worst("involution",
+                  ((max_abs(iso[sgrp.star[a]] - u.conj().T), els[a])
+                   for a, u in enumerate(iso)), tol)
+    rep.add_worst("restriction",
+                  ((max_abs(iso[a] - iso[b] @ dom[a]), (els[a], els[b]))
+                   for a, b in np.argwhere(sgrp.le)), tol)
+    rep.add_worst("covariance",
+                  ((max_abs(iso[a] @ pts[x] @ iso[a].conj().T
+                            - pts[act[a, x]]), (els[a], sgrp.carrier[x]))
+                   for a, x in np.argwhere(act >= 0)), tol)
     return rep
 
 
@@ -740,9 +738,9 @@ def partial_isometry_form(cov, tol=1e-10):
     sgrp = cov.semigroup
     rep = Report("partial isometry form")
     iso = [cov.isometries[a] for a in sgrp.elements]
-    _add_worst(rep, "multiplicative", tol,
-               ((max_abs(iso[a] @ iso[b] - iso[ab]), sgrp.label((a, b)))
-                for (a, b), ab in np.ndenumerate(sgrp.mul)))
+    rep.add_worst("multiplicative",
+                  ((max_abs(iso[a] @ iso[b] - iso[ab]), sgrp.label((a, b)))
+                   for (a, b), ab in np.ndenumerate(sgrp.mul)), tol)
     return rep
 
 
@@ -751,12 +749,12 @@ def check_crossed_rep(alg, rho, tol=1e-10):
     rep = Report("crossed product representation")
     dim = next(iter(rho.values())).shape[0] if rho else 0
     zero = np.zeros((dim, dim), dtype=complex)
-    _add_worst(rep, "multiplicative", tol,
-               ((max_abs(rho[i] @ rho[j] - (rho[k] if k >= 0 else zero)),
-                 (i, j)) for (i, j), k in np.ndenumerate(alg.table)))
-    _add_worst(rep, "star", tol,
-               ((max_abs(rho[alg.star_table[i]] - rho[i].conj().T), i)
-                for i in range(alg.dim)))
+    rep.add_worst("multiplicative",
+                  ((max_abs(rho[i] @ rho[j] - (rho[k] if k >= 0 else zero)),
+                    (i, j)) for (i, j), k in np.ndenumerate(alg.table)), tol)
+    rep.add_worst("star",
+                  ((max_abs(rho[alg.star_table[i]] - rho[i].conj().T), i)
+                   for i in range(alg.dim)), tol)
 
     total = sum(rho[i] for i in alg.unit_indices)
     d = max_abs(total - np.eye(dim))
@@ -774,8 +772,8 @@ def rep_of_crossed_to_covariant(alg, rho, tol=1e-10):
 
     mats = {label: [rho[alg.class_of[e, x]] for e in _covering(sgrp, x, "")]
             for x, label in enumerate(sgrp.carrier)}
-    _add_worst(out, "projection-well-defined", tol,
-               ((_spread(m), x) for x, m in mats.items()))
+    out.add_worst("projection-well-defined",
+                  ((_spread(m), x) for x, m in mats.items()), tol)
     projections = {x: m[0] for x, m in mats.items()}
 
     zero = np.zeros((dim, dim), dtype=complex)
@@ -800,8 +798,8 @@ def integrate_covariant(alg, cov, tol=1e-10):
             for e, p in zip(a, x)]
     classes = [mats[bounds[i]:bounds[i + 1]] for i in range(alg.dim)]
     rho = {i: m[0] for i, m in enumerate(classes)}
-    _add_worst(out, "representative-independent", tol,
-               ((_spread(m), i) for i, m in enumerate(classes)))
+    out.add_worst("representative-independent",
+                  ((_spread(m), i) for i, m in enumerate(classes)), tol)
     out.extend(check_crossed_rep(alg, rho, tol))
     return rho, out
 
@@ -885,11 +883,11 @@ def covariant_to_groupoid_rep(gpd, weights, cov, tol=1e-10):
 
     mats = {g: [frames[gpd.rng[g]].conj().T @ cov.isometries[els[a]]
                 @ frames[gpd.src[g]] for a in cover[g]] for g in gpd.arrows}
-    _add_worst(out, "blocks-agree", tol,
-               ((_spread(m), g) for g, m in mats.items()))
+    out.add_worst("blocks-agree",
+                  ((_spread(m), g) for g, m in mats.items()), tol)
     blocks = {g: m[0] for g, m in mats.items()}
 
-    worst, bad = 0.0, None
+    defects = []
     for (g, h) in gpd.composable_pairs():
         ab = els[sgrp.mul[cover[g][0], cover[h][0]]]
         gh = gpd.comp[(g, h)]
@@ -897,10 +895,8 @@ def covariant_to_groupoid_rep(gpd, weights, cov, tol=1e-10):
             continue
         through = frames[gpd.rng[gh]].conj().T @ cov.isometries[ab] \
             @ frames[gpd.src[gh]]
-        d = max_abs(blocks[g] @ blocks[h] - through)
-        if d > worst:
-            worst, bad = d, (g, h)
-    out.add("trisection", worst <= tol, defect=worst, witness=bad)
+        defects.append((max_abs(blocks[g] @ blocks[h] - through), (g, h)))
+    out.add_worst("trisection", defects, tol)
 
     coeff = ("w",)
     dims = {(x, "w"): hat[x] for x in gpd.objects}
@@ -940,9 +936,9 @@ def etale_battery(gpd, weights, sgrp=None, rep=None, tol=1e-10):
         out.extend(rho_rep, prefix="integrated-")
         cov2, cov2_rep = rep_of_crossed_to_covariant(alg, rho, tol)
         out.extend(cov2_rep, prefix="split-")
-        worst = max((max_abs(cov2.isometries[a] - cov.isometries[a])
-                     for a in sgrp.elements), default=0.0)
-        out.add("split-roundtrip", worst <= tol, defect=worst)
+        out.add_worst("split-roundtrip",
+                      ((max_abs(cov2.isometries[a] - cov.isometries[a]), None)
+                       for a in sgrp.elements), tol)
         back, back_rep = covariant_to_groupoid_rep(
             gpd, rep.weights, cov, tol)
         out.extend(back_rep, prefix="back-")
@@ -991,7 +987,7 @@ def transformation_theorem(order, action, rep=None, tol=1e-10):
         out.extend(check_covariant_rep(cov, tol), prefix="covariant-")
         out.extend(partial_isometry_form(cov, tol), prefix="covariant-")
 
-        worst, bad = 0.0, None
+        defects = []
         for k in range(int(order)):
             a = next(el for el in sgrp.elements
                      if el.tag and (k, gpd.objects[0]) in el.tag)
@@ -1000,11 +996,8 @@ def transformation_theorem(order, action, rep=None, tol=1e-10):
                 g = (k, x)
                 lit = integrate_rep(rep, delta_function(gpd, g)).matrix
                 want = cov.projections[gpd.rng[g]] @ w
-                d = max_abs(lit - want)
-                if d > worst:
-                    worst, bad = d, g
-        out.add("integrated-agreement", worst <= tol, defect=worst,
-                witness=bad)
+                defects.append((max_abs(lit - want), g))
+        out.add_worst("integrated-agreement", defects, tol)
 
         back, back_rep = covariant_to_groupoid_rep(
             gpd, rep.weights, cov, tol)

@@ -174,8 +174,8 @@ def grade_leak(m, side):
 
 
 def _require_graded(m, side):
-    worst, bad = grade_leak(m, side)
-    if worst > _GRADE_GUARD:
+    leak, bad = grade_leak(m, side)
+    if not leak <= _GRADE_GUARD:
         raise ValueError(f"map moves {side} grade {bad[0]!r} -> {bad[1]!r}")
 
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .report import Report, VerificationError, max_abs
+from .report import Report, VerificationError, max_abs, worst
 from .hilbmod import ModuleMap, creation, module_from_dims
-from .convalg import (convolve, delta_function, fiber_sups,
+from .convalg import (convolve, delta_function, delta_product, fiber_sups,
                       identity_element, operator_norm, star)
 from .reps import CocycleFamily, blockwise, check_cocycle, from_cocycle
 
@@ -79,48 +79,45 @@ def check_integration(rep, funcs, tol=1e-10):
     out = Report("integration")
     funcs = list(funcs)
 
-    worst = 0.0
+    defects = []
     for f in funcs:
         lit = integrate_rep(rep, f)
         ora = oracle_integrate(rep, f)
-        d = max_abs(lit.matrix - ora.matrix)
-        worst = max(worst, d)
-    out.add("oracle-agreement", worst <= tol, defect=worst)
+        defects.append((max_abs(lit.matrix - ora.matrix), None))
+    out.add_worst("oracle-agreement", defects, tol)
 
     ident = integrate_rep(rep, identity_element(gpd, c))
     d = max_abs(ident.matrix - np.eye(rep.module.dim))
     out.add("identity", d <= tol, defect=d)
 
-    worst = 0.0
+    defects = []
     for i in range(len(funcs) - 1):
         f1, f2 = funcs[i], funcs[i + 1]
         prod = integrate_rep(rep, convolve(gpd, c, f1, f2))
         two = integrate_rep(rep, f1).compose(integrate_rep(rep, f2))
-        d = max_abs(prod.matrix - two.matrix)
-        worst = max(worst, d)
-    out.add("multiplicative", worst <= tol, defect=worst)
+        defects.append((max_abs(prod.matrix - two.matrix), None))
+    out.add_worst("multiplicative", defects, tol)
 
-    worst = 0.0
+    defects = []
     for f in funcs:
         one = integrate_rep(rep, star(gpd, f))
         two = integrate_rep(rep, f).adjoint()
-        d = max_abs(one.matrix - two.matrix)
-        worst = max(worst, d)
-    out.add("star", worst <= tol, defect=worst)
+        defects.append((max_abs(one.matrix - two.matrix), None))
+    out.add_worst("star", defects, tol)
 
-    worst = 0.0
+    defects = []
     for f in funcs:
         gap = operator_norm(integrate_rep(rep, f)) \
             - integration_bound(gpd, c, f)
-        worst = max(worst, gap)
-    out.add("norm-bound", worst <= 1e-9, defect=max(worst, 0.0))
+        defects.append((gap, None))
+    out.add_worst("norm-bound", defects, 1e-9)
 
-    worst = 0.0
+    defects = []
     for f in funcs:
         sup_r, sup_s = fiber_sups(gpd, c, f)
         gap = float(np.sqrt(sup_r * sup_s)) - max(sup_r, sup_s)
-        worst = max(worst, gap)
-    out.add("bound-below-inorm", worst <= 1e-9, defect=max(worst, 0.0))
+        defects.append((gap, None))
+    out.add_worst("bound-below-inorm", defects, 1e-9)
     return out
 
 
@@ -166,24 +163,22 @@ def check_conv_rep(conv, funcs, tol=1e-10):
     d = max_abs(ident.matrix - np.eye(conv.space.dim))
     out.add("identity", d <= tol, defect=d)
 
-    worst = 0.0
+    defects = []
     for i in range(len(funcs) - 1):
         f1, f2 = funcs[i], funcs[i + 1]
         one = conv.op(convolve(gpd, c, f1, f2))
         two = conv.op(f1).compose(conv.op(f2))
-        d = max_abs(one.matrix - two.matrix)
-        worst = max(worst, d)
-    out.add("multiplicative", worst <= tol, defect=worst)
+        defects.append((max_abs(one.matrix - two.matrix), None))
+    out.add_worst("multiplicative", defects, tol)
 
-    worst = 0.0
+    defects = []
     for f in funcs:
         one = conv.op(star(gpd, f))
         two = conv.op(f).adjoint()
-        d = max_abs(one.matrix - two.matrix)
-        worst = max(worst, d)
-    out.add("star", worst <= tol, defect=worst)
+        defects.append((max_abs(one.matrix - two.matrix), None))
+    out.add_worst("star", defects, tol)
 
-    worst, bad = 0.0, None
+    defects = []
     for g in gpd.arrows:
         mat = conv.delta_ops[g]
         for b in conv.space.basis:
@@ -192,9 +187,8 @@ def check_conv_rep(conv, funcs, tol=1e-10):
                         and conv.space.left[b2] == gpd.rng[g]:
                     continue
                 v = abs(mat[conv.space.index[b2], conv.space.index[b]])
-                if v > worst:
-                    worst, bad = v, (g, b2, b)
-    out.add("support-pattern", worst <= tol, defect=worst, witness=bad)
+                defects.append((v, (g, b2, b)))
+    out.add_worst("support-pattern", defects, tol)
     return out
 
 
@@ -202,11 +196,9 @@ def check_integrated_intertwiner(conv1, conv2, vmatrix, tol=1e-10):
     """Worst commutation defect of a matrix against two operator families."""
     gpd = conv1.groupoid
     v = np.asarray(vmatrix, dtype=complex)
-    worst = 0.0
-    for g in gpd.arrows:
-        d = max_abs(conv2.delta_ops[g] @ v - v @ conv1.delta_ops[g])
-        worst = max(worst, d)
-    return worst <= tol, worst
+    d, _ = worst((max_abs(conv2.delta_ops[g] @ v - v @ conv1.delta_ops[g]),
+                  None) for g in gpd.arrows)
+    return d <= tol, d
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +259,11 @@ def check_pair_exchange(gpd, weights, functions):
         lhs = pair_inner_s(gpd, weights, f1, f2)
         rhs = pair_inner_r(gpd, weights,
                            upsilon(gpd, f1), upsilon(gpd, f2))
-        worst, bad = 0.0, None
+        defects = []
         for k in gpd.arrows:
             scale = max(abs(lhs[k]), abs(rhs[k]), 1.0)
-            d = abs(lhs[k] - rhs[k]) / scale
-            if d > worst:
-                worst, bad = d, k
-        out.add(f"exchange-{i}", worst <= 1e-12, defect=worst, witness=bad)
+            defects.append((abs(lhs[k] - rhs[k]) / scale, k))
+        out.add_worst(f"exchange-{i}", defects, 1e-12)
     return out
 
 
@@ -299,18 +289,16 @@ def disintegrate(conv, tol=1e-9):
     out.add("nondegenerate", d <= tol, defect=d)
 
     gram = np.diag(space.gram_diagonal())
-    deltas = {g: delta_function(gpd, g) for g in gpd.arrows}
-    worst = 0.0
+    defects = []
     for g in gpd.arrows:
         left = conv.delta_ops[g].conj().T @ gram
-        starred = star(gpd, deltas[g])
         for g2 in gpd.arrows:
             lhs = left @ conv.delta_ops[g2]
+            # delta_g* convolved with delta_g2, from the structure constants
             rhs = gram @ conv.op(
-                convolve(gpd, c, starred, deltas[g2])).matrix
-            d = max_abs(lhs - rhs)
-            worst = max(worst, d)
-    out.add("star-certificate", worst <= tol, defect=worst)
+                delta_product(gpd, c, gpd.inv[g], g2)).matrix
+            defects.append((max_abs(lhs - rhs), None))
+    out.add_worst("star-certificate", defects, tol)
 
     pair_batch = []
     pairs = gpd.composable_pairs()
@@ -323,15 +311,15 @@ def disintegrate(conv, tol=1e-9):
 
     dhat = np.sqrt(space.gram_diagonal())
     projections = {}
-    worst_idem, worst_adj = 0.0, 0.0
+    idem, adj = [], []
     for x in gpd.objects:
         p = conv.delta_ops[gpd.unit[x]] / c[x]
         projections[x] = p
-        worst_idem = max(worst_idem, max_abs(p @ p - p))
+        idem.append((max_abs(p @ p - p), None))
         pm = ModuleMap(space, space, p)
-        worst_adj = max(worst_adj, max_abs(pm.adjoint().matrix - p))
-    out.add("projections-idempotent", worst_idem <= tol, defect=worst_idem)
-    out.add("projections-selfadjoint", worst_adj <= tol, defect=worst_adj)
+        adj.append((max_abs(pm.adjoint().matrix - p), None))
+    out.add_worst("projections-idempotent", idem, tol)
+    out.add_worst("projections-selfadjoint", adj, tol)
     total = sum(projections.values())
     d = max_abs(total - np.eye(space.dim))
     out.add("projections-sum", d <= tol, defect=d)
@@ -344,7 +332,7 @@ def disintegrate(conv, tol=1e-9):
     coeffs = space.right_space
     dims = {}
     frame_cols = {}
-    spectrum_defect = 0.0
+    spectrum = []
     for x in gpd.objects:
         for w in coeffs:
             idx = [space.index[b] for b in space.basis
@@ -356,14 +344,11 @@ def disintegrate(conv, tol=1e-9):
             hat = (dhat[idx][:, None] * sub) / dhat[idx][None, :]
             u, s, _ = np.linalg.svd(hat)
             rank = int(np.sum(s > 0.5))
-            for val in s:
-                spectrum_defect = max(spectrum_defect,
-                                      min(abs(val), abs(val - 1.0)))
+            spectrum += [(min(abs(val), abs(val - 1.0)), None) for val in s]
             dims[(x, w)] = rank
             cols = u[:, :rank] / dhat[idx][:, None]
             frame_cols[(x, w)] = (idx, cols)
-    out.add("projection-spectrum", spectrum_defect <= tol,
-            defect=spectrum_defect)
+    out.add_worst("projection-spectrum", spectrum, tol)
 
     total_rank = sum(dims.values())
     if total_rank != space.dim:
@@ -381,7 +366,7 @@ def disintegrate(conv, tol=1e-9):
     out.add("frame-isometry", d <= tol, defect=d)
 
     unitaries = {}
-    offblock = 0.0
+    offblock = []
     for g in gpd.arrows:
         lg = ModuleMap(space, space, conv.delta_ops[g] / c[gpd.src[g]])
         small = frame.adjoint().compose(lg).compose(frame).matrix
@@ -390,10 +375,10 @@ def disintegrate(conv, tol=1e-9):
         mask = np.ones_like(small, dtype=bool)
         if trows and srows:
             mask[np.ix_(trows, srows)] = False
-        offblock = max(offblock, max_abs(small[mask]))
+        offblock.append((max_abs(small[mask]), None))
         block = small[np.ix_(trows, srows)]
         unitaries[g] = np.sqrt(c[gpd.src[g]] / c[gpd.rng[g]]) * block
-    out.add("compression-offblock", offblock <= tol, defect=offblock)
+    out.add_worst("compression-offblock", offblock, tol)
 
     fam = CocycleFamily(gpd, c, module, unitaries)
     out.extend(check_cocycle(fam, max(tol, 1e-9)), prefix="block-")
@@ -414,8 +399,8 @@ class PreRepresentation:
     """Operators on a domain that only maps into the final space.
 
     iota sends the domain into the ambient space; ops act on the
-    domain.  Extension by continuity is vacuous here because all
-    spaces are finite dimensional, and the report records that.
+    domain.  No continuity condition is checked: all spaces are finite
+    dimensional, so every linear map is bounded.
     """
 
     def __init__(self, gpd, weights, domain, iota, ops):
@@ -444,15 +429,14 @@ def extend_prerep(pre, tol=1e-9):
     u, s, vh = np.linalg.svd(hat_iota) if hat_iota.size \
         else (np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0)))
     kernel = vh[int(np.sum(s > 1e-10)):].conj().T
-    worst = 0.0
+    defects = []
     for g in gpd.arrows:
         if kernel.size:
             pushed = hat_iota @ (
                 (dhat_dom[:, None] * pre.ops[g]) / dhat_dom[None, :]
             ) @ kernel
-            worst = max(worst, max_abs(pushed))
-    out.add("kernel-invariant", worst <= tol, defect=worst)
-    out.add("continuity", True, witness="vacuous, finite dimensional")
+            defects.append((max_abs(pushed), None))
+    out.add_worst("kernel-invariant", defects, tol)
 
     if not out.ok:
         raise VerificationError(
@@ -472,16 +456,13 @@ def extend_prerep(pre, tol=1e-9):
 # round trips
 
 def _operator_roundtrip(conv, rep):
-    """Worst delta operator of conv against rep integrated in its frame."""
+    """(defect, arrow) of each delta operator of conv against rep
+    integrated in its frame."""
     gpd, frame = conv.groupoid, rep.frame
-    worst, bad = 0.0, None
     for g in gpd.arrows:
         lg = integrate_rep(rep, delta_function(gpd, g))
         back = frame.compose(lg).compose(frame.adjoint()).matrix
-        d = max_abs(back - conv.delta_ops[g])
-        if d > worst:
-            worst, bad = d, g
-    return worst, bad
+        yield max_abs(back - conv.delta_ops[g]), g
 
 
 def _grade_dims(objects, module):
@@ -497,8 +478,7 @@ def roundtrip_conv(conv, tol=1e-9):
     rep, inner = disintegrate(conv, tol)
     out = Report("integrate after disintegrate")
     out.extend(inner)
-    worst, bad = _operator_roundtrip(conv, rep)
-    out.add("delta-roundtrip", worst <= tol, defect=worst, witness=bad)
+    out.add_worst("delta-roundtrip", _operator_roundtrip(conv, rep), tol)
     return out
 
 
@@ -514,6 +494,5 @@ def roundtrip_rep(rep, tol=1e-9):
     out.add("dims-match", dims1 == dims2,
             witness=None if dims1 == dims2 else (dims1, dims2))
 
-    worst, bad = _operator_roundtrip(conv, rep2)
-    out.add("operator-roundtrip", worst <= tol, defect=worst, witness=bad)
+    out.add_worst("operator-roundtrip", _operator_roundtrip(conv, rep2), tol)
     return out

@@ -3,10 +3,17 @@
 A Report is an ordered list of named checks, each with a pass flag, a
 numeric defect (0.0 for exact structural checks) and an optional witness
 describing the first offending instance.
+
+A check over many instances reduces its (defect, witness) pairs with
+worst(): the defect is the largest value, starting from 0.0 (a negative
+gap reports 0.0), and the witness that of its first pair, None while
+every defect is 0.  The first NaN beats any number and keeps its own
+witness.  Report.add_worst passes iff defect <= tol, so NaN never does.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +23,17 @@ def max_abs(x):
     """Largest absolute entry of an array, 0.0 when it is empty."""
     x = np.asarray(x)
     return float(np.max(np.abs(x))) if x.size else 0.0
+
+
+def worst(pairs):
+    """(defect, witness) of the worst of (defect, witness) pairs."""
+    top, where = 0.0, None
+    for d, witness in pairs:
+        if math.isnan(d):
+            return d, witness
+        if d > top:
+            top, where = d, witness
+    return top, where
 
 
 class VerificationError(Exception):
@@ -46,6 +64,11 @@ class Report:
         self.checks.append(Check(name, bool(passed), float(defect), witness))
         return self
 
+    def add_worst(self, name, pairs, tol):
+        """Add the check of worst(pairs): it passes iff defect <= tol."""
+        d, witness = worst(pairs)
+        return self.add(name, d <= tol, defect=d, witness=witness)
+
     def extend(self, other, prefix=""):
         for c in other.checks:
             name = f"{prefix}{c.name}" if prefix else c.name
@@ -60,7 +83,7 @@ class Report:
         return [c for c in self.checks if not c.passed]
 
     def max_defect(self):
-        return max((c.defect for c in self.checks), default=0.0)
+        return worst((c.defect, None) for c in self.checks)[0]
 
     def require(self):
         if not self.ok:

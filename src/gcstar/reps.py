@@ -108,7 +108,11 @@ def blockwise(rep):
 
 
 def from_cocycle(gpd, weights, module, unitaries):
-    """Assemble a representation from normalized fiber blocks."""
+    """Assemble a representation from normalized fiber blocks.
+
+    A block of another shape than (range fiber, source fiber) raises a
+    ValueError naming its arrow; any empty array is an empty block.
+    """
     fam = CocycleFamily(gpd, weights, module, unitaries)
     rep = Representation(gpd, weights, module, None)
     mat = rep.umap.matrix
@@ -116,6 +120,11 @@ def from_cocycle(gpd, weights, module, unitaries):
         sfib = module.left_fiber(gpd.src[g])
         tfib = module.left_fiber(gpd.rng[g])
         block = fam.raw[g]
+        if block.shape != (len(tfib), len(sfib)) \
+                and (block.size or (tfib and sfib)):
+            raise ValueError(
+                f"block of arrow {g!r} has shape {block.shape}, expected "
+                f"{(len(tfib), len(sfib))} (range fibre, source fibre)")
         for j, m in enumerate(sfib):
             col = rep.source.index[(g, m)]
             for i, m2 in enumerate(tfib):
@@ -128,24 +137,20 @@ def check_cocycle(fam, tol=1e-10):
     gpd = fam.groupoid
     rep = Report("cocycle family")
 
-    worst, bad = 0.0, None
+    defects = []
     for x in gpd.objects:
         u = fam.unitaries[gpd.unit[x]]
-        d = max_abs(u - np.eye(u.shape[0]))
-        if d > worst:
-            worst, bad = d, x
-    rep.add("unit-blocks", worst <= tol, defect=worst, witness=bad)
+        defects.append((max_abs(u - np.eye(u.shape[0])), x))
+    rep.add_worst("unit-blocks", defects, tol)
 
-    worst, bad = 0.0, None
+    defects = []
     for (g, h) in gpd.composable_pairs():
         lhs = fam.unitaries[gpd.comp[(g, h)]]
         rhs = fam.unitaries[g] @ fam.unitaries[h]
-        d = max_abs(lhs - rhs)
-        if d > worst:
-            worst, bad = d, (g, h)
-    rep.add("multiplicative", worst <= tol, defect=worst, witness=bad)
+        defects.append((max_abs(lhs - rhs), (g, h)))
+    rep.add_worst("multiplicative", defects, tol)
 
-    worst, bad = 0.0, None
+    defects = []
     for g in gpd.arrows:
         sfib = fam.module.left_fiber(gpd.src[g])
         tfib = fam.module.left_fiber(gpd.rng[g])
@@ -158,9 +163,8 @@ def check_cocycle(fam, tol=1e-10):
         d = max_abs(gram - np.diag(ws)) if u.size else 0.0
         if len(sfib) != len(tfib):
             d = max(d, 1.0)
-        if d > worst:
-            worst, bad = d, g
-    rep.add("fiber-unitary", worst <= tol, defect=worst, witness=bad)
+        defects.append((d, g))
+    rep.add_worst("fiber-unitary", defects, tol)
     return rep
 
 
@@ -277,10 +281,9 @@ def check_intertwiner(rep1, rep2, vmap, tol=1e-10):
     """
     out = Report("intertwiner")
     out.extend(check_module_map(vmap, tol))
-    worst, bad = grade_leak(vmap, "left")
-    out.add("object-grade-preserved", worst <= tol, defect=worst,
-            witness=bad)
-    if worst > 1e-13:
+    leak, bad = grade_leak(vmap, "left")
+    out.add("object-grade-preserved", leak <= tol, defect=leak, witness=bad)
+    if not leak <= 1e-13:
         out.add("commutes", False, witness="blocked by grade mismatch")
         return out
 

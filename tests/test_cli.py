@@ -153,6 +153,36 @@ def test_bundle_dims_missing_object_exits_2(capsys, tmp_path):
     assert out == ""
 
 
+def _p2_bundle(dims=None, blocks=None):
+    gpd, w = fixture("P2")
+    bundle = {"groupoid": groupoid_to_dict(gpd, w),
+              "dims": {"1": 1, "2": 1},
+              "U": {str(g): [[1.0]] for g in gpd.arrows}}
+    bundle["dims"].update(dims or {})
+    bundle["U"].update(blocks or {})
+    return bundle
+
+
+@pytest.mark.parametrize("bundle, message", [
+    (_p2_bundle(blocks={"(1, 1)": [[1.0, 0.0]], "(1, 2)": [[1.0, 0.0]],
+                        "(2, 1)": [[1.0, 0.0]], "(2, 2)": [[1.0, 0.0]]}),
+     "block of arrow '(1, 1)' has shape (1, 2), expected (1, 1)"),
+    (_p2_bundle(dims={"2": 1.5}),
+     "'dims' of object '2' must be a non-negative integer, got 1.5"),
+    (_p2_bundle(dims={"1": -1}),
+     "'dims' of object '1' must be a non-negative integer, got -1"),
+    (_p2_bundle(blocks={"(2, 1)": [[float("nan")]]}),
+     "block of arrow '(2, 1)' has a non-finite entry"),
+], ids=["1x2-blocks", "fractional-dim", "negative-dim", "nan-entry"])
+def test_bad_bundle_exits_2(capsys, tmp_path, bundle, message):
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(bundle))
+    code, out, err = run(capsys, "rep", "--bundle", str(path))
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 def test_arrow_without_src_exits_2(capsys, tmp_path):
     def drop_src(data):
         del data["arrows"][1]["src"]

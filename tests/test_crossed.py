@@ -6,12 +6,15 @@ the empty set, four singletons and two global sections, and a two
 point space has the subsets of its unit arrows.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from gcstar.crossed import (CovariantRep, PartialBijection, all_bisections,
-                            bisection_from_arrows, bisection_semigroup,
-                            canonical_iso_cstar, check_covariant_rep,
+from gcstar.crossed import (CovariantRep, PartialBijection, _close,
+                            all_bisections, bisection_from_arrows,
+                            bisection_semigroup, canonical_iso_cstar,
+                            check_covariant_rep, check_crossed_rep,
                             compose_bisections, covariant_to_groupoid_rep,
                             crossed_product, etale_battery, germ_classes,
                             germ_groupoid, germ_reconstruction,
@@ -225,3 +228,82 @@ def test_transformation_theorem_swap_with_rep():
     names = {c.name for c in out.checks}
     assert "integrated-agreement" in names
     assert "translation-roundtrip" in names
+
+
+def _assert_nan_failures(out, first):
+    """Checks named in first fail with defect NaN and that witness; the
+    others pass."""
+    for c in out.checks:
+        if c.name in first:
+            assert not c.passed and np.isnan(c.defect), c.line()
+            assert c.witness == first[c.name], c.line()
+        else:
+            assert c.passed, c.line()
+
+
+def test_covariant_checks_fail_on_nan_isometry():
+    gpd, w = fixture("P2")
+    sgrp = bisection_semigroup(gpd)
+    fine = groupoid_rep_to_covariant(regular_representation(gpd, w), sgrp)
+    els, n = sgrp.elements, len(sgrp.elements)
+    # an all-NaN isometry at the bisection {(1, 2)}
+    a = next(i for i, e in enumerate(els) if e.tag == frozenset({(1, 2)}))
+    isometries = dict(fine.isometries)
+    isometries[els[a]] = np.full((fine.dim, fine.dim), np.nan)
+    cov = CovariantRep(sgrp, fine.dim, fine.projections, isometries)
+    first = {
+        "partial-isometries": els[a],
+        "involution": next(els[b] for b in range(n)
+                           if a in (b, sgrp.star[b])),
+        "restriction": next((els[b], els[c])
+                            for b, c in np.argwhere(sgrp.le)
+                            if a in (b, c)),
+        "covariance": next((els[b], sgrp.carrier[x])
+                           for b, x in np.argwhere(sgrp.act >= 0)
+                           if b == a),
+    }
+    _assert_nan_failures(check_covariant_rep(cov), first)
+    _assert_nan_failures(partial_isometry_form(cov), {
+        "multiplicative": next(sgrp.label((b, c))
+                               for (b, c), bc in np.ndenumerate(sgrp.mul)
+                               if a in (b, c, bc))})
+
+
+def test_crossed_rep_fails_on_nan_operator():
+    gpd, w = fixture("P2")
+    sgrp = bisection_semigroup(gpd)
+    alg = crossed_product(sgrp)
+    cov = groupoid_rep_to_covariant(regular_representation(gpd, w), sgrp)
+    rho, out = integrate_covariant(alg, cov)
+    assert out.ok
+    i = 1
+    rho[i] = np.full(rho[i].shape, np.nan)
+    _assert_nan_failures(check_crossed_rep(alg, rho), {
+        "multiplicative": next((j, k) for (j, k), m in
+                               np.ndenumerate(alg.table) if i in (j, k, m)),
+        "star": next(k for k in range(alg.dim)
+                     if i in (k, alg.star_table[k]))})
+
+
+def test_closure_composes_each_ordered_pair_once():
+    gpd, _ = fixture("P2")
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return compose_bisections(gpd, a, b)
+
+    gens = [bisection_from_arrows(gpd, [(1, 2)]),
+            bisection_from_arrows(gpd, [(1, 2), (2, 1)])]
+    invert = partial(invert_bisection, gpd)
+    sgrp = _close(gpd.objects, gens, counting, invert, 4096)
+    n = len(sgrp.elements)
+    assert len(calls) == n * n
+    assert len(set(calls)) == n * n
+    full = bisection_semigroup(gpd)
+    assert sgrp.elements == full.elements
+    assert np.array_equal(sgrp.mul, full.mul)
+    assert np.array_equal(sgrp.star, full.star)
+    with pytest.raises(ValueError, match=f"exceeded {n - 1} elements"):
+        _close(gpd.objects, gens, counting, invert, n - 1)
+    assert len(_close(gpd.objects, gens, counting, invert, n).elements) == n

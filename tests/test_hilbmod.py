@@ -9,7 +9,8 @@ from gcstar.hilbmod import (GradedSpace, ModuleMap, check_gamma,
                             gamma_compose, gamma_fibre, grade_leak,
                             identity_map, induced_unitary, is_intertwiner,
                             is_isometry, is_unitary, l2, l2_family,
-                            module_from_dims, regroup, tensor, tensor_map)
+                            module_from_dims, regroup, tensor, tensor_map,
+                            tensor_map_left)
 from gcstar.measures import (Correspondence, arrow_correspondence,
                              family_correspondence, groupoid_families,
                              haar_system)
@@ -80,6 +81,18 @@ def test_tensor_map_grade_guard():
     swap = ModuleMap(src, src, [[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         tensor_map(swap, f)
+
+
+def test_tensor_map_refuses_nan_map():
+    src = module_from_dims(("x",), ("u", "v"),
+                           {("x", "u"): 1, ("x", "v"): 1})
+    f = module_from_dims(("u", "v"), ("z",),
+                         {("u", "z"): 1, ("v", "z"): 1})
+    nan_map = ModuleMap(src, src, np.full((2, 2), np.nan))
+    with pytest.raises(ValueError, match="map moves right grade"):
+        tensor_map(nan_map, f)
+    with pytest.raises(ValueError, match="map moves left grade"):
+        tensor_map_left(f, ModuleMap(f, f, np.full((2, 2), np.nan)))
 
 
 def _leak_by_scan(m, side):

@@ -18,8 +18,8 @@ from gcstar.intdis import (ConvRep, PreRepresentation, check_conv_rep,
                            check_integrated_intertwiner, check_integration,
                            check_pair_exchange, conv_rep_of, disintegrate,
                            extend_prerep, integrate_rep, integration_bound,
-                           oracle_integrate, pair_inner_s, roundtrip_conv,
-                           roundtrip_rep, upsilon)
+                           oracle_integrate, pair_inner_r, pair_inner_s,
+                           roundtrip_conv, roundtrip_rep, upsilon)
 from gcstar.report import VerificationError
 from gcstar.reps import from_cocycle, regular_representation
 from gcstar.sampling import SplitMix64, random_cocycle
@@ -174,8 +174,9 @@ def test_disintegrate_rejects_corrupted_operators():
     ops = dict(conv.delta_ops)
     ops[(1, 2)] = 1.1 * ops[(1, 2)]
     broken = ConvRep(gpd, w, conv.space, ops)
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError) as err:
         disintegrate(broken)
+    assert "FAIL star-certificate" in str(err.value)
 
 
 def test_disintegrate_recovers_dims():
@@ -214,3 +215,20 @@ def test_extend_prerep_kernel_not_invariant():
     pre = PreRepresentation(gpd, w, domain, iota, ops)
     with pytest.raises(VerificationError):
         extend_prerep(pre)
+
+
+def test_pair_exchange_fails_on_nan():
+    gpd, w = fixture("W2")
+    rng = SplitMix64(6)
+    pairs = gpd.composable_pairs()
+    fine = {p: rng.cgauss() for p in pairs}
+    nan_fn = dict(fine)
+    nan_fn[pairs[-1]] = complex(np.nan, 0.0)
+    lhs = pair_inner_s(gpd, w, nan_fn, fine)
+    rhs = pair_inner_r(gpd, w, upsilon(gpd, nan_fn), upsilon(gpd, fine))
+    first = next(k for k in gpd.arrows if np.isnan(abs(lhs[k] - rhs[k])))
+    out = check_pair_exchange(gpd, w, [nan_fn, fine])
+    check = out.checks[0]
+    assert check.name == "exchange-0"
+    assert not check.passed and np.isnan(check.defect)
+    assert check.witness == first

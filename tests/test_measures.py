@@ -6,6 +6,8 @@ the pair groupoid is written through its three points (i, j, k) with
 g = (i, j), h = (j, k).
 """
 
+import math
+
 import pytest
 
 from gcstar.fingroupoid import FIXTURE_NAMES, fixture
@@ -177,3 +179,18 @@ def test_measure_family_rejects_nonpositive():
     from gcstar.measures import MeasureFamily
     with pytest.raises(ValueError):
         MeasureFamily(alpha.points, alpha.target, alpha.fmap, bad)
+
+
+def test_iterated_integrals_fail_on_nan():
+    gpd, w = fixture("W2")
+    rng = SplitMix64(5)
+    pairs = gpd.composable_pairs()
+    psi = {p: rng.cgauss() for p in pairs}
+    psi[pairs[-1]] = complex(math.nan, 0.0)
+    left, right = compare_integrals(gpd, w, psi)
+    first = next(x for x in gpd.objects
+                 if math.isnan(abs(left[x] - right[x])))
+    out = check_iterated_integrals(gpd, w, [psi])
+    check = out.checks[0]
+    assert not check.passed and math.isnan(check.defect)
+    assert check.witness == first

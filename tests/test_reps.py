@@ -194,3 +194,31 @@ def test_invariant_support_flags_uneven_dims():
     rep = from_cocycle(gpd, w, module, unitaries)
     support, out = invariant_support(rep)
     assert not out.ok
+
+
+def test_check_cocycle_fails_on_nan_blocks():
+    gpd, w = fixture("P2")
+    module = module_from_dims(gpd.objects, ("w",),
+                              {(x, "w"): 1 for x in gpd.objects})
+    nan_blocks = {g: np.full((1, 1), np.nan, dtype=complex)
+                  for g in gpd.arrows}
+    out = check_cocycle(CocycleFamily(gpd, w, module, nan_blocks))
+    first = {"unit-blocks": gpd.objects[0],
+             "multiplicative": gpd.composable_pairs()[0],
+             "fiber-unitary": gpd.arrows[0]}
+    assert [c.name for c in out.checks] == list(first)
+    for c in out.checks:
+        assert not c.passed and np.isnan(c.defect), c.line()
+        assert c.witness == first[c.name]
+
+
+def test_from_cocycle_rejects_wrong_block_shape():
+    gpd, w = fixture("P2")
+    module = module_from_dims(gpd.objects, ("w",),
+                              {(x, "w"): 1 for x in gpd.objects})
+    blocks = {g: np.eye(1, dtype=complex) for g in gpd.arrows}
+    blocks[(1, 2)] = np.eye(2, dtype=complex)
+    with pytest.raises(ValueError) as err:
+        from_cocycle(gpd, w, module, blocks)
+    assert str(err.value) == ("block of arrow (1, 2) has shape (2, 2), "
+                              "expected (1, 1) (range fibre, source fibre)")
