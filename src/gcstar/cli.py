@@ -117,6 +117,15 @@ def load_groupoid(args):
     raise ValueError("no groupoid given; use --groupoid FILE or --preset NAME")
 
 
+# Every command checks at --tolerance raised to this floor; below it
+# floating-point rounding, not the identities, decides the verdicts.
+TOLERANCE_FLOOR = 1e-10
+
+
+def _tol(args):
+    return max(args.tolerance, TOLERANCE_FLOOR)
+
+
 def require_valid(gpd, weights):
     """Structure axioms as a precondition; failures are input errors."""
     rep = validate_groupoid(gpd)
@@ -127,11 +136,14 @@ def require_valid(gpd, weights):
             "; ".join(c.line() for c in rep.failures()))
 
 
-def _matrix_from_json(rows):
+def _matrix_from_json(rows, what):
     def num(v):
         if isinstance(v, (list, tuple)):
             return complex(v[0], v[1])
         return complex(v)
+    lengths = [len(row) for row in rows]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"{what} is ragged: row lengths {lengths}")
     return np.array([[num(v) for v in row] for row in rows], dtype=complex)
 
 
@@ -156,10 +168,10 @@ def load_bundle(path):
             raise ValueError(f"bundle 'dims' of object {x!r} must be a "
                              f"non-negative integer, got {n!r}")
     for g in gpd.arrows:
-        u = unitaries[g] = _matrix_from_json(entry("U", g, "arrow"))
+        what = f"bundle 'U' block of arrow {g!r}"
+        u = unitaries[g] = _matrix_from_json(entry("U", g, "arrow"), what)
         if not np.isfinite(u).all():
-            raise ValueError(f"bundle 'U' block of arrow {g!r} has a "
-                             "non-finite entry")
+            raise ValueError(f"{what} has a non-finite entry")
     module = module_from_dims(gpd.objects, ("w",), dims)
     return from_cocycle(gpd, weights, module, unitaries)
 
@@ -237,7 +249,7 @@ def cmd_families(args):
     reports = [check_family_identities(gpd, weights)]
     funcs = [_random_pair_function(rng, gpd) for _ in range(args.trials)]
     reports.append(check_iterated_integrals(gpd, weights, funcs))
-    reports.append(check_gamma(gpd, weights, max(args.tolerance, 1e-12)))
+    reports.append(check_gamma(gpd, weights, _tol(args)))
     return reports, None
 
 
@@ -247,8 +259,7 @@ def cmd_algebra(args):
     rng = SplitMix64(args.seed)
     funcs = _delta_batch(gpd)
     funcs += [random_function(rng, gpd) for _ in range(args.trials)]
-    reports = [check_convolution(gpd, weights, funcs,
-                                 max(args.tolerance, 1e-10))]
+    reports = [check_convolution(gpd, weights, funcs, _tol(args))]
 
     product = []
     inorm = {}
@@ -274,12 +285,12 @@ def cmd_rep(args):
         require_valid(gpd, weights)
         rng = SplitMix64(args.seed)
         rep = _random_rep(gpd, weights, rng)
-    reports = [check_representation(rep, max(args.tolerance, 1e-10))]
+    reports = [check_representation(rep, _tol(args))]
     _, support_rep = invariant_support(rep)
     reports.append(support_rep)
     reg = regular_representation(rep.groupoid, rep.weights)
     regular = Report("regular representation")
-    regular.extend(check_representation(reg, max(args.tolerance, 1e-10)))
+    regular.extend(check_representation(reg, _tol(args)))
     reports.append(regular)
     if args.dump:
         os.makedirs(args.dump, exist_ok=True)
@@ -295,7 +306,7 @@ def cmd_integrate(args):
     rep = _random_rep(gpd, weights, rng)
     funcs = _delta_batch(gpd)
     funcs += [random_function(rng, gpd) for _ in range(args.trials)]
-    reports = [check_integration(rep, funcs, max(args.tolerance, 1e-10))]
+    reports = [check_integration(rep, funcs, _tol(args))]
     pair_funcs = [_random_pair_function(rng, gpd)
                   for _ in range(max(2, min(args.trials, 8)))]
     reports.append(check_pair_exchange(gpd, weights, pair_funcs))
@@ -316,9 +327,9 @@ def cmd_disintegrate(args):
     conv = conv_rep_of(rep)
     funcs = _delta_batch(gpd)
     funcs += [random_function(rng, gpd) for _ in range(3)]
-    reports = [check_conv_rep(conv, funcs, max(args.tolerance, 1e-10))]
+    reports = [check_conv_rep(conv, funcs, _tol(args))]
     try:
-        rep2, inner = disintegrate(conv, args.tolerance)
+        rep2, inner = disintegrate(conv, _tol(args))
     except VerificationError as exc:
         failed = Report("disintegration")
         failed.add("disintegrate", False, witness=str(exc))
@@ -341,7 +352,7 @@ def cmd_roundtrip(args):
         rep = _random_rep(gpd, weights, rng, coeff_size=1 + t % 2)
         out = Report(f"roundtrip {t}")
         try:
-            out.extend(roundtrip_rep(rep, args.tolerance))
+            out.extend(roundtrip_rep(rep, _tol(args)))
         except VerificationError as exc:
             out.add("disintegrate", False, witness=str(exc))
         reports.append(out)
@@ -356,8 +367,7 @@ def cmd_etale(args):
         sgrp = load_semigroup(args.semigroup, gpd)
     rng = SplitMix64(args.seed)
     rep = _random_rep(gpd, weights, rng)
-    reports = [etale_battery(gpd, weights, sgrp=sgrp, rep=rep,
-                             tol=max(args.tolerance, 1e-10))]
+    reports = [etale_battery(gpd, weights, sgrp=sgrp, rep=rep, tol=_tol(args))]
     return reports, None
 
 
@@ -379,7 +389,7 @@ def cmd_trafo(args):
     rng = SplitMix64(args.seed)
     rep = _random_rep(gpd, weights, rng)
     reports = [transformation_theorem(order, action, rep=rep,
-                                      tol=max(args.tolerance, 1e-10))]
+                                      tol=_tol(args))]
     return reports, None
 
 
@@ -388,7 +398,7 @@ def cmd_suite(args):
         raise ValueError("suite runs the built-in fixtures and random "
                          "instances; it takes no groupoid file or preset")
     rng = SplitMix64(args.seed)
-    tol = max(args.tolerance, 1e-10)
+    tol = _tol(args)
     reports = []
 
     for name in FIXTURE_NAMES:
@@ -413,7 +423,7 @@ def cmd_suite(args):
         out.extend(check_pair_exchange(gpd, weights, pair_funcs),
                    prefix="pairs-")
         try:
-            out.extend(roundtrip_rep(rep, args.tolerance),
+            out.extend(roundtrip_rep(rep, tol),
                        prefix="roundtrip-")
         except VerificationError as exc:
             out.add("roundtrip-disintegrate", False, witness=str(exc))

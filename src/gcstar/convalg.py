@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .report import Report, max_abs
+from .report import Report, max_abs, worst
 from .hilbmod import GradedSpace, ModuleMap
 
 
@@ -58,20 +58,23 @@ def delta_product(gpd, weights, g, h):
 
 
 def fiber_sups(gpd, weights, f):
-    """Sups of the fibrewise absolute integrals along range and source."""
+    """Sups of the fibrewise absolute integrals along range and source.
+
+    A NaN value of f makes the sups NaN rather than dropping out.
+    """
     along_r = {x: 0.0 for x in gpd.objects}
     along_s = {x: 0.0 for x in gpd.objects}
     for g in gpd.arrows:
         along_r[gpd.rng[g]] += abs(f[g]) * weights[gpd.src[g]]
         along_s[gpd.src[g]] += abs(f[g]) * weights[gpd.rng[g]]
-    sup_r = max(along_r.values(), default=0.0)
-    sup_s = max(along_s.values(), default=0.0)
+    sup_r = worst((v, None) for v in along_r.values())[0]
+    sup_s = worst((v, None) for v in along_s.values())[0]
     return sup_r, sup_s
 
 
 def i_norm(gpd, weights, f):
-    """Larger of the two fibrewise absolute integrals of f."""
-    return max(fiber_sups(gpd, weights, f))
+    """Larger of the two fibrewise absolute integrals of f; NaN wins."""
+    return worst((v, None) for v in fiber_sups(gpd, weights, f))[0]
 
 
 def regular_module(gpd, weights):

@@ -7,6 +7,13 @@ tensor products pair a right grade with a left grade and multiply the
 weights.  The relabeling maps between a tensor product of function
 spaces and the function space of a composite or fibred set are scale
 one on basis vectors, hence exact in floating point.
+
+Module maps are stored against the bases, as a dense matrix or as
+entries (int rows, int cols, complex vals); the structured maps built
+here are entry maps, so a map over the composable pairs costs memory in
+proportion to its nonzero entries.  .matrix is the dense matrix of
+either form, read-only for an entry map, and dump_module_map writes it
+as dense complex128.
 """
 
 from __future__ import annotations
@@ -32,8 +39,8 @@ class GradedSpace:
         self.left = dict(left)
         self.right = dict(right)
         self.weight = {b: float(weight[b]) for b in self.basis}
-        for b in self.basis:
-            if not (self.weight[b] > 0.0):
+        for b, w in self.weight.items():
+            if not (w > 0.0):
                 raise ValueError(f"nonpositive weight at {b!r}")
         self.index = {b: i for i, b in enumerate(self.basis)}
         if left_space is None:
@@ -74,18 +81,43 @@ class GradedSpace:
 class ModuleMap:
     """Linear map between graded spaces, stored against the bases.
 
-    matrix rows follow the target basis, columns the source basis.
-    Adjoints are taken against the weighted inner products.
+    A map is stored in one of two forms.  A dense map holds a complex
+    matrix, rows following the target basis and columns the source
+    basis.  An entry map holds int arrays rows and cols and a complex
+    array vals, one entry per stored position, no position twice; the
+    structured maps (relabelings, tensor maps, representation unitaries)
+    are built this way.  For both forms .matrix is the dense matrix; for
+    an entry map it is a read-only view, built on first use and cached.
+    Composing two entry maps joins their entries on the interface index
+    and sums the products that land on one position; a composition with
+    a dense factor multiplies the dense matrices.  Adjoints are taken
+    against the weighted inner products.
     """
 
-    def __init__(self, source, target, matrix):
+    def __init__(self, source, target, matrix=None, entries=None):
         self.source = source
         self.target = target
-        self.matrix = np.asarray(matrix, dtype=complex)
-        if self.matrix.shape != (target.dim, source.dim):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} does not fit "
-                f"{target.dim} x {source.dim}")
+        self.rows = self.cols = self.vals = self._matrix = None
+        if entries is None:
+            self._matrix = np.asarray(matrix, dtype=complex)
+            if self._matrix.shape != (target.dim, source.dim):
+                raise ValueError(
+                    f"matrix shape {self._matrix.shape} does not fit "
+                    f"{target.dim} x {source.dim}")
+        else:
+            rows, cols, vals = entries
+            self.rows = np.asarray(rows, dtype=np.intp)
+            self.cols = np.asarray(cols, dtype=np.intp)
+            self.vals = np.asarray(vals, dtype=complex)
+
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            mat = np.zeros((self.target.dim, self.source.dim), dtype=complex)
+            mat[self.rows, self.cols] = self.vals
+            mat.flags.writeable = False
+            self._matrix = mat
+        return self._matrix
 
     def __call__(self, v):
         return self.matrix @ np.asarray(v, dtype=complex)
@@ -94,21 +126,81 @@ class ModuleMap:
         """self after other; the bases must agree on the interface."""
         if other.target.basis != self.source.basis:
             raise ValueError("composition interface mismatch")
-        return ModuleMap(other.source, self.target,
-                         self.matrix @ other.matrix)
+        if self.vals is None or other.vals is None:
+            return ModuleMap(other.source, self.target,
+                             self.matrix @ other.matrix)
+        # t runs over the entries of other, s over the entries of self
+        # in the column that is the row of entry t
+        t, s = _join(self.cols, self.source.dim, other.rows)
+        return ModuleMap(other.source, self.target, entries=_summed(
+            self.rows[s], other.cols[t], self.vals[s] * other.vals[t],
+            other.source.dim))
 
     def adjoint(self):
         ws = self.source.gram_diagonal()
         wt = self.target.gram_diagonal()
-        mat = self.matrix.conj().T * (wt[None, :] / ws[:, None])
-        return ModuleMap(self.target, self.source, mat)
+        if self.vals is None:
+            mat = self.matrix.conj().T * (wt[None, :] / ws[:, None])
+            return ModuleMap(self.target, self.source, mat)
+        vals = self.vals.conj() * (wt[self.rows] / ws[self.cols])
+        return ModuleMap(self.target, self.source,
+                         entries=(self.cols, self.rows, vals))
 
     def __repr__(self):
         return f"ModuleMap({self.source!r} -> {self.target!r})"
 
 
+def _join(keys, n, wanted):
+    """Index pairs (w, k) with keys[k] == wanted[w], grouped by w.
+
+    keys and wanted are int arrays with values below n.
+    """
+    order = np.argsort(keys, kind="stable")
+    counts = np.bincount(keys, minlength=n)
+    first = np.cumsum(counts) - counts
+    reps = counts[wanted]
+    w = np.repeat(np.arange(len(wanted)), reps)
+    within = np.arange(len(w)) - np.repeat(np.cumsum(reps) - reps, reps)
+    return w, order[first[wanted][w] + within]
+
+
+def _summed(rows, cols, vals, ncols):
+    """Entries with the values at one position summed, row-major."""
+    key = rows.astype(np.int64) * ncols + cols
+    uniq, inv = np.unique(key, return_inverse=True)
+    out = np.empty(len(uniq), dtype=complex)
+    out.real = np.bincount(inv, weights=vals.real, minlength=len(uniq))
+    out.imag = np.bincount(inv, weights=vals.imag, minlength=len(uniq))
+    rows, cols = np.divmod(uniq, max(ncols, 1))
+    return rows, cols, out
+
+
+def entry_gap(a, b):
+    """Largest absolute entry of a - b, two maps on the same bases."""
+    if a.vals is None or b.vals is None:
+        return max_abs(a.matrix - b.matrix)
+    _, _, diff = _summed(np.concatenate((a.rows, b.rows)),
+                         np.concatenate((a.cols, b.cols)),
+                         np.concatenate((a.vals, -b.vals)), a.source.dim)
+    return max_abs(diff)
+
+
 def identity_map(space):
-    return ModuleMap(space, space, np.eye(space.dim, dtype=complex))
+    idx = np.arange(space.dim)
+    return ModuleMap(space, space,
+                     entries=(idx, idx, np.ones(space.dim, dtype=complex)))
+
+
+def _relabel(src, tgt, image, scale=None):
+    """Entry map sending source basis vector j to tgt vector image[j].
+
+    scale[j] multiplies the image, one when scale is None.
+    """
+    rows = np.fromiter((tgt.index[y] for y in image), dtype=np.intp,
+                       count=src.dim)
+    vals = np.ones(src.dim, dtype=complex) if scale is None \
+        else np.asarray(scale, dtype=complex)
+    return ModuleMap(src, tgt, entries=(rows, np.arange(src.dim), vals))
 
 
 def l2(corr):
@@ -138,13 +230,20 @@ def module_from_dims(left_space, right_space, dims):
 
 def tensor(e, f):
     """Balanced tensor product: pairs with matching middle grade."""
-    basis = tuple((a, b) for a in e.basis for b in f.basis
-                  if e.right[a] == f.left[b])
+    by_grade = {}
+    for b in f.basis:
+        by_grade.setdefault(f.left[b], []).append(b)
+    basis, left, right, weight = [], [], [], []
+    for a in e.basis:
+        left_a, weight_a = e.left[a], e.weight[a]
+        for b in by_grade.get(e.right[a], ()):
+            basis.append((a, b))
+            left.append(left_a)
+            right.append(f.right[b])
+            weight.append(weight_a * f.weight[b])
     return GradedSpace(
-        basis,
-        {(a, b): e.left[a] for (a, b) in basis},
-        {(a, b): f.right[b] for (a, b) in basis},
-        {(a, b): e.weight[a] * f.weight[b] for (a, b) in basis},
+        basis, dict(zip(basis, left)), dict(zip(basis, right)),
+        dict(zip(basis, weight)),
         left_space=e.left_space, right_space=f.right_space)
 
 
@@ -160,17 +259,26 @@ def grade_leak(m, side):
                     for b in m.source.basis], dtype=int)
     tgt = np.array([codes.setdefault(getattr(m.target, side)[b], len(codes))
                     for b in m.target.basis], dtype=int)
-    # transposed so that the flat scan runs source-major; np.hypot
-    # rounds like abs() on one entry, where np.abs may differ by an ulp
-    leak = np.hypot(m.matrix.real, m.matrix.imag).T
-    leak[src[:, None] == tgt[None, :]] = 0.0
+    # np.hypot rounds like abs() on one entry, where np.abs may differ
+    # by an ulp
+    if m.vals is None:
+        # transposed so that the scan runs source-major
+        leak = np.hypot(m.matrix.real, m.matrix.imag).T
+        leak[src[:, None] == tgt[None, :]] = 0.0
+        cols, rows = np.nonzero(leak)
+        leak = leak[cols, rows]
+    else:
+        order = np.lexsort((m.rows, m.cols))
+        rows, cols, vals = m.rows[order], m.cols[order], m.vals[order]
+        leak = np.where(src[cols] == tgt[rows], 0.0,
+                        np.hypot(vals.real, vals.imag))
     if not leak.size:
         return 0.0, None
-    j, i = divmod(int(np.argmax(leak)), leak.shape[1])
-    worst = float(leak[j, i])
+    k = int(np.argmax(leak))
+    worst = float(leak[k])
     if worst == 0.0:
         return 0.0, None
-    return worst, (m.source.basis[j], m.target.basis[i])
+    return worst, (m.source.basis[cols[k]], m.target.basis[rows[k]])
 
 
 def _require_graded(m, side):
@@ -179,19 +287,44 @@ def _require_graded(m, side):
         raise ValueError(f"map moves {side} grade {bad[0]!r} -> {bad[1]!r}")
 
 
+def _lift(m, src, tgt, src_pos, tgt_pos, nfixed):
+    """m tensored with an identity factor, built from the nonzeros of m.
+
+    src_pos and tgt_pos give, for each basis vector of src and of tgt,
+    its index in the basis of m and in that of the fixed factor, whose
+    dimension is nfixed.
+    """
+    if not tgt.dim:
+        return ModuleMap(src, tgt, entries=([], [], []))
+    sm, sf = np.array(src_pos, dtype=np.intp).reshape(-1, 2).T
+    tm, tf = np.array(tgt_pos, dtype=np.intp).reshape(-1, 2).T
+    if m.vals is None:
+        rows, cols = np.nonzero(m.matrix)
+        vals = m.matrix[rows, cols]
+    else:
+        keep = m.vals != 0
+        rows, cols, vals = m.rows[keep], m.cols[keep], m.vals[keep]
+    # each entry of m meets every src vector over its column, and lands
+    # on the tgt vector over its row, if there is one
+    e, j = _join(sm, m.source.dim, cols)
+    keys = tm.astype(np.int64) * nfixed + tf
+    sorter = np.argsort(keys)
+    want = rows[e].astype(np.int64) * nfixed + sf[j]
+    i = sorter[np.minimum(np.searchsorted(keys, want, sorter=sorter),
+                          tgt.dim - 1)]
+    hit = keys[i] == want
+    return ModuleMap(src, tgt, entries=(i[hit], j[hit], vals[e][hit]))
+
+
 def tensor_map(m, f):
     """m tensor identity; m must preserve right grades."""
     _require_graded(m, "right")
     src = tensor(m.source, f)
     tgt = tensor(m.target, f)
-    mat = np.zeros((tgt.dim, src.dim), dtype=complex)
-    for (a, b) in src.basis:
-        j = src.index[(a, b)]
-        for a2 in m.target.basis:
-            if (a2, b) in tgt.index:
-                mat[tgt.index[(a2, b)], j] = \
-                    m.matrix[m.target.index[a2], m.source.index[a]]
-    return ModuleMap(src, tgt, mat)
+    return _lift(m, src, tgt,
+                 [(m.source.index[a], f.index[b]) for a, b in src.basis],
+                 [(m.target.index[a], f.index[b]) for a, b in tgt.basis],
+                 f.dim)
 
 
 def tensor_map_left(e, m):
@@ -199,24 +332,17 @@ def tensor_map_left(e, m):
     _require_graded(m, "left")
     src = tensor(e, m.source)
     tgt = tensor(e, m.target)
-    mat = np.zeros((tgt.dim, src.dim), dtype=complex)
-    for (a, b) in src.basis:
-        j = src.index[(a, b)]
-        for b2 in m.target.basis:
-            if (a, b2) in tgt.index:
-                mat[tgt.index[(a, b2)], j] = \
-                    m.matrix[m.target.index[b2], m.source.index[b]]
-    return ModuleMap(src, tgt, mat)
+    return _lift(m, src, tgt,
+                 [(m.source.index[b], e.index[a]) for a, b in src.basis],
+                 [(m.target.index[b], e.index[a]) for a, b in tgt.basis],
+                 e.dim)
 
 
 def regroup(e, f, g):
     """Associator ((a, b), c) -> (a, (b, c)); an exact permutation."""
     src = tensor(tensor(e, f), g)
     tgt = tensor(e, tensor(f, g))
-    mat = np.zeros((tgt.dim, src.dim), dtype=complex)
-    for ((a, b), c) in src.basis:
-        mat[tgt.index[(a, (b, c))], src.index[((a, b), c)]] = 1.0
-    return ModuleMap(src, tgt, mat)
+    return _relabel(src, tgt, [(a, (b, c)) for ((a, b), c) in src.basis])
 
 
 def gamma_compose(lam, mu):
@@ -228,10 +354,7 @@ def gamma_compose(lam, mu):
     """
     src = tensor(l2_family(lam), l2_family(mu))
     tgt = l2_family(compose_families(lam, mu))
-    mat = np.zeros((tgt.dim, src.dim), dtype=complex)
-    for (x, y) in src.basis:
-        mat[tgt.index[x], src.index[(x, y)]] = 1.0
-    return ModuleMap(src, tgt, mat)
+    return _relabel(src, tgt, [x for (x, y) in src.basis])
 
 
 def gamma_fibre(c1, c2):
@@ -241,11 +364,7 @@ def gamma_fibre(c1, c2):
     so the map is the identity relabeling, scale one.
     """
     src = tensor(l2(c1), l2(c2))
-    tgt = l2(fibre_product(c1, c2))
-    mat = np.zeros((tgt.dim, src.dim), dtype=complex)
-    for p in src.basis:
-        mat[tgt.index[p], src.index[p]] = 1.0
-    return ModuleMap(src, tgt, mat)
+    return _relabel(src, l2(fibre_product(c1, c2)), src.basis)
 
 
 def induced_unitary(c1, c2, phi, delta):
@@ -255,13 +374,9 @@ def induced_unitary(c1, c2, phi, delta):
     times the basis vector at phi(x); unitary exactly when the ratio
     condition of check_corr_isomorphism holds.
     """
-    src = l2(c1)
-    tgt = l2(c2)
-    mat = np.zeros((tgt.dim, src.dim), dtype=complex)
-    for x in c1.points:
-        y = phi[x]
-        mat[tgt.index[y], src.index[x]] = np.sqrt(delta[c2.fmap[y]])
-    return ModuleMap(src, tgt, mat)
+    image = [phi[x] for x in c1.points]
+    return _relabel(l2(c1), l2(c2), image,
+                    [np.sqrt(delta[c2.fmap[y]]) for y in image])
 
 
 def creation(e, xi, f):
@@ -287,14 +402,14 @@ def check_module_map(m, tol=1e-12):
 
 def is_isometry(m, tol=1e-10):
     rep = check_module_map(m, tol)
-    d = max_abs(m.adjoint().compose(m).matrix - np.eye(m.source.dim))
+    d = entry_gap(m.adjoint().compose(m), identity_map(m.source))
     rep.add("isometry", d <= tol, defect=d)
     return rep
 
 
 def is_unitary(m, tol=1e-10):
     rep = is_isometry(m, tol)
-    d = max_abs(m.compose(m.adjoint()).matrix - np.eye(m.target.dim))
+    d = entry_gap(m.compose(m.adjoint()), identity_map(m.target))
     rep.add("coisometry", d <= tol, defect=d)
     return rep
 

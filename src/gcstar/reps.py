@@ -18,10 +18,10 @@ from .report import Report, VerificationError, max_abs
 from .measures import (arrow_correspondence, check_corr_isomorphism,
                        family_correspondence, fibre_product,
                        groupoid_families)
-from .hilbmod import (ModuleMap, check_module_map, gamma_compose,
-                      gamma_fibre, grade_leak, induced_unitary,
-                      is_intertwiner, is_unitary, l2, regroup, tensor,
-                      tensor_map, tensor_map_left)
+from .hilbmod import (ModuleMap, check_module_map, entry_gap,
+                      gamma_compose, gamma_fibre, grade_leak,
+                      induced_unitary, is_intertwiner, is_unitary, l2,
+                      regroup, tensor, tensor_map, tensor_map_left)
 
 
 class Representation:
@@ -53,7 +53,7 @@ class Representation:
         self.target = tensor(self.target_leg, module)
         if umap is None:
             umap = ModuleMap(self.source, self.target,
-                             np.zeros((self.target.dim, self.source.dim)))
+                             entries=([], [], []))
         elif umap.source.basis != self.source.basis \
                 or umap.target.basis != self.target.basis:
             raise ValueError("unitary does not live on the expected spaces")
@@ -115,7 +115,7 @@ def from_cocycle(gpd, weights, module, unitaries):
     """
     fam = CocycleFamily(gpd, weights, module, unitaries)
     rep = Representation(gpd, weights, module, None)
-    mat = rep.umap.matrix
+    rows, cols, vals = [], [], []
     for g in gpd.arrows:
         sfib = module.left_fiber(gpd.src[g])
         tfib = module.left_fiber(gpd.rng[g])
@@ -125,10 +125,15 @@ def from_cocycle(gpd, weights, module, unitaries):
             raise ValueError(
                 f"block of arrow {g!r} has shape {block.shape}, expected "
                 f"{(len(tfib), len(sfib))} (range fibre, source fibre)")
-        for j, m in enumerate(sfib):
-            col = rep.source.index[(g, m)]
-            for i, m2 in enumerate(tfib):
-                mat[rep.target.index[(g, m2)], col] = block[i, j]
+        if block.size:
+            trows = [rep.target.index[(g, m2)] for m2 in tfib]
+            scols = [rep.source.index[(g, m)] for m in sfib]
+            rows.append(np.repeat(trows, len(scols)))
+            cols.append(np.tile(scols, len(trows)))
+            vals.append(block.ravel())
+    if rows:
+        rep.umap = ModuleMap(rep.source, rep.target, entries=(
+            np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)))
     return rep
 
 
@@ -218,7 +223,7 @@ def check_representation(rep, tol=1e-10):
     if d1.source.basis != composed.source.basis \
             or d1.target.basis != composed.target.basis:
         raise VerificationError("face transfers landed on distinct bases")
-    d = max_abs(d1.matrix - composed.matrix)
+    d = entry_gap(d1, composed)
     out.add("transfer-cocycle", d <= tol, defect=d)
     return out
 
@@ -291,7 +296,7 @@ def check_intertwiner(rep1, rep2, vmap, tol=1e-10):
     lift_t = tensor_map_left(rep1.target_leg, vmap)
     one = lift_t.compose(rep1.umap)
     two = rep2.umap.compose(lift_s)
-    d = max_abs(one.matrix - two.matrix)
+    d = entry_gap(one, two)
     out.add("commutes", d <= tol, defect=d)
     return out
 

@@ -173,7 +173,11 @@ def _p2_bundle(dims=None, blocks=None):
      "'dims' of object '1' must be a non-negative integer, got -1"),
     (_p2_bundle(blocks={"(2, 1)": [[float("nan")]]}),
      "block of arrow '(2, 1)' has a non-finite entry"),
-], ids=["1x2-blocks", "fractional-dim", "negative-dim", "nan-entry"])
+    (_p2_bundle(dims={"1": 2, "2": 2},
+                blocks={"(1, 2)": [[1.0], [1.0, 2.0]]}),
+     "bundle 'U' block of arrow '(1, 2)' is ragged: row lengths [1, 2]"),
+], ids=["1x2-blocks", "fractional-dim", "negative-dim", "nan-entry",
+        "ragged-block"])
 def test_bad_bundle_exits_2(capsys, tmp_path, bundle, message):
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(bundle))
@@ -312,3 +316,12 @@ def test_emit_report_json_roundtrip():
 def test_tolerance_guard(capsys):
     with pytest.raises(SystemExit):
         main(["families", "--preset", "Z2", "--tolerance", "-1"])
+
+
+@pytest.mark.parametrize("command", ["roundtrip", "disintegrate"])
+def test_tiny_tolerance_takes_the_floor(capsys, command):
+    # every command raises --tolerance to the same floor; roundtrip used
+    # the raw value and failed W2 on star-certificate defects near 1e-14
+    code, out, _ = run(capsys, command, "--preset", "W2",
+                       "--tolerance", "1e-14")
+    assert code == 0, out

@@ -68,6 +68,17 @@ def test_fiber_sups_and_i_norm_w2():
     assert i_norm(gpd, w, f) == 4.0
 
 
+def test_fiber_sups_and_i_norm_keep_nan():
+    # the NaN sits on object 2, the second fibre on both sides, where a
+    # plain max() would step over it and return 2.0
+    gpd, w = fixture("P2")
+    f = {g: 1.0 + 0.0j for g in gpd.arrows}
+    f[(2, 2)] = complex(np.nan, 0.0)
+    sup_r, sup_s = fiber_sups(gpd, w, f)
+    assert np.isnan(sup_r) and np.isnan(sup_s)
+    assert np.isnan(i_norm(gpd, w, f))
+
+
 def test_regular_matrix_delta_w2():
     gpd, w = fixture("W2")
     m = regular_matrix(gpd, w, delta_function(gpd, (1, 2)))
