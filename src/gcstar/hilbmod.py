@@ -84,9 +84,10 @@ class ModuleMap:
     A map is stored in one of two forms.  A dense map holds a complex
     matrix, rows following the target basis and columns the source
     basis.  An entry map holds int arrays rows and cols and a complex
-    array vals, one entry per stored position, no position twice; the
-    structured maps (relabelings, tensor maps, representation unitaries)
-    are built this way.  For both forms .matrix is the dense matrix; for
+    array vals, one entry per stored position, no position twice (the
+    constructor raises ValueError on unequal lengths, an index outside
+    the bases or a repeated position); the structured maps (relabelings,
+    tensor maps, representation unitaries) are built this way.  For both forms .matrix is the dense matrix; for
     an entry map it is a read-only view, built on first use and cached.
     Composing two entry maps joins their entries on the interface index
     and sums the products that land on one position; a composition with
@@ -109,6 +110,20 @@ class ModuleMap:
             self.rows = np.asarray(rows, dtype=np.intp)
             self.cols = np.asarray(cols, dtype=np.intp)
             self.vals = np.asarray(vals, dtype=complex)
+            n = len(self.vals)
+            if not (self.vals.ndim == 1 and self.rows.shape == (n,)
+                    and self.cols.shape == (n,)):
+                raise ValueError("entry rows, cols and vals must be "
+                                 "flat arrays of one length")
+            if n and not (0 <= self.rows.min() <= self.rows.max()
+                          < target.dim
+                          and 0 <= self.cols.min() <= self.cols.max()
+                          < source.dim):
+                raise ValueError(
+                    f"entry index outside {target.dim} x {source.dim}")
+            key = np.sort(_keys(self.rows, self.cols, source.dim))
+            if np.any(key[1:] == key[:-1]):
+                raise ValueError("entries hold a position twice")
 
     @property
     def matrix(self):
@@ -164,10 +179,14 @@ def _join(keys, n, wanted):
     return w, order[first[wanted][w] + within]
 
 
+def _keys(rows, cols, ncols):
+    """Row-major position keys of entries in a map with ncols columns."""
+    return rows.astype(np.int64) * ncols + cols
+
+
 def _summed(rows, cols, vals, ncols):
     """Entries with the values at one position summed, row-major."""
-    key = rows.astype(np.int64) * ncols + cols
-    uniq, inv = np.unique(key, return_inverse=True)
+    uniq, inv = np.unique(_keys(rows, cols, ncols), return_inverse=True)
     out = np.empty(len(uniq), dtype=complex)
     out.real = np.bincount(inv, weights=vals.real, minlength=len(uniq))
     out.imag = np.bincount(inv, weights=vals.imag, minlength=len(uniq))
@@ -247,6 +266,15 @@ def tensor(e, f):
         left_space=e.left_space, right_space=f.right_space)
 
 
+def _entries(m):
+    """The nonzero entries (rows, cols, vals) of m, NaN included."""
+    if m.vals is None:
+        rows, cols = np.nonzero(m.matrix)
+        return rows, cols, m.matrix[rows, cols]
+    keep = m.vals != 0
+    return m.rows[keep], m.cols[keep], m.vals[keep]
+
+
 def grade_leak(m, side):
     """Largest matrix entry joining basis vectors of different grades.
 
@@ -259,19 +287,13 @@ def grade_leak(m, side):
                     for b in m.source.basis], dtype=int)
     tgt = np.array([codes.setdefault(getattr(m.target, side)[b], len(codes))
                     for b in m.target.basis], dtype=int)
+    rows, cols, vals = _entries(m)
+    order = np.lexsort((rows, cols))
+    rows, cols, vals = rows[order], cols[order], vals[order]
     # np.hypot rounds like abs() on one entry, where np.abs may differ
     # by an ulp
-    if m.vals is None:
-        # transposed so that the scan runs source-major
-        leak = np.hypot(m.matrix.real, m.matrix.imag).T
-        leak[src[:, None] == tgt[None, :]] = 0.0
-        cols, rows = np.nonzero(leak)
-        leak = leak[cols, rows]
-    else:
-        order = np.lexsort((m.rows, m.cols))
-        rows, cols, vals = m.rows[order], m.cols[order], m.vals[order]
-        leak = np.where(src[cols] == tgt[rows], 0.0,
-                        np.hypot(vals.real, vals.imag))
+    leak = np.where(src[cols] == tgt[rows], 0.0,
+                    np.hypot(vals.real, vals.imag))
     if not leak.size:
         return 0.0, None
     k = int(np.argmax(leak))
@@ -298,12 +320,7 @@ def _lift(m, src, tgt, src_pos, tgt_pos, nfixed):
         return ModuleMap(src, tgt, entries=([], [], []))
     sm, sf = np.array(src_pos, dtype=np.intp).reshape(-1, 2).T
     tm, tf = np.array(tgt_pos, dtype=np.intp).reshape(-1, 2).T
-    if m.vals is None:
-        rows, cols = np.nonzero(m.matrix)
-        vals = m.matrix[rows, cols]
-    else:
-        keep = m.vals != 0
-        rows, cols, vals = m.rows[keep], m.cols[keep], m.vals[keep]
+    rows, cols, vals = _entries(m)
     # each entry of m meets every src vector over its column, and lands
     # on the tgt vector over its row, if there is one
     e, j = _join(sm, m.source.dim, cols)

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from gcstar import cli
 from gcstar.cli import emit_report, main, parse_preset
 from gcstar.fingroupoid import fixture, groupoid_to_dict
 from gcstar.report import Report
@@ -325,3 +326,21 @@ def test_tiny_tolerance_takes_the_floor(capsys, command):
     code, out, _ = run(capsys, command, "--preset", "W2",
                        "--tolerance", "1e-14")
     assert code == 0, out
+
+
+def test_families_checks_gamma_at_the_floor(capsys, monkeypatch):
+    # the gamma maps are checked at the one floor of every command, so a
+    # tolerance under 1e-10 is raised to 1e-10
+    check_gamma = cli.check_gamma
+    seen = []
+
+    def spy(gpd, weights, tol):
+        seen.append(tol)
+        return check_gamma(gpd, weights, tol)
+
+    monkeypatch.setattr(cli, "check_gamma", spy)
+    for tol, want in (("1e-11", 1e-10), ("1e-14", 1e-10), ("1e-9", 1e-9)):
+        code, out, _ = run(capsys, "families", "--preset", "W2",
+                           "--tolerance", tol)
+        assert code == 0, out
+        assert seen.pop() == want

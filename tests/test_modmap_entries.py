@@ -521,9 +521,11 @@ def test_grade_leak_entries_match_dense(kind):
         order = np.arange(len(rows))[::-1]
         m = ModuleMap(src, tgt, entries=(rows[order], cols[order],
                                          mat[rows, cols][order]))
-        got = grade_leak(m, "left")
         want = ref_grade_leak(DenseMap(src, tgt, mat), "left")
-        assert repr(got) == repr(want)
+        assert repr(grade_leak(m, "left")) == repr(want)
+        # a dense map reads its nonzeros and takes the same scan
+        dense = ModuleMap(src, tgt, mat)
+        assert repr(grade_leak(dense, "left")) == repr(want)
 
 
 def test_dense_factor_composes_densely():
@@ -542,3 +544,20 @@ def test_entry_matrix_is_read_only():
         u.matrix[0, 0] = 1.0
     # the view is cached: one array per map
     assert u.matrix is u.matrix
+
+
+@pytest.mark.parametrize("entries", [
+    ([0, 1], [0], [1.0, 1.0]),              # lengths differ
+    ([[0, 1]], [[0, 1]], [[1.0, 1.0]]),     # not flat
+    ([2], [0], [1.0]),                      # row past the target
+    ([0], [2], [1.0]),                      # column past the source
+    ([-1], [0], [1.0]),                     # negative row
+    ([0], [-1], [1.0]),                     # negative column
+    ([0, 1, 0], [1, 0, 1], [1.0, 2.0, 3.0]),  # (0, 1) twice
+])
+def test_bad_entries_raise(entries):
+    sp = GradedSpace(("a", "b"), {"a": 0, "b": 0}, {"a": 0, "b": 0},
+                     {"a": 1.0, "b": 1.0})
+    with pytest.raises(ValueError):
+        ModuleMap(sp, sp, entries=entries)
+    ModuleMap(sp, sp, entries=([0, 1, 1], [1, 0, 1], [1.0, 2.0, 3.0]))
