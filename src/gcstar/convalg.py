@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .report import Report, max_abs, worst
-from .hilbmod import GradedSpace, ModuleMap
+from .measures import arrow_correspondence
+from .hilbmod import ModuleMap
 
 
 def zero_function(gpd):
@@ -77,14 +78,6 @@ def i_norm(gpd, weights, f):
     return worst((v, None) for v in fiber_sups(gpd, weights, f))[0]
 
 
-def regular_module(gpd, weights):
-    """Arrow space graded by range and source, weight c(rng(h))."""
-    return GradedSpace(
-        gpd.arrows, dict(gpd.rng), dict(gpd.src),
-        {h: weights[gpd.rng[h]] for h in gpd.arrows},
-        left_space=gpd.objects, right_space=gpd.objects)
-
-
 def regular_matrix(gpd, weights, f):
     """Left convolution by f on the arrow space, as a ModuleMap.
 
@@ -92,7 +85,7 @@ def regular_matrix(gpd, weights, f):
     the quotient is composable, zero otherwise; source fibers are
     preserved, so this is a module map for the right grading.
     """
-    space = regular_module(gpd, weights)
+    space = arrow_correspondence(gpd, weights, "s")
     mat = np.zeros((space.dim, space.dim), dtype=complex)
     for h in gpd.arrows:
         for g in gpd.arrows_into(gpd.rng[h]):

@@ -51,15 +51,18 @@ class FiniteGroupoid:
                      if self.src[g] == x and self.rng[g] == x)
 
     def composable_pairs(self):
-        return tuple((g, h) for g in self.arrows for h in self.arrows
-                     if self.src[g] == self.rng[h])
+        """Pairs (g, h) with src(g) == rng(h), g-major in arrow order.
+
+        Walks the range fibres, so every src must be an object.
+        """
+        return tuple((g, h) for g in self.arrows
+                     for h in self.arrows_into(self.src[g]))
 
     def composable_triples(self):
-        return tuple((g, h, k)
-                     for g in self.arrows for h in self.arrows
-                     for k in self.arrows
-                     if self.src[g] == self.rng[h]
-                     and self.src[h] == self.rng[k])
+        """Triples (g, h, k) of composable pairs, in the order of pairs."""
+        return tuple((g, h, k) for g in self.arrows
+                     for h in self.arrows_into(self.src[g])
+                     for k in self.arrows_into(self.src[h]))
 
     def orbits(self):
         """Partition of the objects into connected components."""

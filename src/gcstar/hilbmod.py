@@ -1,11 +1,11 @@
-"""Graded inner product spaces over finite sets and maps between them.
+"""Module maps between weighted graded spaces.
 
-Every space here has a distinguished basis whose vectors are mutually
-orthogonal, each carrying a left grade, a right grade and a positive
-weight; the weight is the squared length of the basis vector.  Balanced
-tensor products pair a right grade with a left grade and multiply the
-weights.  The relabeling maps between a tensor product of function
-spaces and the function space of a composite or fibred set are scale
+The spaces are measures.GradedSpace: an orthogonal basis, each vector
+carrying a left grade, a right grade and a positive weight, its squared
+length.  Balanced tensor products pair a right grade with a left grade
+and multiply the weights; the tensor of two correspondences is their
+fibre product.  The relabeling maps between a tensor product of
+function spaces and the function space of a composite set are scale
 one on basis vectors, hence exact in floating point.
 
 Module maps are stored against the bases, as a dense matrix or as
@@ -23,59 +23,9 @@ import json
 import numpy as np
 
 from .report import Report, max_abs
-from .measures import (arrow_correspondence, compose_families,
-                       family_correspondence, fibre_product,
-                       groupoid_families)
+from .measures import GradedSpace, compose_families, groupoid_families
 
 _GRADE_GUARD = 1e-13
-
-
-class GradedSpace:
-    """Orthogonal basis with left grades, right grades and weights."""
-
-    def __init__(self, basis, left, right, weight,
-                 left_space=None, right_space=None):
-        self.basis = tuple(basis)
-        self.left = dict(left)
-        self.right = dict(right)
-        self.weight = {b: float(weight[b]) for b in self.basis}
-        for b, w in self.weight.items():
-            if not (w > 0.0):
-                raise ValueError(f"nonpositive weight at {b!r}")
-        self.index = {b: i for i, b in enumerate(self.basis)}
-        if left_space is None:
-            left_space = sorted({self.left[b] for b in self.basis}, key=str)
-        if right_space is None:
-            right_space = sorted({self.right[b] for b in self.basis}, key=str)
-        self.left_space = tuple(left_space)
-        self.right_space = tuple(right_space)
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    def gram_diagonal(self):
-        return np.array([self.weight[b] for b in self.basis], dtype=float)
-
-    def left_fiber(self, x):
-        return tuple(b for b in self.basis if self.left[b] == x)
-
-    def inner(self, v, w):
-        """Inner product valued in functions on the right space."""
-        out = {y: 0.0 + 0.0j for y in self.right_space}
-        for b in self.basis:
-            i = self.index[b]
-            out[self.right[b]] += np.conj(v[i]) * w[i] * self.weight[b]
-        return out
-
-    def scalar_inner(self, v, w):
-        return complex(np.vdot(v, w * self.gram_diagonal()))
-
-    def norm(self, v):
-        return float(np.sqrt(max(self.scalar_inner(v, v).real, 0.0)))
-
-    def __repr__(self):
-        return f"GradedSpace(dim={self.dim})"
 
 
 class ModuleMap:
@@ -222,17 +172,6 @@ def _relabel(src, tgt, image, scale=None):
     return ModuleMap(src, tgt, entries=(rows, np.arange(src.dim), vals))
 
 
-def l2(corr):
-    """Function space of a correspondence, graded by its two legs."""
-    return GradedSpace(corr.points, corr.bmap, corr.fmap, corr.weight,
-                       left_space=corr.left_space,
-                       right_space=corr.right_space)
-
-
-def l2_family(fam):
-    return l2(family_correspondence(fam))
-
-
 def module_from_dims(left_space, right_space, dims):
     """Orthonormal basis (x, w, i) with i below dims[(x, w)]."""
     basis = []
@@ -366,22 +305,12 @@ def gamma_compose(lam, mu):
     """Tensor of two fibred function spaces onto the composite space.
 
     lam fibres X over Y and mu fibres Y over Z.  The balanced basis
-    pairs are exactly (x, fmap(x)), sent to x with scale one; weights
+    pairs are exactly (x, lam.right[x]), sent to x with scale one; weights
     match bit for bit because the composite weight is the same product.
     """
-    src = tensor(l2_family(lam), l2_family(mu))
-    tgt = l2_family(compose_families(lam, mu))
-    return _relabel(src, tgt, [x for (x, y) in src.basis])
-
-
-def gamma_fibre(c1, c2):
-    """Tensor of two correspondence spaces onto the fibre product space.
-
-    The balanced pairs and the fibre product points are the same set,
-    so the map is the identity relabeling, scale one.
-    """
-    src = tensor(l2(c1), l2(c2))
-    return _relabel(src, l2(fibre_product(c1, c2)), src.basis)
+    src = tensor(lam, mu)
+    return _relabel(src, compose_families(lam, mu),
+                    [x for (x, y) in src.basis])
 
 
 def induced_unitary(c1, c2, phi, delta):
@@ -391,9 +320,9 @@ def induced_unitary(c1, c2, phi, delta):
     times the basis vector at phi(x); unitary exactly when the ratio
     condition of check_corr_isomorphism holds.
     """
-    image = [phi[x] for x in c1.points]
-    return _relabel(l2(c1), l2(c2), image,
-                    [np.sqrt(delta[c2.fmap[y]]) for y in image])
+    image = [phi[x] for x in c1.basis]
+    return _relabel(c1, c2, image,
+                    [np.sqrt(delta[c2.right[y]]) for y in image])
 
 
 def creation(e, xi, f):
@@ -442,8 +371,7 @@ def is_intertwiner(m, tol=1e-10):
 def check_gamma(gpd, weights, tol=1e-12):
     """Unitarity of the relabeling maps on full bases.
 
-    Runs every composition route from a pair family to a vertex family
-    and the fibre product relabeling of the two arrow correspondences.
+    Runs every composition route from a pair family to a vertex family.
     """
     fam = groupoid_families(gpd, weights)
     rep = Report("gamma maps")
@@ -457,11 +385,6 @@ def check_gamma(gpd, weights, tol=1e-12):
     )
     for name, lam, mu in routes:
         rep.extend(is_unitary(gamma_compose(lam, mu), tol),
-                   prefix=name + "-")
-    cs = arrow_correspondence(gpd, weights, "s")
-    cr = arrow_correspondence(gpd, weights, "r")
-    for name, c1, c2 in (("fibre-s-s", cs, cs), ("fibre-r-s", cr, cs)):
-        rep.extend(is_unitary(gamma_fibre(c1, c2), tol),
                    prefix=name + "-")
     return rep
 

@@ -1,9 +1,13 @@
-"""Weight systems on a groupoid and the fibred spaces they measure.
+"""Weighted graded sets: measure families, correspondences, modules.
 
-A measure family assigns a positive weight to every point of a finite
-set fibred over a target set; integration sums weights fibrewise.  For
-a groupoid with invariant object weights c this module builds the two
-arrow families (along range and along source), the three families on
+A GradedSpace is a finite set whose points carry a left grade, a right
+grade and a positive weight.  The one class serves three readings: a
+measure family fibres its points over the right grades (its left
+grading is the identity) and integrates fibrewise; a correspondence
+reads the two gradings as its two legs; a module reads the points as
+an orthogonal basis whose weights are squared lengths.  For a groupoid
+with invariant object weights c this module builds the two arrow
+families (along range and along source), the three families on
 composable pairs, and the three induced families obtained by composing
 them.  The composed families agree bit for bit with each other where
 two routes exist, and the tests insist on that.
@@ -12,42 +16,89 @@ two routes exist, and the tests insist on that.
 from __future__ import annotations
 
 import math
+from functools import cached_property
+
+import numpy as np
 
 from .report import Report, worst
 from .fingroupoid import nerve
 
 
-class MeasureFamily:
-    """Positive weights on a finite set fibred over a target set.
+class GradedSpace:
+    """A finite set graded on two sides, with a positive weight per point.
 
-    points : iterable of point labels
-    target : iterable of target labels
-    fmap   : dict point -> target
-    weight : dict point -> positive float
+    basis       : the points, in a fixed order
+    left, right : dict point -> left grade, point -> right grade
+    weight      : dict point -> positive float
+    left_space, right_space : the grade sets, by default the grades in
+                  use sorted by str
+
+    As a module the points are an orthogonal basis, each weight the
+    squared length of its vector, and the inner product takes values in
+    functions on the right space.
     """
 
-    def __init__(self, points, target, fmap, weight):
-        self.points = tuple(points)
-        self.target = tuple(target)
-        self.fmap = dict(fmap)
-        self.weight = {p: float(weight[p]) for p in self.points}
-        for p in self.points:
-            if not (self.weight[p] > 0.0):
-                raise ValueError(f"nonpositive weight at {p!r}")
-        self._fibers = {y: [] for y in self.target}
-        for p in self.points:
-            self._fibers[self.fmap[p]].append(p)
-        self._fibers = {y: tuple(v) for y, v in self._fibers.items()}
+    def __init__(self, basis, left, right, weight,
+                 left_space=None, right_space=None):
+        self.basis = tuple(basis)
+        self.left = dict(left)
+        self.right = dict(right)
+        self.weight = {b: float(weight[b]) for b in self.basis}
+        for b, w in self.weight.items():
+            if not (w > 0.0):
+                raise ValueError(f"nonpositive weight at {b!r}")
+        if left_space is None:
+            left_space = sorted({self.left[b] for b in self.basis}, key=str)
+        if right_space is None:
+            right_space = sorted({self.right[b] for b in self.basis}, key=str)
+        self.left_space = tuple(left_space)
+        self.right_space = tuple(right_space)
 
-    def fiber(self, y):
-        return self._fibers[y]
+    @cached_property
+    def index(self):
+        """Position of each point in the basis, built on first use."""
+        return {b: i for i, b in enumerate(self.basis)}
+
+    @property
+    def dim(self):
+        return len(self.basis)
+
+    def gram_diagonal(self):
+        return np.array([self.weight[b] for b in self.basis], dtype=float)
+
+    def left_fiber(self, x):
+        return tuple(b for b in self.basis if self.left[b] == x)
 
     def integrate(self, func):
-        """Fibrewise weighted sum of a point function; a dict on target."""
-        out = {y: 0.0 for y in self.target}
-        for p in self.points:
-            out[self.fmap[p]] += func[p] * self.weight[p]
+        """Weighted sum of a point function along the right grading."""
+        out = {y: 0.0 for y in self.right_space}
+        for b in self.basis:
+            out[self.right[b]] += func[b] * self.weight[b]
         return out
+
+    def inner(self, v, w):
+        """Inner product valued in functions on the right space."""
+        out = {y: 0.0 + 0.0j for y in self.right_space}
+        for b in self.basis:
+            i = self.index[b]
+            out[self.right[b]] += np.conj(v[i]) * w[i] * self.weight[b]
+        return out
+
+    def scalar_inner(self, v, w):
+        return complex(np.vdot(v, w * self.gram_diagonal()))
+
+    def norm(self, v):
+        return float(np.sqrt(max(self.scalar_inner(v, v).real, 0.0)))
+
+    def __repr__(self):
+        return f"GradedSpace(dim={self.dim})"
+
+
+def _family(points, target, fmap, weight):
+    """Measure family: points fibred over target along fmap."""
+    points = tuple(points)
+    return GradedSpace(points, {p: p for p in points}, fmap, weight,
+                       left_space=points, right_space=target)
 
 
 def compose_families(lam, mu):
@@ -56,9 +107,9 @@ def compose_families(lam, mu):
     lam fibres X over Y and mu fibres Y over Z; the result fibres X
     over Z along the composite map.
     """
-    fmap = {p: mu.fmap[lam.fmap[p]] for p in lam.points}
-    weight = {p: lam.weight[p] * mu.weight[lam.fmap[p]] for p in lam.points}
-    return MeasureFamily(lam.points, mu.target, fmap, weight)
+    fmap = {p: mu.right[lam.right[p]] for p in lam.basis}
+    weight = {p: lam.weight[p] * mu.weight[lam.right[p]] for p in lam.basis}
+    return _family(lam.basis, mu.right_space, fmap, weight)
 
 
 def haar_system(gpd, weights):
@@ -68,11 +119,11 @@ def haar_system(gpd, weights):
     weight c(src(g)); alpha_r fibres them over their source with weight
     c(rng(g)).  Inversion exchanges the two.
     """
-    alpha = MeasureFamily(
-        gpd.arrows, gpd.objects, dict(gpd.rng),
+    alpha = _family(
+        gpd.arrows, gpd.objects, gpd.rng,
         {g: weights[gpd.src[g]] for g in gpd.arrows})
-    alpha_r = MeasureFamily(
-        gpd.arrows, gpd.objects, dict(gpd.src),
+    alpha_r = _family(
+        gpd.arrows, gpd.objects, gpd.src,
         {g: weights[gpd.rng[g]] for g in gpd.arrows})
     return alpha, alpha_r
 
@@ -93,13 +144,13 @@ class GroupoidFamilies:
         self.alpha, self.alpha_r = haar_system(gpd, self.weights)
         c = self.weights
         pairs = self.nerve.pairs
-        self.lam0 = MeasureFamily(
+        self.lam0 = _family(
             pairs, gpd.arrows, self.nerve.d0,
             {p: c[gpd.rng[p[0]]] for p in pairs})
-        self.lam1 = MeasureFamily(
+        self.lam1 = _family(
             pairs, gpd.arrows, self.nerve.d1,
             {p: c[gpd.rng[p[1]]] for p in pairs})
-        self.lam2 = MeasureFamily(
+        self.lam2 = _family(
             pairs, gpd.arrows, self.nerve.d2,
             {p: c[gpd.src[p[1]]] for p in pairs})
         self.mu0 = compose_families(self.lam1, self.alpha)
@@ -113,13 +164,13 @@ def groupoid_families(gpd, weights):
 
 def _family_equal(fam1, fam2):
     """Worst absolute weight difference; inf on a map or point mismatch."""
-    if set(fam1.points) != set(fam2.points):
+    if set(fam1.basis) != set(fam2.basis):
         return math.inf
-    for p in fam1.points:
-        if fam1.fmap[p] != fam2.fmap[p]:
+    for p in fam1.basis:
+        if fam1.right[p] != fam2.right[p]:
             return math.inf
     return worst((abs(fam1.weight[p] - fam2.weight[p]), None)
-                 for p in fam1.points)[0]
+                 for p in fam1.basis)[0]
 
 
 def check_family_identities(gpd, weights):
@@ -175,26 +226,6 @@ def check_iterated_integrals(gpd, weights, functions):
 # ---------------------------------------------------------------------------
 # correspondences
 
-class Correspondence:
-    """A finite set fibred two ways with a weight along the right leg.
-
-    points carry a left label under bmap into left_space and a right
-    label under fmap into right_space; weight is positive and feeds the
-    inner product of the function space built on the points.
-    """
-
-    def __init__(self, left_space, right_space, points, bmap, fmap, weight):
-        self.left_space = tuple(left_space)
-        self.right_space = tuple(right_space)
-        self.points = tuple(points)
-        self.bmap = dict(bmap)
-        self.fmap = dict(fmap)
-        self.weight = {p: float(weight[p]) for p in self.points}
-        for p in self.points:
-            if not (self.weight[p] > 0.0):
-                raise ValueError(f"nonpositive weight at {p!r}")
-
-
 def arrow_correspondence(gpd, weights, leg):
     """The arrow set as a correspondence over the objects.
 
@@ -203,34 +234,14 @@ def arrow_correspondence(gpd, weights, leg):
     over range with weight c(src(g)).
     """
     if leg == "s":
-        return Correspondence(gpd.objects, gpd.objects, gpd.arrows,
-                              dict(gpd.rng), dict(gpd.src),
-                              {g: weights[gpd.rng[g]] for g in gpd.arrows})
+        return GradedSpace(gpd.arrows, gpd.rng, gpd.src,
+                           {g: weights[gpd.rng[g]] for g in gpd.arrows},
+                           left_space=gpd.objects, right_space=gpd.objects)
     if leg == "r":
-        return Correspondence(gpd.objects, gpd.objects, gpd.arrows,
-                              dict(gpd.src), dict(gpd.rng),
-                              {g: weights[gpd.src[g]] for g in gpd.arrows})
+        return GradedSpace(gpd.arrows, gpd.src, gpd.rng,
+                           {g: weights[gpd.src[g]] for g in gpd.arrows},
+                           left_space=gpd.objects, right_space=gpd.objects)
     raise ValueError(f"leg must be 's' or 'r', got {leg!r}")
-
-
-def family_correspondence(fam):
-    """View a measure family as a correspondence with identity left leg."""
-    return Correspondence(fam.points, fam.target, fam.points,
-                          {p: p for p in fam.points}, fam.fmap, fam.weight)
-
-
-def fibre_product(c1, c2):
-    """Pairs (x, y) with f1(x) == b2(y); weights multiply.
-
-    Left data comes from c1, right data from c2.
-    """
-    points = tuple((x, y) for x in c1.points for y in c2.points
-                   if c1.fmap[x] == c2.bmap[y])
-    return Correspondence(
-        c1.left_space, c2.right_space, points,
-        {(x, y): c1.bmap[x] for (x, y) in points},
-        {(x, y): c2.fmap[y] for (x, y) in points},
-        {(x, y): c1.weight[x] * c2.weight[y] for (x, y) in points})
 
 
 def corr_ratio(c1, c2, phi):
@@ -241,9 +252,9 @@ def corr_ratio(c1, c2, phi):
     different ratios.
     """
     out = {}
-    for x in c1.points:
+    for x in c1.basis:
         y = phi[x]
-        base = c2.fmap[y]
+        base = c2.right[y]
         val = c1.weight[x] / c2.weight[y]
         if base in out and out[base] != val:
             raise ValueError(f"ratio not constant over base {base!r}")
@@ -257,32 +268,33 @@ def check_corr_isomorphism(c1, c2, phi, delta, tol=0.0):
     phi maps points of c1 bijectively to points of c2 preserving both
     gradings; delta is a positive function on the right space of c2 and
     the weight condition reads weight1(x) == delta(base) * weight2(phi x)
-    at base = f2(phi x).  Over every base point that is hit, delta is
-    forced by the weights; the ratio-determined check confirms the given
-    delta matches the forced one.
+    at base = right2(phi x).  Over every base point that is hit, delta
+    is forced by the weights; the ratio-determined check confirms the
+    given delta matches the forced one.
     """
     rep = Report("correspondence isomorphism")
-    image = [phi.get(x) for x in c1.points]
-    ok = (len(c1.points) == len(c2.points)
+    image = [phi.get(x) for x in c1.basis]
+    targets = set(c2.basis)
+    ok = (len(c1.basis) == len(c2.basis)
           and all(y is not None for y in image)
-          and set(image) == set(c2.points))
-    bad = next((x for x, y in zip(c1.points, image)
-                if y not in set(c2.points)), None)
+          and set(image) == targets)
+    bad = next((x for x, y in zip(c1.basis, image) if y not in targets),
+               None)
     rep.add("bijection", ok, witness=bad)
     if not ok:
         return rep
 
-    bad = next((x for x in c1.points
-                if c2.bmap[phi[x]] != c1.bmap[x]), None)
+    bad = next((x for x in c1.basis
+                if c2.left[phi[x]] != c1.left[x]), None)
     rep.add("left-grading", bad is None, witness=bad)
-    bad = next((x for x in c1.points
-                if c2.fmap[phi[x]] != c1.fmap[x]), None)
+    bad = next((x for x in c1.basis
+                if c2.right[phi[x]] != c1.right[x]), None)
     rep.add("right-grading", bad is None, witness=bad)
 
     defects = []
-    for x in c1.points:
+    for x in c1.basis:
         y = phi[x]
-        want = delta[c2.fmap[y]] * c2.weight[y]
+        want = delta[c2.right[y]] * c2.weight[y]
         d = abs(c1.weight[x] - want) / max(abs(c1.weight[x]), 1.0)
         defects.append((d, x))
     rep.add_worst("weight-ratio", defects, tol)

@@ -16,12 +16,11 @@ import numpy as np
 
 from .report import Report, VerificationError, max_abs
 from .measures import (arrow_correspondence, check_corr_isomorphism,
-                       family_correspondence, fibre_product,
                        groupoid_families)
 from .hilbmod import (ModuleMap, check_module_map, entry_gap,
-                      gamma_compose, gamma_fibre, grade_leak,
-                      induced_unitary, is_intertwiner, is_unitary, l2,
-                      regroup, tensor, tensor_map, tensor_map_left)
+                      gamma_compose, grade_leak, induced_unitary,
+                      is_intertwiner, is_unitary, regroup, tensor,
+                      tensor_map, tensor_map_left)
 
 
 class Representation:
@@ -47,8 +46,8 @@ class Representation:
         self.frame = frame
         fam = groupoid_families(gpd, self.weights)
         self.families = fam
-        self.source_leg = l2(family_correspondence(fam.alpha_r))
-        self.target_leg = l2(family_correspondence(fam.alpha))
+        self.source_leg = fam.alpha_r
+        self.target_leg = fam.alpha
         self.source = tensor(self.source_leg, module)
         self.target = tensor(self.target_leg, module)
         if umap is None:
@@ -185,14 +184,13 @@ def face_transfer(rep, index):
     """
     fam = rep.families
     lam = (fam.lam0, fam.lam1, fam.lam2)[index]
-    pair_space = l2(family_correspondence(lam))
     module = rep.module
 
     gam_s = tensor_map(gamma_compose(lam, fam.alpha_r), module)
     gam_t = tensor_map(gamma_compose(lam, fam.alpha), module)
-    reg_s = regroup(pair_space, rep.source_leg, module)
-    reg_t = regroup(pair_space, rep.target_leg, module)
-    mid = tensor_map_left(pair_space, rep.umap)
+    reg_s = regroup(lam, rep.source_leg, module)
+    reg_t = regroup(lam, rep.target_leg, module)
+    mid = tensor_map_left(lam, rep.umap)
     return gam_t.compose(reg_t.adjoint()).compose(mid) \
         .compose(reg_s).compose(gam_s.adjoint())
 
@@ -232,30 +230,19 @@ def check_representation(rep, tol=1e-10):
 # the regular representation
 
 def regular_representation(gpd, weights):
-    """Translation of arrow functions, built from exact relabelings.
+    """Translation of arrow functions, built from an exact relabeling.
 
-    The fibre products of the two tensor legs with the module are both
-    relabelings of pair sets, and composing with the pair bijection
-    (g, h) -> (g, gh) with ratio one gives the unitary directly; every
-    matrix entry is zero or one.
+    The two tensor legs against the arrow module are pair sets, and the
+    pair bijection (g, h) -> (g, gh) with ratio one carries the first
+    onto the second; every matrix entry is zero or one.
     """
-    fam = groupoid_families(gpd, weights)
-    module_corr = arrow_correspondence(gpd, weights, "s")
-    src_corr = family_correspondence(fam.alpha_r)
-    tgt_corr = family_correspondence(fam.alpha)
-
-    fib_s = fibre_product(src_corr, module_corr)
-    fib_t = fibre_product(tgt_corr, module_corr)
-    phi = {(g, h): (g, gpd.comp[(g, h)]) for (g, h) in fib_s.points}
+    rep = Representation(gpd, weights,
+                         arrow_correspondence(gpd, weights, "s"), None)
+    phi = {(g, h): (g, gpd.comp[(g, h)]) for (g, h) in rep.source.basis}
     delta = {x: 1.0 for x in gpd.objects}
-    check = check_corr_isomorphism(fib_s, fib_t, phi, delta)
-    check.require()
-
-    gam_s = gamma_fibre(src_corr, module_corr)
-    gam_t = gamma_fibre(tgt_corr, module_corr)
-    moved = induced_unitary(fib_s, fib_t, phi, delta)
-    umap = gam_t.adjoint().compose(moved).compose(gam_s)
-    return Representation(gpd, weights, l2(module_corr), umap)
+    check_corr_isomorphism(rep.source, rep.target, phi, delta).require()
+    rep.umap = induced_unitary(rep.source, rep.target, phi, delta)
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gcstar.cli import parse_preset
 from gcstar.fingroupoid import (FIXTURE_NAMES, FiniteGroupoid, arrow_weights,
                                 build_preset, counting_weights,
                                 cyclic_group_groupoid, disjoint_union,
@@ -10,6 +11,7 @@ from gcstar.fingroupoid import (FIXTURE_NAMES, FiniteGroupoid, arrow_weights,
                                 space_groupoid, transformation_groupoid,
                                 transitive_groupoid, validate_groupoid,
                                 validate_haar)
+from gcstar.sampling import SplitMix64, random_groupoid
 
 
 def test_fixture_shapes():
@@ -216,3 +218,20 @@ def test_orbits():
     u = disjoint_union(a, b)
     orbits = u.orbits()
     assert len(orbits) == 2
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES
+                         + ("pair:4", "transformation:4", "random"))
+def test_composable_walks_match_full_scan(name):
+    if name in FIXTURE_NAMES:
+        gpd, _ = fixture(name)
+    elif name == "random":
+        gpd, _ = random_groupoid(SplitMix64(41))
+    else:
+        gpd, _ = parse_preset(name)
+    a, src, rng = gpd.arrows, gpd.src, gpd.rng
+    pairs = tuple((g, h) for g in a for h in a if src[g] == rng[h])
+    triples = tuple((g, h, k) for g in a for h in a for k in a
+                    if src[g] == rng[h] and src[h] == rng[k])
+    assert gpd.composable_pairs() == pairs
+    assert gpd.composable_triples() == triples

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from gcstar.fingroupoid import FIXTURE_NAMES, fixture
-from gcstar.hilbmod import (GradedSpace, ModuleMap, check_gamma,
-                            check_module_map, creation, dump_module_map,
-                            gamma_compose, gamma_fibre, grade_leak,
-                            identity_map, induced_unitary, is_intertwiner,
-                            is_isometry, is_unitary, l2, l2_family,
+from gcstar import hilbmod
+from gcstar.hilbmod import (ModuleMap, check_gamma, check_module_map,
+                            creation, dump_module_map, gamma_compose,
+                            grade_leak, identity_map, induced_unitary,
+                            is_intertwiner, is_isometry, is_unitary,
                             module_from_dims, regroup, tensor, tensor_map,
                             tensor_map_left)
-from gcstar.measures import (Correspondence, arrow_correspondence,
-                             family_correspondence, groupoid_families,
-                             haar_system)
+from gcstar.measures import (GradedSpace, compose_families,
+                             groupoid_families, haar_system)
 from gcstar.sampling import SplitMix64
 
 
@@ -161,10 +160,7 @@ def test_grade_leak_tie_takes_first_source():
 def test_regroup_unitary():
     gpd, w = fixture("P2")
     alpha, alpha_r = haar_system(gpd, w)
-    e = l2_family(alpha)
-    f = l2_family(alpha_r)
-    g = l2_family(alpha)
-    m = regroup(e, f, g)
+    m = regroup(alpha, alpha_r, alpha)
     out = is_unitary(m, tol=0.0)
     assert out.ok, str(out)
 
@@ -185,24 +181,62 @@ def test_check_gamma_all_fixtures_exact():
         assert rep.max_defect() == 0.0
 
 
-def test_gamma_fibre_unitary_mixed_legs():
+def _mutated_composite(change):
+    """compose_families with change applied to a copy of its result."""
+    def mutant(lam, mu):
+        fam = compose_families(lam, mu)
+        basis, right, weight = list(fam.basis), dict(fam.right), \
+            dict(fam.weight)
+        change(basis, right, weight)
+        return GradedSpace(basis, {p: p for p in basis}, right, weight,
+                           left_space=basis, right_space=fam.right_space)
+    return mutant
+
+
+def _double_weight(basis, right, weight):
+    weight[basis[0]] *= 2.0
+
+
+def _move_right_grade(basis, right, weight):
+    right[basis[0]] = ("moved",)
+
+
+def _extra_point(basis, right, weight):
+    basis.append(("extra",))
+    right[("extra",)] = right[basis[0]]
+    weight[("extra",)] = 1.0
+
+
+@pytest.mark.parametrize("change, failing", [
+    (_move_right_grade, {"right-grade-preserved"}),
+    (_double_weight, {"isometry", "coisometry"}),
+    (_extra_point, {"coisometry"}),
+])
+def test_check_gamma_mutants_fail(monkeypatch, change, failing):
     gpd, w = fixture("W2")
-    cr = arrow_correspondence(gpd, w, "r")
-    cs = arrow_correspondence(gpd, w, "s")
-    out = is_unitary(gamma_fibre(cr, cs), tol=0.0)
-    assert out.ok, str(out)
+    names = {c.name for c in check_gamma(gpd, w).checks}
+    monkeypatch.setattr(hilbmod, "compose_families",
+                        _mutated_composite(change))
+    out = check_gamma(gpd, w)
+    # on every route the named checks fail and the others pass
+    assert {c.name for c in out.checks} == names
+    checks = [c.name.split("-", 3)[3] for c in out.checks]
+    assert set(checks) == {"right-grade-preserved", "isometry",
+                           "coisometry"}
+    for c, check in zip(out.checks, checks):
+        assert c.passed == (check not in failing), c.name
 
 
 def test_induced_unitary_from_ratio():
     gpd, w = fixture("W2")
     alpha, _ = haar_system(gpd, w)
-    c1 = family_correspondence(alpha)
-    c2 = Correspondence(c1.left_space, c1.right_space, c1.points,
-                        c1.bmap, c1.fmap,
-                        {p: 4.0 * c1.weight[p] for p in c1.points})
-    phi = {p: p for p in c1.points}
+    c2 = GradedSpace(alpha.basis, alpha.left, alpha.right,
+                     {p: 4.0 * alpha.weight[p] for p in alpha.basis},
+                     left_space=alpha.left_space,
+                     right_space=alpha.right_space)
+    phi = {p: p for p in alpha.basis}
     # ratio 1/4 has an exact square root, so the check is exact
-    m = induced_unitary(c1, c2, phi, {x: 0.25 for x in gpd.objects})
+    m = induced_unitary(alpha, c2, phi, {x: 0.25 for x in gpd.objects})
     out = is_unitary(m, tol=0.0)
     assert out.ok, str(out)
 
@@ -246,12 +280,3 @@ def test_dump_module_map_roundtrip(tmp_path):
     assert side["shape"] == list(m.matrix.shape)
     assert side["dtype"] == "complex128"
     assert len(side["source_basis"]) == m.source.dim
-
-
-def test_l2_grades_follow_correspondence():
-    gpd, w = fixture("W2")
-    cs = arrow_correspondence(gpd, w, "s")
-    sp = l2(cs)
-    assert sp.left[(1, 2)] == 1
-    assert sp.right[(1, 2)] == 2
-    assert sp.weight[(2, 1)] == 4.0

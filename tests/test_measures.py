@@ -11,11 +11,11 @@ import math
 import pytest
 
 from gcstar.fingroupoid import FIXTURE_NAMES, fixture
-from gcstar.measures import (Correspondence, arrow_correspondence,
+from gcstar.hilbmod import tensor
+from gcstar.measures import (GradedSpace, arrow_correspondence,
                              check_corr_isomorphism, check_family_identities,
                              check_iterated_integrals, compare_integrals,
                              compose_families, corr_ratio,
-                             family_correspondence, fibre_product,
                              groupoid_families, haar_system)
 from gcstar.sampling import SplitMix64
 
@@ -38,7 +38,9 @@ def test_alpha_fiber_and_integral_w2():
     ones = {g: 1.0 for g in gpd.arrows}
     # the fiber over each object carries total mass c(1)+c(2) = 5
     assert alpha.integrate(ones) == {1: 5.0, 2: 5.0}
-    assert set(alpha.fiber(1)) == {(1, 1), (1, 2)}
+    assert {g for g in alpha.basis if alpha.right[g] == 1} \
+        == {(1, 1), (1, 2)}
+    assert all(alpha.left[g] == g for g in alpha.basis)
     assert alpha.weight[(1, 2)] == 4.0   # c(src) = c(2)
     assert alpha_r.weight[(1, 2)] == 1.0  # c(rng) = c(1)
 
@@ -55,7 +57,7 @@ def test_lambda_weights_w2():
 def test_mu_tables_w2_frozen():
     gpd, w = fixture("W2")
     fam = groupoid_families(gpd, w)
-    assert len(fam.mu0.points) == 8
+    assert len(fam.mu0.basis) == 8
     for i in (1, 2):
         for j in (1, 2):
             for k in (1, 2):
@@ -106,32 +108,32 @@ def test_iterated_integrals_random():
 def test_arrow_correspondence_weights():
     gpd, w = fixture("W2")
     cs = arrow_correspondence(gpd, w, "s")
-    assert cs.bmap[(1, 2)] == 1 and cs.fmap[(1, 2)] == 2
+    assert cs.left[(1, 2)] == 1 and cs.right[(1, 2)] == 2
     assert cs.weight[(1, 2)] == 1.0
     assert cs.weight[(2, 1)] == 4.0
     cr = arrow_correspondence(gpd, w, "r")
-    assert cr.bmap[(1, 2)] == 2 and cr.fmap[(1, 2)] == 1
+    assert cr.left[(1, 2)] == 2 and cr.right[(1, 2)] == 1
     assert cr.weight[(1, 2)] == 4.0
 
 
 def test_fibre_product_matches_mu2():
     gpd, w = fixture("W2")
     cs = arrow_correspondence(gpd, w, "s")
-    fp = fibre_product(cs, cs)
+    fp = tensor(cs, cs)
     fam = groupoid_families(gpd, w)
-    assert set(fp.points) == set(fam.mu2.points)
-    for p in fp.points:
+    assert set(fp.basis) == set(fam.mu2.basis)
+    for p in fp.basis:
         assert fp.weight[p] == fam.mu2.weight[p]
 
 
 def test_corr_isomorphism_positive():
     gpd, w = fixture("W2")
     alpha, _ = haar_system(gpd, w)
-    c1 = family_correspondence(alpha)
-    c2 = Correspondence(c1.left_space, c1.right_space, c1.points,
-                        c1.bmap, c1.fmap,
-                        {p: 2.0 * c1.weight[p] for p in c1.points})
-    phi = {p: p for p in c1.points}
+    c1 = alpha
+    c2 = GradedSpace(c1.basis, c1.left, c1.right,
+                     {p: 2.0 * c1.weight[p] for p in c1.basis},
+                     left_space=c1.left_space, right_space=c1.right_space)
+    phi = {p: p for p in c1.basis}
     delta = {x: 0.5 for x in gpd.objects}
     rep = check_corr_isomorphism(c1, c2, phi, delta)
     assert rep.ok, str(rep)
@@ -141,34 +143,50 @@ def test_corr_isomorphism_positive():
 def test_corr_isomorphism_wrong_delta():
     gpd, w = fixture("W2")
     alpha, _ = haar_system(gpd, w)
-    c1 = family_correspondence(alpha)
-    phi = {p: p for p in c1.points}
+    phi = {p: p for p in alpha.basis}
     rep = check_corr_isomorphism(
-        c1, c1, phi, {x: 2.0 for x in gpd.objects})
+        alpha, alpha, phi, {x: 2.0 for x in gpd.objects})
     assert not rep.ok
 
 
 def test_corr_isomorphism_detects_nonbijection():
     gpd, w = fixture("W2")
     alpha, _ = haar_system(gpd, w)
-    c1 = family_correspondence(alpha)
-    first = c1.points[0]
-    phi = {p: first for p in c1.points}
-    rep = check_corr_isomorphism(c1, c1, phi, {x: 1.0 for x in gpd.objects})
+    first = alpha.basis[0]
+    phi = {p: first for p in alpha.basis}
+    rep = check_corr_isomorphism(alpha, alpha, phi,
+                                 {x: 1.0 for x in gpd.objects})
     assert not rep.ok
+
+
+def test_corr_isomorphism_names_first_point_leaving_the_target():
+    gpd, w = fixture("W2")
+    alpha, _ = haar_system(gpd, w)
+    phi = {p: p for p in alpha.basis}
+    # the third point leaves the target, the fourth has no image
+    phi[alpha.basis[2]] = ("outside",)
+    del phi[alpha.basis[3]]
+    rep = check_corr_isomorphism(alpha, alpha, phi,
+                                 {x: 1.0 for x in gpd.objects})
+    assert [(c.name, c.passed, c.witness) for c in rep.checks] \
+        == [("bijection", False, alpha.basis[2])]
+    phi[alpha.basis[2]] = alpha.basis[2]
+    rep = check_corr_isomorphism(alpha, alpha, phi,
+                                 {x: 1.0 for x in gpd.objects})
+    assert rep.checks[0].witness == alpha.basis[3]
 
 
 def test_corr_ratio_inconsistent_raises():
     gpd, w = fixture("W2")
     alpha, _ = haar_system(gpd, w)
-    c1 = family_correspondence(alpha)
-    weights = dict(c1.weight)
+    weights = dict(alpha.weight)
     # break constancy over the fiber of object 1
     weights[(1, 1)] *= 3.0
-    c2 = Correspondence(c1.left_space, c1.right_space, c1.points,
-                        c1.bmap, c1.fmap, weights)
+    c2 = GradedSpace(alpha.basis, alpha.left, alpha.right, weights,
+                     left_space=alpha.left_space,
+                     right_space=alpha.right_space)
     with pytest.raises(ValueError):
-        corr_ratio(c1, c2, {p: p for p in c1.points})
+        corr_ratio(alpha, c2, {p: p for p in alpha.basis})
 
 
 def test_measure_family_rejects_nonpositive():
@@ -176,9 +194,8 @@ def test_measure_family_rejects_nonpositive():
     alpha, _ = haar_system(gpd, w)
     bad = dict(alpha.weight)
     bad[(1, 1)] = 0.0
-    from gcstar.measures import MeasureFamily
     with pytest.raises(ValueError):
-        MeasureFamily(alpha.points, alpha.target, alpha.fmap, bad)
+        GradedSpace(alpha.basis, alpha.left, alpha.right, bad)
 
 
 def test_iterated_integrals_fail_on_nan():

@@ -14,13 +14,12 @@ import numpy as np
 import pytest
 
 from gcstar.fingroupoid import FIXTURE_NAMES, fixture
-from gcstar.hilbmod import (GradedSpace, ModuleMap, check_gamma,
-                            gamma_compose, gamma_fibre, grade_leak,
-                            induced_unitary, is_intertwiner, l2, l2_family,
+from gcstar.hilbmod import (ModuleMap, check_gamma, gamma_compose,
+                            grade_leak, induced_unitary, is_intertwiner,
                             regroup, tensor, tensor_map, tensor_map_left)
-from gcstar.measures import (arrow_correspondence, check_corr_isomorphism,
-                             compose_families, family_correspondence,
-                             fibre_product, groupoid_families)
+from gcstar.measures import (GradedSpace, arrow_correspondence,
+                             check_corr_isomorphism, compose_families,
+                             groupoid_families)
 from gcstar.report import Report, max_abs
 from gcstar.reps import (Representation, blockwise, check_cocycle,
                          check_intertwiner, check_representation,
@@ -57,6 +56,8 @@ def dense(m):
 
 
 def ref_tensor(e, f):
+    """The balanced tensor by a scan of all pairs; also the point loop of
+    the fibre product of two correspondences."""
     basis = tuple((a, b) for a in e.basis for b in f.basis
                   if e.right[a] == f.left[b])
     return GradedSpace(
@@ -128,31 +129,20 @@ def ref_regroup(e, f, g):
 
 
 def ref_gamma_compose(lam, mu):
-    src = ref_tensor(l2_family(lam), l2_family(mu))
-    tgt = l2_family(compose_families(lam, mu))
+    src = ref_tensor(lam, mu)
+    tgt = compose_families(lam, mu)
     mat = np.zeros((tgt.dim, src.dim), dtype=complex)
     for (x, y) in src.basis:
         mat[tgt.index[x], src.index[(x, y)]] = 1.0
     return DenseMap(src, tgt, mat)
 
 
-def ref_gamma_fibre(c1, c2):
-    src = ref_tensor(l2(c1), l2(c2))
-    tgt = l2(fibre_product(c1, c2))
-    mat = np.zeros((tgt.dim, src.dim), dtype=complex)
-    for p in src.basis:
-        mat[tgt.index[p], src.index[p]] = 1.0
-    return DenseMap(src, tgt, mat)
-
-
 def ref_induced_unitary(c1, c2, phi, delta):
-    src = l2(c1)
-    tgt = l2(c2)
-    mat = np.zeros((tgt.dim, src.dim), dtype=complex)
-    for x in c1.points:
+    mat = np.zeros((c2.dim, c1.dim), dtype=complex)
+    for x in c1.basis:
         y = phi[x]
-        mat[tgt.index[y], src.index[x]] = np.sqrt(delta[c2.fmap[y]])
-    return DenseMap(src, tgt, mat)
+        mat[c2.index[y], c1.index[x]] = np.sqrt(delta[c2.right[y]])
+    return DenseMap(c1, c2, mat)
 
 
 def ref_is_unitary(m, tol):
@@ -169,13 +159,12 @@ def ref_is_unitary(m, tol):
 def ref_face_transfer(rep, index):
     fam = rep.families
     lam = (fam.lam0, fam.lam1, fam.lam2)[index]
-    pair_space = l2(family_correspondence(lam))
     module = rep.module
     gam_s = ref_tensor_map(ref_gamma_compose(lam, fam.alpha_r), module)
     gam_t = ref_tensor_map(ref_gamma_compose(lam, fam.alpha), module)
-    reg_s = ref_regroup(pair_space, rep.source_leg, module)
-    reg_t = ref_regroup(pair_space, rep.target_leg, module)
-    mid = ref_tensor_map_left(pair_space, dense(rep.umap))
+    reg_s = ref_regroup(lam, rep.source_leg, module)
+    reg_t = ref_regroup(lam, rep.target_leg, module)
+    mid = ref_tensor_map_left(lam, dense(rep.umap))
     return gam_t.compose(reg_t.adjoint()).compose(mid) \
         .compose(reg_s).compose(gam_s.adjoint())
 
@@ -211,11 +200,6 @@ def ref_check_gamma(gpd, weights, tol=1e-12):
             ("compose-lam2-src", fam.lam2, fam.alpha_r),
             ("compose-lam2-rng", fam.lam2, fam.alpha)):
         rep.extend(ref_is_unitary(ref_gamma_compose(lam, mu), tol),
-                   prefix=name + "-")
-    cs = arrow_correspondence(gpd, weights, "s")
-    cr = arrow_correspondence(gpd, weights, "r")
-    for name, c1, c2 in (("fibre-s-s", cs, cs), ("fibre-r-s", cr, cs)):
-        rep.extend(ref_is_unitary(ref_gamma_fibre(c1, c2), tol),
                    prefix=name + "-")
     return rep
 
@@ -253,19 +237,16 @@ def ref_from_cocycle_matrix(rep, blocks_raw):
 
 
 def ref_regular_matrix(gpd, weights):
+    # ref_tensor is the point loop of the fibre product, so these are
+    # the fibre products of the two legs with the arrow module
     fam = groupoid_families(gpd, weights)
-    module_corr = arrow_correspondence(gpd, weights, "s")
-    src_corr = family_correspondence(fam.alpha_r)
-    tgt_corr = family_correspondence(fam.alpha)
-    fib_s = fibre_product(src_corr, module_corr)
-    fib_t = fibre_product(tgt_corr, module_corr)
-    phi = {(g, h): (g, gpd.comp[(g, h)]) for (g, h) in fib_s.points}
+    module = arrow_correspondence(gpd, weights, "s")
+    fib_s = ref_tensor(fam.alpha_r, module)
+    fib_t = ref_tensor(fam.alpha, module)
+    phi = {(g, h): (g, gpd.comp[(g, h)]) for (g, h) in fib_s.basis}
     delta = {x: 1.0 for x in gpd.objects}
     check_corr_isomorphism(fib_s, fib_t, phi, delta).require()
-    gam_s = ref_gamma_fibre(src_corr, module_corr)
-    gam_t = ref_gamma_fibre(tgt_corr, module_corr)
-    moved = ref_induced_unitary(fib_s, fib_t, phi, delta)
-    return gam_t.adjoint().compose(moved).compose(gam_s).matrix
+    return ref_induced_unitary(fib_s, fib_t, phi, delta).matrix
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +283,9 @@ def reps_of(name):
 def test_tensor_basis_order_matches_scan(name):
     gpd, w = fixture(name)
     fam = groupoid_families(gpd, w)
-    spaces = [l2_family(f) for f in (fam.alpha, fam.alpha_r, fam.lam0,
-                                     fam.lam1, fam.lam2)]
+    cs = arrow_correspondence(gpd, w, "s")
+    cr = arrow_correspondence(gpd, w, "r")
+    spaces = [fam.alpha, fam.alpha_r, fam.lam0, fam.lam1, fam.lam2, cs, cr]
     for e in spaces:
         for f in spaces:
             new, ref = tensor(e, f), ref_tensor(e, f)
@@ -320,17 +302,12 @@ def test_relabelings_exactly_equal(name):
         for mu in (fam.alpha, fam.alpha_r):
             assert np.array_equal(gamma_compose(lam, mu).matrix,
                                   ref_gamma_compose(lam, mu).matrix)
-    cs = arrow_correspondence(gpd, w, "s")
-    cr = arrow_correspondence(gpd, w, "r")
-    for c1, c2 in ((cs, cs), (cr, cs), (cs, cr)):
-        assert np.array_equal(gamma_fibre(c1, c2).matrix,
-                              ref_gamma_fibre(c1, c2).matrix)
-    e, f = l2_family(fam.alpha), l2_family(fam.alpha_r)
+    e, f = fam.alpha, fam.alpha_r
     for a, b, c in ((e, f, e), (f, e, f), (e, e, f)):
         assert np.array_equal(regroup(a, b, c).matrix,
                               ref_regroup(a, b, c).matrix)
-    c1 = family_correspondence(fam.alpha)
-    phi = {p: p for p in c1.points}
+    c1 = fam.alpha
+    phi = {p: p for p in c1.basis}
     delta = {x: 0.5 + x if isinstance(x, int) else 2.0 for x in gpd.objects}
     assert np.array_equal(induced_unitary(c1, c1, phi, delta).matrix,
                           ref_induced_unitary(c1, c1, phi, delta).matrix)
