@@ -10,7 +10,6 @@ a defect and a witness instead of silently trusting the algebra.
 from .report import Check, Report, VerificationError, max_abs, worst
 from .fingroupoid import (
     FiniteGroupoid,
-    Nerve,
     FIXTURE_NAMES,
     arrow_weights,
     build_preset,
@@ -79,7 +78,6 @@ from .sampling import (
     random_cocycle,
     random_function,
     random_groupoid,
-    random_vector,
 )
 from .reps import (
     CocycleFamily,

@@ -17,9 +17,9 @@ import time
 import numpy as np
 
 from .report import Report, VerificationError
-from .fingroupoid import (FIXTURE_NAMES, arrow_weights, build_preset,
-                          counting_weights, fixture, groupoid_from_dict,
-                          validate_groupoid, validate_haar)
+from .fingroupoid import (FIXTURE_NAMES, _field, _json, _labels, arrow_weights,
+                          build_preset, counting_weights, fixture,
+                          groupoid_from_dict, validate_groupoid, validate_haar)
 from .measures import check_family_identities, check_iterated_integrals
 from .hilbmod import check_gamma, dump_module_map, module_from_dims
 from .convalg import (check_convolution, convolve, cstar_norm,
@@ -138,9 +138,10 @@ def require_valid(gpd, weights):
 
 def _matrix_from_json(rows, what):
     def num(v):
-        if isinstance(v, (list, tuple)):
-            return complex(v[0], v[1])
-        return complex(v)
+        parts = v if isinstance(v, list) and len(v) == 2 else [v, 0]
+        return complex(*(_json(p, (int, float), f"{what} entry")
+                         for p in parts))
+    rows = [_json(r, list, f"{what} row") for r in _json(rows, list, what)]
     lengths = [len(row) for row in rows]
     if len(set(lengths)) > 1:
         raise ValueError(f"{what} is ragged: row lengths {lengths}")
@@ -151,12 +152,13 @@ def load_bundle(path):
     """Representation bundle: groupoid, fiber dims, blockwise unitaries."""
     with open(path) as fh:
         data = json.load(fh)
-    gpd, weights = groupoid_from_dict(data["groupoid"])
+    gpd, weights = groupoid_from_dict(
+        _field(data, "groupoid", dict, "the bundle"))
     require_valid(gpd, weights)
 
     def entry(table, key, what):
         try:
-            return data[table][str(key)]
+            return _field(data, table, dict, "the bundle")[str(key)]
         except KeyError:
             raise ValueError(f"bundle {table!r} table misses {what} "
                              f"{key!r}") from None
@@ -185,8 +187,7 @@ def load_semigroup(path, gpd):
     """
     with open(path) as fh:
         data = json.load(fh)
-    if "generators" not in data:
-        raise ValueError("semigroup file has no \"generators\" list")
+    generators = _field(data, "generators", list, "the semigroup file")
     label = {str(x): x for x in gpd.objects}
 
     def obj(i, x):
@@ -195,11 +196,11 @@ def load_semigroup(path, gpd):
         return label[str(x)]
 
     gens = []
-    for i, gen in enumerate(data["generators"]):
-        if "map" not in gen:
-            raise ValueError(f"generator {i} has no \"map\"")
-        mapping = {obj(i, x): obj(i, y) for x, y in gen["map"].items()}
-        dom = [obj(i, x) for x in gen.get("dom", mapping.keys())]
+    for i, gen in enumerate(generators):
+        what = f"generator {i}"
+        mapping = {obj(i, x): obj(i, y)
+                   for x, y in _field(gen, "map", dict, what).items()}
+        dom = [obj(i, x) for x in _field(gen, "dom", list, what, mapping)]
         if set(dom) != set(mapping.keys()):
             raise ValueError(f"generator {i}: dom and map keys disagree")
         tag = []
@@ -375,14 +376,14 @@ def cmd_trafo(args):
     if args.group is None or args.action is None:
         raise ValueError("trafo needs --group FILE and --action FILE")
     with open(args.group) as fh:
-        order = int(json.load(fh)["order"])
+        order = _field(json.load(fh), "order", int, "the --group file")
     with open(args.action) as fh:
-        raw = json.load(fh)["map"]
+        raw = _field(json.load(fh), "map", dict, "the --action file")
     action = {}
-    for x, y in raw.items():
+    for x, y in _labels(raw, "the --action map").items():
         try:
             action[int(x)] = int(y)
-        except (TypeError, ValueError):
+        except (ValueError, OverflowError):
             action[x] = y
     gpd = build_preset("transformation", order=order, action=action)
     weights = counting_weights(gpd)

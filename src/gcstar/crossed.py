@@ -31,6 +31,8 @@ from .reps import blockwise, check_cocycle, from_cocycle
 from .hilbmod import module_from_dims
 from .intdis import integrate_rep
 
+_MAX_ARROWS, _MAX_ELEMENTS = 16, 4096  # bisection and semigroup guards
+
 
 class PartialBijection:
     """Injective partial map of a finite set, optionally tagged.
@@ -98,12 +100,12 @@ def invert_bisection(gpd, a):
     return bisection_from_arrows(gpd, frozenset(gpd.inv[g] for g in a.tag))
 
 
-def all_bisections(gpd, max_arrows=16):
+def all_bisections(gpd):
     """Every bisection, the empty one included; guarded by size."""
-    if len(gpd.arrows) > max_arrows:
+    if len(gpd.arrows) > _MAX_ARROWS:
         raise ValueError(
             f"refusing to enumerate bisections of {len(gpd.arrows)} arrows "
-            f"(limit {max_arrows})")
+            f"(limit {_MAX_ARROWS})")
     arrows = sorted(gpd.arrows, key=str)
     found = []
 
@@ -244,7 +246,7 @@ class InverseSemigroup:
         return rep
 
 
-def _close(carrier, generators, compose, invert, max_size):
+def _close(carrier, generators, compose, invert):
     """Inverse semigroup generated under compose(a, b) and invert(a).
 
     Every ordered pair of elements is composed once, when the later of
@@ -254,11 +256,11 @@ def _close(carrier, generators, compose, invert, max_size):
     """
     found, position, prod = [], {}, {}
 
-    def place(c, limit=max_size):
+    def place(c, limit=_MAX_ELEMENTS):
         if c not in position:
             if len(found) >= limit:
                 raise ValueError(
-                    f"semigroup closure exceeded {max_size} elements")
+                    f"semigroup closure exceeded {_MAX_ELEMENTS} elements")
             position[c] = len(found)
             found.append(c)
         return position[c]
@@ -285,16 +287,16 @@ def _close(carrier, generators, compose, invert, max_size):
         rank[[position[invert(a)] for a in elements]], act, carrier)
 
 
-def semigroup_from_bisections(gpd, generators, max_size=4096):
+def semigroup_from_bisections(gpd, generators):
     """Close tagged bisections under composition and inversion."""
     return _close(gpd.objects, generators, partial(compose_bisections, gpd),
-                  partial(invert_bisection, gpd), max_size)
+                  partial(invert_bisection, gpd))
 
 
-def semigroup_from_maps(carrier, generators, max_size=4096):
+def semigroup_from_maps(carrier, generators):
     """Close untagged partial bijections; for external generator files."""
     return _close(carrier, generators, PartialBijection.compose,
-                  PartialBijection.invert, max_size)
+                  PartialBijection.invert)
 
 
 def bisection_semigroup(gpd):
@@ -517,26 +519,15 @@ def germ_reconstruction(gpd, sgrp):
 # ---------------------------------------------------------------------------
 # crossed product
 
-class _ZeroIsNone:
-    """Read-only view of an int product table giving None for -1."""
-
-    def __init__(self, table):
-        self.table = table
-
-    def __getitem__(self, key):
-        k = int(self.table[key])
-        return None if k < 0 else k
-
-
 class CrossedProductAlgebra:
     """Linear span of range side germs with the convolution product.
 
     Basis index i is the range side germ class i (class_of and members
     as in germ_classes and _members), labeled in basis by its canonical
     (element, point) pair.  table[i, j] is the class of the product,
-    -1 for zero (None in product_table); star_table is the involution
-    and unit_indices the classes summing to the unit.  Product and
-    involution are verified to be independent of representatives.
+    -1 for zero; star_table is the involution and unit_indices the
+    classes summing to the unit.  Product and involution are verified
+    to be independent of representatives.
     """
 
     def __init__(self, sgrp):
@@ -565,7 +556,6 @@ class CrossedProductAlgebra:
                     f"crossed product of classes {i} and {j} is not "
                     f"representative independent: {got!r}")
             self.table[i] = low
-        self.product_table = _ZeroIsNone(self.table)
 
         stars = cls[sgrp.star[a], pre]
         self.star_table, high = _block_range(stars, bounds)
@@ -620,11 +610,11 @@ def _spread(mats):
     return worst((max_abs(m - mats[0]), None) for m in mats[1:])[0]
 
 
-def crossed_product(sgrp, max_size=4096):
-    if len(sgrp.elements) > max_size:
+def crossed_product(sgrp):
+    if len(sgrp.elements) > _MAX_ELEMENTS:
         raise ValueError(
             f"semigroup of {len(sgrp.elements)} elements exceeds the "
-            f"crossed product guard {max_size}")
+            f"crossed product guard {_MAX_ELEMENTS}")
     return CrossedProductAlgebra(sgrp)
 
 

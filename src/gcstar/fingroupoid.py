@@ -4,11 +4,17 @@ A groupoid is stored as finite sets of object and arrow labels together
 with source/range maps, a partial composition table, an inverse table and
 a unit arrow per object.  Every axiom is a finite enumeration, so
 validation returns an exact witness for any breakage.
+
+Presets state a groupoid by rules: the source, range and inverse of an
+arrow, the unit of an object and the product mul(g, h) of a composable
+pair.  One builder tabulates the rules, the product along the range
+fibres, so the composition table lists its pairs g-major in arrow order.
 """
 
 from __future__ import annotations
 
 import math
+import reprlib
 
 from .report import Report
 
@@ -87,39 +93,6 @@ class FiniteGroupoid:
     def __repr__(self):
         return (f"FiniteGroupoid({len(self.objects)} objects, "
                 f"{len(self.arrows)} arrows)")
-
-
-class Nerve:
-    """Composable pairs with their face and vertex maps.
-
-    For a pair (g, h): d0 = h, d1 = gh, d2 = g; the vertices are
-    v0 = rng(g), v1 = src(g) = rng(h), v2 = src(h).  Construction
-    re-derives each vertex along every face and raises if the two
-    routes to it disagree, so a Nerve only exists for consistent data.
-    """
-
-    def __init__(self, gpd):
-        self.groupoid = gpd
-        self.pairs = gpd.composable_pairs()
-        self.d0 = {p: p[1] for p in self.pairs}
-        self.d2 = {p: p[0] for p in self.pairs}
-        self.d1 = {p: gpd.comp[p] for p in self.pairs}
-        self.v0 = {p: gpd.rng[p[0]] for p in self.pairs}
-        self.v1 = {p: gpd.src[p[0]] for p in self.pairs}
-        self.v2 = {p: gpd.src[p[1]] for p in self.pairs}
-        for p in self.pairs:
-            ok = (gpd.rng[self.d1[p]] == self.v0[p]
-                  and gpd.rng[self.d2[p]] == self.v0[p]
-                  and gpd.rng[self.d0[p]] == self.v1[p]
-                  and gpd.src[self.d2[p]] == self.v1[p]
-                  and gpd.src[self.d0[p]] == self.v2[p]
-                  and gpd.src[self.d1[p]] == self.v2[p])
-            if not ok:
-                raise ValueError(f"inconsistent nerve data at pair {p!r}")
-
-
-def nerve(gpd):
-    return Nerve(gpd)
 
 
 def validate_groupoid(gpd):
@@ -232,38 +205,38 @@ def object_weights(gpd, weight):
 # ---------------------------------------------------------------------------
 # presets and fixtures
 
+def _from_rule(objects, arrows, src, rng, inv, unit, mul):
+    """Tabulate the preset rules of the module docstring into tables."""
+    objects, arrows = tuple(objects), tuple(arrows)
+    gpd = FiniteGroupoid(objects, arrows, {g: src(g) for g in arrows},
+                         {g: rng(g) for g in arrows}, {},
+                         {g: inv(g) for g in arrows},
+                         {x: unit(x) for x in objects})
+    gpd.comp = {(g, h): mul(g, h) for (g, h) in gpd.composable_pairs()}
+    return gpd
+
+
 def cyclic_group_groupoid(order):
     """Cyclic group of the given order as a one-object groupoid."""
     n = int(order)
-    objects = ("x",)
-    arrows = tuple(range(n))
-    src = {g: "x" for g in arrows}
-    rng = dict(src)
-    comp = {(g, h): (g + h) % n for g in arrows for h in arrows}
-    inv = {g: (-g) % n for g in arrows}
-    return FiniteGroupoid(objects, arrows, src, rng, comp, inv, {"x": 0})
+    return _from_rule(("x",), range(n), lambda g: "x", lambda g: "x",
+                      lambda g: (-g) % n, lambda x: 0,
+                      lambda g, h: (g + h) % n)
 
 
 def pair_groupoid(points):
     """Pair groupoid: one arrow (i, j) from j to i for every pair."""
     pts = tuple(points)
-    arrows = tuple((i, j) for i in pts for j in pts)
-    src = {(i, j): j for (i, j) in arrows}
-    rng = {(i, j): i for (i, j) in arrows}
-    comp = {((i, j), (j2, k)): (i, k)
-            for (i, j) in arrows for (j2, k) in arrows if j == j2}
-    inv = {(i, j): (j, i) for (i, j) in arrows}
-    unit = {i: (i, i) for i in pts}
-    return FiniteGroupoid(pts, arrows, src, rng, comp, inv, unit)
+    return _from_rule(pts, ((i, j) for i in pts for j in pts),
+                      lambda g: g[1], lambda g: g[0], lambda g: g[::-1],
+                      lambda i: (i, i), lambda g, h: (g[0], h[1]))
 
 
 def space_groupoid(points):
     """Unit groupoid on a finite set: only identity arrows."""
     pts = tuple(points)
-    src = {x: x for x in pts}
-    comp = {(x, x): x for x in pts}
-    return FiniteGroupoid(pts, pts, src, dict(src), comp,
-                          dict(src), dict(src))
+    return _from_rule(pts, pts, lambda x: x, lambda x: x, lambda x: x,
+                      lambda x: x, lambda g, h: g)
 
 
 def transformation_groupoid(order, action):
@@ -285,17 +258,10 @@ def transformation_groupoid(order, action):
     if bad is not None:
         raise ValueError(
             f"generator does not have order dividing {n}: point {bad!r}")
-    arrows = tuple((k, x) for k in range(n) for x in pts)
-    src = {(k, x): x for (k, x) in arrows}
-    rng = {(k, x): act(k, x) for (k, x) in arrows}
-    comp = {}
-    for (k1, x1) in arrows:
-        for (k2, x2) in arrows:
-            if x1 == act(k2, x2):
-                comp[((k1, x1), (k2, x2))] = ((k1 + k2) % n, x2)
-    inv = {(k, x): ((-k) % n, act(k, x)) for (k, x) in arrows}
-    unit = {x: (0, x) for x in pts}
-    return FiniteGroupoid(pts, arrows, src, rng, comp, inv, unit)
+    return _from_rule(pts, ((k, x) for k in range(n) for x in pts),
+                      lambda g: g[1], lambda g: act(*g),
+                      lambda g: ((-g[0]) % n, act(*g)), lambda x: (0, x),
+                      lambda g, h: ((g[0] + h[0]) % n, h[1]))
 
 
 def transitive_groupoid(points, group_elements, mult, group_inv, group_unit):
@@ -304,36 +270,24 @@ def transitive_groupoid(points, group_elements, mult, group_inv, group_unit):
     The arrow (i, a, j) runs from j to i and carries group element a;
     composition multiplies the group parts.
     """
-    pts = tuple(points)
-    els = tuple(group_elements)
-    arrows = tuple((i, a, j) for i in pts for a in els for j in pts)
-    src = {(i, a, j): j for (i, a, j) in arrows}
-    rng = {(i, a, j): i for (i, a, j) in arrows}
-    comp = {}
-    for (i, a, j) in arrows:
-        for (j2, b, k) in arrows:
-            if j == j2:
-                comp[((i, a, j), (j2, b, k))] = (i, mult[(a, b)], k)
-    inv = {(i, a, j): (j, group_inv[a], i) for (i, a, j) in arrows}
-    unit = {i: (i, group_unit, i) for i in pts}
-    return FiniteGroupoid(pts, arrows, src, rng, comp, inv, unit)
+    pts, els = tuple(points), tuple(group_elements)
+    return _from_rule(pts, ((i, a, j) for i in pts for a in els for j in pts),
+                      lambda g: g[2], lambda g: g[0],
+                      lambda g: (g[2], group_inv[g[1]], g[0]),
+                      lambda i: (i, group_unit, i),
+                      lambda g, h: (g[0], mult[(g[1], h[1])], h[2]))
 
 
 def disjoint_union(*parts):
     """Disjoint union; labels are tagged with the part index."""
-    objects, arrows, src, rng, comp, inv, unit = [], [], {}, {}, {}, {}, {}
-    for idx, gpd in enumerate(parts):
-        objects.extend((idx, x) for x in gpd.objects)
-        arrows.extend((idx, g) for g in gpd.arrows)
-        for g in gpd.arrows:
-            src[(idx, g)] = (idx, gpd.src[g])
-            rng[(idx, g)] = (idx, gpd.rng[g])
-            inv[(idx, g)] = (idx, gpd.inv[g])
-        for (g, h), k in gpd.comp.items():
-            comp[((idx, g), (idx, h))] = (idx, k)
-        for x, u in gpd.unit.items():
-            unit[(idx, x)] = (idx, u)
-    return FiniteGroupoid(objects, arrows, src, rng, comp, inv, unit)
+    def tagged(table):
+        return lambda key: (key[0], getattr(parts[key[0]], table)[key[1]])
+
+    return _from_rule(
+        [(i, x) for i, gpd in enumerate(parts) for x in gpd.objects],
+        [(i, g) for i, gpd in enumerate(parts) for g in gpd.arrows],
+        tagged("src"), tagged("rng"), tagged("inv"), tagged("unit"),
+        lambda g, h: (g[0], parts[g[0]].comp[(g[1], h[1])]))
 
 
 def _as_points(value):
@@ -427,27 +381,65 @@ def groupoid_to_dict(gpd, weights=None):
     return out
 
 
+_LABEL = (str, int, float)
+_KIND = {list: "a list", dict: "an object", int: "an integer",
+         (int, float): "a number", _LABEL: "a string or number"}
+
+
+def _json(value, kind, what):
+    """value, which must be JSON of the given kind; what names it."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_KIND[kind]}, "
+                         f"got {reprlib.repr(value)}")
+    return value
+
+
+def _field(data, key, kind, what, default=None):
+    """data[key] checked by _json; what names the object data."""
+    if key not in _json(data, dict, what):
+        if default is None:
+            raise ValueError(f'{what} has no "{key}"')
+        return default
+    return _json(data[key], kind, f'{what} "{key}"')
+
+
+def _labels(values, what):
+    """A JSON list or object of labels; what names it."""
+    for k in values if isinstance(values, dict) else range(len(values)):
+        _json(values[k], _LABEL, f"{what} [{k!r}]")
+    return values
+
+
 def groupoid_from_dict(data):
     """Inverse of groupoid_to_dict; returns (groupoid, weights).
 
     Missing haar data means counting weights.  The unit table is derived
     from the composition table, so a malformed file fails validate().
-    Raises ValueError for a groupoid without objects, for an arrow
-    entry without "id", "src" or "rng", and for haar data that misses
-    an object.
+    Raises ValueError for JSON of another shape, naming the key or
+    entry, for a groupoid without objects, for an arrow entry without
+    "id", "src" or "rng", and for haar data that misses an object.
     """
-    objects = tuple(data["objects"])
+    what = "the groupoid"
+    objects = tuple(_labels(_field(data, "objects", list, what), "objects"))
     if not objects:
         raise ValueError("the groupoid has no objects")
-    for i, a in enumerate(data["arrows"]):
-        key = next((k for k in ("id", "src", "rng") if k not in a), None)
+    entries = _field(data, "arrows", list, what)
+    for i, a in enumerate(entries):
+        key = next((k for k in ("id", "src", "rng")
+                    if k not in _json(a, dict, f"arrow entry {i}")), None)
         if key is not None:
             raise ValueError(f"arrow entry {i} ({a!r}) has no {key!r}")
-    arrows = tuple(a["id"] for a in data["arrows"])
-    src = {a["id"]: a["src"] for a in data["arrows"]}
-    rng = {a["id"]: a["rng"] for a in data["arrows"]}
-    comp = {(g, h): k for (g, h, k) in data.get("compose", [])}
-    inv = dict(data.get("inverse", {}))
+        _labels({k: a[k] for k in ("id", "src", "rng")}, f"arrow entry {i}")
+    arrows = tuple(a["id"] for a in entries)
+    src = {a["id"]: a["src"] for a in entries}
+    rng = {a["id"]: a["rng"] for a in entries}
+    rows = _field(data, "compose", list, what, [])
+    for i, row in enumerate(rows):
+        name = f"compose row {i}"
+        if len(_labels(_json(row, list, name), name)) != 3:
+            raise ValueError(f"{name} is not [g, h, gh]: {row!r}")
+    comp = {(g, h): k for (g, h, k) in rows}
+    inv = _labels(_field(data, "inverse", dict, what, {}), "inverse")
     unit = {}
     for g in arrows:
         gi = inv.get(g)
@@ -455,7 +447,8 @@ def groupoid_from_dict(data):
             unit.setdefault(rng.get(g), comp[(g, gi)])
     gpd = FiniteGroupoid(objects, arrows, src, rng, comp, inv, unit)
     if "haar" in data:
-        weights = {x: float(w) for x, w in data["haar"].items()}
+        weights = {x: float(_json(w, (int, float), f"haar weight of {x!r}"))
+                   for x, w in _field(data, "haar", dict, what).items()}
         bad = next((x for x in objects if x not in weights), None)
         if bad is not None:
             raise ValueError(f"haar weights miss object {bad!r}")

@@ -21,7 +21,6 @@ from functools import cached_property
 import numpy as np
 
 from .report import Report, worst
-from .fingroupoid import nerve
 
 
 class GradedSpace:
@@ -131,28 +130,29 @@ def haar_system(gpd, weights):
 class GroupoidFamilies:
     """All weight families a groupoid with object weights carries.
 
-    lam0, lam1, lam2 fibre the composable pairs over arrows along the
-    three face maps; mu0, mu1, mu2 are defined as the compositions
-    alpha . lam1, alpha . lam0 and alpha_r . lam0 and fibre the pairs
-    over objects along the three vertex maps.
+    lam0, lam1, lam2 fibre the composable pairs (g, h) over arrows along
+    the three face maps h, gh and g; mu0, mu1, mu2 are defined as the
+    compositions alpha . lam1, alpha . lam0 and alpha_r . lam0 and fibre
+    the pairs over objects along the three vertex maps.  Raises
+    ValueError at the first pair whose gh does not run src(h) -> rng(g).
     """
 
     def __init__(self, gpd, weights):
         self.groupoid = gpd
-        self.weights = {x: float(weights[x]) for x in gpd.objects}
-        self.nerve = nerve(gpd)
-        self.alpha, self.alpha_r = haar_system(gpd, self.weights)
-        c = self.weights
-        pairs = self.nerve.pairs
-        self.lam0 = _family(
-            pairs, gpd.arrows, self.nerve.d0,
-            {p: c[gpd.rng[p[0]]] for p in pairs})
-        self.lam1 = _family(
-            pairs, gpd.arrows, self.nerve.d1,
-            {p: c[gpd.rng[p[1]]] for p in pairs})
-        self.lam2 = _family(
-            pairs, gpd.arrows, self.nerve.d2,
-            {p: c[gpd.src[p[1]]] for p in pairs})
+        self.weights = c = {x: float(weights[x]) for x in gpd.objects}
+        pairs = gpd.composable_pairs()
+        gh = {p: gpd.comp[p] for p in pairs}
+        bad = next((p for p in pairs if gpd.rng[gh[p]] != gpd.rng[p[0]]
+                    or gpd.src[gh[p]] != gpd.src[p[1]]), None)
+        if bad is not None:
+            raise ValueError(f"inconsistent nerve data at pair {bad!r}")
+        self.alpha, self.alpha_r = haar_system(gpd, c)
+        self.lam0 = _family(pairs, gpd.arrows, {p: p[1] for p in pairs},
+                            {p: c[gpd.rng[p[0]]] for p in pairs})
+        self.lam1 = _family(pairs, gpd.arrows, gh,
+                            {p: c[gpd.rng[p[1]]] for p in pairs})
+        self.lam2 = _family(pairs, gpd.arrows, {p: p[0] for p in pairs},
+                            {p: c[gpd.src[p[1]]] for p in pairs})
         self.mu0 = compose_families(self.lam1, self.alpha)
         self.mu1 = compose_families(self.lam0, self.alpha)
         self.mu2 = compose_families(self.lam0, self.alpha_r)

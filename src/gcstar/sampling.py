@@ -15,7 +15,8 @@ import math
 
 import numpy as np
 
-from .fingroupoid import FiniteGroupoid, arrow_weights
+from .fingroupoid import (FiniteGroupoid, _from_rule, arrow_weights,
+                          validate_groupoid, validate_haar)
 from .hilbmod import module_from_dims
 
 _MASK = (1 << 64) - 1
@@ -45,12 +46,6 @@ class SplitMix64:
     def choice(self, seq):
         return seq[self.randint(len(seq))]
 
-    def shuffle(self, items):
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(i + 1)
-            items[i], items[j] = items[j], items[i]
-        return items
-
     def gauss(self):
         if self._spare is not None:
             v, self._spare = self._spare, None
@@ -72,10 +67,6 @@ def haar_unitary(rng, n):
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))[None, :]
-
-
-def random_vector(rng, n):
-    return np.array([rng.cgauss() for _ in range(n)], dtype=complex)
 
 
 def random_function(rng, gpd):
@@ -111,25 +102,14 @@ def random_groupoid(rng, max_objects=4, max_arrows=12):
         budget -= size * size * iso
         pieces.append((pts, iso))
 
-    orbit_of, iso_of = {}, {}
-    for pts, iso in pieces:
-        for x in pts:
-            orbit_of[x] = pts
-            iso_of[x] = iso
-    arrows = tuple((i, k, j)
-                   for pts, iso in pieces
+    iso_of = {x: iso for pts, iso in pieces for x in pts}
+    arrows = tuple((i, k, j) for pts, iso in pieces
                    for i in pts for k in range(iso) for j in pts)
-    src = {(i, k, j): j for (i, k, j) in arrows}
-    rng_map = {(i, k, j): i for (i, k, j) in arrows}
-    comp = {}
-    for (i, k, j) in arrows:
-        for (j2, k2, l) in arrows:
-            if j == j2 and orbit_of[i] == orbit_of[l]:
-                comp[((i, k, j), (j2, k2, l))] = \
-                    (i, (k + k2) % iso_of[i], l)
-    inv = {(i, k, j): (j, (-k) % iso_of[i], i) for (i, k, j) in arrows}
-    unit = {x: (x, 0, x) for x in labels}
-    gpd = FiniteGroupoid(labels, arrows, src, rng_map, comp, inv, unit)
+    # the fibre walk pairs arrows of one piece only
+    gpd = _from_rule(labels, arrows, lambda g: g[2], lambda g: g[0],
+                     lambda g: (g[2], (-g[1]) % iso_of[g[0]], g[0]),
+                     lambda x: (x, 0, x),
+                     lambda g, h: (g[0], (g[1] + h[1]) % iso_of[g[0]], h[2]))
     weights = {x: 0.25 * (1 + rng.randint(15)) for x in labels}
     return gpd, weights
 
@@ -147,8 +127,6 @@ def mutate_groupoid(rng, gpd, weights, max_tries=200):
     system does.  Candidate mutations that happen to leave everything
     valid are rejected and redrawn.
     """
-    from .fingroupoid import validate_groupoid, validate_haar
-
     kinds = ["src", "comp", "inv", "unit", "haar-sign", "haar-invariance"]
     if len(gpd.objects) < 2:
         kinds.remove("src")

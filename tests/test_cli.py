@@ -197,6 +197,105 @@ def test_arrow_without_src_exits_2(capsys, tmp_path):
     assert "arrow entry 1" in err and "has no 'src'" in err
 
 
+def _w2_with(path, value):
+    """The W2 groupoid JSON with the entry at path replaced by value."""
+    gpd, w = fixture("W2")
+    data = node = groupoid_to_dict(gpd, w)
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+# name: (argv with {file} placeholders, files by name, text of the error)
+MALFORMED = {
+    "groupoid-list": (["validate", "{g}"], {"g": [1, 2]},
+                      "the groupoid must be an object"),
+    "arrows-int": (["validate", "{g}"], {"g": _w2_with(["arrows"], 5)},
+                   'the groupoid "arrows" must be a list'),
+    "arrow-id-list": (["validate", "{g}"],
+                      {"g": _w2_with(["arrows", 0, "id"], ["u"])},
+                      "arrow entry 0 ['id'] must be a string or number"),
+    "object-list": (["validate", "{g}"],
+                    {"g": _w2_with(["objects"], [[1]])},
+                    "objects [0] must be a string or number"),
+    "compose-int": (["validate", "{g}"], {"g": _w2_with(["compose"], 3)},
+                    'the groupoid "compose" must be a list'),
+    "compose-short-row": (["validate", "{g}"],
+                          {"g": _w2_with(["compose", 0], ["(1, 1)"] * 2)},
+                          "compose row 0 is not [g, h, gh]"),
+    "compose-list-label": (["validate", "{g}"],
+                           {"g": _w2_with(["compose", 2, 1], ["u"])},
+                           "compose row 2 [1] must be a string or number"),
+    "inverse-list-label": (["validate", "{g}"],
+                           {"g": _w2_with(["inverse", "(1, 1)"], ["u"])},
+                           "inverse ['(1, 1)'] must be a string or number"),
+    "haar-list": (["validate", "{g}"], {"g": _w2_with(["haar"], [1])},
+                  'the groupoid "haar" must be an object'),
+    "haar-string": (["validate", "{g}"],
+                    {"g": _w2_with(["haar", "1"], "abc")},
+                    "haar weight of '1' must be a number, got 'abc'"),
+    "bundle-no-groupoid": (["rep", "--bundle", "{b}"],
+                           {"b": {"dims": {}, "U": {}}},
+                           'the bundle has no "groupoid"'),
+    "bundle-dims-list": (["rep", "--bundle", "{b}"],
+                         {"b": {**_p2_bundle(), "dims": [1]}},
+                         'the bundle "dims" must be an object'),
+    "bundle-U-list": (["rep", "--bundle", "{b}"],
+                      {"b": {**_p2_bundle(), "U": [[[1.0]]]}},
+                      'the bundle "U" must be an object'),
+    "bundle-block-int": (["rep", "--bundle", "{b}"],
+                         {"b": _p2_bundle(blocks={"(1, 1)": 5})},
+                         "block of arrow '(1, 1)' must be a list, got 5"),
+    "bundle-entry-string": (["rep", "--bundle", "{b}"],
+                            {"b": _p2_bundle(blocks={"(1, 2)": [["abc"]]})},
+                            "block of arrow '(1, 2)' entry must be a number"),
+    "generator-int": (["etale", "--preset", "P2", "--semigroup", "{s}"],
+                      {"s": {"generators": [5]}},
+                      "generator 0 must be an object, got 5"),
+    "generator-map-list": (["etale", "--preset", "P2", "--semigroup", "{s}"],
+                           {"s": {"generators": [{"map": [["1", "2"]]}]}},
+                           'generator 0 "map" must be an object'),
+    "group-file-list": (["trafo", "--group", "{g}", "--action", "{a}"],
+                        {"g": [2], "a": {"map": {"1": 2, "2": 1}}},
+                        "the --group file must be an object"),
+    "group-file-no-order": (["trafo", "--group", "{g}", "--action", "{a}"],
+                            {"g": {}, "a": {"map": {"1": 2, "2": 1}}},
+                            'the --group file has no "order"'),
+    "action-file-list": (["trafo", "--group", "{g}", "--action", "{a}"],
+                         {"g": {"order": 2}, "a": [{"1": 2}]},
+                         "the --action file must be an object"),
+    "action-file-no-map": (["trafo", "--group", "{g}", "--action", "{a}"],
+                           {"g": {"order": 2}, "a": {}},
+                           'the --action file has no "map"'),
+    "action-image-list": (["trafo", "--group", "{g}", "--action", "{a}"],
+                          {"g": {"order": 2}, "a": {"map": {"1": [2]}}},
+                          "the --action map ['1'] must be a string or number"),
+}
+
+
+@pytest.mark.parametrize("argv, files, message", MALFORMED.values(),
+                         ids=MALFORMED.keys())
+def test_malformed_json_exits_2_naming_the_entry(capsys, tmp_path, argv,
+                                                 files, message):
+    paths = {name: str(tmp_path / f"{name}.json") for name in files}
+    for name, content in files.items():
+        with open(paths[name], "w") as fh:
+            json.dump(content, fh)
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert "Traceback" not in err
+    assert message in err
+    assert out == ""
+
+
+def test_etale_refuses_to_enumerate_past_the_bisection_limit(capsys):
+    code, out, err = run(capsys, "etale", "--preset", "pair:5")
+    assert code == 2
+    assert "(limit 16)" in err
+    assert out == ""
+
+
 def test_rep_dump_writes_files(capsys, tmp_path):
     dump = tmp_path / "dump"
     code, _, _ = run(capsys, "rep", "--preset", "Z2", "--dump", str(dump))

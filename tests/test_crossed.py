@@ -11,6 +11,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from gcstar import crossed
 from gcstar.crossed import (CovariantRep, PartialBijection, _close,
                             all_bisections, bisection_from_arrows,
                             bisection_semigroup, canonical_iso_cstar,
@@ -139,7 +140,7 @@ def test_trivial_action_gives_group_algebra():
     # the basis order follows the exponent, so the table is addition mod 3
     for i in range(3):
         for j in range(3):
-            assert alg.product_table[(i, j)] == (i + j) % 3
+            assert alg.table[i, j] == (i + j) % 3
         assert alg.star_table[i] == (-i) % 3
     assert alg.unit_indices == [0]
 
@@ -160,8 +161,8 @@ def test_swap_crossed_product_is_full_matrix_algebra():
     for i in range(4):
         for j in range(4):
             got = units[i] @ units[j]
-            k = alg.product_table[(i, j)]
-            want = units[k] if k is not None else np.zeros((2, 2))
+            k = alg.table[i, j]
+            want = units[k] if k >= 0 else np.zeros((2, 2))
             assert np.array_equal(got, want), (i, j)
 
 
@@ -285,7 +286,7 @@ def test_crossed_rep_fails_on_nan_operator():
                      if i in (k, alg.star_table[k]))})
 
 
-def test_closure_composes_each_ordered_pair_once():
+def test_closure_composes_each_ordered_pair_once(monkeypatch):
     gpd, _ = fixture("P2")
     calls = []
 
@@ -296,7 +297,7 @@ def test_closure_composes_each_ordered_pair_once():
     gens = [bisection_from_arrows(gpd, [(1, 2)]),
             bisection_from_arrows(gpd, [(1, 2), (2, 1)])]
     invert = partial(invert_bisection, gpd)
-    sgrp = _close(gpd.objects, gens, counting, invert, 4096)
+    sgrp = _close(gpd.objects, gens, counting, invert)
     n = len(sgrp.elements)
     assert len(calls) == n * n
     assert len(set(calls)) == n * n
@@ -304,6 +305,8 @@ def test_closure_composes_each_ordered_pair_once():
     assert sgrp.elements == full.elements
     assert np.array_equal(sgrp.mul, full.mul)
     assert np.array_equal(sgrp.star, full.star)
+    monkeypatch.setattr(crossed, "_MAX_ELEMENTS", n - 1)
     with pytest.raises(ValueError, match=f"exceeded {n - 1} elements"):
-        _close(gpd.objects, gens, counting, invert, n - 1)
-    assert len(_close(gpd.objects, gens, counting, invert, n).elements) == n
+        _close(gpd.objects, gens, counting, invert)
+    monkeypatch.setattr(crossed, "_MAX_ELEMENTS", n)
+    assert len(_close(gpd.objects, gens, counting, invert).elements) == n

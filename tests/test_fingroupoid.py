@@ -7,7 +7,7 @@ from gcstar.fingroupoid import (FIXTURE_NAMES, FiniteGroupoid, arrow_weights,
                                 build_preset, counting_weights,
                                 cyclic_group_groupoid, disjoint_union,
                                 fixture, groupoid_from_dict, groupoid_to_dict,
-                                nerve, object_weights, pair_groupoid,
+                                object_weights, pair_groupoid,
                                 space_groupoid, transformation_groupoid,
                                 transitive_groupoid, validate_groupoid,
                                 validate_haar)
@@ -84,19 +84,17 @@ def test_disjoint_union():
 
 def test_nerve_pair_count():
     gpd, _ = fixture("P2")
-    n = nerve(gpd)
     # composable pairs of the pair groupoid on two points: 4 choices of
     # middle object path, 2 each side
-    assert len(n.pairs) == 8
+    assert len(gpd.composable_pairs()) == 8
     z, _ = fixture("Z2")
-    assert len(nerve(z).pairs) == 4
+    assert len(z.composable_pairs()) == 4
 
 
 def test_nerve_vertex_routes_agree():
     for name in FIXTURE_NAMES:
         gpd, _ = fixture(name)
-        n = nerve(gpd)
-        for (g, h) in n.pairs:
+        for (g, h) in gpd.composable_pairs():
             gh = gpd.comp[(g, h)]
             assert gpd.rng[g] == gpd.rng[gh]
             assert gpd.src[g] == gpd.rng[h]

@@ -12,7 +12,7 @@ reference field for field, weights bit for bit.
 import pytest
 
 from gcstar.cli import parse_preset
-from gcstar.fingroupoid import FIXTURE_NAMES, fixture, nerve
+from gcstar.fingroupoid import FIXTURE_NAMES, fixture
 from gcstar.hilbmod import tensor
 from gcstar.measures import (GradedSpace, arrow_correspondence,
                              groupoid_families, haar_system)
@@ -54,13 +54,13 @@ def ref_families(gpd, weights):
                              {g: c[gpd.src[g]] for g in gpd.arrows})
     alpha_r = RefMeasureFamily(gpd.arrows, gpd.objects, dict(gpd.src),
                                {g: c[gpd.rng[g]] for g in gpd.arrows})
-    nv = nerve(gpd)
-    pairs = nv.pairs
-    lam0 = RefMeasureFamily(pairs, gpd.arrows, nv.d0,
+    pairs = gpd.composable_pairs()
+    lam0 = RefMeasureFamily(pairs, gpd.arrows, {p: p[1] for p in pairs},
                             {p: c[gpd.rng[p[0]]] for p in pairs})
-    lam1 = RefMeasureFamily(pairs, gpd.arrows, nv.d1,
+    lam1 = RefMeasureFamily(pairs, gpd.arrows,
+                            {p: gpd.comp[p] for p in pairs},
                             {p: c[gpd.rng[p[1]]] for p in pairs})
-    lam2 = RefMeasureFamily(pairs, gpd.arrows, nv.d2,
+    lam2 = RefMeasureFamily(pairs, gpd.arrows, {p: p[0] for p in pairs},
                             {p: c[gpd.src[p[1]]] for p in pairs})
     return {"alpha": alpha, "alpha_r": alpha_r,
             "lam0": lam0, "lam1": lam1, "lam2": lam2,

@@ -6,11 +6,13 @@ the pair groupoid is written through its three points (i, j, k) with
 g = (i, j), h = (j, k).
 """
 
+import itertools
 import math
+import re
 
 import pytest
 
-from gcstar.fingroupoid import FIXTURE_NAMES, fixture
+from gcstar.fingroupoid import FIXTURE_NAMES, FiniteGroupoid, fixture
 from gcstar.hilbmod import tensor
 from gcstar.measures import (GradedSpace, arrow_correspondence,
                              check_corr_isomorphism, check_family_identities,
@@ -73,6 +75,65 @@ def test_family_identities_all_fixtures():
         rep = check_family_identities(gpd, w)
         assert rep.ok, str(rep)
         assert rep.max_defect() == 0.0
+
+
+def test_families_reject_composite_with_wrong_range():
+    gpd, w = fixture("P2")
+    comp = dict(gpd.comp)
+    # (1, 2)(2, 1) should be (1, 1); (2, 1) has the right source only
+    comp[((1, 2), (2, 1))] = (2, 1)
+    broken = FiniteGroupoid(gpd.objects, gpd.arrows, gpd.src, gpd.rng,
+                            comp, gpd.inv, gpd.unit)
+    with pytest.raises(ValueError, match=re.escape(
+            "inconsistent nerve data at pair ((1, 2), (2, 1))")):
+        groupoid_families(broken, w)
+
+
+def ref_nerve_error(gpd):
+    """The six vertex routes of the removed Nerve class, verbatim.
+
+    Returns the message it raised at the first inconsistent pair, or
+    None for consistent data.
+    """
+    pairs = gpd.composable_pairs()
+    d0 = {p: p[1] for p in pairs}
+    d2 = {p: p[0] for p in pairs}
+    d1 = {p: gpd.comp[p] for p in pairs}
+    v0 = {p: gpd.rng[p[0]] for p in pairs}
+    v1 = {p: gpd.src[p[0]] for p in pairs}
+    v2 = {p: gpd.src[p[1]] for p in pairs}
+    for p in pairs:
+        ok = (gpd.rng[d1[p]] == v0[p]
+              and gpd.rng[d2[p]] == v0[p]
+              and gpd.rng[d0[p]] == v1[p]
+              and gpd.src[d2[p]] == v1[p]
+              and gpd.src[d0[p]] == v2[p]
+              and gpd.src[d1[p]] == v2[p])
+        if not ok:
+            return f"inconsistent nerve data at pair {p!r}"
+    return None
+
+
+@pytest.mark.parametrize("name", ["P2", "T2"])
+def test_families_guard_matches_old_nerve(name):
+    # every way of overwriting two composites with arbitrary arrows
+    gpd, w = fixture(name)
+    raised = 0
+    for p, q in itertools.combinations(gpd.composable_pairs(), 2):
+        for a, b in itertools.product(gpd.arrows, repeat=2):
+            comp = dict(gpd.comp)
+            comp[p], comp[q] = a, b
+            broken = FiniteGroupoid(gpd.objects, gpd.arrows, gpd.src,
+                                    gpd.rng, comp, gpd.inv, gpd.unit)
+            want = ref_nerve_error(broken)
+            try:
+                groupoid_families(broken, w)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want, (p, a, q, b)
+            raised += want is not None
+    assert raised > 0
 
 
 def test_compose_families_weight_is_product():

@@ -38,13 +38,6 @@ def test_uniform_range():
         assert 0.0 <= u < 1.0
 
 
-def test_shuffle_is_permutation():
-    rng = SplitMix64(4)
-    items = list(range(20))
-    out = rng.shuffle(list(items))
-    assert sorted(out) == items
-
-
 def test_haar_unitary_is_unitary():
     rng = SplitMix64(5)
     for n in (1, 2, 4, 7):
