@@ -410,17 +410,29 @@ def _labels(values, what):
     return values
 
 
+def _once(labels, what):
+    """labels as a tuple; ValueError naming the first one listed twice."""
+    seen = set()
+    for y in labels:
+        if y in seen:
+            raise ValueError(f"the groupoid lists {what} {y!r} twice")
+        seen.add(y)
+    return tuple(labels)
+
+
 def groupoid_from_dict(data):
     """Inverse of groupoid_to_dict; returns (groupoid, weights).
 
     Missing haar data means counting weights.  The unit table is derived
     from the composition table, so a malformed file fails validate().
     Raises ValueError for JSON of another shape, naming the key or
-    entry, for a groupoid without objects, for an arrow entry without
-    "id", "src" or "rng", and for haar data that misses an object.
+    entry, for a groupoid without objects, for an object or arrow listed
+    twice, for an arrow entry without "id", "src" or "rng", and for haar
+    data that misses an object.
     """
     what = "the groupoid"
-    objects = tuple(_labels(_field(data, "objects", list, what), "objects"))
+    objects = _once(_labels(_field(data, "objects", list, what), "objects"),
+                    "object")
     if not objects:
         raise ValueError("the groupoid has no objects")
     entries = _field(data, "arrows", list, what)
@@ -430,7 +442,7 @@ def groupoid_from_dict(data):
         if key is not None:
             raise ValueError(f"arrow entry {i} ({a!r}) has no {key!r}")
         _labels({k: a[k] for k in ("id", "src", "rng")}, f"arrow entry {i}")
-    arrows = tuple(a["id"] for a in entries)
+    arrows = _once([a["id"] for a in entries], "arrow")
     src = {a["id"]: a["src"] for a in entries}
     rng = {a["id"]: a["rng"] for a in entries}
     rows = _field(data, "compose", list, what, [])

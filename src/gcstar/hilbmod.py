@@ -2,11 +2,16 @@
 
 The spaces are measures.GradedSpace: an orthogonal basis, each vector
 carrying a left grade, a right grade and a positive weight, its squared
-length.  Balanced tensor products pair a right grade with a left grade
-and multiply the weights; the tensor of two correspondences is their
-fibre product.  The relabeling maps between a tensor product of
-function spaces and the function space of a composite set are scale
-one on basis vectors, hence exact in floating point.
+length, stored as int grade codes and a weight array with the label
+dicts as a view.  Balanced tensor products pair a right grade with a
+left grade and multiply the weights; the tensor of two correspondences
+is their fibre product.  A tensor records its two factors and the
+factor positions of each of its points, and the maps built on tensors
+(tensor maps, the associator, the relabelings onto composite families,
+creation maps) read those positions instead of looking up labels.  The
+relabeling maps between a tensor product of function spaces and the
+function space of a composite set are scale one on basis vectors,
+hence exact in floating point.
 
 Module maps are stored against the bases, as a dense matrix or as
 entries (int rows, int cols, complex vals); the structured maps built
@@ -155,18 +160,14 @@ def entry_gap(a, b):
 
 
 def identity_map(space):
-    idx = np.arange(space.dim)
-    return ModuleMap(space, space,
-                     entries=(idx, idx, np.ones(space.dim, dtype=complex)))
+    return _relabel(space, space, np.arange(space.dim))
 
 
-def _relabel(src, tgt, image, scale=None):
-    """Entry map sending source basis vector j to tgt vector image[j].
+def _relabel(src, tgt, rows, scale=None):
+    """Entry map sending source basis vector j to tgt vector rows[j].
 
     scale[j] multiplies the image, one when scale is None.
     """
-    rows = np.fromiter((tgt.index[y] for y in image), dtype=np.intp,
-                       count=src.dim)
     vals = np.ones(src.dim, dtype=complex) if scale is None \
         else np.asarray(scale, dtype=complex)
     return ModuleMap(src, tgt, entries=(rows, np.arange(src.dim), vals))
@@ -187,22 +188,26 @@ def module_from_dims(left_space, right_space, dims):
 
 
 def tensor(e, f):
-    """Balanced tensor product: pairs with matching middle grade."""
-    by_grade = {}
-    for b in f.basis:
-        by_grade.setdefault(f.left[b], []).append(b)
-    basis, left, right, weight = [], [], [], []
-    for a in e.basis:
-        left_a, weight_a = e.left[a], e.weight[a]
-        for b in by_grade.get(e.right[a], ()):
-            basis.append((a, b))
-            left.append(left_a)
-            right.append(f.right[b])
-            weight.append(weight_a * f.weight[b])
-    return GradedSpace(
-        basis, dict(zip(basis, left)), dict(zip(basis, right)),
-        dict(zip(basis, weight)),
-        left_space=e.left_space, right_space=f.right_space)
+    """Balanced tensor product: pairs with matching middle grade.
+
+    The points (a, b) run over a in the order of e and, for each a, over
+    b in the order of f; the result records ((e, ia), (f, ib)), the
+    positions of a and b, as its factors.
+    """
+    # e's right grades as codes of f's left space, -1 where f has none
+    index = {y: i for i, y in enumerate(f.left_space)}
+    mid = np.array([index.get(y, -1) for y in e.right_space],
+                   dtype=np.intp)[e.right_codes]
+    hit = np.flatnonzero(mid >= 0)
+    w, ib = _join(f.left_codes, len(f.left_space), mid[hit])
+    ia = hit[w]
+    ea, fb = e.basis, f.basis
+    basis = tuple(zip(map(ea.__getitem__, ia.tolist()),
+                      map(fb.__getitem__, ib.tolist())))
+    return GradedSpace.from_codes(
+        basis, e.left_space, f.right_space, e.left_codes[ia],
+        f.right_codes[ib], e.weight_array[ia] * f.weight_array[ib],
+        factors=((e, ia), (f, ib)))
 
 
 def _entries(m):
@@ -222,10 +227,11 @@ def grade_leak(m, side):
     source-major, target-minor order, or None when nothing leaks.
     """
     codes = {}
-    src = np.array([codes.setdefault(getattr(m.source, side)[b], len(codes))
-                    for b in m.source.basis], dtype=int)
-    tgt = np.array([codes.setdefault(getattr(m.target, side)[b], len(codes))
-                    for b in m.target.basis], dtype=int)
+    src, tgt = (
+        np.array([codes.setdefault(y, len(codes))
+                  for y in getattr(space, side + "_space")],
+                 dtype=np.intp)[getattr(space, side + "_codes")]
+        for space in (m.source, m.target))
     rows, cols, vals = _entries(m)
     order = np.lexsort((rows, cols))
     rows, cols, vals = rows[order], cols[order], vals[order]
@@ -248,24 +254,34 @@ def _require_graded(m, side):
         raise ValueError(f"map moves {side} grade {bad[0]!r} -> {bad[1]!r}")
 
 
-def _lift(m, src, tgt, src_pos, tgt_pos, nfixed):
-    """m tensored with an identity factor, built from the nonzeros of m.
+def _same_basis(x, y):
+    return x is y or x.basis == y.basis
 
-    src_pos and tgt_pos give, for each basis vector of src and of tgt,
-    its index in the basis of m and in that of the fixed factor, whose
-    dimension is nfixed.
+
+def lift(m, src, tgt, side):
+    """m on one factor of two tensors, the identity on the other.
+
+    src and tgt are tensors whose factor number side (0 or 1) has the
+    basis of m.source and of m.target, and whose other factors have one
+    basis, else ValueError.  m must preserve the grade that factor is balanced over:
+    right grades for side 0, left grades for side 1.  The map is built
+    from the nonzeros of m and the factor positions of src and tgt.
     """
+    _require_graded(m, ("right", "left")[side])
+    (moved_s, sm), (fixed, sf) = src.factors[side], src.factors[1 - side]
+    (moved_t, tm), (fixed_t, tf) = tgt.factors[side], tgt.factors[1 - side]
+    if not (_same_basis(moved_s, m.source) and _same_basis(moved_t, m.target)
+            and _same_basis(fixed_t, fixed)):
+        raise ValueError("tensor factors do not fit the map")
     if not tgt.dim:
         return ModuleMap(src, tgt, entries=([], [], []))
-    sm, sf = np.array(src_pos, dtype=np.intp).reshape(-1, 2).T
-    tm, tf = np.array(tgt_pos, dtype=np.intp).reshape(-1, 2).T
     rows, cols, vals = _entries(m)
     # each entry of m meets every src vector over its column, and lands
     # on the tgt vector over its row, if there is one
     e, j = _join(sm, m.source.dim, cols)
-    keys = tm.astype(np.int64) * nfixed + tf
+    keys = tm.astype(np.int64) * fixed.dim + tf
     sorter = np.argsort(keys)
-    want = rows[e].astype(np.int64) * nfixed + sf[j]
+    want = rows[e].astype(np.int64) * fixed.dim + sf[j]
     i = sorter[np.minimum(np.searchsorted(keys, want, sorter=sorter),
                           tgt.dim - 1)]
     hit = keys[i] == want
@@ -274,31 +290,38 @@ def _lift(m, src, tgt, src_pos, tgt_pos, nfixed):
 
 def tensor_map(m, f):
     """m tensor identity; m must preserve right grades."""
-    _require_graded(m, "right")
-    src = tensor(m.source, f)
-    tgt = tensor(m.target, f)
-    return _lift(m, src, tgt,
-                 [(m.source.index[a], f.index[b]) for a, b in src.basis],
-                 [(m.target.index[a], f.index[b]) for a, b in tgt.basis],
-                 f.dim)
+    return lift(m, tensor(m.source, f), tensor(m.target, f), 0)
 
 
 def tensor_map_left(e, m):
     """Identity tensor m; m must preserve left grades."""
-    _require_graded(m, "left")
-    src = tensor(e, m.source)
-    tgt = tensor(e, m.target)
-    return _lift(m, src, tgt,
-                 [(m.source.index[b], e.index[a]) for a, b in src.basis],
-                 [(m.target.index[b], e.index[a]) for a, b in tgt.basis],
-                 e.dim)
+    return lift(m, tensor(e, m.source), tensor(e, m.target), 1)
+
+
+def associator(src, tgt):
+    """The map ((a, b), c) -> (a, (b, c)) from src = (e x f) x g onto
+    tgt = e x (f x g); an exact permutation.
+
+    Both tensors list the balanced triples in lexicographic order of
+    their factor positions, so the map is the identity on positions.
+    The leaf factors e, f, g of the two tensors must have the same bases
+    and the position triples must agree, else ValueError.
+    """
+    (ef, ab), (g, c) = src.factors
+    (e, a), (fg, bc) = tgt.factors
+    leaves = zip((ef.factors[0][0], ef.factors[1][0], g),
+                 (e, fg.factors[0][0], fg.factors[1][0]))
+    triples = zip((ef.factors[0][1][ab], ef.factors[1][1][ab], c),
+                  (a, fg.factors[0][1][bc], fg.factors[1][1][bc]))
+    if not all(_same_basis(x, y) for x, y in leaves) \
+            or not all(np.array_equal(x, y) for x, y in triples):
+        raise ValueError("the two tensors hold different triples")
+    return _relabel(src, tgt, np.arange(src.dim))
 
 
 def regroup(e, f, g):
     """Associator ((a, b), c) -> (a, (b, c)); an exact permutation."""
-    src = tensor(tensor(e, f), g)
-    tgt = tensor(e, tensor(f, g))
-    return _relabel(src, tgt, [(a, (b, c)) for ((a, b), c) in src.basis])
+    return associator(tensor(tensor(e, f), g), tensor(e, tensor(f, g)))
 
 
 def gamma_compose(lam, mu):
@@ -309,8 +332,8 @@ def gamma_compose(lam, mu):
     match bit for bit because the composite weight is the same product.
     """
     src = tensor(lam, mu)
-    return _relabel(src, compose_families(lam, mu),
-                    [x for (x, y) in src.basis])
+    (_, ia), _ = src.factors
+    return _relabel(src, compose_families(lam, mu), ia)
 
 
 def induced_unitary(c1, c2, phi, delta):
@@ -321,18 +344,20 @@ def induced_unitary(c1, c2, phi, delta):
     condition of check_corr_isomorphism holds.
     """
     image = [phi[x] for x in c1.basis]
-    return _relabel(c1, c2, image,
+    return _relabel(c1, c2, np.array([c2.index[y] for y in image],
+                                     dtype=np.intp),
                     [np.sqrt(delta[c2.right[y]]) for y in image])
 
 
-def creation(e, xi, f):
-    """Tensoring with a fixed vector xi of e, as a map f -> e tensor f."""
-    xi = np.asarray(xi, dtype=complex)
-    tgt = tensor(e, f)
-    mat = np.zeros((tgt.dim, f.dim), dtype=complex)
-    for (a, b) in tgt.basis:
-        mat[tgt.index[(a, b)], f.index[b]] = xi[e.index[a]]
-    return ModuleMap(f, tgt, mat)
+def creation(space, xi):
+    """Tensoring with a fixed vector xi of e, as a dense map f -> space.
+
+    space is the tensor of e and f, and xi is indexed like e's basis.
+    """
+    (_, ia), (f, ib) = space.factors
+    mat = np.zeros((space.dim, f.dim), dtype=complex)
+    mat[np.arange(space.dim), ib] = np.asarray(xi, dtype=complex)[ia]
+    return ModuleMap(f, space, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +427,8 @@ def dump_module_map(m, path_prefix):
         "encoding": "little-endian float64 pairs, real then imaginary",
         "source_basis": [str(b) for b in m.source.basis],
         "target_basis": [str(b) for b in m.target.basis],
-        "source_weight": [m.source.weight[b] for b in m.source.basis],
-        "target_weight": [m.target.weight[b] for b in m.target.basis],
+        "source_weight": m.source.weight_array.tolist(),
+        "target_weight": m.target.weight_array.tolist(),
     }
     json_path = f"{path_prefix}.json"
     with open(json_path, "w") as fh:

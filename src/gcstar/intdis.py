@@ -37,8 +37,8 @@ def integrate_rep(rep, f):
     and the phase rides on the range side factor.
     """
     f1, f2 = _sqrt_factors(f, rep.source_leg.basis)
-    lift = creation(rep.source_leg, f2, rep.module)
-    drop = creation(rep.target_leg, f1, rep.module).adjoint()
+    lift = creation(rep.source, f2)
+    drop = creation(rep.target, f1).adjoint()
     return drop.compose(rep.umap).compose(lift)
 
 

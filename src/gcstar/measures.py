@@ -5,33 +5,58 @@ grade and a positive weight.  The one class serves three readings: a
 measure family fibres its points over the right grades (its left
 grading is the identity) and integrates fibrewise; a correspondence
 reads the two gradings as its two legs; a module reads the points as
-an orthogonal basis whose weights are squared lengths.  For a groupoid
-with invariant object weights c this module builds the two arrow
-families (along range and along source), the three families on
-composable pairs, and the three induced families obtained by composing
-them.  The composed families agree bit for bit with each other where
-two routes exist, and the tests insist on that.
+an orthogonal basis whose weights are squared lengths.  A space stores
+its points by position: an int code per point into each grade set and
+a float64 weight array; the label dicts left, right, weight and index
+are read-only views built on first use.  For a groupoid with invariant
+object weights c this module builds the two arrow families (along range
+and along source), the three families on composable pairs, and the
+three induced families obtained by composing them.  The composed
+families agree bit for bit with each other where two routes exist, and
+the tests insist on that.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 from .report import Report, worst
 
 
+def _codes(grades, space):
+    """Codes of grades in the tuple space, and that space followed by
+    the grades outside it, in the order they first appear."""
+    index = {y: i for i, y in enumerate(space)}
+    extra = tuple(y for y in dict.fromkeys(grades) if y not in index)
+    index.update((y, len(space) + k) for k, y in enumerate(extra))
+    return np.array([index[y] for y in grades], dtype=np.intp), space + extra
+
+
+def _frozen(arr):
+    arr.flags.writeable = False
+    return arr
+
+
 class GradedSpace:
     """A finite set graded on two sides, with a positive weight per point.
 
     basis       : the points, in a fixed order
-    left, right : dict point -> left grade, point -> right grade
-    weight      : dict point -> positive float
     left_space, right_space : the grade sets, by default the grades in
-                  use sorted by str
+                  use sorted by str; a grade in use outside a given set
+                  is appended to it
+    left_codes, right_codes : int arrays, the position of each point's
+                  grade in left_space and right_space
+    weight_array : float64 array, the weight of each point
+    left, right, weight, index : read-only dicts point -> left grade,
+                  right grade, weight and position, built on first use
+    factors     : for a balanced tensor e x f, ((e, ia), (f, ib)) with
+                  ia, ib the factor positions of each point; else None
 
+    The constructor takes the label dicts; from_codes takes the arrays.
     As a module the points are an orthogonal basis, each weight the
     squared length of its vector, and the inner product takes values in
     functions on the right space.
@@ -39,34 +64,76 @@ class GradedSpace:
 
     def __init__(self, basis, left, right, weight,
                  left_space=None, right_space=None):
-        self.basis = tuple(basis)
-        self.left = dict(left)
-        self.right = dict(right)
-        self.weight = {b: float(weight[b]) for b in self.basis}
-        for b, w in self.weight.items():
-            if not (w > 0.0):
-                raise ValueError(f"nonpositive weight at {b!r}")
+        basis = tuple(basis)
+        lgrades = [left[b] for b in basis]
+        rgrades = [right[b] for b in basis]
         if left_space is None:
-            left_space = sorted({self.left[b] for b in self.basis}, key=str)
+            left_space = sorted(set(lgrades), key=str)
         if right_space is None:
-            right_space = sorted({self.right[b] for b in self.basis}, key=str)
-        self.left_space = tuple(left_space)
-        self.right_space = tuple(right_space)
+            right_space = sorted(set(rgrades), key=str)
+        left_codes, left_space = _codes(lgrades, tuple(left_space))
+        right_codes, right_space = _codes(rgrades, tuple(right_space))
+        self._init(basis, left_space, right_space, left_codes, right_codes,
+                   [float(weight[b]) for b in basis], None)
+
+    @classmethod
+    def from_codes(cls, basis, left_space, right_space, left_codes,
+                   right_codes, weights, factors=None):
+        """A space from its arrays; the codes must index the grade sets."""
+        space = cls.__new__(cls)
+        space._init(tuple(basis), tuple(left_space), tuple(right_space),
+                    left_codes, right_codes, weights, factors)
+        return space
+
+    def _init(self, basis, left_space, right_space, left_codes,
+              right_codes, weights, factors):
+        self.basis = basis
+        self.left_space = left_space
+        self.right_space = right_space
+        self.left_codes = _frozen(np.asarray(left_codes, dtype=np.intp))
+        self.right_codes = _frozen(np.asarray(right_codes, dtype=np.intp))
+        self.weight_array = _frozen(np.asarray(weights, dtype=float))
+        bad = np.flatnonzero(~(self.weight_array > 0.0))
+        if bad.size:
+            raise ValueError(f"nonpositive weight at {basis[bad[0]]!r}")
+        self.factors = factors
+
+    @cached_property
+    def left(self):
+        labels = self.left_space
+        return MappingProxyType({b: labels[i] for b, i in
+                                 zip(self.basis, self.left_codes.tolist())})
+
+    @cached_property
+    def right(self):
+        labels = self.right_space
+        return MappingProxyType({b: labels[i] for b, i in
+                                 zip(self.basis, self.right_codes.tolist())})
+
+    @cached_property
+    def weight(self):
+        return MappingProxyType(
+            dict(zip(self.basis, self.weight_array.tolist())))
 
     @cached_property
     def index(self):
         """Position of each point in the basis, built on first use."""
-        return {b: i for i, b in enumerate(self.basis)}
+        return MappingProxyType({b: i for i, b in enumerate(self.basis)})
 
     @property
     def dim(self):
         return len(self.basis)
 
     def gram_diagonal(self):
-        return np.array([self.weight[b] for b in self.basis], dtype=float)
+        """The weights as a read-only float64 array."""
+        return self.weight_array
 
     def left_fiber(self, x):
-        return tuple(b for b in self.basis if self.left[b] == x)
+        code = {y: i for i, y in enumerate(self.left_space)}.get(x)
+        if code is None:
+            return ()
+        return tuple(self.basis[i]
+                     for i in np.flatnonzero(self.left_codes == code))
 
     def integrate(self, func):
         """Weighted sum of a point function along the right grading."""
@@ -93,11 +160,13 @@ class GradedSpace:
         return f"GradedSpace(dim={self.dim})"
 
 
-def _family(points, target, fmap, weight):
-    """Measure family: points fibred over target along fmap."""
+def _family(points, target, grades, weights):
+    """Measure family: points fibred over target, one grade and one
+    weight per point; the left grading is the identity."""
     points = tuple(points)
-    return GradedSpace(points, {p: p for p in points}, fmap, weight,
-                       left_space=points, right_space=target)
+    codes, target = _codes(grades, tuple(target))
+    return GradedSpace.from_codes(points, points, target,
+                                  np.arange(len(points)), codes, weights)
 
 
 def compose_families(lam, mu):
@@ -106,9 +175,11 @@ def compose_families(lam, mu):
     lam fibres X over Y and mu fibres Y over Z; the result fibres X
     over Z along the composite map.
     """
-    fmap = {p: mu.right[lam.right[p]] for p in lam.basis}
-    weight = {p: lam.weight[p] * mu.weight[lam.right[p]] for p in lam.basis}
-    return _family(lam.basis, mu.right_space, fmap, weight)
+    pos = np.array([mu.index[y] for y in lam.right_space],
+                   dtype=np.intp)[lam.right_codes]
+    return GradedSpace.from_codes(
+        lam.basis, lam.basis, mu.right_space, np.arange(lam.dim),
+        mu.right_codes[pos], lam.weight_array * mu.weight_array[pos])
 
 
 def haar_system(gpd, weights):
@@ -118,12 +189,11 @@ def haar_system(gpd, weights):
     weight c(src(g)); alpha_r fibres them over their source with weight
     c(rng(g)).  Inversion exchanges the two.
     """
-    alpha = _family(
-        gpd.arrows, gpd.objects, gpd.rng,
-        {g: weights[gpd.src[g]] for g in gpd.arrows})
-    alpha_r = _family(
-        gpd.arrows, gpd.objects, gpd.src,
-        {g: weights[gpd.rng[g]] for g in gpd.arrows})
+    arrows = gpd.arrows
+    alpha = _family(arrows, gpd.objects, [gpd.rng[g] for g in arrows],
+                    [weights[gpd.src[g]] for g in arrows])
+    alpha_r = _family(arrows, gpd.objects, [gpd.src[g] for g in arrows],
+                      [weights[gpd.rng[g]] for g in arrows])
     return alpha, alpha_r
 
 
@@ -141,18 +211,19 @@ class GroupoidFamilies:
         self.groupoid = gpd
         self.weights = c = {x: float(weights[x]) for x in gpd.objects}
         pairs = gpd.composable_pairs()
-        gh = {p: gpd.comp[p] for p in pairs}
-        bad = next((p for p in pairs if gpd.rng[gh[p]] != gpd.rng[p[0]]
-                    or gpd.src[gh[p]] != gpd.src[p[1]]), None)
+        gh = [gpd.comp[p] for p in pairs]
+        bad = next((p for p, k in zip(pairs, gh)
+                    if gpd.rng[k] != gpd.rng[p[0]]
+                    or gpd.src[k] != gpd.src[p[1]]), None)
         if bad is not None:
             raise ValueError(f"inconsistent nerve data at pair {bad!r}")
         self.alpha, self.alpha_r = haar_system(gpd, c)
-        self.lam0 = _family(pairs, gpd.arrows, {p: p[1] for p in pairs},
-                            {p: c[gpd.rng[p[0]]] for p in pairs})
+        self.lam0 = _family(pairs, gpd.arrows, [h for _, h in pairs],
+                            [c[gpd.rng[g]] for g, _ in pairs])
         self.lam1 = _family(pairs, gpd.arrows, gh,
-                            {p: c[gpd.rng[p[1]]] for p in pairs})
-        self.lam2 = _family(pairs, gpd.arrows, {p: p[0] for p in pairs},
-                            {p: c[gpd.src[p[1]]] for p in pairs})
+                            [c[gpd.rng[h]] for _, h in pairs])
+        self.lam2 = _family(pairs, gpd.arrows, [g for g, _ in pairs],
+                            [c[gpd.src[h]] for _, h in pairs])
         self.mu0 = compose_families(self.lam1, self.alpha)
         self.mu1 = compose_families(self.lam0, self.alpha)
         self.mu2 = compose_families(self.lam0, self.alpha_r)

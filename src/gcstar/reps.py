@@ -17,10 +17,10 @@ import numpy as np
 from .report import Report, VerificationError, max_abs
 from .measures import (arrow_correspondence, check_corr_isomorphism,
                        groupoid_families)
-from .hilbmod import (ModuleMap, check_module_map, entry_gap,
-                      gamma_compose, grade_leak, induced_unitary,
-                      is_intertwiner, is_unitary, regroup, tensor,
-                      tensor_map, tensor_map_left)
+from .hilbmod import (ModuleMap, _entries, associator, check_module_map,
+                      entry_gap, gamma_compose, grade_leak, induced_unitary,
+                      is_intertwiner, is_unitary, lift, tensor,
+                      tensor_map_left)
 
 
 class Representation:
@@ -88,19 +88,43 @@ class CocycleFamily:
                     for g in gpd.arrows}
 
 
+def _fibre_starts(space):
+    """Where each arrow's vectors start in a tensor arrows x module.
+
+    The tensor lists its vectors arrow by arrow, the vectors of arrow
+    number k at positions starts[k] to starts[k + 1], one per module
+    vector over the arrow's end, in module order.
+    """
+    (leg, ia), _ = space.factors
+    return np.searchsorted(ia, np.arange(leg.dim + 1))
+
+
 def blockwise(rep):
-    """Extract the fiber blocks of a representation arrow by arrow."""
+    """Extract the fiber blocks of a representation arrow by arrow.
+
+    The blocks are filled from the nonzero entries of the unitary, in
+    either storage form.  Entries between the vectors of two different
+    arrows lie outside every block and are left out.
+    """
     gpd = rep.groupoid
     c = rep.weights
+    s0, t0 = _fibre_starts(rep.source), _fibre_starts(rep.target)
+    slen, tlen = np.diff(s0), np.diff(t0)
+    size = slen * tlen
+    offset = np.cumsum(size) - size
+    (_, sa), _ = rep.source.factors
+    (_, ta), _ = rep.target.factors
+    rows, cols, vals = _entries(rep.umap)
+    keep = ta[rows] == sa[cols]
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    arrow = ta[rows]
+    flat = np.zeros(int(size.sum()), dtype=complex)
+    flat[offset[arrow] + (rows - t0[arrow]) * slen[arrow]
+         + cols - s0[arrow]] = vals
+    blocks = [flat[offset[k]:offset[k] + size[k]].reshape(tlen[k], slen[k])
+              for k in range(len(gpd.arrows))]
     raw, uni = {}, {}
-    for g in gpd.arrows:
-        scols = [rep.source.index[(g, m)]
-                 for m in rep.module.left_fiber(gpd.src[g])]
-        trows = [rep.target.index[(g, m)]
-                 for m in rep.module.left_fiber(gpd.rng[g])]
-        block = rep.umap.matrix[np.ix_(trows, scols)] \
-            if trows and scols else np.zeros((len(trows), len(scols)),
-                                             dtype=complex)
+    for g, block in zip(gpd.arrows, blocks):
         raw[g] = block
         uni[g] = np.sqrt(c[gpd.src[g]] / c[gpd.rng[g]]) * block
     return CocycleFamily(gpd, c, rep.module, uni, raw)
@@ -114,19 +138,19 @@ def from_cocycle(gpd, weights, module, unitaries):
     """
     fam = CocycleFamily(gpd, weights, module, unitaries)
     rep = Representation(gpd, weights, module, None)
+    s0 = _fibre_starts(rep.source).tolist()
+    t0 = _fibre_starts(rep.target).tolist()
     rows, cols, vals = [], [], []
-    for g in gpd.arrows:
-        sfib = module.left_fiber(gpd.src[g])
-        tfib = module.left_fiber(gpd.rng[g])
+    for k, g in enumerate(gpd.arrows):
+        trows = np.arange(t0[k], t0[k + 1])
+        scols = np.arange(s0[k], s0[k + 1])
         block = fam.raw[g]
-        if block.shape != (len(tfib), len(sfib)) \
-                and (block.size or (tfib and sfib)):
+        if block.shape != (len(trows), len(scols)) \
+                and (block.size or (len(trows) and len(scols))):
             raise ValueError(
                 f"block of arrow {g!r} has shape {block.shape}, expected "
-                f"{(len(tfib), len(sfib))} (range fibre, source fibre)")
+                f"{(len(trows), len(scols))} (range fibre, source fibre)")
         if block.size:
-            trows = [rep.target.index[(g, m2)] for m2 in tfib]
-            scols = [rep.source.index[(g, m)] for m in sfib]
             rows.append(np.repeat(trows, len(scols)))
             cols.append(np.tile(scols, len(trows)))
             vals.append(block.ravel())
@@ -186,13 +210,22 @@ def face_transfer(rep, index):
     lam = (fam.lam0, fam.lam1, fam.lam2)[index]
     module = rep.module
 
-    gam_s = tensor_map(gamma_compose(lam, fam.alpha_r), module)
-    gam_t = tensor_map(gamma_compose(lam, fam.alpha), module)
-    reg_s = regroup(lam, rep.source_leg, module)
-    reg_t = regroup(lam, rep.target_leg, module)
-    mid = tensor_map_left(lam, rep.umap)
-    return gam_t.compose(reg_t.adjoint()).compose(mid) \
-        .compose(reg_s).compose(gam_s.adjoint())
+    # each tensor over the pairs is built once: (lam x leg) x module is
+    # the source of the lifted relabeling and of the associator, and
+    # lam x (leg x module) reuses the representation's own spaces
+    gam_s = gamma_compose(lam, fam.alpha_r)
+    gam_t = gamma_compose(lam, fam.alpha)
+    left_s = tensor(gam_s.source, module)
+    left_t = tensor(gam_t.source, module)
+    pair_s = tensor(lam, rep.source)
+    pair_t = tensor(lam, rep.target)
+    lift_s = lift(gam_s, left_s, tensor(gam_s.target, module), 0)
+    lift_t = lift(gam_t, left_t, tensor(gam_t.target, module), 0)
+    reg_s = associator(left_s, pair_s)
+    reg_t = associator(left_t, pair_t)
+    mid = lift(rep.umap, pair_s, pair_t, 1)
+    return lift_t.compose(reg_t.adjoint()).compose(mid) \
+        .compose(reg_s).compose(lift_s.adjoint())
 
 
 def check_representation(rep, tol=1e-10):
@@ -255,13 +288,14 @@ def induce(rep, ebasis):
     representation; the induced module is the balanced tensor and the
     unitary acts as before on the first two factors.
     """
-    gpd, c = rep.groupoid, rep.weights
-    module2 = tensor(rep.module, ebasis)
-    reg_s = regroup(rep.source_leg, rep.module, ebasis)
-    reg_t = regroup(rep.target_leg, rep.module, ebasis)
-    big = tensor_map(rep.umap, ebasis)
-    umap = reg_t.compose(big).compose(reg_s.adjoint())
-    return Representation(gpd, c, module2, umap)
+    out = Representation(rep.groupoid, rep.weights,
+                         tensor(rep.module, ebasis), None)
+    src = tensor(rep.source, ebasis)
+    tgt = tensor(rep.target, ebasis)
+    big = lift(rep.umap, src, tgt, 0)
+    out.umap = associator(tgt, out.target).compose(big) \
+        .compose(associator(src, out.source).adjoint())
+    return out
 
 
 def check_intertwiner(rep1, rep2, vmap, tol=1e-10):

@@ -207,6 +207,12 @@ def _w2_with(path, value):
     return data
 
 
+def _w2_arrow(i):
+    """Arrow entry i of the W2 groupoid JSON."""
+    gpd, w = fixture("W2")
+    return groupoid_to_dict(gpd, w)["arrows"][i]
+
+
 # name: (argv with {file} placeholders, files by name, text of the error)
 MALFORMED = {
     "groupoid-list": (["validate", "{g}"], {"g": [1, 2]},
@@ -216,6 +222,12 @@ MALFORMED = {
     "arrow-id-list": (["validate", "{g}"],
                       {"g": _w2_with(["arrows", 0, "id"], ["u"])},
                       "arrow entry 0 ['id'] must be a string or number"),
+    "arrow-twice": (["validate", "{g}"],
+                    {"g": _w2_with(["arrows", 1], _w2_arrow(0))},
+                    "the groupoid lists arrow '(1, 1)' twice"),
+    "object-twice": (["validate", "{g}"],
+                     {"g": _w2_with(["objects"], ["1", "2", "1"])},
+                     "the groupoid lists object '1' twice"),
     "object-list": (["validate", "{g}"],
                     {"g": _w2_with(["objects"], [[1]])},
                     "objects [0] must be a string or number"),

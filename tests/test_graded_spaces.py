@@ -2,11 +2,14 @@
 
 The reference below is the old code kept verbatim apart from names: a
 measure family (points fibred over a target), a correspondence (points
-with a left and a right leg), l2 (the function space of a
-correspondence), the view of a family as a correspondence with identity
-left leg, the point loop of the fibre product and the regular module.
-Each test requires the GradedSpace the library builds to match its
-reference field for field, weights bit for bit.
+with a left and a right leg), the graded space that stored its points
+as label dicts, l2 (the function space of a correspondence) built on
+it, the view of a family as a correspondence with identity left leg,
+the balanced tensor that hashed labels into dicts, the point loop of
+the fibre product, the module of dimensions and the regular module.
+Each test requires the GradedSpace the library builds, stored as
+codes and weight arrays, to match its reference field for field,
+weights bit for bit.
 """
 
 import pytest
@@ -15,9 +18,11 @@ from gcstar.cli import parse_preset
 from gcstar.fingroupoid import FIXTURE_NAMES, fixture
 from gcstar.hilbmod import tensor
 from gcstar.measures import (GradedSpace, arrow_correspondence,
-                             groupoid_families, haar_system)
-from gcstar.reps import regular_representation
-from gcstar.sampling import SplitMix64, random_groupoid
+                             compose_families, groupoid_families,
+                             haar_system)
+from gcstar.reps import (face_transfer, from_cocycle, induce,
+                         regular_representation)
+from gcstar.sampling import SplitMix64, random_cocycle, random_groupoid
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +44,56 @@ class RefCorrespondence:
         self.bmap = dict(bmap)
         self.fmap = dict(fmap)
         self.weight = {p: float(weight[p]) for p in self.points}
+
+
+class RefGradedSpace:
+    def __init__(self, basis, left, right, weight,
+                 left_space=None, right_space=None):
+        self.basis = tuple(basis)
+        self.left = dict(left)
+        self.right = dict(right)
+        self.weight = {b: float(weight[b]) for b in self.basis}
+        for b, w in self.weight.items():
+            if not (w > 0.0):
+                raise ValueError(f"nonpositive weight at {b!r}")
+        if left_space is None:
+            left_space = sorted({self.left[b] for b in self.basis}, key=str)
+        if right_space is None:
+            right_space = sorted({self.right[b] for b in self.basis}, key=str)
+        self.left_space = tuple(left_space)
+        self.right_space = tuple(right_space)
+        self.index = {b: i for i, b in enumerate(self.basis)}
+
+
+def ref_tensor(e, f):
+    by_grade = {}
+    for b in f.basis:
+        by_grade.setdefault(f.left[b], []).append(b)
+    basis, left, right, weight = [], [], [], []
+    for a in e.basis:
+        left_a, weight_a = e.left[a], e.weight[a]
+        for b in by_grade.get(e.right[a], ()):
+            basis.append((a, b))
+            left.append(left_a)
+            right.append(f.right[b])
+            weight.append(weight_a * f.weight[b])
+    return RefGradedSpace(
+        basis, dict(zip(basis, left)), dict(zip(basis, right)),
+        dict(zip(basis, weight)),
+        left_space=e.left_space, right_space=f.right_space)
+
+
+def ref_module_from_dims(left_space, right_space, dims):
+    basis = []
+    for x in left_space:
+        for w in right_space:
+            for i in range(int(dims.get((x, w), 0))):
+                basis.append((x, w, i))
+    return RefGradedSpace(basis,
+                          {(x, w, i): x for (x, w, i) in basis},
+                          {(x, w, i): w for (x, w, i) in basis},
+                          {b: 1.0 for b in basis},
+                          left_space=left_space, right_space=right_space)
 
 
 def ref_compose_families(lam, mu):
@@ -95,13 +150,13 @@ def ref_fibre_product(c1, c2):
 
 
 def ref_l2(corr):
-    return GradedSpace(corr.points, corr.bmap, corr.fmap, corr.weight,
-                       left_space=corr.left_space,
-                       right_space=corr.right_space)
+    return RefGradedSpace(corr.points, corr.bmap, corr.fmap, corr.weight,
+                          left_space=corr.left_space,
+                          right_space=corr.right_space)
 
 
 def ref_regular_module(gpd, weights):
-    return GradedSpace(
+    return RefGradedSpace(
         gpd.arrows, dict(gpd.rng), dict(gpd.src),
         {h: weights[gpd.rng[h]] for h in gpd.arrows},
         left_space=gpd.objects, right_space=gpd.objects)
@@ -111,9 +166,11 @@ def ref_regular_module(gpd, weights):
 # helpers
 
 def fields(space):
-    """Every field of a space; weights as the hex of their bits."""
-    return (space.basis, space.left, space.right,
-            [(b, space.weight[b].hex()) for b in space.basis],
+    """Every field of a space as plain dicts; weights as the hex of
+    their bits."""
+    return (space.basis, dict(space.left), dict(space.right),
+            dict(space.index),
+            {b: w.hex() for b, w in space.weight.items()},
             space.left_space, space.right_space)
 
 
@@ -188,3 +245,124 @@ def test_regular_representation_spaces(name):
     for space, leg in ((rep.source, "alpha_r"), (rep.target, "alpha")):
         assert fields(space) \
             == fields(ref_l2(ref_fibre_product(old[leg], old["s"])))
+
+
+# ---------------------------------------------------------------------------
+# nested tensors: the spaces face_transfer, regroup and induce build
+
+def _cocycle_module(gpd, w):
+    """A random cocycle module, its blocks and its dims by grade."""
+    module, blocks = random_cocycle(SplitMix64(5), gpd, w, coeff_size=2,
+                                    max_dim=2)
+    dims = {}
+    for (x, c, _) in module.basis:
+        dims[(x, c)] = dims.get((x, c), 0) + 1
+    return module, blocks, dims
+
+
+def base_spaces(gpd, w):
+    """Library spaces and their dict-stored references, by name: the
+    families, the arrow correspondences, the compositions lam.alpha
+    and lam.alpha_r, a cocycle module and a coefficient space."""
+    new, old = both_sides(gpd, w)
+    old = {k: ref_l2(v) for k, v in old.items()}
+    ref = ref_families(gpd, w)
+    for lam in ("lam0", "lam1", "lam2"):
+        for leg in ("alpha", "alpha_r"):
+            new[f"{lam}.{leg}"] = compose_families(new[lam], new[leg])
+            old[f"{lam}.{leg}"] = ref_l2(ref_family_correspondence(
+                ref_compose_families(ref[lam], ref[leg])))
+    module, _, dims = _cocycle_module(gpd, w)
+    new["module"] = module
+    old["module"] = ref_module_from_dims(module.left_space,
+                                         module.right_space, dims)
+    coeff = module.right_space
+    args = ([(c, "e") for c in coeff], {(c, "e"): c for c in coeff},
+            {(c, "e"): "e" for c in coeff},
+            {(c, "e"): 0.5 + c for c in coeff})
+    new["ebasis"], old["ebasis"] = GradedSpace(*args), RefGradedSpace(*args)
+    return new, old
+
+
+def build(tree, spaces, tensor_fn):
+    if isinstance(tree, str):
+        return spaces[tree]
+    a, b = tree
+    return tensor_fn(build(a, spaces, tensor_fn), build(b, spaces, tensor_fn))
+
+
+def _trees():
+    trees = []
+    for module in ("module", "s"):
+        for lam in ("lam0", "lam1", "lam2"):
+            for leg in ("alpha", "alpha_r"):
+                trees += [((lam, leg), module), (lam, (leg, module)),
+                          (f"{lam}.{leg}", module)]
+        for leg in ("alpha", "alpha_r"):
+            trees += [((leg, module), "ebasis"), (leg, (module, "ebasis"))]
+    trees += [("module", "ebasis")]
+    e, f = "alpha", "alpha_r"
+    for a, b, c in ((e, f, e), (f, e, f), (e, e, f)):
+        trees += [((a, b), c), (a, (b, c))]
+    return trees
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_nested_tensors_match_dict_reference(name):
+    gpd, w = groupoid(name)
+    new, old = base_spaces(gpd, w)
+    for key in ("module", "ebasis") + tuple(k for k in new if "." in k):
+        assert fields(new[key]) == fields(old[key]), key
+    for tree in _trees():
+        assert fields(build(tree, new, tensor)) \
+            == fields(build(tree, old, ref_tensor)), tree
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_transfer_and_induced_spaces_match_dict_reference(name):
+    gpd, w = groupoid(name)
+    new, old = base_spaces(gpd, w)
+    module, blocks, _ = _cocycle_module(gpd, w)
+    rep = from_cocycle(gpd, w, module, blocks)
+    for i in range(3):
+        d = face_transfer(rep, i)
+        for space, leg in ((d.source, "alpha_r"), (d.target, "alpha")):
+            assert fields(space) == fields(build(
+                (f"lam{i}.{leg}", "module"), old, ref_tensor)), (i, leg)
+    big = induce(rep, new["ebasis"])
+    assert fields(big.module) \
+        == fields(build(("module", "ebasis"), old, ref_tensor))
+    for space, leg in ((big.source, "alpha_r"), (big.target, "alpha")):
+        assert fields(space) == fields(build(
+            (leg, ("module", "ebasis")), old, ref_tensor)), leg
+
+
+def test_views_are_read_only():
+    gpd, w = fixture("W2")
+    cs = arrow_correspondence(gpd, w, "s")
+    t = tensor(cs, cs)
+    assert t.dim
+    for view in (t.left, t.right, t.weight, t.index):
+        with pytest.raises(TypeError):
+            view[t.basis[0]] = None
+    for arr in (t.left_codes, t.right_codes, t.gram_diagonal()):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_tensor_weight_underflow_raises():
+    e = GradedSpace(("a",), {"a": "x"}, {"a": "x"}, {"a": 1e-200})
+    with pytest.raises(ValueError, match="nonpositive weight at"):
+        tensor(e, e)
+    ref = RefGradedSpace(("a",), {"a": "x"}, {"a": "x"}, {"a": 1e-200})
+    with pytest.raises(ValueError, match="nonpositive weight at"):
+        ref_tensor(ref, ref)
+
+
+def test_grade_outside_a_given_space_is_appended():
+    s = GradedSpace(("a", "b"), {"a": "x", "b": "z"}, {"a": 0, "b": 0},
+                    {"a": 1.0, "b": 2.0}, left_space=("y", "x"))
+    assert s.left_space == ("y", "x", "z")
+    assert list(s.left_codes) == [1, 2]
+    assert dict(s.left) == {"a": "x", "b": "z"}
+    assert s.left_fiber("y") == () and s.left_fiber("z") == ("b",)

@@ -245,7 +245,7 @@ def test_creation_norm_oracle():
     e = module_from_dims(("x",), ("y",), {("x", "y"): 2})
     f = module_from_dims(("y",), ("z",), {("y", "z"): 3})
     xi = np.array([1.0, 2.0j])
-    m = creation(e, xi, f)
+    m = creation(tensor(e, f), xi)
     assert check_module_map(m).ok
     # every pair is balanced here, so the column Gram is |xi|^2 I
     gram = m.adjoint().compose(m).matrix

@@ -13,10 +13,12 @@ sum over the interface index may be taken in another order.
 import numpy as np
 import pytest
 
+from gcstar.cli import parse_preset
 from gcstar.fingroupoid import FIXTURE_NAMES, fixture
-from gcstar.hilbmod import (ModuleMap, check_gamma, gamma_compose,
-                            grade_leak, induced_unitary, is_intertwiner,
-                            regroup, tensor, tensor_map, tensor_map_left)
+from gcstar.hilbmod import (ModuleMap, associator, check_gamma,
+                            gamma_compose, grade_leak, identity_map,
+                            induced_unitary, is_intertwiner, lift, regroup,
+                            tensor, tensor_map, tensor_map_left)
 from gcstar.measures import (GradedSpace, arrow_correspondence,
                              check_corr_isomorphism, compose_families,
                              groupoid_families)
@@ -236,6 +238,23 @@ def ref_from_cocycle_matrix(rep, blocks_raw):
     return mat
 
 
+def ref_blockwise(rep):
+    """The blocks sliced from the dense matrix by label lookups."""
+    gpd, c = rep.groupoid, rep.weights
+    raw, uni = {}, {}
+    for g in gpd.arrows:
+        scols = [rep.source.index[(g, m)]
+                 for m in rep.module.left_fiber(gpd.src[g])]
+        trows = [rep.target.index[(g, m)]
+                 for m in rep.module.left_fiber(gpd.rng[g])]
+        block = rep.umap.matrix[np.ix_(trows, scols)] \
+            if trows and scols else np.zeros((len(trows), len(scols)),
+                                             dtype=complex)
+        raw[g] = block
+        uni[g] = np.sqrt(c[gpd.src[g]] / c[gpd.rng[g]]) * block
+    return raw, uni
+
+
 def ref_regular_matrix(gpd, weights):
     # ref_tensor is the point loop of the fibre product, so these are
     # the fibre products of the two legs with the arrow module
@@ -388,6 +407,66 @@ def test_intertwiner_verdicts_match_reference(name):
                                   {(c, "e"): "e" for c in module.right_space},
                                   {(c, "e"): 1.0 for c in module.right_space}))
     same_reports(check_representation(big), ref_check_representation(big))
+
+
+def _same_blocks(fam, raw, uni):
+    for got, want in ((fam.raw, raw), (fam.unitaries, uni)):
+        assert list(got) == list(want)
+        for g in want:
+            assert got[g].shape == want[g].shape, g
+            assert np.array_equal(got[g], want[g]), g
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ("pair:4",))
+def test_blockwise_entry_and_dense_forms_exactly_equal(name):
+    gpd, w = fixture(name) if name in FIXTURE_NAMES else parse_preset(name)
+    module, blocks = random_cocycle(SplitMix64(5), gpd, w, coeff_size=2,
+                                    max_dim=2)
+    for rep in (regular_representation(gpd, w),
+                from_cocycle(gpd, w, module, blocks)):
+        u = rep.umap
+        assert u.vals is not None
+        # one more entry, off every block: from the last arrow's vectors
+        # to the first arrow's
+        leaky = Representation(gpd, w, rep.module, ModuleMap(
+            rep.source, rep.target, entries=(
+                np.append(u.rows, 0), np.append(u.cols, rep.source.dim - 1),
+                np.append(u.vals, 0.25j))))
+        for r in (rep, leaky):
+            raw, uni = ref_blockwise(r)
+            dense_rep = Representation(gpd, w, r.module, ModuleMap(
+                r.source, r.target, np.array(r.umap.matrix)))
+            _same_blocks(blockwise(r), raw, uni)
+            _same_blocks(blockwise(dense_rep), raw, uni)
+
+
+def _graded(labels):
+    grade = dict(zip(labels, ("u", "v")))
+    return GradedSpace(labels, grade, grade, dict.fromkeys(labels, 1.0))
+
+
+def test_lift_and_associator_refuse_factors_of_another_basis():
+    # f has the size and grades of e, but other labels
+    e, f, g = _graded(["a", "b"]), _graded(["c", "d"]), _graded(["x", "y"])
+    m = ModuleMap(e, e, np.diag([2.0, 3.0j]))
+    assert np.array_equal(lift(m, tensor(e, g), tensor(e, g), 0).matrix,
+                          tensor_map(m, g).matrix)
+    assert np.array_equal(associator(tensor(tensor(e, f), g),
+                                     tensor(e, tensor(f, g))).matrix,
+                          regroup(e, f, g).matrix)
+    for src, tgt, side in ((tensor(f, g), tensor(e, g), 0),
+                           (tensor(e, g), tensor(f, g), 0),
+                           (tensor(e, g), tensor(e, f), 0),
+                           (tensor(g, f), tensor(g, e), 1),
+                           (tensor(f, e), tensor(g, e), 1)):
+        with pytest.raises(ValueError, match="do not fit"):
+            lift(m, src, tgt, side)
+    for src, tgt in ((tensor(tensor(f, f), g), tensor(e, tensor(f, g))),
+                     (tensor(tensor(e, f), g), tensor(e, tensor(e, g))),
+                     (tensor(tensor(e, f), f), tensor(e, tensor(f, g)))):
+        with pytest.raises(ValueError, match="different triples"):
+            associator(src, tgt)
+    assert identity_map(e).matrix.tolist() == np.eye(2).tolist()
 
 
 # ---------------------------------------------------------------------------
