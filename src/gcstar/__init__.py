@@ -19,7 +19,6 @@ from .fingroupoid import (
     fixture,
     groupoid_from_dict,
     groupoid_to_dict,
-    object_weights,
     pair_groupoid,
     space_groupoid,
     transformation_groupoid,
@@ -54,7 +53,6 @@ from .hilbmod import (
     is_isometry,
     is_unitary,
     module_from_dims,
-    regroup,
     tensor,
     tensor_map,
     tensor_map_left,
@@ -94,17 +92,16 @@ from .reps import (
 )
 from .intdis import (
     ConvRep,
-    PreRepresentation,
     check_integration,
     check_conv_rep,
+    check_integrated_intertwiner,
+    check_naturality,
     check_pair_exchange,
     conv_rep_of,
     disintegrate,
-    extend_prerep,
     integrate_rep,
     integration_bound,
     oracle_integrate,
-    roundtrip_conv,
     roundtrip_rep,
     upsilon,
 )
@@ -123,7 +120,6 @@ from .crossed import (
     covariant_to_groupoid_rep,
     crossed_product,
     etale_battery,
-    germ_groupoid,
     germ_reconstruction,
     groupoid_rep_to_covariant,
     integrate_covariant,
@@ -132,7 +128,6 @@ from .crossed import (
     partial_isometry_form,
     rep_of_crossed_to_covariant,
     semigroup_from_bisections,
-    semigroup_from_maps,
     transformation_theorem,
 )
 

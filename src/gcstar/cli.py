@@ -28,9 +28,9 @@ from .sampling import (SplitMix64, mutate_groupoid, random_cocycle,
                        random_function, random_groupoid)
 from .reps import (check_representation, from_cocycle, invariant_support,
                    regular_representation)
-from .intdis import (check_conv_rep, check_integration, check_pair_exchange,
-                     conv_rep_of, disintegrate, integrate_rep,
-                     roundtrip_rep)
+from .intdis import (check_conv_rep, check_integration, check_naturality,
+                     check_pair_exchange, conv_rep_of, disintegrate,
+                     integrate_rep, roundtrip_rep)
 from .crossed import (bisection_from_arrows, etale_battery,
                       semigroup_from_bisections, transformation_theorem)
 
@@ -337,6 +337,7 @@ def cmd_disintegrate(args):
         reports.append(failed)
         return reports, None
     reports.append(inner)
+    reports.append(check_naturality(rep, conv, rep2, _tol(args)))
     if args.dump:
         os.makedirs(args.dump, exist_ok=True)
         dump_module_map(rep2.frame, os.path.join(args.dump, "frame"))
@@ -424,10 +425,14 @@ def cmd_suite(args):
         out.extend(check_pair_exchange(gpd, weights, pair_funcs),
                    prefix="pairs-")
         try:
-            out.extend(roundtrip_rep(rep, tol),
-                       prefix="roundtrip-")
+            out.extend(roundtrip_rep(rep, tol), prefix="roundtrip-")
+            conv = conv_rep_of(rep)
+            rep2, _ = disintegrate(conv, tol)
         except VerificationError as exc:
             out.add("roundtrip-disintegrate", False, witness=str(exc))
+        else:
+            out.extend(check_naturality(rep, conv, rep2, tol),
+                       prefix="naturality-")
         reports.append(out)
 
     for name in ("Z2", "P2", "X2"):
@@ -523,6 +528,8 @@ def _params_dict(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not np.isfinite(args.tolerance):
+        parser.error("tolerance must be finite")
     if args.tolerance <= 0:
         parser.error("tolerance must be positive")
     if args.trials < 1:

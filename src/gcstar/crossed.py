@@ -2,8 +2,9 @@
 
 A bisection of a groupoid is a set of arrows hitting every object at
 most once on each end; it induces a partial bijection of the objects.
-Distinct bisections can induce the same partial bijection, so elements
-here carry the arrow set as a tag and equality respects it.  Closing a
+Distinct bisections can induce the same partial bijection, so every
+element here is a tagged bisection: a partial bijection carrying its
+arrow set as a tag, and equality respects the tag.  Closing a
 set of bisections under composition and inversion gives an inverse
 semigroup acting on the objects; its germs reconstruct the groupoid,
 and the crossed product of the action is compared against the
@@ -15,17 +16,15 @@ the involution, the action (-1 off the domain), the order as a boolean
 matrix, the germ classes of (element, point) pairs, and the product
 and involution of the crossed product (-1 for a zero product).  The
 element and point labels appear only in witnesses, error messages and
-the label views: theta, basis and the germ groupoid's arrows.
+the label views, theta and basis.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from .report import Report, VerificationError, max_abs, worst
-from .fingroupoid import FiniteGroupoid, transformation_groupoid
+from .fingroupoid import transformation_groupoid
 from .convalg import delta_function
 from .reps import blockwise, check_cocycle, from_cocycle
 from .hilbmod import module_from_dims
@@ -35,30 +34,21 @@ _MAX_ARROWS, _MAX_ELEMENTS = 16, 4096  # bisection and semigroup guards
 
 
 class PartialBijection:
-    """Injective partial map of a finite set, optionally tagged.
+    """Injective partial map of a finite set, tagged by a bisection.
 
     The tag is the arrow set of a bisection inducing the map; two
     bisections with equal maps but different arrows stay distinct.
     """
 
-    def __init__(self, mapping, tag=None):
+    def __init__(self, mapping, tag):
         self.mapping = dict(mapping)
         if len(set(self.mapping.values())) != len(self.mapping):
             raise ValueError("mapping is not injective")
-        self.tag = frozenset(tag) if tag is not None else None
+        self.tag = frozenset(tag)
         self._key = (frozenset(self.mapping.items()), self.tag)
 
     def __call__(self, x):
         return self.mapping[x]
-
-    def compose(self, other):
-        """self after other, on the mapping level; the tag is dropped."""
-        return PartialBijection(
-            {x: self.mapping[y] for x, y in other.mapping.items()
-             if y in self.mapping})
-
-    def invert(self):
-        return PartialBijection({y: x for x, y in self.mapping.items()})
 
     def __eq__(self, other):
         return isinstance(other, PartialBijection) and self._key == other._key
@@ -67,14 +57,12 @@ class PartialBijection:
         return hash(self._key)
 
     def __repr__(self):
-        if self.tag is not None:
-            return f"Bisection({sorted(self.tag, key=str)!r})"
-        return f"PartialBijection({self.mapping!r})"
+        return f"Bisection({sorted(self.tag, key=str)!r})"
 
 
 def _sort_key(pb):
-    tag = sorted(map(str, pb.tag)) if pb.tag is not None else []
-    return (len(pb.mapping), sorted(map(str, pb.mapping.items())), tag)
+    return (len(pb.mapping), sorted(map(str, pb.mapping.items())),
+            sorted(map(str, pb.tag)))
 
 
 def bisection_from_arrows(gpd, arrows):
@@ -246,12 +234,12 @@ class InverseSemigroup:
         return rep
 
 
-def _close(carrier, generators, compose, invert):
-    """Inverse semigroup generated under compose(a, b) and invert(a).
+def semigroup_from_bisections(gpd, generators):
+    """Close tagged bisections under composition and inversion.
 
     Every ordered pair of elements is composed once, when the later of
     the two is found, and the table is read from those products.
-    Elements are listed in _sort_key order, and act on the carrier
+    Elements are listed in _sort_key order, and act on the objects
     through their own partial bijections.
     """
     found, position, prod = [], {}, {}
@@ -267,36 +255,25 @@ def _close(carrier, generators, compose, invert):
 
     for a in generators:
         place(a, np.inf)
-        place(invert(a), np.inf)
+        place(invert_bisection(gpd, a), np.inf)
     # found grows while it is scanned
     for i, a in enumerate(found):
         for j in range(i):
-            prod[i, j] = place(compose(a, found[j]))
-            prod[j, i] = place(compose(found[j], a))
-        prod[i, i] = place(compose(a, a))
+            prod[i, j] = place(compose_bisections(gpd, a, found[j]))
+            prod[j, i] = place(compose_bisections(gpd, found[j], a))
+        prod[i, i] = place(compose_bisections(gpd, a, a))
 
     order = sorted(range(len(found)), key=lambda k: _sort_key(found[k]))
     rank = np.argsort(order)
     elements = [found[k] for k in order]
-    carrier = tuple(carrier)
+    carrier = gpd.objects
     point = {x: i for i, x in enumerate(carrier)}
     act = [[point[a.mapping[x]] if x in a.mapping else -1 for x in carrier]
            for a in elements]
     return InverseSemigroup(
         elements, rank[[[prod[i, j] for j in order] for i in order]],
-        rank[[position[invert(a)] for a in elements]], act, carrier)
-
-
-def semigroup_from_bisections(gpd, generators):
-    """Close tagged bisections under composition and inversion."""
-    return _close(gpd.objects, generators, partial(compose_bisections, gpd),
-                  partial(invert_bisection, gpd))
-
-
-def semigroup_from_maps(carrier, generators):
-    """Close untagged partial bijections; for external generator files."""
-    return _close(carrier, generators, PartialBijection.compose,
-                  PartialBijection.invert)
+        rank[[position[invert_bisection(gpd, a)] for a in elements]], act,
+        carrier)
 
 
 def bisection_semigroup(gpd):
@@ -308,11 +285,6 @@ def is_wide(gpd, sgrp):
     """Tags cover all arrows and meets of tags are unions of tags."""
     rep = Report("wide semigroup")
     els = sgrp.elements
-    bad = next((a for a in els if a.tag is None), None)
-    if bad is not None:
-        rep.add("tagged", False, witness=bad)
-        return rep
-    rep.add("tagged", True)
     covered = frozenset().union(*(a.tag for a in els))
     rep.add("covers-arrows", covered == frozenset(gpd.arrows),
             witness=sorted(frozenset(gpd.arrows) - covered, key=str) or None)
@@ -434,25 +406,6 @@ def _germ_tables(sgrp):
     return reps, cls, src, rng, comp, inv, unit
 
 
-def germ_groupoid(sgrp):
-    """Groupoid of source side germs of the action.
-
-    Arrows are the germ classes, labeled by canonical representatives;
-    see _germ_tables for the checks made on the way.
-    """
-    reps, _, src, rng, comp, inv, unit = _germ_tables(sgrp)
-    labels = [_germ_label(sgrp, r) for r in reps]
-    pts = sgrp.carrier
-    return FiniteGroupoid(
-        pts, labels,
-        {g: pts[x] for g, x in zip(labels, src)},
-        {g: pts[x] for g, x in zip(labels, rng)},
-        {(labels[i], labels[j]): labels[c]
-         for (i, j), c in np.ndenumerate(comp) if c >= 0},
-        {g: labels[c] for g, c in zip(labels, inv)},
-        {x: labels[c] for x, c in zip(pts, unit)})
-
-
 def germ_reconstruction(gpd, sgrp):
     """The germ groupoid of a wide tagged semigroup matches the groupoid.
 
@@ -464,10 +417,6 @@ def germ_reconstruction(gpd, sgrp):
     els, pts, arrows = sgrp.elements, sgrp.carrier, gpd.arrows
     k = len(reps)
     a, x, bounds = _members(cls, k)
-    bad = next((els[i] for i in a if els[i].tag is None), None)
-    if bad is not None:
-        rep.add("tagged", False, witness=bad)
-        return rep
 
     def label(c):
         return _germ_label(sgrp, reps[c])
@@ -822,8 +771,6 @@ def groupoid_rep_to_covariant(rep, sgrp):
                    .astype(complex) for x in gpd.objects}
     isometries = {}
     for a in sgrp.elements:
-        if a.tag is None:
-            raise ValueError(f"element {a!r} carries no arrow tag")
         u = np.zeros((dim, dim), dtype=complex)
         for g in a.tag:
             rows = fibers[gpd.rng[g]]
@@ -845,8 +792,8 @@ def covariant_to_groupoid_rep(gpd, weights, cov, tol=1e-10):
     sgrp = cov.semigroup
     out = Report("covariant to groupoid")
     els = sgrp.elements
-    tagged = [i for i, a in enumerate(els) if a.tag]
-    cover = {g: [i for i in tagged if g in els[i].tag] for g in gpd.arrows}
+    cover = {g: [i for i, a in enumerate(els) if g in a.tag]
+             for g in gpd.arrows}
     missing = sorted((g for g in gpd.arrows if not cover[g]), key=str)
     out.add("arrows-covered", not missing, witness=missing or None)
     if missing:
@@ -881,7 +828,7 @@ def covariant_to_groupoid_rep(gpd, weights, cov, tol=1e-10):
     for (g, h) in gpd.composable_pairs():
         ab = els[sgrp.mul[cover[g][0], cover[h][0]]]
         gh = gpd.comp[(g, h)]
-        if ab.tag is None or gh not in ab.tag:
+        if gh not in ab.tag:
             continue
         through = frames[gpd.rng[gh]].conj().T @ cov.isometries[ab] \
             @ frames[gpd.src[gh]]
@@ -980,7 +927,7 @@ def transformation_theorem(order, action, rep=None, tol=1e-10):
         defects = []
         for k in range(int(order)):
             a = next(el for el in sgrp.elements
-                     if el.tag and (k, gpd.objects[0]) in el.tag)
+                     if (k, gpd.objects[0]) in el.tag)
             w = cov.isometries[a]
             for x in gpd.objects:
                 g = (k, x)

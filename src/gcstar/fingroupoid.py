@@ -164,8 +164,8 @@ def validate_haar(gpd, weight):
 
     weight maps every arrow to a finite positive number; left invariance says
     weight(gh) == weight(h) for every composable pair, compared exactly.
-    A valid system is determined by its values on units, which is what
-    object_weights() extracts.
+    A valid system is determined by its values on units, the object
+    weights.
     """
     rep = Report("haar weights")
     bad = next((g for g in gpd.arrows if g not in weight), None)
@@ -195,11 +195,6 @@ def counting_weights(gpd):
 def arrow_weights(gpd, objweights):
     """Arrow weight system induced by object weights: g -> c(src(g))."""
     return {g: float(objweights[gpd.src[g]]) for g in gpd.arrows}
-
-
-def object_weights(gpd, weight):
-    """Object weights read off a left invariant arrow system at the units."""
-    return {x: float(weight[gpd.unit[x]]) for x in gpd.objects}
 
 
 # ---------------------------------------------------------------------------

@@ -319,11 +319,6 @@ def associator(src, tgt):
     return _relabel(src, tgt, np.arange(src.dim))
 
 
-def regroup(e, f, g):
-    """Associator ((a, b), c) -> (a, (b, c)); an exact permutation."""
-    return associator(tensor(tensor(e, f), g), tensor(e, tensor(f, g)))
-
-
 def gamma_compose(lam, mu):
     """Tensor of two fibred function spaces onto the composite space.
 

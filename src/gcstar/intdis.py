@@ -7,17 +7,24 @@ the coefficient module.  Disintegration inverts this: the unit deltas
 recover the grading projections, the arrow deltas recover the fiber
 blocks after removing the weight scaling, and certificates computed
 from the operators alone guard every step.
+
+The naturality battery (check_naturality) checks that the two
+directions respect maps: the frame of a disintegration intertwines it
+with the representation it came from, on the cocycle level and on the
+operator level, and inducing along a fixed graded space commutes with
+integration.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .report import Report, VerificationError, max_abs, worst
-from .hilbmod import ModuleMap, creation, module_from_dims
+from .report import Report, VerificationError, max_abs
+from .hilbmod import ModuleMap, creation, module_from_dims, tensor_map
 from .convalg import (convolve, delta_function, delta_product, fiber_sups,
                       identity_element, operator_norm, star)
-from .reps import CocycleFamily, blockwise, check_cocycle, from_cocycle
+from .reps import (CocycleFamily, blockwise, check_cocycle, check_intertwiner,
+                   from_cocycle, induce)
 
 
 def _sqrt_factors(f, order):
@@ -73,6 +80,21 @@ def integration_bound(gpd, weights, f):
     return float(np.sqrt(sup_r * sup_s))
 
 
+def _check_star_hom(out, gpd, c, op, funcs, tol):
+    """Add identity, multiplicative and star for the route f -> op(f),
+    op(f) a ModuleMap; products run over consecutive funcs."""
+    ident = op(identity_element(gpd, c))
+    d = max_abs(ident.matrix - np.eye(ident.target.dim))
+    out.add("identity", d <= tol, defect=d)
+    out.add_worst("multiplicative", (
+        (max_abs(op(convolve(gpd, c, f1, f2)).matrix
+                 - op(f1).compose(op(f2)).matrix), None)
+        for f1, f2 in zip(funcs, funcs[1:])), tol)
+    out.add_worst("star", (
+        (max_abs(op(star(gpd, f)).matrix - op(f).adjoint().matrix), None)
+        for f in funcs), tol)
+
+
 def check_integration(rep, funcs, tol=1e-10):
     """Two-route agreement, star algebra laws and norm inequalities."""
     gpd, c = rep.groupoid, rep.weights
@@ -85,25 +107,7 @@ def check_integration(rep, funcs, tol=1e-10):
         ora = oracle_integrate(rep, f)
         defects.append((max_abs(lit.matrix - ora.matrix), None))
     out.add_worst("oracle-agreement", defects, tol)
-
-    ident = integrate_rep(rep, identity_element(gpd, c))
-    d = max_abs(ident.matrix - np.eye(rep.module.dim))
-    out.add("identity", d <= tol, defect=d)
-
-    defects = []
-    for i in range(len(funcs) - 1):
-        f1, f2 = funcs[i], funcs[i + 1]
-        prod = integrate_rep(rep, convolve(gpd, c, f1, f2))
-        two = integrate_rep(rep, f1).compose(integrate_rep(rep, f2))
-        defects.append((max_abs(prod.matrix - two.matrix), None))
-    out.add_worst("multiplicative", defects, tol)
-
-    defects = []
-    for f in funcs:
-        one = integrate_rep(rep, star(gpd, f))
-        two = integrate_rep(rep, f).adjoint()
-        defects.append((max_abs(one.matrix - two.matrix), None))
-    out.add_worst("star", defects, tol)
+    _check_star_hom(out, gpd, c, lambda f: integrate_rep(rep, f), funcs, tol)
 
     defects = []
     for f in funcs:
@@ -157,26 +161,7 @@ def check_conv_rep(conv, funcs, tol=1e-10):
     """Star representation axioms for the operator family."""
     gpd, c = conv.groupoid, conv.weights
     out = Report("operator representation")
-    funcs = list(funcs)
-
-    ident = conv.op(identity_element(gpd, c))
-    d = max_abs(ident.matrix - np.eye(conv.space.dim))
-    out.add("identity", d <= tol, defect=d)
-
-    defects = []
-    for i in range(len(funcs) - 1):
-        f1, f2 = funcs[i], funcs[i + 1]
-        one = conv.op(convolve(gpd, c, f1, f2))
-        two = conv.op(f1).compose(conv.op(f2))
-        defects.append((max_abs(one.matrix - two.matrix), None))
-    out.add_worst("multiplicative", defects, tol)
-
-    defects = []
-    for f in funcs:
-        one = conv.op(star(gpd, f))
-        two = conv.op(f).adjoint()
-        defects.append((max_abs(one.matrix - two.matrix), None))
-    out.add_worst("star", defects, tol)
+    _check_star_hom(out, gpd, c, conv.op, list(funcs), tol)
 
     defects = []
     for g in gpd.arrows:
@@ -193,12 +178,15 @@ def check_conv_rep(conv, funcs, tol=1e-10):
 
 
 def check_integrated_intertwiner(conv1, conv2, vmatrix, tol=1e-10):
-    """Worst commutation defect of a matrix against two operator families."""
-    gpd = conv1.groupoid
+    """A matrix V from the space of conv1 to that of conv2 commutes with
+    every arrow delta: conv2(g) V == V conv1(g); the witness is the
+    worst arrow."""
     v = np.asarray(vmatrix, dtype=complex)
-    d, _ = worst((max_abs(conv2.delta_ops[g] @ v - v @ conv1.delta_ops[g]),
-                  None) for g in gpd.arrows)
-    return d <= tol, d
+    out = Report("integrated intertwiner")
+    out.add_worst("integrated-commutes", (
+        (max_abs(conv2.delta_ops[g] @ v - v @ conv1.delta_ops[g]), g)
+        for g in conv1.groupoid.arrows), tol)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -393,66 +381,6 @@ def disintegrate(conv, tol=1e-9):
 
 
 # ---------------------------------------------------------------------------
-# pre representations
-
-class PreRepresentation:
-    """Operators on a domain that only maps into the final space.
-
-    iota sends the domain into the ambient space; ops act on the
-    domain.  No continuity condition is checked: all spaces are finite
-    dimensional, so every linear map is bounded.
-    """
-
-    def __init__(self, gpd, weights, domain, iota, ops):
-        self.groupoid = gpd
-        self.weights = {x: float(weights[x]) for x in gpd.objects}
-        self.domain = domain
-        self.iota = iota
-        self.ops = {g: np.asarray(ops[g], dtype=complex)
-                    for g in gpd.arrows}
-
-
-def extend_prerep(pre, tol=1e-9):
-    """Push the domain operators through iota onto the ambient space."""
-    gpd = pre.groupoid
-    out = Report("pre representation extension")
-    amb = pre.iota.target
-    dhat_dom = np.sqrt(pre.domain.gram_diagonal())
-    dhat_amb = np.sqrt(amb.gram_diagonal())
-    hat_iota = (dhat_amb[:, None] * pre.iota.matrix) / dhat_dom[None, :]
-
-    rank = int(np.linalg.matrix_rank(hat_iota, tol=1e-10)) \
-        if hat_iota.size else 0
-    out.add("dense-image", rank == amb.dim,
-            witness=f"rank {rank} of {amb.dim}")
-
-    u, s, vh = np.linalg.svd(hat_iota) if hat_iota.size \
-        else (np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0)))
-    kernel = vh[int(np.sum(s > 1e-10)):].conj().T
-    defects = []
-    for g in gpd.arrows:
-        if kernel.size:
-            pushed = hat_iota @ (
-                (dhat_dom[:, None] * pre.ops[g]) / dhat_dom[None, :]
-            ) @ kernel
-            defects.append((max_abs(pushed), None))
-    out.add_worst("kernel-invariant", defects, tol)
-
-    if not out.ok:
-        raise VerificationError(
-            "pre representation does not extend:\n"
-            + "\n".join(ch.line() for ch in out.failures()))
-
-    pinv = np.linalg.pinv(hat_iota, rcond=1e-12)
-    ops = {}
-    for g in gpd.arrows:
-        hat_op = (dhat_dom[:, None] * pre.ops[g]) / dhat_dom[None, :]
-        hat_amb = hat_iota @ hat_op @ pinv
-        ops[g] = (hat_amb / dhat_amb[:, None]) * dhat_amb[None, :]
-    return ConvRep(gpd, pre.weights, amb, ops), out
-
-
-# ---------------------------------------------------------------------------
 # round trips
 
 def _operator_roundtrip(conv, rep):
@@ -473,15 +401,6 @@ def _grade_dims(objects, module):
     return dims
 
 
-def roundtrip_conv(conv, tol=1e-9):
-    """Disintegrate, integrate again, compare every delta operator."""
-    rep, inner = disintegrate(conv, tol)
-    out = Report("integrate after disintegrate")
-    out.extend(inner)
-    out.add_worst("delta-roundtrip", _operator_roundtrip(conv, rep), tol)
-    return out
-
-
 def roundtrip_rep(rep, tol=1e-9):
     """Integrate, disintegrate, compare dimensions and operators."""
     conv = conv_rep_of(rep)
@@ -495,4 +414,37 @@ def roundtrip_rep(rep, tol=1e-9):
             witness=None if dims1 == dims2 else (dims1, dims2))
 
     out.add_worst("operator-roundtrip", _operator_roundtrip(conv, rep2), tol)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# naturality
+
+def check_naturality(rep, conv, rep2, tol=1e-10):
+    """Integration and disintegration respect maps, checked on one rep.
+
+    conv is conv_rep_of(rep) and rep2 its disintegration.  The frame of
+    rep2 must intertwine rep2 with rep on the cocycle level
+    (check_intertwiner) and on the operator level
+    (check_integrated_intertwiner).  Inducing along the graded space E
+    with 1 + k % 2 vectors over the k-th coefficient label must commute
+    with integration: the induced representation integrates each arrow
+    delta to the integrated operator tensored with the identity of E.
+    """
+    gpd, frame = rep.groupoid, rep2.frame
+    out = Report("naturality")
+    out.extend(check_intertwiner(rep2, rep, frame, tol))
+    out.extend(check_integrated_intertwiner(conv_rep_of(rep2), conv,
+                                            frame.matrix, tol))
+    labels = rep.module.right_space
+    ebasis = module_from_dims(labels, ("e",), {
+        (w, "e"): 1 + k % 2 for k, w in enumerate(labels)})
+    big = induce(rep, ebasis)
+    defects = []
+    for g in gpd.arrows:
+        f = delta_function(gpd, g)
+        one = integrate_rep(big, f)
+        two = tensor_map(integrate_rep(rep, f), ebasis)
+        defects.append((max_abs(one.matrix - two.matrix), g))
+    out.add_worst("induction", defects, tol)
     return out

@@ -93,9 +93,11 @@ class GradedSpace:
         self.left_codes = _frozen(np.asarray(left_codes, dtype=np.intp))
         self.right_codes = _frozen(np.asarray(right_codes, dtype=np.intp))
         self.weight_array = _frozen(np.asarray(weights, dtype=float))
-        bad = np.flatnonzero(~(self.weight_array > 0.0))
+        w = self.weight_array
+        bad = np.flatnonzero(~(w > 0.0) | (w == np.inf))
         if bad.size:
-            raise ValueError(f"nonpositive weight at {basis[bad[0]]!r}")
+            kind = "non-finite" if w[bad[0]] > 0.0 else "nonpositive"
+            raise ValueError(f"{kind} weight at {basis[bad[0]]!r}")
         self.factors = factors
 
     @cached_property

@@ -18,9 +18,9 @@ from gcstar.fingroupoid import (FIXTURE_NAMES, arrow_weights,
                                 counting_weights, fixture, space_groupoid,
                                 validate_groupoid, validate_haar)
 from gcstar.hilbmod import ModuleMap, check_gamma, module_from_dims, tensor_map
-from gcstar.intdis import (check_integrated_intertwiner, conv_rep_of,
-                           integrate_rep, integration_bound,
-                           oracle_integrate, roundtrip_conv, roundtrip_rep)
+from gcstar.intdis import (check_integrated_intertwiner, check_naturality,
+                           conv_rep_of, disintegrate, integrate_rep,
+                           integration_bound, oracle_integrate, roundtrip_rep)
 from gcstar.measures import check_family_identities, check_iterated_integrals
 from gcstar.reps import (check_intertwiner, check_representation,
                          from_cocycle, induce, regular_representation)
@@ -145,7 +145,11 @@ def test_criterion_06_roundtrips():
             rep = from_cocycle(gpd, w, module, blocks)
             out = roundtrip_rep(rep, tol=1e-9)
             assert out.ok, f"{name} trial {t}: {out}"
-            out = roundtrip_conv(conv_rep_of(rep), tol=1e-9)
+            # integrating the disintegration gives back the operators:
+            # its frame intertwines them (integrated-commutes)
+            conv = conv_rep_of(rep)
+            rep2, _ = disintegrate(conv, tol=1e-9)
+            out = check_naturality(rep, conv, rep2, tol=1e-9)
             assert out.ok, f"{name} trial {t}: {out}"
 
 
@@ -281,9 +285,9 @@ def direct_sum_with_inclusion(gpd, w, rng):
 def commutes_both_ways(rep1, rep2, vmap):
     out = checks_by_name(check_intertwiner(rep1, rep2, vmap))
     cocycle_level = out["commutes"].passed
-    ok, _ = check_integrated_intertwiner(
-        conv_rep_of(rep1), conv_rep_of(rep2), vmap.matrix, tol=1e-9)
-    return cocycle_level, ok
+    operator_level = check_integrated_intertwiner(
+        conv_rep_of(rep1), conv_rep_of(rep2), vmap.matrix, tol=1e-9).ok
+    return cocycle_level, operator_level
 
 
 def test_criterion_11_naturality():

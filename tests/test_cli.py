@@ -395,6 +395,25 @@ def test_infinite_haar_weight_exits_2(capsys, tmp_path):
     assert "weight-positive" in err
 
 
+# the overflow is this input's point; numpy warns before the space
+# refuses the infinite weight
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("command", ["families", "rep", "integrate",
+                                     "disintegrate", "roundtrip"])
+def test_overflowing_weight_exits_2_naming_the_point(capsys, tmp_path,
+                                                     command):
+    # valid weights whose products overflow gave NaN defects and bare NaN
+    # tokens in --json
+    def huge(data):
+        data["haar"]["1"] = 1e200
+    path = write_groupoid(tmp_path, corrupt=huge)
+    assert run(capsys, "validate", path)[0] == 0
+    code, out, err = run(capsys, command, path, "--json")
+    assert code == 2
+    assert "error: non-finite weight at " in err
+    assert out == ""
+
+
 def test_malformed_haar_and_empty_groupoid_exit_2(capsys, tmp_path):
     def drop_object(data):
         del data["haar"]["1"]
@@ -415,6 +434,26 @@ def test_suite_small(capsys):
     assert out.strip().endswith("OK")
 
 
+NATURALITY = ["right-grade-preserved", "object-grade-preserved",
+              "commutes", "integrated-commutes", "induction"]
+
+
+def test_disintegrate_and_suite_emit_naturality(capsys):
+    code, out, _ = run(capsys, "disintegrate", "--preset", "T2", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert [r["title"] for r in doc["reports"]] == [
+        "operator representation", "disintegration", "naturality"]
+    assert [c["name"] for c in doc["reports"][-1]["checks"]] == NATURALITY
+    code, out, _ = run(capsys, "suite", "--trials", "1", "--json")
+    assert code == 0
+    for report in json.loads(out)["reports"]:
+        names = [c["name"] for c in report["checks"]]
+        if report["title"].startswith("fixture"):
+            assert names[-len(NATURALITY):] == [
+                "naturality-" + n for n in NATURALITY]
+
+
 def test_emit_report_json_roundtrip():
     rep = Report("demo")
     rep.add("first", True, defect=0.0)
@@ -428,6 +467,20 @@ def test_emit_report_json_roundtrip():
 def test_tolerance_guard(capsys):
     with pytest.raises(SystemExit):
         main(["families", "--preset", "Z2", "--tolerance", "-1"])
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_non_finite_tolerance_exits_2(capsys, tmp_path, value):
+    # a block of norm 2 fails at the default tolerance; inf passed it and
+    # nan failed every check
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(_p2_bundle(blocks={"(2, 1)": [[2.0]]})))
+    code, out, _ = run(capsys, "rep", "--bundle", str(path))
+    assert code == 1 and "FAILED" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["rep", "--bundle", str(path), f"--tolerance={value}"])
+    assert exc.value.code == 2
+    assert "tolerance must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["roundtrip", "disintegrate"])

@@ -12,10 +12,9 @@ verdicts and witnesses (the first offender in the old loop order).
 import numpy as np
 import pytest
 
-from gcstar.crossed import (InverseSemigroup, PartialBijection,
-                            bisection_from_arrows, bisection_semigroup,
-                            crossed_product, germ_classes, is_wide,
-                            semigroup_from_bisections, semigroup_from_maps)
+from gcstar.crossed import (InverseSemigroup, bisection_from_arrows,
+                            bisection_semigroup, crossed_product,
+                            germ_classes, is_wide, semigroup_from_bisections)
 from gcstar.fingroupoid import (build_preset, disjoint_union, fixture,
                                 space_groupoid, transformation_groupoid)
 from gcstar.sampling import SplitMix64, random_groupoid
@@ -136,13 +135,7 @@ class Reference:
 
 def reference_is_wide(gpd, sgrp):
     out = []
-    tags = {}
-    for a in sgrp.elements:
-        if a.tag is None:
-            out.append(("tagged", a))
-            return out
-        tags[a] = a.tag
-    out.append(("tagged", None))
+    tags = {a: a.tag for a in sgrp.elements}
     covered = frozenset().union(*tags.values()) if tags else frozenset()
     out.append(("covers-arrows",
                 sorted(frozenset(gpd.arrows) - covered, key=str) or None))
@@ -460,8 +453,6 @@ def _wide_mutants():
     units = [bisection_from_arrows(gpd, [(1, 1)]),
              bisection_from_arrows(gpd, [(2, 2)])]
     return [
-        ("tagged", gpd, semigroup_from_maps((1, 2), [PartialBijection(
-            {1: 2, 2: 1})])),
         ("covers-arrows", gpd, semigroup_from_bisections(gpd, units)),
         ("meets-realized", gpd, _rebuild(sgrp, mul=mul)),
     ]

@@ -248,7 +248,7 @@ def test_regular_representation_spaces(name):
 
 
 # ---------------------------------------------------------------------------
-# nested tensors: the spaces face_transfer, regroup and induce build
+# nested tensors: the spaces face_transfer, the associator and induce build
 
 def _cocycle_module(gpd, w):
     """A random cocycle module, its blocks and its dims by grade."""
@@ -357,6 +357,12 @@ def test_tensor_weight_underflow_raises():
     ref = RefGradedSpace(("a",), {"a": "x"}, {"a": "x"}, {"a": 1e-200})
     with pytest.raises(ValueError, match="nonpositive weight at"):
         ref_tensor(ref, ref)
+
+
+def test_infinite_weight_raises():
+    with pytest.raises(ValueError, match="non-finite weight at 'b'"):
+        GradedSpace(("a", "b"), {"a": "x", "b": "x"}, {"a": "x", "b": "x"},
+                    {"a": 1.0, "b": float("inf")})
 
 
 def test_grade_outside_a_given_space_is_appended():

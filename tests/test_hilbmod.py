@@ -9,7 +9,7 @@ from gcstar.hilbmod import (ModuleMap, check_gamma, check_module_map,
                             creation, dump_module_map, gamma_compose,
                             grade_leak, identity_map, induced_unitary,
                             is_intertwiner, is_isometry, is_unitary,
-                            module_from_dims, regroup, tensor, tensor_map,
+                            module_from_dims, tensor, tensor_map,
                             tensor_map_left)
 from gcstar.measures import (GradedSpace, compose_families,
                              groupoid_families, haar_system)
@@ -160,7 +160,8 @@ def test_grade_leak_tie_takes_first_source():
 def test_regroup_unitary():
     gpd, w = fixture("P2")
     alpha, alpha_r = haar_system(gpd, w)
-    m = regroup(alpha, alpha_r, alpha)
+    m = hilbmod.associator(tensor(tensor(alpha, alpha_r), alpha),
+                           tensor(alpha, tensor(alpha_r, alpha)))
     out = is_unitary(m, tol=0.0)
     assert out.ok, str(out)
 

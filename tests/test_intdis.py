@@ -11,15 +11,16 @@ c(rng x0) * c(rng h0) at the arrow k = inverse(h0) h1.
 import numpy as np
 import pytest
 
+from gcstar import intdis
 from gcstar.convalg import cstar_norm, i_norm, operator_norm, zero_function
 from gcstar.fingroupoid import FIXTURE_NAMES, fixture
 from gcstar.hilbmod import ModuleMap, module_from_dims
-from gcstar.intdis import (ConvRep, PreRepresentation, check_conv_rep,
+from gcstar.intdis import (ConvRep, check_conv_rep,
                            check_integrated_intertwiner, check_integration,
-                           check_pair_exchange, conv_rep_of, disintegrate,
-                           extend_prerep, integrate_rep, integration_bound,
+                           check_naturality, check_pair_exchange, conv_rep_of,
+                           disintegrate, integrate_rep, integration_bound,
                            oracle_integrate, pair_inner_r, pair_inner_s,
-                           roundtrip_conv, roundtrip_rep, upsilon)
+                           roundtrip_rep, upsilon)
 from gcstar.report import VerificationError
 from gcstar.reps import from_cocycle, regular_representation
 from gcstar.sampling import SplitMix64, random_cocycle
@@ -97,9 +98,9 @@ def test_integrated_intertwiner_identity():
     gpd, w = fixture("P2")
     module, blocks = random_cocycle(rng, gpd, w)
     conv = conv_rep_of(from_cocycle(gpd, w, module, blocks))
-    ok, worst = check_integrated_intertwiner(
-        conv, conv, np.eye(module.dim))
-    assert ok and worst == 0.0
+    out = check_integrated_intertwiner(conv, conv, np.eye(module.dim))
+    assert [c.name for c in out.checks] == ["integrated-commutes"]
+    assert out.ok and out.checks[0].defect == 0.0
 
 
 def test_integrated_intertwiner_random_fails():
@@ -110,8 +111,9 @@ def test_integrated_intertwiner_random_fails():
     # generic matrices do not commute with the off-diagonal shifts
     bad = np.array([[rng.cgauss() for _ in range(module.dim)]
                     for _ in range(module.dim)])
-    ok, worst = check_integrated_intertwiner(conv, conv, bad)
-    assert not ok and worst > 1e-6
+    out = check_integrated_intertwiner(conv, conv, bad)
+    assert not out.ok and out.checks[0].defect > 1e-6
+    assert out.checks[0].witness in gpd.arrows
 
 
 def test_pair_inner_closed_form_w2():
@@ -159,10 +161,14 @@ def test_roundtrip_rep_random():
 
 
 def test_roundtrip_conv_regular():
+    # disintegrate the operators, integrate again: the frame carries the
+    # new operators onto the old ones
     for name in ("Z2", "W2"):
         gpd, w = fixture(name)
         conv = conv_rep_of(regular_representation(gpd, w))
-        out = roundtrip_conv(conv)
+        rep2, _ = disintegrate(conv)
+        out = check_integrated_intertwiner(conv_rep_of(rep2), conv,
+                                           rep2.frame.matrix)
         assert out.ok, f"{name}: {out}"
 
 
@@ -191,32 +197,6 @@ def test_disintegrate_recovers_dims():
         assert len(rep2.module.left_fiber(x)) == len(module.left_fiber(x))
 
 
-def test_extend_prerep_oversampled_domain():
-    gpd, w = fixture("Z2")
-    ambient = module_from_dims(gpd.objects, ("w",), {("x", "w"): 1})
-    domain = module_from_dims(gpd.objects, ("w",), {("x", "w"): 2})
-    iota = ModuleMap(domain, ambient, np.array([[1.0, 0.0]]))
-    ops = {0: np.eye(2, dtype=complex),
-           1: -np.eye(2, dtype=complex)}
-    pre = PreRepresentation(gpd, w, domain, iota, ops)
-    conv, out = extend_prerep(pre)
-    assert out.ok
-    assert np.max(np.abs(conv.delta_ops[0] - np.eye(1))) <= 1e-12
-    assert np.max(np.abs(conv.delta_ops[1] + np.eye(1))) <= 1e-12
-
-
-def test_extend_prerep_kernel_not_invariant():
-    gpd, w = fixture("Z2")
-    ambient = module_from_dims(gpd.objects, ("w",), {("x", "w"): 1})
-    domain = module_from_dims(gpd.objects, ("w",), {("x", "w"): 2})
-    iota = ModuleMap(domain, ambient, np.array([[1.0, 0.0]]))
-    ops = {0: np.eye(2, dtype=complex),
-           1: np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)}
-    pre = PreRepresentation(gpd, w, domain, iota, ops)
-    with pytest.raises(VerificationError):
-        extend_prerep(pre)
-
-
 def test_pair_exchange_fails_on_nan():
     gpd, w = fixture("W2")
     rng = SplitMix64(6)
@@ -232,3 +212,88 @@ def test_pair_exchange_fails_on_nan():
     assert check.name == "exchange-0"
     assert not check.passed and np.isnan(check.defect)
     assert check.witness == first
+
+
+# ---------------------------------------------------------------------------
+# naturality: one mutant per check
+
+def _naturality_case():
+    """A P2 representation over two coefficient labels, its integrated
+    operators and its disintegration."""
+    gpd, w = fixture("P2")
+    module, blocks = random_cocycle(SplitMix64(41), gpd, w, coeff_size=2)
+    rep = from_cocycle(gpd, w, module, blocks)
+    conv = conv_rep_of(rep)
+    rep2, _ = disintegrate(conv)
+    return rep, conv, rep2
+
+
+def _failing(out):
+    return {c.name for c in out.failures()}
+
+
+def test_naturality_passes():
+    rep, conv, rep2 = _naturality_case()
+    out = check_naturality(rep, conv, rep2)
+    assert [c.name for c in out.checks] == [
+        "right-grade-preserved", "object-grade-preserved", "commutes",
+        "integrated-commutes", "induction"]
+    assert out.ok, str(out)
+
+
+def _row(space, left, right):
+    return next(space.index[b] for b in space.basis
+                if space.left[b] == left and space.right[b] == right)
+
+
+def _scale_entry(mat, src, tgt):
+    """Scale the largest entry of the first column, inside its grades."""
+    mat[int(np.argmax(abs(mat[:, 0]))), 0] *= 1.5
+
+
+def _cross_objects(mat, src, tgt):
+    """Column (1, w, 0) picks up a vector over object 2."""
+    mat[_row(tgt, 2, src.right[src.basis[0]]), 0] = 0.5
+
+
+def _cross_labels(mat, src, tgt):
+    """Column (1, w, 0) picks up a vector over the other label."""
+    other = next(v for v in tgt.right_space if v != src.right[src.basis[0]])
+    mat[_row(tgt, 1, other), 0] = 0.5
+
+
+@pytest.mark.parametrize("name, bend", [
+    ("commutes", _scale_entry),
+    ("object-grade-preserved", _cross_objects),
+    ("right-grade-preserved", _cross_labels),
+], ids=["perturbed", "crosses-objects", "crosses-labels"])
+def test_naturality_frame_mutants(name, bend):
+    rep, conv, rep2 = _naturality_case()
+    frame = rep2.frame
+    assert frame.source.left[frame.source.basis[0]] == 1
+    mat = frame.matrix.copy()
+    bend(mat, frame.source, frame.target)
+    rep2.frame = ModuleMap(frame.source, frame.target, mat)
+    out = check_naturality(rep, conv, rep2)
+    assert name in _failing(out), str(out)
+    if name == "commutes":
+        assert _failing(out) == {"commutes", "integrated-commutes"}
+
+
+def test_naturality_induction_mutant(monkeypatch):
+    rep, conv, rep2 = _naturality_case()
+    induce = intdis.induce
+
+    def bent(rep, ebasis):
+        big = induce(rep, ebasis)
+        u = big.umap
+        vals = u.vals.copy()
+        vals[np.argmax(abs(vals))] *= 1.5
+        big.umap = ModuleMap(u.source, u.target,
+                             entries=(u.rows, u.cols, vals))
+        return big
+
+    monkeypatch.setattr(intdis, "induce", bent)
+    out = check_naturality(rep, conv, rep2)
+    assert _failing(out) == {"induction"}
+    assert out.checks[-1].witness in rep.groupoid.arrows

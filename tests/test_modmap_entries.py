@@ -17,8 +17,8 @@ from gcstar.cli import parse_preset
 from gcstar.fingroupoid import FIXTURE_NAMES, fixture
 from gcstar.hilbmod import (ModuleMap, associator, check_gamma,
                             gamma_compose, grade_leak, identity_map,
-                            induced_unitary, is_intertwiner, lift, regroup,
-                            tensor, tensor_map, tensor_map_left)
+                            induced_unitary, is_intertwiner, lift, tensor,
+                            tensor_map, tensor_map_left)
 from gcstar.measures import (GradedSpace, arrow_correspondence,
                              check_corr_isomorphism, compose_families,
                              groupoid_families)
@@ -323,7 +323,8 @@ def test_relabelings_exactly_equal(name):
                                   ref_gamma_compose(lam, mu).matrix)
     e, f = fam.alpha, fam.alpha_r
     for a, b, c in ((e, f, e), (f, e, f), (e, e, f)):
-        assert np.array_equal(regroup(a, b, c).matrix,
+        assert np.array_equal(associator(tensor(tensor(a, b), c),
+                                         tensor(a, tensor(b, c))).matrix,
                               ref_regroup(a, b, c).matrix)
     c1 = fam.alpha
     phi = {p: p for p in c1.basis}
@@ -451,9 +452,6 @@ def test_lift_and_associator_refuse_factors_of_another_basis():
     m = ModuleMap(e, e, np.diag([2.0, 3.0j]))
     assert np.array_equal(lift(m, tensor(e, g), tensor(e, g), 0).matrix,
                           tensor_map(m, g).matrix)
-    assert np.array_equal(associator(tensor(tensor(e, f), g),
-                                     tensor(e, tensor(f, g))).matrix,
-                          regroup(e, f, g).matrix)
     for src, tgt, side in ((tensor(f, g), tensor(e, g), 0),
                            (tensor(e, g), tensor(f, g), 0),
                            (tensor(e, g), tensor(e, f), 0),
