@@ -21,16 +21,16 @@ from .fingroupoid import (FIXTURE_NAMES, _field, _json, _labels, arrow_weights,
                           build_preset, counting_weights, fixture,
                           groupoid_from_dict, validate_groupoid, validate_haar)
 from .measures import check_family_identities, check_iterated_integrals
-from .hilbmod import check_gamma, dump_module_map, module_from_dims
-from .convalg import (check_convolution, convolve, cstar_norm,
-                      delta_function, i_norm)
+from .hilbmod import ModuleMap, check_gamma, dump_module_map, module_from_dims
+from .convalg import (check_convolution, cstar_norm, delta_function,
+                      delta_product, i_norm)
 from .sampling import (SplitMix64, mutate_groupoid, random_cocycle,
                        random_function, random_groupoid)
 from .reps import (check_representation, from_cocycle, invariant_support,
                    regular_representation)
 from .intdis import (check_conv_rep, check_integration, check_naturality,
                      check_pair_exchange, conv_rep_of, disintegrate,
-                     integrate_rep, roundtrip_rep)
+                     roundtrip_naturality, roundtrip_rep)
 from .crossed import (bisection_from_arrows, etale_battery,
                       semigroup_from_bisections, transformation_theorem)
 
@@ -134,6 +134,13 @@ def require_valid(gpd, weights):
     if not rep.ok:
         raise VerificationError(
             "; ".join(c.line() for c in rep.failures()))
+
+
+def _checked_input(args):
+    """The validated groupoid and weights of args, and the --seed stream."""
+    gpd, weights = load_groupoid(args)
+    require_valid(gpd, weights)
+    return gpd, weights, SplitMix64(args.seed)
 
 
 def _matrix_from_json(rows, what):
@@ -244,9 +251,7 @@ def cmd_validate(args):
 
 
 def cmd_families(args):
-    gpd, weights = load_groupoid(args)
-    require_valid(gpd, weights)
-    rng = SplitMix64(args.seed)
+    gpd, weights, rng = _checked_input(args)
     reports = [check_family_identities(gpd, weights)]
     funcs = [_random_pair_function(rng, gpd) for _ in range(args.trials)]
     reports.append(check_iterated_integrals(gpd, weights, funcs))
@@ -255,9 +260,7 @@ def cmd_families(args):
 
 
 def cmd_algebra(args):
-    gpd, weights = load_groupoid(args)
-    require_valid(gpd, weights)
-    rng = SplitMix64(args.seed)
+    gpd, weights, rng = _checked_input(args)
     funcs = _delta_batch(gpd)
     funcs += [random_function(rng, gpd) for _ in range(args.trials)]
     reports = [check_convolution(gpd, weights, funcs, _tol(args))]
@@ -270,7 +273,7 @@ def cmd_algebra(args):
         inorm[str(g)] = i_norm(gpd, weights, dg)
         cstarnorm[str(g)] = cstar_norm(gpd, weights, dg)
         for h in sorted(gpd.arrows, key=str):
-            prod = convolve(gpd, weights, dg, delta_function(gpd, h))
+            prod = delta_product(gpd, weights, g, h)
             entries = {str(k): v.real for k, v in sorted(
                 prod.items(), key=lambda kv: str(kv[0])) if v != 0}
             product.append([str(g), str(h), entries])
@@ -282,9 +285,7 @@ def cmd_rep(args):
     if args.bundle is not None:
         rep = load_bundle(args.bundle)
     else:
-        gpd, weights = load_groupoid(args)
-        require_valid(gpd, weights)
-        rng = SplitMix64(args.seed)
+        gpd, weights, rng = _checked_input(args)
         rep = _random_rep(gpd, weights, rng)
     reports = [check_representation(rep, _tol(args))]
     _, support_rep = invariant_support(rep)
@@ -301,9 +302,7 @@ def cmd_rep(args):
 
 
 def cmd_integrate(args):
-    gpd, weights = load_groupoid(args)
-    require_valid(gpd, weights)
-    rng = SplitMix64(args.seed)
+    gpd, weights, rng = _checked_input(args)
     rep = _random_rep(gpd, weights, rng)
     funcs = _delta_batch(gpd)
     funcs += [random_function(rng, gpd) for _ in range(args.trials)]
@@ -313,17 +312,16 @@ def cmd_integrate(args):
     reports.append(check_pair_exchange(gpd, weights, pair_funcs))
     if args.dump:
         os.makedirs(args.dump, exist_ok=True)
+        conv = conv_rep_of(rep)
+        ops = dict(zip(gpd.arrows, conv.ops))
         for g in sorted(gpd.arrows, key=str):
-            f = delta_function(gpd, g)
-            dump_module_map(integrate_rep(rep, f),
+            dump_module_map(ModuleMap(conv.space, conv.space, ops[g]),
                             os.path.join(args.dump, f"integrated-{g}"))
     return reports, None
 
 
 def cmd_disintegrate(args):
-    gpd, weights = load_groupoid(args)
-    require_valid(gpd, weights)
-    rng = SplitMix64(args.seed)
+    gpd, weights, rng = _checked_input(args)
     rep = _random_rep(gpd, weights, rng, coeff_size=2)
     conv = conv_rep_of(rep)
     funcs = _delta_batch(gpd)
@@ -346,9 +344,7 @@ def cmd_disintegrate(args):
 
 
 def cmd_roundtrip(args):
-    gpd, weights = load_groupoid(args)
-    require_valid(gpd, weights)
-    rng = SplitMix64(args.seed)
+    gpd, weights, rng = _checked_input(args)
     reports = []
     for t in range(max(args.trials, 1)):
         rep = _random_rep(gpd, weights, rng, coeff_size=1 + t % 2)
@@ -362,12 +358,10 @@ def cmd_roundtrip(args):
 
 
 def cmd_etale(args):
-    gpd, weights = load_groupoid(args)
-    require_valid(gpd, weights)
+    gpd, weights, rng = _checked_input(args)
     sgrp = None
     if args.semigroup is not None:
         sgrp = load_semigroup(args.semigroup, gpd)
-    rng = SplitMix64(args.seed)
     rep = _random_rep(gpd, weights, rng)
     reports = [etale_battery(gpd, weights, sgrp=sgrp, rep=rep, tol=_tol(args))]
     return reports, None
@@ -425,14 +419,12 @@ def cmd_suite(args):
         out.extend(check_pair_exchange(gpd, weights, pair_funcs),
                    prefix="pairs-")
         try:
-            out.extend(roundtrip_rep(rep, tol), prefix="roundtrip-")
-            conv = conv_rep_of(rep)
-            rep2, _ = disintegrate(conv, tol)
+            trip, natural = roundtrip_naturality(rep, tol)
         except VerificationError as exc:
             out.add("roundtrip-disintegrate", False, witness=str(exc))
         else:
-            out.extend(check_naturality(rep, conv, rep2, tol),
-                       prefix="naturality-")
+            out.extend(trip, prefix="roundtrip-")
+            out.extend(natural, prefix="naturality-")
         reports.append(out)
 
     for name in ("Z2", "P2", "X2"):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .report import Report, max_abs, worst
+from .report import Report, relative_defect, worst
 from .measures import arrow_correspondence
 from .hilbmod import ModuleMap
 
@@ -125,61 +125,50 @@ def check_convolution(gpd, weights, funcs, tol=1e-10):
     """Algebra laws and norm inequalities over a batch of functions."""
     rep = Report("convolution algebra")
     funcs = list(funcs)
+    pairs = list(zip(funcs, funcs[1:]))
+
+    def mul(f1, f2):
+        return convolve(gpd, weights, f1, f2)
+
+    def reg(f):
+        return regular_matrix(gpd, weights, f)
 
     ident = identity_element(gpd, weights)
     defects = []
     for f in funcs:
-        left = convolve(gpd, weights, ident, f)
-        right = convolve(gpd, weights, f, ident)
+        left, right = mul(ident, f), mul(f, ident)
         for g in gpd.arrows:
             defects += [(abs(left[g] - f[g]), None),
                         (abs(right[g] - f[g]), None)]
     rep.add_worst("identity-neutral", defects, tol)
 
-    defects = []
-    for i in range(len(funcs) - 2):
-        f1, f2, f3 = funcs[i], funcs[i + 1], funcs[i + 2]
-        left = convolve(gpd, weights, convolve(gpd, weights, f1, f2), f3)
-        right = convolve(gpd, weights, f1, convolve(gpd, weights, f2, f3))
-        defects += [(abs(left[g] - right[g]), None) for g in gpd.arrows]
-    rep.add_worst("associativity", defects, tol)
+    rep.add_worst("associativity", (
+        (relative_defect(list(mul(mul(f1, f2), f3).values()),
+                         list(mul(f1, mul(f2, f3)).values())), None)
+        for f1, f2, f3 in zip(funcs, funcs[1:], funcs[2:])), tol)
 
     defects = []
-    for i in range(len(funcs) - 1):
-        f1, f2 = funcs[i], funcs[i + 1]
-        left = star(gpd, convolve(gpd, weights, f1, f2))
-        right = convolve(gpd, weights, star(gpd, f2), star(gpd, f1))
+    for f1, f2 in pairs:
+        left = star(gpd, mul(f1, f2))
+        right = mul(star(gpd, f2), star(gpd, f1))
         defects += [(abs(left[g] - right[g]), None) for g in gpd.arrows]
     rep.add_worst("star-antimultiplicative", defects, tol)
 
-    defects = []
-    for i in range(len(funcs) - 1):
-        f1, f2 = funcs[i], funcs[i + 1]
-        prod = regular_matrix(gpd, weights, convolve(gpd, weights, f1, f2))
-        two = regular_matrix(gpd, weights, f1).compose(
-            regular_matrix(gpd, weights, f2))
-        defects.append((max_abs(prod.matrix - two.matrix), None))
-    rep.add_worst("regular-multiplicative", defects, tol)
+    rep.add_worst("regular-multiplicative", (
+        (relative_defect(reg(mul(f1, f2)).matrix,
+                         reg(f1).compose(reg(f2)).matrix), None)
+        for f1, f2 in pairs), tol)
+    rep.add_worst("regular-star", (
+        (relative_defect(reg(f).adjoint().matrix, reg(star(gpd, f)).matrix),
+         None) for f in funcs), tol)
 
     defects = []
     for f in funcs:
-        adj = regular_matrix(gpd, weights, f).adjoint()
-        direct = regular_matrix(gpd, weights, star(gpd, f))
-        defects.append((max_abs(adj.matrix - direct.matrix), None))
-    rep.add_worst("regular-star", defects, tol)
-
-    defects = []
-    for f in funcs:
-        n1 = cstar_norm(gpd, weights,
-                        convolve(gpd, weights, star(gpd, f), f))
+        n1 = cstar_norm(gpd, weights, mul(star(gpd, f), f))
         n2 = cstar_norm(gpd, weights, f)
-        scale = max(n2 * n2, 1.0)
-        defects.append((abs(n1 - n2 * n2) / scale, None))
+        defects.append((abs(n1 - n2 * n2) / max(n2 * n2, 1.0), None))
     rep.add_worst("cstar-identity", defects, max(tol, 1e-9))
-
-    defects = []
-    for f in funcs:
-        gap = cstar_norm(gpd, weights, f) - i_norm(gpd, weights, f)
-        defects.append((gap, None))
-    rep.add_worst("norm-bound", defects, 1e-9)
+    rep.add_worst("norm-bound", (
+        (cstar_norm(gpd, weights, f) - i_norm(gpd, weights, f), None)
+        for f in funcs), 1e-9)
     return rep

@@ -25,10 +25,9 @@ import numpy as np
 
 from .report import Report, VerificationError, max_abs, worst
 from .fingroupoid import transformation_groupoid
-from .convalg import delta_function
 from .reps import blockwise, check_cocycle, from_cocycle
 from .hilbmod import module_from_dims
-from .intdis import integrate_rep
+from .intdis import conv_rep_of
 
 _MAX_ARROWS, _MAX_ELEMENTS = 16, 4096  # bisection and semigroup guards
 
@@ -924,6 +923,7 @@ def transformation_theorem(order, action, rep=None, tol=1e-10):
         out.extend(check_covariant_rep(cov, tol), prefix="covariant-")
         out.extend(partial_isometry_form(cov, tol), prefix="covariant-")
 
+        lits = dict(zip(rep.groupoid.arrows, conv_rep_of(rep).ops))
         defects = []
         for k in range(int(order)):
             a = next(el for el in sgrp.elements
@@ -931,9 +931,8 @@ def transformation_theorem(order, action, rep=None, tol=1e-10):
             w = cov.isometries[a]
             for x in gpd.objects:
                 g = (k, x)
-                lit = integrate_rep(rep, delta_function(gpd, g)).matrix
                 want = cov.projections[gpd.rng[g]] @ w
-                defects.append((max_abs(lit - want), g))
+                defects.append((max_abs(lits[g] - want), g))
         out.add_worst("integrated-agreement", defects, tol)
 
         back, back_rep = covariant_to_groupoid_rep(

@@ -162,8 +162,10 @@ def validate_groupoid(gpd):
 def validate_haar(gpd, weight):
     """Check that an arrow weight system is positive and left invariant.
 
-    weight maps every arrow to a finite positive number; left invariance says
-    weight(gh) == weight(h) for every composable pair, compared exactly.
+    weight maps every arrow to a positive number whose square is finite
+    and positive, since the library multiplies two weights; left
+    invariance says weight(gh) == weight(h) for every composable pair,
+    compared exactly.
     A valid system is determined by its values on units, the object
     weights.
     """
@@ -172,17 +174,17 @@ def validate_haar(gpd, weight):
     rep.add("weight-total", bad is None, witness=bad)
     if not rep.ok:
         return rep
+    w = {g: float(weight[g]) for g in gpd.arrows}
     bad = next((g for g in gpd.arrows
-                if not (0.0 < float(weight[g]) < math.inf)), None)
+                if not (0.0 < w[g] and 0.0 < w[g] * w[g] < math.inf)), None)
     rep.add("weight-positive", bad is None, witness=bad)
     if not rep.ok:
         return rep
     bad, defect = None, 0.0
     for (g, h) in gpd.composable_pairs():
         gh = gpd.comp[(g, h)]
-        if float(weight[gh]) != float(weight[h]):
-            bad = (g, h)
-            defect = abs(float(weight[gh]) - float(weight[h]))
+        if w[gh] != w[h]:
+            bad, defect = (g, h), abs(w[gh] - w[h])
             break
     rep.add("left-invariance", bad is None, defect=defect, witness=bad)
     return rep

@@ -13,15 +13,18 @@ directions respect maps: the frame of a disintegration intertwines it
 with the representation it came from, on the cocycle level and on the
 operator level, and inducing along a fixed graded space commutes with
 integration.
+
+conv_rep_of is the one place that integrates the arrow deltas of a
+representation; every other route reads the stacked operators it returns.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .report import Report, VerificationError, max_abs
+from .report import Report, VerificationError, max_abs, relative_defect
 from .hilbmod import ModuleMap, creation, module_from_dims, tensor_map
-from .convalg import (convolve, delta_function, delta_product, fiber_sups,
+from .convalg import (convolve, delta_function, fiber_sups,
                       identity_element, operator_norm, star)
 from .reps import (CocycleFamily, blockwise, check_cocycle, check_intertwiner,
                    from_cocycle, induce)
@@ -87,11 +90,12 @@ def _check_star_hom(out, gpd, c, op, funcs, tol):
     d = max_abs(ident.matrix - np.eye(ident.target.dim))
     out.add("identity", d <= tol, defect=d)
     out.add_worst("multiplicative", (
-        (max_abs(op(convolve(gpd, c, f1, f2)).matrix
-                 - op(f1).compose(op(f2)).matrix), None)
+        (relative_defect(op(convolve(gpd, c, f1, f2)).matrix,
+                         op(f1).compose(op(f2)).matrix), None)
         for f1, f2 in zip(funcs, funcs[1:])), tol)
     out.add_worst("star", (
-        (max_abs(op(star(gpd, f)).matrix - op(f).adjoint().matrix), None)
+        (relative_defect(op(star(gpd, f)).matrix, op(f).adjoint().matrix),
+         None)
         for f in funcs), tol)
 
 
@@ -101,27 +105,17 @@ def check_integration(rep, funcs, tol=1e-10):
     out = Report("integration")
     funcs = list(funcs)
 
-    defects = []
-    for f in funcs:
-        lit = integrate_rep(rep, f)
-        ora = oracle_integrate(rep, f)
-        defects.append((max_abs(lit.matrix - ora.matrix), None))
-    out.add_worst("oracle-agreement", defects, tol)
+    out.add_worst("oracle-agreement", (
+        (relative_defect(integrate_rep(rep, f).matrix,
+                         oracle_integrate(rep, f).matrix), None)
+        for f in funcs), tol)
     _check_star_hom(out, gpd, c, lambda f: integrate_rep(rep, f), funcs, tol)
-
-    defects = []
-    for f in funcs:
-        gap = operator_norm(integrate_rep(rep, f)) \
-            - integration_bound(gpd, c, f)
-        defects.append((gap, None))
-    out.add_worst("norm-bound", defects, 1e-9)
-
-    defects = []
-    for f in funcs:
-        sup_r, sup_s = fiber_sups(gpd, c, f)
-        gap = float(np.sqrt(sup_r * sup_s)) - max(sup_r, sup_s)
-        defects.append((gap, None))
-    out.add_worst("bound-below-inorm", defects, 1e-9)
+    out.add_worst("norm-bound", (
+        (operator_norm(integrate_rep(rep, f)) - integration_bound(gpd, c, f),
+         None) for f in funcs), 1e-9)
+    out.add_worst("bound-below-inorm", (
+        (float(np.sqrt(sup_r * sup_s)) - max(sup_r, sup_s), None)
+        for sup_r, sup_s in (fiber_sups(gpd, c, f) for f in funcs)), 1e-9)
     return out
 
 
@@ -129,28 +123,35 @@ def check_integration(rep, funcs, tol=1e-10):
 # operator level representations
 
 class ConvRep:
-    """A family of operators, one per arrow delta, on a graded space."""
+    """A family of operators, one per arrow delta, on a graded space.
+
+    delta_ops maps each arrow to its dim x dim operator; ops stacks them
+    read-only, (|A|, dim, dim), in arrow order."""
 
     def __init__(self, gpd, weights, space, delta_ops):
         self.groupoid = gpd
         self.weights = {x: float(weights[x]) for x in gpd.objects}
         self.space = space
-        self.delta_ops = {g: np.asarray(delta_ops[g], dtype=complex)
-                          for g in gpd.arrows}
-        for g in gpd.arrows:
-            if self.delta_ops[g].shape != (space.dim, space.dim):
+        self.ops = np.empty((len(gpd.arrows), space.dim, space.dim),
+                            dtype=complex)
+        for i, g in enumerate(gpd.arrows):
+            mat = np.asarray(delta_ops[g], dtype=complex)
+            if mat.shape != (space.dim, space.dim):
                 raise ValueError(f"operator shape mismatch at {g!r}")
+            self.ops[i] = mat
+        self.ops.flags.writeable = False
 
     def op(self, f):
+        """The operator of f, summed in arrow order over f's nonzeros."""
         mat = np.zeros((self.space.dim, self.space.dim), dtype=complex)
-        for g in self.groupoid.arrows:
+        for g, a in zip(self.groupoid.arrows, self.ops):
             if f[g] != 0:
-                mat += f[g] * self.delta_ops[g]
+                mat += f[g] * a
         return ModuleMap(self.space, self.space, mat)
 
 
 def conv_rep_of(rep):
-    """Integrate every arrow delta of a representation."""
+    """Integrate every arrow delta of a representation, once."""
     gpd = rep.groupoid
     ops = {g: integrate_rep(rep, delta_function(gpd, g)).matrix
            for g in gpd.arrows}
@@ -163,29 +164,36 @@ def check_conv_rep(conv, funcs, tol=1e-10):
     out = Report("operator representation")
     _check_star_hom(out, gpd, c, conv.op, list(funcs), tol)
 
-    defects = []
-    for g in gpd.arrows:
-        mat = conv.delta_ops[g]
-        for b in conv.space.basis:
-            for b2 in conv.space.basis:
-                if conv.space.left[b] == gpd.src[g] \
-                        and conv.space.left[b2] == gpd.rng[g]:
-                    continue
-                v = abs(mat[conv.space.index[b2], conv.space.index[b]])
-                defects.append((v, (g, b2, b)))
-    out.add_worst("support-pattern", defects, tol)
+    # entry (b2, b) of the delta at g may be nonzero only from src(g) to
+    # rng(g); np.hypot rounds like abs() (see hilbmod.grade_leak), and
+    # argmax finds the first largest entry or NaN, arrow-major, then
+    # column b, then row b2
+    space, arrows = conv.space, gpd.arrows
+    code = {x: i for i, x in enumerate(space.left_space)}
+    ends = np.array([[code.get(gpd.src[g], -1), code.get(gpd.rng[g], -1)]
+                     for g in arrows], dtype=np.intp).reshape(-1, 2, 1, 1)
+    lc, ops = space.left_codes, conv.ops.transpose(0, 2, 1)
+    leak = np.where((lc[:, None] == ends[:, 0]) & (lc == ends[:, 1]), 0.0,
+                    np.hypot(ops.real, ops.imag)).ravel()
+    k = int(np.argmax(leak)) if leak.size else -1
+    d, witness = (float(leak[k]) if k >= 0 else 0.0), None
+    if d != 0.0:
+        g, b, b2 = np.unravel_index(k, ops.shape)
+        witness = (arrows[g], space.basis[b2], space.basis[b])
+    out.add("support-pattern", d <= tol, defect=d, witness=witness)
     return out
 
 
 def check_integrated_intertwiner(conv1, conv2, vmatrix, tol=1e-10):
     """A matrix V from the space of conv1 to that of conv2 commutes with
     every arrow delta: conv2(g) V == V conv1(g); the witness is the
-    worst arrow."""
+    worst arrow.  Both families live on one groupoid."""
     v = np.asarray(vmatrix, dtype=complex)
     out = Report("integrated intertwiner")
     out.add_worst("integrated-commutes", (
-        (max_abs(conv2.delta_ops[g] @ v - v @ conv1.delta_ops[g]), g)
-        for g in conv1.groupoid.arrows), tol)
+        (max_abs(b @ v - v @ a), g)
+        for g, a, b in zip(conv1.groupoid.arrows, conv1.ops, conv2.ops)),
+        tol)
     return out
 
 
@@ -241,22 +249,36 @@ def check_pair_exchange(gpd, weights, functions):
     """The substitution is isometric between the two pair inner products."""
     out = Report("pair exchange")
     funcs = list(functions)
-    for i in range(len(funcs)):
-        f1 = funcs[i]
-        f2 = funcs[(i + 1) % len(funcs)]
+    for i, (f1, f2) in enumerate(zip(funcs, funcs[1:] + funcs[:1])):
         lhs = pair_inner_s(gpd, weights, f1, f2)
-        rhs = pair_inner_r(gpd, weights,
-                           upsilon(gpd, f1), upsilon(gpd, f2))
-        defects = []
-        for k in gpd.arrows:
-            scale = max(abs(lhs[k]), abs(rhs[k]), 1.0)
-            defects.append((abs(lhs[k] - rhs[k]) / scale, k))
-        out.add_worst(f"exchange-{i}", defects, 1e-12)
+        rhs = pair_inner_r(gpd, weights, upsilon(gpd, f1), upsilon(gpd, f2))
+        out.add_worst(f"exchange-{i}", (
+            (abs(lhs[k] - rhs[k]) / max(abs(lhs[k]), abs(rhs[k]), 1.0), k)
+            for k in gpd.arrows), 1e-12)
     return out
 
 
 # ---------------------------------------------------------------------------
 # disintegration
+
+def star_pairs(conv):
+    """(L(g)* G L(g2), G L(delta_g* * delta_g2)) for the arrow pairs
+    (g, g2), g-major, G the Gram diagonal; the product is c(rng g) times
+    the delta at g^-1 g2 from the composition table, zero off the
+    composable pairs."""
+    gpd, c = conv.groupoid, conv.weights
+    gram = np.diag(conv.space.gram_diagonal())
+    pos = {g: i for i, g in enumerate(gpd.arrows)}
+    zero = np.zeros(gram.shape, dtype=complex)
+    for g, op in zip(gpd.arrows, conv.ops):
+        left = op.conj().T @ gram
+        h = gpd.inv[g]
+        for g2, op2 in zip(gpd.arrows, conv.ops):
+            k = gpd.comp.get((h, g2))
+            rhs = zero if k is None \
+                else gram @ (c[gpd.src[h]] * conv.ops[pos[k]])
+            yield left @ op2, rhs
+
 
 def disintegrate(conv, tol=1e-9):
     """Recover a representation from its integrated operator family.
@@ -276,40 +298,19 @@ def disintegrate(conv, tol=1e-9):
     d = max_abs(ident.matrix - np.eye(space.dim))
     out.add("nondegenerate", d <= tol, defect=d)
 
-    gram = np.diag(space.gram_diagonal())
-    defects = []
-    for g in gpd.arrows:
-        left = conv.delta_ops[g].conj().T @ gram
-        for g2 in gpd.arrows:
-            lhs = left @ conv.delta_ops[g2]
-            # delta_g* convolved with delta_g2, from the structure constants
-            rhs = gram @ conv.op(
-                delta_product(gpd, c, gpd.inv[g], g2)).matrix
-            defects.append((max_abs(lhs - rhs), None))
-    out.add_worst("star-certificate", defects, tol)
-
-    pair_batch = []
-    pairs = gpd.composable_pairs()
-    for p in pairs[: min(3, len(pairs))]:
-        fn = {q: (1.0 if q == p else 0.0) for q in pairs}
-        pair_batch.append(fn)
-    if pair_batch:
-        out.extend(check_pair_exchange(gpd, c, pair_batch),
-                   prefix="certificate-")
+    out.add_worst("star-certificate", (
+        (relative_defect(lhs, rhs), None) for lhs, rhs in star_pairs(conv)),
+        tol)
 
     dhat = np.sqrt(space.gram_diagonal())
-    projections = {}
-    idem, adj = [], []
-    for x in gpd.objects:
-        p = conv.delta_ops[gpd.unit[x]] / c[x]
-        projections[x] = p
-        idem.append((max_abs(p @ p - p), None))
-        pm = ModuleMap(space, space, p)
-        adj.append((max_abs(pm.adjoint().matrix - p), None))
-    out.add_worst("projections-idempotent", idem, tol)
-    out.add_worst("projections-selfadjoint", adj, tol)
-    total = sum(projections.values())
-    d = max_abs(total - np.eye(space.dim))
+    pos = {g: i for i, g in enumerate(gpd.arrows)}
+    projections = {x: conv.ops[pos[gpd.unit[x]]] / c[x] for x in gpd.objects}
+    out.add_worst("projections-idempotent", (
+        (max_abs(p @ p - p), None) for p in projections.values()), tol)
+    out.add_worst("projections-selfadjoint", (
+        (max_abs(ModuleMap(space, space, p).adjoint().matrix - p), None)
+        for p in projections.values()), tol)
+    d = max_abs(sum(projections.values()) - np.eye(space.dim))
     out.add("projections-sum", d <= tol, defect=d)
 
     if not out.ok:
@@ -318,14 +319,11 @@ def disintegrate(conv, tol=1e-9):
                 ch.line() for ch in out.failures()))
 
     coeffs = space.right_space
-    dims = {}
-    frame_cols = {}
-    spectrum = []
+    dims, frame_cols, spectrum = {}, {}, []
     for x in gpd.objects:
-        for w in coeffs:
-            idx = [space.index[b] for b in space.basis
-                   if space.right[b] == w]
-            if not idx:
+        for k, w in enumerate(coeffs):
+            idx = np.flatnonzero(space.right_codes == k)
+            if not idx.size:
                 dims[(x, w)] = 0
                 continue
             sub = projections[x][np.ix_(idx, idx)]
@@ -355,8 +353,8 @@ def disintegrate(conv, tol=1e-9):
 
     unitaries = {}
     offblock = []
-    for g in gpd.arrows:
-        lg = ModuleMap(space, space, conv.delta_ops[g] / c[gpd.src[g]])
+    for g, op in zip(gpd.arrows, conv.ops):
+        lg = ModuleMap(space, space, op / c[gpd.src[g]])
         small = frame.adjoint().compose(lg).compose(frame).matrix
         srows = [module.index[m] for m in module.left_fiber(gpd.src[g])]
         trows = [module.index[m] for m in module.left_fiber(gpd.rng[g])]
@@ -383,16 +381,6 @@ def disintegrate(conv, tol=1e-9):
 # ---------------------------------------------------------------------------
 # round trips
 
-def _operator_roundtrip(conv, rep):
-    """(defect, arrow) of each delta operator of conv against rep
-    integrated in its frame."""
-    gpd, frame = conv.groupoid, rep.frame
-    for g in gpd.arrows:
-        lg = integrate_rep(rep, delta_function(gpd, g))
-        back = frame.compose(lg).compose(frame.adjoint()).matrix
-        yield max_abs(back - conv.delta_ops[g]), g
-
-
 def _grade_dims(objects, module):
     """Module dimension over each (object, coefficient label)."""
     dims = {(x, w): 0 for x in objects for w in module.right_space}
@@ -401,10 +389,11 @@ def _grade_dims(objects, module):
     return dims
 
 
-def roundtrip_rep(rep, tol=1e-9):
-    """Integrate, disintegrate, compare dimensions and operators."""
+def _roundtrip(rep, tol):
+    """roundtrip_rep's report, with the conv, rep2 and conv2 it built."""
     conv = conv_rep_of(rep)
     rep2, inner = disintegrate(conv, tol)
+    conv2 = conv_rep_of(rep2)
     out = Report("disintegrate after integrate")
     out.extend(inner)
 
@@ -413,8 +402,24 @@ def roundtrip_rep(rep, tol=1e-9):
     out.add("dims-match", dims1 == dims2,
             witness=None if dims1 == dims2 else (dims1, dims2))
 
-    out.add_worst("operator-roundtrip", _operator_roundtrip(conv, rep2), tol)
-    return out
+    frame, space = rep2.frame, conv2.space
+    out.add_worst("operator-roundtrip", (
+        (relative_defect(frame.compose(ModuleMap(space, space, op2))
+                         .compose(frame.adjoint()).matrix, op), g)
+        for g, op, op2 in zip(rep.groupoid.arrows, conv.ops, conv2.ops)), tol)
+    return out, conv, rep2, conv2
+
+
+def roundtrip_rep(rep, tol=1e-9):
+    """Integrate, disintegrate, compare dimensions and operators."""
+    return _roundtrip(rep, tol)[0]
+
+
+def roundtrip_naturality(rep, tol=1e-9):
+    """The roundtrip_rep report and the check_naturality report of one
+    disintegration, integrating each representation once."""
+    out, conv, rep2, conv2 = _roundtrip(rep, tol)
+    return out, _naturality(rep, conv, rep2, conv2, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -431,20 +436,21 @@ def check_naturality(rep, conv, rep2, tol=1e-10):
     with integration: the induced representation integrates each arrow
     delta to the integrated operator tensored with the identity of E.
     """
-    gpd, frame = rep.groupoid, rep2.frame
+    return _naturality(rep, conv, rep2, conv_rep_of(rep2), tol)
+
+
+def _naturality(rep, conv, rep2, conv2, tol):
+    """check_naturality, given conv2 = conv_rep_of(rep2)."""
+    frame, space = rep2.frame, conv.space
     out = Report("naturality")
     out.extend(check_intertwiner(rep2, rep, frame, tol))
-    out.extend(check_integrated_intertwiner(conv_rep_of(rep2), conv,
-                                            frame.matrix, tol))
+    out.extend(check_integrated_intertwiner(conv2, conv, frame.matrix, tol))
     labels = rep.module.right_space
     ebasis = module_from_dims(labels, ("e",), {
         (w, "e"): 1 + k % 2 for k, w in enumerate(labels)})
-    big = induce(rep, ebasis)
-    defects = []
-    for g in gpd.arrows:
-        f = delta_function(gpd, g)
-        one = integrate_rep(big, f)
-        two = tensor_map(integrate_rep(rep, f), ebasis)
-        defects.append((max_abs(one.matrix - two.matrix), g))
-    out.add_worst("induction", defects, tol)
+    big = conv_rep_of(induce(rep, ebasis))
+    out.add_worst("induction", (
+        (max_abs(one - tensor_map(ModuleMap(space, space, op),
+                                  ebasis).matrix), g)
+        for g, one, op in zip(rep.groupoid.arrows, big.ops, conv.ops)), tol)
     return out

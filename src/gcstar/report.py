@@ -9,6 +9,12 @@ worst(): the defect is the largest value, starting from 0.0 (a negative
 gap reports 0.0), and the witness that of its first pair, None while
 every defect is 0.  The first NaN beats any number and keeps its own
 witness.  Report.add_worst passes iff defect <= tol, so NaN never does.
+
+Two arrays that should agree are compared by relative_defect: the
+largest entry of their difference divided by the largest entry of
+either operand, or by 1 when both stay within 1 (a normwise relative
+error, Higham 2002).  So the scale of the weights does not decide the
+verdict, and a NaN or infinite entry still fails.
 """
 
 from __future__ import annotations
@@ -23,6 +29,11 @@ def max_abs(x):
     """Largest absolute entry of an array, 0.0 when it is empty."""
     x = np.asarray(x)
     return float(np.max(np.abs(x))) if x.size else 0.0
+
+
+def relative_defect(a, b):
+    """max_abs(a - b) / max(1, max_abs(a), max_abs(b))."""
+    return max_abs(np.subtract(a, b)) / max(1.0, max_abs(a), max_abs(b))
 
 
 def worst(pairs):

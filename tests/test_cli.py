@@ -395,22 +395,21 @@ def test_infinite_haar_weight_exits_2(capsys, tmp_path):
     assert "weight-positive" in err
 
 
-# the overflow is this input's point; numpy warns before the space
-# refuses the infinite weight
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("command", ["families", "rep", "integrate",
-                                     "disintegrate", "roundtrip"])
+@pytest.mark.parametrize("command", ["families", "algebra", "rep",
+                                     "integrate", "disintegrate",
+                                     "roundtrip"])
 def test_overflowing_weight_exits_2_naming_the_point(capsys, tmp_path,
                                                      command):
-    # valid weights whose products overflow gave NaN defects and bare NaN
-    # tokens in --json
+    # weights whose products overflow gave NaN defects and bare NaN tokens
+    # in --json, and algebra failed in LAPACK; validate_haar now refuses
+    # a weight whose square is not finite, naming its arrow
     def huge(data):
         data["haar"]["1"] = 1e200
     path = write_groupoid(tmp_path, corrupt=huge)
-    assert run(capsys, "validate", path)[0] == 0
+    assert run(capsys, "validate", path)[0] == 2
     code, out, err = run(capsys, command, path, "--json")
     assert code == 2
-    assert "error: non-finite weight at " in err
+    assert "error: FAIL weight-positive (defect=0.000e+00) witness=" in err
     assert out == ""
 
 

@@ -1,0 +1,216 @@
+"""The stacked ConvRep and the routes that read it.
+
+A ConvRep holds the integrated arrow deltas of a representation as one
+read-only (|A|, d, d) array in arrow order.  conv_rep_of is the one
+place that integrates them, so each representation's deltas are
+integrated once per command.  The star certificate reads delta_g* *
+delta_g2 off the composition table; the old route through
+delta_product and ConvRep.op is kept here as the reference, and so is
+the old triple loop of the support-pattern check.
+"""
+
+import sys
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from gcstar import cli, intdis
+from gcstar.convalg import delta_function, delta_product
+from gcstar.fingroupoid import FIXTURE_NAMES, build_preset, fixture
+from gcstar.intdis import (ConvRep, check_conv_rep, conv_rep_of,
+                           integrate_rep, star_pairs)
+from gcstar.report import worst
+from gcstar.reps import from_cocycle
+from gcstar.sampling import SplitMix64, random_cocycle, random_groupoid
+
+
+def _cases():
+    """Fixtures, pair:3 with weights over twelve decades and two seeded
+    random groupoids, each with a random cocycle representation."""
+    rng = SplitMix64(5)
+    out = [(name, *fixture(name)) for name in FIXTURE_NAMES]
+    p3 = build_preset("pair", points=3)
+    out.append(("wide", p3, dict(zip(p3.objects, (1e-6, 1.0, 1e6)))))
+    out += [(f"random-{t}", *random_groupoid(rng)) for t in range(2)]
+    for name, gpd, w in out:
+        module, blocks = random_cocycle(rng, gpd, w, coeff_size=2)
+        yield name, from_cocycle(gpd, w, module, blocks)
+
+
+CASES = list(_cases())
+IDS = [name for name, _ in CASES]
+
+
+@pytest.mark.parametrize("rep", [r for _, r in CASES], ids=IDS)
+def test_ops_stack_the_integrated_deltas(rep):
+    gpd = rep.groupoid
+    conv = conv_rep_of(rep)
+    d = rep.module.dim
+    assert conv.ops.shape == (len(gpd.arrows), d, d)
+    assert not conv.ops.flags.writeable
+    for g, op in zip(gpd.arrows, conv.ops):
+        lit = integrate_rep(rep, delta_function(gpd, g)).matrix
+        assert op.tobytes() == lit.tobytes()
+
+
+def _old_op(conv, f):
+    """ConvRep.op as a sum over a dict of operators, in arrow order."""
+    mat = np.zeros((conv.space.dim, conv.space.dim), dtype=complex)
+    for g, a in zip(conv.groupoid.arrows, conv.ops):
+        if f[g] != 0:
+            mat += f[g] * a
+    return mat
+
+
+def _old_star_pairs(conv):
+    """The certificate through delta_product and a sum over all arrows."""
+    gpd, c = conv.groupoid, conv.weights
+    gram = np.diag(conv.space.gram_diagonal())
+    ops = dict(zip(gpd.arrows, conv.ops))
+    for g in gpd.arrows:
+        left = ops[g].conj().T @ gram
+        for g2 in gpd.arrows:
+            rhs = gram @ _old_op(conv, delta_product(gpd, c, gpd.inv[g], g2))
+            yield left @ ops[g2], rhs
+
+
+@pytest.mark.parametrize("rep", [r for _, r in CASES], ids=IDS)
+def test_star_pairs_match_the_structure_constant_route(rep):
+    conv = conv_rep_of(rep)
+    new = list(star_pairs(conv))
+    old = list(_old_star_pairs(conv))
+    assert len(new) == len(old) == len(rep.groupoid.arrows) ** 2
+    for (lhs, rhs), (lhs0, rhs0) in zip(new, old):
+        assert lhs.tobytes() == lhs0.tobytes()
+        assert rhs.tobytes() == rhs0.tobytes()
+
+
+def _old_support_pattern(conv):
+    gpd, space = conv.groupoid, conv.space
+    ops = dict(zip(gpd.arrows, conv.ops))
+    defects = []
+    for g in gpd.arrows:
+        for b in space.basis:
+            for b2 in space.basis:
+                if space.left[b] == gpd.src[g] \
+                        and space.left[b2] == gpd.rng[g]:
+                    continue
+                v = abs(ops[g][space.index[b2], space.index[b]])
+                defects.append((v, (g, b2, b)))
+    return worst(defects)
+
+
+def _leaky(conv, entries):
+    """conv with the given (arrow position, row, col) entries set."""
+    ops = conv.ops.copy()
+    for (i, r, c), v in entries.items():
+        ops[i, r, c] = v
+    gpd = conv.groupoid
+    return ConvRep(gpd, conv.weights, conv.space, dict(zip(gpd.arrows, ops)))
+
+
+@pytest.mark.parametrize("rep", [r for _, r in CASES], ids=IDS)
+def test_support_pattern_matches_the_triple_loop(rep):
+    conv = conv_rep_of(rep)
+    space, gpd = conv.space, conv.groupoid
+    lc = space.left_codes
+    outside = [(i, r, c) for i, g in enumerate(gpd.arrows)
+               for r in range(space.dim) for c in range(space.dim)
+               if not (space.left_space[lc[c]] == gpd.src[g]
+                       and space.left_space[lc[r]] == gpd.rng[g])]
+    variants = [conv]
+    if outside:
+        a, b = outside[0], outside[-1]
+        variants += [
+            _leaky(conv, {a: 0.5j}),
+            # two equal leaks: the first in arrow, column, row order wins
+            _leaky(conv, {a: 3.0 + 4.0j, b: 5.0}),
+            _leaky(conv, {b: 3.0 + 4.0j, a: 5.0}),
+            _leaky(conv, {a: 7.0, b: complex(np.nan, 0.0)}),
+        ]
+    for variant in variants:
+        check = check_conv_rep(variant, []).checks[-1]
+        assert check.name == "support-pattern"
+        d, witness = _old_support_pattern(variant)
+        assert (check.defect == d or np.isnan(check.defect) and np.isnan(d))
+        assert check.witness == witness
+
+
+# ---------------------------------------------------------------------------
+# each representation's deltas are integrated once
+
+def _inside(name):
+    frame = sys._getframe(2)
+    while frame is not None:
+        if frame.f_code.co_name == name:
+            return True
+        frame = frame.f_back
+    return False
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Count integrate_rep calls per (representation, delta arrow) and
+    disintegrate calls.  check_integration tests integrate_rep itself on
+    a batch that holds the deltas, so its calls are left out."""
+    seen = {"deltas": Counter(), "reps": [], "arrows": {},
+            "disintegrate": 0}
+    integrate, disintegrate = intdis.integrate_rep, intdis.disintegrate
+
+    def counted_integrate(rep, f):
+        if not _inside("check_integration"):
+            hot = [g for g, v in f.items() if v != 0]
+            assert len(hot) == 1 and f[hot[0]] == 1.0
+            if not any(r is rep for r in seen["reps"]):
+                seen["reps"].append(rep)
+                seen["arrows"][id(rep)] = rep.groupoid.arrows
+            seen["deltas"][(id(rep), hot[0])] += 1
+        return integrate(rep, f)
+
+    def counted_disintegrate(conv, tol=1e-9):
+        seen["disintegrate"] += 1
+        return disintegrate(conv, tol)
+
+    monkeypatch.setattr(intdis, "integrate_rep", counted_integrate)
+    monkeypatch.setattr(intdis, "disintegrate", counted_disintegrate)
+    monkeypatch.setattr(cli, "disintegrate", counted_disintegrate)
+    return seen
+
+
+def _once_each(seen):
+    for rep in seen["reps"]:
+        for g in seen["arrows"][id(rep)]:
+            assert seen["deltas"][(id(rep), g)] == 1, g
+    assert sum(seen["deltas"].values()) == sum(
+        len(a) for a in seen["arrows"].values())
+
+
+@pytest.mark.parametrize("argv, reps, disintegrations", [
+    # the representation, its disintegration, the induced representation
+    (["disintegrate", "--preset", "W2"], 3, 1),
+    # per trial: the representation and its disintegration
+    (["roundtrip", "--preset", "P2", "--trials", "3"], 6, 3),
+    # per fixture: the representation, its disintegration and the induced
+    # representation; then the swap trafo's representation
+    (["suite", "--trials", "1"], 3 * len(FIXTURE_NAMES) + 1,
+     len(FIXTURE_NAMES)),
+], ids=["disintegrate", "roundtrip", "suite"])
+def test_each_representation_integrated_once(counts, capsys, argv, reps,
+                                             disintegrations):
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(counts["reps"]) == reps
+    assert counts["disintegrate"] == disintegrations
+    _once_each(counts)
+
+
+def test_trafo_integrates_once(counts, capsys, tmp_path):
+    group, action = tmp_path / "group.json", tmp_path / "action.json"
+    group.write_text('{"order": 3}')
+    action.write_text('{"map": {"1": 2, "2": 3, "3": 1}}')
+    assert cli.main(["trafo", "--group", str(group),
+                     "--action", str(action)]) == 0
+    capsys.readouterr()
+    assert len(counts["reps"]) == 1
+    _once_each(counts)

@@ -177,7 +177,7 @@ def test_disintegrate_rejects_corrupted_operators():
     gpd, w = fixture("P2")
     module, blocks = random_cocycle(rng, gpd, w)
     conv = conv_rep_of(from_cocycle(gpd, w, module, blocks))
-    ops = dict(conv.delta_ops)
+    ops = dict(zip(gpd.arrows, conv.ops))
     ops[(1, 2)] = 1.1 * ops[(1, 2)]
     broken = ConvRep(gpd, w, conv.space, ops)
     with pytest.raises(VerificationError) as err:

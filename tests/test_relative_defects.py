@@ -1,0 +1,163 @@
+"""Defects relative to the operands, and a mutant for each such check.
+
+Object weights spanning six and twelve decades make the operands of
+the algebra and operator identities reach 1e12, where absolute defects
+of a few ulps already exceed the tolerance.  The checks below compare
+with report.relative_defect, so they pass there; each keeps a mutant
+that fails it at unit weights and at the widest weights.
+"""
+
+import numpy as np
+import pytest
+
+from gcstar import convalg, intdis
+from gcstar.convalg import check_convolution, delta_function
+from gcstar.fingroupoid import build_preset
+from gcstar.hilbmod import ModuleMap
+from gcstar.intdis import (ConvRep, check_conv_rep, check_integration,
+                           conv_rep_of, disintegrate, roundtrip_rep)
+from gcstar.report import VerificationError, max_abs, relative_defect
+from gcstar.reps import from_cocycle
+from gcstar.sampling import SplitMix64, random_cocycle, random_function
+
+WIDE = [(1e-3, 1.0, 1e3), (1e-6, 1.0, 1e6)]
+SCALES = [(1.0, 1.0, 1.0), (1e-6, 1.0, 1e6)]
+
+
+def _case(objw, seed=0, coeff_size=2):
+    """pair:3 with the given object weights, a batch of the deltas and
+    four random functions, and a random cocycle representation."""
+    gpd = build_preset("pair", points=3)
+    w = dict(zip(gpd.objects, objw))
+    rng = SplitMix64(seed)
+    funcs = [delta_function(gpd, g) for g in gpd.arrows]
+    funcs += [random_function(rng, gpd) for _ in range(4)]
+    module, blocks = random_cocycle(rng, gpd, w, coeff_size=coeff_size)
+    return gpd, w, funcs, from_cocycle(gpd, w, module, blocks)
+
+
+def _failing(out):
+    return {c.name for c in out.failures()}
+
+
+def test_relative_defect_rule():
+    assert relative_defect([1.0, 2.0], [1.0, 2.5]) == 0.5 / 2.5
+    # absolute while both operands stay within 1
+    assert relative_defect([1e-3], [2e-3]) == 1e-3
+    assert relative_defect(np.zeros((0, 0)), np.zeros((0, 0))) == 0.0
+    assert relative_defect([1e12 + 1e-3j], [1e12]) == 1e-3 / abs(1e12 + 1e-3j)
+    assert np.isnan(relative_defect([np.nan], [1.0]))
+    assert np.isnan(relative_defect([np.inf], [1.0]))
+
+
+@pytest.mark.parametrize("objw", WIDE, ids=["1e3", "1e6"])
+def test_wide_weights_pass(objw):
+    # absolute defects failed associativity, regular-multiplicative,
+    # multiplicative, star, oracle-agreement, star-certificate and
+    # operator-roundtrip here
+    gpd, w, funcs, rep = _case(objw)
+    out = check_convolution(gpd, w, funcs)
+    assert out.ok, str(out)
+    out = check_integration(rep, funcs)
+    assert out.ok, str(out)
+    conv = conv_rep_of(rep)
+    out = check_conv_rep(conv, funcs)
+    assert out.ok, str(out)
+    _, out = disintegrate(conv)
+    assert out.ok, str(out)
+    out = roundtrip_rep(rep)
+    assert out.ok, str(out)
+
+
+# ---------------------------------------------------------------------------
+# mutants
+
+def _twisted(convolve):
+    """Convolution twisted by 1 + 1e-3 on the non-unit arrows of the
+    left factor: tau(ab) != tau(b) for b a unit, so the product is not
+    associative and not the regular one."""
+    def bent(gpd, weights, f1, f2):
+        units = set(gpd.unit.values())
+        tau = {h: v * (1.0 if h in units else 1.0 + 1e-3)
+               for h, v in f1.items()}
+        return convolve(gpd, weights, tau, f2)
+    return bent
+
+
+@pytest.mark.parametrize("objw", SCALES, ids=["unit", "1e6"])
+@pytest.mark.parametrize("name", ["associativity", "regular-multiplicative"])
+def test_convolution_mutant(monkeypatch, objw, name):
+    gpd, w, funcs, _ = _case(objw)
+    monkeypatch.setattr(convalg, "convolve", _twisted(convalg.convolve))
+    out = check_convolution(gpd, w, funcs)
+    assert name in _failing(out), str(out)
+
+
+def _bent_star(star):
+    """The involution scaled by 1 + 1e-3 off the self-inverse arrows."""
+    def bent(gpd, f):
+        return {g: v * (1.0 if g == gpd.inv[g] else 1.0 + 1e-3)
+                for g, v in star(gpd, f).items()}
+    return bent
+
+
+@pytest.mark.parametrize("objw", SCALES, ids=["unit", "1e6"])
+def test_regular_star_mutant(monkeypatch, objw):
+    gpd, w, funcs, _ = _case(objw)
+    monkeypatch.setattr(convalg, "star", _bent_star(convalg.star))
+    out = check_convolution(gpd, w, funcs)
+    assert "regular-star" in _failing(out), str(out)
+
+
+@pytest.mark.parametrize("objw", SCALES, ids=["unit", "1e6"])
+@pytest.mark.parametrize("name, attr, bend", [
+    ("multiplicative", "convolve", _twisted),
+    ("star", "star", _bent_star),
+])
+def test_star_hom_mutants(monkeypatch, objw, name, attr, bend):
+    # check_integration and check_conv_rep share these two checks
+    gpd, w, funcs, rep = _case(objw)
+    conv = conv_rep_of(rep)
+    monkeypatch.setattr(intdis, attr, bend(getattr(intdis, attr)))
+    assert name in _failing(check_integration(rep, funcs))
+    assert name in _failing(check_conv_rep(conv, funcs))
+
+
+@pytest.mark.parametrize("objw", SCALES, ids=["unit", "1e6"])
+def test_oracle_agreement_mutant(monkeypatch, objw):
+    gpd, w, funcs, rep = _case(objw)
+    oracle = intdis.oracle_integrate
+
+    def bent(rep, f):
+        m = oracle(rep, f)
+        return ModuleMap(m.source, m.target, m.matrix * (1.0 + 1e-6))
+    monkeypatch.setattr(intdis, "oracle_integrate", bent)
+    out = check_integration(rep, funcs)
+    assert _failing(out) == {"oracle-agreement"}, str(out)
+
+
+@pytest.mark.parametrize("objw", SCALES, ids=["unit", "1e6"])
+def test_star_certificate_mutant(objw):
+    gpd, w, _, rep = _case(objw)
+    conv = conv_rep_of(rep)
+    ops = dict(zip(gpd.arrows, conv.ops))
+    g = (1, 2)
+    assert max_abs(ops[g]) > 0.0
+    ops[g] = (1.0 + 1e-6) * ops[g]
+    with pytest.raises(VerificationError) as err:
+        disintegrate(ConvRep(gpd, w, conv.space, ops))
+    assert "FAIL star-certificate" in str(err.value)
+
+
+@pytest.mark.parametrize("objw", SCALES, ids=["unit", "1e6"])
+def test_operator_roundtrip_mutant(monkeypatch, objw):
+    _, _, _, rep = _case(objw)
+    exact = intdis.disintegrate
+
+    def bent(conv, tol):
+        rep2, out = exact(conv, tol)
+        f = rep2.frame
+        rep2.frame = ModuleMap(f.source, f.target, f.matrix * (1.0 + 1e-6))
+        return rep2, out
+    monkeypatch.setattr(intdis, "disintegrate", bent)
+    assert _failing(roundtrip_rep(rep)) == {"operator-roundtrip"}
