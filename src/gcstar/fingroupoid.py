@@ -9,14 +9,29 @@ Presets state a groupoid by rules: the source, range and inverse of an
 arrow, the unit of an object and the product mul(g, h) of a composable
 pair.  One builder tabulates the rules, the product along the range
 fibres, so the composition table lists its pairs g-major in arrow order.
+
+FiniteGroupoid.codes is a read-only integer view of the label tables,
+built on first use: src and rng as object positions per arrow, inv and
+unit as arrow positions, comp as the |A| x |A| table of gh, -1 off the
+composable pairs, and pairs = np.nonzero(comp >= 0), the composable
+pairs in composable_pairs() order.  Only a validated groupoid's view is
+read; validation reads the label dicts, and the tables must not change
+once the view is built.
 """
 
 from __future__ import annotations
 
 import math
 import reprlib
+from collections import namedtuple
+from functools import cached_property
+
+import numpy as np
 
 from .report import Report
+
+
+ArrowCodes = namedtuple("ArrowCodes", "src rng inv unit comp pairs")
 
 
 class FiniteGroupoid:
@@ -43,6 +58,24 @@ class FiniteGroupoid:
                       for x in self.objects}
         self._outof = {x: tuple(g for g in self.arrows if self.src.get(g) == x)
                        for x in self.objects}
+
+    @cached_property
+    def codes(self):
+        """The integer view of the module docstring."""
+        obj = {x: i for i, x in enumerate(self.objects)}
+        arr = {g: i for i, g in enumerate(self.arrows)}
+        comp = np.full((len(arr), len(arr)), -1, dtype=np.intp)
+        for (g, h), k in self.comp.items():
+            comp[arr[g], arr[h]] = arr[k]
+        views = [np.array(v, dtype=np.intp) for v in (
+            [obj[self.src[g]] for g in self.arrows],
+            [obj[self.rng[g]] for g in self.arrows],
+            [arr[self.inv[g]] for g in self.arrows],
+            [arr[self.unit[x]] for x in self.objects], comp)]
+        views += np.nonzero(views[4] >= 0)
+        for v in views:
+            v.flags.writeable = False
+        return ArrowCodes(*views[:5], tuple(views[5:]))
 
     def arrows_into(self, x):
         """All arrows g with rng(g) == x."""
@@ -205,12 +238,13 @@ def arrow_weights(gpd, objweights):
 def _from_rule(objects, arrows, src, rng, inv, unit, mul):
     """Tabulate the preset rules of the module docstring into tables."""
     objects, arrows = tuple(objects), tuple(arrows)
-    gpd = FiniteGroupoid(objects, arrows, {g: src(g) for g in arrows},
-                         {g: rng(g) for g in arrows}, {},
-                         {g: inv(g) for g in arrows},
-                         {x: unit(x) for x in objects})
-    gpd.comp = {(g, h): mul(g, h) for (g, h) in gpd.composable_pairs()}
-    return gpd
+    rules = FiniteGroupoid(objects, arrows, {g: src(g) for g in arrows},
+                           {g: rng(g) for g in arrows}, {},
+                           {g: inv(g) for g in arrows},
+                           {x: unit(x) for x in objects})
+    comp = {(g, h): mul(g, h) for (g, h) in rules.composable_pairs()}
+    return FiniteGroupoid(objects, arrows, rules.src, rules.rng, comp,
+                          rules.inv, rules.unit)
 
 
 def cyclic_group_groupoid(order):
@@ -325,12 +359,6 @@ def build_preset(name, **params):
             raise ValueError("action is not injective")
         # transformation_groupoid checks that the order divides n
         return transformation_groupoid(n, step)
-    if name == "disjoint_union":
-        specs = params["parts"]
-        if not specs:
-            raise ValueError("disjoint union of nothing")
-        return disjoint_union(*(build_preset(k, **(p or {}))
-                                for (k, p) in specs))
     raise ValueError(f"unknown preset {name!r}")
 
 

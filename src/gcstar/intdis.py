@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .report import Report, VerificationError, max_abs, relative_defect
-from .hilbmod import ModuleMap, creation, module_from_dims, tensor_map
-from .convalg import (convolve, delta_function, fiber_sups,
+from .report import (Report, VerificationError, max_abs, relative_defect,
+                     relative_defects)
+from .measures import fibre_sums, object_weights, pair_values
+from .hilbmod import ModuleMap, _join, creation, module_from_dims, tensor_map
+from .convalg import (_product, convolve, delta_function, fiber_sups,
                       identity_element, operator_norm, star)
 from .reps import (CocycleFamily, blockwise, check_cocycle, check_intertwiner,
                    from_cocycle, induce)
@@ -59,21 +61,15 @@ def oracle_integrate(rep, f):
     source object weight; kept separate from integrate_rep so the two
     routes stay independent checks of each other.
     """
-    gpd, c = rep.groupoid, rep.weights
+    gpd, c, module = rep.groupoid, rep.weights, rep.module
     fam = blockwise(rep)
-    module = rep.module
     mat = np.zeros((module.dim, module.dim), dtype=complex)
     for g in gpd.arrows:
         coeff = f[g] * c[gpd.src[g]]
-        if coeff == 0:
-            continue
-        sfib = module.left_fiber(gpd.src[g])
-        tfib = module.left_fiber(gpd.rng[g])
-        block = fam.raw[g]
-        for j, m in enumerate(sfib):
-            for i, m2 in enumerate(tfib):
-                mat[module.index[m2], module.index[m]] += \
-                    coeff * block[i, j]
+        if coeff != 0:
+            rows, cols = ([module.index[m] for m in module.left_fiber(x)]
+                          for x in (gpd.rng[g], gpd.src[g]))
+            mat[np.ix_(rows, cols)] += _product(np.asarray(coeff), fam.raw[g])
     return ModuleMap(module, module, mat)
 
 
@@ -186,19 +182,33 @@ def check_conv_rep(conv, funcs, tol=1e-10):
 
 def check_integrated_intertwiner(conv1, conv2, vmatrix, tol=1e-10):
     """A matrix V from the space of conv1 to that of conv2 commutes with
-    every arrow delta: conv2(g) V == V conv1(g); the witness is the
-    worst arrow.  Both families live on one groupoid."""
+    every arrow delta: conv2(g) V == V conv1(g), compared by
+    relative_defect; the witness is the worst arrow.  Both families live
+    on one groupoid."""
     v = np.asarray(vmatrix, dtype=complex)
     out = Report("integrated intertwiner")
-    out.add_worst("integrated-commutes", (
-        (max_abs(b @ v - v @ a), g)
-        for g, a, b in zip(conv1.groupoid.arrows, conv1.ops, conv2.ops)),
-        tol)
+    out.add_worst("integrated-commutes", zip(relative_defects(
+        conv2.ops @ v, v @ conv1.ops).tolist(), conv1.groupoid.arrows), tol)
     return out
 
 
 # ---------------------------------------------------------------------------
 # pair function certificates
+
+def _pair_inner(gpd, weights, big1, big2, side):
+    """pair_inner_s or pair_inner_r: the arrows x meeting rng(h) for each
+    pair (h, k), at their source for side "s" and their range for "r",
+    summed at k in the order of h, then x."""
+    t, c = gpd.codes, object_weights(gpd, weights)
+    meet, far = (t.src, t.rng) if side == "s" else (t.rng, t.src)
+    h, k = t.pairs
+    q, x = _join(meet, len(c), t.rng[h])
+    h, k = h[q], k[q]
+    terms = _product(pair_values(gpd, big1, x, h).conj(),
+                     pair_values(gpd, big2, x, t.comp[h, k]))
+    return dict(zip(gpd.arrows, fibre_sums(
+        k, terms * c[far[x]] * c[t.rng[h]], len(gpd.arrows)).tolist()))
+
 
 def pair_inner_s(gpd, weights, big1, big2):
     """Source side inner product of two pair functions, per arrow.
@@ -207,15 +217,7 @@ def pair_inner_s(gpd, weights, big1, big2):
     arrow k integrates conj(big1(x, h)) big2(x, h k) over h landing at
     rng(k) and x landing at rng(h), weighted by c(rng x) c(rng h).
     """
-    c = weights
-    out = {k: 0.0 + 0.0j for k in gpd.arrows}
-    for k in gpd.arrows:
-        for h in gpd.arrows_out_of(gpd.rng[k]):
-            hk = gpd.comp[(h, k)]
-            for x in gpd.arrows_out_of(gpd.rng[h]):
-                out[k] += (np.conj(big1[(x, h)]) * big2[(x, hk)]
-                           * c[gpd.rng[x]] * c[gpd.rng[h]])
-    return out
+    return _pair_inner(gpd, weights, big1, big2, "s")
 
 
 def pair_inner_r(gpd, weights, big1, big2):
@@ -225,24 +227,15 @@ def pair_inner_r(gpd, weights, big1, big2):
     value at k integrates conj(big1(x, h)) big2(x, h k) with weights
     c(src x) c(rng h).
     """
-    c = weights
-    out = {k: 0.0 + 0.0j for k in gpd.arrows}
-    for k in gpd.arrows:
-        for h in gpd.arrows_out_of(gpd.rng[k]):
-            hk = gpd.comp[(h, k)]
-            for x in gpd.arrows_into(gpd.rng[h]):
-                out[k] += (np.conj(big1[(x, h)]) * big2[(x, hk)]
-                           * c[gpd.src[x]] * c[gpd.rng[h]])
-    return out
+    return _pair_inner(gpd, weights, big1, big2, "r")
 
 
 def upsilon(gpd, big):
     """Substitute (g, h) -> (g, g h): pair functions to range pairs."""
-    out = {}
-    for g in gpd.arrows:
-        for k in gpd.arrows_into(gpd.rng[g]):
-            out[(g, k)] = big[(g, gpd.comp[(gpd.inv[g], k)])]
-    return out
+    t, a = gpd.codes, gpd.arrows
+    g, k = np.nonzero(t.rng[:, None] == t.rng)
+    vals = pair_values(gpd, big, g, t.comp[t.inv[g], k]).tolist()
+    return dict(zip(zip([a[i] for i in g], [a[i] for i in k]), vals))
 
 
 def check_pair_exchange(gpd, weights, functions):
@@ -262,22 +255,27 @@ def check_pair_exchange(gpd, weights, functions):
 # disintegration
 
 def star_pairs(conv):
-    """(L(g)* G L(g2), G L(delta_g* * delta_g2)) for the arrow pairs
-    (g, g2), g-major, G the Gram diagonal; the product is c(rng g) times
-    the delta at g^-1 g2 from the composition table, zero off the
-    composable pairs."""
-    gpd, c = conv.groupoid, conv.weights
+    """Per arrow g, in arrow order: the stack over the arrows g2 of
+    L(g)* G L(g2), G the Gram diagonal; the mask of the g2 with g^-1 g2
+    composable, where delta_g* * delta_g2 is c(rng g) times the delta at
+    g^-1 g2, read from row g^-1 of the composition table, and zero
+    elsewhere; and the stack over the masked g2 of G L(delta_g* *
+    delta_g2)."""
+    t = conv.groupoid.codes
+    c = object_weights(conv.groupoid, conv.weights)
     gram = np.diag(conv.space.gram_diagonal())
-    pos = {g: i for i, g in enumerate(gpd.arrows)}
-    zero = np.zeros(gram.shape, dtype=complex)
-    for g, op in zip(gpd.arrows, conv.ops):
-        left = op.conj().T @ gram
-        h = gpd.inv[g]
-        for g2, op2 in zip(gpd.arrows, conv.ops):
-            k = gpd.comp.get((h, g2))
-            rhs = zero if k is None \
-                else gram @ (c[gpd.src[h]] * conv.ops[pos[k]])
-            yield left @ op2, rhs
+    for g, op in enumerate(conv.ops):
+        row = t.comp[t.inv[g]]
+        yield (op.conj().T @ gram @ conv.ops, row >= 0,
+               gram @ (c[t.rng[g]] * conv.ops[row[row >= 0]]))
+
+
+def _star_defects(conv):
+    """relative_defect of the two sides of star_pairs, pair by pair."""
+    for lhs, hit, rhs in star_pairs(conv):
+        d = relative_defects(lhs, None)
+        d[hit] = relative_defects(lhs[hit], rhs)
+        yield from d.tolist()
 
 
 def disintegrate(conv, tol=1e-9):
@@ -298,13 +296,12 @@ def disintegrate(conv, tol=1e-9):
     d = max_abs(ident.matrix - np.eye(space.dim))
     out.add("nondegenerate", d <= tol, defect=d)
 
-    out.add_worst("star-certificate", (
-        (relative_defect(lhs, rhs), None) for lhs, rhs in star_pairs(conv)),
-        tol)
+    out.add_worst("star-certificate",
+                  ((d, None) for d in _star_defects(conv)), tol)
 
     dhat = np.sqrt(space.gram_diagonal())
-    pos = {g: i for i, g in enumerate(gpd.arrows)}
-    projections = {x: conv.ops[pos[gpd.unit[x]]] / c[x] for x in gpd.objects}
+    projections = {x: conv.ops[u] / c[x] for x, u in
+                   zip(gpd.objects, gpd.codes.unit.tolist())}
     out.add_worst("projections-idempotent", (
         (max_abs(p @ p - p), None) for p in projections.values()), tol)
     out.add_worst("projections-selfadjoint", (
@@ -351,21 +348,18 @@ def disintegrate(conv, tol=1e-9):
     d = max_abs(frame.adjoint().compose(frame).matrix - np.eye(module.dim))
     out.add("frame-isometry", d <= tol, defect=d)
 
-    unitaries = {}
-    offblock = []
-    for g, op in zip(gpd.arrows, conv.ops):
-        lg = ModuleMap(space, space, op / c[gpd.src[g]])
-        small = frame.adjoint().compose(lg).compose(frame).matrix
-        srows = [module.index[m] for m in module.left_fiber(gpd.src[g])]
-        trows = [module.index[m] for m in module.left_fiber(gpd.rng[g])]
-        mask = np.ones_like(small, dtype=bool)
-        if trows and srows:
-            mask[np.ix_(trows, srows)] = False
-        offblock.append((max_abs(small[mask]), None))
-        block = small[np.ix_(trows, srows)]
-        unitaries[g] = np.sqrt(c[gpd.src[g]] / c[gpd.rng[g]]) * block
-    out.add_worst("compression-offblock", offblock, tol)
-
+    # module is graded over gpd.objects, so its left codes are object
+    # positions
+    t, lc = gpd.codes, module.left_codes
+    small = frame.adjoint().matrix @ (
+        conv.ops / object_weights(gpd, c)[t.src, None, None]) @ frame_mat
+    at_rng, at_src = lc == t.rng[:, None], lc == t.src[:, None]
+    off = np.where(at_rng[:, :, None] & at_src[:, None, :], 0.0, small)
+    out.add_worst("compression-offblock", ((d, None) for d in np.abs(
+        off).max(axis=(1, 2), initial=0.0).tolist()), tol)
+    unitaries = {g: np.sqrt(c[gpd.src[g]] / c[gpd.rng[g]])
+                 * small[i][np.ix_(at_rng[i], at_src[i])]
+                 for i, g in enumerate(gpd.arrows)}
     fam = CocycleFamily(gpd, c, module, unitaries)
     out.extend(check_cocycle(fam, max(tol, 1e-9)), prefix="block-")
     if not out.ok:
@@ -450,7 +444,7 @@ def _naturality(rep, conv, rep2, conv2, tol):
         (w, "e"): 1 + k % 2 for k, w in enumerate(labels)})
     big = conv_rep_of(induce(rep, ebasis))
     out.add_worst("induction", (
-        (max_abs(one - tensor_map(ModuleMap(space, space, op),
-                                  ebasis).matrix), g)
+        (relative_defect(one, tensor_map(ModuleMap(space, space, op),
+                                         ebasis).matrix), g)
         for g, one, op in zip(rep.groupoid.arrows, big.ops, conv.ops)), tol)
     return out

@@ -139,10 +139,10 @@ class GradedSpace:
 
     def integrate(self, func):
         """Weighted sum of a point function along the right grading."""
-        out = {y: 0.0 for y in self.right_space}
-        for b in self.basis:
-            out[self.right[b]] += func[b] * self.weight[b]
-        return out
+        vals = np.array([func[b] for b in self.basis], dtype=complex)
+        return dict(zip(self.right_space, fibre_sums(
+            self.right_codes, vals * self.weight_array,
+            len(self.right_space)).tolist()))
 
     def inner(self, v, w):
         """Inner product valued in functions on the right space."""
@@ -162,13 +162,34 @@ class GradedSpace:
         return f"GradedSpace(dim={self.dim})"
 
 
-def _family(points, target, grades, weights):
-    """Measure family: points fibred over target, one grade and one
-    weight per point; the left grading is the identity."""
+def _family(points, target, codes, weights):
+    """Measure family: points fibred over the tuple target, codes the
+    position of each point's grade in it, one weight per point; the
+    left grading is the identity."""
     points = tuple(points)
-    codes, target = _codes(grades, tuple(target))
     return GradedSpace.from_codes(points, points, target,
                                   np.arange(len(points)), codes, weights)
+
+
+def object_weights(gpd, weights):
+    """The object weights as a float64 array in object order."""
+    return np.array([weights[x] for x in gpd.objects], dtype=float)
+
+
+def pair_values(gpd, psi, g, h):
+    """A function on arrow pairs at the positions (g[i], h[i])."""
+    a = gpd.arrows
+    return np.array([psi[(a[i], a[j])] for i, j in
+                     zip(g.tolist(), h.tolist())], dtype=complex)
+
+
+def fibre_sums(codes, values, n):
+    """Sums of the complex values over equal codes below n, each
+    accumulated in input order."""
+    out = np.empty(n, dtype=complex)
+    out.real = np.bincount(codes, values.real, n)
+    out.imag = np.bincount(codes, values.imag, n)
+    return out
 
 
 def compose_families(lam, mu):
@@ -191,12 +212,9 @@ def haar_system(gpd, weights):
     weight c(src(g)); alpha_r fibres them over their source with weight
     c(rng(g)).  Inversion exchanges the two.
     """
-    arrows = gpd.arrows
-    alpha = _family(arrows, gpd.objects, [gpd.rng[g] for g in arrows],
-                    [weights[gpd.src[g]] for g in arrows])
-    alpha_r = _family(arrows, gpd.objects, [gpd.src[g] for g in arrows],
-                      [weights[gpd.rng[g]] for g in arrows])
-    return alpha, alpha_r
+    t, c = gpd.codes, object_weights(gpd, weights)
+    return (_family(gpd.arrows, gpd.objects, t.rng, c[t.src]),
+            _family(gpd.arrows, gpd.objects, t.src, c[t.rng]))
 
 
 class GroupoidFamilies:
@@ -211,21 +229,21 @@ class GroupoidFamilies:
 
     def __init__(self, gpd, weights):
         self.groupoid = gpd
-        self.weights = c = {x: float(weights[x]) for x in gpd.objects}
+        self.weights = {x: float(weights[x]) for x in gpd.objects}
+        t = gpd.codes
+        g, h = t.pairs
+        gh = t.comp[g, h]
         pairs = gpd.composable_pairs()
-        gh = [gpd.comp[p] for p in pairs]
-        bad = next((p for p, k in zip(pairs, gh)
-                    if gpd.rng[k] != gpd.rng[p[0]]
-                    or gpd.src[k] != gpd.src[p[1]]), None)
-        if bad is not None:
-            raise ValueError(f"inconsistent nerve data at pair {bad!r}")
-        self.alpha, self.alpha_r = haar_system(gpd, c)
-        self.lam0 = _family(pairs, gpd.arrows, [h for _, h in pairs],
-                            [c[gpd.rng[g]] for g, _ in pairs])
-        self.lam1 = _family(pairs, gpd.arrows, gh,
-                            [c[gpd.rng[h]] for _, h in pairs])
-        self.lam2 = _family(pairs, gpd.arrows, [g for g, _ in pairs],
-                            [c[gpd.src[h]] for _, h in pairs])
+        bad = np.flatnonzero((t.rng[gh] != t.rng[g])
+                             | (t.src[gh] != t.src[h]))
+        if bad.size:
+            raise ValueError(
+                f"inconsistent nerve data at pair {pairs[bad[0]]!r}")
+        self.alpha, self.alpha_r = haar_system(gpd, self.weights)
+        c = object_weights(gpd, weights)
+        self.lam0 = _family(pairs, gpd.arrows, h, c[t.rng[g]])
+        self.lam1 = _family(pairs, gpd.arrows, gh, c[t.rng[h]])
+        self.lam2 = _family(pairs, gpd.arrows, g, c[t.src[h]])
         self.mu0 = compose_families(self.lam1, self.alpha)
         self.mu1 = compose_families(self.lam0, self.alpha)
         self.mu2 = compose_families(self.lam0, self.alpha_r)
@@ -271,14 +289,15 @@ def compare_integrals(gpd, weights, psi):
     two dicts on objects.
     """
     fam = groupoid_families(gpd, weights)
-    c = fam.weights
-    left = {x: 0.0 for x in gpd.objects}
-    for k in gpd.arrows:
-        x = gpd.src[k]
-        outer = c[gpd.rng[k]]
-        for g in gpd.arrows_into(gpd.rng[k]):
-            h = gpd.comp[(gpd.inv[g], k)]
-            left[x] += psi[(g, h)] * c[gpd.src[g]] * outer
+    t, c = gpd.codes, object_weights(gpd, weights)
+    g, h = t.pairs
+    k = t.comp[g, h]
+    # summed at src(k) over k in arrow order, then g in arrow order
+    order = np.lexsort((g, k))
+    g, h, k = g[order], h[order], k[order]
+    terms = pair_values(gpd, psi, g, h) * c[t.src[g]] * c[t.rng[k]]
+    left = dict(zip(gpd.objects,
+                    fibre_sums(t.src[k], terms, len(c)).tolist()))
     right = fam.mu2.integrate(psi)
     return left, right
 
@@ -306,15 +325,13 @@ def arrow_correspondence(gpd, weights, leg):
     weight c(rng(g)).  leg "r": graded by source on the left, fibred
     over range with weight c(src(g)).
     """
-    if leg == "s":
-        return GradedSpace(gpd.arrows, gpd.rng, gpd.src,
-                           {g: weights[gpd.rng[g]] for g in gpd.arrows},
-                           left_space=gpd.objects, right_space=gpd.objects)
-    if leg == "r":
-        return GradedSpace(gpd.arrows, gpd.src, gpd.rng,
-                           {g: weights[gpd.src[g]] for g in gpd.arrows},
-                           left_space=gpd.objects, right_space=gpd.objects)
-    raise ValueError(f"leg must be 's' or 'r', got {leg!r}")
+    if leg not in ("s", "r"):
+        raise ValueError(f"leg must be 's' or 'r', got {leg!r}")
+    t = gpd.codes
+    left, right = (t.rng, t.src) if leg == "s" else (t.src, t.rng)
+    return GradedSpace.from_codes(gpd.arrows, gpd.objects, gpd.objects,
+                                  left, right,
+                                  object_weights(gpd, weights)[left])
 
 
 def corr_ratio(c1, c2, phi):

@@ -36,6 +36,18 @@ def relative_defect(a, b):
     return max_abs(np.subtract(a, b)) / max(1.0, max_abs(a), max_abs(b))
 
 
+def relative_defects(a, b):
+    """relative_defect(a[i], b[i]) for each i along the first axis, as
+    an array; b None stands for zeros."""
+    def top(x):
+        return np.abs(x).max(axis=tuple(range(1, x.ndim)), initial=0.0)
+    gap = scale = top(a)
+    if b is not None:
+        gap, scale = top(a - b), np.maximum(scale, top(b))
+    with np.errstate(invalid="ignore"):  # inf / inf is NaN, as in Python
+        return gap / np.maximum(scale, 1.0)
+
+
 def worst(pairs):
     """(defect, witness) of the worst of (defect, witness) pairs."""
     top, where = 0.0, None

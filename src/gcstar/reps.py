@@ -303,7 +303,7 @@ def check_intertwiner(rep1, rep2, vmap, tol=1e-10):
 
     vmap is a module map from the first coefficient module to the
     second; the condition tensors it with each leg and compares the
-    two routes around the square.
+    two routes around the square, relative to their largest entry.
     """
     out = Report("intertwiner")
     out.extend(check_module_map(vmap, tol))
@@ -317,7 +317,8 @@ def check_intertwiner(rep1, rep2, vmap, tol=1e-10):
     lift_t = tensor_map_left(rep1.target_leg, vmap)
     one = lift_t.compose(rep1.umap)
     two = rep2.umap.compose(lift_s)
-    d = entry_gap(one, two)
+    d = entry_gap(one, two) / max(
+        1.0, *(max_abs(_entries(m)[2]) for m in (one, two)))
     out.add("commutes", d <= tol, defect=d)
     return out
 

@@ -1,0 +1,265 @@
+"""The integer view FiniteGroupoid.codes and the routes that read it.
+
+The view must agree with the label tables, and validation must never
+read it.  The convolution algebra, the measure families and the pair
+function certificates used to walk the range fibres through the label
+dicts; those walks are kept below as references, and the new routes
+must agree with them bit for bit.  Where two complex arrays are
+multiplied (convolution, the two pair inner products) the new routes
+split the product into real parts, which rounds as the product of two
+Python complex numbers or two numpy complex scalars does; numpy's
+array product rounds differently in about a third of random products.
+"""
+
+import numpy as np
+import pytest
+
+from gcstar.cli import _shift
+from gcstar.convalg import (convolve, fiber_sups, regular_matrix, star)
+from gcstar.fingroupoid import (FIXTURE_NAMES, FiniteGroupoid, build_preset,
+                                counting_weights, disjoint_union, fixture,
+                                validate_groupoid, validate_haar)
+from gcstar.measures import (arrow_correspondence, compare_integrals,
+                             groupoid_families)
+from gcstar.intdis import pair_inner_r, pair_inner_s, upsilon
+from gcstar.sampling import (SplitMix64, mutate_groupoid, random_function,
+                             random_groupoid)
+
+
+def _groupoids():
+    out = [(name, *fixture(name)) for name in FIXTURE_NAMES]
+    for name, params in (("group", {"order": 3}), ("pair", {"points": 3}),
+                         ("space", {"points": 3}),
+                         ("transformation", {"order": 4,
+                                             "action": _shift(4)})):
+        gpd = build_preset(name, **params)
+        out.append((f"{name}:3", gpd, counting_weights(gpd)))
+    p3 = build_preset("pair", points=3)
+    out.append(("wide", p3, dict(zip(p3.objects, (1e-6, 1.0, 1e6)))))
+    p2, t2 = fixture("P2")[0], fixture("T2")[0]
+    for name, gpd in (("P2+P2", disjoint_union(p2, p2)),
+                      ("T2+group:3", disjoint_union(
+                          t2, build_preset("group", order=3)))):
+        out.append((name, gpd, {x: 0.5 + i for i, x in
+                                enumerate(gpd.objects)}))
+    rng = SplitMix64(17)
+    out += [(f"random-{t}", *random_groupoid(rng)) for t in range(4)]
+    return out
+
+
+CASES = _groupoids()
+IDS = [name for name, _, _ in CASES]
+
+
+@pytest.mark.parametrize("name, gpd, w", CASES, ids=IDS)
+def test_codes_agree_with_the_label_tables(name, gpd, w):
+    t = gpd.codes
+    obj = {x: i for i, x in enumerate(gpd.objects)}
+    arr = {g: i for i, g in enumerate(gpd.arrows)}
+    assert t.src.tolist() == [obj[gpd.src[g]] for g in gpd.arrows]
+    assert t.rng.tolist() == [obj[gpd.rng[g]] for g in gpd.arrows]
+    assert t.inv.tolist() == [arr[gpd.inv[g]] for g in gpd.arrows]
+    assert t.unit.tolist() == [arr[gpd.unit[x]] for x in gpd.objects]
+    n = len(gpd.arrows)
+    assert t.comp.shape == (n, n)
+    for i, g in enumerate(gpd.arrows):
+        for j, h in enumerate(gpd.arrows):
+            k = gpd.comp.get((g, h))
+            assert t.comp[i, j] == (-1 if k is None else arr[k])
+    a = gpd.arrows
+    assert [(a[i], a[j]) for i, j in zip(*t.pairs)] \
+        == list(gpd.composable_pairs())
+    assert all((t.comp >= 0)[t.pairs])
+    assert all(np.array_equal(x, y)
+               for x, y in zip(t.pairs, np.nonzero(t.comp >= 0)))
+    for v in (*t[:5], *t.pairs):
+        assert not v.flags.writeable
+    assert gpd.codes is t
+
+
+def test_codes_are_built_from_the_constructor_tables():
+    # a preset passes its composition table to the constructor, so the
+    # view never sees an empty one
+    gpd = build_preset("pair", points=2)
+    assert "codes" not in vars(gpd)
+    assert (gpd.codes.comp >= 0).sum() == len(gpd.comp) == 8
+
+
+MUTATION_KINDS = {"groupoid:src", "groupoid:comp", "groupoid:inv",
+                  "groupoid:unit", "haar:haar-sign", "haar:haar-invariance"}
+
+
+def test_validation_never_reads_the_view(monkeypatch):
+    def refuse(self):
+        raise AssertionError("validation read the integer view")
+    monkeypatch.setattr(FiniteGroupoid, "codes", property(refuse))
+    rng = SplitMix64(3)
+    seen = set()
+    for _ in range(60):
+        gpd, w = random_groupoid(rng)
+        assert validate_groupoid(gpd).ok
+        mgpd, mw, kind = mutate_groupoid(rng, gpd, w)
+        seen.add(kind)
+        out = validate_groupoid(mgpd)
+        if kind.startswith("haar:"):
+            assert out.ok
+            out = validate_haar(mgpd, mw)
+        assert not out.ok
+        assert out.failures()[0].witness is not None, kind
+    assert seen == MUTATION_KINDS
+
+
+# ---------------------------------------------------------------------------
+# references: the label walks the view replaced
+
+def ref_convolve(gpd, weights, f1, f2):
+    out = {g: 0.0 + 0.0j for g in gpd.arrows}
+    for k in gpd.arrows:
+        acc = 0.0 + 0.0j
+        for h in gpd.arrows_into(gpd.rng[k]):
+            acc += f1[h] * f2[gpd.comp[(gpd.inv[h], k)]] * weights[gpd.src[h]]
+        out[k] = acc
+    return out
+
+
+def ref_fiber_sups(gpd, weights, f):
+    along_r = {x: 0.0 for x in gpd.objects}
+    along_s = {x: 0.0 for x in gpd.objects}
+    for g in gpd.arrows:
+        along_r[gpd.rng[g]] += abs(f[g]) * weights[gpd.src[g]]
+        along_s[gpd.src[g]] += abs(f[g]) * weights[gpd.rng[g]]
+    return max(along_r.values()), max(along_s.values())
+
+
+def ref_regular_matrix(gpd, weights, f):
+    space = arrow_correspondence(gpd, weights, "s")
+    mat = np.zeros((space.dim, space.dim), dtype=complex)
+    for h in gpd.arrows:
+        for g in gpd.arrows_into(gpd.rng[h]):
+            h2 = gpd.comp[(gpd.inv[g], h)]
+            mat[space.index[h], space.index[h2]] += \
+                f[g] * weights[gpd.src[g]]
+    return mat
+
+
+def ref_left_integral(gpd, weights, psi):
+    c = {x: float(weights[x]) for x in gpd.objects}
+    left = {x: 0.0 for x in gpd.objects}
+    for k in gpd.arrows:
+        x = gpd.src[k]
+        outer = c[gpd.rng[k]]
+        for g in gpd.arrows_into(gpd.rng[k]):
+            h = gpd.comp[(gpd.inv[g], k)]
+            left[x] += psi[(g, h)] * c[gpd.src[g]] * outer
+    return left
+
+
+def ref_integrate(space, func):
+    out = {y: 0.0 for y in space.right_space}
+    for b in space.basis:
+        out[space.right[b]] += func[b] * space.weight[b]
+    return out
+
+
+def ref_pair_weights(gpd, weights):
+    c = {x: float(weights[x]) for x in gpd.objects}
+    pairs = gpd.composable_pairs()
+    return ([c[gpd.rng[g]] for g, _ in pairs],
+            [c[gpd.rng[h]] for _, h in pairs],
+            [c[gpd.src[h]] for _, h in pairs],
+            [gpd.comp[p] for p in pairs])
+
+
+def ref_pair_inner_s(gpd, c, big1, big2):
+    out = {k: 0.0 + 0.0j for k in gpd.arrows}
+    for k in gpd.arrows:
+        for h in gpd.arrows_out_of(gpd.rng[k]):
+            hk = gpd.comp[(h, k)]
+            for x in gpd.arrows_out_of(gpd.rng[h]):
+                out[k] += (np.conj(big1[(x, h)]) * big2[(x, hk)]
+                           * c[gpd.rng[x]] * c[gpd.rng[h]])
+    return out
+
+
+def ref_pair_inner_r(gpd, c, big1, big2):
+    out = {k: 0.0 + 0.0j for k in gpd.arrows}
+    for k in gpd.arrows:
+        for h in gpd.arrows_out_of(gpd.rng[k]):
+            hk = gpd.comp[(h, k)]
+            for x in gpd.arrows_into(gpd.rng[h]):
+                out[k] += (np.conj(big1[(x, h)]) * big2[(x, hk)]
+                           * c[gpd.src[x]] * c[gpd.rng[h]])
+    return out
+
+
+def ref_upsilon(gpd, big):
+    out = {}
+    for g in gpd.arrows:
+        for k in gpd.arrows_into(gpd.rng[g]):
+            out[(g, k)] = big[(g, gpd.comp[(gpd.inv[g], k)])]
+    return out
+
+
+def _bits(values):
+    return np.array(list(values), dtype=complex).tobytes()
+
+
+def _funcs(gpd, seed):
+    rng = SplitMix64(seed)
+    return [random_function(rng, gpd) for _ in range(3)]
+
+
+def _pair_funcs(gpd, seed):
+    rng = SplitMix64(seed)
+    return [{p: rng.cgauss() for p in gpd.composable_pairs()}
+            for _ in range(2)]
+
+
+@pytest.mark.parametrize("name, gpd, w", CASES, ids=IDS)
+def test_convolve_matches_the_fibre_walk(name, gpd, w):
+    f1, f2, f3 = _funcs(gpd, 1)
+    # Python complex values, and numpy complex scalars from star
+    for a, b in ((f1, f2), (star(gpd, f2), star(gpd, f3)),
+                 (f3, star(gpd, f1))):
+        assert _bits(convolve(gpd, w, a, b).values()) \
+            == _bits(ref_convolve(gpd, w, a, b).values())
+
+
+@pytest.mark.parametrize("name, gpd, w", CASES, ids=IDS)
+def test_regular_matrix_and_fiber_sups_match_bit_for_bit(name, gpd, w):
+    for f in _funcs(gpd, 2) + [star(gpd, f) for f in _funcs(gpd, 3)]:
+        assert regular_matrix(gpd, w, f).matrix.tobytes() \
+            == ref_regular_matrix(gpd, w, f).tobytes()
+        assert fiber_sups(gpd, w, f) == ref_fiber_sups(gpd, w, f)
+
+
+@pytest.mark.parametrize("name, gpd, w", CASES, ids=IDS)
+def test_families_and_left_integral_match_bit_for_bit(name, gpd, w):
+    fam = groupoid_families(gpd, w)
+    lam0, lam1, lam2, gh = ref_pair_weights(gpd, w)
+    assert fam.lam0.basis == gpd.composable_pairs()
+    for lam, want in ((fam.lam0, lam0), (fam.lam1, lam1), (fam.lam2, lam2)):
+        assert lam.weight_array.tolist() == want
+    assert [fam.lam1.right[p] for p in fam.lam1.basis] == gh
+    for psi in _pair_funcs(gpd, 4):
+        left, right = compare_integrals(gpd, w, psi)
+        assert list(left) == list(gpd.objects)
+        assert _bits(left.values()) \
+            == _bits(ref_left_integral(gpd, w, psi).values())
+        assert _bits(right.values()) \
+            == _bits(ref_integrate(fam.mu2, psi).values())
+
+
+@pytest.mark.parametrize("name, gpd, w", CASES, ids=IDS)
+def test_pair_certificates_match_bit_for_bit(name, gpd, w):
+    c = {x: float(w[x]) for x in gpd.objects}
+    big1, big2 = _pair_funcs(gpd, 5)
+    big2 = {p: np.complex128(v) for p, v in big2.items()}
+    up1, up2 = upsilon(gpd, big1), upsilon(gpd, big2)
+    ref1 = ref_upsilon(gpd, big1)
+    assert list(up1) == list(ref1)
+    assert _bits(up1.values()) == _bits(ref1.values())
+    assert _bits(pair_inner_s(gpd, w, big1, big2).values()) \
+        == _bits(ref_pair_inner_s(gpd, c, big1, big2).values())
+    assert _bits(pair_inner_r(gpd, w, up1, up2).values()) \
+        == _bits(ref_pair_inner_r(gpd, c, up1, up2).values())

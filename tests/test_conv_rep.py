@@ -4,9 +4,10 @@ A ConvRep holds the integrated arrow deltas of a representation as one
 read-only (|A|, d, d) array in arrow order.  conv_rep_of is the one
 place that integrates them, so each representation's deltas are
 integrated once per command.  The star certificate reads delta_g* *
-delta_g2 off the composition table; the old route through
-delta_product and ConvRep.op is kept here as the reference, and so is
-the old triple loop of the support-pattern check.
+delta_g2 off the integer composition table, one stack per arrow g; the
+old routes through delta_product and ConvRep.op and through one label
+lookup per arrow pair are kept here as references, and so is the old
+triple loop of the support-pattern check.
 """
 
 import sys
@@ -18,9 +19,11 @@ import pytest
 from gcstar import cli, intdis
 from gcstar.convalg import delta_function, delta_product
 from gcstar.fingroupoid import FIXTURE_NAMES, build_preset, fixture
-from gcstar.intdis import (ConvRep, check_conv_rep, conv_rep_of,
-                           integrate_rep, star_pairs)
-from gcstar.report import worst
+from gcstar.hilbmod import ModuleMap
+from gcstar.intdis import (ConvRep, check_conv_rep, conv_rep_of, disintegrate,
+                           integrate_rep, oracle_integrate, star_pairs)
+from gcstar.report import max_abs, worst
+from gcstar.reps import blockwise
 from gcstar.reps import from_cocycle
 from gcstar.sampling import SplitMix64, random_cocycle, random_groupoid
 
@@ -75,15 +78,37 @@ def _old_star_pairs(conv):
             yield left @ ops[g2], rhs
 
 
+def _dict_star_pairs(conv):
+    """The certificate through one product per arrow pair, the delta at
+    g^-1 g2 looked up in the label composition table."""
+    gpd, c = conv.groupoid, conv.weights
+    gram = np.diag(conv.space.gram_diagonal())
+    pos = {g: i for i, g in enumerate(gpd.arrows)}
+    zero = np.zeros(gram.shape, dtype=complex)
+    for g, op in zip(gpd.arrows, conv.ops):
+        left = op.conj().T @ gram
+        h = gpd.inv[g]
+        for g2, op2 in zip(gpd.arrows, conv.ops):
+            k = gpd.comp.get((h, g2))
+            rhs = zero if k is None \
+                else gram @ (c[gpd.src[h]] * conv.ops[pos[k]])
+            yield left @ op2, rhs
+
+
 @pytest.mark.parametrize("rep", [r for _, r in CASES], ids=IDS)
 def test_star_pairs_match_the_structure_constant_route(rep):
     conv = conv_rep_of(rep)
-    new = list(star_pairs(conv))
-    old = list(_old_star_pairs(conv))
-    assert len(new) == len(old) == len(rep.groupoid.arrows) ** 2
-    for (lhs, rhs), (lhs0, rhs0) in zip(new, old):
-        assert lhs.tobytes() == lhs0.tobytes()
-        assert rhs.tobytes() == rhs0.tobytes()
+    n = len(rep.groupoid.arrows)
+    new = []
+    for lhs, hit, rhs in star_pairs(conv):
+        full = np.zeros_like(lhs)
+        full[hit] = rhs
+        new += zip(lhs, full)
+    for old in (list(_old_star_pairs(conv)), list(_dict_star_pairs(conv))):
+        assert len(new) == len(old) == n ** 2
+        for (lhs, rhs), (lhs0, rhs0) in zip(new, old):
+            assert lhs.tobytes() == lhs0.tobytes()
+            assert rhs.tobytes() == rhs0.tobytes()
 
 
 def _old_support_pattern(conv):
@@ -135,6 +160,76 @@ def test_support_pattern_matches_the_triple_loop(rep):
         d, witness = _old_support_pattern(variant)
         assert (check.defect == d or np.isnan(check.defect) and np.isnan(d))
         assert check.witness == witness
+
+
+def _old_oracle(rep, f):
+    """oracle_integrate as a loop over the entries of each block."""
+    gpd, c, module = rep.groupoid, rep.weights, rep.module
+    fam = blockwise(rep)
+    mat = np.zeros((module.dim, module.dim), dtype=complex)
+    for g in gpd.arrows:
+        coeff = f[g] * c[gpd.src[g]]
+        if coeff == 0:
+            continue
+        sfib = module.left_fiber(gpd.src[g])
+        tfib = module.left_fiber(gpd.rng[g])
+        block = fam.raw[g]
+        for j, m in enumerate(sfib):
+            for i, m2 in enumerate(tfib):
+                mat[module.index[m2], module.index[m]] += \
+                    coeff * block[i, j]
+    return mat
+
+
+@pytest.mark.parametrize("rep", [r for _, r in CASES], ids=IDS)
+def test_oracle_matches_the_entry_loop(rep):
+    gpd = rep.groupoid
+    rng = SplitMix64(9)
+    funcs = [{g: rng.cgauss() for g in gpd.arrows} for _ in range(2)]
+    funcs += [delta_function(gpd, gpd.arrows[-1]),
+              {g: 1.0 / (1 + i) for i, g in enumerate(gpd.arrows)}]
+    for f in funcs:
+        assert oracle_integrate(rep, f).matrix.tobytes() \
+            == _old_oracle(rep, f).tobytes()
+
+
+def _old_compression(conv, frame):
+    """The compressed blocks and off-block defects, arrow by arrow."""
+    gpd, c, space, module = conv.groupoid, conv.weights, conv.space, \
+        frame.source
+    unitaries, offblock = {}, []
+    for g, op in zip(gpd.arrows, conv.ops):
+        lg = ModuleMap(space, space, op / c[gpd.src[g]])
+        small = frame.adjoint().compose(lg).compose(frame).matrix
+        srows = [module.index[m] for m in module.left_fiber(gpd.src[g])]
+        trows = [module.index[m] for m in module.left_fiber(gpd.rng[g])]
+        mask = np.ones_like(small, dtype=bool)
+        if trows and srows:
+            mask[np.ix_(trows, srows)] = False
+        offblock.append(max_abs(small[mask]))
+        block = small[np.ix_(trows, srows)]
+        unitaries[g] = np.sqrt(c[gpd.src[g]] / c[gpd.rng[g]]) * block
+    return unitaries, max(offblock)
+
+
+@pytest.mark.parametrize("rep", [r for _, r in CASES], ids=IDS)
+def test_compression_matches_the_arrow_loop(monkeypatch, rep):
+    seen = {}
+    family = intdis.CocycleFamily
+
+    def kept(gpd, weights, module, unitaries, raw=None):
+        seen["unitaries"] = unitaries
+        return family(gpd, weights, module, unitaries, raw)
+    monkeypatch.setattr(intdis, "CocycleFamily", kept)
+    conv = conv_rep_of(rep)
+    rep2, out = disintegrate(conv)
+    unitaries, offblock = _old_compression(conv, rep2.frame)
+    assert list(seen["unitaries"]) == list(unitaries)
+    for g, u in unitaries.items():
+        assert seen["unitaries"][g].shape == u.shape
+        assert seen["unitaries"][g].tobytes() == u.tobytes()
+    check = next(c for c in out.checks if c.name == "compression-offblock")
+    assert check.defect == offblock
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from gcstar.convalg import check_convolution, delta_function
 from gcstar.fingroupoid import build_preset
 from gcstar.hilbmod import ModuleMap
 from gcstar.intdis import (ConvRep, check_conv_rep, check_integration,
-                           conv_rep_of, disintegrate, roundtrip_rep)
+                           check_naturality, conv_rep_of, disintegrate,
+                           roundtrip_rep)
 from gcstar.report import VerificationError, max_abs, relative_defect
 from gcstar.reps import from_cocycle
 from gcstar.sampling import SplitMix64, random_cocycle, random_function
@@ -69,6 +70,18 @@ def test_wide_weights_pass(objw):
     assert out.ok, str(out)
 
 
+@pytest.mark.parametrize("coeff_size", [1, 2])
+def test_wide_weights_pass_naturality(coeff_size):
+    # absolute defects failed commutes and integrated-commutes here for
+    # almost every seed, up to 8.5e-10
+    for seed in range(10):
+        _, _, _, rep = _case(WIDE[1], seed, coeff_size)
+        conv = conv_rep_of(rep)
+        rep2, _ = disintegrate(conv)
+        out = check_naturality(rep, conv, rep2)
+        assert out.ok, (seed, str(out))
+
+
 # ---------------------------------------------------------------------------
 # mutants
 
@@ -107,6 +120,26 @@ def test_regular_star_mutant(monkeypatch, objw):
     monkeypatch.setattr(convalg, "star", _bent_star(convalg.star))
     out = check_convolution(gpd, w, funcs)
     assert "regular-star" in _failing(out), str(out)
+
+
+@pytest.mark.parametrize("objw", SCALES, ids=["unit", "1e6"])
+def test_star_antimultiplicative_mutant(monkeypatch, objw):
+    gpd, w, funcs, _ = _case(objw)
+    monkeypatch.setattr(convalg, "star", _bent_star(convalg.star))
+    out = check_convolution(gpd, w, funcs)
+    assert "star-antimultiplicative" in _failing(out), str(out)
+
+
+@pytest.mark.parametrize("objw", SCALES, ids=["unit", "1e6"])
+def test_identity_neutral_mutant(monkeypatch, objw):
+    gpd, w, funcs, _ = _case(objw)
+    unit = convalg.identity_element
+
+    def bent(gpd, weights):
+        return {g: v * (1.0 + 1e-3) for g, v in unit(gpd, weights).items()}
+    monkeypatch.setattr(convalg, "identity_element", bent)
+    out = check_convolution(gpd, w, funcs)
+    assert _failing(out) == {"identity-neutral"}, str(out)
 
 
 @pytest.mark.parametrize("objw", SCALES, ids=["unit", "1e6"])
@@ -161,3 +194,35 @@ def test_operator_roundtrip_mutant(monkeypatch, objw):
         return rep2, out
     monkeypatch.setattr(intdis, "disintegrate", bent)
     assert _failing(roundtrip_rep(rep)) == {"operator-roundtrip"}
+
+
+@pytest.mark.parametrize("objw", SCALES, ids=["unit", "1e6"])
+def test_naturality_frame_mutant(objw):
+    _, _, _, rep = _case(objw)
+    conv = conv_rep_of(rep)
+    rep2, _ = disintegrate(conv)
+    f = rep2.frame
+    mat = f.matrix.copy()
+    mat[int(np.argmax(abs(mat[:, 0]))), 0] *= 1.0 + 1e-6
+    rep2.frame = ModuleMap(f.source, f.target, mat)
+    out = check_naturality(rep, conv, rep2)
+    assert _failing(out) == {"commutes", "integrated-commutes"}, str(out)
+
+
+@pytest.mark.parametrize("objw", SCALES, ids=["unit", "1e6"])
+def test_naturality_induction_mutant(monkeypatch, objw):
+    _, _, _, rep = _case(objw)
+    conv = conv_rep_of(rep)
+    rep2, _ = disintegrate(conv)
+    induce = intdis.induce
+
+    def bent(rep, ebasis):
+        big = induce(rep, ebasis)
+        u = big.umap
+        vals = u.vals * (1.0 + 1e-6)
+        big.umap = ModuleMap(u.source, u.target,
+                             entries=(u.rows, u.cols, vals))
+        return big
+    monkeypatch.setattr(intdis, "induce", bent)
+    out = check_naturality(rep, conv, rep2)
+    assert _failing(out) == {"induction"}, str(out)
