@@ -116,14 +116,12 @@ from .crossed import (
     canonical_iso_cstar,
     check_covariant_rep,
     check_crossed_rep,
-    compose_bisections,
     covariant_to_groupoid_rep,
     crossed_product,
     etale_battery,
     germ_reconstruction,
     groupoid_rep_to_covariant,
     integrate_covariant,
-    invert_bisection,
     is_wide,
     partial_isometry_form,
     rep_of_crossed_to_covariant,

@@ -219,7 +219,10 @@ def load_semigroup(path, gpd):
                     f"generator {i}: {len(hits)} arrows from {x!r} to "
                     f"{y!r}, need exactly one")
             tag.append(hits[0])
-        gens.append(bisection_from_arrows(gpd, frozenset(tag)))
+        try:
+            gens.append(bisection_from_arrows(gpd, frozenset(tag)))
+        except ValueError as exc:
+            raise ValueError(f"generator {i}: {exc}") from None
     return semigroup_from_bisections(gpd, gens)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .report import Report, relative_defect, worst
+from .report import Report, relative_defect, worst_at
 from .measures import arrow_correspondence, fibre_sums, object_weights
 from .hilbmod import ModuleMap
 
@@ -81,13 +81,12 @@ def fiber_sups(gpd, weights, f):
     size = np.hypot(vec.real, vec.imag)
     along_r = np.bincount(t.rng, size * c[t.src], n)
     along_s = np.bincount(t.src, size * c[t.rng], n)
-    return tuple(worst((v, None) for v in along.tolist())[0]
-                 for along in (along_r, along_s))
+    return worst_at(along_r)[0], worst_at(along_s)[0]
 
 
 def i_norm(gpd, weights, f):
     """Larger of the two fibrewise absolute integrals of f; NaN wins."""
-    return worst((v, None) for v in fiber_sups(gpd, weights, f))[0]
+    return worst_at(fiber_sups(gpd, weights, f))[0]
 
 
 def regular_matrix(gpd, weights, f):

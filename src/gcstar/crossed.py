@@ -17,13 +17,19 @@ matrix, the germ classes of (element, point) pairs, and the product
 and involution of the crossed product (-1 for a zero product).  The
 element and point labels appear only in witnesses, error messages and
 the label views, theta and basis.
+
+The closure holds a bisection as an int vector over the objects, the
+arrow leaving each object (-1 where none does), and composes vectors by
+gathers from gpd.codes.  The covariant checks stack the operators along
+the element axis and multiply one row of pairs at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .report import Report, VerificationError, max_abs, worst
+from .report import (Report, VerificationError, max_abs, max_abs_each,
+                     worst)
 from .fingroupoid import transformation_groupoid
 from .reps import blockwise, check_cocycle, from_cocycle
 from .hilbmod import module_from_dims
@@ -73,18 +79,6 @@ def bisection_from_arrows(gpd, arrows):
                          "is not a bisection")
     return PartialBijection({gpd.src[g]: gpd.rng[g] for g in arrows},
                             tag=arrows)
-
-
-def compose_bisections(gpd, a, b):
-    """Pointwise composites of the two arrow sets; again a bisection."""
-    tag = frozenset(gpd.comp[(g, h)]
-                    for g in a.tag for h in b.tag
-                    if gpd.src[g] == gpd.rng[h])
-    return bisection_from_arrows(gpd, tag)
-
-
-def invert_bisection(gpd, a):
-    return bisection_from_arrows(gpd, frozenset(gpd.inv[g] for g in a.tag))
 
 
 def all_bisections(gpd):
@@ -236,43 +230,68 @@ class InverseSemigroup:
 def semigroup_from_bisections(gpd, generators):
     """Close tagged bisections under composition and inversion.
 
-    Every ordered pair of elements is composed once, when the later of
-    the two is found, and the table is read from those products.
-    Elements are listed in _sort_key order, and act on the objects
-    through their own partial bijections.
+    Each element found is composed with itself and every earlier
+    element, in both orders, as one batch of vectors, so every ordered
+    pair is composed once and the table is filled as the set grows.
+    The products of a batch join the set in the order (i, 0), (0, i),
+    (i, 1), (1, i), ..., (i, i).  Elements are listed in _sort_key
+    order, and act on the objects through their own partial bijections.
     """
-    found, position, prod = [], {}, {}
+    codes, objs, arrows = gpd.codes, gpd.objects, gpd.arrows
+    m = len(objs)
+    # a trailing -1 entry on each table and vector, so that the index -1
+    # (no arrow, no object) reads -1 back
+    rng, inv = np.append(codes.rng, -1), np.append(codes.inv, -1)
+    comp = np.pad(codes.comp, (0, 1), constant_values=-1)
 
-    def place(c, limit=_MAX_ELEMENTS):
-        if c not in position:
-            if len(found) >= limit:
-                raise ValueError(
-                    f"semigroup closure exceeded {_MAX_ELEMENTS} elements")
-            position[c] = len(found)
-            found.append(c)
-        return position[c]
+    def after(a, b):
+        """Vectors a after vectors b, one side a single vector."""
+        return comp[a[..., rng[b]], b]
 
-    for a in generators:
-        place(a, np.inf)
-        place(invert_bisection(gpd, a), np.inf)
-    # found grows while it is scanned
-    for i, a in enumerate(found):
-        for j in range(i):
-            prod[i, j] = place(compose_bisections(gpd, a, found[j]))
-            prod[j, i] = place(compose_bisections(gpd, found[j], a))
-        prod[i, i] = place(compose_bisections(gpd, a, a))
+    def inverse(vecs):
+        return inv[np.take_along_axis(vecs, _inverse_action(rng[vecs]), 1)]
 
-    order = sorted(range(len(found)), key=lambda k: _sort_key(found[k]))
+    gens = np.full((len(generators), m + 1), -1, dtype=np.intp)
+    for k, a in enumerate(generators):
+        tag = [arrows.index(g) for g in a.tag]
+        gens[k, codes.src[tag]] = tag
+    vecs = np.empty((0, m + 1), dtype=np.intp)
+
+    def place(batch, limit):
+        """Numbers of the batch; new vectors join in the order found."""
+        nonlocal vecs
+        both = np.concatenate([vecs, batch])
+        _, first, back = np.unique(both, axis=0, return_index=True,
+                                   return_inverse=True)
+        keep, known = np.sort(first), len(vecs)
+        if len(keep) > max(limit, known):
+            raise ValueError(
+                f"semigroup closure exceeded {_MAX_ELEMENTS} elements")
+        vecs = both[keep]
+        return np.searchsorted(keep, first)[back.ravel()[known:]]
+
+    place(np.stack([gens, inverse(gens)], axis=1).reshape(-1, m + 1), np.inf)
+    rows = []
+    # vecs grows while it is scanned
+    while len(rows) < len(vecs):
+        i = len(rows)
+        batch = np.empty((2 * i + 1, m + 1), dtype=np.intp)
+        batch[0::2] = after(vecs[i], vecs[:i + 1])
+        batch[1::2] = after(vecs[:i], vecs[i])
+        rows.append(place(batch, _MAX_ELEMENTS))
+
+    n = len(rows)
+    prod = np.empty((n, n), dtype=np.intp)
+    for i, got in enumerate(rows):
+        prod[i, :i + 1], prod[:i, i] = got[0::2], got[1::2]
+    labels = [bisection_from_arrows(gpd, [arrows[g] for g in v if g >= 0])
+              for v in vecs.tolist()]
+    order = np.array(sorted(range(n), key=lambda k: _sort_key(labels[k])),
+                     dtype=np.intp)
     rank = np.argsort(order)
-    elements = [found[k] for k in order]
-    carrier = gpd.objects
-    point = {x: i for i, x in enumerate(carrier)}
-    act = [[point[a.mapping[x]] if x in a.mapping else -1 for x in carrier]
-           for a in elements]
     return InverseSemigroup(
-        elements, rank[[[prod[i, j] for j in order] for i in order]],
-        rank[[position[invert_bisection(gpd, a)] for a in elements]], act,
-        carrier)
+        [labels[k] for k in order], rank[prod[np.ix_(order, order)]],
+        rank[place(inverse(vecs), n)[order]], rng[vecs[order, :m]], objs)
 
 
 def bisection_semigroup(gpd):
@@ -613,61 +632,65 @@ class CovariantRep:
     """Projections over the carrier plus one partial isometry per element.
 
     All operators act on one unweighted space of the stated dimension;
-    isometries are stored zero extended to the full space.
+    isometries are stored zero extended to the full space.  points and
+    iso stack the projections in carrier order and the isometries in
+    element order; the label dicts are views into them.
     """
 
     def __init__(self, sgrp, dim, projections, isometries):
         self.semigroup = sgrp
         self.dim = int(dim)
-        self.projections = {x: np.asarray(projections[x], dtype=complex)
-                            for x in sgrp.carrier}
-        self.isometries = {a: np.asarray(isometries[a], dtype=complex)
-                           for a in sgrp.elements}
+        self.points, self.iso = (
+            np.array([ops[x] for x in labels], dtype=complex)
+            .reshape(len(labels), self.dim, self.dim) for ops, labels in
+            ((projections, sgrp.carrier), (isometries, sgrp.elements)))
+        self.projections = dict(zip(sgrp.carrier, self.points))
+        self.isometries = dict(zip(sgrp.elements, self.iso))
 
 
-def _side_projections(cov, table):
-    """Per element, the sum of the point projections where its row of
-    the action table is defined."""
-    pts = [cov.projections[x] for x in cov.semigroup.carrier]
-    zero = np.zeros((cov.dim, cov.dim), dtype=complex)
-    return [sum((pts[x] for x in np.flatnonzero(row >= 0)), zero)
-            for row in table]
+def _rows(n, row):
+    """The defect arrays row(a), a = 0..n-1, joined in row-major order."""
+    return np.concatenate([np.empty(0)] + [row(a) for a in range(n)])
 
 
 def check_covariant_rep(cov, tol=1e-10):
     """Projection axioms, partial isometry axioms, covariance."""
     sgrp = cov.semigroup
     rep = Report("covariant representation")
-    eye = np.eye(cov.dim)
-    els, act = sgrp.elements, sgrp.act
-    iso = [cov.isometries[a] for a in els]
-    pts = [cov.projections[x] for x in sgrp.carrier]
-    dom = _side_projections(cov, act)
-    img = _side_projections(cov, _inverse_action(act))
+    els, act, le = sgrp.elements, sgrp.act, sgrp.le
+    iso, pts = cov.iso, cov.points
+    adj, pre = iso.conj().transpose(0, 2, 1), _inverse_action(act)
+    # per element, the point projections summed over its domain and image
+    dom, img = np.zeros((2,) + iso.shape, dtype=complex)
+    for x, p in enumerate(pts):
+        dom[act[:, x] >= 0] += p
+        img[pre[:, x] >= 0] += p
 
-    rep.add_worst("projections",
-                  ((d, None) for p in pts
-                   for d in (max_abs(p @ p - p), max_abs(p - p.conj().T))),
-                  tol)
+    rep.add_worst_at("projections", np.stack(
+        [max_abs_each(pts @ pts - pts),
+         max_abs_each(pts - pts.conj().transpose(0, 2, 1))], axis=1), tol)
 
-    total = sum(cov.projections.values()) if sgrp.carrier else eye * 0
-    d = max_abs(total - eye)
+    d = max_abs(pts.sum(axis=0) - np.eye(cov.dim))
     rep.add("projections-sum", d <= tol, defect=d)
 
-    rep.add_worst("partial-isometries",
-                  ((d, els[a]) for a, u in enumerate(iso)
-                   for d in (max_abs(u.conj().T @ u - dom[a]),
-                             max_abs(u @ u.conj().T - img[a]))), tol)
-    rep.add_worst("involution",
-                  ((max_abs(iso[sgrp.star[a]] - u.conj().T), els[a])
-                   for a, u in enumerate(iso)), tol)
-    rep.add_worst("restriction",
-                  ((max_abs(iso[a] - iso[b] @ dom[a]), (els[a], els[b]))
-                   for a, b in np.argwhere(sgrp.le)), tol)
-    rep.add_worst("covariance",
-                  ((max_abs(iso[a] @ pts[x] @ iso[a].conj().T
-                            - pts[act[a, x]]), (els[a], sgrp.carrier[x]))
-                   for a, x in np.argwhere(act >= 0)), tol)
+    rep.add_worst_at("partial-isometries",
+                     np.stack([max_abs_each(adj @ iso - dom),
+                               max_abs_each(iso @ adj - img)], axis=1),
+                     tol, lambda k: els[k // 2])
+    rep.add_worst_at("involution", max_abs_each(iso[sgrp.star] - adj), tol,
+                     lambda k: els[k])
+    pairs = np.argwhere(le)
+    rep.add_worst_at("restriction", _rows(len(els), lambda a: max_abs_each(
+                         iso[a] - iso[le[a]] @ dom[a])),
+                     tol, lambda k: sgrp.label(tuple(pairs[k])))
+
+    def covariance(a):
+        on = act[a] >= 0
+        return max_abs_each(iso[a] @ pts[on] @ adj[a] - pts[act[a, on]])
+
+    b, x = np.nonzero(act >= 0)
+    rep.add_worst_at("covariance", _rows(len(els), covariance), tol,
+                     lambda k: (els[b[k]], sgrp.carrier[x[k]]))
     return rep
 
 
@@ -675,10 +698,10 @@ def partial_isometry_form(cov, tol=1e-10):
     """Full multiplicativity of the zero extended isometries."""
     sgrp = cov.semigroup
     rep = Report("partial isometry form")
-    iso = [cov.isometries[a] for a in sgrp.elements]
-    rep.add_worst("multiplicative",
-                  ((max_abs(iso[a] @ iso[b] - iso[ab]), sgrp.label((a, b)))
-                   for (a, b), ab in np.ndenumerate(sgrp.mul)), tol)
+    n, iso = len(sgrp.elements), cov.iso
+    rep.add_worst_at("multiplicative", _rows(n, lambda a: max_abs_each(
+                         iso[a] @ iso - iso[sgrp.mul[a]])),
+                     tol, lambda k: sgrp.label(divmod(k, n)))
     return rep
 
 
@@ -686,16 +709,16 @@ def check_crossed_rep(alg, rho, tol=1e-10):
     """rho is a unital star homomorphism out of the crossed product."""
     rep = Report("crossed product representation")
     dim = next(iter(rho.values())).shape[0] if rho else 0
-    zero = np.zeros((dim, dim), dtype=complex)
-    rep.add_worst("multiplicative",
-                  ((max_abs(rho[i] @ rho[j] - (rho[k] if k >= 0 else zero)),
-                    (i, j)) for (i, j), k in np.ndenumerate(alg.table)), tol)
-    rep.add_worst("star",
-                  ((max_abs(rho[alg.star_table[i]] - rho[i].conj().T), i)
-                   for i in range(alg.dim)), tol)
-
-    total = sum(rho[i] for i in alg.unit_indices)
-    d = max_abs(total - np.eye(dim))
+    n = alg.dim
+    # the operators in basis order, then zero for the product -1
+    ops = np.array([rho[i] for i in range(n)] + [np.zeros((dim, dim))])
+    rep.add_worst_at("multiplicative", _rows(n, lambda i: max_abs_each(
+                         ops[i] @ ops[:n] - ops[alg.table[i]])),
+                     tol, lambda k: divmod(k, n))
+    adj = ops[:n].conj().transpose(0, 2, 1)
+    rep.add_worst_at("star", max_abs_each(ops[alg.star_table] - adj), tol,
+                     lambda k: k)
+    d = max_abs(ops[alg.unit_indices].sum(axis=0) - np.eye(dim))
     rep.add("unital", d <= tol, defect=d)
     return rep
 
@@ -732,8 +755,7 @@ def integrate_covariant(alg, cov, tol=1e-10):
     out = Report("covariant to crossed")
     sgrp = alg.semigroup
     a, x, bounds = alg.members
-    mats = [cov.projections[sgrp.carrier[p]] @ cov.isometries[sgrp.elements[e]]
-            for e, p in zip(a, x)]
+    mats = cov.points[x] @ cov.iso[a]
     classes = [mats[bounds[i]:bounds[i + 1]] for i in range(alg.dim)]
     rho = {i: m[0] for i, m in enumerate(classes)}
     out.add_worst("representative-independent",
@@ -872,9 +894,8 @@ def etale_battery(gpd, weights, sgrp=None, rep=None, tol=1e-10):
         out.extend(rho_rep, prefix="integrated-")
         cov2, cov2_rep = rep_of_crossed_to_covariant(alg, rho, tol)
         out.extend(cov2_rep, prefix="split-")
-        out.add_worst("split-roundtrip",
-                      ((max_abs(cov2.isometries[a] - cov.isometries[a]), None)
-                       for a in sgrp.elements), tol)
+        out.add_worst_at("split-roundtrip", max_abs_each(cov2.iso - cov.iso),
+                         tol)
         back, back_rep = covariant_to_groupoid_rep(
             gpd, rep.weights, cov, tol)
         out.extend(back_rep, prefix="back-")

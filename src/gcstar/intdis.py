@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .report import (Report, VerificationError, max_abs, relative_defect,
-                     relative_defects)
+from .report import (Report, VerificationError, max_abs, max_abs_each,
+                     relative_defect, relative_defects)
 from .measures import fibre_sums, object_weights, pair_values
 from .hilbmod import ModuleMap, _join, creation, module_from_dims, tensor_map
 from .convalg import (_product, convolve, delta_function, fiber_sups,
@@ -187,8 +187,8 @@ def check_integrated_intertwiner(conv1, conv2, vmatrix, tol=1e-10):
     on one groupoid."""
     v = np.asarray(vmatrix, dtype=complex)
     out = Report("integrated intertwiner")
-    out.add_worst("integrated-commutes", zip(relative_defects(
-        conv2.ops @ v, v @ conv1.ops).tolist(), conv1.groupoid.arrows), tol)
+    out.add_worst_at("integrated-commutes", relative_defects(
+        conv2.ops @ v, v @ conv1.ops), tol, lambda k: conv1.groupoid.arrows[k])
     return out
 
 
@@ -355,8 +355,7 @@ def disintegrate(conv, tol=1e-9):
         conv.ops / object_weights(gpd, c)[t.src, None, None]) @ frame_mat
     at_rng, at_src = lc == t.rng[:, None], lc == t.src[:, None]
     off = np.where(at_rng[:, :, None] & at_src[:, None, :], 0.0, small)
-    out.add_worst("compression-offblock", ((d, None) for d in np.abs(
-        off).max(axis=(1, 2), initial=0.0).tolist()), tol)
+    out.add_worst_at("compression-offblock", max_abs_each(off), tol)
     unitaries = {g: np.sqrt(c[gpd.src[g]] / c[gpd.rng[g]])
                  * small[i][np.ix_(at_rng[i], at_src[i])]
                  for i, g in enumerate(gpd.arrows)}

@@ -9,6 +9,8 @@ worst(): the defect is the largest value, starting from 0.0 (a negative
 gap reports 0.0), and the witness that of its first pair, None while
 every defect is 0.  The first NaN beats any number and keeps its own
 witness.  Report.add_worst passes iff defect <= tol, so NaN never does.
+worst_at is the same rule over an array of defects in row-major order,
+and Report.add_worst_at labels only the pair that wins.
 
 Two arrays that should agree are compared by relative_defect: the
 largest entry of their difference divided by the largest entry of
@@ -36,14 +38,17 @@ def relative_defect(a, b):
     return max_abs(np.subtract(a, b)) / max(1.0, max_abs(a), max_abs(b))
 
 
+def max_abs_each(x):
+    """max_abs(x[i]) for each i along the first axis, as an array."""
+    return np.abs(x).max(axis=tuple(range(1, x.ndim)), initial=0.0)
+
+
 def relative_defects(a, b):
     """relative_defect(a[i], b[i]) for each i along the first axis, as
     an array; b None stands for zeros."""
-    def top(x):
-        return np.abs(x).max(axis=tuple(range(1, x.ndim)), initial=0.0)
-    gap = scale = top(a)
+    gap = scale = max_abs_each(a)
     if b is not None:
-        gap, scale = top(a - b), np.maximum(scale, top(b))
+        gap, scale = max_abs_each(a - b), np.maximum(scale, max_abs_each(b))
     with np.errstate(invalid="ignore"):  # inf / inf is NaN, as in Python
         return gap / np.maximum(scale, 1.0)
 
@@ -57,6 +62,15 @@ def worst(pairs):
         if d > top:
             top, where = d, witness
     return top, where
+
+
+def worst_at(defects):
+    """worst() of an array of defects in row-major order, as (defect,
+    flat index of its witness or None)."""
+    # argmax takes the first NaN, else the first maximum, else the 0.0
+    d = np.append(0.0, defects)
+    k = int(np.argmax(d))
+    return float(d[k]), (k - 1 if k else None)
 
 
 class VerificationError(Exception):
@@ -91,6 +105,13 @@ class Report:
         """Add the check of worst(pairs): it passes iff defect <= tol."""
         d, witness = worst(pairs)
         return self.add(name, d <= tol, defect=d, witness=witness)
+
+    def add_worst_at(self, name, defects, tol, witness_of=lambda k: None):
+        """Add the check of worst_at(defects), the witness witness_of(k)
+        of the winning flat index k; it passes iff defect <= tol."""
+        d, k = worst_at(defects)
+        return self.add(name, d <= tol, defect=d,
+                        witness=None if k is None else witness_of(k))
 
     def extend(self, other, prefix=""):
         for c in other.checks:

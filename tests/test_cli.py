@@ -344,6 +344,8 @@ def test_etale_semigroup_file(capsys, tmp_path):
      "generator 1 names unknown object '7'"),
     ({"dom": ["1"]}, 'generator 1 has no "map"'),
     ({"map": {"1": "1"}, "dom": ["2"]}, "generator 1: dom and map keys"),
+    ({"map": {"1": "2", "2": "2"}},
+     "generator 1: arrow set [(2, 1), (2, 2)] is not a bisection"),
 ])
 def test_etale_semigroup_file_errors(capsys, tmp_path, generator, message):
     gens = {"generators": [{"map": {"1": "2", "2": "1"}}, generator]}

@@ -4,6 +4,9 @@ Bisection counts were enumerated by hand: a single object group admits
 only the empty set and the singletons, the two point pair groupoid has
 the empty set, four singletons and two global sections, and a two
 point space has the subsets of its unit arrows.
+
+The closure is compared against a pairwise closure on arrow-label tags,
+written below without the integer tables.
 """
 
 import numpy as np
@@ -14,20 +17,58 @@ from gcstar.crossed import (CovariantRep, PartialBijection,
                             all_bisections, bisection_from_arrows,
                             bisection_semigroup, canonical_iso_cstar,
                             check_covariant_rep, check_crossed_rep,
-                            compose_bisections, covariant_to_groupoid_rep,
+                            covariant_to_groupoid_rep,
                             crossed_product, etale_battery, germ_classes,
                             germ_reconstruction,
                             group_action_semigroup, groupoid_rep_to_covariant,
-                            integrate_covariant, invert_bisection, is_wide,
+                            integrate_covariant, is_wide,
                             partial_isometry_form, rep_of_crossed_to_covariant,
                             semigroup_from_bisections, transformation_theorem)
-from gcstar.fingroupoid import fixture, pair_groupoid
-from gcstar.report import VerificationError
+from gcstar.fingroupoid import (build_preset, counting_weights,
+                                disjoint_union, fixture, pair_groupoid)
+from gcstar.report import VerificationError, max_abs, worst
 from gcstar.reps import from_cocycle, regular_representation
 from gcstar.sampling import SplitMix64, random_cocycle
 
 SWAP = {1: 2, 2: 1}
 ROT3 = {1: 2, 2: 3, 3: 1}
+
+
+# ---------------------------------------------------------------------------
+# reference: bisections as arrow-label tags, closed pair by pair
+
+def compose_tags(gpd, a, b):
+    """Pointwise composites of the two arrow sets."""
+    return frozenset(gpd.comp[(g, h)] for g in a for h in b
+                     if gpd.src[g] == gpd.rng[h])
+
+
+def invert_tag(gpd, a):
+    return frozenset(gpd.inv[g] for g in a)
+
+
+def reference_closure(gpd, generators):
+    """(elements, mul, star, act) of the closure of the generator tags,
+    elements in _sort_key order, by composing every pair of tags."""
+    tags = []
+    for a in generators:
+        tags += [a.tag, invert_tag(gpd, a.tag)]
+    tags = list(dict.fromkeys(tags))
+    grown = True
+    while grown:
+        products = [compose_tags(gpd, a, b) for a in tags for b in tags]
+        grown = any(c not in tags for c in products)
+        tags = list(dict.fromkeys(tags + products))
+    elements = sorted((bisection_from_arrows(gpd, t) for t in tags),
+                      key=crossed._sort_key)
+    place = {a.tag: i for i, a in enumerate(elements)}
+    point = {x: i for i, x in enumerate(gpd.objects)}
+    mul = [[place[compose_tags(gpd, a.tag, b.tag)] for b in elements]
+           for a in elements]
+    star = [place[invert_tag(gpd, a.tag)] for a in elements]
+    act = [[point[a(x)] if x in a.mapping else -1 for x in gpd.objects]
+           for a in elements]
+    return elements, mul, star, act
 
 
 def test_partial_bijection_basics():
@@ -69,9 +110,13 @@ def test_all_bisections_guard():
 def test_compose_invert_bisections():
     gpd, _ = fixture("P2")
     swap = bisection_from_arrows(gpd, [(1, 2), (2, 1)])
-    ident = compose_bisections(gpd, swap, swap)
-    assert ident.tag == frozenset([(1, 1), (2, 2)])
-    assert invert_bisection(gpd, swap).tag == frozenset([(1, 2), (2, 1)])
+    assert compose_tags(gpd, swap.tag, swap.tag) == {(1, 1), (2, 2)}
+    assert invert_tag(gpd, swap.tag) == swap.tag
+    sgrp = semigroup_from_bisections(gpd, [swap])
+    ident = bisection_from_arrows(gpd, [(1, 1), (2, 2)])
+    assert sgrp.elements == (ident, swap)
+    assert sgrp.mul.tolist() == [[0, 1], [1, 0]]
+    assert sgrp.star.tolist() == [0, 1]
 
 
 def test_full_semigroup_validates():
@@ -270,6 +315,43 @@ def test_covariant_checks_fail_on_nan_isometry():
                                if a in (b, c, bc))})
 
 
+@pytest.mark.parametrize("points", [2, 3])
+def test_batched_covariant_checks_match_pair_loops(points):
+    gpd = pair_groupoid(tuple(range(1, points + 1)))
+    sgrp = bisection_semigroup(gpd)
+    els, act, carrier = sgrp.elements, sgrp.act, sgrp.carrier
+    fine = groupoid_rep_to_covariant(
+        regular_representation(gpd, counting_weights(gpd)), sgrp)
+    # scale the isometry of the first element that is not idempotent
+    a = int(np.flatnonzero(~sgrp.idem)[0])
+    isometries = dict(fine.isometries)
+    isometries[els[a]] = isometries[els[a]] * (1 + 1e-6)
+    cov = CovariantRep(sgrp, fine.dim, fine.projections, isometries)
+
+    iso = [cov.isometries[e] for e in els]
+    pts = [cov.projections[x] for x in carrier]
+    zero = np.zeros((cov.dim, cov.dim), dtype=complex)
+    dom = [sum((pts[x] for x in np.flatnonzero(row >= 0)), zero)
+           for row in act]
+    want = {
+        "multiplicative": worst(
+            (max_abs(iso[b] @ iso[c] - iso[bc]), (els[b], els[c]))
+            for (b, c), bc in np.ndenumerate(sgrp.mul)),
+        "restriction": worst(
+            (max_abs(iso[b] - iso[c] @ dom[b]), (els[b], els[c]))
+            for b, c in np.argwhere(sgrp.le)),
+        "covariance": worst(
+            (max_abs(iso[b] @ pts[x] @ iso[b].conj().T - pts[act[b, x]]),
+             (els[b], carrier[x]))
+            for b, x in np.argwhere(act >= 0)),
+    }
+    got = {c.name: (c.defect, c.witness) for c in
+           check_covariant_rep(cov).checks + partial_isometry_form(cov).checks}
+    for name, (defect, witness) in want.items():
+        assert defect > 1e-7, name
+        assert got[name] == (defect, witness), name
+
+
 def test_crossed_rep_fails_on_nan_operator():
     gpd, w = fixture("P2")
     sgrp = bisection_semigroup(gpd)
@@ -286,27 +368,32 @@ def test_crossed_rep_fails_on_nan_operator():
                      if i in (k, alg.star_table[k]))})
 
 
-def test_closure_composes_each_ordered_pair_once(monkeypatch):
+def test_closure_matches_pairwise_reference(monkeypatch):
+    p2, p3 = build_preset("pair", points=2), build_preset("pair", points=3)
+    t3 = build_preset("transformation", order=3, action=ROT3)
+    groupoids = [fixture(name)[0] for name in ("Z2", "P2", "X2")] + [
+        p3, build_preset("pair", points=4), t3, disjoint_union(p2, p2),
+        disjoint_union(t3, build_preset("space", points=1))]
+    cases = [(gpd, all_bisections(gpd)) for gpd in groupoids]
     gpd, _ = fixture("P2")
-    calls = []
-
-    def counting(gpd, a, b):
-        calls.append((a, b))
-        return compose_bisections(gpd, a, b)
-
     gens = [bisection_from_arrows(gpd, [(1, 2)]),
             bisection_from_arrows(gpd, [(1, 2), (2, 1)])]
-    monkeypatch.setattr(crossed, "compose_bisections", counting)
-    sgrp = semigroup_from_bisections(gpd, gens)
+    cases.append((gpd, gens))
+    for gpd, generators in cases:
+        sgrp = semigroup_from_bisections(gpd, generators)
+        elements, mul, star, act = reference_closure(gpd, generators)
+        assert sgrp.elements == tuple(elements), gpd
+        assert sgrp.mul.tolist() == mul, gpd
+        assert sgrp.star.tolist() == star, gpd
+        assert sgrp.act.tolist() == act, gpd
+
     n = len(sgrp.elements)
-    assert len(calls) == n * n
-    assert len(set(calls)) == n * n
-    full = bisection_semigroup(gpd)
-    assert sgrp.elements == full.elements
-    assert np.array_equal(sgrp.mul, full.mul)
-    assert np.array_equal(sgrp.star, full.star)
     monkeypatch.setattr(crossed, "_MAX_ELEMENTS", n - 1)
     with pytest.raises(ValueError, match=f"exceeded {n - 1} elements"):
         semigroup_from_bisections(gpd, gens)
     monkeypatch.setattr(crossed, "_MAX_ELEMENTS", n)
     assert len(semigroup_from_bisections(gpd, gens).elements) == n
+    # the guard counts the elements that products add, not the generators
+    monkeypatch.setattr(crossed, "_MAX_ELEMENTS", 1)
+    assert len(semigroup_from_bisections(gpd, all_bisections(gpd))
+               .elements) == 7
