@@ -786,16 +786,14 @@ def groupoid_rep_to_covariant(rep, sgrp):
     module = rep.module
     fam = blockwise(rep)
     dim = module.dim
-    fibers = {x: [module.index[m] for m in module.left_fiber(x)]
-              for x in gpd.objects}
+    fibers = {x: module.left_positions(x) for x in gpd.objects}
     projections = {x: np.diag(np.isin(np.arange(dim), fibers[x]))
                    .astype(complex) for x in gpd.objects}
     isometries = {}
     for a in sgrp.elements:
         u = np.zeros((dim, dim), dtype=complex)
         for g in a.tag:
-            rows = fibers[gpd.rng[g]]
-            cols = fibers[gpd.src[g]]
+            rows, cols = fibers[gpd.rng[g]], fibers[gpd.src[g]]
             u[np.ix_(rows, cols)] += fam.unitaries[g]
         isometries[a] = u
     return CovariantRep(sgrp, dim, projections, isometries)

@@ -5,13 +5,14 @@ carrying a left grade, a right grade and a positive weight, its squared
 length, stored as int grade codes and a weight array with the label
 dicts as a view.  Balanced tensor products pair a right grade with a
 left grade and multiply the weights; the tensor of two correspondences
-is their fibre product.  A tensor records its two factors and the
-factor positions of each of its points, and the maps built on tensors
-(tensor maps, the associator, the relabelings onto composite families,
-creation maps) read those positions instead of looking up labels.  The
-relabeling maps between a tensor product of function spaces and the
-function space of a composite set are scale one on basis vectors,
-hence exact in floating point.
+is their fibre product.  A tensor records its two factors and the factor
+positions of each of its points, and the maps built on tensors (tensor
+maps, the associator, the relabelings onto composite families, creation
+maps) read those positions instead of looking up labels.  Its label
+basis is built only when read, and same_space compares tensors by their
+factors.  The relabeling maps between a tensor product of function
+spaces and the function space of a composite set are scale one on basis
+vectors, hence exact in floating point.
 
 Module maps are stored against the bases, as a dense matrix or as
 entries (int rows, int cols, complex vals); the structured maps built
@@ -94,7 +95,7 @@ class ModuleMap:
 
     def compose(self, other):
         """self after other; the bases must agree on the interface."""
-        if other.target.basis != self.source.basis:
+        if not same_space(other.target, self.source):
             raise ValueError("composition interface mismatch")
         if self.vals is None or other.vals is None:
             return ModuleMap(other.source, self.target,
@@ -175,15 +176,10 @@ def _relabel(src, tgt, rows, scale=None):
 
 def module_from_dims(left_space, right_space, dims):
     """Orthonormal basis (x, w, i) with i below dims[(x, w)]."""
-    basis = []
-    for x in left_space:
-        for w in right_space:
-            for i in range(int(dims.get((x, w), 0))):
-                basis.append((x, w, i))
-    return GradedSpace(basis,
-                       {(x, w, i): x for (x, w, i) in basis},
-                       {(x, w, i): w for (x, w, i) in basis},
-                       {b: 1.0 for b in basis},
+    basis = [(x, w, i) for x in left_space for w in right_space
+             for i in range(int(dims.get((x, w), 0)))]
+    return GradedSpace(basis, {b: b[0] for b in basis},
+                       {b: b[1] for b in basis}, dict.fromkeys(basis, 1.0),
                        left_space=left_space, right_space=right_space)
 
 
@@ -195,17 +191,13 @@ def tensor(e, f):
     positions of a and b, as its factors.
     """
     # e's right grades as codes of f's left space, -1 where f has none
-    index = {y: i for i, y in enumerate(f.left_space)}
-    mid = np.array([index.get(y, -1) for y in e.right_space],
+    mid = np.array([f.left_lookup.get(y, -1) for y in e.right_space],
                    dtype=np.intp)[e.right_codes]
     hit = np.flatnonzero(mid >= 0)
     w, ib = _join(f.left_codes, len(f.left_space), mid[hit])
     ia = hit[w]
-    ea, fb = e.basis, f.basis
-    basis = tuple(zip(map(ea.__getitem__, ia.tolist()),
-                      map(fb.__getitem__, ib.tolist())))
     return GradedSpace.from_codes(
-        basis, e.left_space, f.right_space, e.left_codes[ia],
+        None, e.left_space, f.right_space, e.left_codes[ia],
         f.right_codes[ib], e.weight_array[ia] * f.weight_array[ib],
         factors=((e, ia), (f, ib)))
 
@@ -254,8 +246,13 @@ def _require_graded(m, side):
         raise ValueError(f"map moves {side} grade {bad[0]!r} -> {bad[1]!r}")
 
 
-def _same_basis(x, y):
-    return x is y or x.basis == y.basis
+def same_space(x, y):
+    """Whether x and y have one basis: x is y, two tensors have the same
+    factor spaces at equal positions, or other spaces equal bases."""
+    if x is y or x.factors is None or y.factors is None:
+        return x is y or x.basis == y.basis
+    return all(same_space(a, b) and np.array_equal(ia, ib)
+               for (a, ia), (b, ib) in zip(x.factors, y.factors))
 
 
 def lift(m, src, tgt, side):
@@ -270,8 +267,8 @@ def lift(m, src, tgt, side):
     _require_graded(m, ("right", "left")[side])
     (moved_s, sm), (fixed, sf) = src.factors[side], src.factors[1 - side]
     (moved_t, tm), (fixed_t, tf) = tgt.factors[side], tgt.factors[1 - side]
-    if not (_same_basis(moved_s, m.source) and _same_basis(moved_t, m.target)
-            and _same_basis(fixed_t, fixed)):
+    if not (same_space(moved_s, m.source) and same_space(moved_t, m.target)
+            and same_space(fixed_t, fixed)):
         raise ValueError("tensor factors do not fit the map")
     if not tgt.dim:
         return ModuleMap(src, tgt, entries=([], [], []))
@@ -313,7 +310,7 @@ def associator(src, tgt):
                  (e, fg.factors[0][0], fg.factors[1][0]))
     triples = zip((ef.factors[0][1][ab], ef.factors[1][1][ab], c),
                   (a, fg.factors[0][1][bc], fg.factors[1][1][bc]))
-    if not all(_same_basis(x, y) for x, y in leaves) \
+    if not all(same_space(x, y) for x, y in leaves) \
             or not all(np.array_equal(x, y) for x, y in triples):
         raise ValueError("the two tensors hold different triples")
     return _relabel(src, tgt, np.arange(src.dim))

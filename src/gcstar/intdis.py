@@ -64,11 +64,11 @@ def oracle_integrate(rep, f):
     gpd, c, module = rep.groupoid, rep.weights, rep.module
     fam = blockwise(rep)
     mat = np.zeros((module.dim, module.dim), dtype=complex)
+    pos = {x: module.left_positions(x) for x in gpd.objects}
     for g in gpd.arrows:
         coeff = f[g] * c[gpd.src[g]]
         if coeff != 0:
-            rows, cols = ([module.index[m] for m in module.left_fiber(x)]
-                          for x in (gpd.rng[g], gpd.src[g]))
+            rows, cols = pos[gpd.rng[g]], pos[gpd.src[g]]
             mat[np.ix_(rows, cols)] += _product(np.asarray(coeff), fam.raw[g])
     return ModuleMap(module, module, mat)
 
@@ -165,7 +165,7 @@ def check_conv_rep(conv, funcs, tol=1e-10):
     # argmax finds the first largest entry or NaN, arrow-major, then
     # column b, then row b2
     space, arrows = conv.space, gpd.arrows
-    code = {x: i for i, x in enumerate(space.left_space)}
+    code = space.left_lookup
     ends = np.array([[code.get(gpd.src[g], -1), code.get(gpd.rng[g], -1)]
                      for g in arrows], dtype=np.intp).reshape(-1, 2, 1, 1)
     lc, ops = space.left_codes, conv.ops.transpose(0, 2, 1)
@@ -376,10 +376,9 @@ def disintegrate(conv, tol=1e-9):
 
 def _grade_dims(objects, module):
     """Module dimension over each (object, coefficient label)."""
-    dims = {(x, w): 0 for x in objects for w in module.right_space}
-    for b in module.basis:
-        dims[(module.left[b], module.right[b])] += 1
-    return dims
+    return {(x, w): int(np.count_nonzero(
+                module.right_codes[module.left_positions(x)] == k))
+            for x in objects for k, w in enumerate(module.right_space)}
 
 
 def _roundtrip(rep, tol):

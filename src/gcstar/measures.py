@@ -2,18 +2,18 @@
 
 A GradedSpace is a finite set whose points carry a left grade, a right
 grade and a positive weight.  The one class serves three readings: a
-measure family fibres its points over the right grades (its left
-grading is the identity) and integrates fibrewise; a correspondence
-reads the two gradings as its two legs; a module reads the points as
-an orthogonal basis whose weights are squared lengths.  A space stores
-its points by position: an int code per point into each grade set and
-a float64 weight array; the label dicts left, right, weight and index
-are read-only views built on first use.  For a groupoid with invariant
-object weights c this module builds the two arrow families (along range
-and along source), the three families on composable pairs, and the
-three induced families obtained by composing them.  The composed
-families agree bit for bit with each other where two routes exist, and
-the tests insist on that.
+measure family fibres its points over the right grades (its left grading
+is the identity) and integrates fibrewise; a correspondence reads the
+two gradings as its two legs; a module reads the points as an orthogonal
+basis whose weights are squared lengths.  A space stores its points by
+position: an int code per point into each grade set and a float64 weight
+array; the label dicts left, right, weight and index are read-only views
+built on first use, and so is the basis of a tensor, from its factor
+positions.  For a groupoid with invariant object weights c this module
+builds the two arrow families (along range and along source), the three
+families on composable pairs, and the three induced families obtained by
+composing them.  The composed families agree bit for bit with each other
+where two routes exist, and the tests insist on that.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def _frozen(arr):
 class GradedSpace:
     """A finite set graded on two sides, with a positive weight per point.
 
-    basis       : the points, in a fixed order
+    basis       : the points, in a fixed order; built on first use
     left_space, right_space : the grade sets, by default the grades in
                   use sorted by str; a grade in use outside a given set
                   is appended to it
@@ -53,6 +53,7 @@ class GradedSpace:
     weight_array : float64 array, the weight of each point
     left, right, weight, index : read-only dicts point -> left grade,
                   right grade, weight and position, built on first use
+    left_lookup : read-only dict left grade -> code, built on first use
     factors     : for a balanced tensor e x f, ((e, ia), (f, ib)) with
                   ia, ib the factor positions of each point; else None
 
@@ -79,15 +80,18 @@ class GradedSpace:
     @classmethod
     def from_codes(cls, basis, left_space, right_space, left_codes,
                    right_codes, weights, factors=None):
-        """A space from its arrays; the codes must index the grade sets."""
+        """A space from its arrays; the codes must index the grade sets.
+        With factors given, basis may be None, to be built on first use."""
         space = cls.__new__(cls)
-        space._init(tuple(basis), tuple(left_space), tuple(right_space),
+        space._init(basis, tuple(left_space), tuple(right_space),
                     left_codes, right_codes, weights, factors)
         return space
 
     def _init(self, basis, left_space, right_space, left_codes,
               right_codes, weights, factors):
-        self.basis = basis
+        if basis is not None:
+            self.basis = tuple(basis)
+        self.factors = factors
         self.left_space = left_space
         self.right_space = right_space
         self.left_codes = _frozen(np.asarray(left_codes, dtype=np.intp))
@@ -97,20 +101,24 @@ class GradedSpace:
         bad = np.flatnonzero(~(w > 0.0) | (w == np.inf))
         if bad.size:
             kind = "non-finite" if w[bad[0]] > 0.0 else "nonpositive"
-            raise ValueError(f"{kind} weight at {basis[bad[0]]!r}")
-        self.factors = factors
+            raise ValueError(f"{kind} weight at {self.basis[bad[0]]!r}")
+
+    @cached_property
+    def basis(self):
+        """A tensor's points (a, b), zipped from its factor positions."""
+        (e, ia), (f, ib) = self.factors
+        return tuple(zip(map(e.basis.__getitem__, ia.tolist()),
+                         map(f.basis.__getitem__, ib.tolist())))
 
     @cached_property
     def left(self):
-        labels = self.left_space
-        return MappingProxyType({b: labels[i] for b, i in
-                                 zip(self.basis, self.left_codes.tolist())})
+        return MappingProxyType(dict(zip(self.basis, map(
+            self.left_space.__getitem__, self.left_codes.tolist()))))
 
     @cached_property
     def right(self):
-        labels = self.right_space
-        return MappingProxyType({b: labels[i] for b, i in
-                                 zip(self.basis, self.right_codes.tolist())})
+        return MappingProxyType(dict(zip(self.basis, map(
+            self.right_space.__getitem__, self.right_codes.tolist()))))
 
     @cached_property
     def weight(self):
@@ -122,20 +130,24 @@ class GradedSpace:
         """Position of each point in the basis, built on first use."""
         return MappingProxyType({b: i for i, b in enumerate(self.basis)})
 
+    @cached_property
+    def left_lookup(self):
+        return MappingProxyType({y: i for i, y in enumerate(self.left_space)})
+
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.weight_array)
 
     def gram_diagonal(self):
         """The weights as a read-only float64 array."""
         return self.weight_array
 
+    def left_positions(self, x):
+        """Positions of the points over the left grade x, in order."""
+        return np.flatnonzero(self.left_codes == self.left_lookup.get(x, -1))
+
     def left_fiber(self, x):
-        code = {y: i for i, y in enumerate(self.left_space)}.get(x)
-        if code is None:
-            return ()
-        return tuple(self.basis[i]
-                     for i in np.flatnonzero(self.left_codes == code))
+        return tuple(self.basis[i] for i in self.left_positions(x).tolist())
 
     def integrate(self, func):
         """Weighted sum of a point function along the right grading."""
@@ -146,11 +158,9 @@ class GradedSpace:
 
     def inner(self, v, w):
         """Inner product valued in functions on the right space."""
-        out = {y: 0.0 + 0.0j for y in self.right_space}
-        for b in self.basis:
-            i = self.index[b]
-            out[self.right[b]] += np.conj(v[i]) * w[i] * self.weight[b]
-        return out
+        return dict(zip(self.right_space, fibre_sums(
+            self.right_codes, np.conj(v) * w * self.weight_array,
+            len(self.right_space)).tolist()))
 
     def scalar_inner(self, v, w):
         return complex(np.vdot(v, w * self.gram_diagonal()))

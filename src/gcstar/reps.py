@@ -19,7 +19,7 @@ from .measures import (arrow_correspondence, check_corr_isomorphism,
                        groupoid_families)
 from .hilbmod import (ModuleMap, _entries, associator, check_module_map,
                       entry_gap, gamma_compose, grade_leak, induced_unitary,
-                      is_intertwiner, is_unitary, lift, tensor,
+                      is_intertwiner, is_unitary, lift, same_space, tensor,
                       tensor_map_left)
 
 
@@ -53,8 +53,8 @@ class Representation:
         if umap is None:
             umap = ModuleMap(self.source, self.target,
                              entries=([], [], []))
-        elif umap.source.basis != self.source.basis \
-                or umap.target.basis != self.target.basis:
+        elif not (same_space(umap.source, self.source)
+                  and same_space(umap.target, self.target)):
             raise ValueError("unitary does not live on the expected spaces")
         self.umap = umap
 
@@ -79,11 +79,9 @@ class CocycleFamily:
         self.unitaries = {g: np.asarray(unitaries[g], dtype=complex)
                           for g in gpd.arrows}
         if raw is None:
-            raw = {}
-            for g in gpd.arrows:
-                scale = np.sqrt(self.weights[gpd.rng[g]]
-                                / self.weights[gpd.src[g]])
-                raw[g] = scale * self.unitaries[g]
+            c = self.weights
+            raw = {g: np.sqrt(c[gpd.rng[g]] / c[gpd.src[g]])
+                   * self.unitaries[g] for g in gpd.arrows}
         self.raw = {g: np.asarray(raw[g], dtype=complex)
                     for g in gpd.arrows}
 
@@ -123,10 +121,9 @@ def blockwise(rep):
          + cols - s0[arrow]] = vals
     blocks = [flat[offset[k]:offset[k] + size[k]].reshape(tlen[k], slen[k])
               for k in range(len(gpd.arrows))]
-    raw, uni = {}, {}
-    for g, block in zip(gpd.arrows, blocks):
-        raw[g] = block
-        uni[g] = np.sqrt(c[gpd.src[g]] / c[gpd.rng[g]]) * block
+    raw = dict(zip(gpd.arrows, blocks))
+    uni = {g: np.sqrt(c[gpd.src[g]] / c[gpd.rng[g]]) * block
+           for g, block in raw.items()}
     return CocycleFamily(gpd, c, rep.module, uni, raw)
 
 
@@ -178,18 +175,17 @@ def check_cocycle(fam, tol=1e-10):
         defects.append((max_abs(lhs - rhs), (g, h)))
     rep.add_worst("multiplicative", defects, tol)
 
+    module = fam.module
+    fibre = {x: module.weight_array[module.left_positions(x)]
+             for x in gpd.objects}
     defects = []
     for g in gpd.arrows:
-        sfib = fam.module.left_fiber(gpd.src[g])
-        tfib = fam.module.left_fiber(gpd.rng[g])
-        ws = np.array([fam.module.weight[m] for m in sfib])
-        wt = np.array([fam.module.weight[m] for m in tfib])
-        u = fam.unitaries[g]
+        ws, wt, u = fibre[gpd.src[g]], fibre[gpd.rng[g]], fam.unitaries[g]
         gram = u.conj().T @ (wt[:, None] * u)
         # an empty block between fibres of different sizes is flagged
         # by the size test below, with defect 1
         d = max_abs(gram - np.diag(ws)) if u.size else 0.0
-        if len(sfib) != len(tfib):
+        if len(ws) != len(wt):
             d = max(d, 1.0)
         defects.append((d, g))
     rep.add_worst("fiber-unitary", defects, tol)
@@ -244,15 +240,13 @@ def check_representation(rep, tol=1e-10):
     out.extend(check_cocycle(fam, tol), prefix="block-")
 
     try:
-        d0 = face_transfer(rep, 0)
-        d1 = face_transfer(rep, 1)
-        d2 = face_transfer(rep, 2)
+        d0, d1, d2 = (face_transfer(rep, i) for i in range(3))
     except ValueError as exc:
         out.add("transfer-cocycle", False, witness=str(exc))
         return out
     composed = d2.compose(d0)
-    if d1.source.basis != composed.source.basis \
-            or d1.target.basis != composed.target.basis:
+    if not (same_space(d1.source, composed.source)
+            and same_space(d1.target, composed.target)):
         raise VerificationError("face transfers landed on distinct bases")
     d = entry_gap(d1, composed)
     out.add("transfer-cocycle", d <= tol, defect=d)
@@ -330,12 +324,14 @@ def invariant_support(rep):
     the support is a union of orbits; the report names any arrow whose
     two ends have fibers of different dimension.
     """
-    gpd = rep.groupoid
-    support = tuple(x for x in gpd.objects
-                    if len(rep.module.left_fiber(x)) > 0)
+    gpd, t, module = rep.groupoid, rep.groupoid.codes, rep.module
+    # one count past the last grade, so that code -1 counts zero
+    sizes = np.bincount(module.left_codes,
+                        minlength=len(module.left_space) + 1)
+    sizes = sizes[[module.left_lookup.get(x, -1) for x in gpd.objects]]
+    support = tuple(x for x, n in zip(gpd.objects, sizes) if n)
     out = Report("invariant support")
-    bad = next((g for g in gpd.arrows
-                if len(rep.module.left_fiber(gpd.src[g]))
-                != len(rep.module.left_fiber(gpd.rng[g]))), None)
-    out.add("orbit-constant-dims", bad is None, witness=bad)
+    bad = np.flatnonzero(sizes[t.src] != sizes[t.rng])
+    out.add("orbit-constant-dims", not bad.size,
+            witness=gpd.arrows[bad[0]] if bad.size else None)
     return support, out

@@ -20,8 +20,8 @@ from gcstar.hilbmod import tensor
 from gcstar.measures import (GradedSpace, arrow_correspondence,
                              compose_families, groupoid_families,
                              haar_system)
-from gcstar.reps import (face_transfer, from_cocycle, induce,
-                         regular_representation)
+from gcstar.reps import (check_representation, face_transfer, from_cocycle,
+                         induce, regular_representation)
 from gcstar.sampling import SplitMix64, random_cocycle, random_groupoid
 
 
@@ -337,6 +337,44 @@ def test_transfer_and_induced_spaces_match_dict_reference(name):
             (leg, ("module", "ebasis")), old, ref_tensor)), leg
 
 
+# ---------------------------------------------------------------------------
+# lazy bases: a tensor builds its label basis only when a caller reads it
+
+def _built(space):
+    """Whether a tensor among space and its factors holds its basis."""
+    return space.factors is not None and (
+        "basis" in vars(space) or any(_built(f) for f, _ in space.factors))
+
+
+@pytest.mark.parametrize("name", ("T2", "W2", "pair:3", "random"))
+def test_lazy_tensor_bases_match_dict_reference(name):
+    gpd, w = groupoid(name)
+    new, old = base_spaces(gpd, w)
+    module, blocks, _ = _cocycle_module(gpd, w)
+    rep = from_cocycle(gpd, w, module, blocks)
+    assert check_representation(rep).ok
+    fam = rep.families
+    pairs = [(tensor(lam, rep.source), tensor(lam, rep.target))
+             for lam in (fam.lam0, fam.lam1, fam.lam2)]
+    transfers = [face_transfer(rep, i) for i in range(3)]
+    big = induce(rep, new["ebasis"])
+    spaces = [rep.source, rep.target, big.module, big.source, big.target]
+    spaces += [s for p in pairs for s in p]
+    spaces += [s for d in transfers for s in (d.source, d.target)]
+    assert not any(_built(s) for s in spaces)
+    # as in face_transfer: a pair family tensored with a representation leg
+    for i, (pair_s, pair_t) in enumerate(pairs):
+        for space, leg in ((pair_s, "alpha_r"), (pair_t, "alpha")):
+            assert fields(space) == fields(build(
+                (f"lam{i}", (leg, "module")), old, ref_tensor)), (i, leg)
+    # as in induce: a leg tensored with the tensor of two modules
+    assert fields(big.module) \
+        == fields(build(("module", "ebasis"), old, ref_tensor))
+    for space, leg in ((big.source, "alpha_r"), (big.target, "alpha")):
+        assert fields(space) == fields(build(
+            (leg, ("module", "ebasis")), old, ref_tensor)), leg
+
+
 def test_views_are_read_only():
     gpd, w = fixture("W2")
     cs = arrow_correspondence(gpd, w, "s")
@@ -372,3 +410,6 @@ def test_grade_outside_a_given_space_is_appended():
     assert list(s.left_codes) == [1, 2]
     assert dict(s.left) == {"a": "x", "b": "z"}
     assert s.left_fiber("y") == () and s.left_fiber("z") == ("b",)
+    assert s.left_lookup == {"y": 0, "x": 1, "z": 2}
+    assert s.left_positions("z").tolist() == [1]
+    assert s.left_positions("w").tolist() == []

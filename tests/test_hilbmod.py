@@ -58,6 +58,27 @@ def test_compose_interface_mismatch():
         identity_map(e).compose(identity_map(f))
 
 
+def test_compose_compares_tensors_by_factor_positions():
+    # e and e2 hold the same points with their right grades swapped, so
+    # their tensors with f have one dimension and other positions in f
+    ones = {"a": 1.0, "b": 1.0}
+    e = GradedSpace("ab", {"a": "x", "b": "x"}, {"a": "y", "b": "z"}, ones)
+    e2 = GradedSpace("ab", {"a": "x", "b": "x"}, {"a": "z", "b": "y"}, ones)
+    f = GradedSpace("pq", {"p": "y", "q": "z"}, {"p": "w", "q": "w"},
+                    {"p": 1.0, "q": 1.0})
+    t, t2 = tensor(e, f), tensor(e2, f)
+    assert t.dim == t2.dim == 2
+    assert t.factors[1][1].tolist() != t2.factors[1][1].tolist()
+    with pytest.raises(ValueError, match="composition interface mismatch"):
+        identity_map(t2).compose(identity_map(t))
+    # the same tensor built twice composes, without building its basis
+    m = identity_map(tensor(e, f)).compose(identity_map(t))
+    assert m.vals.tolist() == [1, 1]
+    assert "basis" not in vars(t) and "basis" not in vars(m.target)
+    assert t.basis == (("a", "p"), ("b", "q"))
+    assert t2.basis == (("a", "q"), ("b", "p"))
+
+
 def test_tensor_balanced_pairs():
     e = module_from_dims(("x",), ("u", "v"),
                          {("x", "u"): 1, ("x", "v"): 1})

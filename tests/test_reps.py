@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from gcstar.fingroupoid import FIXTURE_NAMES, fixture
-from gcstar.hilbmod import ModuleMap, is_unitary, module_from_dims
-from gcstar.reps import (CocycleFamily, blockwise, check_cocycle,
-                         check_intertwiner, check_representation,
-                         face_transfer, from_cocycle, induce,
-                         invariant_support, regular_representation)
+from gcstar.hilbmod import ModuleMap, is_unitary, module_from_dims, tensor
+from gcstar.reps import (CocycleFamily, Representation, blockwise,
+                         check_cocycle, check_intertwiner,
+                         check_representation, face_transfer, from_cocycle,
+                         induce, invariant_support, regular_representation)
 from gcstar.sampling import SplitMix64, random_cocycle
 
 
@@ -22,6 +22,27 @@ def ones_cocycle(gpd, weights):
     module = module_from_dims(gpd.objects, ("w",), dims)
     unitaries = {g: np.eye(1, dtype=complex) for g in gpd.arrows}
     return from_cocycle(gpd, weights, module, unitaries)
+
+
+def test_representation_refuses_a_unitary_on_another_module():
+    gpd, w = fixture("P2")
+    rep = ones_cocycle(gpd, w)
+    fam = rep.families
+
+    def zero_on(module):
+        return ModuleMap(tensor(fam.alpha_r, module),
+                         tensor(fam.alpha, module), entries=([], [], []))
+
+    # the same fibre sizes, so the same factor positions, other labels
+    other = module_from_dims(gpd.objects, ("v",),
+                             {(x, "v"): 1 for x in gpd.objects})
+    with pytest.raises(ValueError, match="unitary does not live on the "
+                                         "expected spaces"):
+        Representation(gpd, w, rep.module, zero_on(other))
+    same = module_from_dims(gpd.objects, ("w",),
+                            {(x, "w"): 1 for x in gpd.objects})
+    umap = zero_on(same)
+    assert Representation(gpd, w, rep.module, umap).umap is umap
 
 
 def test_blockwise_normalization_w2():
