@@ -22,8 +22,7 @@ from .fingroupoid import (FIXTURE_NAMES, _field, _json, _labels, arrow_weights,
                           groupoid_from_dict, validate_groupoid, validate_haar)
 from .measures import check_family_identities, check_iterated_integrals
 from .hilbmod import ModuleMap, check_gamma, dump_module_map, module_from_dims
-from .convalg import (check_convolution, cstar_norm, delta_function,
-                      delta_product, i_norm)
+from .convalg import check_convolution, cstar_norm, delta_function, i_norm
 from .sampling import (SplitMix64, mutate_groupoid, random_cocycle,
                        random_function, random_groupoid)
 from .reps import (check_representation, from_cocycle, invariant_support,
@@ -268,18 +267,18 @@ def cmd_algebra(args):
     funcs += [random_function(rng, gpd) for _ in range(args.trials)]
     reports = [check_convolution(gpd, weights, funcs, _tol(args))]
 
-    product = []
-    inorm = {}
-    cstarnorm = {}
-    for g in sorted(gpd.arrows, key=str):
+    # delta_g * delta_h is c(src g) delta_gh, and 0 where gh is undefined
+    t, names = gpd.codes, [str(g) for g in gpd.arrows]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    product, inorm, cstarnorm = [], {}, {}
+    for i in order:
+        g = gpd.arrows[i]
         dg = delta_function(gpd, g)
-        inorm[str(g)] = i_norm(gpd, weights, dg)
-        cstarnorm[str(g)] = cstar_norm(gpd, weights, dg)
-        for h in sorted(gpd.arrows, key=str):
-            prod = delta_product(gpd, weights, g, h)
-            entries = {str(k): v.real for k, v in sorted(
-                prod.items(), key=lambda kv: str(kv[0])) if v != 0}
-            product.append([str(g), str(h), entries])
+        inorm[names[i]] = i_norm(gpd, weights, dg)
+        cstarnorm[names[i]] = cstar_norm(gpd, weights, dg)
+        c = weights[gpd.src[g]]
+        product += [[names[i], names[j], {names[k]: c} if k >= 0 else {}]
+                    for j, k in zip(order, t.comp[i, order].tolist())]
     payload = {"product": product, "inorm": inorm, "cstarnorm": cstarnorm}
     return reports, payload
 

@@ -1,11 +1,12 @@
 """Convolution algebra of a weighted groupoid and its operator norm.
 
-Functions on the arrows are dicts arrow -> complex.  Convolution
-integrates over the range fiber with the invariant weights, the
-involution composes conjugation with inversion, and the regular
-matrix is the action of a function on the arrow space by left
-convolution.  The operator norm is the spectral norm of the similarity
-transformed matrix, computed with LAPACK through numpy.linalg.
+A function on the arrows is a complex array of length |A| in
+gpd.arrows order.  Convolution integrates over the range fiber with
+the invariant weights, the involution composes conjugation with
+inversion, and the regular matrix is the action of a function on the
+arrow space by left convolution.  The operator norm is the spectral
+norm of the similarity transformed matrix, computed with LAPACK
+through numpy.linalg.
 """
 
 from __future__ import annotations
@@ -17,19 +18,11 @@ from .measures import arrow_correspondence, fibre_sums, object_weights
 from .hilbmod import ModuleMap
 
 
-def zero_function(gpd):
-    return {g: 0.0 + 0.0j for g in gpd.arrows}
-
-
 def delta_function(gpd, g):
-    f = zero_function(gpd)
-    f[g] = 1.0 + 0.0j
+    """The unit vector at the arrow g."""
+    f = np.zeros(len(gpd.arrows), dtype=complex)
+    f[gpd.arrows.index(g)] = 1.0
     return f
-
-
-def _vector(gpd, f):
-    """An arrow function as a complex array in arrow order."""
-    return np.array([f[g] for g in gpd.arrows], dtype=complex)
 
 
 def _product(a, b):
@@ -45,30 +38,19 @@ def convolve(gpd, weights, f1, f2):
     gathered over the composable pairs (h, m) and summed at k = hm."""
     t = gpd.codes
     h, m = t.pairs
-    terms = _product(_vector(gpd, f1)[h], _vector(gpd, f2)[m]) \
-        * object_weights(gpd, weights)[t.src[h]]
-    vals = fibre_sums(t.comp[h, m], terms, len(gpd.arrows))
-    return dict(zip(gpd.arrows, vals.tolist()))
+    terms = _product(f1[h], f2[m]) * object_weights(gpd, weights)[t.src[h]]
+    return fibre_sums(t.comp[h, m], terms, len(gpd.arrows))
 
 
 def star(gpd, f):
-    return {g: np.conj(f[gpd.inv[g]]) for g in gpd.arrows}
+    return f[gpd.codes.inv].conj()
 
 
 def identity_element(gpd, weights):
     """Unit of the algebra: units weighted by the reciprocal object weight."""
-    f = zero_function(gpd)
-    for x in gpd.objects:
-        f[gpd.unit[x]] = 1.0 / weights[x]
+    f = np.zeros(len(gpd.arrows), dtype=complex)
+    f[gpd.codes.unit] = 1.0 / object_weights(gpd, weights)
     return f
-
-
-def delta_product(gpd, weights, g, h):
-    """Structure constant form of delta_g * delta_h."""
-    out = zero_function(gpd)
-    if gpd.src[g] == gpd.rng[h]:
-        out[gpd.comp[(g, h)]] = weights[gpd.src[g]]
-    return out
 
 
 def fiber_sups(gpd, weights, f):
@@ -77,8 +59,7 @@ def fiber_sups(gpd, weights, f):
     A NaN value of f makes the sups NaN rather than dropping out.
     """
     t, c, n = gpd.codes, object_weights(gpd, weights), len(gpd.objects)
-    vec = _vector(gpd, f)
-    size = np.hypot(vec.real, vec.imag)
+    size = np.hypot(f.real, f.imag)
     along_r = np.bincount(t.rng, size * c[t.src], n)
     along_s = np.bincount(t.src, size * c[t.rng], n)
     return worst_at(along_r)[0], worst_at(along_s)[0]
@@ -100,8 +81,7 @@ def regular_matrix(gpd, weights, f):
     t = gpd.codes
     g, h = t.pairs
     mat = np.zeros((space.dim, space.dim), dtype=complex)
-    mat[t.comp[g, h], h] += \
-        _vector(gpd, f)[g] * object_weights(gpd, weights)[t.src[g]]
+    mat[t.comp[g, h], h] += f[g] * object_weights(gpd, weights)[t.src[g]]
     return ModuleMap(space, space, mat)
 
 
@@ -144,7 +124,7 @@ def check_convolution(gpd, weights, funcs, tol=1e-10):
         return regular_matrix(gpd, weights, f)
 
     def gap(f1, f2):
-        return relative_defect(_vector(gpd, f1), _vector(gpd, f2)), None
+        return relative_defect(f1, f2), None
 
     ident = identity_element(gpd, weights)
     rep.add_worst("identity-neutral", (

@@ -26,19 +26,10 @@ from .report import (Report, VerificationError, max_abs, max_abs_each,
                      relative_defect, relative_defects)
 from .measures import fibre_sums, object_weights, pair_values
 from .hilbmod import ModuleMap, _join, creation, module_from_dims, tensor_map
-from .convalg import (_product, convolve, delta_function, fiber_sups,
-                      identity_element, operator_norm, star)
+from .convalg import (_product, convolve, fiber_sups, identity_element,
+                      operator_norm, star)
 from .reps import (CocycleFamily, blockwise, check_cocycle, check_intertwiner,
                    from_cocycle, induce)
-
-
-def _sqrt_factors(f, order):
-    out2 = np.array([np.sqrt(abs(f[g])) for g in order])
-    out1 = np.zeros(len(order), dtype=complex)
-    for i, g in enumerate(order):
-        if out2[i] > 0.0:
-            out1[i] = np.conj(f[g]) / out2[i]
-    return out1, out2
 
 
 def integrate_rep(rep, f):
@@ -46,9 +37,12 @@ def integrate_rep(rep, f):
 
     Factors f through two creation maps around the representation
     unitary; the absolute value splits as a product of square roots
-    and the phase rides on the range side factor.
+    and the phase rides on the range side factor.  np.hypot rounds as
+    abs() does.
     """
-    f1, f2 = _sqrt_factors(f, rep.source_leg.basis)
+    f2 = np.sqrt(np.hypot(f.real, f.imag))
+    f1 = np.divide(f.conj(), f2, out=np.zeros(len(f), dtype=complex),
+                   where=f2 > 0)
     lift = creation(rep.source, f2)
     drop = creation(rep.target, f1).adjoint()
     return drop.compose(rep.umap).compose(lift)
@@ -65,8 +59,8 @@ def oracle_integrate(rep, f):
     fam = blockwise(rep)
     mat = np.zeros((module.dim, module.dim), dtype=complex)
     pos = {x: module.left_positions(x) for x in gpd.objects}
-    for g in gpd.arrows:
-        coeff = f[g] * c[gpd.src[g]]
+    coeffs = f * object_weights(gpd, c)[gpd.codes.src]
+    for g, coeff in zip(gpd.arrows, coeffs):
         if coeff != 0:
             rows, cols = pos[gpd.rng[g]], pos[gpd.src[g]]
             mat[np.ix_(rows, cols)] += _product(np.asarray(coeff), fam.raw[g])
@@ -138,19 +132,15 @@ class ConvRep:
         self.ops.flags.writeable = False
 
     def op(self, f):
-        """The operator of f, summed in arrow order over f's nonzeros."""
-        mat = np.zeros((self.space.dim, self.space.dim), dtype=complex)
-        for g, a in zip(self.groupoid.arrows, self.ops):
-            if f[g] != 0:
-                mat += f[g] * a
-        return ModuleMap(self.space, self.space, mat)
+        """The operator of f, the sum of f(g) times the delta at g."""
+        return ModuleMap(self.space, self.space, np.tensordot(f, self.ops, 1))
 
 
 def conv_rep_of(rep):
     """Integrate every arrow delta of a representation, once."""
     gpd = rep.groupoid
-    ops = {g: integrate_rep(rep, delta_function(gpd, g)).matrix
-           for g in gpd.arrows}
+    ops = {g: integrate_rep(rep, delta).matrix for g, delta in
+           zip(gpd.arrows, np.eye(len(gpd.arrows), dtype=complex))}
     return ConvRep(gpd, rep.weights, rep.module, ops)
 
 
@@ -206,16 +196,16 @@ def _pair_inner(gpd, weights, big1, big2, side):
     h, k = h[q], k[q]
     terms = _product(pair_values(gpd, big1, x, h).conj(),
                      pair_values(gpd, big2, x, t.comp[h, k]))
-    return dict(zip(gpd.arrows, fibre_sums(
-        k, terms * c[far[x]] * c[t.rng[h]], len(gpd.arrows)).tolist()))
+    return fibre_sums(k, terms * c[far[x]] * c[t.rng[h]], len(gpd.arrows))
 
 
 def pair_inner_s(gpd, weights, big1, big2):
     """Source side inner product of two pair functions, per arrow.
 
-    Both arguments are dicts on composable pairs; the value at an
-    arrow k integrates conj(big1(x, h)) big2(x, h k) over h landing at
-    rng(k) and x landing at rng(h), weighted by c(rng x) c(rng h).
+    Both arguments are dicts on composable pairs; the result is an
+    array in arrow order, whose value at an arrow k integrates
+    conj(big1(x, h)) big2(x, h k) over h landing at rng(k) and x
+    landing at rng(h), weighted by c(rng x) c(rng h).
     """
     return _pair_inner(gpd, weights, big1, big2, "s")
 
@@ -224,8 +214,8 @@ def pair_inner_r(gpd, weights, big1, big2):
     """Range side inner product of two range paired functions.
 
     Arguments are dicts on pairs (x, h) with rng(x) == rng(h); the
-    value at k integrates conj(big1(x, h)) big2(x, h k) with weights
-    c(src x) c(rng h).
+    result is an array in arrow order, whose value at k integrates
+    conj(big1(x, h)) big2(x, h k) with weights c(src x) c(rng h).
     """
     return _pair_inner(gpd, weights, big1, big2, "r")
 
@@ -246,8 +236,8 @@ def check_pair_exchange(gpd, weights, functions):
         lhs = pair_inner_s(gpd, weights, f1, f2)
         rhs = pair_inner_r(gpd, weights, upsilon(gpd, f1), upsilon(gpd, f2))
         out.add_worst(f"exchange-{i}", (
-            (abs(lhs[k] - rhs[k]) / max(abs(lhs[k]), abs(rhs[k]), 1.0), k)
-            for k in gpd.arrows), 1e-12)
+            (abs(a - b) / max(abs(a), abs(b), 1.0), g)
+            for g, a, b in zip(gpd.arrows, lhs.tolist(), rhs.tolist())), 1e-12)
     return out
 
 

@@ -70,7 +70,8 @@ def haar_unitary(rng, n):
 
 
 def random_function(rng, gpd):
-    return {g: rng.cgauss() for g in gpd.arrows}
+    """One complex Gaussian per arrow, drawn in arrow order."""
+    return np.array([rng.cgauss() for _ in gpd.arrows], dtype=complex)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gcstar.convalg import (cstar_norm, delta_function, i_norm,
-                            operator_norm, regular_matrix, zero_function)
+                            operator_norm, regular_matrix)
 from gcstar.crossed import (crossed_product, bisection_semigroup,
                             etale_battery, group_action_semigroup,
                             transformation_theorem)
@@ -25,7 +25,7 @@ from gcstar.measures import check_family_identities, check_iterated_integrals
 from gcstar.reps import (check_intertwiner, check_representation,
                          from_cocycle, induce, regular_representation)
 from gcstar.sampling import (SplitMix64, mutate_groupoid, random_cocycle,
-                             random_groupoid)
+                             random_function, random_groupoid)
 
 
 def checks_by_name(report):
@@ -111,7 +111,7 @@ def test_criterion_05_integration_bounds():
             if t % 10 == 0:
                 module, blocks = random_cocycle(rng, gpd, w)
                 rep = from_cocycle(gpd, w, module, blocks)
-            f = {g: rng.cgauss() for g in gpd.arrows}
+            f = random_function(rng, gpd)
             norm = operator_norm(integrate_rep(rep, f))
             bound = integration_bound(gpd, w, f)
             inorm = i_norm(gpd, w, f)
@@ -124,9 +124,7 @@ def test_criterion_05_integration_bounds():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     rep = from_cocycle(gpd, w, module,
                        {0: np.eye(2, dtype=complex), 1: swap})
-    f = zero_function(gpd)
-    f[0] = 1.0
-    f[1] = 1.0
+    f = delta_function(gpd, 0) + delta_function(gpd, 1)
     norm = operator_norm(integrate_rep(rep, f))
     bound = integration_bound(gpd, w, f)
     assert abs(norm - bound) <= 1e-9
@@ -162,8 +160,7 @@ def test_criterion_07_two_path_oracle():
                                             coeff_size=1 + t % 2)
             rep = from_cocycle(gpd, w, module, blocks)
             funcs = [delta_function(gpd, g) for g in gpd.arrows]
-            funcs += [{g: rng.cgauss() for g in gpd.arrows}
-                      for _ in range(10)]
+            funcs += [random_function(rng, gpd) for _ in range(10)]
             for f in funcs:
                 lit = integrate_rep(rep, f).matrix
                 ora = oracle_integrate(rep, f).matrix
@@ -324,7 +321,7 @@ def test_criterion_11_naturality():
             dims = {(lab, "e"): 1 + rng.randint(2) for lab in labels}
             ebasis = module_from_dims(labels, ("e",), dims)
             big = induce(rep, ebasis)
-            f = {g: rng.cgauss() for g in gpd.arrows}
+            f = random_function(rng, gpd)
             one = integrate_rep(big, f).matrix
             two = tensor_map(integrate_rep(rep, f), ebasis).matrix
             d = float(np.max(np.abs(one - two))) if one.size else 0.0

@@ -204,6 +204,16 @@ def _bits(values):
     return np.array(list(values), dtype=complex).tobytes()
 
 
+def _python(gpd, f):
+    """An arrow function as a label dict of Python complex values."""
+    return dict(zip(gpd.arrows, f.tolist()))
+
+
+def _scalars(gpd, f):
+    """An arrow function as a label dict of numpy complex scalars."""
+    return dict(zip(gpd.arrows, f))
+
+
 def _funcs(gpd, seed):
     rng = SplitMix64(seed)
     return [random_function(rng, gpd) for _ in range(3)]
@@ -218,19 +228,26 @@ def _pair_funcs(gpd, seed):
 @pytest.mark.parametrize("name, gpd, w", CASES, ids=IDS)
 def test_convolve_matches_the_fibre_walk(name, gpd, w):
     f1, f2, f3 = _funcs(gpd, 1)
-    # Python complex values, and numpy complex scalars from star
-    for a, b in ((f1, f2), (star(gpd, f2), star(gpd, f3)),
-                 (f3, star(gpd, f1))):
-        assert _bits(convolve(gpd, w, a, b).values()) \
-            == _bits(ref_convolve(gpd, w, a, b).values())
+    s1, s2, s3 = (star(gpd, f) for f in (f1, f2, f3))
+    # the reference reads Python complex values, and numpy complex
+    # scalars as star returned them before it returned arrays
+    for a, b, ref_a, ref_b in (
+            (f1, f2, _python(gpd, f1), _python(gpd, f2)),
+            (s2, s3, _scalars(gpd, s2), _scalars(gpd, s3)),
+            (f3, s1, _python(gpd, f3), _scalars(gpd, s1))):
+        assert _bits(convolve(gpd, w, a, b)) \
+            == _bits(ref_convolve(gpd, w, ref_a, ref_b).values())
 
 
 @pytest.mark.parametrize("name, gpd, w", CASES, ids=IDS)
 def test_regular_matrix_and_fiber_sups_match_bit_for_bit(name, gpd, w):
-    for f in _funcs(gpd, 2) + [star(gpd, f) for f in _funcs(gpd, 3)]:
+    funcs = [(f, _python(gpd, f)) for f in _funcs(gpd, 2)]
+    funcs += [(sf, _scalars(gpd, sf))
+              for sf in (star(gpd, f) for f in _funcs(gpd, 3))]
+    for f, ref in funcs:
         assert regular_matrix(gpd, w, f).matrix.tobytes() \
-            == ref_regular_matrix(gpd, w, f).tobytes()
-        assert fiber_sups(gpd, w, f) == ref_fiber_sups(gpd, w, f)
+            == ref_regular_matrix(gpd, w, ref).tobytes()
+        assert fiber_sups(gpd, w, f) == ref_fiber_sups(gpd, w, ref)
 
 
 @pytest.mark.parametrize("name, gpd, w", CASES, ids=IDS)
@@ -259,7 +276,7 @@ def test_pair_certificates_match_bit_for_bit(name, gpd, w):
     ref1 = ref_upsilon(gpd, big1)
     assert list(up1) == list(ref1)
     assert _bits(up1.values()) == _bits(ref1.values())
-    assert _bits(pair_inner_s(gpd, w, big1, big2).values()) \
+    assert _bits(pair_inner_s(gpd, w, big1, big2)) \
         == _bits(ref_pair_inner_s(gpd, c, big1, big2).values())
-    assert _bits(pair_inner_r(gpd, w, up1, up2).values()) \
+    assert _bits(pair_inner_r(gpd, w, up1, up2)) \
         == _bits(ref_pair_inner_r(gpd, c, up1, up2).values())

@@ -5,9 +5,11 @@ read-only (|A|, d, d) array in arrow order.  conv_rep_of is the one
 place that integrates them, so each representation's deltas are
 integrated once per command.  The star certificate reads delta_g* *
 delta_g2 off the integer composition table, one stack per arrow g; the
-old routes through delta_product and ConvRep.op and through one label
-lookup per arrow pair are kept here as references, and so is the old
-triple loop of the support-pattern check.
+old routes through a structure-constant delta and a loop over the
+operators and through one label lookup per arrow pair are kept here as
+references, and so are the old triple loop of the support-pattern
+check, the old arrow-order loop of ConvRep.op and the old loops that
+split a function into the two square-root factors of integrate_rep.
 """
 
 import sys
@@ -17,15 +19,16 @@ import numpy as np
 import pytest
 
 from gcstar import cli, intdis
-from gcstar.convalg import delta_function, delta_product
+from gcstar.convalg import delta_function, identity_element, star
 from gcstar.fingroupoid import FIXTURE_NAMES, build_preset, fixture
 from gcstar.hilbmod import ModuleMap
 from gcstar.intdis import (ConvRep, check_conv_rep, conv_rep_of, disintegrate,
                            integrate_rep, oracle_integrate, star_pairs)
-from gcstar.report import max_abs, worst
+from gcstar.report import max_abs, relative_defect, worst
 from gcstar.reps import blockwise
 from gcstar.reps import from_cocycle
-from gcstar.sampling import SplitMix64, random_cocycle, random_groupoid
+from gcstar.sampling import (SplitMix64, random_cocycle, random_function,
+                             random_groupoid)
 
 
 def _cases():
@@ -57,8 +60,13 @@ def test_ops_stack_the_integrated_deltas(rep):
         assert op.tobytes() == lit.tobytes()
 
 
+def _labels(gpd, f):
+    """An arrow function as a label dict of Python complex values."""
+    return dict(zip(gpd.arrows, f.tolist()))
+
+
 def _old_op(conv, f):
-    """ConvRep.op as a sum over a dict of operators, in arrow order."""
+    """ConvRep.op as a sum over a label dict f, in arrow order."""
     mat = np.zeros((conv.space.dim, conv.space.dim), dtype=complex)
     for g, a in zip(conv.groupoid.arrows, conv.ops):
         if f[g] != 0:
@@ -66,16 +74,26 @@ def _old_op(conv, f):
     return mat
 
 
+def _structure_delta(gpd, weights, g, h):
+    """delta_g * delta_h in structure-constant form, a label dict:
+    c(src g) at gh when src(g) == rng(h), zero elsewhere."""
+    out = {k: 0.0 + 0.0j for k in gpd.arrows}
+    if gpd.src[g] == gpd.rng[h]:
+        out[gpd.comp[(g, h)]] = weights[gpd.src[g]]
+    return out
+
+
 def _old_star_pairs(conv):
-    """The certificate through delta_product and a sum over all arrows."""
+    """The certificate through structure-constant deltas and a sum over
+    all arrows."""
     gpd, c = conv.groupoid, conv.weights
     gram = np.diag(conv.space.gram_diagonal())
     ops = dict(zip(gpd.arrows, conv.ops))
     for g in gpd.arrows:
         left = ops[g].conj().T @ gram
         for g2 in gpd.arrows:
-            rhs = gram @ _old_op(conv, delta_product(gpd, c, gpd.inv[g], g2))
-            yield left @ ops[g2], rhs
+            delta = _structure_delta(gpd, c, gpd.inv[g], g2)
+            yield left @ ops[g2], gram @ _old_op(conv, delta)
 
 
 def _dict_star_pairs(conv):
@@ -185,12 +203,63 @@ def _old_oracle(rep, f):
 def test_oracle_matches_the_entry_loop(rep):
     gpd = rep.groupoid
     rng = SplitMix64(9)
-    funcs = [{g: rng.cgauss() for g in gpd.arrows} for _ in range(2)]
+    funcs = [random_function(rng, gpd) for _ in range(2)]
     funcs += [delta_function(gpd, gpd.arrows[-1]),
-              {g: 1.0 / (1 + i) for i, g in enumerate(gpd.arrows)}]
+              1.0 / np.arange(1.0, len(gpd.arrows) + 1.0) + 0j]
     for f in funcs:
         assert oracle_integrate(rep, f).matrix.tobytes() \
-            == _old_oracle(rep, f).tobytes()
+            == _old_oracle(rep, _labels(gpd, f)).tobytes()
+
+
+@pytest.mark.parametrize("rep", [r for _, r in CASES], ids=IDS)
+def test_op_matches_the_arrow_order_loop(rep):
+    gpd = rep.groupoid
+    conv = conv_rep_of(rep)
+    rng = SplitMix64(10)
+    funcs = [random_function(rng, gpd) for _ in range(3)]
+    funcs += [star(gpd, funcs[0]), identity_element(gpd, rep.weights)]
+    funcs += [delta_function(gpd, g) for g in gpd.arrows]
+    for f in funcs:
+        assert relative_defect(conv.op(f).matrix,
+                               _old_op(conv, _labels(gpd, f))) <= 1e-14
+
+
+def _old_sqrt_factors(f, order):
+    """integrate_rep's range and source factors of a label dict f, split
+    by one loop per factor."""
+    out2 = np.array([np.sqrt(abs(f[g])) for g in order])
+    out1 = np.zeros(len(order), dtype=complex)
+    for i, g in enumerate(order):
+        if out2[i] > 0.0:
+            out1[i] = np.conj(f[g]) / out2[i]
+    return out1, out2
+
+
+def test_sqrt_factors_match_the_old_loops(monkeypatch):
+    seen = []
+    creation = intdis.creation
+
+    def kept(space, xi):
+        seen.append(xi)
+        return creation(space, xi)
+    monkeypatch.setattr(intdis, "creation", kept)
+    rng = SplitMix64(11)
+    for name, rep in CASES:
+        gpd = rep.groupoid
+        f = random_function(rng, gpd)
+        if len(f) < 3:
+            continue
+        f[:3] = 0.0, -2.5, complex(np.nan, 0.0)
+        seen.clear()
+        integrate_rep(rep, f)
+        source, target = seen
+        old_target, old_source = _old_sqrt_factors(_labels(gpd, f),
+                                                   gpd.arrows)
+        assert source.tobytes() == old_source.tobytes(), name
+        assert target.tobytes() == old_target.tobytes(), name
+        # the NaN arrow: no range factor, a NaN source factor
+        assert target[2] == 0.0 and np.isnan(source[2]), name
+        assert target[0] == source[0] == 0.0, name
 
 
 def _old_compression(conv, frame):
@@ -255,12 +324,12 @@ def counts(monkeypatch):
 
     def counted_integrate(rep, f):
         if not _inside("check_integration"):
-            hot = [g for g, v in f.items() if v != 0]
+            hot = np.flatnonzero(f).tolist()
             assert len(hot) == 1 and f[hot[0]] == 1.0
             if not any(r is rep for r in seen["reps"]):
                 seen["reps"].append(rep)
                 seen["arrows"][id(rep)] = rep.groupoid.arrows
-            seen["deltas"][(id(rep), hot[0])] += 1
+            seen["deltas"][(id(rep), rep.groupoid.arrows[hot[0]])] += 1
         return integrate(rep, f)
 
     def counted_disintegrate(conv, tol=1e-9):

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from gcstar import intdis
-from gcstar.convalg import cstar_norm, i_norm, operator_norm, zero_function
+from gcstar.convalg import (cstar_norm, delta_function, i_norm,
+                            operator_norm)
 from gcstar.fingroupoid import FIXTURE_NAMES, fixture
 from gcstar.hilbmod import ModuleMap, module_from_dims
 from gcstar.intdis import (ConvRep, check_conv_rep,
@@ -23,7 +24,7 @@ from gcstar.intdis import (ConvRep, check_conv_rep,
                            roundtrip_rep, upsilon)
 from gcstar.report import VerificationError
 from gcstar.reps import from_cocycle, regular_representation
-from gcstar.sampling import SplitMix64, random_cocycle
+from gcstar.sampling import SplitMix64, random_cocycle, random_function
 
 
 def trivial_rep(gpd, weights):
@@ -34,14 +35,13 @@ def trivial_rep(gpd, weights):
 
 
 def rand_funcs(gpd, rng, count):
-    return [{g: rng.cgauss() for g in gpd.arrows} for _ in range(count)]
+    return [random_function(rng, gpd) for _ in range(count)]
 
 
 def test_integrated_delta_w2():
     gpd, w = fixture("W2")
     rep = trivial_rep(gpd, w)
-    f = zero_function(gpd)
-    f[(1, 2)] = 1.0
+    f = delta_function(gpd, (1, 2))
     out = integrate_rep(rep, f)
     want = np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
     assert np.max(np.abs(out.matrix - want)) <= 1e-14
@@ -51,15 +51,14 @@ def test_integrated_delta_w2():
 
 def test_integration_bound_w2_delta():
     gpd, w = fixture("W2")
-    f = zero_function(gpd)
-    f[(1, 2)] = 1.0
+    f = delta_function(gpd, (1, 2))
     assert integration_bound(gpd, w, f) == 2.0
     assert cstar_norm(gpd, w, f) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_equality_case_z2():
     gpd, w = fixture("Z2")
-    f = {0: 1.0 + 0.0j, 1: 1.0 + 0.0j}
+    f = np.ones(2, dtype=complex)
     rep = trivial_rep(gpd, w)
     norm = operator_norm(integrate_rep(rep, f))
     assert norm == pytest.approx(2.0, abs=1e-9)
@@ -123,7 +122,7 @@ def test_pair_inner_closed_form_w2():
     big2 = {p: 0.0 for p in pairs}
     big1[((1, 2), (2, 1))] = 1.0
     big2[((1, 2), (2, 2))] = 1.0
-    out = pair_inner_s(gpd, w, big1, big2)
+    out = dict(zip(gpd.arrows, pair_inner_s(gpd, w, big1, big2)))
     # k = inverse((2,1)) (2,2) = (1,2); value c(rng (1,2)) c(rng (2,1))
     assert out[(1, 2)] == 4.0
     assert all(out[k] == 0.0 for k in gpd.arrows if k != (1, 2))
@@ -206,7 +205,7 @@ def test_pair_exchange_fails_on_nan():
     nan_fn[pairs[-1]] = complex(np.nan, 0.0)
     lhs = pair_inner_s(gpd, w, nan_fn, fine)
     rhs = pair_inner_r(gpd, w, upsilon(gpd, nan_fn), upsilon(gpd, fine))
-    first = next(k for k in gpd.arrows if np.isnan(abs(lhs[k] - rhs[k])))
+    first = gpd.arrows[np.flatnonzero(np.isnan(abs(lhs - rhs)))[0]]
     out = check_pair_exchange(gpd, w, [nan_fn, fine])
     check = out.checks[0]
     assert check.name == "exchange-0"

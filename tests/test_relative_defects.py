@@ -90,10 +90,9 @@ def _twisted(convolve):
     left factor: tau(ab) != tau(b) for b a unit, so the product is not
     associative and not the regular one."""
     def bent(gpd, weights, f1, f2):
-        units = set(gpd.unit.values())
-        tau = {h: v * (1.0 if h in units else 1.0 + 1e-3)
-               for h, v in f1.items()}
-        return convolve(gpd, weights, tau, f2)
+        tau = np.full(len(gpd.arrows), 1.0 + 1e-3)
+        tau[gpd.codes.unit] = 1.0
+        return convolve(gpd, weights, f1 * tau, f2)
     return bent
 
 
@@ -109,8 +108,9 @@ def test_convolution_mutant(monkeypatch, objw, name):
 def _bent_star(star):
     """The involution scaled by 1 + 1e-3 off the self-inverse arrows."""
     def bent(gpd, f):
-        return {g: v * (1.0 if g == gpd.inv[g] else 1.0 + 1e-3)
-                for g, v in star(gpd, f).items()}
+        inv = gpd.codes.inv
+        return star(gpd, f) * np.where(
+            inv == np.arange(len(inv)), 1.0, 1.0 + 1e-3)
     return bent
 
 
@@ -136,7 +136,7 @@ def test_identity_neutral_mutant(monkeypatch, objw):
     unit = convalg.identity_element
 
     def bent(gpd, weights):
-        return {g: v * (1.0 + 1e-3) for g, v in unit(gpd, weights).items()}
+        return unit(gpd, weights) * (1.0 + 1e-3)
     monkeypatch.setattr(convalg, "identity_element", bent)
     out = check_convolution(gpd, w, funcs)
     assert _failing(out) == {"identity-neutral"}, str(out)

@@ -6,11 +6,13 @@ itself.
 """
 
 import numpy as np
+import pytest
 
-from gcstar.fingroupoid import (FIXTURE_NAMES, arrow_weights, fixture,
-                                validate_groupoid, validate_haar)
+from gcstar.fingroupoid import (FIXTURE_NAMES, arrow_weights, build_preset,
+                                fixture, validate_groupoid, validate_haar)
 from gcstar.sampling import (SplitMix64, haar_unitary, mutate_groupoid,
-                             random_cocycle, random_groupoid)
+                             random_cocycle, random_function,
+                             random_groupoid)
 
 SEED0_REFERENCE = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
                    0x06C45D188009454F)
@@ -106,3 +108,19 @@ def test_random_cocycle_dims_constant_on_orbits():
                       if module.left[b] == x and module.right[b] == w])
                  for x in gpd.objects}
         assert len(sizes) == 1
+
+
+@pytest.mark.parametrize("seed", [1729, 1, 2, 3])
+def test_random_function_keeps_its_stream(seed):
+    # the benchmark draws its arrow functions through random_function,
+    # so its instances stay those of the label-dict draws
+    for gpd in (fixture("W2")[0], build_preset("pair", points=3),
+                random_groupoid(SplitMix64(17))[0]):
+        rng, ref_rng = SplitMix64(seed), SplitMix64(seed)
+        for _ in range(2):
+            f = random_function(rng, gpd)
+            ref = {g: ref_rng.cgauss() for g in gpd.arrows}
+            assert f.dtype == complex and f.shape == (len(gpd.arrows),)
+            assert f.tobytes() == np.array(
+                [ref[g] for g in gpd.arrows], dtype=complex).tobytes()
+        assert rng.cgauss() == ref_rng.cgauss()
