@@ -9,6 +9,7 @@ check failed, 2 means the input could not be parsed or validated.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -508,6 +509,13 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of main, built on first use and kept for the process:
+    parse_args reads it without changing it."""
+    return build_parser()
+
+
 def _params_dict(args):
     keys = ("file", "groupoid", "preset", "tolerance", "seed", "trials",
             "dump", "bundle", "semigroup", "group", "action")
@@ -520,7 +528,7 @@ def _params_dict(args):
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if not np.isfinite(args.tolerance):
         parser.error("tolerance must be finite")

@@ -19,12 +19,17 @@ element and point labels appear only in witnesses, error messages and
 the label views, theta and basis.
 
 The closure holds a bisection as an int vector over the objects, the
-arrow leaving each object (-1 where none does), and composes vectors by
-gathers from gpd.codes.  The covariant checks stack the operators along
-the element axis and multiply one row of pairs at a time.
+arrow leaving each object (-1 where none does), composes vectors by
+gathers from gpd.codes and finds products among the known vectors by a
+binary search of their sorted keys.  The covariant checks stack the
+operators along the element axis and multiply one row of pairs at a
+time; the translation back to blocks reads the element x arrow tag
+matrix and cuts every block it compares in one gather per block shape.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -145,6 +150,13 @@ def _outside(table, n):
     return (table < 0) | (table >= n)
 
 
+def _freeze(*arrays):
+    """Make the arrays read-only; returns them as a tuple."""
+    for v in arrays:
+        v.flags.writeable = False
+    return arrays
+
+
 class InverseSemigroup:
     """Finite inverse semigroup with an action on a carrier set.
 
@@ -154,24 +166,50 @@ class InverseSemigroup:
     constructor derives the order once, le[a, b] for a <= b (a = b a* a),
     and the idempotent flags idem; theta is the label view of act.
     Validation is exhaustive.
+
+    The tables are read-only copies, so what is derived from them is
+    derived once and cannot go stale: the source side germ tables
+    (germs, see _germ_tables) and the element x arrow tag matrices
+    (tag_matrix).  The crossed product is not kept here: it holds its
+    semigroup, and the reference cycle would outlive the semigroup
+    until a full garbage collection.
     """
 
     def __init__(self, elements, mul, star, act, carrier):
         self.elements = tuple(elements)
         self.carrier = tuple(carrier)
         n, m = len(self.elements), len(self.carrier)
-        self.mul = np.asarray(mul, dtype=np.intp).reshape(n, n)
-        self.star = np.asarray(star, dtype=np.intp).reshape(n)
-        self.act = np.asarray(act, dtype=np.intp).reshape(n, m)
+        self.mul = np.array(mul, dtype=np.intp).reshape(n, n)
+        self.star = np.array(star, dtype=np.intp).reshape(n)
+        self.act = np.array(act, dtype=np.intp).reshape(n, m)
         ids = np.arange(n)
         self.idem = (self.mul[ids, ids] == ids) & (self.star == ids)
         self.le = np.zeros((n, n), dtype=bool)
         # an entry naming no element fails validate's closure instead
         if not (_outside(self.mul, n).any() or _outside(self.star, n).any()):
             self.le = self.mul[:, self.mul[self.star, ids]].T == ids[:, None]
+        _freeze(self.mul, self.star, self.act, self.idem, self.le)
         self.theta = {a: {self.carrier[x]: self.carrier[y]
                           for x, y in enumerate(row) if y >= 0}
                       for a, row in zip(self.elements, self.act.tolist())}
+        self._tags = {}
+
+    @cached_property
+    def germs(self):
+        """The source side germ groupoid, _germ_tables(self)."""
+        return _germ_tables(self)
+
+    def tag_matrix(self, arrows):
+        """Boolean (element, arrow) matrix: [a, k] iff arrows[k] lies in
+        the tag of element a; built once per arrow tuple."""
+        arrows = tuple(arrows)
+        if arrows not in self._tags:
+            number = {g: k for k, g in enumerate(arrows)}
+            tags = np.zeros((len(self.elements), len(arrows)), dtype=bool)
+            for a, el in enumerate(self.elements):
+                tags[a, [number[g] for g in el.tag if g in number]] = True
+            self._tags[arrows] = _freeze(tags)[0]
+        return self._tags[arrows]
 
     def leq(self, a, b):
         """The order on element labels."""
@@ -234,8 +272,10 @@ def semigroup_from_bisections(gpd, generators):
     element, in both orders, as one batch of vectors, so every ordered
     pair is composed once and the table is filled as the set grows.
     The products of a batch join the set in the order (i, 0), (0, i),
-    (i, 1), (1, i), ..., (i, i).  Elements are listed in _sort_key
-    order, and act on the objects through their own partial bijections.
+    (i, 1), (1, i), ..., (i, i).  A batch is searched in the sorted keys
+    of the known vectors, and only the keys it adds are inserted.
+    Elements are listed in _sort_key order, and act on the objects
+    through their own partial bijections.
     """
     codes, objs, arrows = gpd.codes, gpd.objects, gpd.arrows
     m = len(objs)
@@ -257,18 +297,49 @@ def semigroup_from_bisections(gpd, generators):
         gens[k, codes.src[tag]] = tag
     vecs = np.empty((0, m + 1), dtype=np.intp)
 
+    # a vector's key: its entries + 1 as the digits of one int64 in radix
+    # |A| + 1 when that fits, else as the bytes of a fixed-width record
+    width = len(arrows) + 1
+    if width ** m <= 2 ** 63:
+        radix = width ** np.arange(m, dtype=np.int64)
+
+        def keys(batch):
+            return (batch[:, :m] + 1) @ radix
+    else:
+        digit = np.min_scalar_type(len(arrows))
+
+        def keys(batch):
+            return np.ascontiguousarray(batch[:, :m] + 1, dtype=digit).view(
+                np.dtype((np.void, m * digit.itemsize))).ravel()
+
+    # the keys of vecs in sorted order, and the number of each
+    known, numbers = keys(vecs), np.empty(0, dtype=np.intp)
+
     def place(batch, limit):
         """Numbers of the batch; new vectors join in the order found."""
-        nonlocal vecs
-        both = np.concatenate([vecs, batch])
-        _, first, back = np.unique(both, axis=0, return_index=True,
-                                   return_inverse=True)
-        keep, known = np.sort(first), len(vecs)
-        if len(keep) > max(limit, known):
+        nonlocal vecs, known, numbers
+        key = keys(batch)
+        at = np.searchsorted(known, key)
+        new = at == len(known)
+        new[~new] = known[at[~new]] != key[~new]
+        got = np.empty(len(batch), dtype=np.intp)
+        got[~new] = numbers[at[~new]]
+        if not new.any():
+            return got
+        found, first, back = np.unique(key[new], return_index=True,
+                                       return_inverse=True)
+        count = len(vecs)
+        if count + len(found) > limit:
             raise ValueError(
                 f"semigroup closure exceeded {_MAX_ELEMENTS} elements")
-        vecs = both[keep]
-        return np.searchsorted(keep, first)[back.ravel()[known:]]
+        rank = np.empty(len(found), dtype=np.intp)
+        rank[np.argsort(first)] = count + np.arange(len(found))
+        got[new] = rank[back.ravel()]
+        vecs = np.concatenate([vecs, batch[new][np.sort(first)]])
+        spot = np.searchsorted(known, found)
+        known = np.insert(known, spot, found)
+        numbers = np.insert(numbers, spot, rank)
+        return got
 
     place(np.stack([gens, inverse(gens)], axis=1).reshape(-1, m + 1), np.inf)
     rows = []
@@ -307,8 +378,7 @@ def is_wide(gpd, sgrp):
     rep.add("covers-arrows", covered == frozenset(gpd.arrows),
             witness=sorted(frozenset(gpd.arrows) - covered, key=str) or None)
 
-    arrows = sorted(covered, key=str)
-    tags = np.array([[g in a.tag for g in arrows] for a in els], dtype=float)
+    tags = sgrp.tag_matrix(gpd.arrows).astype(float)
     # row b: the union of the tags below a and b, against their meet
     le = sgrp.le
     bad = _scan(len(els), lambda a: (((le[:, a] & le.T) @ tags) > 0)
@@ -421,7 +491,7 @@ def _germ_tables(sgrp):
     inv = cls[sgrp.star[reps[:, 0]], sgrp.act[reps[:, 0], reps[:, 1]]]
     unit = np.array([cls[_covering(sgrp, x, "; units are missing")[0], x]
                      for x in range(len(sgrp.carrier))], dtype=np.intp)
-    return reps, cls, src, rng, comp, inv, unit
+    return _freeze(reps, cls, src, rng, comp, inv, unit)
 
 
 def germ_reconstruction(gpd, sgrp):
@@ -431,7 +501,7 @@ def germ_reconstruction(gpd, sgrp):
     and checks the map is a bijection respecting all structure.
     """
     rep = Report("germ reconstruction")
-    reps, cls, src, rng, comp, inv, unit = _germ_tables(sgrp)
+    reps, cls, src, rng, comp, inv, unit = sgrp.germs
     els, pts, arrows = sgrp.elements, sgrp.carrier, gpd.arrows
     k = len(reps)
     a, x, bounds = _members(cls, k)
@@ -494,7 +564,7 @@ class CrossedProductAlgebra:
     (element, point) pair.  table[i, j] is the class of the product,
     -1 for zero; star_table is the involution and unit_indices the
     classes summing to the unit.  Product and involution are verified
-    to be independent of representatives.
+    to be independent of representatives.  The tables are read-only.
     """
 
     def __init__(self, sgrp):
@@ -537,6 +607,7 @@ class CrossedProductAlgebra:
             for x in range(len(sgrp.carrier))]
         if len(set(self.unit_indices)) != len(self.unit_indices):
             raise VerificationError("unit summands collide")
+        _freeze(cls, *self.members, self.table, self.star_table)
 
     @property
     def dim(self):
@@ -585,16 +656,17 @@ def crossed_product(sgrp):
     return CrossedProductAlgebra(sgrp)
 
 
-def canonical_iso_cstar(sgrp):
+def canonical_iso_cstar(sgrp, alg=None):
     """Crossed product and germ groupoid convolution are the same algebra.
 
     Sends the range side class of (a, x) to the source side germ of a
     at the preimage of x and compares structure constants against
     counting weight convolution on the germ groupoid, star included.
+    alg is crossed_product(sgrp) when the caller has built it already.
     """
     rep = Report("canonical isomorphism")
-    alg = crossed_product(sgrp)
-    reps, cls, _, _, comp, inv, unit = _germ_tables(sgrp)
+    alg = crossed_product(sgrp) if alg is None else alg
+    reps, cls, _, _, comp, inv, unit = sgrp.germs
     k = len(reps)
     rep.add("dimensions", alg.dim == k, witness=(alg.dim, k))
 
@@ -789,14 +861,25 @@ def groupoid_rep_to_covariant(rep, sgrp):
     fibers = {x: module.left_positions(x) for x in gpd.objects}
     projections = {x: np.diag(np.isin(np.arange(dim), fibers[x]))
                    .astype(complex) for x in gpd.objects}
-    isometries = {}
-    for a in sgrp.elements:
-        u = np.zeros((dim, dim), dtype=complex)
-        for g in a.tag:
-            rows, cols = fibers[gpd.rng[g]], fibers[gpd.src[g]]
-            u[np.ix_(rows, cols)] += fam.unitaries[g]
-        isometries[a] = u
-    return CovariantRep(sgrp, dim, projections, isometries)
+    tags = sgrp.tag_matrix(gpd.arrows)
+    iso = np.zeros((len(sgrp.elements), dim, dim), dtype=complex)
+    for k, g in enumerate(gpd.arrows):
+        rows, cols = fibers[gpd.rng[g]], fibers[gpd.src[g]]
+        iso[np.ix_(tags[:, k], rows, cols)] += fam.unitaries[g]
+    return CovariantRep(sgrp, dim, projections, dict(zip(sgrp.elements, iso)))
+
+
+def _per_shape(shapes, defects_of):
+    """Defects of rows grouped by shape: defects_of(p, *shape) for the
+    boolean row mask p of each distinct row of shapes, in row order."""
+    out = np.zeros(len(shapes))
+    if not len(shapes):
+        return out
+    key = np.ravel_multi_index(shapes.T, shapes.max(axis=0) + 1)
+    for k in set(key.tolist()):
+        p = key == k
+        out[p] = defects_of(p, *shapes[np.argmax(p)].tolist())
+    return out
 
 
 def covariant_to_groupoid_rep(gpd, weights, cov, tol=1e-10):
@@ -806,21 +889,24 @@ def covariant_to_groupoid_rep(gpd, weights, cov, tol=1e-10):
     elements through the same arrow must agree, and products through
     composed elements must match block products.  Returns the
     representation and the report.
+
+    The isometries are compressed to the frames of the projections in
+    one stacked product, and each check cuts its blocks from it in one
+    gather per block shape, reading the tags from sgrp.tag_matrix.
     """
     _require_counting(weights)
     sgrp = cov.semigroup
     out = Report("covariant to groupoid")
-    els = sgrp.elements
-    cover = {g: [i for i, a in enumerate(els) if g in a.tag]
-             for g in gpd.arrows}
-    missing = sorted((g for g in gpd.arrows if not cover[g]), key=str)
+    arrows, codes = gpd.arrows, gpd.codes
+    tags = sgrp.tag_matrix(arrows)
+    missing = sorted((arrows[k] for k in np.flatnonzero(~tags.any(axis=0))),
+                     key=str)
     out.add("arrows-covered", not missing, witness=missing or None)
     if missing:
         raise VerificationError(
             f"arrows not covered by any tag: {missing!r}")
 
-    hat = {}
-    frames = {}
+    frames = []
     for x in gpd.objects:
         p = cov.projections[x]
         size = int(round(float(np.trace(p).real)))
@@ -829,33 +915,54 @@ def covariant_to_groupoid_rep(gpd, weights, cov, tol=1e-10):
         if offmass <= tol:
             # indicator projection: keep the standard basis and its order
             keep = [i for i in range(cov.dim) if p[i, i].real > 0.5]
-            frames[x] = np.eye(cov.dim, dtype=complex)[:, keep]
+            frames.append(np.eye(cov.dim, dtype=complex)[:, keep])
         else:
             vals, vecs = np.linalg.eigh(p)
-            frames[x] = vecs[:, vals > 0.5]
-        hat[x] = frames[x].shape[1]
-        if hat[x] != size:
+            frames.append(vecs[:, vals > 0.5])
+        if frames[-1].shape[1] != size:
             raise VerificationError(f"projection at {x!r} has fuzzy rank")
+    hat = np.array([f.shape[1] for f in frames], dtype=np.intp)
+    start = np.concatenate([[0], np.cumsum(hat)])
+    frame = np.hstack([np.empty((cov.dim, 0))] + frames)
+    # element a in the frames: the block of arrow g is rows start[rng g]
+    # and columns start[src g], hat[rng g] x hat[src g] of them
+    framed = frame.conj().T @ cov.iso @ frame
 
-    mats = {g: [frames[gpd.rng[g]].conj().T @ cov.isometries[els[a]]
-                @ frames[gpd.src[g]] for a in cover[g]] for g in gpd.arrows}
-    out.add_worst("blocks-agree",
-                  ((_spread(m), g) for g, m in mats.items()), tol)
-    blocks = {g: m[0] for g, m in mats.items()}
+    def cut(a, x, y, hx, hy):
+        """Blocks of the elements a between the fibres x and y."""
+        rows = start[x][:, None] + np.arange(hx)
+        cols = start[y][:, None] + np.arange(hy)
+        return framed[a[:, None, None], rows[:, :, None], cols[:, None, :]]
 
-    defects = []
-    for (g, h) in gpd.composable_pairs():
-        ab = els[sgrp.mul[cover[g][0], cover[h][0]]]
-        gh = gpd.comp[(g, h)]
-        if gh not in ab.tag:
-            continue
-        through = frames[gpd.rng[gh]].conj().T @ cov.isometries[ab] \
-            @ frames[gpd.src[gh]]
-        defects.append((max_abs(blocks[g] @ blocks[h] - through), (g, h)))
-    out.add_worst("trisection", defects, tol)
+    # each arrow's block is cut from its first covering element
+    first = tags.argmax(axis=0)
+    g, a = np.nonzero(tags.T)
+    g, a = g[a != first[g]], a[a != first[g]]
+    x, y = codes.rng[g], codes.src[g]
+    out.add_worst_at("blocks-agree", _per_shape(
+        np.stack([hat[x], hat[y]], axis=1), lambda p, hx, hy: max_abs_each(
+            cut(a[p], x[p], y[p], hx, hy)
+            - cut(first[g[p]], x[p], y[p], hx, hy))),
+        tol, lambda k: arrows[g[k]])
+    blocks = {g: framed[first[k], start[x]:start[x + 1], start[y]:start[y + 1]]
+              for k, (g, x, y) in enumerate(zip(arrows, codes.rng.tolist(),
+                                                codes.src.tolist()))}
+
+    g, h = codes.pairs
+    ab, gh = sgrp.mul[first[g], first[h]], codes.comp[g, h]
+    on = tags[ab, gh]
+    g, h, ab = g[on], h[on], ab[on]
+    x, y, z = codes.rng[g], codes.src[g], codes.src[h]
+    out.add_worst_at("trisection", _per_shape(
+        np.stack([hat[x], hat[y], hat[z]], axis=1),
+        lambda p, hx, hy, hz: max_abs_each(
+            cut(first[g[p]], x[p], y[p], hx, hy)
+            @ cut(first[h[p]], y[p], z[p], hy, hz)
+            - cut(ab[p], x[p], z[p], hx, hz))),
+        tol, lambda k: (arrows[g[k]], arrows[h[k]]))
 
     coeff = ("w",)
-    dims = {(x, "w"): hat[x] for x in gpd.objects}
+    dims = {(x, "w"): int(d) for x, d in zip(gpd.objects, hat)}
     module = module_from_dims(gpd.objects, coeff, dims)
     rep = from_cocycle(gpd, weights, module, blocks)
     out.extend(check_cocycle(blockwise(rep), tol), prefix="block-")
@@ -882,7 +989,7 @@ def etale_battery(gpd, weights, sgrp=None, rep=None, tol=1e-10):
     out.add("crossed-dimension", alg.dim == len(gpd.arrows),
             witness=(alg.dim, len(gpd.arrows)))
     out.extend(alg.check(), prefix="algebra-")
-    out.extend(canonical_iso_cstar(sgrp), prefix="iso-")
+    out.extend(canonical_iso_cstar(sgrp, alg), prefix="iso-")
 
     if rep is not None:
         cov = groupoid_rep_to_covariant(rep, sgrp)
@@ -935,7 +1042,7 @@ def transformation_theorem(order, action, rep=None, tol=1e-10):
     out.add("dimension", alg.dim == int(order) * len(gpd.objects),
             witness=(alg.dim, int(order) * len(gpd.objects)))
     out.extend(germ_reconstruction(gpd, sgrp), prefix="germ-")
-    out.extend(canonical_iso_cstar(sgrp), prefix="iso-")
+    out.extend(canonical_iso_cstar(sgrp, alg), prefix="iso-")
 
     if rep is not None:
         cov = groupoid_rep_to_covariant(rep, sgrp)

@@ -5,6 +5,10 @@ be loaded or validated.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -509,3 +513,26 @@ def test_families_checks_gamma_at_the_floor(capsys, monkeypatch):
                            "--tolerance", tol)
         assert code == 0, out
         assert seen.pop() == want
+
+
+def test_one_parser_serves_every_main_call(capsys):
+    """main builds its parser once per process; calls with different
+    subcommands, and a usage error between them, behave as in fresh
+    processes."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argvs = (["etale", "--preset", "Z2"], ["validate", "--preset", "P2"],
+             ["etale", "--preset", "Z2", "--bogus"],
+             ["families", "--preset", "X2", "--tolerance", "1e-6"])
+    for argv in argvs:
+        fresh = subprocess.run([sys.executable, "-m", "gcstar.cli", *argv],
+                               env=env, capture_output=True, text=True)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+        if "--bogus" in argv:
+            assert code == 2 and "unrecognized arguments" in err
+    assert cli._parser() is cli._parser()

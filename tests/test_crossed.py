@@ -24,14 +24,17 @@ from gcstar.crossed import (CovariantRep, PartialBijection,
                             integrate_covariant, is_wide,
                             partial_isometry_form, rep_of_crossed_to_covariant,
                             semigroup_from_bisections, transformation_theorem)
-from gcstar.fingroupoid import (build_preset, counting_weights,
-                                disjoint_union, fixture, pair_groupoid)
+from gcstar.fingroupoid import (FIXTURE_NAMES, FiniteGroupoid, build_preset,
+                                counting_weights, disjoint_union, fixture,
+                                pair_groupoid)
+from gcstar.hilbmod import module_from_dims
 from gcstar.report import VerificationError, max_abs, worst
 from gcstar.reps import from_cocycle, regular_representation
 from gcstar.sampling import SplitMix64, random_cocycle
 
 SWAP = {1: 2, 2: 1}
 ROT3 = {1: 2, 2: 3, 3: 1}
+SHIFT12 = {x: x % 12 + 1 for x in range(1, 13)}
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +267,13 @@ def test_etale_battery_fixtures():
         assert out.ok, f"{name}: {out}"
 
 
+def test_etale_battery_on_the_empty_groupoid():
+    gpd = FiniteGroupoid((), (), {}, {}, {}, {}, {})
+    rep = from_cocycle(gpd, {}, module_from_dims((), ("w",), {}), {})
+    out = etale_battery(gpd, {}, rep=rep)
+    assert out.ok, str(out)
+
+
 def test_transformation_theorem_swap_with_rep():
     rng = SplitMix64(52)
     gpd, w = fixture("T2")
@@ -375,6 +385,14 @@ def test_closure_matches_pairwise_reference(monkeypatch):
         p3, build_preset("pair", points=4), t3, disjoint_union(p2, p2),
         disjoint_union(t3, build_preset("space", points=1))]
     cases = [(gpd, all_bisections(gpd)) for gpd in groupoids]
+    # the generators of group_action_semigroup(12, ...), 144 arrows on 12
+    # points: a vector's key does not fit an int64, so the closure falls
+    # back to fixed-width byte keys
+    trafo = build_preset("transformation", order=12, action=SHIFT12)
+    assert (len(trafo.arrows) + 1) ** len(trafo.objects) > 2 ** 63
+    cases.append((trafo, [bisection_from_arrows(trafo, [(k, x) for x in
+                                                       trafo.objects])
+                          for k in range(12)]))
     gpd, _ = fixture("P2")
     gens = [bisection_from_arrows(gpd, [(1, 2)]),
             bisection_from_arrows(gpd, [(1, 2), (2, 1)])]
@@ -397,3 +415,192 @@ def test_closure_matches_pairwise_reference(monkeypatch):
     monkeypatch.setattr(crossed, "_MAX_ELEMENTS", 1)
     assert len(semigroup_from_bisections(gpd, all_bisections(gpd))
                .elements) == 7
+    # {(1, 2)} and its inverse pass the guard of 1; the two units and the
+    # empty bisection that their products add do not
+    with pytest.raises(ValueError, match="exceeded 1 elements"):
+        semigroup_from_bisections(gpd, gens[:1])
+    monkeypatch.setattr(crossed, "_MAX_ELEMENTS", 4)
+    with pytest.raises(ValueError, match="exceeded 4 elements"):
+        semigroup_from_bisections(gpd, gens[:1])
+    monkeypatch.setattr(crossed, "_MAX_ELEMENTS", 5)
+    assert len(semigroup_from_bisections(gpd, gens[:1]).elements) == 5
+
+
+# ---------------------------------------------------------------------------
+# derived tables, built once per semigroup
+
+def _translation_groupoids():
+    return [fixture(name)[0] for name in FIXTURE_NAMES] + [
+        build_preset("pair", points=3),
+        build_preset("transformation", order=3, action=ROT3)]
+
+
+def test_tag_matrix_matches_tag_membership():
+    for gpd in _translation_groupoids():
+        sgrp = bisection_semigroup(gpd)
+        tags = sgrp.tag_matrix(gpd.arrows)
+        assert tags.tolist() == [[g in a.tag for g in gpd.arrows]
+                                 for a in sgrp.elements], gpd
+        assert sgrp.tag_matrix(gpd.arrows) is tags
+        # an arrow order of its own gets a matrix of its own
+        back = tuple(reversed(gpd.arrows))
+        assert np.array_equal(sgrp.tag_matrix(back), tags[:, ::-1])
+
+
+def test_semigroup_tables_are_read_only():
+    gpd, _ = fixture("P2")
+    full = bisection_semigroup(gpd)
+    mul = np.array(full.mul)
+    sgrp = crossed.InverseSemigroup(full.elements, mul, full.star, full.act,
+                                    gpd.objects)
+    alg = crossed_product(sgrp)
+    for table in (sgrp.mul, sgrp.act, sgrp.star, sgrp.le, sgrp.idem,
+                  sgrp.tag_matrix(gpd.arrows), *sgrp.germs, alg.table,
+                  alg.star_table):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = table[0]
+    # the semigroup holds a copy: the caller's array stays its own
+    mul[0, 0] = 1 - mul[0, 0]
+    assert sgrp.mul[0, 0] != mul[0, 0]
+
+
+@pytest.mark.parametrize("battery", ["etale", "trafo"])
+def test_batteries_build_germ_classes_once_per_side(monkeypatch, battery):
+    calls = []
+    real = crossed.germ_classes
+
+    def counted(sgrp, side="dom"):
+        calls.append(side)
+        return real(sgrp, side)
+
+    monkeypatch.setattr(crossed, "germ_classes", counted)
+    rng = SplitMix64(53)
+    if battery == "etale":
+        gpd, w = fixture("P2")
+    else:
+        gpd, _ = group_action_semigroup(3, ROT3)
+        w = counting_weights(gpd)
+    rep = from_cocycle(gpd, w, *random_cocycle(rng, gpd, w))
+    out = (etale_battery(gpd, w, rep=rep) if battery == "etale"
+           else transformation_theorem(3, ROT3, rep=rep))
+    assert out.ok, str(out)
+    assert sorted(calls) == ["dom", "img"]
+
+
+# ---------------------------------------------------------------------------
+# back translation: stacked checks against the loop over arrows and pairs
+
+def reference_back_checks(gpd, cov):
+    """(missing, blocks-agree, trisection) of covariant_to_groupoid_rep
+    for indicator projections, as (defect, witness) pairs, by one block
+    cut per (arrow, covering element) and one product per composable
+    pair, reading the tags by membership."""
+    sgrp = cov.semigroup
+    els = sgrp.elements
+    cover = {g: [i for i, a in enumerate(els) if g in a.tag]
+             for g in gpd.arrows}
+    missing = sorted((g for g in gpd.arrows if not cover[g]), key=str)
+    frames = {x: np.eye(cov.dim)[:, np.diag(cov.projections[x]).real > 0.5]
+              for x in gpd.objects}
+
+    def cut(a, g):
+        return (frames[gpd.rng[g]].conj().T @ cov.isometries[els[a]]
+                @ frames[gpd.src[g]])
+
+    agree = worst((worst((max_abs(cut(a, g) - cut(cover[g][0], g)), None)
+                         for a in cover[g][1:])[0], g)
+                  for g in gpd.arrows if cover[g])
+    tri = []
+    for g, h in gpd.composable_pairs():
+        if not (cover[g] and cover[h]):
+            continue
+        ab = sgrp.mul[cover[g][0], cover[h][0]]
+        gh = gpd.comp[(g, h)]
+        if gh in els[ab].tag:
+            tri.append((max_abs(cut(cover[g][0], g) @ cut(cover[h][0], h)
+                                - cut(ab, gh)), (g, h)))
+    return missing, agree, worst(tri)
+
+
+def _back_cases():
+    """(groupoid, coefficient size, fibre dimensions at seed 55); the
+    two orbits of P2 + T3 get fibres of two sizes, so the stacked checks
+    cut blocks of more than one shape."""
+    t3 = build_preset("transformation", order=3, action=ROT3)
+    return [(fixture("P2")[0], 1, {1}), (build_preset("pair", points=3), 1,
+                                         {1}),
+            (t3, 2, {4}),
+            (disjoint_union(build_preset("pair", points=2), t3), 1, {1, 2})]
+
+
+def _fine_cov(gpd, coeff_size, dims):
+    w = counting_weights(gpd)
+    rep = from_cocycle(gpd, w, *random_cocycle(
+        SplitMix64(55), gpd, w, coeff_size=coeff_size))
+    cov = groupoid_rep_to_covariant(rep, bisection_semigroup(gpd))
+    assert {len(rep.module.left_fiber(x)) for x in gpd.objects} == dims
+    return w, cov
+
+
+def _back_report(gpd, w, cov):
+    _, out = covariant_to_groupoid_rep(gpd, w, cov)
+    return {c.name: c for c in out.checks}
+
+
+@pytest.mark.parametrize("gpd, coeff_size, dims", _back_cases())
+def test_back_arrows_covered_matches_reference(gpd, coeff_size, dims):
+    w = counting_weights(gpd)
+    # the unit bisections of every object but the first cover no other
+    # arrow and not the first unit
+    units = [bisection_from_arrows(gpd, [gpd.unit[x]])
+             for x in gpd.objects[1:]]
+    sgrp = semigroup_from_bisections(gpd, units)
+    rep = from_cocycle(gpd, w, *random_cocycle(SplitMix64(55), gpd, w))
+    cov = groupoid_rep_to_covariant(rep, sgrp)
+    missing = reference_back_checks(gpd, cov)[0]
+    assert gpd.unit[gpd.objects[0]] in missing
+    with pytest.raises(VerificationError) as err:
+        covariant_to_groupoid_rep(gpd, w, cov)
+    assert str(err.value) == f"arrows not covered by any tag: {missing!r}"
+
+
+@pytest.mark.parametrize("gpd, coeff_size, dims", _back_cases())
+def test_back_blocks_agree_matches_reference(gpd, coeff_size, dims):
+    w, fine = _fine_cov(gpd, coeff_size, dims)
+    sgrp = fine.semigroup
+    got = _back_report(gpd, w, fine)
+    assert got["blocks-agree"].passed and got["trisection"].passed
+    # scale the isometry of the last element that is not idempotent
+    a = int(np.flatnonzero(~sgrp.idem)[-1])
+    isometries = dict(fine.isometries)
+    isometries[sgrp.elements[a]] = isometries[sgrp.elements[a]] * (1 + 1e-6)
+    cov = CovariantRep(sgrp, fine.dim, fine.projections, isometries)
+    _, agree, tri = reference_back_checks(gpd, cov)
+    got = _back_report(gpd, w, cov)
+    assert agree[0] > 1e-7
+    assert not got["blocks-agree"].passed
+    assert (got["blocks-agree"].defect, got["blocks-agree"].witness) == agree
+    assert (got["trisection"].defect, got["trisection"].witness) == tri
+
+
+@pytest.mark.parametrize("gpd, coeff_size, dims", _back_cases())
+def test_back_trisection_matches_reference(gpd, coeff_size, dims):
+    w, fine = _fine_cov(gpd, coeff_size, dims)
+    sgrp = fine.semigroup
+    # scale the block of one arrow that is not a unit in every element
+    # through it: blocks still agree, but products through it do not
+    g = next(g for g in gpd.arrows if g not in gpd.unit.values())
+    rows = np.diag(fine.projections[gpd.rng[g]]).real > 0.5
+    cols = np.diag(fine.projections[gpd.src[g]]).real > 0.5
+    isometries = {}
+    for a, u in fine.isometries.items():
+        u = u.copy()
+        if g in a.tag:
+            u[np.ix_(rows, cols)] *= 1 + 1e-6
+        isometries[a] = u
+    cov = CovariantRep(sgrp, fine.dim, fine.projections, isometries)
+    _, agree, tri = reference_back_checks(gpd, cov)
+    got = _back_report(gpd, w, cov)
+    assert got["blocks-agree"].passed and agree == (0.0, None)
+    assert not got["trisection"].passed and tri[0] > 1e-7
+    assert (got["trisection"].defect, got["trisection"].witness) == tri
