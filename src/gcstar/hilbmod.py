@@ -342,14 +342,17 @@ def induced_unitary(c1, c2, phi, delta):
 
 
 def creation(space, xi):
-    """Tensoring with a fixed vector xi of e, as a dense map f -> space.
+    """Tensoring with a fixed vector xi of e, as an entry map f -> space.
 
     space is the tensor of e and f, and xi is indexed like e's basis.
+    The entries run over the points (a, b) of space with xi(a) nonzero
+    (NaN included), in point order: the point's row, the column of b,
+    the value xi(a).
     """
     (_, ia), (f, ib) = space.factors
-    mat = np.zeros((space.dim, f.dim), dtype=complex)
-    mat[np.arange(space.dim), ib] = np.asarray(xi, dtype=complex)[ia]
-    return ModuleMap(f, space, mat)
+    vals = np.asarray(xi, dtype=complex)[ia]
+    rows = np.flatnonzero(vals)
+    return ModuleMap(f, space, entries=(rows, ib[rows], vals[rows]))
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,14 @@
 Integrating a representation against an arrow function factors the
 function as a product of two square roots, sends one through a
 creation map on each side of the unitary and lands on an operator on
-the coefficient module.  Disintegration inverts this: the unit deltas
-recover the grading projections, the arrow deltas recover the fiber
-blocks after removing the weight scaling, and certificates computed
-from the operators alone guard every step.
+the coefficient module.  _integrate does this for a stack of functions
+at once: each entry of the unitary meets the creation factors of every
+row whose function is nonzero at its arrow, so a delta costs one fibre
+block.  Disintegration inverts this: the unit deltas recover the
+grading projections, the arrow deltas compressed to the fibres recover
+the blocks after removing the weight scaling, and certificates computed
+from the operators alone guard every step; the star certificate runs on
+the compressed fibre blocks, over the arrow pairs that share a range.
 
 The naturality battery (check_naturality) checks that the two
 directions respect maps: the frame of a disintegration intertwines it
@@ -15,56 +19,96 @@ operator level, and inducing along a fixed graded space commutes with
 integration.
 
 conv_rep_of is the one place that integrates the arrow deltas of a
-representation; every other route reads the stacked operators it returns.
+representation, as one stack; every other route reads the stacked
+operators it returns.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 import numpy as np
 
 from .report import (Report, VerificationError, max_abs, max_abs_each,
                      relative_defect, relative_defects)
 from .measures import fibre_sums, object_weights, pair_values
-from .hilbmod import ModuleMap, _join, creation, module_from_dims, tensor_map
+from .hilbmod import (ModuleMap, _entries, _join, creation, module_from_dims,
+                      tensor_map)
 from .convalg import (_product, convolve, fiber_sups, identity_element,
                       operator_norm, star)
 from .reps import (CocycleFamily, blockwise, check_cocycle, check_intertwiner,
                    from_cocycle, induce)
 
 
-def integrate_rep(rep, f):
-    """Operator of an arrow function on the coefficient module.
-
-    Factors f through two creation maps around the representation
-    unitary; the absolute value splits as a product of square roots
-    and the phase rides on the range side factor.  np.hypot rounds as
-    abs() does.
-    """
-    f2 = np.sqrt(np.hypot(f.real, f.imag))
-    f1 = np.divide(f.conj(), f2, out=np.zeros(len(f), dtype=complex),
+def _sqrt_split(funcs):
+    """The factors (f1, f2) of f = conj(f1) f2 for a stack of arrow
+    functions: f2 = sqrt|f| (np.hypot rounds as abs() does), and
+    f1 = conj(f) / f2 where f2 > 0, else 0."""
+    f2 = np.sqrt(np.hypot(funcs.real, funcs.imag))
+    f1 = np.divide(funcs.conj(), f2, out=np.zeros(funcs.shape, dtype=complex),
                    where=f2 > 0)
-    lift = creation(rep.source, f2)
-    drop = creation(rep.target, f1).adjoint()
-    return drop.compose(rep.umap).compose(lift)
+    return f1, f2
 
 
-def oracle_integrate(rep, f):
-    """Same operator assembled directly from the fiber blocks.
+def _integrate(rep, funcs):
+    """The operators of a stack of arrow functions (n, |A|), as an
+    (n, d, d) array on the coefficient module.
 
-    The raw block of each arrow enters with coefficient f(g) times the
-    source object weight; kept separate from integrate_rep so the two
-    routes stay independent checks of each other.
+    Each row f splits as conj(f1) f2 (_sqrt_split); its operator is the
+    adjoint creation map of f1 after the unitary after the creation map
+    of f2.  The creation maps of the unit function carry the module
+    vector of every tensor point and the adjoint weights; a row scales
+    them by its factors at the point's arrow.  Each entry of the unitary
+    meets the rows whose f2 is nonzero (NaN included) at its source
+    arrow, and the terms at one module position are summed in the order
+    row, source arrow, entry; so a row integrates to the same bits alone
+    or in a stack.
     """
-    gpd, c, module = rep.groupoid, rep.weights, rep.module
-    fam = blockwise(rep)
-    mat = np.zeros((module.dim, module.dim), dtype=complex)
-    pos = {x: module.left_positions(x) for x in gpd.objects}
-    coeffs = f * object_weights(gpd, c)[gpd.codes.src]
-    for g, coeff in zip(gpd.arrows, coeffs):
-        if coeff != 0:
-            rows, cols = pos[gpd.rng[g]], pos[gpd.src[g]]
-            mat[np.ix_(rows, cols)] += _product(np.asarray(coeff), fam.raw[g])
-    return ModuleMap(module, module, mat)
+    funcs = np.asarray(funcs, dtype=complex)
+    n, d, arrows = len(funcs), rep.module.dim, len(rep.groupoid.arrows)
+    f1, f2 = _sqrt_split(funcs)
+    ones = np.ones(arrows)
+    lift = creation(rep.source, ones)
+    drop = creation(rep.target, ones).adjoint()
+    (_, sa), _ = rep.source.factors
+    (_, ta), _ = rep.target.factors
+    rows, cols, vals = _entries(rep.umap)
+    k, g = np.nonzero(f2)
+    w, e = _join(sa[cols], arrows, g)
+    k, q, p = k[w], rows[e], cols[e]
+    terms = f1[k, ta[q]].conj() * drop.vals[q] * vals[e] * f2[k, g[w]]
+    keys = (k * d + drop.rows[q]) * d + lift.cols[p]
+    return fibre_sums(keys, terms, n * d * d).reshape(n, d, d)
+
+
+def integrate_rep(rep, f):
+    """Operator of an arrow function on the coefficient module: _integrate
+    on the one row f."""
+    return ModuleMap(rep.module, rep.module, _integrate(rep, f[None])[0])
+
+
+def oracle_integrate(fam, funcs):
+    """The operators of a stack of arrow functions (n, |A|), assembled
+    directly from the fiber blocks fam = blockwise(rep), as (n, d, d).
+
+    The raw block of each arrow enters each row with coefficient f(g)
+    times the source object weight where that is nonzero, arrow by arrow;
+    kept separate from _integrate so the two routes stay independent
+    checks of each other.
+    """
+    gpd, module = fam.groupoid, fam.module
+    t = gpd.codes
+    coeffs = np.asarray(funcs, dtype=complex) \
+        * object_weights(gpd, fam.weights)[t.src]
+    out = np.zeros((len(coeffs), module.dim, module.dim), dtype=complex)
+    pos = [module.left_positions(x) for x in gpd.objects]
+    for g, r, s, coeff in zip(gpd.arrows, t.rng.tolist(), t.src.tolist(),
+                              coeffs.T):
+        hit = np.flatnonzero(coeff)
+        if hit.size:
+            out[np.ix_(hit, pos[r], pos[s])] += _product(
+                coeff[hit, None, None], fam.raw[g])
+    return out
 
 
 def integration_bound(gpd, weights, f):
@@ -73,36 +117,47 @@ def integration_bound(gpd, weights, f):
     return float(np.sqrt(sup_r * sup_s))
 
 
-def _check_star_hom(out, gpd, c, op, funcs, tol):
-    """Add identity, multiplicative and star for the route f -> op(f),
-    op(f) a ModuleMap; products run over consecutive funcs."""
-    ident = op(identity_element(gpd, c))
-    d = max_abs(ident.matrix - np.eye(ident.target.dim))
+def _check_star_hom(out, gpd, c, space, integrate, funcs, ops, ident, tol):
+    """Add identity, multiplicative and star for a route from arrow
+    functions to operators on space: integrate takes a stack (n, |A|) to
+    (n, d, d), ops = integrate(funcs) and ident is the operator of the
+    identity element; products run over consecutive funcs."""
+    d = max_abs(ident - np.eye(space.dim))
     out.add("identity", d <= tol, defect=d)
-    out.add_worst("multiplicative", (
-        (relative_defect(op(convolve(gpd, c, f1, f2)).matrix,
-                         op(f1).compose(op(f2)).matrix), None)
-        for f1, f2 in zip(funcs, funcs[1:])), tol)
-    out.add_worst("star", (
-        (relative_defect(op(star(gpd, f)).matrix, op(f).adjoint().matrix),
-         None)
-        for f in funcs), tol)
+    prods = [convolve(gpd, c, f1, f2) for f1, f2 in zip(funcs, funcs[1:])]
+    out.add_worst_at("multiplicative", relative_defects(
+        integrate(_stack(gpd, prods)), ops[:-1] @ ops[1:]), tol)
+    w = space.gram_diagonal()
+    adjoints = ops.conj().transpose(0, 2, 1) * (w[None, :] / w[:, None])
+    out.add_worst_at("star", relative_defects(
+        integrate(_stack(gpd, [star(gpd, f) for f in funcs])), adjoints), tol)
+
+
+def _stack(gpd, funcs):
+    """A list of arrow functions as one (n, |A|) complex array."""
+    return np.reshape(np.asarray(funcs, dtype=complex),
+                      (len(funcs), len(gpd.arrows)))
 
 
 def check_integration(rep, funcs, tol=1e-10):
-    """Two-route agreement, star algebra laws and norm inequalities."""
-    gpd, c = rep.groupoid, rep.weights
-    out = Report("integration")
-    funcs = list(funcs)
+    """Two-route agreement, star algebra laws and norm inequalities.
 
-    out.add_worst("oracle-agreement", (
-        (relative_defect(integrate_rep(rep, f).matrix,
-                         oracle_integrate(rep, f).matrix), None)
-        for f in funcs), tol)
-    _check_star_hom(out, gpd, c, lambda f: integrate_rep(rep, f), funcs, tol)
+    Integrates the batch, its consecutive products, its stars and the
+    identity once each, and builds the oracle's blocks once."""
+    gpd, c, module = rep.groupoid, rep.weights, rep.module
+    out = Report("integration")
+    funcs = _stack(gpd, list(funcs))
+    ops = _integrate(rep, funcs)
+
+    out.add_worst_at("oracle-agreement", relative_defects(
+        ops, oracle_integrate(blockwise(rep), funcs)), tol)
+    ident = integrate_rep(rep, identity_element(gpd, c)).matrix
+    _check_star_hom(out, gpd, c, module, lambda fs: _integrate(rep, fs),
+                    funcs, ops, ident, tol)
     out.add_worst("norm-bound", (
-        (operator_norm(integrate_rep(rep, f)) - integration_bound(gpd, c, f),
-         None) for f in funcs), 1e-9)
+        (operator_norm(ModuleMap(module, module, op))
+         - integration_bound(gpd, c, f), None) for op, f in zip(ops, funcs)),
+        1e-9)
     out.add_worst("bound-below-inorm", (
         (float(np.sqrt(sup_r * sup_s)) - max(sup_r, sup_s), None)
         for sup_r, sup_s in (fiber_sups(gpd, c, f) for f in funcs)), 1e-9)
@@ -115,20 +170,24 @@ def check_integration(rep, funcs, tol=1e-10):
 class ConvRep:
     """A family of operators, one per arrow delta, on a graded space.
 
-    delta_ops maps each arrow to its dim x dim operator; ops stacks them
-    read-only, (|A|, dim, dim), in arrow order."""
+    delta_ops maps each arrow to its dim x dim operator, or stacks them
+    in arrow order; ops stacks them read-only, (|A|, dim, dim), in arrow
+    order.  An operator of another shape raises ValueError naming its
+    arrow."""
 
     def __init__(self, gpd, weights, space, delta_ops):
         self.groupoid = gpd
         self.weights = {x: float(weights[x]) for x in gpd.objects}
         self.space = space
-        self.ops = np.empty((len(gpd.arrows), space.dim, space.dim),
-                            dtype=complex)
-        for i, g in enumerate(gpd.arrows):
-            mat = np.asarray(delta_ops[g], dtype=complex)
-            if mat.shape != (space.dim, space.dim):
+        if isinstance(delta_ops, Mapping):
+            delta_ops = [delta_ops[g] for g in gpd.arrows]
+        for g, op in zip(gpd.arrows, delta_ops):
+            if np.shape(op) != (space.dim, space.dim):
                 raise ValueError(f"operator shape mismatch at {g!r}")
-            self.ops[i] = mat
+        if len(delta_ops) != len(gpd.arrows):
+            raise ValueError(f"{len(delta_ops)} operators for "
+                             f"{len(gpd.arrows)} arrows")
+        self.ops = np.array(delta_ops, dtype=complex)
         self.ops.flags.writeable = False
 
     def op(self, f):
@@ -137,18 +196,24 @@ class ConvRep:
 
 
 def conv_rep_of(rep):
-    """Integrate every arrow delta of a representation, once."""
+    """Integrate every arrow delta of a representation, once, as one
+    stack."""
     gpd = rep.groupoid
-    ops = {g: integrate_rep(rep, delta).matrix for g, delta in
-           zip(gpd.arrows, np.eye(len(gpd.arrows), dtype=complex))}
-    return ConvRep(gpd, rep.weights, rep.module, ops)
+    return ConvRep(gpd, rep.weights, rep.module, _integrate(
+        rep, np.eye(len(gpd.arrows), dtype=complex)))
 
 
 def check_conv_rep(conv, funcs, tol=1e-10):
     """Star representation axioms for the operator family."""
     gpd, c = conv.groupoid, conv.weights
     out = Report("operator representation")
-    _check_star_hom(out, gpd, c, conv.op, list(funcs), tol)
+    funcs = _stack(gpd, list(funcs))
+
+    def integrate(fs):
+        return np.tensordot(fs, conv.ops, 1)
+    _check_star_hom(out, gpd, c, conv.space, integrate, funcs,
+                    integrate(funcs), conv.op(identity_element(gpd, c)).matrix,
+                    tol)
 
     # entry (b2, b) of the delta at g may be nonzero only from src(g) to
     # rng(g); np.hypot rounds like abs() (see hilbmod.grade_leak), and
@@ -185,18 +250,42 @@ def check_integrated_intertwiner(conv1, conv2, vmatrix, tol=1e-10):
 # ---------------------------------------------------------------------------
 # pair function certificates
 
-def _pair_inner(gpd, weights, big1, big2, side):
-    """pair_inner_s or pair_inner_r: the arrows x meeting rng(h) for each
-    pair (h, k), at their source for side "s" and their range for "r",
-    summed at k in the order of h, then x."""
+def _domain(gpd, side):
+    """The pairs a pair function lives on, composable pairs (g, h) for
+    side "s" and pairs (g, k) with rng(g) == rng(k) for side "r", as
+    position arrays in row-major order, and the |A| x |A| table of their
+    places in that order, -1 off them."""
+    t = gpd.codes
+    g, h = t.pairs if side == "s" else np.nonzero(t.rng[:, None] == t.rng)
+    at = np.full(t.comp.shape, -1, dtype=np.intp)
+    at[g, h] = np.arange(len(g))
+    return g, h, at
+
+
+def _pair_inner(gpd, weights, side, at):
+    """pair_inner_s or pair_inner_r as a function of the values of two
+    pair functions on the domain of side, whose places table is at: the
+    arrows x meeting rng(h) for each pair (h, k), at their source for
+    side "s" and their range for "r", summed at k in the order of h,
+    then x."""
     t, c = gpd.codes, object_weights(gpd, weights)
     meet, far = (t.src, t.rng) if side == "s" else (t.rng, t.src)
     h, k = t.pairs
     q, x = _join(meet, len(c), t.rng[h])
     h, k = h[q], k[q]
-    terms = _product(pair_values(gpd, big1, x, h).conj(),
-                     pair_values(gpd, big2, x, t.comp[h, k]))
-    return fibre_sums(k, terms * c[far[x]] * c[t.rng[h]], len(gpd.arrows))
+    left, right = at[x, h], at[x, t.comp[h, k]]
+    cx, ch = c[far[x]], c[t.rng[h]]
+
+    def inner(vals1, vals2):
+        terms = _product(vals1[left].conj(), vals2[right])
+        return fibre_sums(k, terms * cx * ch, len(gpd.arrows))
+    return inner
+
+
+def _pair_inner_of(gpd, weights, big1, big2, side):
+    g, h, at = _domain(gpd, side)
+    return _pair_inner(gpd, weights, side, at)(
+        pair_values(gpd, big1, g, h), pair_values(gpd, big2, g, h))
 
 
 def pair_inner_s(gpd, weights, big1, big2):
@@ -207,7 +296,7 @@ def pair_inner_s(gpd, weights, big1, big2):
     conj(big1(x, h)) big2(x, h k) over h landing at rng(k) and x
     landing at rng(h), weighted by c(rng x) c(rng h).
     """
-    return _pair_inner(gpd, weights, big1, big2, "s")
+    return _pair_inner_of(gpd, weights, big1, big2, "s")
 
 
 def pair_inner_r(gpd, weights, big1, big2):
@@ -217,24 +306,36 @@ def pair_inner_r(gpd, weights, big1, big2):
     result is an array in arrow order, whose value at k integrates
     conj(big1(x, h)) big2(x, h k) with weights c(src x) c(rng h).
     """
-    return _pair_inner(gpd, weights, big1, big2, "r")
+    return _pair_inner_of(gpd, weights, big1, big2, "r")
 
 
 def upsilon(gpd, big):
     """Substitute (g, h) -> (g, g h): pair functions to range pairs."""
     t, a = gpd.codes, gpd.arrows
-    g, k = np.nonzero(t.rng[:, None] == t.rng)
-    vals = pair_values(gpd, big, g, t.comp[t.inv[g], k]).tolist()
+    g, h, at = _domain(gpd, "s")
+    vals = pair_values(gpd, big, g, h)
+    g, k, _ = _domain(gpd, "r")
+    vals = vals[at[g, t.comp[t.inv[g], k]]].tolist()
     return dict(zip(zip([a[i] for i in g], [a[i] for i in k]), vals))
 
 
 def check_pair_exchange(gpd, weights, functions):
-    """The substitution is isometric between the two pair inner products."""
+    """The substitution is isometric between the two pair inner products.
+
+    Each pair function and its substitute are read once into arrays over
+    their pairs, and the inner products gather from those."""
     out = Report("pair exchange")
     funcs = list(functions)
-    for i, (f1, f2) in enumerate(zip(funcs, funcs[1:] + funcs[:1])):
-        lhs = pair_inner_s(gpd, weights, f1, f2)
-        rhs = pair_inner_r(gpd, weights, upsilon(gpd, f1), upsilon(gpd, f2))
+    g, h, at = _domain(gpd, "s")
+    rg, rk, at_r = _domain(gpd, "r")
+    vals = [pair_values(gpd, f, g, h) for f in funcs]
+    ups = [pair_values(gpd, upsilon(gpd, f), rg, rk) for f in funcs]
+    inner_s = _pair_inner(gpd, weights, "s", at)
+    inner_r = _pair_inner(gpd, weights, "r", at_r)
+    for i in range(len(funcs)):
+        j = (i + 1) % len(funcs)
+        lhs = inner_s(vals[i], vals[j])
+        rhs = inner_r(ups[i], ups[j])
         out.add_worst(f"exchange-{i}", (
             (abs(a - b) / max(abs(a), abs(b), 1.0), g)
             for g, a, b in zip(gpd.arrows, lhs.tolist(), rhs.tolist())), 1e-12)
@@ -244,28 +345,50 @@ def check_pair_exchange(gpd, weights, functions):
 # ---------------------------------------------------------------------------
 # disintegration
 
-def star_pairs(conv):
-    """Per arrow g, in arrow order: the stack over the arrows g2 of
-    L(g)* G L(g2), G the Gram diagonal; the mask of the g2 with g^-1 g2
-    composable, where delta_g* * delta_g2 is c(rng g) times the delta at
-    g^-1 g2, read from row g^-1 of the composition table, and zero
-    elsewhere; and the stack over the masked g2 of G L(delta_g* *
-    delta_g2)."""
-    t = conv.groupoid.codes
-    c = object_weights(conv.groupoid, conv.weights)
-    gram = np.diag(conv.space.gram_diagonal())
-    for g, op in enumerate(conv.ops):
-        row = t.comp[t.inv[g]]
-        yield (op.conj().T @ gram @ conv.ops, row >= 0,
-               gram @ (c[t.rng[g]] * conv.ops[row[row >= 0]]))
+def _fibre_blocks(gpd, module, stack):
+    """The block of each stack[g] from the src(g) fibre to the rng(g)
+    fibre of module, zero-padded to the largest fibre: (|A|, m, m).
+    module is graded over gpd.objects, each fibre contiguous."""
+    t = gpd.codes
+    start = np.searchsorted(module.left_codes,
+                            np.arange(len(gpd.objects) + 1))
+    size = np.diff(start)
+    i = np.arange(size.max(initial=0))
+    rok, cok = i < size[t.rng, None], i < size[t.src, None]
+    rows = np.where(rok, start[t.rng, None] + i, 0)
+    cols = np.where(cok, start[t.src, None] + i, 0)
+    got = stack[np.arange(len(stack))[:, None, None], rows[:, :, None],
+                cols[:, None, :]]
+    return np.where(rok[:, :, None] & cok[:, None, :], got, 0.0)
 
 
-def _star_defects(conv):
-    """relative_defect of the two sides of star_pairs, pair by pair."""
-    for lhs, hit, rhs in star_pairs(conv):
-        d = relative_defects(lhs, None)
-        d[hit] = relative_defects(lhs[hit], rhs)
-        yield from d.tolist()
+def _star_certificate(gpd, c, blocks):
+    """relative_defects of B(g)* B(g2) against c(rng g) B(g^-1 g2) over
+    the pairs with rng g == rng g2, B the fibre blocks, c the object
+    weights; one stacked product per range object, in row chunks of
+    about a million entries.  Returns the defects and the position pairs
+    (g, g2), range object by range object, g-major."""
+    t, m = gpd.codes, blocks.shape[-1]
+    defects, pairs = [], []
+    for x, cx in enumerate(c.tolist()):
+        into = np.flatnonzero(t.rng == x)
+        step = max(1, 2 ** 20 // max(1, len(into) * m * m))
+        for lo in range(0, len(into), step):
+            g = into[lo:lo + step, None]
+            lhs = blocks[g].conj().transpose(0, 1, 3, 2) @ blocks[into]
+            rhs = cx * blocks[t.comp[t.inv[g], into]]
+            defects.append(relative_defects(lhs.reshape(-1, m, m),
+                                            rhs.reshape(-1, m, m)))
+            pairs.append(np.column_stack([np.repeat(g, len(into)),
+                                          np.tile(into, len(g))]))
+    return np.concatenate(defects), np.concatenate(pairs)
+
+
+def _require(out, head):
+    """Raise VerificationError under head, listing the failed checks."""
+    if not out.ok:
+        raise VerificationError(head + ":\n" + "\n".join(
+            ch.line() for ch in out.failures()))
 
 
 def disintegrate(conv, tol=1e-9):
@@ -273,25 +396,47 @@ def disintegrate(conv, tol=1e-9):
 
     Unit deltas give the grading projections after dividing by the
     object weight; their ranges split the space into fibers, further
-    refined by the coefficient grading.  Arrow deltas compressed to
-    the fibers and rescaled give the normalized blocks.  Raises when
-    the fibers fail to span or when a certificate breaks; otherwise
+    refined by the coefficient grading, and an orthonormal frame F of
+    each piece makes up the recovered module.  Each arrow delta L(g) is
+    compressed to M(g) = F* G L(g) F (G the Gram diagonal, F* G the
+    adjoint of F), and M(g) / c(src g) rescaled on its block from the
+    src(g) fibre to the rng(g) fibre gives the normalized block.  Raises
+    when the fibers fail to span or when a certificate breaks; otherwise
     returns (representation, report), the representation carrying the
     fiber frame for operator level comparisons.
+
+    The star certificate asks L(g)* G L(g2) = G L(delta_g* delta_g2) for
+    the arrow pairs, with delta_g* delta_g2 = c(rng g) delta_{g^-1 g2}
+    when rng g == rng g2 and 0 otherwise.  It runs after the frame, on
+    the fibre blocks B(g) of M(g), and only over the pairs that share a
+    range: B(g)* B(g2) = c(rng g) B(g^-1 g2).  This loses nothing, by
+    the following lemma.  Let D be the module dimension, e the
+    compression-offblock defect (the largest entry of M(g) / c(src g)
+    off its block) and m the largest entry of any M(g) / c(src g).  If
+    rng g != rng g2 the blocks of M(g) and M(g2) lie in different rows,
+    so every term of M(g)* M(g2) has an off-block factor, and each entry
+    is at most D e (2 m + e) c(src g) c(src g2).  Once projections-*,
+    projection-spectrum and frame-isometry pass, F is square and
+    F* G F = I holds up to tol; where it holds exactly, L(g)* G L(g2) =
+    G F M(g)* M(g2) F* G, whose entries are at most D max(G) times the
+    largest entry of M(g)* M(g2).  So with compression-offblock passing
+    (e <= tol), every off-range product of the dense certificate is at
+    most D^2 max(G) (2 m + tol) c(src g) c(src g2) tol.  On the pairs
+    that share a range, conjugating by F turns the dense identity into
+    M(g)* M(g2) = c(rng g) M(g^-1 g2), whose two sides live on the block
+    from the src(g) fibre to the src(g2) fibre.
     """
     gpd, c, space = conv.groupoid, conv.weights, conv.space
+    t, cw = gpd.codes, object_weights(gpd, c)
     out = Report("disintegration")
 
     ident = conv.op(identity_element(gpd, c))
     d = max_abs(ident.matrix - np.eye(space.dim))
     out.add("nondegenerate", d <= tol, defect=d)
 
-    out.add_worst("star-certificate",
-                  ((d, None) for d in _star_defects(conv)), tol)
-
     dhat = np.sqrt(space.gram_diagonal())
     projections = {x: conv.ops[u] / c[x] for x, u in
-                   zip(gpd.objects, gpd.codes.unit.tolist())}
+                   zip(gpd.objects, t.unit.tolist())}
     out.add_worst("projections-idempotent", (
         (max_abs(p @ p - p), None) for p in projections.values()), tol)
     out.add_worst("projections-selfadjoint", (
@@ -300,10 +445,7 @@ def disintegrate(conv, tol=1e-9):
     d = max_abs(sum(projections.values()) - np.eye(space.dim))
     out.add("projections-sum", d <= tol, defect=d)
 
-    if not out.ok:
-        raise VerificationError(
-            "certificates failed:\n" + "\n".join(
-                ch.line() for ch in out.failures()))
+    _require(out, "certificates failed")
 
     coeffs = space.right_space
     dims, frame_cols, spectrum = {}, {}, []
@@ -340,21 +482,26 @@ def disintegrate(conv, tol=1e-9):
 
     # module is graded over gpd.objects, so its left codes are object
     # positions
-    t, lc = gpd.codes, module.left_codes
+    lc = module.left_codes
     small = frame.adjoint().matrix @ (
-        conv.ops / object_weights(gpd, c)[t.src, None, None]) @ frame_mat
+        conv.ops / cw[t.src, None, None]) @ frame_mat
     at_rng, at_src = lc == t.rng[:, None], lc == t.src[:, None]
     off = np.where(at_rng[:, :, None] & at_src[:, None, :], 0.0, small)
     out.add_worst_at("compression-offblock", max_abs_each(off), tol)
-    unitaries = {g: np.sqrt(c[gpd.src[g]] / c[gpd.rng[g]])
-                 * small[i][np.ix_(at_rng[i], at_src[i])]
-                 for i, g in enumerate(gpd.arrows)}
+    blocks = _fibre_blocks(gpd, module, small)
+    defects, pairs = _star_certificate(
+        gpd, cw, cw[t.src, None, None] * blocks)
+    out.add_worst_at("star-certificate", defects, tol, lambda k: (
+        gpd.arrows[pairs[k, 0]], gpd.arrows[pairs[k, 1]]))
+    _require(out, "certificates failed")
+
+    size = np.bincount(lc, minlength=len(gpd.objects))
+    unitaries = {g: np.sqrt(cw[s] / cw[r]) * block[:size[r], :size[s]]
+                 for g, r, s, block in zip(gpd.arrows, t.rng.tolist(),
+                                           t.src.tolist(), blocks)}
     fam = CocycleFamily(gpd, c, module, unitaries)
     out.extend(check_cocycle(fam, max(tol, 1e-9)), prefix="block-")
-    if not out.ok:
-        raise VerificationError(
-            "extracted blocks are not a unitary cocycle:\n"
-            + "\n".join(ch.line() for ch in out.failures()))
+    _require(out, "extracted blocks are not a unitary cocycle")
 
     rep = from_cocycle(gpd, c, module, unitaries)
     rep.frame = frame
@@ -384,11 +531,10 @@ def _roundtrip(rep, tol):
     out.add("dims-match", dims1 == dims2,
             witness=None if dims1 == dims2 else (dims1, dims2))
 
-    frame, space = rep2.frame, conv2.space
-    out.add_worst("operator-roundtrip", (
-        (relative_defect(frame.compose(ModuleMap(space, space, op2))
-                         .compose(frame.adjoint()).matrix, op), g)
-        for g, op, op2 in zip(rep.groupoid.arrows, conv.ops, conv2.ops)), tol)
+    frame = rep2.frame
+    back = frame.matrix @ conv2.ops @ frame.adjoint().matrix
+    out.add_worst_at("operator-roundtrip", relative_defects(back, conv.ops),
+                     tol, lambda k: rep.groupoid.arrows[k])
     return out, conv, rep2, conv2
 
 

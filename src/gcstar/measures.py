@@ -150,8 +150,10 @@ class GradedSpace:
         return tuple(self.basis[i] for i in self.left_positions(x).tolist())
 
     def integrate(self, func):
-        """Weighted sum of a point function along the right grading."""
-        vals = np.array([func[b] for b in self.basis], dtype=complex)
+        """Weighted sum of a point function along the right grading; func
+        is a dict on the points or an array of values in basis order."""
+        vals = func if isinstance(func, np.ndarray) \
+            else np.array([func[b] for b in self.basis], dtype=complex)
         return dict(zip(self.right_space, fibre_sums(
             self.right_codes, vals * self.weight_array,
             len(self.right_space)).tolist()))
@@ -233,11 +235,13 @@ class GroupoidFamilies:
     lam0, lam1, lam2 fibre the composable pairs (g, h) over arrows along
     the three face maps h, gh and g; mu0, mu1, mu2 are defined as the
     compositions alpha . lam1, alpha . lam0 and alpha_r . lam0 and fibre
-    the pairs over objects along the three vertex maps.  Raises
-    ValueError at the first pair whose gh does not run src(h) -> rng(g).
+    the pairs over objects along the three vertex maps.  haar, when
+    given, is the pair (alpha, alpha_r) of haar_system(gpd, weights) to
+    use.  Raises ValueError at the first pair whose gh does not run
+    src(h) -> rng(g).
     """
 
-    def __init__(self, gpd, weights):
+    def __init__(self, gpd, weights, haar=None):
         self.groupoid = gpd
         self.weights = {x: float(weights[x]) for x in gpd.objects}
         t = gpd.codes
@@ -249,7 +253,8 @@ class GroupoidFamilies:
         if bad.size:
             raise ValueError(
                 f"inconsistent nerve data at pair {pairs[bad[0]]!r}")
-        self.alpha, self.alpha_r = haar_system(gpd, self.weights)
+        self.alpha, self.alpha_r = haar_system(gpd, self.weights) \
+            if haar is None else haar
         c = object_weights(gpd, weights)
         self.lam0 = _family(pairs, gpd.arrows, h, c[t.rng[g]])
         self.lam1 = _family(pairs, gpd.arrows, gh, c[t.rng[h]])
@@ -290,33 +295,37 @@ def check_family_identities(gpd, weights):
     return rep
 
 
-def compare_integrals(gpd, weights, psi):
+def compare_integrals(gpd, weights, psi, fam=None):
     """Both sides of the substitution identity for a pair function.
 
     The left side integrates psi(g, inverse(g) k) over arrows g into
     rng(k) and then over arrows k out of each object; the right side
-    integrates psi directly with the third vertex family.  Returns the
-    two dicts on objects.
+    integrates psi directly with the third vertex family.  psi is read
+    once, at the composable pairs; fam is groupoid_families(gpd,
+    weights), built here when None.  Returns the two dicts on objects.
     """
-    fam = groupoid_families(gpd, weights)
+    if fam is None:
+        fam = groupoid_families(gpd, weights)
     t, c = gpd.codes, object_weights(gpd, weights)
     g, h = t.pairs
+    vals = pair_values(gpd, psi, g, h)
     k = t.comp[g, h]
     # summed at src(k) over k in arrow order, then g in arrow order
     order = np.lexsort((g, k))
-    g, h, k = g[order], h[order], k[order]
-    terms = pair_values(gpd, psi, g, h) * c[t.src[g]] * c[t.rng[k]]
+    g, k = g[order], k[order]
+    terms = vals[order] * c[t.src[g]] * c[t.rng[k]]
     left = dict(zip(gpd.objects,
                     fibre_sums(t.src[k], terms, len(c)).tolist()))
-    right = fam.mu2.integrate(psi)
-    return left, right
+    return left, fam.mu2.integrate(vals)
 
 
 def check_iterated_integrals(gpd, weights, functions):
-    """Substitution identity for a batch of pair functions."""
+    """Substitution identity for a batch of pair functions; the families
+    are built once and each function is read once."""
     rep = Report("iterated integrals")
+    fam = groupoid_families(gpd, weights)
     for i, psi in enumerate(functions):
-        left, right = compare_integrals(gpd, weights, psi)
+        left, right = compare_integrals(gpd, weights, psi, fam)
         defects = []
         for x in gpd.objects:
             scale = max(abs(left[x]), abs(right[x]), 1.0)

@@ -12,11 +12,13 @@ composable pairs.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .report import Report, VerificationError, max_abs
-from .measures import (arrow_correspondence, check_corr_isomorphism,
-                       groupoid_families)
+from .measures import (GroupoidFamilies, arrow_correspondence,
+                       check_corr_isomorphism, haar_system)
 from .hilbmod import (ModuleMap, _entries, associator, check_module_map,
                       entry_gap, gamma_compose, grade_leak, induced_unitary,
                       is_intertwiner, is_unitary, lift, same_space, tensor,
@@ -34,6 +36,8 @@ class Representation:
     frame  : optional ModuleMap of the module into an ambient space,
              recorded by disintegration so raw blocks can be compared
              at the operator level
+    families : the groupoid's measure families, whose alpha and alpha_r
+             are the two legs; built on first read (face_transfer)
 
     umap None starts from the zero map on the expected spaces, for the
     caller to fill in.
@@ -44,10 +48,7 @@ class Representation:
         self.weights = {x: float(weights[x]) for x in gpd.objects}
         self.module = module
         self.frame = frame
-        fam = groupoid_families(gpd, self.weights)
-        self.families = fam
-        self.source_leg = fam.alpha_r
-        self.target_leg = fam.alpha
+        self.target_leg, self.source_leg = haar_system(gpd, self.weights)
         self.source = tensor(self.source_leg, module)
         self.target = tensor(self.target_leg, module)
         if umap is None:
@@ -57,6 +58,13 @@ class Representation:
                   and same_space(umap.target, self.target)):
             raise ValueError("unitary does not live on the expected spaces")
         self.umap = umap
+
+    @cached_property
+    def families(self):
+        """groupoid_families of the groupoid, on the legs of this
+        representation; built on first read."""
+        return GroupoidFamilies(self.groupoid, self.weights,
+                                (self.target_leg, self.source_leg))
 
     def __repr__(self):
         return (f"Representation({self.groupoid!r}, "

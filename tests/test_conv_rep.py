@@ -2,14 +2,17 @@
 
 A ConvRep holds the integrated arrow deltas of a representation as one
 read-only (|A|, d, d) array in arrow order.  conv_rep_of is the one
-place that integrates them, so each representation's deltas are
-integrated once per command.  The star certificate reads delta_g* *
-delta_g2 off the integer composition table, one stack per arrow g; the
-old routes through a structure-constant delta and a loop over the
-operators and through one label lookup per arrow pair are kept here as
-references, and so are the old triple loop of the support-pattern
-check, the old arrow-order loop of ConvRep.op and the old loops that
-split a function into the two square-root factors of integrate_rep.
+place that integrates them, as one stack, so each representation's
+deltas are integrated once per command, and a stack integrates each
+row to the bits integrate_rep gives it alone.  The star certificate of
+disintegrate runs on the compressed fibre blocks over the arrow pairs
+that share a range; the dense certificate over all arrow pairs it
+replaced is kept here as the reference (_dense_star_pairs), with the
+older routes through a structure-constant delta and a loop over the
+operators and through one label lookup per arrow pair, and so are the
+old triple loop of the support-pattern check, the old arrow-order loop
+of ConvRep.op and the old loops that split a function into the two
+square-root factors of integrate_rep.
 """
 
 import sys
@@ -22,11 +25,13 @@ from gcstar import cli, intdis
 from gcstar.convalg import delta_function, identity_element, star
 from gcstar.fingroupoid import FIXTURE_NAMES, build_preset, fixture
 from gcstar.hilbmod import ModuleMap
-from gcstar.intdis import (ConvRep, check_conv_rep, conv_rep_of, disintegrate,
-                           integrate_rep, oracle_integrate, star_pairs)
-from gcstar.report import max_abs, relative_defect, worst
-from gcstar.reps import blockwise
-from gcstar.reps import from_cocycle
+from gcstar.intdis import (ConvRep, _fibre_blocks, _integrate,
+                           _star_certificate, check_conv_rep, conv_rep_of,
+                           disintegrate, integrate_rep, oracle_integrate)
+from gcstar.measures import object_weights
+from gcstar.report import (VerificationError, max_abs, relative_defect,
+                           relative_defects, worst)
+from gcstar.reps import blockwise, from_cocycle
 from gcstar.sampling import (SplitMix64, random_cocycle, random_function,
                              random_groupoid)
 
@@ -83,6 +88,22 @@ def _structure_delta(gpd, weights, g, h):
     return out
 
 
+def _dense_star_pairs(conv):
+    """The dense star certificate over all arrow pairs.  Per arrow g, in
+    arrow order: the stack over the arrows g2 of L(g)* G L(g2), G the
+    Gram diagonal; the mask of the g2 with g^-1 g2 composable, where
+    delta_g* * delta_g2 is c(rng g) times the delta at g^-1 g2, read
+    from row g^-1 of the composition table, and zero elsewhere; and the
+    stack over the masked g2 of G L(delta_g* * delta_g2)."""
+    t = conv.groupoid.codes
+    c = object_weights(conv.groupoid, conv.weights)
+    gram = np.diag(conv.space.gram_diagonal())
+    for g, op in enumerate(conv.ops):
+        row = t.comp[t.inv[g]]
+        yield (op.conj().T @ gram @ conv.ops, row >= 0,
+               gram @ (c[t.rng[g]] * conv.ops[row[row >= 0]]))
+
+
 def _old_star_pairs(conv):
     """The certificate through structure-constant deltas and a sum over
     all arrows."""
@@ -118,7 +139,7 @@ def test_star_pairs_match_the_structure_constant_route(rep):
     conv = conv_rep_of(rep)
     n = len(rep.groupoid.arrows)
     new = []
-    for lhs, hit, rhs in star_pairs(conv):
+    for lhs, hit, rhs in _dense_star_pairs(conv):
         full = np.zeros_like(lhs)
         full[hit] = rhs
         new += zip(lhs, full)
@@ -127,6 +148,133 @@ def test_star_pairs_match_the_structure_constant_route(rep):
         for (lhs, rhs), (lhs0, rhs0) in zip(new, old):
             assert lhs.tobytes() == lhs0.tobytes()
             assert rhs.tobytes() == rhs0.tobytes()
+
+
+def _compressed(conv, frame):
+    """M(g) = F* G L(g) F for every arrow, F the frame of a disintegration."""
+    return frame.adjoint().matrix @ conv.ops @ frame.matrix
+
+
+@pytest.mark.parametrize("rep", [r for _, r in CASES], ids=IDS)
+def test_range_pair_certificate_matches_the_dense_route(rep):
+    # the new certificate passes where the dense one does, covers exactly
+    # the pairs that share a range, and its two sides are the blocks of
+    # the dense sides conjugated by the frame; every dense product over
+    # two ranges vanishes, as the docstring lemma says once the off-block
+    # defect is 0
+    gpd = rep.groupoid
+    t, c = gpd.codes, object_weights(gpd, rep.weights)
+    conv = conv_rep_of(rep)
+    rep2, out = disintegrate(conv)
+    check = next(ch for ch in out.checks if ch.name == "star-certificate")
+    assert check.passed and check.defect <= 1e-12
+    f = rep2.frame.matrix
+    blocks = _fibre_blocks(gpd, rep2.module, _compressed(conv, rep2.frame))
+    defects, pairs = _star_certificate(gpd, c, blocks)
+    same = np.nonzero(t.rng[:, None] == t.rng)
+    assert sorted(map(tuple, pairs.tolist())) == sorted(zip(*same))
+    assert np.all(defects <= 1e-12)
+    m = blocks.shape[-1]
+    start = np.searchsorted(rep2.module.left_codes,
+                            np.arange(len(gpd.objects) + 1))
+    fibre = [slice(a, b) for a, b in zip(start, start[1:])]
+    dense = list(_dense_star_pairs(conv))
+    assert max(relative_defects(lhs[hit], rhs).max()
+               for lhs, hit, rhs in dense) <= 1e-12
+    for g, (lhs, hit, rhs) in enumerate(dense):
+        full = np.zeros_like(lhs)
+        full[hit] = rhs
+        lhs_c = f.conj().T @ lhs @ f
+        rhs_c = f.conj().T @ full @ f
+        for g2 in range(len(gpd.arrows)):
+            if t.rng[g] != t.rng[g2]:
+                assert max_abs(lhs[g2]) == 0.0 and max_abs(full[g2]) == 0.0
+                continue
+            rows, cols = fibre[t.src[g]], fibre[t.src[g2]]
+            want = blocks[g].conj().T @ blocks[g2]
+            want_r = c[t.rng[g]] * blocks[t.comp[t.inv[g], g2]]
+            got = np.zeros((m, m), dtype=complex)
+            got_r = np.zeros((m, m), dtype=complex)
+            nr, nc = rows.stop - rows.start, cols.stop - cols.start
+            got[:nr, :nc] = lhs_c[g2, rows, cols]
+            got_r[:nr, :nc] = rhs_c[g2, rows, cols]
+            assert relative_defect(got, want) <= 1e-12
+            assert relative_defect(got_r, want_r) <= 1e-12
+
+
+@pytest.mark.parametrize("rep", [r for _, r in CASES], ids=IDS)
+def test_offrange_products_within_the_lemma_bound(rep):
+    # with off-block entries put in on purpose, each compressed product
+    # over two ranges stays below D e (2 m + e) c(src g) c(src g2)
+    gpd = rep.groupoid
+    t, c = gpd.codes, object_weights(gpd, rep.weights)
+    conv = conv_rep_of(rep)
+    rep2, _ = disintegrate(conv)
+    space, lc = conv.space, conv.space.left_codes
+    rng = SplitMix64(12)
+    ops = conv.ops.copy()
+    for g in range(len(gpd.arrows)):
+        outside = np.flatnonzero(lc != t.rng[g])
+        if outside.size:
+            r = outside[rng.randint(outside.size)]
+            ops[g, r, rng.randint(space.dim)] += 1e-7 * c[t.src[g]]
+    big = _compressed(ConvRep(gpd, rep.weights, space, ops), rep2.frame)
+    small = big / c[t.src, None, None]
+    ml = rep2.module.left_codes
+    inside = (ml == t.rng[:, None])[:, :, None] & \
+        (ml == t.src[:, None])[:, None, :]
+    e = max_abs(np.where(inside, 0.0, small))
+    m, dim = max_abs(small), rep2.module.dim
+    if e == 0.0:
+        pytest.skip("one fibre only: no pair spans two ranges")
+    for g in range(len(gpd.arrows)):
+        for g2 in np.flatnonzero(t.rng != t.rng[g]):
+            prod = big[g].conj().T @ big[g2]
+            bound = dim * e * (2 * m + e) * c[t.src[g]] * c[t.src[g2]]
+            assert max_abs(prod) <= bound * (1 + 1e-12)
+
+
+def _non_unit(gpd):
+    """The position of the first arrow that is not a unit, or None."""
+    units = set(gpd.codes.unit.tolist())
+    return next((i for i in range(len(gpd.arrows)) if i not in units), None)
+
+
+@pytest.mark.parametrize("rep", [r for _, r in CASES], ids=IDS)
+def test_certificate_mutants_fail_on_their_own_side(rep):
+    gpd = rep.groupoid
+    t = gpd.codes
+    conv = conv_rep_of(rep)
+    lc = conv.space.left_codes
+    i = _non_unit(gpd)
+    if i is None:
+        pytest.skip("units only")
+    rows = np.flatnonzero(lc == t.rng[i])
+    cols = np.flatnonzero(lc == t.src[i])
+    others = np.flatnonzero(lc != t.rng[i])
+    if not (rows.size and cols.size and others.size):
+        pytest.skip("no fibre outside the block")
+    r, col = rows[0], cols[0]
+
+    def failing(ops):
+        with pytest.raises(VerificationError) as err:
+            disintegrate(ConvRep(gpd, rep.weights, conv.space, ops))
+        return {line.split()[1] for line in str(err.value).splitlines()
+                if line.startswith("FAIL ")}
+
+    # an entry moved out of its block, to a row of another fibre
+    moved = conv.ops.copy()
+    moved[i, others[0], col], moved[i, r, col] = moved[i, r, col], 0.0
+    assert "compression-offblock" in failing(moved)
+    # a change inside the block: delta_g* delta_g is no longer c(rng g)
+    # times the unit at src g
+    bent = conv.ops.copy()
+    bent[i, r, col] += 1e-6 * max(1.0, max_abs(bent[i]))
+    assert failing(bent) == {"star-certificate"}
+    dense = max(relative_defects(lhs[hit], rhs).max() for lhs, hit, rhs
+                in _dense_star_pairs(ConvRep(gpd, rep.weights, conv.space,
+                                             bent)))
+    assert dense > 1e-9
 
 
 def _old_support_pattern(conv):
@@ -206,9 +354,9 @@ def test_oracle_matches_the_entry_loop(rep):
     funcs = [random_function(rng, gpd) for _ in range(2)]
     funcs += [delta_function(gpd, gpd.arrows[-1]),
               1.0 / np.arange(1.0, len(gpd.arrows) + 1.0) + 0j]
-    for f in funcs:
-        assert oracle_integrate(rep, f).matrix.tobytes() \
-            == _old_oracle(rep, _labels(gpd, f)).tobytes()
+    oracle = oracle_integrate(blockwise(rep), np.array(funcs))
+    for f, ora in zip(funcs, oracle):
+        assert ora.tobytes() == _old_oracle(rep, _labels(gpd, f)).tobytes()
 
 
 @pytest.mark.parametrize("rep", [r for _, r in CASES], ids=IDS)
@@ -237,12 +385,12 @@ def _old_sqrt_factors(f, order):
 
 def test_sqrt_factors_match_the_old_loops(monkeypatch):
     seen = []
-    creation = intdis.creation
+    split = intdis._sqrt_split
 
-    def kept(space, xi):
-        seen.append(xi)
-        return creation(space, xi)
-    monkeypatch.setattr(intdis, "creation", kept)
+    def kept(funcs):
+        seen.append(split(funcs))
+        return seen[-1]
+    monkeypatch.setattr(intdis, "_sqrt_split", kept)
     rng = SplitMix64(11)
     for name, rep in CASES:
         gpd = rep.groupoid
@@ -252,14 +400,38 @@ def test_sqrt_factors_match_the_old_loops(monkeypatch):
         f[:3] = 0.0, -2.5, complex(np.nan, 0.0)
         seen.clear()
         integrate_rep(rep, f)
-        source, target = seen
+        [(target, source)] = seen
         old_target, old_source = _old_sqrt_factors(_labels(gpd, f),
                                                    gpd.arrows)
-        assert source.tobytes() == old_source.tobytes(), name
-        assert target.tobytes() == old_target.tobytes(), name
+        assert source[0].tobytes() == old_source.tobytes(), name
+        assert target[0].tobytes() == old_target.tobytes(), name
         # the NaN arrow: no range factor, a NaN source factor
-        assert target[2] == 0.0 and np.isnan(source[2]), name
-        assert target[0] == source[0] == 0.0, name
+        assert target[0, 2] == 0.0 and np.isnan(source[0, 2]), name
+        assert target[0, 0] == source[0, 0] == 0.0, name
+
+
+@pytest.mark.parametrize("rep", [r for _, r in CASES], ids=IDS)
+def test_stack_integrates_each_row_as_integrate_rep(rep):
+    gpd = rep.groupoid
+    n = len(gpd.arrows)
+    rng = SplitMix64(13)
+    funcs = [random_function(rng, gpd) for _ in range(4)]
+    funcs += [delta_function(gpd, g) for g in gpd.arrows]
+    holes = random_function(rng, gpd)
+    holes[::2] = 0.0
+    holes[n // 2] = complex(np.nan, 1.0)
+    funcs += [holes, np.zeros(n, dtype=complex), 1e6 * funcs[0]]
+    stack = _integrate(rep, np.array(funcs))
+    assert stack.shape == (len(funcs), rep.module.dim, rep.module.dim)
+    for f, op in zip(funcs, stack):
+        assert op.tobytes() == integrate_rep(rep, f).matrix.tobytes()
+    # a NaN value reaches the block of its arrow, and only that block
+    a, module = gpd.arrows[n // 2], rep.module
+    block = np.ix_(module.left_positions(gpd.rng[a]),
+                   module.left_positions(gpd.src[a]))
+    nan = np.isnan(stack[-3])
+    assert nan[block].any() == bool(nan[block].size)
+    assert nan.sum() == nan[block].sum()
 
 
 def _old_compression(conv, frame):
@@ -315,28 +487,31 @@ def _inside(name):
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Count integrate_rep calls per (representation, delta arrow) and
-    disintegrate calls.  check_integration tests integrate_rep itself on
-    a batch that holds the deltas, so its calls are left out."""
+    """Count the integrated delta rows per (representation, delta arrow)
+    and the disintegrate calls.  Every integration goes through
+    intdis._integrate, one stack of rows per call; check_integration
+    tests the integration itself on a batch that holds the deltas, so
+    its rows are left out."""
     seen = {"deltas": Counter(), "reps": [], "arrows": {},
             "disintegrate": 0}
-    integrate, disintegrate = intdis.integrate_rep, intdis.disintegrate
+    integrate, disintegrate = intdis._integrate, intdis.disintegrate
 
-    def counted_integrate(rep, f):
+    def counted_integrate(rep, funcs):
         if not _inside("check_integration"):
-            hot = np.flatnonzero(f).tolist()
-            assert len(hot) == 1 and f[hot[0]] == 1.0
-            if not any(r is rep for r in seen["reps"]):
-                seen["reps"].append(rep)
-                seen["arrows"][id(rep)] = rep.groupoid.arrows
-            seen["deltas"][(id(rep), rep.groupoid.arrows[hot[0]])] += 1
-        return integrate(rep, f)
+            for f in np.asarray(funcs):
+                hot = np.flatnonzero(f).tolist()
+                assert len(hot) == 1 and f[hot[0]] == 1.0
+                if not any(r is rep for r in seen["reps"]):
+                    seen["reps"].append(rep)
+                    seen["arrows"][id(rep)] = rep.groupoid.arrows
+                seen["deltas"][(id(rep), rep.groupoid.arrows[hot[0]])] += 1
+        return integrate(rep, funcs)
 
     def counted_disintegrate(conv, tol=1e-9):
         seen["disintegrate"] += 1
         return disintegrate(conv, tol)
 
-    monkeypatch.setattr(intdis, "integrate_rep", counted_integrate)
+    monkeypatch.setattr(intdis, "_integrate", counted_integrate)
     monkeypatch.setattr(intdis, "disintegrate", counted_disintegrate)
     monkeypatch.setattr(cli, "disintegrate", counted_disintegrate)
     return seen

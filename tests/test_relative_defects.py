@@ -161,9 +161,8 @@ def test_oracle_agreement_mutant(monkeypatch, objw):
     gpd, w, funcs, rep = _case(objw)
     oracle = intdis.oracle_integrate
 
-    def bent(rep, f):
-        m = oracle(rep, f)
-        return ModuleMap(m.source, m.target, m.matrix * (1.0 + 1e-6))
+    def bent(fam, funcs):
+        return oracle(fam, funcs) * (1.0 + 1e-6)
     monkeypatch.setattr(intdis, "oracle_integrate", bent)
     out = check_integration(rep, funcs)
     assert _failing(out) == {"oracle-agreement"}, str(out)
