@@ -7,7 +7,7 @@ statement in the library ships with an executable check that reports
 a defect and a witness instead of silently trusting the algebra.
 """
 
-from .report import Check, Report, VerificationError, max_abs, worst
+from .report import Check, Report, VerificationError, max_abs
 from .fingroupoid import (
     FiniteGroupoid,
     FIXTURE_NAMES,

@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .report import (Report, VerificationError, max_abs, max_abs_each,
-                     worst)
+                     worst_at)
 from .fingroupoid import transformation_groupoid
 from .reps import blockwise, check_cocycle, from_cocycle
 from .hilbmod import module_from_dims
@@ -645,7 +645,8 @@ def _exactly_once(products, ids):
 
 def _spread(mats):
     """Largest entrywise distance of the matrices from the first one."""
-    return worst((max_abs(m - mats[0]), None) for m in mats[1:])[0]
+    mats = np.asarray(mats)
+    return worst_at(abs(mats[1:] - mats[0]))[0]
 
 
 def crossed_product(sgrp):
@@ -742,8 +743,8 @@ def check_covariant_rep(cov, tol=1e-10):
         [max_abs_each(pts @ pts - pts),
          max_abs_each(pts - pts.conj().transpose(0, 2, 1))], axis=1), tol)
 
-    d = max_abs(pts.sum(axis=0) - np.eye(cov.dim))
-    rep.add("projections-sum", d <= tol, defect=d)
+    rep.add_worst_at("projections-sum", abs(pts.sum(axis=0) - np.eye(cov.dim)),
+                     tol)
 
     rep.add_worst_at("partial-isometries",
                      np.stack([max_abs_each(adj @ iso - dom),
@@ -790,8 +791,8 @@ def check_crossed_rep(alg, rho, tol=1e-10):
     adj = ops[:n].conj().transpose(0, 2, 1)
     rep.add_worst_at("star", max_abs_each(ops[alg.star_table] - adj), tol,
                      lambda k: k)
-    d = max_abs(ops[alg.unit_indices].sum(axis=0) - np.eye(dim))
-    rep.add("unital", d <= tol, defect=d)
+    rep.add_worst_at("unital", abs(ops[alg.unit_indices].sum(axis=0)
+                                   - np.eye(dim)), tol)
     return rep
 
 
@@ -805,8 +806,9 @@ def rep_of_crossed_to_covariant(alg, rho, tol=1e-10):
 
     mats = {label: [rho[alg.class_of[e, x]] for e in _covering(sgrp, x, "")]
             for x, label in enumerate(sgrp.carrier)}
-    out.add_worst("projection-well-defined",
-                  ((_spread(m), x) for x, m in mats.items()), tol)
+    out.add_worst_at("projection-well-defined",
+                     [_spread(m) for m in mats.values()], tol,
+                     lambda k: sgrp.carrier[k])
     projections = {x: m[0] for x, m in mats.items()}
 
     zero = np.zeros((dim, dim), dtype=complex)
@@ -830,8 +832,8 @@ def integrate_covariant(alg, cov, tol=1e-10):
     mats = cov.points[x] @ cov.iso[a]
     classes = [mats[bounds[i]:bounds[i + 1]] for i in range(alg.dim)]
     rho = {i: m[0] for i, m in enumerate(classes)}
-    out.add_worst("representative-independent",
-                  ((_spread(m), i) for i, m in enumerate(classes)), tol)
+    out.add_worst_at("representative-independent",
+                     [_spread(m) for m in classes], tol, lambda k: k)
     out.extend(check_crossed_rep(alg, rho, tol))
     return rho, out
 
@@ -1004,8 +1006,8 @@ def etale_battery(gpd, weights, sgrp=None, rep=None, tol=1e-10):
         back, back_rep = covariant_to_groupoid_rep(
             gpd, rep.weights, cov, tol)
         out.extend(back_rep, prefix="back-")
-        d = max_abs(back.umap.matrix - rep.umap.matrix)
-        out.add("translation-roundtrip", d <= tol, defect=d)
+        out.add_worst_at("translation-roundtrip",
+                         abs(back.umap.matrix - rep.umap.matrix), tol)
     return out
 
 
@@ -1050,20 +1052,21 @@ def transformation_theorem(order, action, rep=None, tol=1e-10):
         out.extend(partial_isometry_form(cov, tol), prefix="covariant-")
 
         lits = dict(zip(rep.groupoid.arrows, conv_rep_of(rep).ops))
-        defects = []
+        arrows, gaps = [], []
         for k in range(int(order)):
             a = next(el for el in sgrp.elements
                      if (k, gpd.objects[0]) in el.tag)
             w = cov.isometries[a]
             for x in gpd.objects:
                 g = (k, x)
-                want = cov.projections[gpd.rng[g]] @ w
-                defects.append((max_abs(lits[g] - want), g))
-        out.add_worst("integrated-agreement", defects, tol)
+                arrows.append(g)
+                gaps.append(lits[g] - cov.projections[gpd.rng[g]] @ w)
+        out.add_worst_at("integrated-agreement", max_abs_each(np.array(gaps)),
+                         tol, lambda i: arrows[i])
 
         back, back_rep = covariant_to_groupoid_rep(
             gpd, rep.weights, cov, tol)
         out.extend(back_rep, prefix="back-")
-        d = max_abs(back.umap.matrix - rep.umap.matrix)
-        out.add("translation-roundtrip", d <= tol, defect=d)
+        out.add_worst_at("translation-roundtrip",
+                         abs(back.umap.matrix - rep.umap.matrix), tol)
     return out

@@ -28,7 +28,7 @@ import json
 
 import numpy as np
 
-from .report import Report, max_abs
+from .report import Report, max_abs, worst_at
 from .measures import GradedSpace, compose_families, groupoid_families
 
 _GRADE_GUARD = 1e-13
@@ -229,15 +229,10 @@ def grade_leak(m, side):
     rows, cols, vals = rows[order], cols[order], vals[order]
     # np.hypot rounds like abs() on one entry, where np.abs may differ
     # by an ulp
-    leak = np.where(src[cols] == tgt[rows], 0.0,
-                    np.hypot(vals.real, vals.imag))
-    if not leak.size:
-        return 0.0, None
-    k = int(np.argmax(leak))
-    worst = float(leak[k])
-    if worst == 0.0:
-        return 0.0, None
-    return worst, (m.source.basis[cols[k]], m.target.basis[rows[k]])
+    d, k = worst_at(np.where(src[cols] == tgt[rows], 0.0,
+                             np.hypot(vals.real, vals.imag)))
+    return d, None if k is None else (m.source.basis[cols[k]],
+                                      m.target.basis[rows[k]])
 
 
 def _require_graded(m, side):
@@ -361,30 +356,30 @@ def creation(space, xi):
 def check_module_map(m, tol=1e-12):
     """Right module structure: no matrix mass across right grades."""
     rep = Report("module map")
-    worst, bad = grade_leak(m, "right")
-    rep.add("right-grade-preserved", worst <= tol, defect=worst, witness=bad)
+    leak, bad = grade_leak(m, "right")
+    rep.add_worst_at("right-grade-preserved", leak, tol, lambda k: bad)
     return rep
 
 
 def is_isometry(m, tol=1e-10):
     rep = check_module_map(m, tol)
-    d = entry_gap(m.adjoint().compose(m), identity_map(m.source))
-    rep.add("isometry", d <= tol, defect=d)
+    rep.add_worst_at("isometry", entry_gap(m.adjoint().compose(m),
+                                           identity_map(m.source)), tol)
     return rep
 
 
 def is_unitary(m, tol=1e-10):
     rep = is_isometry(m, tol)
-    d = entry_gap(m.compose(m.adjoint()), identity_map(m.target))
-    rep.add("coisometry", d <= tol, defect=d)
+    rep.add_worst_at("coisometry", entry_gap(m.compose(m.adjoint()),
+                                             identity_map(m.target)), tol)
     return rep
 
 
 def is_intertwiner(m, tol=1e-10):
     """Left module structure: no matrix mass across left grades."""
     rep = Report("intertwiner")
-    worst, bad = grade_leak(m, "left")
-    rep.add("left-grade-preserved", worst <= tol, defect=worst, witness=bad)
+    leak, bad = grade_leak(m, "left")
+    rep.add_worst_at("left-grade-preserved", leak, tol, lambda k: bad)
     return rep
 
 

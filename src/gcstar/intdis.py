@@ -29,13 +29,12 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .report import (Report, VerificationError, max_abs, max_abs_each,
-                     relative_defect, relative_defects)
-from .measures import fibre_sums, object_weights, pair_values
+from .report import Report, VerificationError, relative_defects
+from .measures import _relative_gaps, fibre_sums, object_weights, pair_values
 from .hilbmod import (ModuleMap, _entries, _join, creation, module_from_dims,
                       tensor_map)
-from .convalg import (_product, convolve, fiber_sups, identity_element,
-                      operator_norm, star)
+from .convalg import (_product, convolve, fiber_sups, i_norm,
+                      identity_element, operator_norm, star)
 from .reps import (CocycleFamily, blockwise, check_cocycle, check_intertwiner,
                    from_cocycle, induce)
 
@@ -122,8 +121,7 @@ def _check_star_hom(out, gpd, c, space, integrate, funcs, ops, ident, tol):
     functions to operators on space: integrate takes a stack (n, |A|) to
     (n, d, d), ops = integrate(funcs) and ident is the operator of the
     identity element; products run over consecutive funcs."""
-    d = max_abs(ident - np.eye(space.dim))
-    out.add("identity", d <= tol, defect=d)
+    out.add_worst_at("identity", abs(ident - np.eye(space.dim)), tol)
     prods = [convolve(gpd, c, f1, f2) for f1, f2 in zip(funcs, funcs[1:])]
     out.add_worst_at("multiplicative", relative_defects(
         integrate(_stack(gpd, prods)), ops[:-1] @ ops[1:]), tol)
@@ -154,13 +152,17 @@ def check_integration(rep, funcs, tol=1e-10):
     ident = integrate_rep(rep, identity_element(gpd, c)).matrix
     _check_star_hom(out, gpd, c, module, lambda fs: _integrate(rep, fs),
                     funcs, ops, ident, tol)
-    out.add_worst("norm-bound", (
-        (operator_norm(ModuleMap(module, module, op))
-         - integration_bound(gpd, c, f), None) for op, f in zip(ops, funcs)),
-        1e-9)
-    out.add_worst("bound-below-inorm", (
-        (float(np.sqrt(sup_r * sup_s)) - max(sup_r, sup_s), None)
-        for sup_r, sup_s in (fiber_sups(gpd, c, f) for f in funcs)), 1e-9)
+    # operator norm <= integration_bound <= i_norm, each step as a
+    # one-sided relative gap: relative_defects(lhs, min(lhs, rhs)) is
+    # (lhs - rhs) / max(1, |lhs|, |rhs|) where lhs > rhs, else 0
+    norms = np.array([operator_norm(ModuleMap(module, module, op))
+                      for op in ops])
+    bounds = np.array([integration_bound(gpd, c, f) for f in funcs])
+    inorms = np.array([i_norm(gpd, c, f) for f in funcs])
+    out.add_worst_at("norm-bound", relative_defects(
+        norms, np.minimum(norms, bounds)), 1e-9)
+    out.add_worst_at("bound-below-inorm", relative_defects(
+        bounds, np.minimum(bounds, inorms)), 1e-9)
     return out
 
 
@@ -217,7 +219,7 @@ def check_conv_rep(conv, funcs, tol=1e-10):
 
     # entry (b2, b) of the delta at g may be nonzero only from src(g) to
     # rng(g); np.hypot rounds like abs() (see hilbmod.grade_leak), and
-    # argmax finds the first largest entry or NaN, arrow-major, then
+    # the witness is the first largest entry or NaN, arrow-major, then
     # column b, then row b2
     space, arrows = conv.space, gpd.arrows
     code = space.left_lookup
@@ -225,20 +227,19 @@ def check_conv_rep(conv, funcs, tol=1e-10):
                      for g in arrows], dtype=np.intp).reshape(-1, 2, 1, 1)
     lc, ops = space.left_codes, conv.ops.transpose(0, 2, 1)
     leak = np.where((lc[:, None] == ends[:, 0]) & (lc == ends[:, 1]), 0.0,
-                    np.hypot(ops.real, ops.imag)).ravel()
-    k = int(np.argmax(leak)) if leak.size else -1
-    d, witness = (float(leak[k]) if k >= 0 else 0.0), None
-    if d != 0.0:
+                    np.hypot(ops.real, ops.imag))
+
+    def witness_of(k):
         g, b, b2 = np.unravel_index(k, ops.shape)
-        witness = (arrows[g], space.basis[b2], space.basis[b])
-    out.add("support-pattern", d <= tol, defect=d, witness=witness)
+        return arrows[g], space.basis[b2], space.basis[b]
+    out.add_worst_at("support-pattern", leak, tol, witness_of)
     return out
 
 
 def check_integrated_intertwiner(conv1, conv2, vmatrix, tol=1e-10):
     """A matrix V from the space of conv1 to that of conv2 commutes with
     every arrow delta: conv2(g) V == V conv1(g), compared by
-    relative_defect; the witness is the worst arrow.  Both families live
+    relative_defects; the witness is the worst arrow.  Both families live
     on one groupoid."""
     v = np.asarray(vmatrix, dtype=complex)
     out = Report("integrated intertwiner")
@@ -336,9 +337,8 @@ def check_pair_exchange(gpd, weights, functions):
         j = (i + 1) % len(funcs)
         lhs = inner_s(vals[i], vals[j])
         rhs = inner_r(ups[i], ups[j])
-        out.add_worst(f"exchange-{i}", (
-            (abs(a - b) / max(abs(a), abs(b), 1.0), g)
-            for g, a, b in zip(gpd.arrows, lhs.tolist(), rhs.tolist())), 1e-12)
+        out.add_worst_at(f"exchange-{i}", _relative_gaps(lhs, rhs), 1e-12,
+                         lambda k: gpd.arrows[k])
     return out
 
 
@@ -431,19 +431,20 @@ def disintegrate(conv, tol=1e-9):
     out = Report("disintegration")
 
     ident = conv.op(identity_element(gpd, c))
-    d = max_abs(ident.matrix - np.eye(space.dim))
-    out.add("nondegenerate", d <= tol, defect=d)
+    out.add_worst_at("nondegenerate", abs(ident.matrix - np.eye(space.dim)),
+                     tol)
 
-    dhat = np.sqrt(space.gram_diagonal())
+    gram = space.gram_diagonal()
+    dhat = np.sqrt(gram)
     projections = {x: conv.ops[u] / c[x] for x, u in
                    zip(gpd.objects, t.unit.tolist())}
-    out.add_worst("projections-idempotent", (
-        (max_abs(p @ p - p), None) for p in projections.values()), tol)
-    out.add_worst("projections-selfadjoint", (
-        (max_abs(ModuleMap(space, space, p).adjoint().matrix - p), None)
-        for p in projections.values()), tol)
-    d = max_abs(sum(projections.values()) - np.eye(space.dim))
-    out.add("projections-sum", d <= tol, defect=d)
+    units = np.array(list(projections.values()))
+    out.add_worst_at("projections-idempotent", abs(units @ units - units), tol)
+    out.add_worst_at("projections-selfadjoint", abs(
+        units.conj().transpose(0, 2, 1) * (gram / gram[:, None]) - units),
+        tol)
+    out.add_worst_at("projections-sum", abs(sum(units) - np.eye(space.dim)),
+                     tol)
 
     _require(out, "certificates failed")
 
@@ -459,11 +460,12 @@ def disintegrate(conv, tol=1e-9):
             hat = (dhat[idx][:, None] * sub) / dhat[idx][None, :]
             u, s, _ = np.linalg.svd(hat)
             rank = int(np.sum(s > 0.5))
-            spectrum += [(min(abs(val), abs(val - 1.0)), None) for val in s]
+            spectrum.append(np.minimum(abs(s), abs(s - 1.0)))
             dims[(x, w)] = rank
             cols = u[:, :rank] / dhat[idx][:, None]
             frame_cols[(x, w)] = (idx, cols)
-    out.add_worst("projection-spectrum", spectrum, tol)
+    out.add_worst_at("projection-spectrum", np.concatenate([[], *spectrum]),
+                     tol)
 
     total_rank = sum(dims.values())
     if total_rank != space.dim:
@@ -477,8 +479,8 @@ def disintegrate(conv, tol=1e-9):
         for i in range(cols.shape[1]):
             frame_mat[idx, module.index[(x, w, i)]] = cols[:, i]
     frame = ModuleMap(module, space, frame_mat)
-    d = max_abs(frame.adjoint().compose(frame).matrix - np.eye(module.dim))
-    out.add("frame-isometry", d <= tol, defect=d)
+    out.add_worst_at("frame-isometry", abs(
+        frame.adjoint().compose(frame).matrix - np.eye(module.dim)), tol)
 
     # module is graded over gpd.objects, so its left codes are object
     # positions
@@ -487,7 +489,7 @@ def disintegrate(conv, tol=1e-9):
         conv.ops / cw[t.src, None, None]) @ frame_mat
     at_rng, at_src = lc == t.rng[:, None], lc == t.src[:, None]
     off = np.where(at_rng[:, :, None] & at_src[:, None, :], 0.0, small)
-    out.add_worst_at("compression-offblock", max_abs_each(off), tol)
+    out.add_worst_at("compression-offblock", abs(off), tol)
     blocks = _fibre_blocks(gpd, module, small)
     defects, pairs = _star_certificate(
         gpd, cw, cw[t.src, None, None] * blocks)
@@ -577,8 +579,10 @@ def _naturality(rep, conv, rep2, conv2, tol):
     ebasis = module_from_dims(labels, ("e",), {
         (w, "e"): 1 + k % 2 for k, w in enumerate(labels)})
     big = conv_rep_of(induce(rep, ebasis))
-    out.add_worst("induction", (
-        (relative_defect(one, tensor_map(ModuleMap(space, space, op),
-                                         ebasis).matrix), g)
-        for g, one, op in zip(rep.groupoid.arrows, big.ops, conv.ops)), tol)
+    # one arrow at a time: the induced operators are the largest here
+    out.add_worst_at("induction", np.fromiter(
+        (relative_defects(one[None], tensor_map(
+            ModuleMap(space, space, op), ebasis).matrix[None])[0]
+         for one, op in zip(big.ops, conv.ops)), float, len(big.ops)), tol,
+        lambda k: rep.groupoid.arrows[k])
     return out

@@ -24,7 +24,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .report import Report, worst
+from .report import Report
 
 
 def _codes(grades, space):
@@ -204,6 +204,15 @@ def fibre_sums(codes, values, n):
     return out
 
 
+def _relative_gaps(lhs, rhs):
+    """|lhs - rhs| / max(|lhs|, |rhs|, 1) entrywise for two complex
+    arrays; np.hypot rounds as abs() does on one value, where np.abs
+    may differ by an ulp."""
+    gap, a, b = (np.hypot(z.real, z.imag) for z in (lhs - rhs, lhs, rhs))
+    with np.errstate(invalid="ignore"):  # inf / inf is NaN, as in Python
+        return gap / np.maximum(np.maximum(a, b), 1.0)
+
+
 def compose_families(lam, mu):
     """Family for the two-step fibration: weight(x) = lam(x) * mu(f(x)).
 
@@ -269,14 +278,13 @@ def groupoid_families(gpd, weights):
 
 
 def _family_equal(fam1, fam2):
-    """Worst absolute weight difference; inf on a map or point mismatch."""
+    """Absolute weight differences; inf on a map or point mismatch."""
     if set(fam1.basis) != set(fam2.basis):
         return math.inf
     for p in fam1.basis:
         if fam1.right[p] != fam2.right[p]:
             return math.inf
-    return worst((abs(fam1.weight[p] - fam2.weight[p]), None)
-                 for p in fam1.basis)[0]
+    return [abs(fam1.weight[p] - fam2.weight[p]) for p in fam1.basis]
 
 
 def check_family_identities(gpd, weights):
@@ -290,8 +298,7 @@ def check_family_identities(gpd, weights):
         ("mu2-via-lam1", fam.mu2, compose_families(fam.lam1, fam.alpha_r)),
     )
     for name, a, b in routes:
-        d = _family_equal(a, b)
-        rep.add(name, d == 0.0, defect=d)
+        rep.add_worst_at(name, _family_equal(a, b), 0.0)
     return rep
 
 
@@ -325,12 +332,10 @@ def check_iterated_integrals(gpd, weights, functions):
     rep = Report("iterated integrals")
     fam = groupoid_families(gpd, weights)
     for i, psi in enumerate(functions):
-        left, right = compare_integrals(gpd, weights, psi, fam)
-        defects = []
-        for x in gpd.objects:
-            scale = max(abs(left[x]), abs(right[x]), 1.0)
-            defects.append((abs(left[x] - right[x]) / scale, x))
-        rep.add_worst(f"exchange-{i}", defects, 1e-12)
+        left, right = (np.array([side[x] for x in gpd.objects])
+                       for side in compare_integrals(gpd, weights, psi, fam))
+        rep.add_worst_at(f"exchange-{i}", _relative_gaps(left, right),
+                         1e-12, lambda k: gpd.objects[k])
     return rep
 
 
@@ -400,20 +405,19 @@ def check_corr_isomorphism(c1, c2, phi, delta, tol=0.0):
                 if c2.right[phi[x]] != c1.right[x]), None)
     rep.add("right-grading", bad is None, witness=bad)
 
-    defects = []
-    for x in c1.basis:
-        y = phi[x]
-        want = delta[c2.right[y]] * c2.weight[y]
-        d = abs(c1.weight[x] - want) / max(abs(c1.weight[x]), 1.0)
-        defects.append((d, x))
-    rep.add_worst("weight-ratio", defects, tol)
+    def ratio_gap(x):
+        want = delta[c2.right[phi[x]]] * c2.weight[phi[x]]
+        return abs(c1.weight[x] - want) / max(abs(c1.weight[x]), 1.0)
+    rep.add_worst_at("weight-ratio", [ratio_gap(x) for x in c1.basis], tol,
+                     lambda k: c1.basis[k])
 
     try:
         forced = corr_ratio(c1, c2, phi)
     except ValueError as exc:
         rep.add("ratio-determined", False, witness=str(exc))
         return rep
-    rep.add_worst("ratio-determined",
-                  ((abs(delta[base] - val), base)
-                   for base, val in forced.items()), tol)
+    bases = list(forced)
+    rep.add_worst_at("ratio-determined",
+                     [abs(delta[base] - forced[base]) for base in bases], tol,
+                     lambda k: bases[k])
     return rep

@@ -4,24 +4,27 @@ A Report is an ordered list of named checks, each with a pass flag, a
 numeric defect (0.0 for exact structural checks) and an optional witness
 describing the first offending instance.
 
-A check over many instances reduces its (defect, witness) pairs with
-worst(): the defect is the largest value, starting from 0.0 (a negative
-gap reports 0.0), and the witness that of its first pair, None while
-every defect is 0.  The first NaN beats any number and keeps its own
-witness.  Report.add_worst passes iff defect <= tol, so NaN never does.
-worst_at is the same rule over an array of defects in row-major order,
-and Report.add_worst_at labels only the pair that wins.
+Every check with a tolerance goes through Report.add_worst_at, the one
+place a defect meets a tolerance: it reduces an array of defects with
+worst_at and passes iff defect <= tol, so NaN never does.  worst_at
+takes the largest defect in row-major order, starting from 0.0 (a
+negative gap reports 0.0), and the flat index of its first entry, None
+while every defect is 0; the first NaN beats any number and keeps its
+own index.  The caller names the winning index by witness_of(k), so a
+check over many instances labels only the one that wins, and a 0-d
+defect is a check over one instance.  Report.add stays for structural
+pass/fail checks.
 
-Two arrays that should agree are compared by relative_defect: the
-largest entry of their difference divided by the largest entry of
-either operand, or by 1 when both stay within 1 (a normwise relative
-error, Higham 2002).  So the scale of the weights does not decide the
-verdict, and a NaN or infinite entry still fails.
+Two arrays that should agree are compared by relative_defects, per
+instance along the first axis: the largest entry of their difference
+divided by the largest entry of either operand, or by 1 when both stay
+within 1 (a normwise relative error, Higham 2002).  So the scale of the
+weights does not decide the verdict, and a NaN or infinite entry still
+fails.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,19 +36,14 @@ def max_abs(x):
     return float(np.max(np.abs(x))) if x.size else 0.0
 
 
-def relative_defect(a, b):
-    """max_abs(a - b) / max(1, max_abs(a), max_abs(b))."""
-    return max_abs(np.subtract(a, b)) / max(1.0, max_abs(a), max_abs(b))
-
-
 def max_abs_each(x):
     """max_abs(x[i]) for each i along the first axis, as an array."""
     return np.abs(x).max(axis=tuple(range(1, x.ndim)), initial=0.0)
 
 
 def relative_defects(a, b):
-    """relative_defect(a[i], b[i]) for each i along the first axis, as
-    an array; b None stands for zeros."""
+    """max_abs(a[i] - b[i]) / max(1, max_abs(a[i]), max_abs(b[i])) for
+    each i along the first axis, as an array; b None stands for zeros."""
     gap = scale = max_abs_each(a)
     if b is not None:
         gap, scale = max_abs_each(a - b), np.maximum(scale, max_abs_each(b))
@@ -53,24 +51,16 @@ def relative_defects(a, b):
         return gap / np.maximum(scale, 1.0)
 
 
-def worst(pairs):
-    """(defect, witness) of the worst of (defect, witness) pairs."""
-    top, where = 0.0, None
-    for d, witness in pairs:
-        if math.isnan(d):
-            return d, witness
-        if d > top:
-            top, where = d, witness
-    return top, where
-
-
 def worst_at(defects):
-    """worst() of an array of defects in row-major order, as (defect,
+    """The worst of an array of defects in row-major order, as (defect,
     flat index of its witness or None)."""
-    # argmax takes the first NaN, else the first maximum, else the 0.0
-    d = np.append(0.0, defects)
-    k = int(np.argmax(d))
-    return float(d[k]), (k - 1 if k else None)
+    # argmax takes the first NaN, else the first maximum; ravel is a view
+    # of a contiguous array, not a copy
+    d = np.ravel(defects)
+    k = int(np.argmax(d)) if d.size else None
+    if k is None or d[k] <= 0.0:
+        return 0.0, None
+    return float(d[k]), k
 
 
 class VerificationError(Exception):
@@ -101,11 +91,6 @@ class Report:
         self.checks.append(Check(name, bool(passed), float(defect), witness))
         return self
 
-    def add_worst(self, name, pairs, tol):
-        """Add the check of worst(pairs): it passes iff defect <= tol."""
-        d, witness = worst(pairs)
-        return self.add(name, d <= tol, defect=d, witness=witness)
-
     def add_worst_at(self, name, defects, tol, witness_of=lambda k: None):
         """Add the check of worst_at(defects), the witness witness_of(k)
         of the winning flat index k; it passes iff defect <= tol."""
@@ -127,7 +112,7 @@ class Report:
         return [c for c in self.checks if not c.passed]
 
     def max_defect(self):
-        return worst((c.defect, None) for c in self.checks)[0]
+        return worst_at([c.defect for c in self.checks])[0]
 
     def require(self):
         if not self.ok:

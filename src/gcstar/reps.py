@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .report import Report, VerificationError, max_abs
+from .report import Report, VerificationError, worst_at
 from .measures import (GroupoidFamilies, arrow_correspondence,
                        check_corr_isomorphism, haar_system)
 from .hilbmod import (ModuleMap, _entries, associator, check_module_map,
@@ -170,33 +170,34 @@ def check_cocycle(fam, tol=1e-10):
     gpd = fam.groupoid
     rep = Report("cocycle family")
 
-    defects = []
-    for x in gpd.objects:
-        u = fam.unitaries[gpd.unit[x]]
-        defects.append((max_abs(u - np.eye(u.shape[0])), x))
-    rep.add_worst("unit-blocks", defects, tol)
+    def gap(a, b):
+        return worst_at(abs(a - b))[0]
 
-    defects = []
-    for (g, h) in gpd.composable_pairs():
-        lhs = fam.unitaries[gpd.comp[(g, h)]]
-        rhs = fam.unitaries[g] @ fam.unitaries[h]
-        defects.append((max_abs(lhs - rhs), (g, h)))
-    rep.add_worst("multiplicative", defects, tol)
+    units = [fam.unitaries[gpd.unit[x]] for x in gpd.objects]
+    rep.add_worst_at("unit-blocks", np.fromiter(
+        (gap(u, np.eye(len(u))) for u in units), float, len(units)), tol,
+        lambda k: gpd.objects[k])
+
+    pairs = gpd.composable_pairs()
+    rep.add_worst_at("multiplicative", np.fromiter(
+        (gap(fam.unitaries[gpd.comp[(g, h)]],
+             fam.unitaries[g] @ fam.unitaries[h]) for g, h in pairs),
+        float, len(pairs)), tol, lambda k: pairs[k])
 
     module = fam.module
     fibre = {x: module.weight_array[module.left_positions(x)]
              for x in gpd.objects}
-    defects = []
-    for g in gpd.arrows:
+
+    def unitarity(g):
         ws, wt, u = fibre[gpd.src[g]], fibre[gpd.rng[g]], fam.unitaries[g]
-        gram = u.conj().T @ (wt[:, None] * u)
         # an empty block between fibres of different sizes is flagged
-        # by the size test below, with defect 1
-        d = max_abs(gram - np.diag(ws)) if u.size else 0.0
-        if len(ws) != len(wt):
-            d = max(d, 1.0)
-        defects.append((d, g))
-    rep.add_worst("fiber-unitary", defects, tol)
+        # by the size test, with defect 1
+        gram = u.conj().T @ (wt[:, None] * u)
+        d = gap(gram, np.diag(ws)) if u.size else 0.0
+        return d if len(ws) == len(wt) else max(d, 1.0)
+    rep.add_worst_at("fiber-unitary", np.fromiter(
+        map(unitarity, gpd.arrows), float, len(gpd.arrows)), tol,
+        lambda k: gpd.arrows[k])
     return rep
 
 
@@ -256,8 +257,7 @@ def check_representation(rep, tol=1e-10):
     if not (same_space(d1.source, composed.source)
             and same_space(d1.target, composed.target)):
         raise VerificationError("face transfers landed on distinct bases")
-    d = entry_gap(d1, composed)
-    out.add("transfer-cocycle", d <= tol, defect=d)
+    out.add_worst_at("transfer-cocycle", entry_gap(d1, composed), tol)
     return out
 
 
@@ -310,7 +310,7 @@ def check_intertwiner(rep1, rep2, vmap, tol=1e-10):
     out = Report("intertwiner")
     out.extend(check_module_map(vmap, tol))
     leak, bad = grade_leak(vmap, "left")
-    out.add("object-grade-preserved", leak <= tol, defect=leak, witness=bad)
+    out.add_worst_at("object-grade-preserved", leak, tol, lambda k: bad)
     if not leak <= 1e-13:
         out.add("commutes", False, witness="blocked by grade mismatch")
         return out
@@ -319,9 +319,8 @@ def check_intertwiner(rep1, rep2, vmap, tol=1e-10):
     lift_t = tensor_map_left(rep1.target_leg, vmap)
     one = lift_t.compose(rep1.umap)
     two = rep2.umap.compose(lift_s)
-    d = entry_gap(one, two) / max(
-        1.0, *(max_abs(_entries(m)[2]) for m in (one, two)))
-    out.add("commutes", d <= tol, defect=d)
+    scale = max(1.0, *(worst_at(abs(_entries(m)[2]))[0] for m in (one, two)))
+    out.add_worst_at("commutes", entry_gap(one, two) / scale, tol)
     return out
 
 

@@ -29,8 +29,8 @@ from gcstar.intdis import (ConvRep, _fibre_blocks, _integrate,
                            _star_certificate, check_conv_rep, conv_rep_of,
                            disintegrate, integrate_rep, oracle_integrate)
 from gcstar.measures import object_weights
-from gcstar.report import (VerificationError, max_abs, relative_defect,
-                           relative_defects, worst)
+from gcstar.report import (VerificationError, max_abs, relative_defects,
+                           worst_at)
 from gcstar.reps import blockwise, from_cocycle
 from gcstar.sampling import (SplitMix64, random_cocycle, random_function,
                              random_groupoid)
@@ -198,8 +198,8 @@ def test_range_pair_certificate_matches_the_dense_route(rep):
             nr, nc = rows.stop - rows.start, cols.stop - cols.start
             got[:nr, :nc] = lhs_c[g2, rows, cols]
             got_r[:nr, :nc] = rhs_c[g2, rows, cols]
-            assert relative_defect(got, want) <= 1e-12
-            assert relative_defect(got_r, want_r) <= 1e-12
+            assert relative_defects(np.array([got, got_r]),
+                                    np.array([want, want_r])).max() <= 1e-12
 
 
 @pytest.mark.parametrize("rep", [r for _, r in CASES], ids=IDS)
@@ -280,16 +280,17 @@ def test_certificate_mutants_fail_on_their_own_side(rep):
 def _old_support_pattern(conv):
     gpd, space = conv.groupoid, conv.space
     ops = dict(zip(gpd.arrows, conv.ops))
-    defects = []
+    defects, witnesses = [], []
     for g in gpd.arrows:
         for b in space.basis:
             for b2 in space.basis:
                 if space.left[b] == gpd.src[g] \
                         and space.left[b2] == gpd.rng[g]:
                     continue
-                v = abs(ops[g][space.index[b2], space.index[b]])
-                defects.append((v, (g, b2, b)))
-    return worst(defects)
+                defects.append(abs(ops[g][space.index[b2], space.index[b]]))
+                witnesses.append((g, b2, b))
+    d, k = worst_at(np.array(defects))
+    return d, None if k is None else witnesses[k]
 
 
 def _leaky(conv, entries):
@@ -368,8 +369,9 @@ def test_op_matches_the_arrow_order_loop(rep):
     funcs += [star(gpd, funcs[0]), identity_element(gpd, rep.weights)]
     funcs += [delta_function(gpd, g) for g in gpd.arrows]
     for f in funcs:
-        assert relative_defect(conv.op(f).matrix,
-                               _old_op(conv, _labels(gpd, f))) <= 1e-14
+        assert relative_defects(conv.op(f).matrix[None],
+                                _old_op(conv, _labels(gpd, f))[None])[0] \
+            <= 1e-14
 
 
 def _old_sqrt_factors(f, order):

@@ -149,6 +149,27 @@ def test_pair_exchange_random():
         assert out.ok, f"{name}: {out}"
 
 
+def test_pair_exchange_matches_the_arrow_loop():
+    # the defect of each arrow by Python's abs() and max(), reduced to
+    # the first largest
+    rng = SplitMix64(35)
+    for name in FIXTURE_NAMES:
+        gpd, w = fixture(name)
+        pairs = gpd.composable_pairs()
+        funcs = [{p: rng.cgauss() for p in pairs} for _ in range(3)]
+        out = check_pair_exchange(gpd, w, funcs)
+        for i, check in enumerate(out.checks):
+            f1, f2 = funcs[i], funcs[(i + 1) % len(funcs)]
+            lhs = pair_inner_s(gpd, w, f1, f2).tolist()
+            rhs = pair_inner_r(gpd, w, upsilon(gpd, f1),
+                               upsilon(gpd, f2)).tolist()
+            defects = [abs(a - b) / max(abs(a), abs(b), 1.0)
+                       for a, b in zip(lhs, rhs)]
+            d = max(defects, default=0.0)
+            witness = gpd.arrows[defects.index(d)] if d else None
+            assert (check.defect, check.witness) == (d, witness), name
+
+
 def test_roundtrip_rep_random():
     rng = SplitMix64(36)
     for name in FIXTURE_NAMES:

@@ -259,6 +259,25 @@ def test_measure_family_rejects_nonpositive():
         GradedSpace(alpha.basis, alpha.left, alpha.right, bad)
 
 
+def test_iterated_integrals_match_the_object_loop():
+    # the defect of each object by Python's abs() and max(), reduced to
+    # the first largest
+    rng = SplitMix64(5)
+    for name in FIXTURE_NAMES:
+        gpd, w = fixture(name)
+        pairs = gpd.composable_pairs()
+        funcs = [{p: rng.cgauss() for p in pairs} for _ in range(3)]
+        out = check_iterated_integrals(gpd, w, funcs)
+        for psi, check in zip(funcs, out.checks):
+            left, right = compare_integrals(gpd, w, psi)
+            defects = [abs(left[x] - right[x])
+                       / max(abs(left[x]), abs(right[x]), 1.0)
+                       for x in gpd.objects]
+            d = max(defects, default=0.0)
+            witness = gpd.objects[defects.index(d)] if d else None
+            assert (check.defect, check.witness) == (d, witness), name
+
+
 def test_iterated_integrals_fail_on_nan():
     gpd, w = fixture("W2")
     rng = SplitMix64(5)

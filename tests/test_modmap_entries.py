@@ -22,7 +22,7 @@ from gcstar.hilbmod import (ModuleMap, associator, check_gamma,
 from gcstar.measures import (GradedSpace, arrow_correspondence,
                              check_corr_isomorphism, compose_families,
                              groupoid_families)
-from gcstar.report import Report, max_abs, relative_defect
+from gcstar.report import Report, max_abs, relative_defects
 from gcstar.reps import (Representation, blockwise, check_cocycle,
                          check_intertwiner, check_representation,
                          face_transfer, from_cocycle, induce,
@@ -220,7 +220,7 @@ def ref_check_intertwiner(rep1, rep2, vmap, tol=1e-10):
     lift_t = ref_tensor_map_left(rep1.target_leg, vmap)
     one = lift_t.compose(dense(rep1.umap))
     two = dense(rep2.umap).compose(lift_s)
-    d = relative_defect(one.matrix, two.matrix)
+    d = relative_defects(one.matrix[None], two.matrix[None])[0]
     out.add("commutes", d <= tol, defect=d)
     return out
 

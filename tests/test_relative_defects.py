@@ -3,7 +3,7 @@
 Object weights spanning six and twelve decades make the operands of
 the algebra and operator identities reach 1e12, where absolute defects
 of a few ulps already exceed the tolerance.  The checks below compare
-with report.relative_defect, so they pass there; each keeps a mutant
+with report.relative_defects, so they pass there; each keeps a mutant
 that fails it at unit weights and at the widest weights.
 """
 
@@ -17,7 +17,7 @@ from gcstar.hilbmod import ModuleMap
 from gcstar.intdis import (ConvRep, check_conv_rep, check_integration,
                            check_naturality, conv_rep_of, disintegrate,
                            roundtrip_rep)
-from gcstar.report import VerificationError, max_abs, relative_defect
+from gcstar.report import VerificationError, max_abs, relative_defects
 from gcstar.reps import from_cocycle
 from gcstar.sampling import SplitMix64, random_cocycle, random_function
 
@@ -41,14 +41,21 @@ def _failing(out):
     return {c.name for c in out.failures()}
 
 
-def test_relative_defect_rule():
-    assert relative_defect([1.0, 2.0], [1.0, 2.5]) == 0.5 / 2.5
+def test_relative_defects_rule():
+    def one(a, b):
+        return relative_defects(np.array([a]), np.array([b]))[0]
+    assert one([1.0, 2.0], [1.0, 2.5]) == 0.5 / 2.5
     # absolute while both operands stay within 1
-    assert relative_defect([1e-3], [2e-3]) == 1e-3
-    assert relative_defect(np.zeros((0, 0)), np.zeros((0, 0))) == 0.0
-    assert relative_defect([1e12 + 1e-3j], [1e12]) == 1e-3 / abs(1e12 + 1e-3j)
-    assert np.isnan(relative_defect([np.nan], [1.0]))
-    assert np.isnan(relative_defect([np.inf], [1.0]))
+    assert one([1e-3], [2e-3]) == 1e-3
+    assert one(np.zeros((0, 0)), np.zeros((0, 0))) == 0.0
+    assert one([1e12 + 1e-3j], [1e12]) == 1e-3 / abs(1e12 + 1e-3j)
+    assert np.isnan(one([np.nan], [1.0]))
+    assert np.isnan(one([np.inf], [1.0]))
+    # one defect per row of the stack, and b None stands for zeros
+    a = np.array([[[1.0, 2.0]], [[1e-3, 0.0]]])
+    b = np.array([[[1.0, 2.5]], [[2e-3, 0.0]]])
+    assert relative_defects(a, b).tolist() == [0.5 / 2.5, 1e-3]
+    assert relative_defects(a, None).tolist() == [1.0, 1e-3]
 
 
 @pytest.mark.parametrize("objw", WIDE, ids=["1e3", "1e6"])
@@ -225,3 +232,64 @@ def test_naturality_induction_mutant(monkeypatch, objw):
     monkeypatch.setattr(intdis, "induce", bent)
     out = check_naturality(rep, conv, rep2)
     assert _failing(out) == {"induction"}, str(out)
+
+
+# ---------------------------------------------------------------------------
+# norm inequalities: operator norm <= integration bound <= I-norm, and the
+# C*-norm <= I-norm, each as a one-sided relative gap
+
+NORM_SCALES = [(1e9, 1e9, 1e9), (1e-9, 1.0, 1e9), (1e-12, 1.0, 1e12)]
+NORM_IDS = ["uniform-1e9", "1e9", "1e12"]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("objw", NORM_SCALES, ids=NORM_IDS)
+def test_norm_inequalities_pass_at_wide_weights(objw, seed):
+    # an absolute gap of 1e-9 failed norm-bound in check_integration here,
+    # with defects from 2.4e-7 to 4.9e-4: the norms reach 1e9 to 1e12
+    gpd, w, funcs, rep = _case(objw, seed)
+    for out in (check_convolution(gpd, w, funcs),
+                check_integration(rep, funcs)):
+        assert out.ok, str(out)
+        got = {c.name: c.defect for c in out.checks}
+        assert got["norm-bound"] <= 1e-14, str(out)
+    assert got["bound-below-inorm"] <= 1e-14, str(out)
+
+
+def _doubled(rep):
+    """rep with every entry of its unitary scaled by 2."""
+    u = rep.umap
+    rep.umap = ModuleMap(u.source, u.target,
+                         entries=(u.rows, u.cols, 2.0 * u.vals))
+    return rep
+
+
+@pytest.mark.parametrize("objw", [(1.0, 1.0, 1.0)] + NORM_SCALES,
+                         ids=["unit"] + NORM_IDS)
+def test_norm_bound_mutants(monkeypatch, objw):
+    # a unitary scaled by 2 integrates every delta to twice its bound
+    gpd, w, funcs, rep = _case(objw)
+    assert "norm-bound" in _failing(check_integration(_doubled(rep), funcs))
+    # so does left convolution scaled by 2
+    regular = convalg.regular_matrix
+
+    def doubled(gpd, weights, f):
+        m = regular(gpd, weights, f)
+        return ModuleMap(m.source, m.target, 2.0 * m.matrix)
+    monkeypatch.setattr(convalg, "regular_matrix", doubled)
+    assert "norm-bound" in _failing(check_convolution(gpd, w, funcs))
+
+
+@pytest.mark.parametrize("objw", [(1.0, 1.0, 1.0)] + NORM_SCALES,
+                         ids=["unit"] + NORM_IDS)
+def test_bound_below_inorm_mutant(monkeypatch, objw):
+    # The geometric mean of the two fibre sups never exceeds the larger
+    # one, so on the true integration bound this check fails only on a
+    # NaN, and a NaN function stops operator_norm before it.  What it
+    # guards is the bound itself: the sum of the sups in its place.
+    gpd, w, funcs, rep = _case(objw)
+
+    def summed(gpd, weights, f):
+        return float(sum(convalg.fiber_sups(gpd, weights, f)))
+    monkeypatch.setattr(intdis, "integration_bound", summed)
+    assert _failing(check_integration(rep, funcs)) == {"bound-below-inorm"}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gcstar.report import Check, Report, VerificationError, max_abs, worst
+from gcstar.report import Check, Report, VerificationError, max_abs, worst_at
 
 
 def test_empty_report_is_ok():
@@ -54,35 +54,46 @@ def test_max_abs():
     assert type(max_abs(np.ones(2))) is float
 
 
-def test_worst_rule():
+def test_worst_at_rule():
     nan = float("nan")
-    assert worst([]) == (0.0, None)
-    assert worst([(0.0, "a"), (0.0, "b")]) == (0.0, None)
+    assert worst_at([]) == (0.0, None)
+    assert worst_at(np.zeros((2, 3))) == (0.0, None)
     # a negative gap reports 0.0
-    assert worst([(-2.0, "a"), (-1.0, "b")]) == (0.0, None)
-    # ties go to the first pair reaching the largest value
-    assert worst([(1.0, "a"), (3.0, "b"), (3.0, "c"), (2.0, "d")]) \
-        == (3.0, "b")
+    assert worst_at([-2.0, -1.0]) == (0.0, None)
+    # ties go to the first entry reaching the largest value, row-major
+    assert worst_at([1.0, 3.0, 3.0, 2.0]) == (3.0, 1)
+    assert worst_at([[1.0, 2.0], [3.0, 3.0]]) == (3.0, 2)
     # the first NaN beats any number, before or after it
-    for pairs in ([(nan, "a"), (5.0, "b")], [(5.0, "b"), (nan, "a")],
-                  [(1.0, "c"), (nan, "a"), (nan, "d"), (9.0, "e")]):
-        d, witness = worst(pairs)
-        assert np.isnan(d) and witness == "a"
-    d, witness = worst(iter([(np.float64(nan), None)]))
-    assert np.isnan(d) and witness is None
+    for defects, at in (([nan, 5.0], 0), ([5.0, nan], 1),
+                        ([1.0, nan, nan, 9.0], 1)):
+        d, k = worst_at(np.array(defects))
+        assert np.isnan(d) and k == at
+    # a 0-d defect is one instance
+    assert worst_at(np.float64(2.5)) == (2.5, 0)
+    assert worst_at(0.0) == (0.0, None)
+    d, k = worst_at(np.float64(nan))
+    assert np.isnan(d) and k == 0
+    assert type(worst_at(np.float32(0.5))[0]) is float
 
 
-def test_add_worst_passes_iff_defect_within_tol():
+def test_add_worst_at_passes_iff_defect_within_tol():
     rep = Report()
-    rep.add_worst("at-tol", [(1e-10, "a"), (2e-11, "b")], 1e-10)
-    rep.add_worst("above", [(1e-10, "a"), (2e-10, "b")], 1e-10)
-    rep.add_worst("nan", [(0.0, "a"), (float("nan"), "b")], 1e-10)
-    rep.add_worst("empty", [], 0.0)
+    labels = "ab"
+    rep.add_worst_at("at-tol", [1e-10, 2e-11], 1e-10, labels.__getitem__)
+    rep.add_worst_at("above", [1e-10, 2e-10], 1e-10, labels.__getitem__)
+    rep.add_worst_at("nan", [0.0, float("nan")], 1e-10, labels.__getitem__)
+    rep.add_worst_at("empty", [], 0.0, labels.__getitem__)
+    rep.add_worst_at("zero-d", 3e-10, 1e-10, lambda k: "one")
+    rep.add_worst_at("zero-d-clean", 0.0, 0.0, lambda k: "one")
+    rep.add_worst_at("no-witness", [5.0], 1.0)
     got = [(c.name, c.passed, c.witness) for c in rep.checks]
     assert got == [("at-tol", True, "a"), ("above", False, "b"),
-                   ("nan", False, "b"), ("empty", True, None)]
+                   ("nan", False, "b"), ("empty", True, None),
+                   ("zero-d", False, "one"), ("zero-d-clean", True, None),
+                   ("no-witness", False, None)]
     assert rep.checks[1].defect == 2e-10
     assert np.isnan(rep.checks[2].defect)
+    assert rep.checks[4].defect == 3e-10
 
 
 @pytest.mark.parametrize("where", [0, 1, 2])
