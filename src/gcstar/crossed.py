@@ -21,10 +21,19 @@ the label views, theta and basis.
 The closure holds a bisection as an int vector over the objects, the
 arrow leaving each object (-1 where none does), composes vectors by
 gathers from gpd.codes and finds products among the known vectors by a
-binary search of their sorted keys.  The covariant checks stack the
-operators along the element axis and multiply one row of pairs at a
-time; the translation back to blocks reads the element x arrow tag
-matrix and cuts every block it compares in one gather per block shape.
+binary search of their sorted keys.  The semigroup keeps those vectors,
+and two quadratic certificates stand in for the two scans cubic in |S|
+where their lemmas hold: the vectors embed S in the bisections of the
+groupoid (associativity, action-multiplicative; see InverseSemigroup),
+and a least element below every element through each arrow realizes
+all meets (meets-realized; see _meets_realized).  Where a certificate
+fails, the scan decides.  The certificate products, the germ and
+crossed product tables (reduced by class with reduceat) and the
+restriction and covariance checks (stacked over the pairs of the order
+and of the action) run in chunks of 2^16 or, for the operator stacks,
+2^14 entries; the translation back to blocks reads the element x arrow
+tag matrix and cuts every block it compares in one gather per block
+shape.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ import numpy as np
 
 from .report import (Report, VerificationError, max_abs, max_abs_each,
                      worst_at)
-from .fingroupoid import transformation_groupoid
+from .fingroupoid import _first_nonassociative, transformation_groupoid
 from .reps import blockwise, check_cocycle, from_cocycle
 from .hilbmod import module_from_dims
 from .intdis import conv_rep_of
@@ -165,7 +174,26 @@ class InverseSemigroup:
     act[a, x] the image of x under a, -1 off its domain.  The
     constructor derives the order once, le[a, b] for a <= b (a = b a* a),
     and the idempotent flags idem; theta is the label view of act.
-    Validation is exhaustive.
+
+    Validation is exhaustive apart from two scans cubic in |S|, which a
+    certificate may stand in for where a lemma makes it imply the
+    verdict; where the certificate fails, the scan runs and decides, so
+    verdicts and witnesses are those of the scans.  A semigroup built by
+    semigroup_from_bisections carries bisections = (groupoid, vectors),
+    vectors[a] the arrow leaving each object under element a, -1 where
+    none does; one built from tables carries None and keeps the scans.
+
+    Lemma (Wagner-Preston; Lawson, Inverse Semigroups, 1998).  Suppose
+    the vectors are pairwise distinct; vectors[mul[a, b]] is vectors[a]
+    after vectors[b] for every pair, the arrow at x being g h for h the
+    arrow of b at x and g that of a at rng(h), -1 where either is
+    missing; act is rng of the vectors; and the groupoid's composition is
+    defined exactly on composable pairs, keeps the outer ends and is
+    associative.  Then composing vectors is associative, a -> vectors[a]
+    embeds S in it, so associativity holds, and act[ab] is act[a] after
+    act[b], so action-multiplicative holds.  The certificate checks the
+    products in row chunks of about 2^16 entries, |S|^2 |objects| in all,
+    and the groupoid's composition on its composable triples.
 
     The tables are read-only copies, so what is derived from them is
     derived once and cannot go stale: the source side germ tables
@@ -175,7 +203,7 @@ class InverseSemigroup:
     until a full garbage collection.
     """
 
-    def __init__(self, elements, mul, star, act, carrier):
+    def __init__(self, elements, mul, star, act, carrier, bisections=None):
         self.elements = tuple(elements)
         self.carrier = tuple(carrier)
         n, m = len(self.elements), len(self.carrier)
@@ -189,6 +217,11 @@ class InverseSemigroup:
         if not (_outside(self.mul, n).any() or _outside(self.star, n).any()):
             self.le = self.mul[:, self.mul[self.star, ids]].T == ids[:, None]
         _freeze(self.mul, self.star, self.act, self.idem, self.le)
+        if bisections is not None:
+            gpd, vectors = bisections
+            bisections = gpd, _freeze(np.array(
+                vectors, dtype=np.intp).reshape(n, len(gpd.objects)))[0]
+        self.bisections = bisections
         self.theta = {a: {self.carrier[x]: self.carrier[y]
                           for x, y in enumerate(row) if y >= 0}
                       for a, row in zip(self.elements, self.act.tolist())}
@@ -233,8 +266,10 @@ class InverseSemigroup:
         if bad is not None:
             return rep
 
+        embedded = _embedded(self)
         checks = (
-            ("associativity", _scan(n, lambda a: mul[mul[a]] != mul[a][mul])),
+            ("associativity", None if embedded else
+             _scan(n, lambda a: mul[mul[a]] != mul[a][mul])),
             ("involution", _first(star[star] != ids)),
             ("involution-antimultiplicative",
              _first(star[mul] != mul[np.ix_(star, star)].T)),
@@ -257,12 +292,44 @@ class InverseSemigroup:
             ("action-involution",
              _first((act[star] != _inverse_action(act)).any(axis=1))),
             # row b of the composite: a after b, -1 where it is undefined
-            ("action-multiplicative", _scan(n, lambda a: (act[mul[a]] != (
-                np.where(act >= 0, act[a][act], -1))).any(axis=1))),
+            ("action-multiplicative", None if embedded else
+             _scan(n, lambda a: (act[mul[a]] != (
+                 np.where(act >= 0, act[a][act], -1))).any(axis=1))),
             ("action-idempotent-identity", _first(idem & moved.any(axis=1))))
         for name, bad in checks:
             rep.add(name, bad is None, witness=self.label(bad))
         return rep
+
+
+def _embedded(sgrp, size=2 ** 16):
+    """Whether the bisection vectors certify associativity and
+    action-multiplicative, by the lemma of InverseSemigroup."""
+    if sgrp.bisections is None:
+        return False
+    gpd, vecs = sgrp.bisections
+    t = gpd.codes
+    n, m = vecs.shape
+    g, h = t.pairs
+    gh = t.comp[g, h]
+    # a trailing -1 entry on each table, so that the index -1 reads -1
+    rng = np.append(t.rng, -1)
+    comp = np.pad(t.comp, (0, 1), constant_values=-1)
+    ordered = vecs[np.lexsort(vecs.T)] if m else vecs
+    distinct = not (ordered[1:] == ordered[:-1]).all(axis=1).any()
+    if not (distinct and np.array_equal(sgrp.act, rng[vecs])
+            and np.array_equal(t.comp >= 0, t.src[:, None] == t.rng)
+            and np.array_equal(t.src[gh], t.src[h])
+            and np.array_equal(t.rng[gh], t.rng[g])
+            and _first_nonassociative(t.comp) is None):
+        return False
+    left = np.pad(vecs, ((0, 0), (0, 1)), constant_values=-1)
+    step = max(1, size // max(n * m, 1))
+    for a in range(0, n, step):
+        # row a: vectors[a] after vectors[b] for every b
+        after = comp[left[a:a + step][:, rng[vecs]], vecs]
+        if not np.array_equal(vecs[sgrp.mul[a:a + step]], after):
+            return False
+    return True
 
 
 def semigroup_from_bisections(gpd, generators):
@@ -362,7 +429,8 @@ def semigroup_from_bisections(gpd, generators):
     rank = np.argsort(order)
     return InverseSemigroup(
         [labels[k] for k in order], rank[prod[np.ix_(order, order)]],
-        rank[place(inverse(vecs), n)[order]], rng[vecs[order, :m]], objs)
+        rank[place(inverse(vecs), n)[order]], rng[vecs[order, :m]], objs,
+        bisections=(gpd, vecs[order, :m]))
 
 
 def bisection_semigroup(gpd):
@@ -370,19 +438,46 @@ def bisection_semigroup(gpd):
     return semigroup_from_bisections(gpd, all_bisections(gpd))
 
 
+def _meets_realized(le, tags):
+    """Whether the order and the tags certify meets-realized.
+
+    Lemma (after Exel 2008, on wide semigroups of bisections).  Suppose
+    v <= a implies tag(v) within tag(a), and for every arrow g the first
+    element of least tag size whose tag holds g lies below every element
+    whose tag holds g.  Then for every pair (a, b), the union of the
+    tags below both a and b is the meet of their tags: it lies in the
+    meet by the first part, and each arrow of the meet lies in the tag
+    of its least element, which lies below a and b.  The first part is
+    one |S| x |S| product, tags against their complements.
+    """
+    if not len(tags):
+        return True
+    t = tags.astype(np.float32)
+    if (le & (t @ (1 - t).T > 0)).any():
+        return False
+    size = np.where(tags, tags.sum(axis=1)[:, None], tags.shape[1] + 1)
+    least = size.argmin(axis=0)
+    return not (tags & ~le[least].T).any()
+
+
 def is_wide(gpd, sgrp):
-    """Tags cover all arrows and meets of tags are unions of tags."""
+    """Tags cover all arrows and meets of tags are unions of tags.
+
+    meets-realized scans every pair against the whole order, |S|^3 in
+    all, unless the certificate of _meets_realized holds.
+    """
     rep = Report("wide semigroup")
     els = sgrp.elements
     covered = frozenset().union(*(a.tag for a in els))
     rep.add("covers-arrows", covered == frozenset(gpd.arrows),
             witness=sorted(frozenset(gpd.arrows) - covered, key=str) or None)
 
-    tags = sgrp.tag_matrix(gpd.arrows).astype(float)
-    # row b: the union of the tags below a and b, against their meet
-    le = sgrp.le
-    bad = _scan(len(els), lambda a: (((le[:, a] & le.T) @ tags) > 0)
-                != (tags[a] * tags > 0))
+    le, bad = sgrp.le, None
+    if not _meets_realized(le, sgrp.tag_matrix(gpd.arrows)):
+        tags = sgrp.tag_matrix(gpd.arrows).astype(float)
+        # row b: the union of the tags below a and b, against their meet
+        bad = _scan(len(els), lambda a: (((le[:, a] & le.T) @ tags) > 0)
+                    != (tags[a] * tags > 0))
     witness = None
     if bad is not None:
         a, b = bad[:2]
@@ -448,6 +543,32 @@ def _members(cls, count):
     return a, x, np.searchsorted(cls[a, x], np.arange(count + 1))
 
 
+def _class_ranges(bounds, rows, owner, entries, size=2 ** 16):
+    """Least and largest entry of a member x member table per pair of
+    classes, class i being the members bounds[i]:bounds[i + 1] on either
+    axis, as k x k tables (low, high).
+
+    Member p reads row owner[p] of a table with the given number of
+    rows: entries(r) gives the rows in the slice r against every member,
+    twice, once to take the least and once the largest entry.  The rows
+    are taken in chunks of about size entries, each reduced over the
+    column classes by reduceat, and the reduced rows of the members over
+    the row classes.
+    """
+    k = len(bounds) - 1
+    if not k:
+        return np.empty((2, 0, 0), dtype=np.intp)
+    cut = bounds[:-1]
+    low, high = (np.empty((rows, k), dtype=np.intp) for _ in range(2))
+    step = max(1, size // int(bounds[-1]))
+    for r in range(0, rows, step):
+        lows, highs = entries(slice(r, r + step))
+        low[r:r + step] = np.minimum.reduceat(lows, cut, axis=1)
+        high[r:r + step] = np.maximum.reduceat(highs, cut, axis=1)
+    return (np.minimum.reduceat(low[owner], cut, axis=0),
+            np.maximum.reduceat(high[owner], cut, axis=0))
+
+
 def _germ_label(sgrp, rep):
     return (sgrp.elements[rep[0]], sgrp.carrier[rep[1]])
 
@@ -471,22 +592,26 @@ def _germ_tables(sgrp):
         label = _germ_label(sgrp, reps[cls[a[bad], x[bad]]])
         raise VerificationError(f"germ class {label!r} has inconsistent range")
 
-    comp = np.full((k, k), -1)
-    for i in range(k):
-        first = a[bounds[i]:bounds[i + 1]]
-        # the class of (a' b, y) for each member a' of i and pair (b, y)
-        vals = cls[sgrp.mul[np.ix_(first, a)], x]
-        low = _block_range(np.where(vals >= 0, vals, k), bounds)[0]
-        composable = rng == src[i]
-        j = _first(composable & (low != _block_range(vals, bounds)[1]))
-        if j is not None:
-            got = sorted(set(vals[:, bounds[j]:bounds[j + 1]].ravel().tolist())
-                         - {-1})
-            raise VerificationError(
-                f"germ composition of {_germ_label(sgrp, reps[i])!r} and "
-                f"{_germ_label(sgrp, reps[j])!r} is not "
-                f"representative independent: {got!r}")
-        comp[i, composable] = low[composable]
+    # the class of (a' b, y) for a member (a', x') and a pair (b, y)
+    # depends on the element a' alone, so the table has a row per element
+    flat = cls.ravel()
+
+    def products(elements):
+        vals = flat[np.take(sgrp.mul[elements], a, axis=1) * cls.shape[1] + x]
+        return np.where(vals >= 0, vals, k), vals
+
+    low, high = _class_ranges(bounds, len(sgrp.elements), a, products)
+    composable = rng == src[:, None]
+    bad = _first(composable & (low != high))
+    if bad is not None:
+        i, j = bad
+        got = sorted(set(products(a[bounds[i]:bounds[i + 1]])[1][
+            :, bounds[j]:bounds[j + 1]].ravel().tolist()) - {-1})
+        raise VerificationError(
+            f"germ composition of {_germ_label(sgrp, reps[i])!r} and "
+            f"{_germ_label(sgrp, reps[j])!r} is not "
+            f"representative independent: {got!r}")
+    comp = np.where(composable, low, -1)
 
     inv = cls[sgrp.star[reps[:, 0]], sgrp.act[reps[:, 0], reps[:, 1]]]
     unit = np.array([cls[_covering(sgrp, x, "; units are missing")[0], x]
@@ -498,23 +623,25 @@ def germ_reconstruction(gpd, sgrp):
     """The germ groupoid of a wide tagged semigroup matches the groupoid.
 
     Maps the germ of a bisection at a point to its unique arrow there
-    and checks the map is a bijection respecting all structure.
+    and checks the map is a bijection respecting all structure.  Each
+    member's arrow is read off the tag matrix, and the structure is
+    compared by gathers on gpd.codes.
     """
     rep = Report("germ reconstruction")
     reps, cls, src, rng, comp, inv, unit = sgrp.germs
-    els, pts, arrows = sgrp.elements, sgrp.carrier, gpd.arrows
+    els, pts, arrows, t = sgrp.elements, sgrp.carrier, gpd.arrows, gpd.codes
     k = len(reps)
     a, x, bounds = _members(cls, k)
+    # the object of each carrier point, -1 for a point that is none
+    obj = {y: i for i, y in enumerate(gpd.objects)}
+    point = np.array([obj.get(p, -1) for p in pts], dtype=np.intp)
 
     def label(c):
         return _germ_label(sgrp, reps[c])
 
     # the arrow of each member at its point, -1 unless there is just one
-    number = {g: i for i, g in enumerate(arrows)}
-    hit = [[g for g in els[i].tag if gpd.src[g] == pts[p]]
-           for i, p in zip(a, x)]
-    hit = np.array([number[h[0]] if len(h) == 1 else -1 for h in hit],
-                   dtype=np.intp)
+    there = sgrp.tag_matrix(arrows)[a] & (t.src == point[x][:, None])
+    hit = np.where(there.sum(axis=1) == 1, there @ np.arange(len(arrows)), -1)
     low, high = _block_range(hit, bounds)
     c = _first((low != high) | (low < 0))
     bad = None if c is None else label(c)
@@ -532,24 +659,23 @@ def germ_reconstruction(gpd, sgrp):
     if not onto:
         return rep
 
-    g = [arrows[i] for i in arrow_of]
-    bad = next((label(c) for c in range(k)
-                if gpd.src[g[c]] != pts[src[c]]
-                or gpd.rng[g[c]] != pts[rng[c]]), None)
-    rep.add("ends-match", bad is None, witness=bad)
+    c = _first((t.src[arrow_of] != point[src])
+               | (t.rng[arrow_of] != point[rng]))
+    rep.add("ends-match", c is None, witness=None if c is None else label(c))
 
-    bad = next(((label(i), label(j)) for i, j in np.argwhere(comp >= 0)
-                if gpd.comp[(g[i], g[j])] != g[comp[i, j]]), None)
-    rep.add("composition-match", bad is None, witness=bad)
+    i, j = np.nonzero(comp >= 0)
+    c = _first(t.comp[arrow_of[i], arrow_of[j]] != arrow_of[comp[i, j]])
+    rep.add("composition-match", c is None,
+            witness=None if c is None else (label(i[c]), label(j[c])))
 
-    bad = next((label(c) for c in range(k) if gpd.inv[g[c]] != g[inv[c]]),
-               None)
-    rep.add("inverse-match", bad is None, witness=bad)
+    c = _first(t.inv[arrow_of] != arrow_of[inv])
+    rep.add("inverse-match", c is None,
+            witness=None if c is None else label(c))
 
-    point = {p: i for i, p in enumerate(pts)}
-    bad = next((y for y in gpd.objects
-                if g[unit[point[y]]] != gpd.unit[y]), None)
-    rep.add("unit-match", bad is None, witness=bad)
+    at = {p: i for i, p in enumerate(pts)}
+    c = _first(arrow_of[unit[[at[y] for y in gpd.objects]]] != t.unit)
+    rep.add("unit-match", c is None,
+            witness=None if c is None else gpd.objects[c])
     return rep
 
 
@@ -577,22 +703,26 @@ class CrossedProductAlgebra:
         # the preimage under a of x, for each member (a, x)
         pre = _inverse_action(sgrp.act)[a, x]
 
-        self.table = np.full((k, k), -1)
-        for i in range(k):
-            first = slice(bounds[i], bounds[i + 1])
+        flat = cls.ravel()
+
+        def products(rows):
             # (a', x')(b, y) is the class of (a' b, x') if a' maps y to x'
-            vals = np.where(pre[first, None] == x,
-                            cls[sgrp.mul[np.ix_(a[first], a)], x[first, None]],
-                            -1)
-            low, high = _block_range(vals, bounds)
-            j = _first(low != high)
-            if j is not None:
-                got = set(vals[:, bounds[j]:bounds[j + 1]].ravel().tolist())
-                got = sorted(str(None if v < 0 else v) for v in got)
-                raise VerificationError(
-                    f"crossed product of classes {i} and {j} is not "
-                    f"representative independent: {got!r}")
-            self.table[i] = low
+            vals = np.where(pre[rows, None] == x, flat[
+                np.take(sgrp.mul[a[rows]], a, axis=1) * cls.shape[1]
+                + x[rows, None]], -1)
+            return vals, vals
+
+        self.table, high = _class_ranges(bounds, len(a), np.arange(len(a)),
+                                         products)
+        bad = _first(self.table != high)
+        if bad is not None:
+            i, j = bad
+            got = set(products(slice(bounds[i], bounds[i + 1]))[0][
+                :, bounds[j]:bounds[j + 1]].ravel().tolist())
+            got = sorted(str(None if v < 0 else v) for v in got)
+            raise VerificationError(
+                f"crossed product of classes {i} and {j} is not "
+                f"representative independent: {got!r}")
 
         stars = cls[sgrp.star[a], pre]
         self.star_table, high = _block_range(stars, bounds)
@@ -726,8 +856,20 @@ def _rows(n, row):
     return np.concatenate([np.empty(0)] + [row(a) for a in range(n)])
 
 
+def _stacked(count, dim, gaps, size=2 ** 14):
+    """max_abs_each(gaps(p)) over the instances p = 0..count-1, each a
+    dim x dim gap, one stacked slice of about size entries at a time."""
+    step = max(1, size // max(dim * dim, 1))
+    return np.concatenate([np.empty(0)] + [
+        max_abs_each(gaps(slice(p, p + step)))
+        for p in range(0, count, step)])
+
+
 def check_covariant_rep(cov, tol=1e-10):
-    """Projection axioms, partial isometry axioms, covariance."""
+    """Projection axioms, partial isometry axioms, covariance.
+
+    restriction runs over the pairs of the order and covariance over the
+    pairs (element, point of its domain), each as stacked products."""
     sgrp = cov.semigroup
     rep = Report("covariant representation")
     els, act, le = sgrp.elements, sgrp.act, sgrp.le
@@ -752,18 +894,16 @@ def check_covariant_rep(cov, tol=1e-10):
                      tol, lambda k: els[k // 2])
     rep.add_worst_at("involution", max_abs_each(iso[sgrp.star] - adj), tol,
                      lambda k: els[k])
-    pairs = np.argwhere(le)
-    rep.add_worst_at("restriction", _rows(len(els), lambda a: max_abs_each(
-                         iso[a] - iso[le[a]] @ dom[a])),
-                     tol, lambda k: sgrp.label(tuple(pairs[k])))
-
-    def covariance(a):
-        on = act[a] >= 0
-        return max_abs_each(iso[a] @ pts[on] @ adj[a] - pts[act[a, on]])
+    a, b = np.nonzero(le)
+    rep.add_worst_at("restriction", _stacked(len(a), cov.dim, lambda p: (
+                         iso[a[p]] - iso[b[p]] @ dom[a[p]])),
+                     tol, lambda k: sgrp.label((int(a[k]), int(b[k]))))
 
     b, x = np.nonzero(act >= 0)
-    rep.add_worst_at("covariance", _rows(len(els), covariance), tol,
-                     lambda k: (els[b[k]], sgrp.carrier[x[k]]))
+    rep.add_worst_at("covariance", _stacked(len(b), cov.dim, lambda p: (
+                         iso[b[p]] @ pts[x[p]] @ adj[b[p]]
+                         - pts[act[b[p], x[p]]])),
+                     tol, lambda k: (els[b[k]], sgrp.carrier[x[k]]))
     return rep
 
 
@@ -860,14 +1000,31 @@ def groupoid_rep_to_covariant(rep, sgrp):
     module = rep.module
     fam = blockwise(rep)
     dim = module.dim
-    fibers = {x: module.left_positions(x) for x in gpd.objects}
-    projections = {x: np.diag(np.isin(np.arange(dim), fibers[x]))
-                   .astype(complex) for x in gpd.objects}
-    tags = sgrp.tag_matrix(gpd.arrows)
+    fibers = [module.left_positions(x) for x in gpd.objects]
+    projections = {}
+    for x, f in zip(gpd.objects, fibers):
+        projections[x] = np.zeros((dim, dim), dtype=complex)
+        projections[x][f, f] = 1
+    # every (element, arrow) block in one scatter, row-major: the arrows
+    # of a bisection have distinct ends, so no two blocks of one element
+    # overlap
+    t = gpd.codes
+    sizes = np.array([len(f) for f in fibers], dtype=np.intp)
+    position = np.concatenate([np.empty(0, dtype=np.intp)] + fibers)
+    first = np.cumsum(sizes) - sizes
+    vals = np.concatenate([np.empty(0, dtype=complex)] + [
+        fam.unitaries[g].ravel() for g in gpd.arrows])
+    size = sizes[t.rng] * sizes[t.src]
+    a, k = np.nonzero(sgrp.tag_matrix(gpd.arrows))
+    # the place of each entry in its block
+    e = np.arange(size[k].sum()) - np.repeat(np.cumsum(size[k]) - size[k],
+                                             size[k])
+    a, k = np.repeat(a, size[k]), np.repeat(k, size[k])
+    cols = sizes[t.src[k]]
     iso = np.zeros((len(sgrp.elements), dim, dim), dtype=complex)
-    for k, g in enumerate(gpd.arrows):
-        rows, cols = fibers[gpd.rng[g]], fibers[gpd.src[g]]
-        iso[np.ix_(tags[:, k], rows, cols)] += fam.unitaries[g]
+    iso[a, position[first[t.rng[k]] + e // cols],
+        position[first[t.src[k]] + e % cols]] += vals[np.cumsum(size)[k]
+                                                      - size[k] + e]
     return CovariantRep(sgrp, dim, projections, dict(zip(sgrp.elements, iso)))
 
 

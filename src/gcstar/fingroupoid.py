@@ -128,6 +128,39 @@ class FiniteGroupoid:
                 f"{len(self.arrows)} arrows)")
 
 
+def _first_nonassociative(comp, size=2 ** 16):
+    """The first composable triple (g, h, k) of arrow positions, in
+    composable_triples() order, with (gh)k != g(hk), or None.
+
+    comp is an |A| x |A| table of products, -1 off the composable pairs,
+    whose products are composable where their factors' ends say so.  The
+    triples are the pairs (g, h) of the table, each followed by the pairs
+    (h, k), taken in chunks of about size triples.
+    """
+    n, flat = len(comp), comp.ravel()
+    first, second = np.nonzero(comp >= 0)
+    # the pairs (h, k) are first == h, at start[h]:start[h + 1]
+    start = np.searchsorted(first, np.arange(n + 1))
+    count = np.diff(start)[second]
+    ends = np.cumsum(count)
+    p = 0
+    while p < len(first):
+        q = max(p + 1, int(np.searchsorted(ends, ends[p] - count[p] + size,
+                                           side="right")))
+        c = count[p:q]
+        pair = np.repeat(np.arange(p, q), c)
+        g, h = first[pair], second[pair]
+        k = second[start[h] + np.arange(c.sum())
+                   - np.repeat(np.cumsum(c) - c, c)]
+        bad = (flat[flat[g * n + h] * n + k]
+               != flat[g * n + flat[h * n + k]])
+        if bad.any():
+            t = int(np.argmax(bad))
+            return int(g[t]), int(h[t]), int(k[t])
+        p = q
+    return None
+
+
 def validate_groupoid(gpd):
     """Check every groupoid axiom; witnesses name the offending tuple."""
     rep = Report("groupoid axioms")
@@ -172,10 +205,18 @@ def validate_groupoid(gpd):
 
     bad = None
     if rep.ok:
-        for (g, h, k) in gpd.composable_triples():
-            if gpd.comp[(gpd.comp[(g, h)], k)] != gpd.comp[(g, gpd.comp[(h, k)])]:
-                bad = (g, h, k)
-                break
+        # the table over arrow positions, a product as the first position
+        # of its label, so that equal labels read equal
+        first = {}
+        for i, g in enumerate(gpd.arrows):
+            first.setdefault(g, i)
+        canon = np.array([first[g] for g in gpd.arrows], dtype=np.intp)
+        comp = np.full((len(canon),) * 2, -1, dtype=np.intp)
+        for (g, h), gh in gpd.comp.items():
+            comp[first[g], first[h]] = first[gh]
+        bad = _first_nonassociative(comp[np.ix_(canon, canon)])
+        if bad is not None:
+            bad = tuple(gpd.arrows[i] for i in bad)
     rep.add("associativity", bad is None, witness=bad)
 
     bad = None

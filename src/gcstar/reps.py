@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .report import Report, VerificationError, worst_at
+from .report import Report, VerificationError, max_abs_each, worst_at
 from .measures import (GroupoidFamilies, arrow_correspondence,
                        check_corr_isomorphism, haar_system)
 from .hilbmod import (ModuleMap, _entries, associator, check_module_map,
@@ -139,35 +139,80 @@ def from_cocycle(gpd, weights, module, unitaries):
     """Assemble a representation from normalized fiber blocks.
 
     A block of another shape than (range fiber, source fiber) raises a
-    ValueError naming its arrow; any empty array is an empty block.
+    ValueError naming its arrow; any empty array is an empty block.  The
+    entries are laid out for all blocks at once, block by block in arrow
+    order and row-major within a block.
     """
     fam = CocycleFamily(gpd, weights, module, unitaries)
     rep = Representation(gpd, weights, module, None)
-    s0 = _fibre_starts(rep.source).tolist()
-    t0 = _fibre_starts(rep.target).tolist()
-    rows, cols, vals = [], [], []
-    for k, g in enumerate(gpd.arrows):
-        trows = np.arange(t0[k], t0[k + 1])
-        scols = np.arange(s0[k], s0[k + 1])
-        block = fam.raw[g]
-        if block.shape != (len(trows), len(scols)) \
-                and (block.size or (len(trows) and len(scols))):
-            raise ValueError(
-                f"block of arrow {g!r} has shape {block.shape}, expected "
-                f"{(len(trows), len(scols))} (range fibre, source fibre)")
-        if block.size:
-            rows.append(np.repeat(trows, len(scols)))
-            cols.append(np.tile(scols, len(trows)))
-            vals.append(block.ravel())
-    if rows:
+    s0, t0 = _fibre_starts(rep.source), _fibre_starts(rep.target)
+    slen, tlen = np.diff(s0), np.diff(t0)
+    blocks = [fam.raw[g] for g in gpd.arrows]
+    size = np.array([b.size for b in blocks], dtype=np.intp)
+    fits = np.array([b.shape == (r, c) for b, r, c in
+                     zip(blocks, tlen.tolist(), slen.tolist())], dtype=bool)
+    bad = np.flatnonzero(~fits & ((size > 0) | ((tlen > 0) & (slen > 0))))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"block of arrow {gpd.arrows[k]!r} has shape {blocks[k].shape}, "
+            f"expected {(int(tlen[k]), int(slen[k]))} (range fibre, source "
+            f"fibre)")
+    if size.any():
+        arrow = np.repeat(np.arange(len(blocks)), size)
+        # the place of each entry in its block, row-major
+        e = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
         rep.umap = ModuleMap(rep.source, rep.target, entries=(
-            np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)))
+            t0[arrow] + e // slen[arrow], s0[arrow] + e % slen[arrow],
+            np.concatenate([b.ravel() for b in blocks])))
     return rep
 
 
+def _stacks(blocks, ends):
+    """The blocks stacked once per shape, by end object, then in arrow
+    order.
+
+    Returns (stacks, stack_of, place, runs): arrow k is block place[k]
+    of stacks[stack_of[k]], and each run (end, shape, stack, arrows) is
+    the slice of one stack that holds the blocks of one shape at one end
+    object, a view, with the arrows of its blocks.
+    """
+    shapes = {}
+    for k, b in enumerate(blocks):
+        shapes.setdefault(b.shape, []).append(k)
+    stacks, runs = [], []
+    stack_of = np.empty(len(blocks), dtype=np.intp)
+    place = np.empty(len(blocks), dtype=np.intp)
+    for i, (shape, arrows) in enumerate(shapes.items()):
+        arrows = np.array(arrows, dtype=np.intp)
+        arrows = arrows[np.argsort(ends[arrows], kind="stable")]
+        stack_of[arrows], place[arrows] = i, np.arange(len(arrows))
+        stacks.append(np.stack([blocks[k] for k in arrows]))
+        cut = np.flatnonzero(np.diff(ends[arrows])) + 1
+        for lo, hi in zip([0, *cut], [*cut, len(arrows)]):
+            runs.append((int(ends[arrows[lo]]), shape, stacks[i][lo:hi],
+                         arrows[lo:hi]))
+    return stacks, stack_of, place, runs
+
+
+_CHUNK = 2 ** 15  # entries of one stacked product in check_cocycle
+
+
 def check_cocycle(fam, tol=1e-10):
-    """Units, multiplicativity and weighted unitarity of fiber blocks."""
+    """Units, multiplicativity and weighted unitarity of fiber blocks.
+
+    The blocks are stacked once per shape, by range object, so the
+    blocks of one shape into one object are one slice of a stack.  Each
+    arrow g meets every such slice into src(g) in one broadcast product,
+    with no gather of either factor; only the blocks of the products gh
+    are gathered, and rows g of small blocks share one product.  The
+    Gram matrices of fiber-unitary are taken a slice at a time.  Every
+    product runs in chunks of about _CHUNK entries, and each defect is
+    that of the one composable pair or arrow it names, as if the pairs
+    and arrows were taken one at a time.
+    """
     gpd = fam.groupoid
+    t = gpd.codes
     rep = Report("cocycle family")
 
     def gap(a, b):
@@ -178,26 +223,68 @@ def check_cocycle(fam, tol=1e-10):
         (gap(u, np.eye(len(u))) for u in units), float, len(units)), tol,
         lambda k: gpd.objects[k])
 
-    pairs = gpd.composable_pairs()
-    rep.add_worst_at("multiplicative", np.fromiter(
-        (gap(fam.unitaries[gpd.comp[(g, h)]],
-             fam.unitaries[g] @ fam.unitaries[h]) for g, h in pairs),
-        float, len(pairs)), tol, lambda k: pairs[k])
+    blocks = [fam.unitaries[g] for g in gpd.arrows]
+    stacks, stack_of, place, runs = _stacks(blocks, t.rng)
+    g_all, h_all = t.pairs
+    pair_at = np.full(t.comp.shape, -1, dtype=np.intp)
+    pair_at[t.pairs] = np.arange(len(g_all))
+    multiplicative = np.zeros(len(g_all))
+    for y, (rows, cols), stack, hs in runs:
+        out_of = np.flatnonzero(t.src == y)
+        for shape in {blocks[g].shape for g in out_of}:
+            gs = np.array([g for g in out_of if blocks[g].shape == shape],
+                          dtype=np.intp)
+            entries = max(shape[0] * cols, 1)
+            kstep = max(1, _CHUNK // entries)
+            gstep = max(1, _CHUNK // (entries * len(hs))) \
+                if kstep >= len(hs) else 1
+            for a in range(0, len(gs), gstep):
+                grow = gs[a:a + gstep]
+                left = (blocks[grow[0]] if len(grow) == 1 else
+                        np.stack([blocks[g] for g in grow])[:, None])
+                for b in range(0, len(hs), kstep):
+                    prod = left @ stack[b:b + kstep]
+                    if len(grow) == 1:
+                        prod = prod[None]
+                    hcol = hs[b:b + kstep]
+                    gh = t.comp[grow[:, None], hcol]
+                    at = pair_at[grow[:, None], hcol]
+                    sid = stack_of[gh]
+                    if (sid == sid.flat[0]).all():
+                        multiplicative[at] = abs(
+                            stacks[sid.flat[0]][place[gh]] - prod).max(
+                            axis=(2, 3), initial=0.0)
+                        continue
+                    # products of more than one shape: a stack each
+                    for s in set(sid.ravel().tolist()):
+                        m = sid == s
+                        multiplicative[at[m]] = max_abs_each(
+                            stacks[s][place[gh[m]]] - prod[m])
+    rep.add_worst_at("multiplicative", multiplicative, tol,
+                     lambda k: (gpd.arrows[g_all[k]], gpd.arrows[h_all[k]]))
 
     module = fam.module
-    fibre = {x: module.weight_array[module.left_positions(x)]
-             for x in gpd.objects}
-
-    def unitarity(g):
-        ws, wt, u = fibre[gpd.src[g]], fibre[gpd.rng[g]], fam.unitaries[g]
-        # an empty block between fibres of different sizes is flagged
-        # by the size test, with defect 1
-        gram = u.conj().T @ (wt[:, None] * u)
-        d = gap(gram, np.diag(ws)) if u.size else 0.0
-        return d if len(ws) == len(wt) else max(d, 1.0)
-    rep.add_worst_at("fiber-unitary", np.fromiter(
-        map(unitarity, gpd.arrows), float, len(gpd.arrows)), tol,
-        lambda k: gpd.arrows[k])
+    fibre = [module.weight_array[module.left_positions(x)]
+             for x in gpd.objects]
+    unitarity = np.zeros(len(blocks))
+    for y, (rows, cols), stack, hs in runs:
+        wt = fibre[y]
+        if stack.size:
+            step = max(1, _CHUNK // max(rows * cols + cols * cols, 1))
+            for b in range(0, len(hs), step):
+                u = stack[b:b + step]
+                gram = u.conj().transpose(0, 2, 1) @ (wt[:, None] * u)
+                want = np.zeros(gram.shape)
+                want[:, np.arange(cols), np.arange(cols)] = np.stack(
+                    [fibre[x] for x in t.src[hs[b:b + step]]])
+                unitarity[hs[b:b + step]] = max_abs_each(gram - want)
+        # an empty block between fibres of different sizes is flagged by
+        # the size test, with defect 1
+        sizes = np.array([len(fibre[x]) for x in t.src[hs]])
+        uneven = hs[sizes != len(wt)]
+        unitarity[uneven] = np.maximum(unitarity[uneven], 1.0)
+    rep.add_worst_at("fiber-unitary", unitarity, tol,
+                     lambda k: gpd.arrows[k])
     return rep
 
 

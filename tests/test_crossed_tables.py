@@ -12,6 +12,7 @@ verdicts and witnesses (the first offender in the old loop order).
 import numpy as np
 import pytest
 
+from gcstar import crossed
 from gcstar.crossed import (InverseSemigroup, bisection_from_arrows,
                             bisection_semigroup, crossed_product,
                             germ_classes, is_wide, semigroup_from_bisections)
@@ -465,3 +466,91 @@ def test_is_wide_mutant_matches_reference(name, gpd, sgrp):
     assert name in failing(out)
     assert verdicts(out) == reference_is_wide(gpd, Reference(sgrp))
 
+
+
+# ---------------------------------------------------------------------------
+# certificates: the scans run only where a certificate fails
+
+def _with_vectors(sgrp, mul=None, act=None):
+    """A corrupted copy of a semigroup from bisections that keeps its
+    bisection vectors, so the certificates are tried first."""
+    return InverseSemigroup(
+        sgrp.elements, sgrp.mul if mul is None else mul, sgrp.star,
+        sgrp.act if act is None else act, sgrp.carrier,
+        bisections=sgrp.bisections)
+
+
+def _certificate_mutants():
+    gpd, sgrp = _p2()
+    # the first pair whose products differ in the two orders, swapped
+    i, j = map(int, np.argwhere(sgrp.mul != sgrp.mul.T)[0])
+    mul = sgrp.mul.copy()
+    mul[i, j], mul[j, i] = mul[j, i], mul[i, j]
+    swap = _find(gpd, sgrp, [(1, 2), (2, 1)])
+    act = sgrp.act.copy()
+    act[swap] = [0, 1]
+    ident = _find(gpd, sgrp, [(1, 1), (2, 2)])
+    order = sgrp.mul.copy()
+    order[ident, _find(gpd, sgrp, [(1, 1)])] = _find(gpd, sgrp, [])
+    return [("associativity", gpd, _with_vectors(sgrp, mul=mul)),
+            ("action-multiplicative", gpd, _with_vectors(sgrp, act=act)),
+            ("meets-realized", gpd, _with_vectors(sgrp, mul=order))]
+
+
+@pytest.mark.parametrize("name, gpd, sgrp", _certificate_mutants(),
+                         ids=lambda v: v if isinstance(v, str) else None)
+def test_a_failing_certificate_hands_the_verdict_to_the_scan(name, gpd,
+                                                              sgrp):
+    if name == "meets-realized":
+        assert not crossed._meets_realized(sgrp.le,
+                                           sgrp.tag_matrix(gpd.arrows))
+        out = is_wide(gpd, sgrp)
+        assert verdicts(out) == reference_is_wide(gpd, Reference(sgrp))
+    else:
+        assert not crossed._embedded(sgrp)
+        out = sgrp.validate()
+        assert verdicts(out) == Reference(sgrp).validate()
+    assert name in failing(out)
+
+
+def _count_scans(monkeypatch):
+    calls = []
+    real = crossed._scan
+
+    def counted(n, mask_of):
+        calls.append(n)
+        return real(n, mask_of)
+
+    monkeypatch.setattr(crossed, "_scan", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", parity_cases()
+                         + [("pair:4", build_preset("pair", points=4))],
+                         ids=lambda c: c[0])
+def test_valid_semigroups_from_bisections_skip_the_scans(monkeypatch, case):
+    _, gpd = case
+    sgrp = bisection_semigroup(gpd)
+    calls = _count_scans(monkeypatch)
+    assert sgrp.validate().ok and is_wide(gpd, sgrp).ok
+    assert calls == []
+
+
+def test_semigroups_from_tables_keep_the_scans(monkeypatch):
+    # the table-built semigroups above carry no bisection vectors, so
+    # validate scans for associativity and action-multiplicative; the
+    # certificate of meets-realized needs only the order and the tags
+    gpd, sgrp = _p2()
+    calls = _count_scans(monkeypatch)
+    assert _rebuild(sgrp).validate().ok
+    assert calls == [len(sgrp.elements)] * 2
+    assert is_wide(gpd, _rebuild(sgrp)).ok
+    assert len(calls) == 2
+    for name, mutant in _validate_mutants():
+        calls.clear()
+        reached = {c.name for c in mutant.validate().checks}
+        assert len(calls) == len(
+            reached & {"associativity", "action-multiplicative"}), name
+    calls.clear()
+    is_wide(*_wide_mutants()[1][1:])
+    assert len(calls) == 1

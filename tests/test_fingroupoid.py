@@ -3,7 +3,8 @@ import json
 import pytest
 
 from gcstar.cli import parse_preset
-from gcstar.fingroupoid import (FIXTURE_NAMES, FiniteGroupoid, arrow_weights,
+from gcstar.fingroupoid import (FIXTURE_NAMES, FiniteGroupoid,
+                                _first_nonassociative, arrow_weights,
                                 build_preset, counting_weights,
                                 cyclic_group_groupoid, disjoint_union,
                                 fixture, groupoid_from_dict, groupoid_to_dict,
@@ -234,3 +235,49 @@ def test_composable_walks_match_full_scan(name):
                     if src[g] == rng[h] and src[h] == rng[k])
     assert gpd.composable_pairs() == pairs
     assert gpd.composable_triples() == triples
+
+
+def reference_associativity(gpd):
+    """The first failing composable triple, by the label walk."""
+    for (g, h, k) in gpd.composable_triples():
+        if gpd.comp[(gpd.comp[(g, h)], k)] != gpd.comp[(g, gpd.comp[(h, k)])]:
+            return (g, h, k)
+    return None
+
+
+def _associativity_cases():
+    out = [fixture(name)[0] for name in FIXTURE_NAMES]
+    out += [build_preset("pair", points=3), build_preset("group", order=4),
+            build_preset("transformation", order=3,
+                         action={1: 2, 2: 3, 3: 1})]
+    out += [random_groupoid(SplitMix64(seed))[0] for seed in range(6)]
+    z3 = build_preset("group", order=3)
+    comp = dict(z3.comp)
+    # 1 + 1 = 0 breaks (1 + 1) + 1 = 1 + (1 + 1) and (1 + 1) + 2 =
+    # 1 + (1 + 2), among others
+    comp[(1, 1)] = 0
+    out.append(FiniteGroupoid(z3.objects, z3.arrows, z3.src, z3.rng, comp,
+                              z3.inv, z3.unit))
+    # an arrow listed twice walks its triples twice
+    out.append(FiniteGroupoid(z3.objects, z3.arrows + (1,), z3.src, z3.rng,
+                              comp, z3.inv, z3.unit))
+    return out
+
+
+@pytest.mark.parametrize("gpd", _associativity_cases())
+def test_associativity_on_the_table_matches_the_label_walk(gpd):
+    checks = {c.name: c for c in validate_groupoid(gpd).checks}
+    want = reference_associativity(gpd)
+    assert checks["associativity"].witness == want
+    assert checks["associativity"].passed == (want is None)
+
+
+def test_the_triple_scan_reports_the_first_of_two_failures():
+    gpd = _associativity_cases()[-2]
+    bad = [t for t in gpd.composable_triples()
+           if gpd.comp[(gpd.comp[t[:2]], t[2])]
+           != gpd.comp[(t[0], gpd.comp[t[1:]])]]
+    assert len(bad) >= 2
+    for size in (1, 2, 2 ** 16):
+        got = _first_nonassociative(gpd.codes.comp, size)
+        assert tuple(gpd.arrows[i] for i in got) == bad[0]
