@@ -178,13 +178,15 @@ class InverseSemigroup:
     Validation is exhaustive apart from two scans cubic in |S|, which a
     certificate may stand in for where a lemma makes it imply the
     verdict; where the certificate fails, the scan runs and decides, so
-    verdicts and witnesses are those of the scans.  A semigroup built by
-    semigroup_from_bisections carries bisections = (groupoid, vectors),
-    vectors[a] the arrow leaving each object under element a, -1 where
-    none does; one built from tables carries None and keeps the scans.
+    verdicts and witnesses are those of the scans.  Every semigroup
+    carries bisections = (groupoid, vectors), vectors[a] the arrow
+    leaving each object under element a, -1 where none does, as
+    semigroup_from_bisections builds them; tables that do not match
+    their vectors fail the certificate and keep the scans.
 
     Lemma (Wagner-Preston; Lawson, Inverse Semigroups, 1998).  Suppose
-    the vectors are pairwise distinct; vectors[mul[a, b]] is vectors[a]
+    the vectors are pairwise distinct; each entry vectors[a, x] is -1 or
+    an arrow with source x; vectors[mul[a, b]] is vectors[a]
     after vectors[b] for every pair, the arrow at x being g h for h the
     arrow of b at x and g that of a at rng(h), -1 where either is
     missing; act is rng of the vectors; and the groupoid's composition is
@@ -203,7 +205,7 @@ class InverseSemigroup:
     until a full garbage collection.
     """
 
-    def __init__(self, elements, mul, star, act, carrier, bisections=None):
+    def __init__(self, elements, mul, star, act, carrier, bisections):
         self.elements = tuple(elements)
         self.carrier = tuple(carrier)
         n, m = len(self.elements), len(self.carrier)
@@ -216,12 +218,11 @@ class InverseSemigroup:
         # an entry naming no element fails validate's closure instead
         if not (_outside(self.mul, n).any() or _outside(self.star, n).any()):
             self.le = self.mul[:, self.mul[self.star, ids]].T == ids[:, None]
-        _freeze(self.mul, self.star, self.act, self.idem, self.le)
-        if bisections is not None:
-            gpd, vectors = bisections
-            bisections = gpd, _freeze(np.array(
-                vectors, dtype=np.intp).reshape(n, len(gpd.objects)))[0]
-        self.bisections = bisections
+        gpd, vectors = bisections
+        self.bisections = gpd, np.array(vectors, dtype=np.intp).reshape(
+            n, len(gpd.objects))
+        _freeze(self.mul, self.star, self.act, self.idem, self.le,
+                self.bisections[1])
         self.theta = {a: {self.carrier[x]: self.carrier[y]
                           for x, y in enumerate(row) if y >= 0}
                       for a, row in zip(self.elements, self.act.tolist())}
@@ -304,8 +305,6 @@ class InverseSemigroup:
 def _embedded(sgrp, size=2 ** 16):
     """Whether the bisection vectors certify associativity and
     action-multiplicative, by the lemma of InverseSemigroup."""
-    if sgrp.bisections is None:
-        return False
     gpd, vecs = sgrp.bisections
     t = gpd.codes
     n, m = vecs.shape
@@ -316,7 +315,9 @@ def _embedded(sgrp, size=2 ** 16):
     comp = np.pad(t.comp, (0, 1), constant_values=-1)
     ordered = vecs[np.lexsort(vecs.T)] if m else vecs
     distinct = not (ordered[1:] == ordered[:-1]).all(axis=1).any()
-    if not (distinct and np.array_equal(sgrp.act, rng[vecs])
+    if not (((vecs >= -1) & (vecs < len(t.src))).all()
+            and ((vecs < 0) | (t.src[vecs] == np.arange(m))).all()
+            and distinct and np.array_equal(sgrp.act, rng[vecs])
             and np.array_equal(t.comp >= 0, t.src[:, None] == t.rng)
             and np.array_equal(t.src[gh], t.src[h])
             and np.array_equal(t.rng[gh], t.rng[g])

@@ -396,7 +396,7 @@ def _table_mutants():
             mul = full.mul.copy()
             mul[i, j] = (value + 1) % n
             sgrp = InverseSemigroup(full.elements, mul, full.star, full.act,
-                                    full.carrier)
+                                    full.carrier, full.bisections)
             for side, run in (("germ", reference_germ_comp),
                               ("crossed", reference_crossed_table)):
                 message = _message(run, sgrp)

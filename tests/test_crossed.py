@@ -463,7 +463,7 @@ def test_semigroup_tables_are_read_only():
     full = bisection_semigroup(gpd)
     mul = np.array(full.mul)
     sgrp = crossed.InverseSemigroup(full.elements, mul, full.star, full.act,
-                                    gpd.objects)
+                                    gpd.objects, full.bisections)
     alg = crossed_product(sgrp)
     for table in (sgrp.mul, sgrp.act, sgrp.star, sgrp.le, sgrp.idem,
                   sgrp.tag_matrix(gpd.arrows), *sgrp.germs, alg.table,

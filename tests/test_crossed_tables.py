@@ -349,7 +349,7 @@ def _rebuild(sgrp, mul=None, star=None, act=None):
     return InverseSemigroup(
         sgrp.elements, sgrp.mul if mul is None else mul,
         sgrp.star if star is None else star,
-        sgrp.act if act is None else act, sgrp.carrier)
+        sgrp.act if act is None else act, sgrp.carrier, sgrp.bisections)
 
 
 def _validate_mutants():
@@ -471,15 +471,6 @@ def test_is_wide_mutant_matches_reference(name, gpd, sgrp):
 # ---------------------------------------------------------------------------
 # certificates: the scans run only where a certificate fails
 
-def _with_vectors(sgrp, mul=None, act=None):
-    """A corrupted copy of a semigroup from bisections that keeps its
-    bisection vectors, so the certificates are tried first."""
-    return InverseSemigroup(
-        sgrp.elements, sgrp.mul if mul is None else mul, sgrp.star,
-        sgrp.act if act is None else act, sgrp.carrier,
-        bisections=sgrp.bisections)
-
-
 def _certificate_mutants():
     gpd, sgrp = _p2()
     # the first pair whose products differ in the two orders, swapped
@@ -492,9 +483,9 @@ def _certificate_mutants():
     ident = _find(gpd, sgrp, [(1, 1), (2, 2)])
     order = sgrp.mul.copy()
     order[ident, _find(gpd, sgrp, [(1, 1)])] = _find(gpd, sgrp, [])
-    return [("associativity", gpd, _with_vectors(sgrp, mul=mul)),
-            ("action-multiplicative", gpd, _with_vectors(sgrp, act=act)),
-            ("meets-realized", gpd, _with_vectors(sgrp, mul=order))]
+    return [("associativity", gpd, _rebuild(sgrp, mul=mul)),
+            ("action-multiplicative", gpd, _rebuild(sgrp, act=act)),
+            ("meets-realized", gpd, _rebuild(sgrp, mul=order))]
 
 
 @pytest.mark.parametrize("name, gpd, sgrp", _certificate_mutants(),
@@ -511,6 +502,27 @@ def test_a_failing_certificate_hands_the_verdict_to_the_scan(name, gpd,
         out = sgrp.validate()
         assert verdicts(out) == Reference(sgrp).validate()
     assert name in failing(out)
+
+
+def test_vectors_with_a_misfiled_arrow_fail_the_certificate():
+    # {(1, 2)} with its arrow filed under its range object 1: the
+    # vectors compose to the empty bisection and act is rng of the
+    # vectors, but the action fixes 1 where its square is empty
+    gpd, sgrp = _p2()
+    els = [sgrp.elements[_find(gpd, sgrp, arrows)]
+           for arrows in ([], [(1, 2)])]
+    vectors = [[-1, -1], [gpd.arrows.index((1, 2)), -1]]
+    mutant = InverseSemigroup(els, np.zeros((2, 2)), [0, 1],
+                              [[-1, -1], [0, -1]], sgrp.carrier,
+                              (gpd, vectors))
+    assert not crossed._embedded(mutant)
+    out = mutant.validate()
+    assert verdicts(out) == Reference(mutant).validate()
+    assert "action-multiplicative" in failing(out)
+    # an entry naming no arrow fails the certificate instead of raising
+    far = InverseSemigroup(els, mutant.mul, mutant.star, mutant.act,
+                           sgrp.carrier, (gpd, [[-1, -1], [4, -1]]))
+    assert not crossed._embedded(far)
 
 
 def _count_scans(monkeypatch):
@@ -537,20 +549,18 @@ def test_valid_semigroups_from_bisections_skip_the_scans(monkeypatch, case):
 
 
 def test_semigroups_from_tables_keep_the_scans(monkeypatch):
-    # the table-built semigroups above carry no bisection vectors, so
-    # validate scans for associativity and action-multiplicative; the
-    # certificate of meets-realized needs only the order and the tags
+    # tables that disagree with their bisection vectors fail the
+    # certificate, so validate scans for associativity and
+    # action-multiplicative; a changed involution is not in its lemma
     gpd, sgrp = _p2()
     calls = _count_scans(monkeypatch)
-    assert _rebuild(sgrp).validate().ok
-    assert calls == [len(sgrp.elements)] * 2
-    assert is_wide(gpd, _rebuild(sgrp)).ok
-    assert len(calls) == 2
     for name, mutant in _validate_mutants():
         calls.clear()
         reached = {c.name for c in mutant.validate().checks}
-        assert len(calls) == len(
-            reached & {"associativity", "action-multiplicative"}), name
+        changed = not (np.array_equal(mutant.mul, sgrp.mul)
+                       and np.array_equal(mutant.act, sgrp.act))
+        scans = reached & {"associativity", "action-multiplicative"}
+        assert len(calls) == (len(scans) if changed else 0), name
     calls.clear()
     is_wide(*_wide_mutants()[1][1:])
     assert len(calls) == 1
