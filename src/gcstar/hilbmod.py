@@ -17,9 +17,12 @@ vectors, hence exact in floating point.
 Module maps are stored against the bases, as a dense matrix or as
 entries (int rows, int cols, complex vals); the structured maps built
 here are entry maps, so a map over the composable pairs costs memory in
-proportion to its nonzero entries.  .matrix is the dense matrix of
-either form, read-only for an entry map, and dump_module_map writes it
-as dense complex128.
+proportion to its nonzero entries.  Most of them (relabelings, the
+associator, lifted relabelings, the regular unitary) use each row and
+each column at most once: weighted partial permutations, which compose
+by a gather instead of a join.  .matrix is the dense matrix of either
+form, read-only for an entry map, and dump_module_map writes it as
+dense complex128.
 """
 
 from __future__ import annotations
@@ -43,18 +46,27 @@ class ModuleMap:
     array vals, one entry per stored position, no position twice (the
     constructor raises ValueError on unequal lengths, an index outside
     the bases or a repeated position); the structured maps (relabelings,
-    tensor maps, representation unitaries) are built this way.  For both forms .matrix is the dense matrix; for
-    an entry map it is a read-only view, built on first use and cached.
-    Composing two entry maps joins their entries on the interface index
-    and sums the products that land on one position; a composition with
-    a dense factor multiplies the dense matrices.  Adjoints are taken
-    against the weighted inner products.
+    tensor maps, representation unitaries) are built this way.  For both
+    forms .matrix is the dense matrix; for an entry map it is a
+    read-only view, built on first use and cached.
+
+    partial_perm, read-only, tells whether an entry map uses each row
+    and each column at most once: a weighted partial permutation, which
+    holds no position twice, so only other entry maps sort their keys.
+    When either factor is one, each entry of the other meets at most one
+    entry of it, and compose gathers through a position -> entry lookup;
+    two other entry maps join their entries on the interface index and
+    sum the products at each position.  Both routes give the same bits,
+    in row-major position order.  A composition with a dense factor
+    multiplies the dense matrices.  Adjoints are taken against the
+    weighted inner products.
     """
 
     def __init__(self, source, target, matrix=None, entries=None):
         self.source = source
         self.target = target
         self.rows = self.cols = self.vals = self._matrix = None
+        self._perm = False
         if entries is None:
             self._matrix = np.asarray(matrix, dtype=complex)
             if self._matrix.shape != (target.dim, source.dim):
@@ -77,9 +89,16 @@ class ModuleMap:
                           < source.dim):
                 raise ValueError(
                     f"entry index outside {target.dim} x {source.dim}")
-            key = np.sort(_keys(self.rows, self.cols, source.dim))
-            if np.any(key[1:] == key[:-1]):
-                raise ValueError("entries hold a position twice")
+            self._perm = bool(not n or (np.bincount(self.rows).max() < 2
+                                        and np.bincount(self.cols).max() < 2))
+            if not self._perm:
+                key = np.sort(_keys(self.rows, self.cols, source.dim))
+                if np.any(key[1:] == key[:-1]):
+                    raise ValueError("entries hold a position twice")
+
+    @property
+    def partial_perm(self):
+        return self._perm
 
     @property
     def matrix(self):
@@ -100,12 +119,23 @@ class ModuleMap:
         if self.vals is None or other.vals is None:
             return ModuleMap(other.source, self.target,
                              self.matrix @ other.matrix)
-        # t runs over the entries of other, s over the entries of self
-        # in the column that is the row of entry t
-        t, s = _join(self.cols, self.source.dim, other.rows)
-        return ModuleMap(other.source, self.target, entries=_summed(
-            self.rows[s], other.cols[t], self.vals[s] * other.vals[t],
-            other.source.dim))
+        if self.partial_perm:
+            t, s = _meet(self.cols, self.source.dim, other.rows)
+        elif other.partial_perm:
+            s, t = _meet(other.rows, self.source.dim, self.cols)
+        else:
+            # t runs over the entries of other, s over the entries of
+            # self in the column that is the row of entry t
+            t, s = _join(self.cols, self.source.dim, other.rows)
+            return ModuleMap(other.source, self.target, entries=_summed(
+                self.rows[s], other.cols[t], self.vals[s] * other.vals[t],
+                other.source.dim))
+        order = np.argsort(_keys(self.rows[s], other.cols[t],
+                                 other.source.dim))
+        s, t = s[order], t[order]
+        # + 0.0 is the one-term sum of _summed, which turns -0.0 into 0.0
+        return ModuleMap(other.source, self.target, entries=(
+            self.rows[s], other.cols[t], self.vals[s] * other.vals[t] + 0.0))
 
     def adjoint(self):
         ws = self.source.gram_diagonal()
@@ -135,6 +165,16 @@ def _join(keys, n, wanted):
     return w, order[first[wanted][w] + within]
 
 
+def _meet(keys, n, wanted):
+    """_join for distinct keys, by a lookup array instead of a sort: the
+    pairs (w, k) with keys[k] == wanted[w], in the order of w."""
+    at = np.full(n, -1, dtype=np.intp)
+    at[keys] = np.arange(len(keys))
+    k = at[wanted]
+    w = np.flatnonzero(k >= 0)
+    return w, k[w]
+
+
 def _keys(rows, cols, ncols):
     """Row-major position keys of entries in a map with ncols columns."""
     return rows.astype(np.int64) * ncols + cols
@@ -154,6 +194,10 @@ def entry_gap(a, b):
     """Largest absolute entry of a - b, two maps on the same bases."""
     if a.vals is None or b.vals is None:
         return max_abs(a.matrix - b.matrix)
+    if np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols):
+        # the sum below is 0 + a + (-b) == a - b, and warns of no inf - inf
+        with np.errstate(invalid="ignore"):
+            return max_abs(a.vals - b.vals)
     _, _, diff = _summed(np.concatenate((a.rows, b.rows)),
                          np.concatenate((a.cols, b.cols)),
                          np.concatenate((a.vals, -b.vals)), a.source.dim)
@@ -216,7 +260,8 @@ def grade_leak(m, side):
 
     side is "left" or "right".  Returns (worst, witness), the witness
     being the (source, target) basis pair of the first largest entry in
-    source-major, target-minor order, or None when nothing leaks.
+    source-major, target-minor order, or None when nothing leaks; the
+    entries are sorted only when a stored nonzero joins two grades.
     """
     codes = {}
     src, tgt = (
@@ -225,12 +270,15 @@ def grade_leak(m, side):
                  dtype=np.intp)[getattr(space, side + "_codes")]
         for space in (m.source, m.target))
     rows, cols, vals = _entries(m)
+    cross = src[cols] != tgt[rows]
+    if not cross.any():
+        return 0.0, None
     order = np.lexsort((rows, cols))
     rows, cols, vals = rows[order], cols[order], vals[order]
     # np.hypot rounds like abs() on one entry, where np.abs may differ
     # by an ulp
-    d, k = worst_at(np.where(src[cols] == tgt[rows], 0.0,
-                             np.hypot(vals.real, vals.imag)))
+    d, k = worst_at(np.where(cross[order], np.hypot(vals.real, vals.imag),
+                             0.0))
     return d, None if k is None else (m.source.basis[cols[k]],
                                       m.target.basis[rows[k]])
 
@@ -255,9 +303,10 @@ def lift(m, src, tgt, side):
 
     src and tgt are tensors whose factor number side (0 or 1) has the
     basis of m.source and of m.target, and whose other factors have one
-    basis, else ValueError.  m must preserve the grade that factor is balanced over:
-    right grades for side 0, left grades for side 1.  The map is built
-    from the nonzeros of m and the factor positions of src and tgt.
+    basis, else ValueError.  m must preserve the grade that factor is
+    balanced over: right grades for side 0, left grades for side 1.  The
+    map is built from the nonzeros of m and the factor positions of src
+    and tgt.
     """
     _require_graded(m, ("right", "left")[side])
     (moved_s, sm), (fixed, sf) = src.factors[side], src.factors[1 - side]

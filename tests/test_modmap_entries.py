@@ -8,21 +8,27 @@ top of them.  Parity tests run both on the fixtures; mutant tests make
 a named check fail and require the entry code to report the same
 verdicts and witnesses.  Defects are compared up to rounding, since a
 sum over the interface index may be taken in another order.
+
+The entry code that weighted partial permutations replaced is kept too:
+the join-and-sum compose, the sorted duplicate check, entry_gap by the
+sum over the concatenation and the sorted grade-leak scan.  The gather
+route must give their entries bit for bit.
 """
 
 import numpy as np
 import pytest
 
+from gcstar import hilbmod
 from gcstar.cli import parse_preset
 from gcstar.fingroupoid import FIXTURE_NAMES, fixture
 from gcstar.hilbmod import (ModuleMap, associator, check_gamma,
-                            gamma_compose, grade_leak, identity_map,
-                            induced_unitary, is_intertwiner, lift, tensor,
-                            tensor_map, tensor_map_left)
+                            entry_gap, gamma_compose, grade_leak,
+                            identity_map, induced_unitary, is_intertwiner,
+                            lift, tensor, tensor_map, tensor_map_left)
 from gcstar.measures import (GradedSpace, arrow_correspondence,
                              check_corr_isomorphism, compose_families,
                              groupoid_families)
-from gcstar.report import Report, max_abs, relative_defects
+from gcstar.report import Report, max_abs, relative_defects, worst_at
 from gcstar.reps import (Representation, blockwise, check_cocycle,
                          check_intertwiner, check_representation,
                          face_transfer, from_cocycle, induce,
@@ -85,6 +91,65 @@ def ref_grade_leak(m, side):
     if worst == 0.0:
         return 0.0, None
     return worst, (m.source.basis[j], m.target.basis[i])
+
+
+def ref_sorted_grade_leak(m, side):
+    """grade_leak as it was before the no-crossing shortcut: the entries
+    sorted source-major, every one of them scanned."""
+    codes = {}
+    src, tgt = (
+        np.array([codes.setdefault(y, len(codes))
+                  for y in getattr(space, side + "_space")],
+                 dtype=np.intp)[getattr(space, side + "_codes")]
+        for space in (m.source, m.target))
+    rows, cols, vals = hilbmod._entries(m)
+    order = np.lexsort((rows, cols))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    d, k = worst_at(np.where(src[cols] == tgt[rows], 0.0,
+                             np.hypot(vals.real, vals.imag)))
+    return d, None if k is None else (m.source.basis[cols[k]],
+                                      m.target.basis[rows[k]])
+
+
+def ref_join_compose(a, b):
+    """The entries of a after b by the join on the interface index and
+    the sum of the products at each position, row-major: the compose of
+    two entry maps before partial permutations took a gather."""
+    keys, wanted = a.cols, b.rows
+    order = np.argsort(keys, kind="stable")
+    counts = np.bincount(keys, minlength=a.source.dim)
+    first = np.cumsum(counts) - counts
+    reps = counts[wanted]
+    t = np.repeat(np.arange(len(wanted)), reps)
+    within = np.arange(len(t)) - np.repeat(np.cumsum(reps) - reps, reps)
+    s = order[first[wanted][t] + within]
+    return ref_summed(a.rows[s], b.cols[t], a.vals[s] * b.vals[t],
+                      b.source.dim)
+
+
+def ref_summed(rows, cols, vals, ncols):
+    keys = rows.astype(np.int64) * ncols + cols
+    uniq, inv = np.unique(keys, return_inverse=True)
+    out = np.empty(len(uniq), dtype=complex)
+    out.real = np.bincount(inv, weights=vals.real, minlength=len(uniq))
+    out.imag = np.bincount(inv, weights=vals.imag, minlength=len(uniq))
+    rows, cols = np.divmod(uniq, max(ncols, 1))
+    return rows, cols, out
+
+
+def ref_entry_gap(a, b):
+    """entry_gap of two entry maps by the sum over the concatenation."""
+    _, _, diff = ref_summed(np.concatenate((a.rows, b.rows)),
+                            np.concatenate((a.cols, b.cols)),
+                            np.concatenate((a.vals, -b.vals)), a.source.dim)
+    return max_abs(diff)
+
+
+def ref_repeats(rows, cols, ncols):
+    """Whether entries hold a position twice, by their sorted keys."""
+    key = np.sort(np.asarray(rows, dtype=np.int64) * ncols
+                  + np.asarray(cols, dtype=np.int64))
+    return bool(np.any(key[1:] == key[:-1]))
 
 
 def ref_require_graded(m, side):
@@ -545,7 +610,8 @@ def test_grade_leak_tie_takes_first_source_in_any_entry_order():
     assert not out.ok and out.checks[0].witness == ("a", "e")
 
 
-@pytest.mark.parametrize("kind", ["planted", "none", "tie", "nan"])
+@pytest.mark.parametrize("kind", ["planted", "none", "tie", "nan",
+                                  "nan-inside", "zero-crossing"])
 def test_grade_leak_entries_match_dense(kind):
     rng = SplitMix64(23)
     grades = ("x", "y", 3)
@@ -562,7 +628,7 @@ def test_grade_leak_entries_match_dense(kind):
         mat[np.abs(mat) < 0.7] = 0.0
         leaks = [(i, j) for i, b2 in enumerate(tb) for j, b in enumerate(sb)
                  if tgt.left[b2] != src.left[b]]
-        if kind == "none":
+        if kind in ("none", "nan-inside", "zero-crossing"):
             for i, j in leaks:
                 mat[i, j] = 0.0
         if kind in ("planted", "nan") and leaks:
@@ -571,12 +637,28 @@ def test_grade_leak_entries_match_dense(kind):
         if kind == "tie":
             for n, (i, j) in enumerate(leaks):
                 mat[i, j] = (2.0, -2.0, 2.0j)[n % 3]
+        if kind == "nan-inside":
+            inside = [(i, j) for i, b2 in enumerate(tb)
+                      for j, b in enumerate(sb)
+                      if tgt.left[b2] == src.left[b]]
+            if inside:
+                i, j = inside[rng.randint(len(inside))]
+                mat[i, j] = np.nan
         rows, cols = np.nonzero(mat)
+        vals = mat[rows, cols]
+        if kind == "zero-crossing":
+            # an explicit zero stored on a free crossing position
+            free = [(i, j) for i, j in leaks if mat[i, j] == 0.0]
+            if free:
+                i, j = free[rng.randint(len(free))]
+                rows, cols = np.append(rows, i), np.append(cols, j)
+                vals = np.append(vals, 0.0)
         order = np.arange(len(rows))[::-1]
         m = ModuleMap(src, tgt, entries=(rows[order], cols[order],
-                                         mat[rows, cols][order]))
+                                         vals[order]))
         want = ref_grade_leak(DenseMap(src, tgt, mat), "left")
-        assert repr(grade_leak(m, "left")) == repr(want)
+        assert repr(grade_leak(m, "left")) \
+            == repr(ref_sorted_grade_leak(m, "left")) == repr(want)
         # a dense map reads its nonzeros and takes the same scan
         dense = ModuleMap(src, tgt, mat)
         assert repr(grade_leak(dense, "left")) == repr(want)
@@ -615,3 +697,209 @@ def test_bad_entries_raise(entries):
     with pytest.raises(ValueError):
         ModuleMap(sp, sp, entries=entries)
     ModuleMap(sp, sp, entries=([0, 1, 1], [1, 0, 1], [1.0, 2.0, 3.0]))
+
+
+# ---------------------------------------------------------------------------
+# weighted partial permutations: the gather route against the join
+
+def _dense(m):
+    """The dense matrix of a map, not cached on it."""
+    if m.vals is None:
+        return m.matrix
+    mat = np.zeros((m.target.dim, m.source.dim), dtype=complex)
+    mat[m.rows, m.cols] = m.vals
+    return mat
+
+
+def _same_entries(m, want):
+    rows, cols, vals = want
+    assert np.array_equal(m.rows, rows) and np.array_equal(m.cols, cols)
+    assert m.vals.tobytes() == np.asarray(vals, dtype=complex).tobytes()
+
+
+def _record_composes(monkeypatch):
+    """Keep each compose call as (self, other, result, lookups), lookups
+    counting the position lookups of the gather route in that call."""
+    calls, lookups = [], []
+    meet, compose = hilbmod._meet, ModuleMap.compose
+
+    def counted(keys, n, wanted):
+        lookups.append(n)
+        return meet(keys, n, wanted)
+
+    def recorded(self, other):
+        before = len(lookups)
+        out = compose(self, other)
+        calls.append((self, other, out, len(lookups) - before))
+        return out
+
+    monkeypatch.setattr(hilbmod, "_meet", counted)
+    monkeypatch.setattr(ModuleMap, "compose", recorded)
+    return calls
+
+
+# the dense products of larger maps (pair:8's face transfers run over
+# 4,096 points) are left to the bit-for-bit join reference
+_DENSE_CAP = 1 << 18
+
+
+def _check_composes(calls):
+    """Every recorded compose against the join-and-sum reference bit for
+    bit and, where small, the dense product: exactly for a gather, one
+    product per position, up to rounding for a join, which may add its
+    terms in another order; returns (gathers, joins)."""
+    routes = [0, 0]
+    for a, b, out, lookups in calls:
+        assert a.vals is not None and b.vals is not None
+        perm = a.partial_perm or b.partial_perm
+        assert lookups == perm
+        routes[not perm] += 1
+        _same_entries(out, ref_join_compose(a, b))
+        if max(a.target.dim, a.source.dim, b.source.dim) ** 2 > _DENSE_CAP:
+            continue
+        got, want = _dense(out), _dense(a) @ _dense(b)
+        if perm:
+            assert np.array_equal(got, want)
+        else:
+            assert relative_defects(got[None], want[None])[0] <= 1e-14
+    return tuple(routes)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + (
+    "pair:8", "group:8", "transformation:4", "random"))
+def test_gather_compose_equals_join_and_dense_product(name, monkeypatch):
+    gpd, w = parse_preset(name, seed=7)
+    module, blocks = random_cocycle(SplitMix64(5), gpd, w, coeff_size=2,
+                                    max_dim=2)
+    reps = [regular_representation(gpd, w),
+            from_cocycle(gpd, w, module, blocks)]
+    coeff = module.right_space
+    ebasis = GradedSpace([(c, "e") for c in coeff],
+                         {(c, "e"): c for c in coeff},
+                         {(c, "e"): "e" for c in coeff},
+                         {(c, "e"): 1.0 for c in coeff})
+    calls = _record_composes(monkeypatch)
+    for rep in reps:
+        # is_unitary, the three face transfers and d2.compose(d0)
+        assert check_representation(rep).ok
+        induce(rep, ebasis)
+    assert check_gamma(gpd, w).ok
+    monkeypatch.undo()
+    gathers, joins = _check_composes(calls)
+    assert gathers > 0
+    # the regular unitary and its transfers are partial permutations
+    # throughout; a cocycle with a 2 x 2 block leaves the transfers of
+    # the cocycle representation to the join
+    assert reps[0].umap.partial_perm
+    if not reps[1].umap.partial_perm:
+        assert joins > 0
+
+
+def _space(n):
+    labels = tuple(range(n))
+    return GradedSpace(labels, dict.fromkeys(labels, 0),
+                       dict.fromkeys(labels, 0), dict.fromkeys(labels, 1.0))
+
+
+@pytest.mark.parametrize("entries, message", [
+    # injective in its columns, a row twice: valid, not a permutation
+    (([0, 0, 2], [0, 1, 2], [1.0, 2.0, 3.0]), None),
+    # injective in its rows, a column twice
+    (([0, 1, 2], [1, 1, 0], [1.0, 2.0, 3.0]), None),
+    (([0, 1, 0], [1, 0, 1], [1.0, 2.0, 3.0]), "entries hold a position twice"),
+    (([2, 1, 2], [0, 0, 0], [1.0, 2.0, 3.0]), "entries hold a position twice"),
+    (([0, 1], [0], [1.0, 1.0]),
+     "entry rows, cols and vals must be flat arrays of one length"),
+    (([3], [0], [1.0]), "entry index outside 3 x 3"),
+    (([0], [3], [1.0]), "entry index outside 3 x 3"),
+    (([-1], [0], [1.0]), "entry index outside 3 x 3"),
+    (([0, 1], [-1, 0], [1.0, 1.0]), "entry index outside 3 x 3"),
+    (([0, 2], [1, 0], [np.nan, 1.0]), None),
+    (([0, 0], [1, 2], [np.nan, 1.0]), None),
+    (([], [], []), None),
+])
+def test_constructor_mutants_keep_their_messages(entries, message):
+    sp = _space(3)
+    if message is not None:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ModuleMap(sp, sp, entries=entries)
+        return
+    m = ModuleMap(sp, sp, entries=entries)
+    rows, cols, _ = entries
+    assert not ref_repeats(rows, cols, sp.dim)
+    assert m.partial_perm == (len(set(rows)) == len(rows)
+                              and len(set(cols)) == len(cols))
+    assert not ModuleMap(sp, sp, _dense(m)).partial_perm
+
+
+def test_moved_entry_loses_the_flag_and_composes_by_the_join(monkeypatch):
+    u = regular_representation(*fixture("P2")).umap
+    assert u.partial_perm
+    # the last entry moved onto the row of the first, a free position
+    rows = u.rows.copy()
+    rows[-1] = rows[0]
+    moved = ModuleMap(u.source, u.target, entries=(rows, u.cols, u.vals))
+    assert not moved.partial_perm
+    other = moved.adjoint()
+    assert not other.partial_perm
+    calls = _record_composes(monkeypatch)
+    for a, b in ((moved, other), (other, moved), (moved, identity_map(
+            u.source)), (u.adjoint(), moved)):
+        a.compose(b)
+    monkeypatch.undo()
+    assert [c[3] for c in calls] == [0, 0, 1, 1]
+    assert _check_composes(calls) == (2, 2)
+
+
+@pytest.mark.parametrize("case", ["nan", "inf", "inf-inf", "negative-zero",
+                                  "permuted", "permuted-in-row",
+                                  "other-support"])
+def test_entry_gap_matches_the_concatenated_sum(case, monkeypatch):
+    sp = _space(4)
+    rows, cols = np.array([0, 1, 3, 3]), np.array([2, 0, 1, 3])
+    a = np.array([1.0, -2.0j, 0.5 + 0.5j, 3.0])
+    b = np.array([1.0, -2.0j, 0.25, 3.0 - 1e-12])
+    order = np.arange(4)
+    if case == "nan":
+        a[1] = np.nan
+    if case == "inf":
+        b[2] = np.inf
+    if case == "inf-inf":
+        a[0] = b[0] = -np.inf
+    if case == "negative-zero":
+        a = np.array([-0.0, 0.0, -0.0j, 1.0])
+        b = np.array([0.0, -0.0, 0.0, 1.0])
+    if case == "permuted":
+        order = np.array([2, 0, 3, 1])
+    if case == "permuted-in-row":
+        # equal rows arrays, the two columns of row 3 swapped
+        order = np.array([0, 1, 3, 2])
+    ma = ModuleMap(sp, sp, entries=(rows, cols, a))
+    if case == "other-support":
+        mb = ModuleMap(sp, sp, entries=(rows[:3], cols[:3], b[:3]))
+    else:
+        mb = ModuleMap(sp, sp, entries=(rows[order], cols[order], b[order]))
+    summed = []
+    monkeypatch.setattr(hilbmod, "_summed",
+                        lambda *args: summed.append(1)
+                        or ref_summed(*args))
+    got = entry_gap(ma, mb)
+    assert repr(got) == repr(ref_entry_gap(ma, mb))
+    # equal supports in equal order skip the sum
+    assert len(summed) == (case in ("permuted", "permuted-in-row",
+                                    "other-support"))
+
+
+def test_gather_keeps_the_bits_of_the_one_term_sum():
+    # conjugated real values carry -0.0 imaginary parts, whose products
+    # the join's sum turns into 0.0; NaN passes through both routes
+    sp = _space(3)
+    perm = ModuleMap(sp, sp, entries=([0, 1, 2], [2, 0, 1],
+                                      [1.0, np.nan, -0.0 + 2.0j]))
+    other = ModuleMap(sp, sp, entries=([0, 0, 1, 2], [0, 1, 1, 2],
+                                       [1.0, -0.0, 3.0 - 1.0j, 0.5]))
+    assert perm.partial_perm and not other.partial_perm
+    for a in (perm, perm.adjoint()):
+        for b in (other, other.adjoint(), a, a.adjoint()):
+            for x, y in ((a, b), (b, a)):
+                _same_entries(x.compose(y), ref_join_compose(x, y))
