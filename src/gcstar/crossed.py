@@ -16,24 +16,27 @@ the involution, the action (-1 off the domain), the order as a boolean
 matrix, the germ classes of (element, point) pairs, and the product
 and involution of the crossed product (-1 for a zero product).  The
 element and point labels appear only in witnesses, error messages and
-the label views, theta and basis.
+the label views, leq, the covariant dicts and basis.
 
 The closure holds a bisection as an int vector over the objects, the
-arrow leaving each object (-1 where none does), composes vectors by
-gathers from gpd.codes and finds products among the known vectors by a
-binary search of their sorted keys.  The semigroup keeps those vectors,
-and two quadratic certificates stand in for the two scans cubic in |S|
-where their lemmas hold: the vectors embed S in the bisections of the
-groupoid (associativity, action-multiplicative; see InverseSemigroup),
-and a least element below every element through each arrow realizes
-all meets (meets-realized; see _meets_realized).  Where a certificate
-fails, the scan decides.  The certificate products, the germ and
-crossed product tables (reduced by class with reduceat) and the
-restriction and covariance checks (stacked over the pairs of the order
-and of the action) run in chunks of 2^16 or, for the operator stacks,
-2^14 entries; the translation back to blocks reads the element x arrow
-tag matrix and cuts every block it compares in one gather per block
-shape.
+arrow leaving each object (-1 where none does), composes vectors in
+rounds by gathers from gpd.codes and finds products among the known
+vectors by a binary search of their sorted keys; one bound on the bytes
+of the |S| x |S| tables (_guard) limits it and the enumeration of all
+bisections.  The semigroup keeps those vectors, and quadratic
+certificates stand in for the scans where their lemmas hold: the
+vectors embed S in the bisections of the groupoid (associativity,
+action-multiplicative; see InverseSemigroup), a least element below
+every element through each arrow realizes all meets (meets-realized;
+see _meets_realized) and names the germ class of each arrow
+(germ_classes), and the blocks of a groupoid representation multiply
+as its isometries do (partial_isometry_form).  Where a premise fails,
+the scan decides.  The certificate products, the germ and crossed
+product tables (reduced by class with reduceat) and the restriction
+and covariance checks (stacked over the pairs of the order and of the
+action) run in chunks of 2^16 or, for the operator stacks, 2^14
+entries; the translation back to blocks reads the element x arrow tag
+matrix and cuts every block it compares in one gather per block shape.
 """
 
 from __future__ import annotations
@@ -49,7 +52,19 @@ from .reps import blockwise, check_cocycle, from_cocycle
 from .hilbmod import module_from_dims
 from .intdis import conv_rep_of
 
-_MAX_ARROWS, _MAX_ELEMENTS = 16, 4096  # bisection and semigroup guards
+# the bound on the |S| x |S| tables of a semigroup: mul, the closure's
+# product numbers (8 bytes a pair each) and the order le (1 byte)
+_TABLE_BYTES, _PAIR_BYTES = 2 ** 28, 17
+
+
+def _guard(count, what):
+    """Refuse count elements whose |S| x |S| tables pass _TABLE_BYTES."""
+    need = count * count * _PAIR_BYTES
+    if need > _TABLE_BYTES:
+        raise ValueError(
+            f"{what} has at least {count:,} elements, whose |S| x |S| tables "
+            f"need at least {need / 1e6:,.1f} MB, over the bound of "
+            f"{_TABLE_BYTES / 1e6:,.1f} MB")
 
 
 class PartialBijection:
@@ -96,17 +111,15 @@ def bisection_from_arrows(gpd, arrows):
 
 
 def all_bisections(gpd):
-    """Every bisection, the empty one included; guarded by size."""
-    if len(gpd.arrows) > _MAX_ARROWS:
-        raise ValueError(
-            f"refusing to enumerate bisections of {len(gpd.arrows)} arrows "
-            f"(limit {_MAX_ARROWS})")
+    """Every bisection, the empty one included; held to the memory bound
+    of _guard as they are found."""
     arrows = sorted(gpd.arrows, key=str)
-    found = []
+    found, what = [], f"the bisection semigroup of {len(arrows)} arrows"
 
     def grow(i, chosen, used_s, used_r):
         if i == len(arrows):
             found.append(bisection_from_arrows(gpd, frozenset(chosen)))
+            _guard(len(found), what)
             return
         grow(i + 1, chosen, used_s, used_r)
         g = arrows[i]
@@ -173,7 +186,7 @@ class InverseSemigroup:
     two tuples.  mul[a, b] is the product ab, star[a] the inverse and
     act[a, x] the image of x under a, -1 off its domain.  The
     constructor derives the order once, le[a, b] for a <= b (a = b a* a),
-    and the idempotent flags idem; theta is the label view of act.
+    and the idempotent flags idem.
 
     Validation is exhaustive apart from two scans cubic in |S|, which a
     certificate may stand in for where a lemma makes it imply the
@@ -198,11 +211,12 @@ class InverseSemigroup:
     and the groupoid's composition on its composable triples.
 
     The tables are read-only copies, so what is derived from them is
-    derived once and cannot go stale: the source side germ tables
-    (germs, see _germ_tables) and the element x arrow tag matrices
-    (tag_matrix).  The crossed product is not kept here: it holds its
-    semigroup, and the reference cycle would outlive the semigroup
-    until a full garbage collection.
+    derived once and cannot go stale: the verdicts of two certificates
+    (embedded and germ_lemma), the source side germ tables (germs, see
+    _germ_tables) and the element x arrow tag matrices (tag_matrix).
+    The crossed product is not kept here: it holds its semigroup, and
+    the reference cycle would outlive the semigroup until a full garbage
+    collection.
     """
 
     def __init__(self, elements, mul, star, act, carrier, bisections):
@@ -223,10 +237,17 @@ class InverseSemigroup:
             n, len(gpd.objects))
         _freeze(self.mul, self.star, self.act, self.idem, self.le,
                 self.bisections[1])
-        self.theta = {a: {self.carrier[x]: self.carrier[y]
-                          for x, y in enumerate(row) if y >= 0}
-                      for a, row in zip(self.elements, self.act.tolist())}
         self._tags = {}
+
+    @cached_property
+    def embedded(self):
+        """Whether the vectors certify the lemma above, _embedded(self)."""
+        return _embedded(self)
+
+    @cached_property
+    def germ_lemma(self):
+        """Whether the premises of the lemma of germ_classes hold."""
+        return _germ_lemma(self)
 
     @cached_property
     def germs(self):
@@ -267,7 +288,7 @@ class InverseSemigroup:
         if bad is not None:
             return rep
 
-        embedded = _embedded(self)
+        embedded = self.embedded
         checks = (
             ("associativity", None if embedded else
              _scan(n, lambda a: mul[mul[a]] != mul[a][mul])),
@@ -315,9 +336,7 @@ def _embedded(sgrp, size=2 ** 16):
     comp = np.pad(t.comp, (0, 1), constant_values=-1)
     ordered = vecs[np.lexsort(vecs.T)] if m else vecs
     distinct = not (ordered[1:] == ordered[:-1]).all(axis=1).any()
-    if not (((vecs >= -1) & (vecs < len(t.src))).all()
-            and ((vecs < 0) | (t.src[vecs] == np.arange(m))).all()
-            and distinct and np.array_equal(sgrp.act, rng[vecs])
+    if not (_filed(sgrp) and distinct
             and np.array_equal(t.comp >= 0, t.src[:, None] == t.rng)
             and np.array_equal(t.src[gh], t.src[h])
             and np.array_equal(t.rng[gh], t.rng[g])
@@ -333,17 +352,42 @@ def _embedded(sgrp, size=2 ** 16):
     return True
 
 
+def _filed(sgrp):
+    """Whether every vector entry is -1 or an arrow leaving its object,
+    and act is rng of the vectors."""
+    gpd, vecs = sgrp.bisections
+    t = gpd.codes
+    return bool(((vecs >= -1) & (vecs < len(t.src))).all()
+                and ((vecs < 0) | (t.src[vecs] == np.arange(vecs.shape[1])))
+                .all() and np.array_equal(sgrp.act,
+                                          np.append(t.rng, -1)[vecs]))
+
+
 def semigroup_from_bisections(gpd, generators):
     """Close tagged bisections under composition and inversion.
 
-    Each element found is composed with itself and every earlier
-    element, in both orders, as one batch of vectors, so every ordered
-    pair is composed once and the table is filled as the set grows.
-    The products of a batch join the set in the order (i, 0), (0, i),
-    (i, 1), (1, i), ..., (i, i).  A batch is searched in the sorted keys
-    of the known vectors, and only the keys it adds are inserted.
     Elements are listed in _sort_key order, and act on the objects
-    through their own partial bijections.
+    through their own partial bijections; see _close.
+    """
+    number = {g: k for k, g in enumerate(gpd.arrows)}
+    gens = np.full((len(generators), len(gpd.objects)), -1, dtype=np.intp)
+    for k, a in enumerate(generators):
+        tag = [number[g] for g in a.tag]
+        gens[k, gpd.codes.src[tag]] = tag
+    return _close(gpd, gens)
+
+
+def _close(gpd, gens, size=2 ** 16):
+    """The semigroup generated by the bisection vectors gens and their
+    inverses, in rounds.
+
+    Each round composes the elements that the last round found with
+    every element known when it starts, in both orders, as stacked
+    gathers of about size vectors, so every ordered pair is composed
+    once and the number of rounds is the depth of the closure.  Each
+    product is searched in the sorted keys of the known vectors, and
+    only the keys it adds are inserted.  The elements that products add
+    are held to the memory bound of _guard; the generators are not.
     """
     codes, objs, arrows = gpd.codes, gpd.objects, gpd.arrows
     m = len(objs)
@@ -352,19 +396,10 @@ def semigroup_from_bisections(gpd, generators):
     rng, inv = np.append(codes.rng, -1), np.append(codes.inv, -1)
     comp = np.pad(codes.comp, (0, 1), constant_values=-1)
 
-    def after(a, b):
-        """Vectors a after vectors b, one side a single vector."""
-        return comp[a[..., rng[b]], b]
-
     def inverse(vecs):
         return inv[np.take_along_axis(vecs, _inverse_action(rng[vecs]), 1)]
 
-    gens = np.full((len(generators), m + 1), -1, dtype=np.intp)
-    for k, a in enumerate(generators):
-        tag = [arrows.index(g) for g in a.tag]
-        gens[k, codes.src[tag]] = tag
     vecs = np.empty((0, m + 1), dtype=np.intp)
-
     # a vector's key: its entries + 1 as the digits of one int64 in radix
     # |A| + 1 when that fits, else as the bytes of a fixed-width record
     width = len(arrows) + 1
@@ -383,7 +418,7 @@ def semigroup_from_bisections(gpd, generators):
     # the keys of vecs in sorted order, and the number of each
     known, numbers = keys(vecs), np.empty(0, dtype=np.intp)
 
-    def place(batch, limit):
+    def place(batch, guard=True):
         """Numbers of the batch; new vectors join in the order found."""
         nonlocal vecs, known, numbers
         key = keys(batch)
@@ -397,9 +432,8 @@ def semigroup_from_bisections(gpd, generators):
         found, first, back = np.unique(key[new], return_index=True,
                                        return_inverse=True)
         count = len(vecs)
-        if count + len(found) > limit:
-            raise ValueError(
-                f"semigroup closure exceeded {_MAX_ELEMENTS} elements")
+        if guard:
+            _guard(count + len(found), "the semigroup closure")
         rank = np.empty(len(found), dtype=np.intp)
         rank[np.argsort(first)] = count + np.arange(len(found))
         got[new] = rank[back.ravel()]
@@ -409,29 +443,42 @@ def semigroup_from_bisections(gpd, generators):
         numbers = np.insert(numbers, spot, rank)
         return got
 
-    place(np.stack([gens, inverse(gens)], axis=1).reshape(-1, m + 1), np.inf)
-    rows = []
-    # vecs grows while it is scanned
-    while len(rows) < len(vecs):
-        i = len(rows)
-        batch = np.empty((2 * i + 1, m + 1), dtype=np.intp)
-        batch[0::2] = after(vecs[i], vecs[:i + 1])
-        batch[1::2] = after(vecs[:i], vecs[i])
-        rows.append(place(batch, _MAX_ELEMENTS))
+    def products(left, right):
+        """Numbers of left[i] after right[j], a len(left) x len(right)
+        table."""
+        out = np.empty((len(left), len(right)), dtype=np.intp)
+        if not out.size:
+            return out
+        step = max(1, size // max(len(right), 1))
+        for r in range(0, len(left), step):
+            batch = comp[left[r:r + step][:, rng[right]], right]
+            out[r:r + step] = place(batch.reshape(-1, m + 1)).reshape(
+                -1, len(right))
+        return out
 
-    n = len(rows)
-    prod = np.empty((n, n), dtype=np.intp)
-    for i, got in enumerate(rows):
-        prod[i, :i + 1], prod[:i, i] = got[0::2], got[1::2]
+    gens = np.pad(gens, ((0, 0), (0, 1)), constant_values=-1)
+    place(np.stack([gens, inverse(gens)], axis=1).reshape(-1, m + 1), False)
+    rounds, start = [], 0
+    while start < len(vecs):
+        stop = len(vecs)
+        rounds.append((start, stop, products(vecs[start:stop], vecs[:stop]),
+                       products(vecs[:start], vecs[start:stop])))
+        start = stop
+
+    n = len(vecs)
     labels = [bisection_from_arrows(gpd, [arrows[g] for g in v if g >= 0])
               for v in vecs.tolist()]
     order = np.array(sorted(range(n), key=lambda k: _sort_key(labels[k])),
                      dtype=np.intp)
     rank = np.argsort(order)
+    mul = np.empty((n, n), dtype=np.intp)
+    while rounds:
+        start, stop, new, old = rounds.pop()
+        mul[rank[start:stop, None], rank[:stop]] = rank[new]
+        mul[rank[:start, None], rank[start:stop]] = rank[old]
     return InverseSemigroup(
-        [labels[k] for k in order], rank[prod[np.ix_(order, order)]],
-        rank[place(inverse(vecs), n)[order]], rng[vecs[order, :m]], objs,
-        bisections=(gpd, vecs[order, :m]))
+        [labels[k] for k in order], mul, rank[place(inverse(vecs))[order]],
+        rng[vecs[order, :m]], objs, bisections=(gpd, vecs[order, :m]))
 
 
 def bisection_semigroup(gpd):
@@ -454,11 +501,37 @@ def _meets_realized(le, tags):
     if not len(tags):
         return True
     t = tags.astype(np.float32)
-    if (le & (t @ (1 - t).T > 0)).any():
-        return False
+    return not (le & (t @ (1 - t).T > 0)).any() and _least_below(le, tags)
+
+
+def _least_below(le, tags):
+    """Whether the first element of least tag size through each arrow
+    lies below every element through it."""
     size = np.where(tags, tags.sum(axis=1)[:, None], tags.shape[1] + 1)
     least = size.argmin(axis=0)
     return not (tags & ~le[least].T).any()
+
+
+def _tags(vecs, count):
+    """Boolean (element, arrow) matrix of the vectors over count arrows."""
+    tags = np.zeros((len(vecs), count + 1), dtype=bool)
+    tags[np.arange(len(vecs))[:, None], vecs] = True
+    return tags[:, :count]
+
+
+def _germ_lemma(sgrp):
+    """The premises of the lemma of germ_classes, on the vectors."""
+    gpd, vecs = sgrp.bisections
+    if not len(vecs):
+        # no element, so no class: the float closure returns just that
+        return False
+    ordered = np.sort(sgrp.act, axis=1)
+    v, a = np.nonzero(sgrp.le)
+    return bool(_filed(sgrp)
+                and not ((ordered[:, 1:] == ordered[:, :-1])
+                         & (ordered[:, 1:] >= 0)).any()
+                and ((vecs[v] < 0) | (vecs[v] == vecs[a])).all()
+                and _least_below(sgrp.le, _tags(vecs, len(gpd.arrows))))
 
 
 def is_wide(gpd, sgrp):
@@ -506,14 +579,54 @@ def germ_classes(sgrp, side="dom"):
     """Equivalence classes of (element, point) pairs at the given side.
 
     Two pairs at the same point x are identified when some common
-    lower element still carries x: one boolean product of the order
-    rows of the elements carrying x, closed transitively.  Returns
+    lower element still carries x, closed transitively.  Returns
     (reps, cls): cls[a, x] is the class of (a, x), -1 where a does not
     carry x, and reps[i] = (a, x) is the canonical representative of
     class i, its pair with the least element.  Classes are ordered by
     the str of their point label, then by that element.
+
+    Lemma.  Suppose every vector entry is -1 or an arrow leaving its
+    object and act is rng of the vectors, one to one on each domain, so
+    a carries x on either side iff just one of its arrows leaves (dom)
+    or reaches (img) x; v <= a implies that the arrows of v are arrows
+    of a; and for every arrow g the first element of least tag size
+    through g lies below every element through g.  Then (a, x) and
+    (b, x) share a class exactly when a and b have the same arrow at x:
+    a common lower element carrying x has its arrow at x in both, and
+    the least element through a shared arrow is a common lower element
+    carrying x.  So the class of (a, x) is its arrow at x, named by the
+    first element through it, O(|S| |objects|) in all.  Where a premise
+    fails, each point's order block is closed by products (_joined).
     """
-    carries = (sgrp.act if side == "dom" else _inverse_action(sgrp.act)) >= 0
+    act = sgrp.act if side == "dom" else _inverse_action(sgrp.act)
+    n, m = act.shape
+    if sgrp.germ_lemma:
+        gpd, vecs = sgrp.bisections
+        vecs = np.pad(vecs, ((0, 0), (0, 1)), constant_values=-1)
+        # the arrow of a at x, -1 where a does not carry x
+        arrow = vecs[:, :m] if side == "dom" else np.take_along_axis(
+            vecs, act, 1)
+        first = _tags(vecs, len(gpd.arrows)).argmax(axis=0)
+        least = np.append(first, -1)[arrow]
+    else:
+        least = _joined(sgrp, act >= 0)
+    # the classes as codes least * m + x, then in their order
+    a, x = np.nonzero(least >= 0)
+    code = np.unique(least[a, x] * m + x)
+    reps = sorted(zip(*(code // max(m, 1), code % max(m, 1))),
+                  key=lambda r: (str(sgrp.carrier[r[1]]), r))
+    reps = np.array(reps, dtype=np.intp).reshape(len(reps), 2)
+    number = np.zeros(n * m, dtype=np.intp)
+    number[reps[:, 0] * m + reps[:, 1]] = np.arange(len(reps))
+    cls = np.full((n, m), -1, dtype=np.intp)
+    cls[a, x] = number[least[a, x] * m + x]
+    return reps, cls
+
+
+def _joined(sgrp, carries):
+    """The least element of the class of each pair (a, x) carried, -1
+    elsewhere: the order block of each point's members, closed
+    transitively by repeated boolean products."""
     least = np.full(carries.shape, -1)
     for x in np.flatnonzero(carries.any(axis=0)):
         members = np.flatnonzero(carries[:, x])
@@ -524,15 +637,8 @@ def germ_classes(sgrp, side="dom"):
             if (grown == joined).all():
                 break
             joined = grown
-        # each pair's class is named by its least element
         least[members, x] = members[joined.argmax(axis=1)]
-    a, x = np.nonzero(least >= 0)
-    reps = sorted(set(zip(least[a, x].tolist(), x.tolist())),
-                  key=lambda r: (str(sgrp.carrier[r[1]]), r))
-    cls = np.full(carries.shape, -1)
-    for i, (a, x) in enumerate(reps):
-        cls[least[:, x] == a, x] = i
-    return np.array(reps, dtype=np.intp).reshape(len(reps), 2), cls
+    return least
 
 
 def _members(cls, count):
@@ -781,10 +887,6 @@ def _spread(mats):
 
 
 def crossed_product(sgrp):
-    if len(sgrp.elements) > _MAX_ELEMENTS:
-        raise ValueError(
-            f"semigroup of {len(sgrp.elements)} elements exceeds the "
-            f"crossed product guard {_MAX_ELEMENTS}")
     return CrossedProductAlgebra(sgrp)
 
 
@@ -838,8 +940,14 @@ class CovariantRep:
     All operators act on one unweighted space of the stated dimension;
     isometries are stored zero extended to the full space.  points and
     iso stack the projections in carrier order and the isometries in
-    element order; the label dicts are views into them.
+    element order; the label dicts are views into them.  blocks is None,
+    or, as groupoid_rep_to_covariant records it, (groupoid, arrow, ops):
+    the arrow of each element at each object (-1 where none leaves it)
+    and the zero extended block of each arrow, then a zero matrix, from
+    which iso was placed (_place).
     """
+
+    blocks = None
 
     def __init__(self, sgrp, dim, projections, isometries):
         self.semigroup = sgrp
@@ -909,14 +1017,66 @@ def check_covariant_rep(cov, tol=1e-10):
 
 
 def partial_isometry_form(cov, tol=1e-10):
-    """Full multiplicativity of the zero extended isometries."""
+    """Full multiplicativity of the zero extended isometries.
+
+    Lemma (block form).  Suppose iso[a] is exactly the sum of the placed
+    blocks of the arrows of a, as cov.blocks records them over the
+    groupoid and vectors of the semigroup; the blocks are multiplicative
+    within tol on the composable pairs (g, h) that occur in tags; and
+    the embedding certificate holds, so the vector of ab is that of a
+    after that of b.  A row of iso[a] is then a row of the block of the
+    one arrow g of a reaching its object, and a column of iso[b] one of
+    the block of the one arrow h of b leaving its object, so
+    iso[a] iso[b] - iso[ab] is U(g) U(h) - U(gh), entry for entry, on
+    the block of each pair that a and b compose, and zero elsewhere.
+    The defect is the largest over the pairs that occur, each product
+    formed in the zero extension as the scan forms it, and the witness
+    is the first (a, b) in row-major order through a worst pair.  Where
+    a premise fails, NaN included, or the pairs are no fewer than the
+    element pairs, the scan over all |S|^2 products runs and decides.
+    """
     sgrp = cov.semigroup
     rep = Report("partial isometry form")
     n, iso = len(sgrp.elements), cov.iso
-    rep.add_worst_at("multiplicative", _rows(n, lambda a: max_abs_each(
-                         iso[a] @ iso - iso[sgrp.mul[a]])),
-                     tol, lambda k: sgrp.label(divmod(k, n)))
-    return rep
+    form = _block_form(cov, tol)
+    if form is not None:
+        return rep.add_worst_at("multiplicative", form[0], tol,
+                                lambda k: sgrp.label(form[1]))
+    return rep.add_worst_at("multiplicative", _rows(n, lambda a: max_abs_each(
+                                iso[a] @ iso - iso[sgrp.mul[a]])),
+                            tol, lambda k: sgrp.label(divmod(k, n)))
+
+
+def _block_form(cov, tol):
+    """(defect, witness pair) of multiplicative by the lemma of
+    partial_isometry_form, or None where it does not apply."""
+    sgrp = cov.semigroup
+    if cov.blocks is None or not sgrp.embedded:
+        return None
+    gpd, arrow, ops = cov.blocks
+    own, vecs = sgrp.bisections
+    t, n = gpd.codes, len(vecs)
+    if not (np.array_equal(arrow, vecs) and all(
+            np.array_equal(getattr(t, f), getattr(own.codes, f))
+            for f in ("src", "rng", "comp"))):
+        return None
+    tags = _tags(vecs, len(t.src))
+    covered = tags.any(axis=0)
+    g, h = t.pairs
+    g, h = g[covered[g] & covered[h]], h[covered[g] & covered[h]]
+    if len(g) >= n * n or not np.array_equal(_place(arrow, ops), cov.iso):
+        return None
+    gaps = _stacked(len(g), cov.dim, lambda p: (
+        ops[g[p]] @ ops[h[p]] - ops[t.comp[g[p], h[p]]]))
+    if not (gaps <= tol).all():
+        return None
+    d, k = worst_at(gaps)
+    if k is None:
+        return 0.0, None
+    worst = gaps == d
+    first = tags.argmax(axis=0)
+    a = first[g[worst]].min()
+    return d, (int(a), int(first[h[worst & tags[a, g]]].min()))
 
 
 def check_crossed_rep(alg, rho, tol=1e-10):
@@ -939,10 +1099,11 @@ def check_crossed_rep(alg, rho, tol=1e-10):
 
 def rep_of_crossed_to_covariant(alg, rho, tol=1e-10):
     """Split a crossed product representation into projections and
-    partial isometries; returns (covariant rep, report)."""
+    partial isometries; returns (covariant rep, report).  rho is not
+    checked again here: check_crossed_rep does that, as
+    integrate_covariant runs it on the rho it returns."""
     sgrp = alg.semigroup
     out = Report("crossed to covariant")
-    out.extend(check_crossed_rep(alg, rho, tol))
     dim = next(iter(rho.values())).shape[0] if rho else 0
 
     mats = {label: [rho[alg.class_of[e, x]] for e in _covering(sgrp, x, "")]
@@ -952,10 +1113,11 @@ def rep_of_crossed_to_covariant(alg, rho, tol=1e-10):
                      lambda k: sgrp.carrier[k])
     projections = {x: m[0] for x, m in mats.items()}
 
-    zero = np.zeros((dim, dim), dtype=complex)
-    isometries = {a: sum((rho[c] for c in row[row >= 0]), zero)
-                  for a, row in zip(sgrp.elements, alg.class_of)}
-    cov = CovariantRep(sgrp, dim, projections, isometries)
+    # the operators in basis order, then zero for no class
+    ops = np.array([rho[i] for i in range(alg.dim)]
+                   + [np.zeros((dim, dim))], dtype=complex)
+    cov = CovariantRep(sgrp, dim, projections,
+                       dict(zip(sgrp.elements, _place(alg.class_of, ops))))
     out.extend(check_covariant_rep(cov, tol))
     return cov, out
 
@@ -968,7 +1130,6 @@ def integrate_covariant(alg, cov, tol=1e-10):
     representative and to be a star homomorphism.
     """
     out = Report("covariant to crossed")
-    sgrp = alg.semigroup
     a, x, bounds = alg.members
     mats = cov.points[x] @ cov.iso[a]
     classes = [mats[bounds[i]:bounds[i + 1]] for i in range(alg.dim)]
@@ -1006,9 +1167,8 @@ def groupoid_rep_to_covariant(rep, sgrp):
     for x, f in zip(gpd.objects, fibers):
         projections[x] = np.zeros((dim, dim), dtype=complex)
         projections[x][f, f] = 1
-    # every (element, arrow) block in one scatter, row-major: the arrows
-    # of a bisection have distinct ends, so no two blocks of one element
-    # overlap
+    # every arrow's block in one scatter, row-major, into its zero
+    # extension; a last zero matrix stands for no arrow
     t = gpd.codes
     sizes = np.array([len(f) for f in fibers], dtype=np.intp)
     position = np.concatenate([np.empty(0, dtype=np.intp)] + fibers)
@@ -1016,17 +1176,31 @@ def groupoid_rep_to_covariant(rep, sgrp):
     vals = np.concatenate([np.empty(0, dtype=complex)] + [
         fam.unitaries[g].ravel() for g in gpd.arrows])
     size = sizes[t.rng] * sizes[t.src]
-    a, k = np.nonzero(sgrp.tag_matrix(gpd.arrows))
     # the place of each entry in its block
-    e = np.arange(size[k].sum()) - np.repeat(np.cumsum(size[k]) - size[k],
-                                             size[k])
-    a, k = np.repeat(a, size[k]), np.repeat(k, size[k])
+    e = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    k = np.repeat(np.arange(len(gpd.arrows)), size)
     cols = sizes[t.src[k]]
-    iso = np.zeros((len(sgrp.elements), dim, dim), dtype=complex)
-    iso[a, position[first[t.rng[k]] + e // cols],
-        position[first[t.src[k]] + e % cols]] += vals[np.cumsum(size)[k]
-                                                      - size[k] + e]
-    return CovariantRep(sgrp, dim, projections, dict(zip(sgrp.elements, iso)))
+    ops = np.zeros((len(gpd.arrows) + 1, dim, dim), dtype=complex)
+    ops[k, position[first[t.rng[k]] + e // cols],
+        position[first[t.src[k]] + e % cols]] = vals
+    # the arrow of each element at each object: the arrows of a
+    # bisection leave distinct objects
+    a, k = np.nonzero(sgrp.tag_matrix(gpd.arrows))
+    arrow = np.full((len(sgrp.elements), len(gpd.objects)), -1,
+                    dtype=np.intp)
+    arrow[a, t.src[k]] = k
+    cov = CovariantRep(sgrp, dim, projections,
+                       dict(zip(sgrp.elements, _place(arrow, ops))))
+    cov.blocks = (gpd,) + _freeze(arrow, ops)
+    return cov
+
+
+def _place(arrow, ops):
+    """Each element's isometry: the sum of ops over its arrows."""
+    iso = np.zeros((len(arrow),) + ops.shape[1:], dtype=complex)
+    for x in range(arrow.shape[1]):
+        iso += ops[arrow[:, x]]
+    return iso
 
 
 def _per_shape(shapes, defects_of):
@@ -1158,7 +1332,11 @@ def etale_battery(gpd, weights, sgrp=None, rep=None, tol=1e-10):
         rho, rho_rep = integrate_covariant(alg, cov, tol)
         out.extend(rho_rep, prefix="integrated-")
         cov2, cov2_rep = rep_of_crossed_to_covariant(alg, rho, tol)
-        out.extend(cov2_rep, prefix="split-")
+        # rho is checked once: the split- names repeat the checks of
+        # check_crossed_rep, which follow representative-independent
+        split = Report()
+        split.checks = rho_rep.checks[1:] + cov2_rep.checks
+        out.extend(split, prefix="split-")
         out.add_worst_at("split-roundtrip", max_abs_each(cov2.iso - cov.iso),
                          tol)
         back, back_rep = covariant_to_groupoid_rep(
@@ -1179,11 +1357,39 @@ def group_action_semigroup(order, action):
     made of all arrows with exponent k.
     """
     gpd = transformation_groupoid(order, action)
-    els = []
-    for k in range(int(order)):
-        tag = frozenset((k, x) for x in gpd.objects)
-        els.append(bisection_from_arrows(gpd, tag))
-    return gpd, semigroup_from_bisections(gpd, els)
+    return gpd, _action_semigroup(gpd, order)
+
+
+def _action_semigroup(gpd, order):
+    # the arrow (k, x) is number k |objects| + x, so row k of this table
+    # is the vector of element k
+    return _close(gpd, np.arange(len(gpd.arrows)).reshape(int(order), -1))
+
+
+def _is_transformation(gpd, order, action):
+    """Whether gpd is transformation_groupoid(order, action): its labels,
+    and its tables by index arithmetic on gpd.codes."""
+    n, step = int(order), dict(action)
+    pts = tuple(sorted(step, key=str))
+    m = len(pts)
+    if (gpd.objects != pts
+            or gpd.arrows != tuple((k, x) for k in range(n) for x in pts)):
+        return False
+    at = {x: i for i, x in enumerate(pts)}
+    nxt = np.array([at.get(step[x], -1) for x in pts], dtype=np.intp)
+    t, ids = gpd.codes, np.arange(m)
+    # r[k, x]: the k-fold image of x, read off rng and checked step by step
+    r = t.rng.reshape(n, m)
+    if not (np.array_equal(r[0], ids) and np.array_equal(r[1:], nxt[r[:-1]])
+            and np.array_equal(nxt[r[-1]], ids)):
+        return False
+    k, j, x = np.indices((n, n, m)).reshape(3, -1)
+    comp = np.full_like(t.comp, -1)
+    comp[k * m + r[j, x], j * m + x] = (k + j) % n * m + x
+    k, x = np.indices((n, m)).reshape(2, -1)
+    return (np.array_equal(t.src, x) and np.array_equal(t.comp, comp)
+            and np.array_equal(t.inv, (-k) % n * m + r[k, x])
+            and np.array_equal(t.unit, ids))
 
 
 def transformation_theorem(order, action, rep=None, tol=1e-10):
@@ -1193,9 +1399,20 @@ def transformation_theorem(order, action, rep=None, tol=1e-10):
     acting group, and checks the canonical translation is a unital
     star isomorphism onto counting weight convolution.  Given a
     representation, it is also translated to a covariant pair and
-    back again.
+    back again; its groupoid, once checked to be the transformation
+    groupoid, is the one used.
     """
-    gpd, sgrp = group_action_semigroup(order, action)
+    if rep is None:
+        gpd, sgrp = group_action_semigroup(order, action)
+    elif _is_transformation(rep.groupoid, order, action):
+        gpd = rep.groupoid
+        sgrp = _action_semigroup(gpd, order)
+    else:
+        # an action whose order does not divide order keeps that message
+        transformation_groupoid(order, action)
+        raise ValueError("the representation is not one of the "
+                         f"transformation groupoid of order {order} and "
+                         "the given action")
     out = Report("transformation theorem")
     out.extend(sgrp.validate(), prefix="semigroup-")
     alg = crossed_product(sgrp)
@@ -1209,18 +1426,14 @@ def transformation_theorem(order, action, rep=None, tol=1e-10):
         out.extend(check_covariant_rep(cov, tol), prefix="covariant-")
         out.extend(partial_isometry_form(cov, tol), prefix="covariant-")
 
-        lits = dict(zip(rep.groupoid.arrows, conv_rep_of(rep).ops))
-        arrows, gaps = [], []
-        for k in range(int(order)):
-            a = next(el for el in sgrp.elements
-                     if (k, gpd.objects[0]) in el.tag)
-            w = cov.isometries[a]
-            for x in gpd.objects:
-                g = (k, x)
-                arrows.append(g)
-                gaps.append(lits[g] - cov.projections[gpd.rng[g]] @ w)
-        out.add_worst_at("integrated-agreement", max_abs_each(np.array(gaps)),
-                         tol, lambda i: arrows[i])
+        # arrow (k, x) against the projection at its range times the
+        # isometry of element k, the one element through it
+        t, vecs = gpd.codes, sgrp.bisections[1]
+        owner = np.empty(len(gpd.arrows), dtype=np.intp)
+        owner[vecs] = np.arange(len(vecs))[:, None]
+        gaps = conv_rep_of(rep).ops - cov.points[t.rng] @ cov.iso[owner]
+        out.add_worst_at("integrated-agreement", max_abs_each(gaps), tol,
+                         lambda i: gpd.arrows[i])
 
         back, back_rep = covariant_to_groupoid_rep(
             gpd, rep.weights, cov, tol)

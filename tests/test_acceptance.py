@@ -197,13 +197,13 @@ def test_criterion_09_transformation_theorem():
 
     # full 2x2 matrix algebra: the class of (a, x) acts as the matrix
     # unit E[x, preimage of x under a]
-    theta_inv = {a: {y: z for z, y in sgrp.theta[a].items()}
-                 for a in sgrp.elements}
     pos = {1: 0, 2: 1}
     units = {}
     for i, (a, x) in enumerate(alg.basis):
         m = np.zeros((2, 2))
-        m[pos[x], pos[theta_inv[a][x]]] = 1.0
+        # the preimage of x under a, off the action table
+        row = sgrp.act[sgrp.elements.index(a)].tolist()
+        m[pos[x], pos[sgrp.carrier[row.index(sgrp.carrier.index(x))]]] = 1.0
         units[i] = m
     for i in range(4):
         for j in range(4):

@@ -2,12 +2,14 @@
 
 The references below are the per-pair, per-arrow, per-class and
 per-element loops of the cocycle check, the germ and crossed product
-tables, the covariant checks, the germ reconstruction and the two
-translations, kept apart from names as they were.  Each test requires
-the stacked code to give the same defects, bit for bit, and the same
-witnesses, on fixtures, fibres of two sizes, regular representations,
-seeded random groupoids, NaN, inf and empty-block mutants and the empty
-groupoid.
+tables, the covariant checks, the germ reconstruction, the two
+translations and the semigroup closure, kept apart from names as they
+were.  Each test requires the stacked code to give the same defects, bit
+for bit, and the same witnesses, on fixtures, fibres of two sizes,
+regular representations, seeded random groupoids, NaN, inf and
+empty-block mutants and the empty groupoid.  The certificates of the
+germ classes and of partial_isometry_form are held to the routes they
+stand in for, which still run where a premise fails.
 """
 
 import numpy as np
@@ -498,3 +500,282 @@ def test_covariant_chunks_give_the_same_defects(monkeypatch):
     monkeypatch.setattr(crossed, "_stacked",
                         lambda count, dim, gaps: real(count, dim, gaps, 1))
     assert _checks(check_covariant_rep(cov)) == want
+
+
+# ---------------------------------------------------------------------------
+# the closure in rounds against the closure one element per round
+
+def reference_closure_by_element(gpd, generators):
+    """semigroup_from_bisections as it was before the rounds: each
+    element found is composed with itself and every earlier element, in
+    both orders, one element per Python step, and its products join in
+    the order (i, 0), (0, i), (i, 1), (1, i), ..., (i, i)."""
+    codes, objs, arrows = gpd.codes, gpd.objects, gpd.arrows
+    m = len(objs)
+    rng, inv = np.append(codes.rng, -1), np.append(codes.inv, -1)
+    comp = np.pad(codes.comp, (0, 1), constant_values=-1)
+
+    def after(a, b):
+        return comp[a[..., rng[b]], b]
+
+    def inverse(vecs):
+        return inv[np.take_along_axis(vecs, crossed._inverse_action(
+            rng[vecs]), 1)]
+
+    gens = np.full((len(generators), m + 1), -1, dtype=np.intp)
+    for k, a in enumerate(generators):
+        tag = [arrows.index(g) for g in a.tag]
+        gens[k, codes.src[tag]] = tag
+    vecs, number = [], {}
+
+    def place(batch):
+        got = []
+        for v in map(tuple, batch.tolist()):
+            if v not in number:
+                number[v] = len(vecs)
+                vecs.append(v)
+            got.append(number[v])
+        return np.array(got, dtype=np.intp)
+
+    place(np.stack([gens, inverse(gens)], axis=1).reshape(-1, m + 1))
+    rows = []
+    while len(rows) < len(vecs):
+        i = len(rows)
+        known = np.array(vecs[:i + 1], dtype=np.intp)
+        batch = np.empty((2 * i + 1, m + 1), dtype=np.intp)
+        batch[0::2] = after(known[i], known)
+        batch[1::2] = after(known[:i], known[i])
+        rows.append(place(batch))
+    n = len(rows)
+    vecs = np.array(vecs, dtype=np.intp).reshape(n, m + 1)
+    prod = np.empty((n, n), dtype=np.intp)
+    for i, got in enumerate(rows):
+        prod[i, :i + 1], prod[:i, i] = got[0::2], got[1::2]
+    labels = [crossed.bisection_from_arrows(
+        gpd, [arrows[g] for g in v if g >= 0]) for v in vecs.tolist()]
+    order = np.array(sorted(range(n), key=lambda k: crossed._sort_key(
+        labels[k])), dtype=np.intp)
+    rank = np.argsort(order)
+    return InverseSemigroup(
+        [labels[k] for k in order], rank[prod[np.ix_(order, order)]],
+        rank[place(inverse(vecs))[order]], rng[vecs[order, :m]], objs,
+        bisections=(gpd, vecs[order, :m]))
+
+
+SHIFT = {n: {x: x % n + 1 for x in range(1, n + 1)} for n in (2, 3, 4, 6, 8,
+                                                             12)}
+SIM5 = ({1: 2, 2: 1, 3: 3, 4: 4, 5: 5}, {1: 2, 2: 3, 3: 4, 4: 5, 5: 1},
+        {2: 2, 3: 3, 4: 4, 5: 5})
+
+
+def _closure_cases():
+    """(name, groupoid, generators): the groupoids of the etale ladder
+    with all their bisections, the transformation groupoids of the
+    ladder with their global bisections, seeded random generator sets,
+    and the three generators of the symmetric inverse monoid on 5
+    points, which close to 1,546 bisections."""
+    p2, p3 = fixture("P2")[0], build_preset("pair", points=3)
+    t3 = build_preset("transformation", order=3, action=SHIFT[3])
+    out = [(name, gpd, crossed.all_bisections(gpd)) for name, gpd in (
+        ("Z2", fixture("Z2")[0]), ("P2", p2), ("pair:3", p3),
+        ("transformation:3", t3), ("P2+P2", disjoint_union(p2, p2)),
+        ("transformation:3+space:1",
+         disjoint_union(t3, build_preset("space", points=1))),
+        ("pair:3+group:2",
+         disjoint_union(p3, build_preset("group", order=2))))]
+    for n, step in SHIFT.items():
+        gpd = build_preset("transformation", order=n, action=step)
+        out.append((f"trafo:{n}", gpd, [crossed.bisection_from_arrows(
+            gpd, [(k, x) for x in gpd.objects]) for k in range(n)]))
+    rng = SplitMix64(71)
+    for name, gpd in (("pair:4", build_preset("pair", points=4)),
+                      ("random-5", random_groupoid(SplitMix64(5))[0]),
+                      ("P2+T3", disjoint_union(p2, t3))):
+        every = crossed.all_bisections(gpd)
+        for trial in range(3):
+            picks = {rng.next_u64() % len(every) for _ in range(1 + trial)}
+            out.append((f"{name} random {trial}", gpd,
+                        [every[k] for k in sorted(picks)]))
+    p5 = build_preset("pair", points=5)
+    out.append(("pair:5 generators", p5, [crossed.bisection_from_arrows(
+        p5, [(y, x) for x, y in step.items()]) for step in SIM5]))
+    return out
+
+
+@pytest.mark.parametrize("name, gpd, generators", _closure_cases(),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_closure_in_rounds_matches_the_closure_by_element(name, gpd,
+                                                         generators):
+    got = crossed.semigroup_from_bisections(gpd, generators)
+    want = reference_closure_by_element(gpd, generators)
+    assert got.elements == want.elements
+    for table in ("mul", "star", "act"):
+        assert np.array_equal(getattr(got, table), getattr(want, table))
+    assert np.array_equal(got.bisections[1], want.bisections[1])
+
+
+def test_closure_chunks_give_the_same_semigroup(monkeypatch):
+    gpd = disjoint_union(build_preset("pair", points=3),
+                         build_preset("group", order=2))
+    generators = crossed.all_bisections(gpd)
+    want = crossed.semigroup_from_bisections(gpd, generators)
+    real = crossed._close
+    # one product per chunk, a row of products, rows that share a chunk
+    for size in (1, len(want.elements), 3 * len(want.elements) + 1):
+        monkeypatch.setattr(crossed, "_close",
+                            lambda gpd, gens, size=size: real(gpd, gens,
+                                                              size))
+        got = crossed.semigroup_from_bisections(gpd, generators)
+        assert got.elements == want.elements
+        assert np.array_equal(got.mul, want.mul)
+
+
+# ---------------------------------------------------------------------------
+# germ classes on integers against the float closure
+
+def _float_route(sgrp):
+    """A copy of the semigroup whose germ_classes takes the float
+    closure."""
+    copy = InverseSemigroup(sgrp.elements, sgrp.mul, sgrp.star, sgrp.act,
+                            sgrp.carrier, sgrp.bisections)
+    copy.__dict__["germ_lemma"] = False
+    return copy
+
+
+@pytest.mark.parametrize("side", ["dom", "img"])
+@pytest.mark.parametrize("name, gpd, sgrp", SEMIGROUPS, ids=IDS)
+def test_germ_classes_on_integers_match_the_float_closure(name, gpd, sgrp,
+                                                          side):
+    assert sgrp.germ_lemma
+    reps, cls = germ_classes(sgrp, side)
+    want_reps, want_cls = germ_classes(_float_route(sgrp), side)
+    assert np.array_equal(reps, want_reps)
+    assert np.array_equal(cls, want_cls)
+
+
+def test_germ_classes_take_the_float_closure_where_a_premise_fails(
+        monkeypatch):
+    # {id, a} with a fixing 1 and swapping 2 and 3: both carry the arrow
+    # (1, 1), and neither lies below the other, so the least element
+    # through (1, 1) is not below both and the pairs at 1 stay apart
+    gpd = build_preset("pair", points=3)
+    a = crossed.bisection_from_arrows(gpd, [(1, 1), (3, 2), (2, 3)])
+    sgrp = crossed.semigroup_from_bisections(gpd, [a])
+    assert len(sgrp.elements) == 2 and not sgrp.germ_lemma
+    calls = []
+    real = crossed._joined
+    monkeypatch.setattr(crossed, "_joined",
+                        lambda sgrp, carries: calls.append(1) or real(
+                            sgrp, carries))
+    for side in ("dom", "img"):
+        reps, cls = germ_classes(sgrp, side)
+        assert len(reps) == 6
+        assert (cls[:, 0] >= 0).all() and cls[0, 0] != cls[1, 0]
+    assert len(calls) == 2
+    # no generator, no element and no class
+    empty = crossed.semigroup_from_bisections(gpd, [])
+    assert not empty.elements and not empty.germ_lemma
+    for side in ("dom", "img"):
+        reps, cls = germ_classes(empty, side)
+        assert reps.shape == (0, 2) and cls.shape == (0, 3)
+
+
+# ---------------------------------------------------------------------------
+# the block-form certificate of partial_isometry_form against its scan
+
+def reference_multiplicative(cov):
+    """(defect, witness) of multiplicative, one element pair at a time."""
+    sgrp = cov.semigroup
+    iso, n = cov.iso, len(sgrp.elements)
+    d, k = worst_at(np.array([
+        max_abs_each((iso[a] @ iso[b] - iso[sgrp.mul[a, b]])[None])[0]
+        for a in range(n) for b in range(n)]))
+    return d, None if k is None else sgrp.label(divmod(k, n))
+
+
+def _multiplicative(cov):
+    (check,) = crossed.partial_isometry_form(cov).checks
+    return check.passed, check.defect, check.witness
+
+
+@pytest.mark.parametrize("name, rep, sgrp", COVARIANT, ids=COV_IDS)
+def test_block_form_matches_the_scan(name, rep, sgrp):
+    cov = groupoid_rep_to_covariant(rep, sgrp)
+    form = crossed._block_form(cov, 1e-10)
+    # the order-3 group has 27 pairs for 9 element pairs: the scan runs
+    assert (form is None) == (name == "trafo:3")
+    passed, defect, witness = _multiplicative(cov)
+    assert passed and (defect, witness) == reference_multiplicative(cov)
+
+
+def _block_mutants(rep, sgrp):
+    """The covariant representation with one block of one isometry
+    scaled, the groupoid representation with one block perturbed, and
+    one isometry with mass off its blocks."""
+    gpd = rep.groupoid
+    a = int(np.flatnonzero(~sgrp.idem)[-1])
+    g = gpd.arrows[int(sgrp.bisections[1][a][sgrp.bisections[1][a] >= 0][0])]
+    rows = rep.module.left_positions(gpd.rng[g])
+    cols = rep.module.left_positions(gpd.src[g])
+    scaled = groupoid_rep_to_covariant(rep, sgrp)
+    scaled.iso[a][np.ix_(rows, cols)] *= 1 + 1e-6
+    fam = blockwise(rep)
+    blocks = {h: u.copy() for h, u in fam.unitaries.items()}
+    blocks[g] = blocks[g] * (1 + 1e-6)
+    perturbed = groupoid_rep_to_covariant(
+        from_cocycle(gpd, rep.weights, rep.module, blocks), sgrp)
+    off = groupoid_rep_to_covariant(rep, sgrp)
+    # a row of the block of g holds nothing outside the columns of src g
+    off.iso[a][rows[0], np.setdiff1d(np.arange(off.dim), cols)[0]] = 1e-6
+    return {"scaled": scaled, "perturbed": perturbed, "off": off}
+
+
+MUTATED = [c for c in COVARIANT
+           if c[0] in ("P2", "pair:3", "P2+T3", "random-4", "regular pair")]
+
+
+@pytest.mark.parametrize("mutant", ["scaled", "perturbed", "off"])
+@pytest.mark.parametrize("name, rep, sgrp", MUTATED,
+                         ids=[c[0] for c in MUTATED])
+def test_block_form_mutants_fail_with_the_scans_witness(name, rep, sgrp,
+                                                        mutant):
+    cov = _block_mutants(rep, sgrp)[mutant]
+    assert cov.blocks is not None
+    assert crossed._block_form(cov, 1e-10) is None
+    passed, defect, witness = _multiplicative(cov)
+    assert not passed and defect > 1e-7
+    assert (defect, witness) == reference_multiplicative(cov)
+
+
+def test_the_certificates_decide_the_pair_4_battery(monkeypatch):
+    gpd = build_preset("pair", points=4)
+    w = counting_weights(gpd)
+    sgrp = bisection_semigroup(gpd)
+    rep = from_cocycle(gpd, w, *random_cocycle(SplitMix64(72), gpd, w))
+    calls = {"scan": [], "joined": 0, "forms": []}
+    real_scan, real_joined, real_form = (crossed._scan, crossed._joined,
+                                         crossed._block_form)
+
+    def scan(n, mask_of):
+        calls["scan"].append(n)
+        return real_scan(n, mask_of)
+
+    def joined(sgrp, carries):
+        calls["joined"] += 1
+        return real_joined(sgrp, carries)
+
+    def form(cov, tol):
+        calls["forms"].append(real_form(cov, tol))
+        return calls["forms"][-1]
+
+    monkeypatch.setattr(crossed, "_scan", scan)
+    monkeypatch.setattr(crossed, "_joined", joined)
+    monkeypatch.setattr(crossed, "_block_form", form)
+    out = crossed.etale_battery(gpd, w, sgrp=sgrp, rep=rep)
+    assert out.ok, str(out)
+    assert sgrp.embedded and sgrp.germ_lemma
+    # no scan over the elements (the crossed product's associativity
+    # scans its 16 basis elements), no float closure of the germ
+    # classes, and the multiplicative check read off the block products
+    assert calls["scan"] == [len(gpd.arrows)] and calls["joined"] == 0
+    assert len(calls["forms"]) == 1 and calls["forms"][0] is not None

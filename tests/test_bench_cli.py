@@ -15,8 +15,10 @@ def bench(monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     monkeypatch.setattr(module, "ROWS", ((0.1, "validate --preset Z2"),
-                                         (0.1, "etale --preset pair:5"),
+                                         (0.1, "etale --preset pair:6"),
                                          (9.0, "suite")))
+    # pair:6 is past the bound on the |S| x |S| tables, a usage error
+    monkeypatch.setattr(module, "EXPECTED_EXIT", {"etale --preset pair:6": 2})
     return module
 
 
@@ -26,7 +28,7 @@ def test_quick_rows_record_times_rss_and_exit_codes(bench, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["quick"] is True and doc["nproc"] >= 1
     assert [r["command"] for r in doc["rows"]] == [
-        "gcstar validate --preset Z2", "gcstar etale --preset pair:5"]
+        "gcstar validate --preset Z2", "gcstar etale --preset pair:6"]
     for row, code in zip(doc["rows"], (0, 2)):
         assert row["runs"] == 2 and row["exit_codes"] == [code, code]
         wall = row["wall_s"]

@@ -306,9 +306,12 @@ def test_malformed_json_exits_2_naming_the_entry(capsys, tmp_path, argv,
 
 
 def test_etale_refuses_to_enumerate_past_the_bisection_limit(capsys):
-    code, out, err = run(capsys, "etale", "--preset", "pair:5")
+    # pair:6 has 13,327 bisections: its mul table alone would take 1.4 GB
+    code, out, err = run(capsys, "etale", "--preset", "pair:6")
     assert code == 2
-    assert "(limit 16)" in err
+    assert err.startswith("error: the bisection semigroup of 36 arrows has "
+                          "at least 3,974 elements")
+    assert "over the bound of 268.4 MB" in err
     assert out == ""
 
 

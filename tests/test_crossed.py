@@ -9,6 +9,9 @@ The closure is compared against a pairwise closure on arrow-label tags,
 written below without the integer tables.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -104,9 +107,22 @@ def test_bisection_counts():
         assert len(all_bisections(gpd)) == count
 
 
-def test_all_bisections_guard():
-    gpd = pair_groupoid((1, 2, 3, 4, 5))
-    with pytest.raises(ValueError):
+def test_all_bisections_guard(monkeypatch):
+    # pair:6 has 13,327 bisections; its mul table alone would take 1.4 GB
+    gpd = pair_groupoid((1, 2, 3, 4, 5, 6))
+    limit = math.isqrt(crossed._TABLE_BYTES // crossed._PAIR_BYTES)
+    with pytest.raises(ValueError, match=(
+            f"the bisection semigroup of 36 arrows has at least {limit + 1:,} "
+            "elements, "
+            r"whose \|S\| x \|S\| tables need at least [0-9.,]+ MB, over "
+            r"the bound of 268.4 MB")):
+        all_bisections(gpd)
+    # P2 has 7 bisections
+    gpd, _ = fixture("P2")
+    monkeypatch.setattr(crossed, "_TABLE_BYTES", 49 * crossed._PAIR_BYTES)
+    assert len(all_bisections(gpd)) == 7
+    monkeypatch.setattr(crossed, "_TABLE_BYTES", 49 * crossed._PAIR_BYTES - 1)
+    with pytest.raises(ValueError, match="at least 7 elements"):
         all_bisections(gpd)
 
 
@@ -198,13 +214,13 @@ def test_swap_crossed_product_is_full_matrix_algebra():
     alg = crossed_product(sgrp)
     assert alg.dim == 4
     # explicit matrix units: the class of (a, x) acts as E[x, preimage]
-    theta_inv = {a: {y: z for z, y in sgrp.theta[a].items()}
-                 for a in sgrp.elements}
     units = {}
     pos = {1: 0, 2: 1}
     for i, (a, x) in enumerate(alg.basis):
         m = np.zeros((2, 2))
-        m[pos[x], pos[theta_inv[a][x]]] = 1.0
+        # the preimage of x under a, off the action table
+        row = sgrp.act[sgrp.elements.index(a)].tolist()
+        m[pos[x], pos[sgrp.carrier[row.index(sgrp.carrier.index(x))]]] = 1.0
         units[i] = m
     for i in range(4):
         for j in range(4):
@@ -417,23 +433,30 @@ def test_closure_matches_pairwise_reference(monkeypatch):
         assert sgrp.act.tolist() == act, gpd
 
     n = len(sgrp.elements)
-    monkeypatch.setattr(crossed, "_MAX_ELEMENTS", n - 1)
-    with pytest.raises(ValueError, match=f"exceeded {n - 1} elements"):
+    bisections = all_bisections(gpd)
+
+    def bound(count):
+        monkeypatch.setattr(crossed, "_TABLE_BYTES",
+                            count * count * crossed._PAIR_BYTES)
+
+    # the tables of n - 1 elements are one byte short
+    monkeypatch.setattr(crossed, "_TABLE_BYTES",
+                        n * n * crossed._PAIR_BYTES - 1)
+    with pytest.raises(ValueError, match=f"closure has at least {n} elements"):
         semigroup_from_bisections(gpd, gens)
-    monkeypatch.setattr(crossed, "_MAX_ELEMENTS", n)
+    bound(n)
     assert len(semigroup_from_bisections(gpd, gens).elements) == n
-    # the guard counts the elements that products add, not the generators
-    monkeypatch.setattr(crossed, "_MAX_ELEMENTS", 1)
-    assert len(semigroup_from_bisections(gpd, all_bisections(gpd))
-               .elements) == 7
-    # {(1, 2)} and its inverse pass the guard of 1; the two units and the
+    # the bound counts the elements that products add, not the generators
+    bound(1)
+    assert len(semigroup_from_bisections(gpd, bisections).elements) == 7
+    # {(1, 2)} and its inverse pass the bound of 1; the two units and the
     # empty bisection that their products add do not
-    with pytest.raises(ValueError, match="exceeded 1 elements"):
+    with pytest.raises(ValueError, match="over the bound of 0.0 MB"):
         semigroup_from_bisections(gpd, gens[:1])
-    monkeypatch.setattr(crossed, "_MAX_ELEMENTS", 4)
-    with pytest.raises(ValueError, match="exceeded 4 elements"):
+    bound(4)
+    with pytest.raises(ValueError, match="closure has at least 5 elements"):
         semigroup_from_bisections(gpd, gens[:1])
-    monkeypatch.setattr(crossed, "_MAX_ELEMENTS", 5)
+    bound(5)
     assert len(semigroup_from_bisections(gpd, gens[:1]).elements) == 5
 
 
@@ -615,3 +638,63 @@ def test_back_trisection_matches_reference(gpd, coeff_size, dims):
     assert got["blocks-agree"].passed and agree == (0.0, None)
     assert not got["trisection"].passed and tri[0] > 1e-7
     assert (got["trisection"].defect, got["trisection"].witness) == tri
+
+
+# ---------------------------------------------------------------------------
+# the transformation theorem on the groupoid of its representation, and
+# the etale battery checking its crossed product representation once
+
+def _trafo_rep(order, action, seed=56):
+    gpd = build_preset("transformation", order=order, action=action)
+    w = counting_weights(gpd)
+    return from_cocycle(gpd, w, *random_cocycle(SplitMix64(seed), gpd, w))
+
+
+@pytest.mark.parametrize("order, action", [(2, SWAP), (3, ROT3), (4, {1: 1}),
+                                           (12, SHIFT12)])
+def test_transformation_theorem_takes_the_groupoid_of_its_rep(
+        monkeypatch, order, action):
+    rep = _trafo_rep(order, action)
+    assert crossed._is_transformation(rep.groupoid, order, action)
+    want = transformation_theorem(order, action, rep=rep)
+    # nothing is rebuilt from the rules when the representation is given
+    built = []
+    monkeypatch.setattr(crossed, "transformation_groupoid",
+                        lambda *args: built.append(args))
+    got = transformation_theorem(order, action, rep=rep)
+    assert got.ok and not built
+    assert [(c.name, c.passed, c.defect, c.witness) for c in got.checks] == [
+        (c.name, c.passed, c.defect, c.witness) for c in want.checks]
+
+
+def test_transformation_theorem_refuses_a_rep_of_another_groupoid():
+    rep = _trafo_rep(3, ROT3)
+    gpd = rep.groupoid
+    for order, action in ((6, ROT3), (3, {1: 3, 2: 1, 3: 2})):
+        assert not crossed._is_transformation(gpd, order, action)
+        with pytest.raises(ValueError, match="not one of the transformation "
+                                             "groupoid"):
+            transformation_theorem(order, action, rep=rep)
+    # an order the action does not divide keeps the groupoid's message
+    with pytest.raises(ValueError, match="order dividing 2"):
+        transformation_theorem(2, ROT3, rep=rep)
+    # a groupoid with one table changed is not the transformation groupoid
+    comp = dict(gpd.comp)
+    comp[((1, 1), (0, 1))] = (2, 1)
+    other = FiniteGroupoid(gpd.objects, gpd.arrows, gpd.src, gpd.rng, comp,
+                           gpd.inv, gpd.unit)
+    assert not crossed._is_transformation(other, 3, ROT3)
+
+
+def test_etale_battery_checks_its_crossed_rep_once(monkeypatch):
+    gpd, w = fixture("P2")
+    rep = from_cocycle(gpd, w, *random_cocycle(SplitMix64(57), gpd, w))
+    calls = []
+    real = crossed.check_crossed_rep
+    monkeypatch.setattr(crossed, "check_crossed_rep",
+                        lambda *args: calls.append(1) or real(*args))
+    out = {c.name: c for c in etale_battery(gpd, w, rep=rep).checks}
+    assert len(calls) == 1
+    for name in ("multiplicative", "star", "unital"):
+        assert out[f"split-{name}"] == dataclasses.replace(
+            out[f"integrated-{name}"], name=f"split-{name}")
