@@ -62,11 +62,10 @@ from .convalg import (
     convolve,
     cstar_norm,
     delta_function,
+    delta_norms,
     fiber_sups,
     i_norm,
     identity_element,
-    operator_norm,
-    regular_matrix,
     star,
 )
 from .sampling import (

@@ -17,13 +17,14 @@ import time
 
 import numpy as np
 
-from .report import Report, VerificationError
+from .report import Report, VerificationError, relative_defects
 from .fingroupoid import (FIXTURE_NAMES, _field, _json, _labels, arrow_weights,
                           build_preset, counting_weights, fixture,
                           groupoid_from_dict, validate_groupoid, validate_haar)
 from .measures import check_family_identities, check_iterated_integrals
 from .hilbmod import ModuleMap, check_gamma, dump_module_map, module_from_dims
-from .convalg import check_convolution, cstar_norm, delta_function, i_norm
+from .convalg import (check_convolution, cstar_norm, delta_function,
+                      delta_norms, i_norm)
 from .sampling import (SplitMix64, mutate_groupoid, random_cocycle,
                        random_function, random_groupoid)
 from .reps import (check_representation, from_cocycle, invariant_support,
@@ -266,22 +267,30 @@ def cmd_algebra(args):
     gpd, weights, rng = _checked_input(args)
     funcs = _delta_batch(gpd)
     funcs += [random_function(rng, gpd) for _ in range(args.trials)]
-    reports = [check_convolution(gpd, weights, funcs, _tol(args))]
+    algebra = check_convolution(gpd, weights, funcs, _tol(args))
+
+    # the norms of every arrow delta as one stack, in arrow order; the
+    # C*-norm of delta_g has the closed form delta_norms
+    deltas = np.eye(len(gpd.arrows), dtype=complex)
+    inorms = i_norm(gpd, weights, deltas).tolist()
+    norms = cstar_norm(gpd, weights, deltas)
+    algebra.add_worst_at("delta-norm", relative_defects(
+        norms[:, None], delta_norms(gpd, weights)[:, None]), _tol(args),
+        lambda k: gpd.arrows[k])
 
     # delta_g * delta_h is c(src g) delta_gh, and 0 where gh is undefined
     t, names = gpd.codes, [str(g) for g in gpd.arrows]
     order = sorted(range(len(names)), key=names.__getitem__)
     product, inorm, cstarnorm = [], {}, {}
-    for i in order:
+    for i, norm in zip(order, norms[order].tolist()):
         g = gpd.arrows[i]
-        dg = delta_function(gpd, g)
-        inorm[names[i]] = i_norm(gpd, weights, dg)
-        cstarnorm[names[i]] = cstar_norm(gpd, weights, dg)
+        inorm[names[i]] = inorms[i]
+        cstarnorm[names[i]] = norm
         c = weights[gpd.src[g]]
         product += [[names[i], names[j], {names[k]: c} if k >= 0 else {}]
                     for j, k in zip(order, t.comp[i, order].tolist())]
     payload = {"product": product, "inorm": inorm, "cstarnorm": cstarnorm}
-    return reports, payload
+    return [algebra], payload
 
 
 def cmd_rep(args):

@@ -17,6 +17,14 @@ composable pairs, and pairs = np.nonzero(comp >= 0), the composable
 pairs in composable_pairs() order.  Only a validated groupoid's view is
 read; validation reads the label dicts, and the tables must not change
 once the view is built.
+
+FiniteGroupoid.source_layout, built from the view on first use, places
+the arrows in (objects, m, m) blocks, one per source fibre, m the
+largest source fibre: place[g] is src(g) * m plus the position of g in
+its source fibre, in arrow order, and factor, over the objects * m * m
+flat places of the blocks, holds g at the place of entry [gh, h] of
+each composable pair (g, h), in the block of src(h), and |A| on the
+padding.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .report import Report
 
 
 ArrowCodes = namedtuple("ArrowCodes", "src rng inv unit comp pairs")
+SourceLayout = namedtuple("SourceLayout", "m place factor")
 
 
 class FiniteGroupoid:
@@ -76,6 +85,24 @@ class FiniteGroupoid:
         for v in views:
             v.flags.writeable = False
         return ArrowCodes(*views[:5], tuple(views[5:]))
+
+    @cached_property
+    def source_layout(self):
+        """The source-fibre layout of the module docstring."""
+        t = self.codes
+        sizes = np.bincount(t.src, minlength=len(self.objects))
+        m = int(sizes.max(initial=0))
+        order = np.argsort(t.src, kind="stable")
+        pos = np.empty_like(order)
+        pos[order] = np.arange(len(order)) - (np.cumsum(sizes) - sizes)[
+            t.src[order]]
+        g, h = t.pairs
+        factor = np.full(len(sizes) * m * m, len(t.src))
+        factor[(t.src[h] * m + pos[t.comp[g, h]]) * m + pos[h]] = g
+        views = [t.src * m + pos, factor]
+        for v in views:
+            v.flags.writeable = False
+        return SourceLayout(m, *views)
 
     def arrows_into(self, x):
         """All arrows g with rng(g) == x."""

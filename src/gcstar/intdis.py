@@ -33,8 +33,8 @@ from .report import Report, VerificationError, relative_defects
 from .measures import _relative_gaps, fibre_sums, object_weights, pair_values
 from .hilbmod import (ModuleMap, _entries, _join, creation, module_from_dims,
                       tensor_map)
-from .convalg import (_product, convolve, fiber_sups, i_norm,
-                      identity_element, operator_norm, star)
+from .convalg import (_product, _spectral_norms, convolve, fiber_sups,
+                      i_norm, identity_element, star)
 from .reps import (CocycleFamily, blockwise, check_cocycle, check_intertwiner,
                    from_cocycle, induce)
 
@@ -63,26 +63,39 @@ def _integrate(rep, funcs):
     row, source arrow, entry; so a row integrates to the same bits alone
     or in a stack.
     """
-    funcs = np.asarray(funcs, dtype=complex)
-    n, d, arrows = len(funcs), rep.module.dim, len(rep.groupoid.arrows)
-    f1, f2 = _sqrt_split(funcs)
+    return _integrator(rep)(funcs)
+
+
+def _integrator(rep):
+    """_integrate for rep as a function of the stack, which reads the
+    creation maps and the unitary's entries once for every stack."""
+    d, arrows = rep.module.dim, len(rep.groupoid.arrows)
     ones = np.ones(arrows)
     lift = creation(rep.source, ones)
     drop = creation(rep.target, ones).adjoint()
     (_, sa), _ = rep.source.factors
     (_, ta), _ = rep.target.factors
     rows, cols, vals = _entries(rep.umap)
-    k, g = np.nonzero(f2)
-    w, e = _join(sa[cols], arrows, g)
-    k, q, p = k[w], rows[e], cols[e]
-    terms = f1[k, ta[q]].conj() * drop.vals[q] * vals[e] * f2[k, g[w]]
-    keys = (k * d + drop.rows[q]) * d + lift.cols[p]
-    return fibre_sums(keys, terms, n * d * d).reshape(n, d, d)
+    at = sa[cols]
+
+    def integrate(funcs):
+        funcs = np.asarray(funcs, dtype=complex)
+        f1, f2 = _sqrt_split(funcs)
+        k, g = np.nonzero(f2)
+        w, e = _join(at, arrows, g)
+        k, q, p = k[w], rows[e], cols[e]
+        terms = f1[k, ta[q]].conj() * drop.vals[q] * vals[e] * f2[k, g[w]]
+        keys = (k * d + drop.rows[q]) * d + lift.cols[p]
+        return fibre_sums(keys, terms, len(funcs) * d * d).reshape(-1, d, d)
+    return integrate
 
 
 def integrate_rep(rep, f):
-    """Operator of an arrow function on the coefficient module: _integrate
-    on the one row f."""
+    """Operator of an arrow function on the coefficient module, as a
+    ModuleMap: _integrate on the one row f; for a stack (n, |A|), the
+    operators (n, d, d) of _integrate."""
+    if np.ndim(f) == 2:
+        return _integrate(rep, f)
     return ModuleMap(rep.module, rep.module, _integrate(rep, f[None])[0])
 
 
@@ -91,44 +104,48 @@ def oracle_integrate(fam, funcs):
     directly from the fiber blocks fam = blockwise(rep), as (n, d, d).
 
     The raw block of each arrow enters each row with coefficient f(g)
-    times the source object weight where that is nonzero, arrow by arrow;
-    kept separate from _integrate so the two routes stay independent
-    checks of each other.
+    times the source object weight where that is nonzero, and the terms
+    at one position are summed in arrow order; kept separate from
+    _integrate so the two routes stay independent checks of each other.
     """
-    gpd, module = fam.groupoid, fam.module
+    gpd, module, d = fam.groupoid, fam.module, fam.module.dim
     t = gpd.codes
     coeffs = np.asarray(funcs, dtype=complex) \
         * object_weights(gpd, fam.weights)[t.src]
-    out = np.zeros((len(coeffs), module.dim, module.dim), dtype=complex)
     pos = [module.left_positions(x) for x in gpd.objects]
-    for g, r, s, coeff in zip(gpd.arrows, t.rng.tolist(), t.src.tolist(),
-                              coeffs.T):
-        hit = np.flatnonzero(coeff)
-        if hit.size:
-            out[np.ix_(hit, pos[r], pos[s])] += _product(
-                coeff[hit, None, None], fam.raw[g])
-    return out
+    blocks = [fam.raw[g] for g in gpd.arrows]
+    # every block entry, arrow by arrow, its arrow and its flat place
+    vals = np.concatenate([b.ravel() for b in blocks])
+    owner = np.repeat(np.arange(len(blocks)), [b.size for b in blocks])
+    at = np.concatenate([(pos[r][:, None] * d + pos[s]).ravel() for
+                         r, s in zip(t.rng.tolist(), t.src.tolist())])
+    k, g = np.nonzero(coeffs)
+    w, e = _join(owner, len(blocks), g)
+    return fibre_sums(k[w] * d * d + at[e], _product(
+        coeffs[k[w], g[w]], vals[e]), len(coeffs) * d * d).reshape(-1, d, d)
 
 
 def integration_bound(gpd, weights, f):
-    """Geometric mean of the two fiber sups; dominates the norm."""
+    """Geometric mean of the two fiber sups of f, or of each row of a
+    stack; dominates the norm."""
     sup_r, sup_s = fiber_sups(gpd, weights, f)
-    return float(np.sqrt(sup_r * sup_s))
+    return np.sqrt(sup_r * sup_s)
 
 
 def _check_star_hom(out, gpd, c, space, integrate, funcs, ops, ident, tol):
     """Add identity, multiplicative and star for a route from arrow
     functions to operators on space: integrate takes a stack (n, |A|) to
     (n, d, d), ops = integrate(funcs) and ident is the operator of the
-    identity element; products run over consecutive funcs."""
+    identity element; the products of consecutive funcs and the stars
+    of funcs are one stack each."""
     out.add_worst_at("identity", abs(ident - np.eye(space.dim)), tol)
-    prods = [convolve(gpd, c, f1, f2) for f1, f2 in zip(funcs, funcs[1:])]
     out.add_worst_at("multiplicative", relative_defects(
-        integrate(_stack(gpd, prods)), ops[:-1] @ ops[1:]), tol)
+        integrate(convolve(gpd, c, funcs[:-1], funcs[1:])),
+        ops[:-1] @ ops[1:]), tol)
     w = space.gram_diagonal()
     adjoints = ops.conj().transpose(0, 2, 1) * (w[None, :] / w[:, None])
-    out.add_worst_at("star", relative_defects(
-        integrate(_stack(gpd, [star(gpd, f) for f in funcs])), adjoints), tol)
+    out.add_worst_at("star", relative_defects(integrate(star(gpd, funcs)),
+                                              adjoints), tol)
 
 
 def _stack(gpd, funcs):
@@ -140,25 +157,25 @@ def _stack(gpd, funcs):
 def check_integration(rep, funcs, tol=1e-10):
     """Two-route agreement, star algebra laws and norm inequalities.
 
-    Integrates the batch, its consecutive products, its stars and the
-    identity once each, and builds the oracle's blocks once."""
+    Integrates the batch with the identity, its consecutive products and
+    its stars as one stack each, by one integrator, and builds the
+    oracle's blocks once."""
     gpd, c, module = rep.groupoid, rep.weights, rep.module
     out = Report("integration")
     funcs = _stack(gpd, list(funcs))
-    ops = _integrate(rep, funcs)
+    integrate = _integrator(rep)
+    ops = integrate(np.concatenate([funcs, identity_element(gpd, c)[None]]))
+    ops, ident = ops[:-1], ops[-1]
 
     out.add_worst_at("oracle-agreement", relative_defects(
         ops, oracle_integrate(blockwise(rep), funcs)), tol)
-    ident = integrate_rep(rep, identity_element(gpd, c)).matrix
-    _check_star_hom(out, gpd, c, module, lambda fs: _integrate(rep, fs),
-                    funcs, ops, ident, tol)
+    _check_star_hom(out, gpd, c, module, integrate, funcs, ops, ident, tol)
     # operator norm <= integration_bound <= i_norm, each step as a
     # one-sided relative gap: relative_defects(lhs, min(lhs, rhs)) is
     # (lhs - rhs) / max(1, |lhs|, |rhs|) where lhs > rhs, else 0
-    norms = np.array([operator_norm(ModuleMap(module, module, op))
-                      for op in ops])
-    bounds = np.array([integration_bound(gpd, c, f) for f in funcs])
-    inorms = np.array([i_norm(gpd, c, f) for f in funcs])
+    norms = _spectral_norms(np.sqrt(module.gram_diagonal()), ops)
+    bounds = integration_bound(gpd, c, funcs)
+    inorms = i_norm(gpd, c, funcs)
     out.add_worst_at("norm-bound", relative_defects(
         norms, np.minimum(norms, bounds)), 1e-9)
     out.add_worst_at("bound-below-inorm", relative_defects(
@@ -201,7 +218,7 @@ def conv_rep_of(rep):
     """Integrate every arrow delta of a representation, once, as one
     stack."""
     gpd = rep.groupoid
-    return ConvRep(gpd, rep.weights, rep.module, _integrate(
+    return ConvRep(gpd, rep.weights, rep.module, integrate_rep(
         rep, np.eye(len(gpd.arrows), dtype=complex)))
 
 

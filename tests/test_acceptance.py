@@ -9,8 +9,7 @@ are the contract tolerances, not looser ones.
 import numpy as np
 import pytest
 
-from gcstar.convalg import (cstar_norm, delta_function, i_norm,
-                            operator_norm, regular_matrix)
+from gcstar.convalg import cstar_norm, delta_function, i_norm
 from gcstar.crossed import (crossed_product, bisection_semigroup,
                             etale_battery, group_action_semigroup,
                             transformation_theorem)
@@ -26,6 +25,7 @@ from gcstar.reps import (blockwise, check_intertwiner, check_representation,
                          from_cocycle, induce, regular_representation)
 from gcstar.sampling import (SplitMix64, mutate_groupoid, random_cocycle,
                              random_function, random_groupoid)
+from test_arrow_codes import dense_operator_norm, dense_regular_matrix
 
 
 def checks_by_name(report):
@@ -82,7 +82,7 @@ def test_criterion_04_regular_representation():
         worst = 0.0
         for g in gpd.arrows:
             lit = integrate_rep(reg, delta_function(gpd, g)).matrix
-            ref = regular_matrix(gpd, w, delta_function(gpd, g)).matrix
+            ref = dense_regular_matrix(gpd, w, delta_function(gpd, g)).matrix
             worst = max(worst, float(np.max(np.abs(lit - ref))))
         return reg, worst
 
@@ -112,7 +112,7 @@ def test_criterion_05_integration_bounds():
                 module, blocks = random_cocycle(rng, gpd, w)
                 rep = from_cocycle(gpd, w, module, blocks)
             f = random_function(rng, gpd)
-            norm = operator_norm(integrate_rep(rep, f))
+            norm = dense_operator_norm(integrate_rep(rep, f))
             bound = integration_bound(gpd, w, f)
             inorm = i_norm(gpd, w, f)
             assert bound - norm >= -1e-9, (name, t)
@@ -125,7 +125,7 @@ def test_criterion_05_integration_bounds():
     rep = from_cocycle(gpd, w, module,
                        {0: np.eye(2, dtype=complex), 1: swap})
     f = delta_function(gpd, 0) + delta_function(gpd, 1)
-    norm = operator_norm(integrate_rep(rep, f))
+    norm = dense_operator_norm(integrate_rep(rep, f))
     bound = integration_bound(gpd, w, f)
     assert abs(norm - bound) <= 1e-9
     assert abs(bound - i_norm(gpd, w, f)) <= 1e-9

@@ -9,19 +9,30 @@ multiplied (convolution, the two pair inner products) the new routes
 split the product into real parts, which rounds as the product of two
 Python complex numbers or two numpy complex scalars does; numpy's
 array product rounds differently in about a third of random products.
+
+The dense regular matrix and its operator norm, which the convolution
+algebra replaced by source-fibre blocks, are kept below as references:
+the blocks must be its diagonal blocks bit for bit, and the block norms
+must agree with its norm to 1e-14 relative.
 """
 
 import numpy as np
 import pytest
 
 from gcstar.cli import _shift
-from gcstar.convalg import (convolve, fiber_sups, regular_matrix, star)
+from gcstar import convalg
+from gcstar.convalg import (_regular_blocks, _spectral_norms,
+                            check_convolution, convolve, cstar_norm,
+                            delta_function, fiber_sups, i_norm, star)
 from gcstar.fingroupoid import (FIXTURE_NAMES, FiniteGroupoid, build_preset,
                                 counting_weights, disjoint_union, fixture,
                                 validate_groupoid, validate_haar)
+from gcstar.hilbmod import ModuleMap
 from gcstar.measures import (arrow_correspondence, compare_integrals,
-                             groupoid_families)
-from gcstar.intdis import pair_inner_r, pair_inner_s, upsilon
+                             groupoid_families, object_weights)
+from gcstar.intdis import _integrate, pair_inner_r, pair_inner_s, upsilon
+from gcstar.reps import from_cocycle
+from gcstar.sampling import random_cocycle
 from gcstar.sampling import (SplitMix64, mutate_groupoid, random_function,
                              random_groupoid)
 
@@ -142,6 +153,37 @@ def ref_regular_matrix(gpd, weights, f):
     return mat
 
 
+def dense_regular_matrix(gpd, weights, f):
+    """Left convolution by f on the arrow space, as a dense ModuleMap:
+    entry [gh, h] is f(g) c(src(g)) over the composable pairs (g, h)."""
+    space = arrow_correspondence(gpd, weights, "s")
+    t = gpd.codes
+    g, h = t.pairs
+    mat = np.zeros((space.dim, space.dim), dtype=complex)
+    mat[t.comp[g, h], h] += f[g] * object_weights(gpd, weights)[t.src[g]]
+    return ModuleMap(space, space, mat)
+
+
+def dense_operator_norm(m):
+    """Operator norm of a ModuleMap between weighted spaces: the spectral
+    norm of the matrix conjugated by the square roots of the Gram
+    diagonals."""
+    if m.source.dim == 0 or m.target.dim == 0:
+        return 0.0
+    ds = np.sqrt(m.source.gram_diagonal())
+    dt = np.sqrt(m.target.gram_diagonal())
+    hat = (dt[:, None] * m.matrix) / ds[None, :]
+    eigs = np.linalg.eigvalsh(hat.conj().T @ hat)
+    return float(np.sqrt(max(float(eigs[-1]), 0.0)))
+
+
+def densify(gpd, blocks):
+    """The |A| x |A| matrix whose source-fibre blocks are blocks."""
+    lay, src = gpd.source_layout, gpd.codes.src
+    at = lay.place[:, None] * lay.m + lay.place % lay.m
+    return np.where(src[:, None] == src, blocks.ravel()[at], 0.0)
+
+
 def ref_left_integral(gpd, weights, psi):
     c = {x: float(weights[x]) for x in gpd.objects}
     left = {x: 0.0 for x in gpd.objects}
@@ -245,7 +287,7 @@ def test_regular_matrix_and_fiber_sups_match_bit_for_bit(name, gpd, w):
     funcs += [(sf, _scalars(gpd, sf))
               for sf in (star(gpd, f) for f in _funcs(gpd, 3))]
     for f, ref in funcs:
-        assert regular_matrix(gpd, w, f).matrix.tobytes() \
+        assert dense_regular_matrix(gpd, w, f).matrix.tobytes() \
             == ref_regular_matrix(gpd, w, ref).tobytes()
         assert fiber_sups(gpd, w, f) == ref_fiber_sups(gpd, w, ref)
 
@@ -280,3 +322,117 @@ def test_pair_certificates_match_bit_for_bit(name, gpd, w):
         == _bits(ref_pair_inner_s(gpd, c, big1, big2).values())
     assert _bits(pair_inner_r(gpd, w, up1, up2)) \
         == _bits(ref_pair_inner_r(gpd, c, up1, up2).values())
+
+
+# ---------------------------------------------------------------------------
+# the regular matrix by source-fibre blocks, against the dense reference
+
+def _norm_cases():
+    out = [(name, *fixture(name)) for name in ("Z2", "P2", "W2", "T2")]
+    p3 = build_preset("pair", points=3)
+    out.append(("pair:3-wide", p3, dict(zip(p3.objects, (1e-6, 1.0, 1e6)))))
+    out += [(f"random-seed-{seed}", *random_groupoid(SplitMix64(seed)))
+            for seed in (7, 11)]
+    return out
+
+
+NORM_CASES = _norm_cases()
+
+
+def _batch(gpd, seed):
+    """Every arrow delta, random functions and their stars, as a stack."""
+    funcs = [delta_function(gpd, g) for g in gpd.arrows]
+    funcs += _funcs(gpd, seed)
+    return np.array(funcs + [star(gpd, f) for f in funcs])
+
+
+@pytest.mark.parametrize("name, gpd, w", CASES, ids=IDS)
+def test_blocks_are_the_dense_regular_matrix(name, gpd, w):
+    funcs = _batch(gpd, 6)
+    blocks = _regular_blocks(gpd, object_weights(gpd, w), funcs)
+    assert blocks.shape[:2] == (len(funcs), len(gpd.objects))
+    for f, b in zip(funcs, blocks):
+        # equal entry for entry; the dense sum turns -0.0 into 0.0
+        assert np.array_equal(densify(gpd, b),
+                              dense_regular_matrix(gpd, w, f).matrix)
+    # the deltas fill one place per composable pair, none on the padding
+    assert np.count_nonzero(blocks[:len(gpd.arrows)]) \
+        == len(gpd.codes.pairs[0])
+    assert gpd.source_layout is gpd.source_layout
+    assert not any(v.flags.writeable for v in gpd.source_layout[1:])
+
+
+@pytest.mark.parametrize("name, gpd, w", NORM_CASES,
+                         ids=[n for n, _, _ in NORM_CASES])
+def test_block_norms_match_the_dense_route(name, gpd, w):
+    funcs = _batch(gpd, 8)
+    want = np.array([dense_operator_norm(dense_regular_matrix(gpd, w, f))
+                     for f in funcs])
+    got = cstar_norm(gpd, w, funcs)
+    assert got.shape == want.shape
+    assert np.all(abs(got - want) <= 1e-14 * np.maximum(want, 1e-300)), \
+        np.max(abs(got - want) / want)
+    assert [cstar_norm(gpd, w, f) for f in funcs] == got.tolist()
+    # the operator norms of integrated operators take the same stacked
+    # route in check_integration
+    module, cocycle = random_cocycle(SplitMix64(9), gpd, w)
+    rep = from_cocycle(gpd, w, module, cocycle)
+    ops = _integrate(rep, funcs)
+    want = np.array([dense_operator_norm(ModuleMap(module, module, op))
+                     for op in ops])
+    got = _spectral_norms(np.sqrt(module.gram_diagonal()), ops)
+    assert np.all(abs(got - want) <= 1e-14 * np.maximum(want, 1e-300))
+
+
+@pytest.mark.parametrize("name, gpd, w", CASES, ids=IDS)
+def test_stacked_convolve_matches_one_row_at_a_time(name, gpd, w):
+    funcs = _batch(gpd, 10)
+    funcs[1, 0] = complex(np.nan, 0.0)
+    funcs[2, -1] = complex(0.0, np.nan)
+    left, right = funcs[:-1], funcs[1:]
+    got = convolve(gpd, w, left, right)
+    assert got.shape == left.shape
+    for row, f1, f2 in zip(got, left, right):
+        assert row.tobytes() == convolve(gpd, w, f1, f2).tobytes()
+    # one function against a stack, on either side
+    for row, f in zip(convolve(gpd, w, funcs[0], right), right):
+        assert row.tobytes() == convolve(gpd, w, funcs[0], f).tobytes()
+    for row, f in zip(convolve(gpd, w, left, funcs[-1]), left):
+        assert row.tobytes() == convolve(gpd, w, f, funcs[-1]).tobytes()
+    assert [row.tobytes() for row in star(gpd, funcs)] \
+        == [star(gpd, f).tobytes() for f in funcs]
+    sups = np.array([fiber_sups(gpd, w, f) for f in funcs])
+    assert np.array_equal(np.column_stack(fiber_sups(gpd, w, funcs)), sups,
+                          equal_nan=True)
+    assert np.array_equal(i_norm(gpd, w, funcs), [i_norm(gpd, w, f)
+                                                  for f in funcs],
+                          equal_nan=True)
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.nan),
+                                 complex(np.inf, 0.0)],
+                         ids=["nan", "nan-imag", "inf"])
+@pytest.mark.parametrize("name", ["Z2", "P2", "W2"])
+def test_a_non_finite_function_has_no_norm(name, bad):
+    gpd, w = fixture(name)
+    f = np.ones(len(gpd.arrows), dtype=complex)
+    f[-1] = bad
+    for arg in (f, np.array([np.ones_like(f), f])):
+        with pytest.raises(np.linalg.LinAlgError):
+            cstar_norm(gpd, w, arg)
+    if np.isnan(bad):
+        assert np.isnan(i_norm(gpd, w, f))
+
+
+@pytest.mark.parametrize("name, gpd, w", NORM_CASES,
+                         ids=[n for n, _, _ in NORM_CASES])
+def test_chunks_do_not_change_a_bit(monkeypatch, name, gpd, w):
+    # with one row per chunk, every stack crosses chunk boundaries
+    funcs = _batch(gpd, 12)
+    whole = (convolve(gpd, w, funcs[:-1], funcs[1:]).tobytes(),
+             cstar_norm(gpd, w, funcs).tobytes(),
+             check_convolution(gpd, w, funcs).to_dict())
+    monkeypatch.setattr(convalg, "_CHUNK", 1)
+    assert (convolve(gpd, w, funcs[:-1], funcs[1:]).tobytes(),
+            cstar_norm(gpd, w, funcs).tobytes(),
+            check_convolution(gpd, w, funcs).to_dict()) == whole

@@ -425,6 +425,7 @@ def test_stack_integrates_each_row_as_integrate_rep(rep):
     funcs += [holes, np.zeros(n, dtype=complex), 1e6 * funcs[0]]
     stack = _integrate(rep, np.array(funcs))
     assert stack.shape == (len(funcs), rep.module.dim, rep.module.dim)
+    assert stack.tobytes() == integrate_rep(rep, np.array(funcs)).tobytes()
     for f, op in zip(funcs, stack):
         assert op.tobytes() == integrate_rep(rep, f).matrix.tobytes()
     # a NaN value reaches the block of its arrow, and only that block
@@ -490,10 +491,11 @@ def _inside(name):
 @pytest.fixture
 def counts(monkeypatch):
     """Count the integrated delta rows per (representation, delta arrow)
-    and the disintegrate calls.  Every integration goes through
-    intdis._integrate, one stack of rows per call; check_integration
-    tests the integration itself on a batch that holds the deltas, so
-    its rows are left out."""
+    and the disintegrate calls.  Every integration outside
+    check_integration goes through intdis._integrate, one stack of rows
+    per call; check_integration tests the integration itself on a batch
+    that holds the deltas, through one integrator, so its rows are left
+    out."""
     seen = {"deltas": Counter(), "reps": [], "arrows": {},
             "disintegrate": 0}
     integrate, disintegrate = intdis._integrate, intdis.disintegrate

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from gcstar import cli
-from gcstar.convalg import (check_convolution, convolve, cstar_norm,
+from gcstar.convalg import (_regular_blocks, _spectral_norms,
+                            check_convolution, convolve, cstar_norm,
                             delta_function, fiber_sups, i_norm,
-                            identity_element, operator_norm, regular_matrix,
-                            star)
+                            identity_element, star)
 from gcstar.fingroupoid import FIXTURE_NAMES, fixture
-from gcstar.hilbmod import ModuleMap, module_from_dims
 from gcstar.sampling import SplitMix64, random_function
+from test_arrow_codes import densify
 
 
 def random_funcs(gpd, rng, count):
@@ -102,13 +102,17 @@ def test_fiber_sups_and_i_norm_keep_nan():
 
 
 def test_regular_matrix_delta_w2():
+    # one 2 x 2 block per source fibre, {(1, 1), (2, 1)} and
+    # {(1, 2), (2, 2)}, each arrow at its place in arrow order
     gpd, w = fixture("W2")
-    m = regular_matrix(gpd, w, delta_function(gpd, (1, 2)))
-    idx = m.source.index
+    c = np.array([w[x] for x in gpd.objects])
+    blocks = _regular_blocks(gpd, c, delta_function(gpd, (1, 2))[None])[0]
+    assert blocks.tolist() == [[[0, 4], [0, 0]], [[0, 4], [0, 0]]]
+    idx = {g: i for i, g in enumerate(gpd.arrows)}
     want = np.zeros((4, 4), dtype=complex)
     want[idx[(1, 1)], idx[(2, 1)]] = 4.0
     want[idx[(1, 2)], idx[(2, 2)]] = 4.0
-    assert np.array_equal(m.matrix, want)
+    assert np.array_equal(densify(gpd, blocks), want)
 
 
 def test_cstar_norm_delta_w2():
@@ -126,15 +130,11 @@ def test_cstar_norm_equality_case_z2():
 
 
 def test_operator_norm_weighted():
-    sp = module_from_dims(("x",), ("w",), {("x", "w"): 2})
-    weighted = type(sp)(sp.basis, sp.left, sp.right,
-                        {sp.basis[0]: 1.0, sp.basis[1]: 4.0},
-                        left_space=sp.left_space,
-                        right_space=sp.right_space)
-    m = ModuleMap(weighted, weighted,
-                  np.array([[0.0, 1.0], [0.0, 0.0]]))
-    # rescaling by the weights turns the entry into 1/2
-    assert operator_norm(m) == pytest.approx(0.5, abs=1e-12)
+    # on basis vectors of squared lengths 1 and 4, rescaling by the square
+    # roots of the weights turns the entry into 1/2
+    mat = np.array([[[0.0, 1.0], [0.0, 0.0]]], dtype=complex)
+    norms = _spectral_norms(np.sqrt([1.0, 4.0]), mat)
+    assert norms.tolist() == [pytest.approx(0.5, abs=1e-12)]
 
 
 def test_check_convolution_fixtures():

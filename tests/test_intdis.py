@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from gcstar import intdis
-from gcstar.convalg import (cstar_norm, delta_function, i_norm,
-                            operator_norm)
+from gcstar.convalg import cstar_norm, delta_function, i_norm
 from gcstar.fingroupoid import FIXTURE_NAMES, fixture
 from gcstar.hilbmod import ModuleMap, module_from_dims
 from gcstar.intdis import (ConvRep, check_conv_rep,
@@ -25,6 +24,7 @@ from gcstar.intdis import (ConvRep, check_conv_rep,
 from gcstar.report import VerificationError
 from gcstar.reps import blockwise, from_cocycle, regular_representation
 from gcstar.sampling import SplitMix64, random_cocycle, random_function
+from test_arrow_codes import dense_operator_norm
 
 
 def trivial_rep(gpd, weights):
@@ -60,7 +60,7 @@ def test_equality_case_z2():
     gpd, w = fixture("Z2")
     f = np.ones(2, dtype=complex)
     rep = trivial_rep(gpd, w)
-    norm = operator_norm(integrate_rep(rep, f))
+    norm = dense_operator_norm(integrate_rep(rep, f))
     assert norm == pytest.approx(2.0, abs=1e-9)
     assert integration_bound(gpd, w, f) == 2.0
     assert i_norm(gpd, w, f) == 2.0

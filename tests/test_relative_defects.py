@@ -7,13 +7,16 @@ with report.relative_defects, so they pass there; each keeps a mutant
 that fails it at unit weights and at the widest weights.
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from gcstar import convalg, intdis
+from gcstar import cli, convalg, intdis
 from gcstar.convalg import check_convolution, delta_function
-from gcstar.fingroupoid import build_preset
+from gcstar.fingroupoid import build_preset, fixture, groupoid_to_dict
 from gcstar.hilbmod import ModuleMap
+from gcstar.measures import object_weights
 from gcstar.intdis import (ConvRep, check_conv_rep, check_integration,
                            check_naturality, conv_rep_of, disintegrate,
                            roundtrip_rep)
@@ -270,13 +273,12 @@ def test_norm_bound_mutants(monkeypatch, objw):
     # a unitary scaled by 2 integrates every delta to twice its bound
     gpd, w, funcs, rep = _case(objw)
     assert "norm-bound" in _failing(check_integration(_doubled(rep), funcs))
-    # so does left convolution scaled by 2
-    regular = convalg.regular_matrix
+    # so does left convolution scaled by 2, on its source-fibre blocks
+    regular = convalg._regular_blocks
 
-    def doubled(gpd, weights, f):
-        m = regular(gpd, weights, f)
-        return ModuleMap(m.source, m.target, 2.0 * m.matrix)
-    monkeypatch.setattr(convalg, "regular_matrix", doubled)
+    def doubled(gpd, c, funcs):
+        return 2.0 * regular(gpd, c, funcs)
+    monkeypatch.setattr(convalg, "_regular_blocks", doubled)
     assert "norm-bound" in _failing(check_convolution(gpd, w, funcs))
 
 
@@ -290,6 +292,39 @@ def test_bound_below_inorm_mutant(monkeypatch, objw):
     gpd, w, funcs, rep = _case(objw)
 
     def summed(gpd, weights, f):
-        return float(sum(convalg.fiber_sups(gpd, weights, f)))
+        return sum(convalg.fiber_sups(gpd, weights, f))
     monkeypatch.setattr(intdis, "integration_bound", summed)
     assert _failing(check_integration(rep, funcs)) == {"bound-below-inorm"}
+
+
+# ---------------------------------------------------------------------------
+# delta-norm: the block norm of each arrow delta against the closed form
+# sqrt(c(src g) c(rng g))
+
+@pytest.mark.parametrize("objw", [None] + WIDE, ids=["W2"] + ["1e3", "1e6"])
+@pytest.mark.parametrize("kept", ["src", "rng"])
+def test_delta_norm_mutant(monkeypatch, capsys, tmp_path, objw, kept):
+    if objw is None:
+        gpd, w = fixture("W2")
+    else:
+        gpd = build_preset("pair", points=3)
+        w = dict(zip(gpd.objects, objw))
+    path = tmp_path / "groupoid.json"
+    path.write_text(json.dumps(groupoid_to_dict(gpd, w)))
+    argv = ["algebra", "--groupoid", str(path), "--trials", "2", "--json"]
+
+    def checks():
+        code = cli.main(argv)
+        doc = json.loads(capsys.readouterr().out)
+        return code, {c["name"]: c for r in doc["reports"]
+                      for c in r["checks"]}
+    code, got = checks()
+    assert code == 0 and got["delta-norm"]["defect"] <= 1e-15, got
+    # the closed form with one of the two weights dropped
+    ends = getattr(gpd.codes, kept)
+    monkeypatch.setattr(cli, "delta_norms", lambda gpd, weights: np.sqrt(
+        object_weights(gpd, weights)[ends]))
+    code, got = checks()
+    assert code == 1
+    assert {n for n, c in got.items() if not c["passed"]} == {"delta-norm"}
+    assert got["delta-norm"]["witness"] is not None

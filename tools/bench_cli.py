@@ -40,6 +40,8 @@ ROWS = (
     (20.6, "rep --preset group:128"),
     (3.0, "algebra --preset pair:12"),
     (21.5, "algebra --preset pair:16"),
+    # 576 arrows; no dense-route figure, under 20 s is the target
+    (20.0, "algebra --preset pair:24"),
     (0.9, "integrate --preset pair:16"),
     (2.3, "integrate --preset pair:24"),
     (1.5, "disintegrate --preset pair:16"),
