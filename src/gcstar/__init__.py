@@ -35,7 +35,6 @@ from .measures import (
     check_iterated_integrals,
     compare_integrals,
     compose_families,
-    corr_ratio,
     groupoid_families,
     haar_system,
 )
@@ -54,7 +53,6 @@ from .hilbmod import (
     is_unitary,
     module_from_dims,
     tensor,
-    tensor_map,
     tensor_map_left,
 )
 from .convalg import (

@@ -6,13 +6,16 @@ length, stored as int grade codes and a weight array with the label
 dicts as a view.  Balanced tensor products pair a right grade with a
 left grade and multiply the weights; the tensor of two correspondences
 is their fibre product.  A tensor records its two factors and the factor
-positions of each of its points, and the maps built on tensors (tensor
-maps, the associator, the relabelings onto composite families, creation
-maps) read those positions instead of looking up labels.  Its label
-basis is built only when read, and same_space compares tensors by their
-factors.  The relabeling maps between a tensor product of function
-spaces and the function space of a composite set are scale one on basis
-vectors, hence exact in floating point.
+positions (ia, ib) of each of its points, and lists its points in
+lexicographic order of (ia, ib), so the keys ia |f| + ib increase: the
+associator is the identity on positions and lift finds its target
+points by one searchsorted.  tensor reads the left-grade runs of its
+second factor (GradedSpace.left_runs, derived once per space) instead
+of sorting.  The maps built on tensors read positions, not labels; the
+label basis is built only when read, and same_space compares tensors by
+their factors.  The relabelings between a tensor of function spaces and
+the function space of a composite set are scale one on basis vectors,
+hence exact in floating point.
 
 Module maps are stored against the bases, as a dense matrix or as
 entries (int rows, int cols, complex vals); the structured maps built
@@ -32,7 +35,8 @@ import json
 import numpy as np
 
 from .report import Report, max_abs, worst_at
-from .measures import GradedSpace, compose_families, groupoid_families
+from .measures import (GradedSpace, _positions, _recode, compose_families,
+                       groupoid_families)
 
 _GRADE_GUARD = 1e-13
 
@@ -83,14 +87,16 @@ class ModuleMap:
                     and self.cols.shape == (n,)):
                 raise ValueError("entry rows, cols and vals must be "
                                  "flat arrays of one length")
-            if n and not (0 <= self.rows.min() <= self.rows.max()
-                          < target.dim
-                          and 0 <= self.cols.min() <= self.cols.max()
-                          < source.dim):
+            try:  # bincount refuses a negative index, or a huge one
+                used = (np.bincount(self.rows, minlength=target.dim),
+                        np.bincount(self.cols, minlength=source.dim))
+            except (ValueError, MemoryError):
+                used = ()
+            # a count array longer than its basis counts an index outside
+            if [len(u) for u in used] != [target.dim, source.dim]:
                 raise ValueError(
                     f"entry index outside {target.dim} x {source.dim}")
-            self._perm = bool(not n or (np.bincount(self.rows).max() < 2
-                                        and np.bincount(self.cols).max() < 2))
+            self._perm = bool(not n or max(used[0].max(), used[1].max()) < 2)
             if not self._perm:
                 key = np.sort(_keys(self.rows, self.cols, source.dim))
                 if np.any(key[1:] == key[:-1]):
@@ -235,11 +241,12 @@ def tensor(e, f):
     positions of a and b, as its factors.
     """
     # e's right grades as codes of f's left space, -1 where f has none
-    mid = np.array([f.left_lookup.get(y, -1) for y in e.right_space],
-                   dtype=np.intp)[e.right_codes]
-    hit = np.flatnonzero(mid >= 0)
-    w, ib = _join(f.left_codes, len(f.left_space), mid[hit])
-    ia = hit[w]
+    mid = _recode(e.right_codes, e.right_space, f.left_space)
+    order, starts, sizes = f.left_runs
+    n = sizes[mid]
+    ia = np.repeat(np.arange(e.dim), n)
+    ib = order[np.arange(len(ia))
+               + np.repeat(starts[mid] - (np.cumsum(n) - n), n)]
     return GradedSpace.from_codes(
         None, e.left_space, f.right_space, e.left_codes[ia],
         f.right_codes[ib], e.weight_array[ia] * f.weight_array[ib],
@@ -263,12 +270,10 @@ def grade_leak(m, side):
     source-major, target-minor order, or None when nothing leaks; the
     entries are sorted only when a stored nonzero joins two grades.
     """
-    codes = {}
-    src, tgt = (
-        np.array([codes.setdefault(y, len(codes))
-                  for y in getattr(space, side + "_space")],
-                 dtype=np.intp)[getattr(space, side + "_codes")]
-        for space in (m.source, m.target))
+    src, tgt = (getattr(space, side + "_codes")
+                for space in (m.source, m.target))
+    tgt = _recode(tgt, getattr(m.target, side + "_space"),
+                  getattr(m.source, side + "_space"))
     rows, cols, vals = _entries(m)
     cross = src[cols] != tgt[rows]
     if not cross.any():
@@ -298,34 +303,38 @@ def same_space(x, y):
                for (a, ia), (b, ib) in zip(x.factors, y.factors))
 
 
+def _find_points(space, a, b):
+    """Positions in the tensor space of its points at factor positions
+    (a, b), -1 for none, by one searchsorted in its increasing keys."""
+    (_, ia), (f, ib) = space.factors
+    keys = np.append(ia.astype(np.int64) * f.dim + ib, -1)
+    want = np.asarray(a, dtype=np.int64) * f.dim + b
+    i = np.minimum(np.searchsorted(keys[:-1], want), space.dim)
+    return np.where(keys[i] == want, i, -1)
+
+
 def lift(m, src, tgt, side):
     """m on one factor of two tensors, the identity on the other.
 
     src and tgt are tensors whose factor number side (0 or 1) has the
     basis of m.source and of m.target, and whose other factors have one
     basis, else ValueError.  m must preserve the grade that factor is
-    balanced over: right grades for side 0, left grades for side 1.  The
-    map is built from the nonzeros of m and the factor positions of src
-    and tgt.
+    balanced over: right grades for side 0, left grades for side 1.  Each
+    src vector meets the nonzeros of m in its column (by a lookup when m
+    is a partial permutation) and lands on the tgt vectors over their
+    rows, where there are any (_find_points).
     """
     _require_graded(m, ("right", "left")[side])
     (moved_s, sm), (fixed, sf) = src.factors[side], src.factors[1 - side]
-    (moved_t, tm), (fixed_t, tf) = tgt.factors[side], tgt.factors[1 - side]
+    (moved_t, _), (fixed_t, _) = tgt.factors[side], tgt.factors[1 - side]
     if not (same_space(moved_s, m.source) and same_space(moved_t, m.target)
             and same_space(fixed_t, fixed)):
         raise ValueError("tensor factors do not fit the map")
-    if not tgt.dim:
-        return ModuleMap(src, tgt, entries=([], [], []))
     rows, cols, vals = _entries(m)
-    # each entry of m meets every src vector over its column, and lands
-    # on the tgt vector over its row, if there is one
-    e, j = _join(sm, m.source.dim, cols)
-    keys = tm.astype(np.int64) * fixed.dim + tf
-    sorter = np.argsort(keys)
-    want = rows[e].astype(np.int64) * fixed.dim + sf[j]
-    i = sorter[np.minimum(np.searchsorted(keys, want, sorter=sorter),
-                          tgt.dim - 1)]
-    hit = keys[i] == want
+    j, e = (_meet if m.partial_perm else _join)(cols, m.source.dim, sm)
+    i = _find_points(tgt, *((rows[e], sf[j]) if side == 0
+                           else (sf[j], rows[e])))
+    hit = i >= 0
     return ModuleMap(src, tgt, entries=(i[hit], j[hit], vals[e][hit]))
 
 
@@ -375,14 +384,14 @@ def gamma_compose(lam, mu):
 def induced_unitary(c1, c2, phi, delta):
     """Point bijection phi with weight ratio delta as a unitary map.
 
-    Sends the basis vector at x to sqrt(delta at the base of phi(x))
-    times the basis vector at phi(x); unitary exactly when the ratio
-    condition of check_corr_isomorphism holds.
+    phi and delta are read as in check_corr_isomorphism: positions and
+    an array over c2.right_space, or mappings of labels.  Sends the
+    basis vector at x to sqrt(delta at the base of phi(x)) times the
+    basis vector at phi(x); unitary exactly when the ratio condition of
+    check_corr_isomorphism holds.
     """
-    image = [phi[x] for x in c1.basis]
-    return _relabel(c1, c2, np.array([c2.index[y] for y in image],
-                                     dtype=np.intp),
-                    [np.sqrt(delta[c2.right[y]]) for y in image])
+    phi, delta = _positions(c1, c2, phi, delta)
+    return _relabel(c1, c2, phi, np.sqrt(delta[c2.right_codes[phi]]))
 
 
 def creation(space, xi):

@@ -31,8 +31,8 @@ import numpy as np
 
 from .report import Report, VerificationError, relative_defects
 from .measures import _relative_gaps, fibre_sums, object_weights, pair_values
-from .hilbmod import (ModuleMap, _entries, _join, creation, module_from_dims,
-                      tensor_map)
+from .hilbmod import (ModuleMap, _entries, _join, creation, lift,
+                      module_from_dims, tensor)
 from .convalg import (_product, _spectral_norms, convolve, fiber_sups,
                       i_norm, identity_element, star)
 from .reps import (CocycleFamily, blockwise, check_cocycle, check_intertwiner,
@@ -596,10 +596,11 @@ def _naturality(rep, conv, rep2, conv2, tol):
     ebasis = module_from_dims(labels, ("e",), {
         (w, "e"): 1 + k % 2 for k, w in enumerate(labels)})
     big = conv_rep_of(induce(rep, ebasis))
-    # one arrow at a time: the induced operators are the largest here
+    # one arrow at a time, lifted onto one tensor: the largest operators
+    lifted = tensor(space, ebasis)
     out.add_worst_at("induction", np.fromiter(
-        (relative_defects(one[None], tensor_map(
-            ModuleMap(space, space, op), ebasis).matrix[None])[0]
+        (relative_defects(one[None], lift(
+            ModuleMap(space, space, op), lifted, lifted, 0).matrix[None])[0]
          for one, op in zip(big.ops, conv.ops)), float, len(big.ops)), tol,
         lambda k: rep.groupoid.arrows[k])
     return out

@@ -19,6 +19,7 @@ where two routes exist, and the tests insist on that.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from functools import cached_property
 from types import MappingProxyType
 
@@ -34,6 +35,15 @@ def _codes(grades, space):
     extra = tuple(y for y in dict.fromkeys(grades) if y not in index)
     index.update((y, len(space) + k) for k, y in enumerate(extra))
     return np.array([index[y] for y in grades], dtype=np.intp), space + extra
+
+
+def _recode(codes, space, onto):
+    """codes into the tuple space as codes into the tuple onto, -1 for a
+    grade onto lacks; codes itself when space is onto."""
+    if space is onto:
+        return codes
+    at = {y: i for i, y in enumerate(onto)}
+    return np.array([at.get(y, -1) for y in space], dtype=np.intp)[codes]
 
 
 def _frozen(arr):
@@ -54,6 +64,7 @@ class GradedSpace:
     left, right, weight, index : read-only dicts point -> left grade,
                   right grade, weight and position, built on first use
     left_lookup : read-only dict left grade -> code, built on first use
+    left_runs   : the points grouped by left grade, built on first use
     factors     : for a balanced tensor e x f, ((e, ia), (f, ib)) with
                   ia, ib the factor positions of each point; else None
 
@@ -133,6 +144,16 @@ class GradedSpace:
     @cached_property
     def left_lookup(self):
         return MappingProxyType({y: i for i, y in enumerate(self.left_space)})
+
+    @cached_property
+    def left_runs(self):
+        """(order, starts, sizes): the points of left code c are
+        order[starts[c]:starts[c] + sizes[c]], in point order; one empty
+        run follows the last code, so that code -1 reads no points."""
+        sizes = np.bincount(self.left_codes,
+                            minlength=len(self.left_space) + 1)
+        return (_frozen(np.argsort(self.left_codes, kind="stable")),
+                _frozen(np.cumsum(sizes) - sizes), _frozen(sizes))
 
     @property
     def dim(self):
@@ -219,8 +240,9 @@ def compose_families(lam, mu):
     lam fibres X over Y and mu fibres Y over Z; the result fibres X
     over Z along the composite map.
     """
-    pos = np.array([mu.index[y] for y in lam.right_space],
-                   dtype=np.intp)[lam.right_codes]
+    pos = _recode(lam.right_codes, lam.right_space, mu.basis)
+    if pos.size and pos.min() < 0:
+        raise KeyError(lam.right_space[lam.right_codes[np.argmin(pos)]])
     return GradedSpace.from_codes(
         lam.basis, lam.basis, mu.right_space, np.arange(lam.dim),
         mu.right_codes[pos], lam.weight_array * mu.weight_array[pos])
@@ -358,66 +380,60 @@ def arrow_correspondence(gpd, weights, leg):
                                   object_weights(gpd, weights)[left])
 
 
-def corr_ratio(c1, c2, phi):
-    """Weight ratio of c1 against c2 pushed along phi, per base point.
-
-    Returns a dict on the right space of c2; base points not hit by any
-    image are omitted.  Raises if two points over the same base force
-    different ratios.
-    """
-    out = {}
-    for x in c1.basis:
-        y = phi[x]
-        base = c2.right[y]
-        val = c1.weight[x] / c2.weight[y]
-        if base in out and out[base] != val:
-            raise ValueError(f"ratio not constant over base {base!r}")
-        out[base] = val
-    return out
+def _positions(c1, c2, phi, delta):
+    """phi and delta as arrays: a mapping phi of c1 points to c2 points
+    as the c2 position of each c1 point (-1 for none), a mapping delta on
+    base points as an array over c2.right_space (NaN for none)."""
+    if isinstance(phi, Mapping):
+        phi = [c2.index.get(phi.get(x), -1) for x in c1.basis]
+    if isinstance(delta, Mapping):
+        delta = [delta.get(y, math.nan) for y in c2.right_space]
+    return np.asarray(phi, dtype=np.intp), np.asarray(delta, dtype=float)
 
 
 def check_corr_isomorphism(c1, c2, phi, delta, tol=0.0):
     """phi carries c1 onto c2 with weight ratio delta.
 
-    phi maps points of c1 bijectively to points of c2 preserving both
-    gradings; delta is a positive function on the right space of c2 and
-    the weight condition reads weight1(x) == delta(base) * weight2(phi x)
-    at base = right2(phi x).  Over every base point that is hit, delta
-    is forced by the weights; the ratio-determined check confirms the
-    given delta matches the forced one.
+    phi, the c2 position of the image of each c1 point (-1 for none),
+    must be a bijection preserving both gradings; delta is a positive
+    array over the right space of c2 (mappings of labels are read by
+    _positions), and the weight condition reads weight1(x) == delta(base)
+    * weight2(phi x) at base = right2(phi x).  Over every base point that
+    is hit, delta is forced by the weights; the ratio-determined check
+    confirms the given delta matches the forced one, base points in the
+    order they are first hit.  Witnesses are labels.
     """
+    phi, delta = _positions(c1, c2, phi, delta)
     rep = Report("correspondence isomorphism")
-    image = [phi.get(x) for x in c1.basis]
-    targets = set(c2.basis)
-    ok = (len(c1.basis) == len(c2.basis)
-          and all(y is not None for y in image)
-          and set(image) == targets)
-    bad = next((x for x, y in zip(c1.basis, image) if y not in targets),
-               None)
-    rep.add("bijection", ok, witness=bad)
+    inside = (phi >= 0) & (phi < c2.dim)
+    ok = bool(c1.dim == c2.dim and inside.all()
+              and (np.bincount(phi, minlength=c2.dim) == 1).all())
+    bad = np.flatnonzero(~inside)
+    rep.add("bijection", ok, witness=c1.basis[bad[0]] if bad.size else None)
     if not ok:
         return rep
 
-    bad = next((x for x in c1.basis
-                if c2.left[phi[x]] != c1.left[x]), None)
-    rep.add("left-grading", bad is None, witness=bad)
-    bad = next((x for x in c1.basis
-                if c2.right[phi[x]] != c1.right[x]), None)
-    rep.add("right-grading", bad is None, witness=bad)
+    for side in ("left", "right"):
+        bad = np.flatnonzero(getattr(c2, side + "_codes")[phi] != _recode(
+            getattr(c1, side + "_codes"), getattr(c1, side + "_space"),
+            getattr(c2, side + "_space")))
+        rep.add(side + "-grading", not bad.size,
+                witness=c1.basis[bad[0]] if bad.size else None)
 
-    def ratio_gap(x):
-        want = delta[c2.right[phi[x]]] * c2.weight[phi[x]]
-        return abs(c1.weight[x] - want) / max(abs(c1.weight[x]), 1.0)
-    rep.add_worst_at("weight-ratio", [ratio_gap(x) for x in c1.basis], tol,
-                     lambda k: c1.basis[k])
+    w1, w2, base = c1.weight_array, c2.weight_array[phi], c2.right_codes[phi]
+    rep.add_worst_at("weight-ratio", abs(w1 - delta[base] * w2)
+                     / np.maximum(abs(w1), 1.0), tol, lambda k: c1.basis[k])
 
-    try:
-        forced = corr_ratio(c1, c2, phi)
-    except ValueError as exc:
-        rep.add("ratio-determined", False, witness=str(exc))
+    ratio = w1 / w2
+    first = np.sort(np.unique(base, return_index=True)[1])
+    forced = np.empty(len(c2.right_space))
+    forced[base[first]] = ratio[first]
+    clash = np.flatnonzero(ratio != forced[base])
+    if clash.size:
+        rep.add("ratio-determined", False, witness="ratio not constant over "
+                f"base {c2.right_space[base[clash[0]]]!r}")
         return rep
-    bases = list(forced)
-    rep.add_worst_at("ratio-determined",
-                     [abs(delta[base] - forced[base]) for base in bases], tol,
-                     lambda k: bases[k])
+    hit = base[first]
+    rep.add_worst_at("ratio-determined", abs(delta[hit] - forced[hit]), tol,
+                     lambda k: c2.right_space[hit[k]])
     return rep

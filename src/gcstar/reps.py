@@ -17,12 +17,12 @@ from functools import cached_property
 import numpy as np
 
 from .report import Report, VerificationError, max_abs_each, worst_at
-from .measures import (GroupoidFamilies, arrow_correspondence,
+from .measures import (GroupoidFamilies, _recode, arrow_correspondence,
                        check_corr_isomorphism, haar_system)
-from .hilbmod import (ModuleMap, _entries, associator, check_module_map,
-                      entry_gap, gamma_compose, grade_leak, induced_unitary,
-                      is_intertwiner, is_unitary, lift, same_space, tensor,
-                      tensor_map_left)
+from .hilbmod import (ModuleMap, _entries, _find_points, associator,
+                      check_module_map, entry_gap, gamma_compose, grade_leak,
+                      induced_unitary, is_intertwiner, is_unitary, lift,
+                      same_space, tensor, tensor_map_left)
 
 
 class Representation:
@@ -135,6 +135,22 @@ def blockwise(rep):
     return CocycleFamily(gpd, c, rep.module, uni, raw)
 
 
+def _require_fibre_shapes(gpd, blocks, rows, cols):
+    """The sizes of the blocks; ValueError names the first block whose
+    shape is not (rows, cols) of its arrow, save an empty array."""
+    size = np.array([b.size for b in blocks], dtype=np.intp)
+    fits = np.array([b.shape == (r, c) for b, r, c in
+                     zip(blocks, rows.tolist(), cols.tolist())], dtype=bool)
+    bad = np.flatnonzero(~fits & ((size > 0) | ((rows > 0) & (cols > 0))))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"block of arrow {gpd.arrows[k]!r} has shape {blocks[k].shape}, "
+            f"expected {(int(rows[k]), int(cols[k]))} (range fibre, source "
+            f"fibre)")
+    return size
+
+
 def from_cocycle(gpd, weights, module, unitaries):
     """Assemble a representation from normalized fiber blocks.
 
@@ -148,16 +164,7 @@ def from_cocycle(gpd, weights, module, unitaries):
     s0, t0 = _fibre_starts(rep.source), _fibre_starts(rep.target)
     slen, tlen = np.diff(s0), np.diff(t0)
     blocks = [fam.raw[g] for g in gpd.arrows]
-    size = np.array([b.size for b in blocks], dtype=np.intp)
-    fits = np.array([b.shape == (r, c) for b, r, c in
-                     zip(blocks, tlen.tolist(), slen.tolist())], dtype=bool)
-    bad = np.flatnonzero(~fits & ((size > 0) | ((tlen > 0) & (slen > 0))))
-    if bad.size:
-        k = bad[0]
-        raise ValueError(
-            f"block of arrow {gpd.arrows[k]!r} has shape {blocks[k].shape}, "
-            f"expected {(int(tlen[k]), int(slen[k]))} (range fibre, source "
-            f"fibre)")
+    size = _require_fibre_shapes(gpd, blocks, tlen, slen)
     if size.any():
         arrow = np.repeat(np.arange(len(blocks)), size)
         # the place of each entry in its block, row-major
@@ -168,120 +175,88 @@ def from_cocycle(gpd, weights, module, unitaries):
     return rep
 
 
-def _stacks(blocks, ends):
-    """The blocks stacked once per shape, by end object, then in arrow
-    order.
-
-    Returns (stacks, stack_of, place, runs): arrow k is block place[k]
-    of stacks[stack_of[k]], and each run (end, shape, stack, arrows) is
-    the slice of one stack that holds the blocks of one shape at one end
-    object, a view, with the arrows of its blocks.
-    """
-    shapes = {}
-    for k, b in enumerate(blocks):
-        shapes.setdefault(b.shape, []).append(k)
-    stacks, runs = [], []
-    stack_of = np.empty(len(blocks), dtype=np.intp)
-    place = np.empty(len(blocks), dtype=np.intp)
-    for i, (shape, arrows) in enumerate(shapes.items()):
-        arrows = np.array(arrows, dtype=np.intp)
-        arrows = arrows[np.argsort(ends[arrows], kind="stable")]
-        stack_of[arrows], place[arrows] = i, np.arange(len(arrows))
-        stacks.append(np.stack([blocks[k] for k in arrows]))
-        cut = np.flatnonzero(np.diff(ends[arrows])) + 1
-        for lo, hi in zip([0, *cut], [*cut, len(arrows)]):
-            runs.append((int(ends[arrows[lo]]), shape, stacks[i][lo:hi],
-                         arrows[lo:hi]))
-    return stacks, stack_of, place, runs
-
-
 _CHUNK = 2 ** 15  # entries of one stacked product in check_cocycle
 
 
 def check_cocycle(fam, tol=1e-10):
     """Units, multiplicativity and weighted unitarity of fiber blocks.
 
-    The blocks are stacked once per shape, by range object, so the
-    blocks of one shape into one object are one slice of a stack.  Each
-    arrow g meets every such slice into src(g) in one broadcast product,
-    with no gather of either factor; only the blocks of the products gh
-    are gathered, and rows g of small blocks share one product.  The
-    Gram matrices of fiber-unitary are taken a slice at a time.  Every
-    product runs in chunks of about _CHUNK entries, and each defect is
-    that of the one composable pair or arrow it names, as if the pairs
-    and arrows were taken one at a time.
+    The blocks sit in one zero-padded stack (|A|, m, m), m the largest
+    fibre, each in the (range fibre, source fibre) corner of its slab; a
+    block of another shape raises ValueError (save an empty array).  The
+    composable pairs, and for fiber-unitary the arrows, are grouped by
+    block shape and taken in chunks of about _CHUNK product entries, each
+    factor read from the stack at its true shape (gh by codes.comp), so
+    each defect is that of the one pair or arrow it names, bit for bit:
+    padded products would round otherwise, and make NaN beside an inf.
     """
-    gpd = fam.groupoid
+    gpd, module = fam.groupoid, fam.module
     t = gpd.codes
     rep = Report("cocycle family")
 
-    def gap(a, b):
-        return worst_at(abs(a - b))[0]
+    order, starts, sizes = module.left_runs
+    obj = _recode(np.arange(len(gpd.objects)), gpd.objects,
+                  module.left_space)
+    size = sizes[obj]
+    m = int(size.max(initial=0))
+    # the module weights over each object, padded with zeros to m
+    inside = np.arange(m) < size[:, None]
+    fibre = np.zeros(inside.shape)
+    fibre[inside] = module.weight_array[order[
+        (starts[obj][:, None] + np.arange(m))[inside]]]
+    rows, cols = size[t.rng], size[t.src]
+    blocks = [fam.unitaries[g] for g in gpd.arrows]
+    _require_fibre_shapes(gpd, blocks, rows, cols)
+    # slab at[g] of arrow g, in range order: the h of the pairs (g, h) of
+    # one g are consecutive slabs, which a chunk reads as one view
+    at = np.argsort(np.argsort(t.rng, kind="stable"))
+    stack = np.zeros((len(blocks), m, m), dtype=complex)
+    for k, b in zip(at.tolist(), blocks):
+        if b.size:
+            stack[k, :b.shape[0], :b.shape[1]] = b
 
-    units = [fam.unitaries[gpd.unit[x]] for x in gpd.objects]
-    rep.add_worst_at("unit-blocks", np.fromiter(
-        (gap(u, np.eye(len(u))) for u in units), float, len(units)), tol,
+    rep.add_worst_at("unit-blocks", max_abs_each(
+        stack[at[t.unit]] - inside[:, :, None] * np.eye(m)), tol,
         lambda k: gpd.objects[k])
 
-    blocks = [fam.unitaries[g] for g in gpd.arrows]
-    stacks, stack_of, place, runs = _stacks(blocks, t.rng)
     g_all, h_all = t.pairs
-    pair_at = np.full(t.comp.shape, -1, dtype=np.intp)
-    pair_at[t.pairs] = np.arange(len(g_all))
     multiplicative = np.zeros(len(g_all))
-    for y, (rows, cols), stack, hs in runs:
-        out_of = np.flatnonzero(t.src == y)
-        for shape in {blocks[g].shape for g in out_of}:
-            gs = np.array([g for g in out_of if blocks[g].shape == shape],
-                          dtype=np.intp)
-            entries = max(shape[0] * cols, 1)
-            kstep = max(1, _CHUNK // entries)
-            gstep = max(1, _CHUNK // (entries * len(hs))) \
-                if kstep >= len(hs) else 1
-            for a in range(0, len(gs), gstep):
-                grow = gs[a:a + gstep]
-                left = np.stack([blocks[g] for g in grow])[:, None]
-                for b in range(0, len(hs), kstep):
-                    prod = left @ stack[b:b + kstep]
-                    hcol = hs[b:b + kstep]
-                    gh = t.comp[grow[:, None], hcol]
-                    at = pair_at[grow[:, None], hcol]
-                    sid = stack_of[gh]
-                    # products of one shape skip the masked copies of
-                    # the loop below: 10% of group:64 and pair:24
-                    if (sid == sid.flat[0]).all():
-                        multiplicative[at] = abs(
-                            stacks[sid.flat[0]][place[gh]] - prod).max(
-                            axis=(2, 3), initial=0.0)
-                        continue
-                    # products of more than one shape: a stack each
-                    for s in set(sid.ravel().tolist()):
-                        m = sid == s
-                        multiplicative[at[m]] = max_abs_each(
-                            stacks[s][place[gh[m]]] - prod[m])
+    dims = (m + 1,) * 3
+    shape = np.ravel_multi_index((rows[g_all], cols[g_all], cols[h_all]),
+                                 dims)
+    for key in np.unique(shape):
+        r, c, s = (int(i) for i in np.unravel_index(key, dims))
+        sel = np.flatnonzero(shape == key)
+        step = max(1, _CHUNK // max(r * s, 1))
+        for a in range(0, len(sel), step):
+            k = sel[a:a + step]
+            gh = at[t.comp[g_all[k], h_all[k]]]
+            g, h = at[g_all[k]], at[h_all[k]]
+            if g[0] == g[-1] and h[-1] - h[0] == len(k) - 1:
+                prod = stack[g[0], :r, :c] @ stack[h[0]:h[-1] + 1, :c, :s]
+            else:
+                prod = stack[g, :r, :c] @ stack[h, :c, :s]
+            multiplicative[k] = max_abs_each(stack[gh, :r, :s] - prod)
     rep.add_worst_at("multiplicative", multiplicative, tol,
                      lambda k: (gpd.arrows[g_all[k]], gpd.arrows[h_all[k]]))
 
-    module = fam.module
-    fibre = [module.weight_array[module.left_positions(x)]
-             for x in gpd.objects]
     unitarity = np.zeros(len(blocks))
-    for y, (rows, cols), stack, hs in runs:
-        wt = fibre[y]
-        if stack.size:
-            step = max(1, _CHUNK // max(rows * cols + cols * cols, 1))
-            for b in range(0, len(hs), step):
-                u = stack[b:b + step]
-                gram = u.conj().transpose(0, 2, 1) @ (wt[:, None] * u)
-                want = np.zeros(gram.shape)
-                want[:, np.arange(cols), np.arange(cols)] = np.stack(
-                    [fibre[x] for x in t.src[hs[b:b + step]]])
-                unitarity[hs[b:b + step]] = max_abs_each(gram - want)
+    shape = np.ravel_multi_index((rows, cols), dims[:2])
+    for key in np.unique(shape):
+        r, c = (int(i) for i in np.unravel_index(key, dims[:2]))
+        sel = np.flatnonzero(shape == key)
+        step = max(1, _CHUNK // max(r * c + c * c, 1))
+        for a in range(0, len(sel) if r * c else 0, step):
+            k = sel[a:a + step]
+            u = stack[at[k], :r, :c]
+            gram = u.conj().transpose(0, 2, 1) @ (
+                fibre[t.rng[k], :r, None] * u)
+            unitarity[k] = max_abs_each(
+                gram - fibre[t.src[k], :c, None] * np.eye(c))
         # an empty block between fibres of different sizes is flagged by
         # the size test, with defect 1
-        sizes = np.array([len(fibre[x]) for x in t.src[hs]])
-        uneven = hs[sizes != len(wt)]
-        unitarity[uneven] = np.maximum(unitarity[uneven], 1.0)
+        if r != c:
+            unitarity[sel] = np.maximum(unitarity[sel], 1.0)
     rep.add_worst_at("fiber-unitary", unitarity, tol,
                      lambda k: gpd.arrows[k])
     return rep
@@ -354,13 +329,16 @@ def regular_representation(gpd, weights):
     """Translation of arrow functions, built from an exact relabeling.
 
     The two tensor legs against the arrow module are pair sets, and the
-    pair bijection (g, h) -> (g, gh) with ratio one carries the first
-    onto the second; every matrix entry is zero or one.
+    pair bijection (g, h) -> (g, gh) with ratio one, taken on positions,
+    carries the first onto the second; every matrix entry is zero or one.
     """
     rep = Representation(gpd, weights,
                          arrow_correspondence(gpd, weights, "s"), None)
-    phi = {(g, h): (g, gpd.comp[(g, h)]) for (g, h) in rep.source.basis}
-    delta = {x: 1.0 for x in gpd.objects}
+    # the positions of the arrow module are arrow codes
+    (_, g), (_, h) = rep.source.factors
+    gh = gpd.codes.comp[g, h]
+    phi = np.where(gh >= 0, _find_points(rep.target, g, gh), -1)
+    delta = np.ones(len(gpd.objects))
     check_corr_isomorphism(rep.source, rep.target, phi, delta).require()
     rep.umap = induced_unitary(rep.source, rep.target, phi, delta)
     return rep
@@ -418,10 +396,8 @@ def invariant_support(rep):
     two ends have fibers of different dimension.
     """
     gpd, t, module = rep.groupoid, rep.groupoid.codes, rep.module
-    # one count past the last grade, so that code -1 counts zero
-    sizes = np.bincount(module.left_codes,
-                        minlength=len(module.left_space) + 1)
-    sizes = sizes[[module.left_lookup.get(x, -1) for x in gpd.objects]]
+    sizes = module.left_runs[2][_recode(np.arange(len(gpd.objects)),
+                                        gpd.objects, module.left_space)]
     support = tuple(x for x, n in zip(gpd.objects, sizes) if n)
     out = Report("invariant support")
     bad = np.flatnonzero(sizes[t.src] != sizes[t.rng])

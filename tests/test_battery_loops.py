@@ -319,6 +319,51 @@ def test_check_cocycle_matches_the_pair_loop(name, fam):
         assert _same(g[2:], w[2:]), (g, w)
 
 
+def _inf_beside_an_empty_fibre():
+    """P2 with fibres of sizes 1 and 0 and an infinite unit block at 1:
+    the pairs through the empty fibre have empty products, defect 0."""
+    gpd, w = fixture("P2")
+    module = module_from_dims(gpd.objects, ("w",), {(1, "w"): 1, (2, "w"): 0})
+    blocks = {g: np.zeros((len(module.left_fiber(gpd.rng[g])),
+                           len(module.left_fiber(gpd.src[g]))), dtype=complex)
+              for g in gpd.arrows}
+    blocks[(1, 1)] = np.full((1, 1), np.inf, dtype=complex)
+    with np.errstate(invalid="ignore"):  # the raw blocks: inf * (1 + 0j)
+        return CocycleFamily(gpd, w, module, blocks)
+
+
+def _defect_arrays(run, fam, monkeypatch):
+    """The defect array behind each check of run(fam)."""
+    seen = []
+    real = Report.add_worst_at
+
+    def record(self, name, defects, tol, witness_of=lambda k: None):
+        seen.append((name, np.array(defects, dtype=float)))
+        return real(self, name, defects, tol, witness_of)
+    with monkeypatch.context() as patch:
+        patch.setattr(Report, "add_worst_at", record)
+        run(fam)
+    return seen
+
+
+@tolerant
+@pytest.mark.parametrize("chunk", [reps._CHUNK, 4])
+@pytest.mark.parametrize("name, fam", FAMILIES + [
+    ("inf beside an empty fibre", _inf_beside_an_empty_fibre())],
+    ids=[n for n, _ in FAMILIES] + ["inf beside an empty fibre"])
+def test_check_cocycle_defects_are_those_of_each_pair(name, fam, chunk,
+                                                      monkeypatch):
+    # every defect, not only the worst: a product of padded blocks would
+    # round otherwise, and make NaN of the zeros beside an inf; a small
+    # chunk takes the pairs of one g over consecutive h as views
+    monkeypatch.setattr(reps, "_CHUNK", chunk)
+    got = _defect_arrays(check_cocycle, fam, monkeypatch)
+    want = _defect_arrays(reference_check_cocycle, fam, monkeypatch)
+    assert [n for n, _ in got] == [n for n, _ in want]
+    for (n, a), (_, b) in zip(got, want):
+        assert np.array_equal(a, b, equal_nan=True), n
+
+
 def test_check_cocycle_chunks_give_the_same_defects(monkeypatch):
     # the regular representation of pair:4: 16 arrows, 4 x 4 blocks
     fam = dict(FAMILIES)["regular pair"]

@@ -51,6 +51,15 @@ def test_adjoint_weighted_oracle():
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("rows, cols", [([2 ** 40], [0]), ([0], [2 ** 62]),
+                                        ([10 ** 6], [1])])
+def test_entry_index_far_outside_the_bases_is_refused(rows, cols):
+    # the range check counts indices; a huge one is refused, not counted
+    e = two_point_space()
+    with pytest.raises(ValueError, match="^entry index outside 2 x 2$"):
+        ModuleMap(e, e, entries=(rows, cols, [1.0]))
+
+
 def test_compose_interface_mismatch():
     e = two_point_space()
     f = module_from_dims(("x",), ("w",), {("x", "w"): 2})

@@ -10,15 +10,17 @@ import itertools
 import math
 import re
 
+import numpy as np
 import pytest
 
 from gcstar.fingroupoid import FIXTURE_NAMES, FiniteGroupoid, fixture
-from gcstar.hilbmod import tensor
+from gcstar.hilbmod import induced_unitary, tensor
 from gcstar.measures import (GradedSpace, arrow_correspondence,
                              check_corr_isomorphism, check_family_identities,
                              check_iterated_integrals, compare_integrals,
-                             compose_families, corr_ratio,
-                             groupoid_families, haar_system)
+                             compose_families, groupoid_families,
+                             haar_system)
+from gcstar.report import Report
 from gcstar.sampling import SplitMix64
 
 
@@ -187,67 +189,201 @@ def test_fibre_product_matches_mu2():
         assert fp.weight[p] == fam.mu2.weight[p]
 
 
-def test_corr_isomorphism_positive():
+# ---------------------------------------------------------------------------
+# correspondence isomorphisms: the label code they replaced
+
+def ref_corr_ratio(c1, c2, phi):
+    """Weight ratio of c1 against c2 pushed along the label map phi, per
+    base point, in the order the base points are first hit."""
+    out = {}
+    for x in c1.basis:
+        y = phi[x]
+        base = c2.right[y]
+        val = c1.weight[x] / c2.weight[y]
+        if base in out and out[base] != val:
+            raise ValueError(f"ratio not constant over base {base!r}")
+        out[base] = val
+    return out
+
+
+def ref_check_corr_isomorphism(c1, c2, phi, delta, tol=0.0):
+    rep = Report("correspondence isomorphism")
+    image = [phi.get(x) for x in c1.basis]
+    targets = set(c2.basis)
+    ok = (len(c1.basis) == len(c2.basis)
+          and all(y is not None for y in image)
+          and set(image) == targets)
+    bad = next((x for x, y in zip(c1.basis, image) if y not in targets),
+               None)
+    rep.add("bijection", ok, witness=bad)
+    if not ok:
+        return rep
+    bad = next((x for x in c1.basis
+                if c2.left[phi[x]] != c1.left[x]), None)
+    rep.add("left-grading", bad is None, witness=bad)
+    bad = next((x for x in c1.basis
+                if c2.right[phi[x]] != c1.right[x]), None)
+    rep.add("right-grading", bad is None, witness=bad)
+
+    def ratio_gap(x):
+        want = delta[c2.right[phi[x]]] * c2.weight[phi[x]]
+        return abs(c1.weight[x] - want) / max(abs(c1.weight[x]), 1.0)
+    rep.add_worst_at("weight-ratio", [ratio_gap(x) for x in c1.basis], tol,
+                     lambda k: c1.basis[k])
+    try:
+        forced = ref_corr_ratio(c1, c2, phi)
+    except ValueError as exc:
+        rep.add("ratio-determined", False, witness=str(exc))
+        return rep
+    bases = list(forced)
+    rep.add_worst_at("ratio-determined",
+                     [abs(delta[base] - forced[base]) for base in bases], tol,
+                     lambda k: bases[k])
+    return rep
+
+
+def labels(c1, c2, phi, delta):
+    """The position arguments as the label mappings of the reference."""
+    phi = {x: c2.basis[y] for x, y in zip(c1.basis, phi.tolist())
+           if 0 <= y < c2.dim}
+    return phi, dict(zip(c2.right_space, delta.tolist()))
+
+
+def same_checks(c1, c2, phi, delta):
+    """check_corr_isomorphism on positions and the label reference give
+    the same names, verdicts, defects and witnesses; returns the first."""
+    got = check_corr_isomorphism(c1, c2, phi, delta)
+    want = ref_check_corr_isomorphism(c1, c2, *labels(c1, c2, phi, delta))
+    assert [(c.name, c.passed, c.defect, c.witness) for c in got.checks] \
+        == [(c.name, c.passed, c.defect, c.witness) for c in want.checks]
+    return got
+
+
+def scaled(c, factor, at=None):
+    """c with every weight times factor, or only the weight at position
+    at, as a space built from labels."""
+    weights = dict(c.weight)
+    for k, p in enumerate(c.basis):
+        if at is None or k == at:
+            weights[p] *= factor
+    return GradedSpace(c.basis, c.left, c.right, weights,
+                       left_space=c.left_space, right_space=c.right_space)
+
+
+def w2_alpha():
     gpd, w = fixture("W2")
-    alpha, _ = haar_system(gpd, w)
-    c1 = alpha
-    c2 = GradedSpace(c1.basis, c1.left, c1.right,
-                     {p: 2.0 * c1.weight[p] for p in c1.basis},
-                     left_space=c1.left_space, right_space=c1.right_space)
-    phi = {p: p for p in c1.basis}
-    delta = {x: 0.5 for x in gpd.objects}
-    rep = check_corr_isomorphism(c1, c2, phi, delta)
+    return gpd, haar_system(gpd, w)[0]
+
+
+def test_corr_isomorphism_positive():
+    gpd, c1 = w2_alpha()
+    c2 = scaled(c1, 2.0)
+    phi, delta = np.arange(c1.dim), np.full(len(c2.right_space), 0.5)
+    rep = same_checks(c1, c2, phi, delta)
     assert rep.ok, str(rep)
-    assert corr_ratio(c1, c2, phi) == delta
+    assert ref_corr_ratio(c1, c2, labels(c1, c2, phi, delta)[0]) \
+        == {x: 0.5 for x in gpd.objects}
 
 
 def test_corr_isomorphism_wrong_delta():
-    gpd, w = fixture("W2")
-    alpha, _ = haar_system(gpd, w)
-    phi = {p: p for p in alpha.basis}
-    rep = check_corr_isomorphism(
-        alpha, alpha, phi, {x: 2.0 for x in gpd.objects})
+    gpd, alpha = w2_alpha()
+    rep = same_checks(alpha, alpha, np.arange(alpha.dim),
+                      np.full(len(gpd.objects), 2.0))
     assert not rep.ok
 
 
 def test_corr_isomorphism_detects_nonbijection():
-    gpd, w = fixture("W2")
-    alpha, _ = haar_system(gpd, w)
-    first = alpha.basis[0]
-    phi = {p: first for p in alpha.basis}
-    rep = check_corr_isomorphism(alpha, alpha, phi,
-                                 {x: 1.0 for x in gpd.objects})
+    gpd, alpha = w2_alpha()
+    rep = same_checks(alpha, alpha, np.zeros(alpha.dim, dtype=int),
+                      np.ones(len(gpd.objects)))
     assert not rep.ok
 
 
 def test_corr_isomorphism_names_first_point_leaving_the_target():
-    gpd, w = fixture("W2")
-    alpha, _ = haar_system(gpd, w)
-    phi = {p: p for p in alpha.basis}
+    gpd, alpha = w2_alpha()
+    phi, delta = np.arange(alpha.dim), np.ones(len(gpd.objects))
     # the third point leaves the target, the fourth has no image
-    phi[alpha.basis[2]] = ("outside",)
-    del phi[alpha.basis[3]]
-    rep = check_corr_isomorphism(alpha, alpha, phi,
-                                 {x: 1.0 for x in gpd.objects})
+    phi[2], phi[3] = alpha.dim, -1
+    rep = same_checks(alpha, alpha, phi, delta)
     assert [(c.name, c.passed, c.witness) for c in rep.checks] \
         == [("bijection", False, alpha.basis[2])]
-    phi[alpha.basis[2]] = alpha.basis[2]
-    rep = check_corr_isomorphism(alpha, alpha, phi,
-                                 {x: 1.0 for x in gpd.objects})
+    phi[2] = 2
+    rep = same_checks(alpha, alpha, phi, delta)
     assert rep.checks[0].witness == alpha.basis[3]
 
 
 def test_corr_ratio_inconsistent_raises():
-    gpd, w = fixture("W2")
-    alpha, _ = haar_system(gpd, w)
-    weights = dict(alpha.weight)
+    gpd, alpha = w2_alpha()
     # break constancy over the fiber of object 1
-    weights[(1, 1)] *= 3.0
-    c2 = GradedSpace(alpha.basis, alpha.left, alpha.right, weights,
-                     left_space=alpha.left_space,
-                     right_space=alpha.right_space)
-    with pytest.raises(ValueError):
-        corr_ratio(alpha, c2, {p: p for p in alpha.basis})
+    c2 = scaled(alpha, 3.0, at=alpha.basis.index((1, 1)))
+    phi = np.arange(alpha.dim)
+    with pytest.raises(ValueError, match="^ratio not constant over base 1$"):
+        ref_corr_ratio(alpha, c2, labels(alpha, c2, phi, phi)[0])
+    rep = same_checks(alpha, c2, phi, np.ones(len(gpd.objects)))
+    assert rep.checks[-1].name == "ratio-determined"
+    assert rep.checks[-1].witness == "ratio not constant over base 1"
+
+
+def _swap(c, i, j, side):
+    """c with the side grades of points i and j exchanged."""
+    grade = dict(getattr(c, side))
+    grade[c.basis[i]], grade[c.basis[j]] = \
+        grade[c.basis[j]], grade[c.basis[i]]
+    left, right = (grade, c.right) if side == "left" else (c.left, grade)
+    return GradedSpace(c.basis, left, right, c.weight,
+                       left_space=c.left_space, right_space=c.right_space)
+
+
+def _mutants():
+    """(name, c1, c2, phi, delta, failing check, its witness) on the
+    arrow correspondence of W2: at least one mutant per check, which may
+    fail later checks too."""
+    gpd, w = fixture("W2")
+    c = arrow_correspondence(gpd, w, "s")
+    ident, ones = np.arange(c.dim), np.ones(len(c.right_space))
+    swap = ident.copy()
+    swap[[1, 2]] = swap[[2, 1]]
+    # points 1 and 2, (1, 2) and (2, 1), lie over different objects on
+    # both sides: phi exchanging them moves both gradings
+    return [
+        ("bijection", c, c, np.where(ident == 3, 0, ident), ones,
+         "bijection", None),
+        ("out of range", c, c, np.where(ident == 1, 9, ident), ones,
+         "bijection", c.basis[1]),
+        ("left", c, _swap(c, 1, 2, "left"), ident, ones,
+         "left-grading", c.basis[1]),
+        ("right", c, _swap(c, 1, 2, "right"), ident, ones,
+         "right-grading", c.basis[1]),
+        ("both", c, c, swap, ones, "left-grading", c.basis[1]),
+        ("weight", c, scaled(c, 2.0), ident, ones, "weight-ratio",
+         c.basis[0]),
+        ("weight at one point", c, scaled(c, 2.0, at=3), ident, ones,
+         "weight-ratio", c.basis[3]),
+        ("ratio", c, c, ident, np.array([1.0, 1.0 + 1e-9]),
+         "ratio-determined", 2),
+        ("ratio clash", c, scaled(c, 4.0, at=2), ident, ones,
+         "ratio-determined", "ratio not constant over base 1"),
+    ]
+
+
+@pytest.mark.parametrize("name, c1, c2, phi, delta, check, witness",
+                         _mutants(), ids=[m[0] for m in _mutants()])
+def test_corr_isomorphism_mutants_keep_their_witnesses(
+        name, c1, c2, phi, delta, check, witness):
+    rep = same_checks(c1, c2, phi, delta)
+    assert (check, False, witness) in [(c.name, c.passed, c.witness)
+                                       for c in rep.checks]
+
+
+def test_induced_unitary_reads_labels_as_positions():
+    gpd, c1 = w2_alpha()
+    c2 = scaled(c1, 4.0)
+    phi = np.arange(c1.dim)[::-1].copy()
+    delta = np.array([0.25, 0.5])
+    want = induced_unitary(c1, c2, *labels(c1, c2, phi, delta))
+    got = induced_unitary(c1, c2, phi, delta)
+    assert np.array_equal(got.matrix, want.matrix)
+    assert np.array_equal(got.rows, phi)
 
 
 def test_measure_family_rejects_nonpositive():
