@@ -181,14 +181,12 @@ _CHUNK = 2 ** 15  # entries of one stacked product in check_cocycle
 def check_cocycle(fam, tol=1e-10):
     """Units, multiplicativity and weighted unitarity of fiber blocks.
 
-    The blocks sit in one zero-padded stack (|A|, m, m), m the largest
-    fibre, each in the (range fibre, source fibre) corner of its slab; a
+    The blocks are stacked once per shape (range fibre, source fibre); a
     block of another shape raises ValueError (save an empty array).  The
     composable pairs, and for fiber-unitary the arrows, are grouped by
     block shape and taken in chunks of about _CHUNK product entries, each
-    factor read from the stack at its true shape (gh by codes.comp), so
-    each defect is that of the one pair or arrow it names, bit for bit:
-    padded products would round otherwise, and make NaN beside an inf.
+    factor gathered from the stack of its shape (gh by codes.comp), so
+    each defect is that of the one pair or arrow it names, bit for bit.
     """
     gpd, module = fam.groupoid, fam.module
     t = gpd.codes
@@ -198,61 +196,62 @@ def check_cocycle(fam, tol=1e-10):
     obj = _recode(np.arange(len(gpd.objects)), gpd.objects,
                   module.left_space)
     size = sizes[obj]
-    m = int(size.max(initial=0))
-    # the module weights over each object, padded with zeros to m
-    inside = np.arange(m) < size[:, None]
-    fibre = np.zeros(inside.shape)
-    fibre[inside] = module.weight_array[order[
-        (starts[obj][:, None] + np.arange(m))[inside]]]
+
+    def weights(x, n):
+        """The module weights over the objects x, of fibre size n each."""
+        return module.weight_array[order[starts[obj[x]][:, None]
+                                         + np.arange(n)]]
+
     rows, cols = size[t.rng], size[t.src]
     blocks = [fam.unitaries[g] for g in gpd.arrows]
     _require_fibre_shapes(gpd, blocks, rows, cols)
-    # slab at[g] of arrow g, in range order: the h of the pairs (g, h) of
-    # one g are consecutive slabs, which a chunk reads as one view
-    at = np.argsort(np.argsort(t.rng, kind="stable"))
-    stack = np.zeros((len(blocks), m, m), dtype=complex)
-    for k, b in zip(at.tolist(), blocks):
-        if b.size:
-            stack[k, :b.shape[0], :b.shape[1]] = b
+    # arrow k's block is stack[rows[k], cols[k]][place[k]]
+    dims = (int(size.max(initial=0)) + 1,) * 3
+    shape = np.ravel_multi_index((rows, cols), dims[:2])
+    stack, place = {}, np.empty(len(blocks), dtype=np.intp)
+    for key in np.unique(shape):
+        r, c = (int(i) for i in np.unravel_index(key, dims[:2]))
+        sel = np.flatnonzero(shape == key)
+        place[sel] = np.arange(len(sel))
+        stack[r, c] = np.stack([blocks[k] for k in sel]) if r * c \
+            else np.zeros((len(sel), r, c), dtype=complex)
 
-    rep.add_worst_at("unit-blocks", max_abs_each(
-        stack[at[t.unit]] - inside[:, :, None] * np.eye(m)), tol,
-        lambda k: gpd.objects[k])
+    unit_gap = np.zeros(len(gpd.objects))
+    for n in np.unique(size).tolist():
+        xs = np.flatnonzero(size == n)
+        unit_gap[xs] = max_abs_each(
+            stack[n, n][place[t.unit[xs]]] - np.eye(n))
+    rep.add_worst_at("unit-blocks", unit_gap, tol, lambda k: gpd.objects[k])
 
     g_all, h_all = t.pairs
     multiplicative = np.zeros(len(g_all))
-    dims = (m + 1,) * 3
-    shape = np.ravel_multi_index((rows[g_all], cols[g_all], cols[h_all]),
-                                 dims)
-    for key in np.unique(shape):
+    triple = np.ravel_multi_index((rows[g_all], cols[g_all], cols[h_all]),
+                                  dims)
+    for key in np.unique(triple):
         r, c, s = (int(i) for i in np.unravel_index(key, dims))
-        sel = np.flatnonzero(shape == key)
+        sel = np.flatnonzero(triple == key)
         step = max(1, _CHUNK // max(r * s, 1))
         for a in range(0, len(sel), step):
             k = sel[a:a + step]
-            gh = at[t.comp[g_all[k], h_all[k]]]
-            g, h = at[g_all[k]], at[h_all[k]]
-            if g[0] == g[-1] and h[-1] - h[0] == len(k) - 1:
-                prod = stack[g[0], :r, :c] @ stack[h[0]:h[-1] + 1, :c, :s]
-            else:
-                prod = stack[g, :r, :c] @ stack[h, :c, :s]
-            multiplicative[k] = max_abs_each(stack[gh, :r, :s] - prod)
+            g, h = g_all[k], h_all[k]
+            prod = stack[r, c][place[g]] @ stack[c, s][place[h]]
+            multiplicative[k] = max_abs_each(
+                stack[r, s][place[t.comp[g, h]]] - prod)
     rep.add_worst_at("multiplicative", multiplicative, tol,
                      lambda k: (gpd.arrows[g_all[k]], gpd.arrows[h_all[k]]))
 
     unitarity = np.zeros(len(blocks))
-    shape = np.ravel_multi_index((rows, cols), dims[:2])
     for key in np.unique(shape):
         r, c = (int(i) for i in np.unravel_index(key, dims[:2]))
         sel = np.flatnonzero(shape == key)
         step = max(1, _CHUNK // max(r * c + c * c, 1))
         for a in range(0, len(sel) if r * c else 0, step):
             k = sel[a:a + step]
-            u = stack[at[k], :r, :c]
+            u = stack[r, c][a:a + step]
             gram = u.conj().transpose(0, 2, 1) @ (
-                fibre[t.rng[k], :r, None] * u)
+                weights(t.rng[k], r)[:, :, None] * u)
             unitarity[k] = max_abs_each(
-                gram - fibre[t.src[k], :c, None] * np.eye(c))
+                gram - weights(t.src[k], c)[:, :, None] * np.eye(c))
         # an empty block between fibres of different sizes is flagged by
         # the size test, with defect 1
         if r != c:

@@ -355,7 +355,7 @@ def test_check_cocycle_defects_are_those_of_each_pair(name, fam, chunk,
                                                       monkeypatch):
     # every defect, not only the worst: a product of padded blocks would
     # round otherwise, and make NaN of the zeros beside an inf; a small
-    # chunk takes the pairs of one g over consecutive h as views
+    # chunk splits the pairs of one shape
     monkeypatch.setattr(reps, "_CHUNK", chunk)
     got = _defect_arrays(check_cocycle, fam, monkeypatch)
     want = _defect_arrays(reference_check_cocycle, fam, monkeypatch)
