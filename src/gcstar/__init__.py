@@ -114,7 +114,6 @@ from .crossed import (
     check_covariant_rep,
     check_crossed_rep,
     covariant_to_groupoid_rep,
-    crossed_product,
     etale_battery,
     germ_reconstruction,
     groupoid_rep_to_covariant,

@@ -15,8 +15,10 @@ every structure is one integer table over those numbers: the product,
 the involution, the action (-1 off the domain), the order as a boolean
 matrix, the germ classes of (element, point) pairs, and the product
 and involution of the crossed product (-1 for a zero product).  The
-element and point labels appear only in witnesses, error messages and
-the label views, leq, the covariant dicts and basis.
+carrier points are the objects of the groupoid of the bisections, and
+the tags, the covariant and the crossed product representations are
+arrays over those numbers; element and point labels appear only in
+witnesses, error messages and basis.
 
 The closure holds a bisection as an int vector over the objects, the
 arrow leaving each object (-1 where none does), composes vectors in
@@ -35,8 +37,8 @@ the scan decides.  The certificate products, the germ and crossed
 product tables (reduced by class with reduceat) and the restriction
 and covariance checks (stacked over the pairs of the order and of the
 action) run in chunks of 2^16 or, for the operator stacks, 2^14
-entries; the translation back to blocks reads the element x arrow tag
-matrix and cuts every block it compares in one gather per block shape.
+entries; the translation back to blocks reads the element x arrow tags
+and cuts every block it compares in one gather per block shape.
 """
 
 from __future__ import annotations
@@ -180,11 +182,12 @@ def _freeze(*arrays):
 
 
 class InverseSemigroup:
-    """Finite inverse semigroup with an action on a carrier set.
+    """Finite inverse semigroup acting on the objects of a groupoid.
 
-    Elements and carrier points are numbered by their places in the
-    two tuples.  mul[a, b] is the product ab, star[a] the inverse and
-    act[a, x] the image of x under a, -1 off its domain.  The
+    Elements are numbered by their places in the element tuple, and
+    carrier points by theirs in carrier, the objects of the groupoid of
+    the bisections.  mul[a, b] is the product ab, star[a] the inverse
+    and act[a, x] the image of x under a, -1 off its domain.  The
     constructor derives the order once, le[a, b] for a <= b (a = b a* a),
     and the idempotent flags idem.
 
@@ -213,15 +216,15 @@ class InverseSemigroup:
     The tables are read-only copies, so what is derived from them is
     derived once and cannot go stale: the verdicts of two certificates
     (embedded and germ_lemma), the source side germ tables (germs, see
-    _germ_tables) and the element x arrow tag matrices (tag_matrix).
-    The crossed product is not kept here: it holds its semigroup, and
-    the reference cycle would outlive the semigroup until a full garbage
-    collection.
+    _germ_tables) and the element x arrow matrix tags, read off the
+    vectors.  The crossed product is not kept here: it holds its
+    semigroup, and the reference cycle would outlive the semigroup until
+    a full garbage collection.
     """
 
-    def __init__(self, elements, mul, star, act, carrier, bisections):
-        self.elements = tuple(elements)
-        self.carrier = tuple(carrier)
+    def __init__(self, elements, mul, star, act, bisections):
+        gpd, vectors = bisections
+        self.elements, self.carrier = tuple(elements), gpd.objects
         n, m = len(self.elements), len(self.carrier)
         self.mul = np.array(mul, dtype=np.intp).reshape(n, n)
         self.star = np.array(star, dtype=np.intp).reshape(n)
@@ -232,12 +235,9 @@ class InverseSemigroup:
         # an entry naming no element fails validate's closure instead
         if not (_outside(self.mul, n).any() or _outside(self.star, n).any()):
             self.le = self.mul[:, self.mul[self.star, ids]].T == ids[:, None]
-        gpd, vectors = bisections
-        self.bisections = gpd, np.array(vectors, dtype=np.intp).reshape(
-            n, len(gpd.objects))
+        self.bisections = gpd, np.array(vectors, dtype=np.intp).reshape(n, m)
         _freeze(self.mul, self.star, self.act, self.idem, self.le,
                 self.bisections[1])
-        self._tags = {}
 
     @cached_property
     def embedded(self):
@@ -254,21 +254,16 @@ class InverseSemigroup:
         """The source side germ groupoid, _germ_tables(self)."""
         return _germ_tables(self)
 
-    def tag_matrix(self, arrows):
-        """Boolean (element, arrow) matrix: [a, k] iff arrows[k] lies in
-        the tag of element a; built once per arrow tuple."""
-        arrows = tuple(arrows)
-        if arrows not in self._tags:
-            number = {g: k for k, g in enumerate(arrows)}
-            tags = np.zeros((len(self.elements), len(arrows)), dtype=bool)
-            for a, el in enumerate(self.elements):
-                tags[a, [number[g] for g in el.tag if g in number]] = True
-            self._tags[arrows] = _freeze(tags)[0]
-        return self._tags[arrows]
-
-    def leq(self, a, b):
-        """The order on element labels."""
-        return bool(self.le[self.elements.index(a), self.elements.index(b)])
+    @cached_property
+    def tags(self):
+        """Boolean (element, arrow) matrix: [a, g] iff the vector of a
+        holds arrow g; ValueError if an entry is not -1 or an arrow."""
+        gpd, vecs = self.bisections
+        if ((vecs < -1) | (vecs >= len(gpd.arrows))).any():
+            raise ValueError("a bisection vector names no arrow")
+        tags = np.zeros((len(vecs), len(gpd.arrows) + 1), dtype=bool)
+        tags[np.arange(len(vecs))[:, None], vecs] = True
+        return _freeze(tags[:, :-1])[0]
 
     def label(self, idx):
         """Element label of an index or a tuple of indices; None stays."""
@@ -389,8 +384,7 @@ def _close(gpd, gens, size=2 ** 16):
     only the keys it adds are inserted.  The elements that products add
     are held to the memory bound of _guard; the generators are not.
     """
-    codes, objs, arrows = gpd.codes, gpd.objects, gpd.arrows
-    m = len(objs)
+    codes, arrows, m = gpd.codes, gpd.arrows, len(gpd.objects)
     # a trailing -1 entry on each table and vector, so that the index -1
     # (no arrow, no object) reads -1 back
     rng, inv = np.append(codes.rng, -1), np.append(codes.inv, -1)
@@ -478,7 +472,7 @@ def _close(gpd, gens, size=2 ** 16):
         mul[rank[:start, None], rank[start:stop]] = rank[old]
     return InverseSemigroup(
         [labels[k] for k in order], mul, rank[place(inverse(vecs))[order]],
-        rng[vecs[order, :m]], objs, bisections=(gpd, vecs[order, :m]))
+        rng[vecs[order, :m]], (gpd, vecs[order, :m]))
 
 
 def bisection_semigroup(gpd):
@@ -512,16 +506,9 @@ def _least_below(le, tags):
     return not (tags & ~le[least].T).any()
 
 
-def _tags(vecs, count):
-    """Boolean (element, arrow) matrix of the vectors over count arrows."""
-    tags = np.zeros((len(vecs), count + 1), dtype=bool)
-    tags[np.arange(len(vecs))[:, None], vecs] = True
-    return tags[:, :count]
-
-
 def _germ_lemma(sgrp):
     """The premises of the lemma of germ_classes, on the vectors."""
-    gpd, vecs = sgrp.bisections
+    vecs = sgrp.bisections[1]
     if not len(vecs):
         # no element, so no class: the float closure returns just that
         return False
@@ -531,7 +518,22 @@ def _germ_lemma(sgrp):
                 and not ((ordered[:, 1:] == ordered[:, :-1])
                          & (ordered[:, 1:] >= 0)).any()
                 and ((vecs[v] < 0) | (vecs[v] == vecs[a])).all()
-                and _least_below(sgrp.le, _tags(vecs, len(gpd.arrows))))
+                and _least_below(sgrp.le, sgrp.tags))
+
+
+def _tags_over(gpd, sgrp):
+    """sgrp.tags, once gpd is checked to be the groupoid of the
+    semigroup's bisections by its objects and arrows; ValueError if not."""
+    own = sgrp.bisections[0]
+    if (gpd.objects, gpd.arrows) != (own.objects, own.arrows):
+        raise ValueError("the groupoid is not the one of the semigroup's "
+                         "bisections")
+    return sgrp.tags
+
+
+def _arrows_at(gpd, mask):
+    """The labels of the arrows in a boolean mask, sorted by str."""
+    return sorted((gpd.arrows[g] for g in np.flatnonzero(mask)), key=str)
 
 
 def is_wide(gpd, sgrp):
@@ -541,24 +543,22 @@ def is_wide(gpd, sgrp):
     all, unless the certificate of _meets_realized holds.
     """
     rep = Report("wide semigroup")
-    els = sgrp.elements
-    covered = frozenset().union(*(a.tag for a in els))
-    rep.add("covers-arrows", covered == frozenset(gpd.arrows),
-            witness=sorted(frozenset(gpd.arrows) - covered, key=str) or None)
+    tags = _tags_over(gpd, sgrp)
+    missing = _arrows_at(gpd, ~tags.any(axis=0))
+    rep.add("covers-arrows", not missing, witness=missing or None)
 
     le, bad = sgrp.le, None
-    if not _meets_realized(le, sgrp.tag_matrix(gpd.arrows)):
-        tags = sgrp.tag_matrix(gpd.arrows).astype(float)
+    if not _meets_realized(le, tags):
+        t = tags.astype(float)
         # row b: the union of the tags below a and b, against their meet
-        bad = _scan(len(els), lambda a: (((le[:, a] & le.T) @ tags) > 0)
-                    != (tags[a] * tags > 0))
+        bad = _scan(len(t), lambda a: (((le[:, a] & le.T) @ t) > 0)
+                    != (t[a] * t > 0))
     witness = None
     if bad is not None:
         a, b = bad[:2]
-        meet = els[a].tag & els[b].tag
-        union = frozenset().union(
-            *(els[v].tag for v in np.flatnonzero(le[:, a] & le[:, b])))
-        witness = ((els[a], els[b]), sorted(meet - union, key=str))
+        below = tags[le[:, a] & le[:, b]].any(axis=0)
+        witness = (sgrp.label((a, b)),
+                   _arrows_at(gpd, tags[a] & tags[b] & ~below))
     rep.add("meets-realized", bad is None, witness=witness)
     return rep
 
@@ -601,13 +601,12 @@ def germ_classes(sgrp, side="dom"):
     act = sgrp.act if side == "dom" else _inverse_action(sgrp.act)
     n, m = act.shape
     if sgrp.germ_lemma:
-        gpd, vecs = sgrp.bisections
-        vecs = np.pad(vecs, ((0, 0), (0, 1)), constant_values=-1)
+        vecs = np.pad(sgrp.bisections[1], ((0, 0), (0, 1)),
+                      constant_values=-1)
         # the arrow of a at x, -1 where a does not carry x
         arrow = vecs[:, :m] if side == "dom" else np.take_along_axis(
             vecs, act, 1)
-        first = _tags(vecs, len(gpd.arrows)).argmax(axis=0)
-        least = np.append(first, -1)[arrow]
+        least = np.append(sgrp.tags.argmax(axis=0), -1)[arrow]
     else:
         least = _joined(sgrp, act >= 0)
     # the classes as codes least * m + x, then in their order
@@ -731,23 +730,21 @@ def germ_reconstruction(gpd, sgrp):
 
     Maps the germ of a bisection at a point to its unique arrow there
     and checks the map is a bijection respecting all structure.  Each
-    member's arrow is read off the tag matrix, and the structure is
-    compared by gathers on gpd.codes.
+    member's arrow is read off the tags, and the structure is compared
+    by gathers on gpd.codes.
     """
     rep = Report("germ reconstruction")
+    tags = _tags_over(gpd, sgrp)
     reps, cls, src, rng, comp, inv, unit = sgrp.germs
     els, pts, arrows, t = sgrp.elements, sgrp.carrier, gpd.arrows, gpd.codes
     k = len(reps)
     a, x, bounds = _members(cls, k)
-    # the object of each carrier point, -1 for a point that is none
-    obj = {y: i for i, y in enumerate(gpd.objects)}
-    point = np.array([obj.get(p, -1) for p in pts], dtype=np.intp)
 
     def label(c):
         return _germ_label(sgrp, reps[c])
 
     # the arrow of each member at its point, -1 unless there is just one
-    there = sgrp.tag_matrix(arrows)[a] & (t.src == point[x][:, None])
+    there = tags[a] & (t.src == x[:, None])
     hit = np.where(there.sum(axis=1) == 1, there @ np.arange(len(arrows)), -1)
     low, high = _block_range(hit, bounds)
     c = _first((low != high) | (low < 0))
@@ -766,8 +763,7 @@ def germ_reconstruction(gpd, sgrp):
     if not onto:
         return rep
 
-    c = _first((t.src[arrow_of] != point[src])
-               | (t.rng[arrow_of] != point[rng]))
+    c = _first((t.src[arrow_of] != src) | (t.rng[arrow_of] != rng))
     rep.add("ends-match", c is None, witness=None if c is None else label(c))
 
     i, j = np.nonzero(comp >= 0)
@@ -779,8 +775,7 @@ def germ_reconstruction(gpd, sgrp):
     rep.add("inverse-match", c is None,
             witness=None if c is None else label(c))
 
-    at = {p: i for i, p in enumerate(pts)}
-    c = _first(arrow_of[unit[[at[y] for y in gpd.objects]]] != t.unit)
+    c = _first(arrow_of[unit] != t.unit)
     rep.add("unit-match", c is None,
             witness=None if c is None else gpd.objects[c])
     return rep
@@ -886,20 +881,16 @@ def _spread(mats):
     return worst_at(abs(mats[1:] - mats[0]))[0]
 
 
-def crossed_product(sgrp):
-    return CrossedProductAlgebra(sgrp)
-
-
 def canonical_iso_cstar(sgrp, alg=None):
     """Crossed product and germ groupoid convolution are the same algebra.
 
     Sends the range side class of (a, x) to the source side germ of a
     at the preimage of x and compares structure constants against
     counting weight convolution on the germ groupoid, star included.
-    alg is crossed_product(sgrp) when the caller has built it already.
+    alg is CrossedProductAlgebra(sgrp) when the caller has built it.
     """
     rep = Report("canonical isomorphism")
-    alg = crossed_product(sgrp) if alg is None else alg
+    alg = CrossedProductAlgebra(sgrp) if alg is None else alg
     reps, cls, _, _, comp, inv, unit = sgrp.germs
     k = len(reps)
     rep.add("dimensions", alg.dim == k, witness=(alg.dim, k))
@@ -937,27 +928,24 @@ def canonical_iso_cstar(sgrp, alg=None):
 class CovariantRep:
     """Projections over the carrier plus one partial isometry per element.
 
-    All operators act on one unweighted space of the stated dimension;
-    isometries are stored zero extended to the full space.  points and
-    iso stack the projections in carrier order and the isometries in
-    element order; the label dicts are views into them.  blocks is None,
-    or, as groupoid_rep_to_covariant records it, (groupoid, arrow, ops):
-    the arrow of each element at each object (-1 where none leaves it)
-    and the zero extended block of each arrow, then a zero matrix, from
-    which iso was placed (_place).
+    All operators act on one unweighted space of the stated dimension.
+    points stacks the projections in carrier order and iso the
+    isometries, zero extended to the full space, in element order.
+    blocks is None, or, as groupoid_rep_to_covariant records it,
+    (groupoid, ops): the zero extended block of each arrow, then a zero
+    matrix, from which iso was placed along the bisection vectors
+    (_place).
     """
 
     blocks = None
 
-    def __init__(self, sgrp, dim, projections, isometries):
+    def __init__(self, sgrp, dim, points, iso):
         self.semigroup = sgrp
         self.dim = int(dim)
         self.points, self.iso = (
-            np.array([ops[x] for x in labels], dtype=complex)
-            .reshape(len(labels), self.dim, self.dim) for ops, labels in
-            ((projections, sgrp.carrier), (isometries, sgrp.elements)))
-        self.projections = dict(zip(sgrp.carrier, self.points))
-        self.isometries = dict(zip(sgrp.elements, self.iso))
+            np.asarray(ops, dtype=complex).reshape(count, self.dim, self.dim)
+            for ops, count in ((points, len(sgrp.carrier)),
+                               (iso, len(sgrp.elements))))
 
 
 def _rows(n, row):
@@ -1053,18 +1041,17 @@ def _block_form(cov, tol):
     sgrp = cov.semigroup
     if cov.blocks is None or not sgrp.embedded:
         return None
-    gpd, arrow, ops = cov.blocks
+    gpd, ops = cov.blocks
     own, vecs = sgrp.bisections
     t, n = gpd.codes, len(vecs)
-    if not (np.array_equal(arrow, vecs) and all(
-            np.array_equal(getattr(t, f), getattr(own.codes, f))
-            for f in ("src", "rng", "comp"))):
+    if not all(np.array_equal(getattr(t, f), getattr(own.codes, f))
+               for f in ("src", "rng", "comp")):
         return None
-    tags = _tags(vecs, len(t.src))
+    tags = sgrp.tags
     covered = tags.any(axis=0)
     g, h = t.pairs
     g, h = g[covered[g] & covered[h]], h[covered[g] & covered[h]]
-    if len(g) >= n * n or not np.array_equal(_place(arrow, ops), cov.iso):
+    if len(g) >= n * n or not np.array_equal(_place(vecs, ops), cov.iso):
         return None
     gaps = _stacked(len(g), cov.dim, lambda p: (
         ops[g[p]] @ ops[h[p]] - ops[t.comp[g[p], h[p]]]))
@@ -1079,13 +1066,17 @@ def _block_form(cov, tol):
     return d, (int(a), int(first[h[worst & tags[a, g]]].min()))
 
 
+def _padded(rho):
+    """The (alg.dim, d, d) stack rho, then a zero operator for the class
+    -1 (a zero product, or no class)."""
+    return np.concatenate([rho, np.zeros((1,) + rho.shape[1:], complex)])
+
+
 def check_crossed_rep(alg, rho, tol=1e-10):
-    """rho is a unital star homomorphism out of the crossed product."""
+    """rho, one operator per basis element stacked in basis order, is a
+    unital star homomorphism out of the crossed product."""
     rep = Report("crossed product representation")
-    dim = next(iter(rho.values())).shape[0] if rho else 0
-    n = alg.dim
-    # the operators in basis order, then zero for the product -1
-    ops = np.array([rho[i] for i in range(n)] + [np.zeros((dim, dim))])
+    n, dim, ops = alg.dim, rho.shape[-1], _padded(rho)
     rep.add_worst_at("multiplicative", _rows(n, lambda i: max_abs_each(
                          ops[i] @ ops[:n] - ops[alg.table[i]])),
                      tol, lambda k: divmod(k, n))
@@ -1104,20 +1095,12 @@ def rep_of_crossed_to_covariant(alg, rho, tol=1e-10):
     integrate_covariant runs it on the rho it returns."""
     sgrp = alg.semigroup
     out = Report("crossed to covariant")
-    dim = next(iter(rho.values())).shape[0] if rho else 0
-
-    mats = {label: [rho[alg.class_of[e, x]] for e in _covering(sgrp, x, "")]
-            for x, label in enumerate(sgrp.carrier)}
-    out.add_worst_at("projection-well-defined",
-                     [_spread(m) for m in mats.values()], tol,
-                     lambda k: sgrp.carrier[k])
-    projections = {x: m[0] for x, m in mats.items()}
-
-    # the operators in basis order, then zero for no class
-    ops = np.array([rho[i] for i in range(alg.dim)]
-                   + [np.zeros((dim, dim))], dtype=complex)
-    cov = CovariantRep(sgrp, dim, projections,
-                       dict(zip(sgrp.elements, _place(alg.class_of, ops))))
+    mats = [rho[alg.class_of[_covering(sgrp, x, ""), x]]
+            for x in range(len(sgrp.carrier))]
+    out.add_worst_at("projection-well-defined", [_spread(m) for m in mats],
+                     tol, lambda k: sgrp.carrier[k])
+    cov = CovariantRep(sgrp, rho.shape[-1], [m[0] for m in mats],
+                       _place(alg.class_of, _padded(rho)))
     out.extend(check_covariant_rep(cov, tol))
     return cov, out
 
@@ -1126,16 +1109,17 @@ def integrate_covariant(alg, cov, tol=1e-10):
     """Compress a covariant representation to the crossed product basis.
 
     The class of (a, x) acts as the x projection composed with the
-    isometry of a; the result is checked to be independent of the
-    representative and to be a star homomorphism.
+    isometry of a; the result, an (alg.dim, d, d) stack in basis order,
+    is checked to be independent of the representative and to be a star
+    homomorphism.
     """
     out = Report("covariant to crossed")
     a, x, bounds = alg.members
     mats = cov.points[x] @ cov.iso[a]
-    classes = [mats[bounds[i]:bounds[i + 1]] for i in range(alg.dim)]
-    rho = {i: m[0] for i, m in enumerate(classes)}
+    rho = mats[bounds[:-1]]
     out.add_worst_at("representative-independent",
-                     [_spread(m) for m in classes], tol, lambda k: k)
+                     [_spread(mats[bounds[i]:bounds[i + 1]])
+                      for i in range(alg.dim)], tol, lambda k: k)
     out.extend(check_crossed_rep(alg, rho, tol))
     return rho, out
 
@@ -1152,21 +1136,18 @@ def _require_counting(weights):
 
 
 def groupoid_rep_to_covariant(rep, sgrp):
-    """Sum the fiber blocks of a representation over each tag.
+    """Sum the fiber blocks of a representation along each bisection
+    vector.
 
     Only for counting weights, where raw and normalized blocks agree
     and the module inner product is unweighted.
     """
     _require_counting(rep.weights)
-    gpd = rep.groupoid
-    module = rep.module
+    gpd, module = rep.groupoid, rep.module
+    _tags_over(gpd, sgrp)
     fam = blockwise(rep)
     dim = module.dim
     fibers = [module.left_positions(x) for x in gpd.objects]
-    projections = {}
-    for x, f in zip(gpd.objects, fibers):
-        projections[x] = np.zeros((dim, dim), dtype=complex)
-        projections[x][f, f] = 1
     # every arrow's block in one scatter, row-major, into its zero
     # extension; a last zero matrix stands for no arrow
     t = gpd.codes
@@ -1183,23 +1164,19 @@ def groupoid_rep_to_covariant(rep, sgrp):
     ops = np.zeros((len(gpd.arrows) + 1, dim, dim), dtype=complex)
     ops[k, position[first[t.rng[k]] + e // cols],
         position[first[t.src[k]] + e % cols]] = vals
-    # the arrow of each element at each object: the arrows of a
-    # bisection leave distinct objects
-    a, k = np.nonzero(sgrp.tag_matrix(gpd.arrows))
-    arrow = np.full((len(sgrp.elements), len(gpd.objects)), -1,
-                    dtype=np.intp)
-    arrow[a, t.src[k]] = k
-    cov = CovariantRep(sgrp, dim, projections,
-                       dict(zip(sgrp.elements, _place(arrow, ops))))
-    cov.blocks = (gpd,) + _freeze(arrow, ops)
+    points = np.zeros((len(sizes), dim, dim), dtype=complex)
+    points[np.repeat(np.arange(len(sizes)), sizes), position, position] = 1
+    cov = CovariantRep(sgrp, dim, points, _place(sgrp.bisections[1], ops))
+    cov.blocks = gpd, _freeze(ops)[0]
     return cov
 
 
-def _place(arrow, ops):
-    """Each element's isometry: the sum of ops over its arrows."""
-    iso = np.zeros((len(arrow),) + ops.shape[1:], dtype=complex)
-    for x in range(arrow.shape[1]):
-        iso += ops[arrow[:, x]]
+def _place(vecs, ops):
+    """Each element's isometry: the sum of ops over the entries of its
+    vector, ops[-1] standing for -1."""
+    iso = np.zeros((len(vecs),) + ops.shape[1:], dtype=complex)
+    for x in range(vecs.shape[1]):
+        iso += ops[vecs[:, x]]
     return iso
 
 
@@ -1226,23 +1203,21 @@ def covariant_to_groupoid_rep(gpd, weights, cov, tol=1e-10):
 
     The isometries are compressed to the frames of the projections in
     one stacked product, and each check cuts its blocks from it in one
-    gather per block shape, reading the tags from sgrp.tag_matrix.
+    gather per block shape, reading the tags from sgrp.tags.
     """
     _require_counting(weights)
     sgrp = cov.semigroup
     out = Report("covariant to groupoid")
     arrows, codes = gpd.arrows, gpd.codes
-    tags = sgrp.tag_matrix(arrows)
-    missing = sorted((arrows[k] for k in np.flatnonzero(~tags.any(axis=0))),
-                     key=str)
+    tags = _tags_over(gpd, sgrp)
+    missing = _arrows_at(gpd, ~tags.any(axis=0))
     out.add("arrows-covered", not missing, witness=missing or None)
     if missing:
         raise VerificationError(
             f"arrows not covered by any tag: {missing!r}")
 
     frames = []
-    for x in gpd.objects:
-        p = cov.projections[x]
+    for x, p in zip(gpd.objects, cov.points):
         size = int(round(float(np.trace(p).real)))
         off = p - np.diag(np.diag(p))
         offmass = max_abs(off)
@@ -1319,7 +1294,7 @@ def etale_battery(gpd, weights, sgrp=None, rep=None, tol=1e-10):
     out.extend(sgrp.validate(), prefix="semigroup-")
     out.extend(is_wide(gpd, sgrp), prefix="wide-")
     out.extend(germ_reconstruction(gpd, sgrp), prefix="germ-")
-    alg = crossed_product(sgrp)
+    alg = CrossedProductAlgebra(sgrp)
     out.add("crossed-dimension", alg.dim == len(gpd.arrows),
             witness=(alg.dim, len(gpd.arrows)))
     out.extend(alg.check(), prefix="algebra-")
@@ -1415,7 +1390,7 @@ def transformation_theorem(order, action, rep=None, tol=1e-10):
                          "the given action")
     out = Report("transformation theorem")
     out.extend(sgrp.validate(), prefix="semigroup-")
-    alg = crossed_product(sgrp)
+    alg = CrossedProductAlgebra(sgrp)
     out.add("dimension", alg.dim == int(order) * len(gpd.objects),
             witness=(alg.dim, int(order) * len(gpd.objects)))
     out.extend(germ_reconstruction(gpd, sgrp), prefix="germ-")
@@ -1428,10 +1403,9 @@ def transformation_theorem(order, action, rep=None, tol=1e-10):
 
         # arrow (k, x) against the projection at its range times the
         # isometry of element k, the one element through it
-        t, vecs = gpd.codes, sgrp.bisections[1]
-        owner = np.empty(len(gpd.arrows), dtype=np.intp)
-        owner[vecs] = np.arange(len(vecs))[:, None]
-        gaps = conv_rep_of(rep).ops - cov.points[t.rng] @ cov.iso[owner]
+        owner = sgrp.tags.argmax(axis=0)
+        gaps = (conv_rep_of(rep).ops
+                - cov.points[gpd.codes.rng] @ cov.iso[owner])
         out.add_worst_at("integrated-agreement", max_abs_each(gaps), tol,
                          lambda i: gpd.arrows[i])
 

@@ -35,7 +35,7 @@ import json
 import numpy as np
 
 from .report import Report, max_abs, worst_at
-from .measures import (GradedSpace, _positions, _recode, compose_families,
+from .measures import (GradedSpace, _recode, compose_families,
                        groupoid_families)
 
 _GRADE_GUARD = 1e-13
@@ -338,11 +338,6 @@ def lift(m, src, tgt, side):
     return ModuleMap(src, tgt, entries=(i[hit], j[hit], vals[e][hit]))
 
 
-def tensor_map(m, f):
-    """m tensor identity; m must preserve right grades."""
-    return lift(m, tensor(m.source, f), tensor(m.target, f), 0)
-
-
 def tensor_map_left(e, m):
     """Identity tensor m; m must preserve left grades."""
     return lift(m, tensor(e, m.source), tensor(e, m.target), 1)
@@ -384,14 +379,15 @@ def gamma_compose(lam, mu):
 def induced_unitary(c1, c2, phi, delta):
     """Point bijection phi with weight ratio delta as a unitary map.
 
-    phi and delta are read as in check_corr_isomorphism: positions and
-    an array over c2.right_space, or mappings of labels.  Sends the
-    basis vector at x to sqrt(delta at the base of phi(x)) times the
+    phi and delta are read as in check_corr_isomorphism: the c2
+    position of each c1 point and an array over c2.right_space.  Sends
+    the basis vector at x to sqrt(delta at the base of phi(x)) times the
     basis vector at phi(x); unitary exactly when the ratio condition of
     check_corr_isomorphism holds.
     """
-    phi, delta = _positions(c1, c2, phi, delta)
-    return _relabel(c1, c2, phi, np.sqrt(delta[c2.right_codes[phi]]))
+    phi = np.asarray(phi, dtype=np.intp)
+    return _relabel(c1, c2, phi, np.sqrt(
+        np.asarray(delta, dtype=float)[c2.right_codes[phi]]))
 
 
 def creation(space, xi):

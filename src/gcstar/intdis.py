@@ -25,8 +25,6 @@ operators it returns.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 import numpy as np
 
 from .report import Report, VerificationError, relative_defects
@@ -189,17 +187,14 @@ def check_integration(rep, funcs, tol=1e-10):
 class ConvRep:
     """A family of operators, one per arrow delta, on a graded space.
 
-    delta_ops maps each arrow to its dim x dim operator, or stacks them
-    in arrow order; ops stacks them read-only, (|A|, dim, dim), in arrow
-    order.  An operator of another shape raises ValueError naming its
-    arrow."""
+    delta_ops holds one dim x dim operator per arrow, in arrow order;
+    ops stacks them read-only, (|A|, dim, dim).  An operator of another
+    shape raises ValueError naming its arrow."""
 
     def __init__(self, gpd, weights, space, delta_ops):
         self.groupoid = gpd
         self.weights = {x: float(weights[x]) for x in gpd.objects}
         self.space = space
-        if isinstance(delta_ops, Mapping):
-            delta_ops = [delta_ops[g] for g in gpd.arrows]
         for g, op in zip(gpd.arrows, delta_ops):
             if np.shape(op) != (space.dim, space.dim):
                 raise ValueError(f"operator shape mismatch at {g!r}")

@@ -19,7 +19,6 @@ where two routes exist, and the tests insist on that.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from functools import cached_property
 from types import MappingProxyType
 
@@ -380,30 +379,19 @@ def arrow_correspondence(gpd, weights, leg):
                                   object_weights(gpd, weights)[left])
 
 
-def _positions(c1, c2, phi, delta):
-    """phi and delta as arrays: a mapping phi of c1 points to c2 points
-    as the c2 position of each c1 point (-1 for none), a mapping delta on
-    base points as an array over c2.right_space (NaN for none)."""
-    if isinstance(phi, Mapping):
-        phi = [c2.index.get(phi.get(x), -1) for x in c1.basis]
-    if isinstance(delta, Mapping):
-        delta = [delta.get(y, math.nan) for y in c2.right_space]
-    return np.asarray(phi, dtype=np.intp), np.asarray(delta, dtype=float)
-
-
 def check_corr_isomorphism(c1, c2, phi, delta, tol=0.0):
     """phi carries c1 onto c2 with weight ratio delta.
 
     phi, the c2 position of the image of each c1 point (-1 for none),
     must be a bijection preserving both gradings; delta is a positive
-    array over the right space of c2 (mappings of labels are read by
-    _positions), and the weight condition reads weight1(x) == delta(base)
-    * weight2(phi x) at base = right2(phi x).  Over every base point that
-    is hit, delta is forced by the weights; the ratio-determined check
-    confirms the given delta matches the forced one, base points in the
-    order they are first hit.  Witnesses are labels.
+    array over the right space of c2, and the weight condition reads
+    weight1(x) == delta(base) * weight2(phi x) at base = right2(phi x).
+    Over every base point that is hit, delta is forced by the weights;
+    the ratio-determined check confirms the given delta matches the
+    forced one, base points in the order they are first hit.  Witnesses
+    are labels.
     """
-    phi, delta = _positions(c1, c2, phi, delta)
+    phi, delta = np.asarray(phi, dtype=np.intp), np.asarray(delta, float)
     rep = Report("correspondence isomorphism")
     inside = (phi >= 0) & (phi < c2.dim)
     ok = bool(c1.dim == c2.dim and inside.all()

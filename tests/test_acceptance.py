@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from gcstar.convalg import cstar_norm, delta_function, i_norm
-from gcstar.crossed import (crossed_product, bisection_semigroup,
+from gcstar.crossed import (CrossedProductAlgebra, bisection_semigroup,
                             etale_battery, group_action_semigroup,
                             transformation_theorem)
 from gcstar.fingroupoid import (FIXTURE_NAMES, arrow_weights,
                                 counting_weights, fixture, space_groupoid,
                                 validate_groupoid, validate_haar)
-from gcstar.hilbmod import ModuleMap, check_gamma, module_from_dims, tensor_map
+from gcstar.hilbmod import ModuleMap, check_gamma, module_from_dims
 from gcstar.intdis import (check_integrated_intertwiner, check_naturality,
                            conv_rep_of, disintegrate, integrate_rep,
                            integration_bound, oracle_integrate, roundtrip_rep)
@@ -26,6 +26,7 @@ from gcstar.reps import (blockwise, check_intertwiner, check_representation,
 from gcstar.sampling import (SplitMix64, mutate_groupoid, random_cocycle,
                              random_function, random_groupoid)
 from test_arrow_codes import dense_operator_norm, dense_regular_matrix
+from test_modmap_entries import tensor_map
 
 
 def checks_by_name(report):
@@ -179,7 +180,7 @@ def test_criterion_08_etale_theorem():
 
     for i, (gpd, w) in enumerate(cases):
         sgrp = bisection_semigroup(gpd)
-        alg = crossed_product(sgrp)
+        alg = CrossedProductAlgebra(sgrp)
         assert alg.dim == len(gpd.arrows), i
         module, blocks = random_cocycle(rng, gpd, w)
         rep = from_cocycle(gpd, w, module, blocks)
@@ -191,7 +192,7 @@ def test_criterion_09_transformation_theorem():
     out = transformation_theorem(2, {1: 2, 2: 1})
     assert out.ok, str(out)
     gpd, sgrp = group_action_semigroup(2, {1: 2, 2: 1})
-    alg = crossed_product(sgrp)
+    alg = CrossedProductAlgebra(sgrp)
     assert alg.dim == 4
     assert len(gpd.arrows) == 4
 
@@ -215,11 +216,11 @@ def test_criterion_09_transformation_theorem():
     out = transformation_theorem(3, {1: 2, 2: 3, 3: 1})
     assert out.ok, str(out)
     _, sgrp3 = group_action_semigroup(3, {1: 2, 2: 3, 3: 1})
-    assert crossed_product(sgrp3).dim == 9
+    assert CrossedProductAlgebra(sgrp3).dim == 9
 
     # trivial action: the crossed product is the cyclic group algebra
     _, sgrp_triv = group_action_semigroup(4, {1: 1})
-    triv = crossed_product(sgrp_triv)
+    triv = CrossedProductAlgebra(sgrp_triv)
     assert triv.dim == 4
     for i in range(4):
         for j in range(4):

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from gcstar import crossed, reps
-from gcstar.crossed import (CovariantRep, InverseSemigroup,
-                            bisection_semigroup, check_covariant_rep,
-                            crossed_product, germ_classes,
+from gcstar.crossed import (CovariantRep, CrossedProductAlgebra,
+                            InverseSemigroup, bisection_semigroup,
+                            check_covariant_rep, germ_classes,
                             germ_reconstruction, groupoid_rep_to_covariant)
 from gcstar.fingroupoid import (FiniteGroupoid, build_preset, counting_weights,
                                 disjoint_union, fixture)
@@ -98,11 +98,11 @@ def reference_rep_to_covariant_iso(rep, sgrp):
     fam = blockwise(rep)
     dim = module.dim
     fibers = {x: module.left_positions(x) for x in gpd.objects}
-    tags = sgrp.tag_matrix(gpd.arrows)
     iso = np.zeros((len(sgrp.elements), dim, dim), dtype=complex)
-    for k, g in enumerate(gpd.arrows):
+    for g in gpd.arrows:
         rows, cols = fibers[gpd.rng[g]], fibers[gpd.src[g]]
-        iso[np.ix_(tags[:, k], rows, cols)] += fam.unitaries[g]
+        holds = np.array([g in a.tag for a in sgrp.elements], dtype=bool)
+        iso[np.ix_(holds, rows, cols)] += fam.unitaries[g]
     projections = {x: np.diag(np.isin(np.arange(dim), fibers[x]))
                    .astype(complex) for x in gpd.objects}
     return iso, projections
@@ -420,7 +420,7 @@ IDS = [name for name, _, _ in SEMIGROUPS]
 @pytest.mark.parametrize("name, gpd, sgrp", SEMIGROUPS, ids=IDS)
 def test_germ_and_crossed_tables_match_the_class_loops(name, gpd, sgrp):
     assert np.array_equal(sgrp.germs[4], reference_germ_comp(sgrp))
-    assert np.array_equal(crossed_product(sgrp).table,
+    assert np.array_equal(CrossedProductAlgebra(sgrp).table,
                           reference_crossed_table(sgrp))
 
 
@@ -443,7 +443,7 @@ def _table_mutants():
             mul = full.mul.copy()
             mul[i, j] = (value + 1) % n
             sgrp = InverseSemigroup(full.elements, mul, full.star, full.act,
-                                    full.carrier, full.bisections)
+                                    full.bisections)
             for side, run in (("germ", reference_germ_comp),
                               ("crossed", reference_crossed_table)):
                 message = _message(run, sgrp)
@@ -513,9 +513,10 @@ def test_groupoid_rep_to_covariant_matches_the_arrow_loop(name, rep, sgrp):
     cov = groupoid_rep_to_covariant(rep, sgrp)
     iso, projections = reference_rep_to_covariant_iso(rep, sgrp)
     assert np.array_equal(cov.iso, iso)
-    assert list(cov.projections) == list(projections)
-    for x, p in projections.items():
-        assert np.array_equal(cov.projections[x], p)
+    assert list(projections) == list(sgrp.carrier)
+    assert cov.points.shape == (len(projections), cov.dim, cov.dim)
+    for p, want in zip(cov.points, projections.values()):
+        assert np.array_equal(p, want)
 
 
 @tolerant
@@ -525,11 +526,11 @@ def test_covariant_checks_match_the_element_loops(name, rep, sgrp):
     covs = [fine]
     for value in (np.nan, np.inf, 1 + 1e-6):
         # one isometry made NaN, inf or scaled, the last of a non-idempotent
-        iso = dict(fine.isometries)
-        a = sgrp.elements[int(np.flatnonzero(~sgrp.idem)[-1])] \
-            if (~sgrp.idem).any() else sgrp.elements[-1]
+        iso = fine.iso.copy()
+        a = int(np.flatnonzero(~sgrp.idem)[-1]) if (~sgrp.idem).any() \
+            else len(iso) - 1
         iso[a] = iso[a] * value if value > 1 else np.full_like(iso[a], value)
-        covs.append(CovariantRep(sgrp, fine.dim, fine.projections, iso))
+        covs.append(CovariantRep(sgrp, fine.dim, fine.points, iso))
     for cov in covs:
         got = {c.name: (c.defect, c.witness)
                for c in check_covariant_rep(cov).checks}
@@ -603,8 +604,8 @@ def reference_closure_by_element(gpd, generators):
     rank = np.argsort(order)
     return InverseSemigroup(
         [labels[k] for k in order], rank[prod[np.ix_(order, order)]],
-        rank[place(inverse(vecs))[order]], rng[vecs[order, :m]], objs,
-        bisections=(gpd, vecs[order, :m]))
+        rank[place(inverse(vecs))[order]], rng[vecs[order, :m]],
+        (gpd, vecs[order, :m]))
 
 
 SHIFT = {n: {x: x % n + 1 for x in range(1, n + 1)} for n in (2, 3, 4, 6, 8,
@@ -682,7 +683,7 @@ def _float_route(sgrp):
     """A copy of the semigroup whose germ_classes takes the float
     closure."""
     copy = InverseSemigroup(sgrp.elements, sgrp.mul, sgrp.star, sgrp.act,
-                            sgrp.carrier, sgrp.bisections)
+                            sgrp.bisections)
     copy.__dict__["germ_lemma"] = False
     return copy
 

@@ -27,6 +27,10 @@ def test_quick_rows_record_times_rss_and_exit_codes(bench, tmp_path):
     assert bench.main(["--quick", "--repeat", "2", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["quick"] is True and doc["nproc"] >= 1
+    # the machine's load as the run starts and ends
+    assert set(doc["loadavg"]) == {"start", "end"}
+    for load in doc["loadavg"].values():
+        assert len(load) == 3 and all(v >= 0 for v in load)
     assert [r["command"] for r in doc["rows"]] == [
         "gcstar validate --preset Z2", "gcstar etale --preset pair:6"]
     for row, code in zip(doc["rows"], (0, 2)):

@@ -299,7 +299,7 @@ def _leaky(conv, entries):
     for (i, r, c), v in entries.items():
         ops[i, r, c] = v
     gpd = conv.groupoid
-    return ConvRep(gpd, conv.weights, conv.space, dict(zip(gpd.arrows, ops)))
+    return ConvRep(gpd, conv.weights, conv.space, ops)
 
 
 @pytest.mark.parametrize("rep", [r for _, r in CASES], ids=IDS)

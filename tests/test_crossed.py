@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 
 from gcstar import crossed
-from gcstar.crossed import (CovariantRep, PartialBijection,
-                            all_bisections, bisection_from_arrows,
-                            bisection_semigroup, canonical_iso_cstar,
-                            check_covariant_rep, check_crossed_rep,
-                            covariant_to_groupoid_rep,
-                            crossed_product, etale_battery, germ_classes,
+from gcstar.crossed import (CovariantRep, CrossedProductAlgebra,
+                            PartialBijection, all_bisections,
+                            bisection_from_arrows, bisection_semigroup,
+                            canonical_iso_cstar, check_covariant_rep,
+                            check_crossed_rep, covariant_to_groupoid_rep,
+                            etale_battery, germ_classes,
                             germ_reconstruction,
                             group_action_semigroup, groupoid_rep_to_covariant,
                             integrate_covariant, is_wide,
@@ -151,11 +151,11 @@ def test_full_semigroup_validates():
 def test_leq_is_restriction():
     gpd, _ = fixture("P2")
     sgrp = bisection_semigroup(gpd)
-    small = bisection_from_arrows(gpd, [(1, 2)])
-    big = bisection_from_arrows(gpd, [(1, 2), (2, 1)])
-    assert sgrp.leq(small, big)
-    assert not sgrp.leq(big, small)
-    assert sgrp.leq(big, big)
+    small = sgrp.elements.index(bisection_from_arrows(gpd, [(1, 2)]))
+    big = sgrp.elements.index(bisection_from_arrows(gpd, [(1, 2), (2, 1)]))
+    assert sgrp.le[small, big]
+    assert not sgrp.le[big, small]
+    assert sgrp.le[big, big]
 
 
 def test_germ_counts_match_arrows():
@@ -189,7 +189,7 @@ def test_crossed_product_dimension_and_laws():
     for name in ("Z2", "P2", "X2"):
         gpd, _ = fixture(name)
         sgrp = bisection_semigroup(gpd)
-        alg = crossed_product(sgrp)
+        alg = CrossedProductAlgebra(sgrp)
         assert alg.dim == len(gpd.arrows)
         out = alg.check()
         assert out.ok, f"{name}: {out}"
@@ -199,7 +199,7 @@ def test_crossed_product_dimension_and_laws():
 
 def test_trivial_action_gives_group_algebra():
     gpd, sgrp = group_action_semigroup(3, {1: 1})
-    alg = crossed_product(sgrp)
+    alg = CrossedProductAlgebra(sgrp)
     assert alg.dim == 3
     # the basis order follows the exponent, so the table is addition mod 3
     for i in range(3):
@@ -211,7 +211,7 @@ def test_trivial_action_gives_group_algebra():
 
 def test_swap_crossed_product_is_full_matrix_algebra():
     gpd, sgrp = group_action_semigroup(2, SWAP)
-    alg = crossed_product(sgrp)
+    alg = CrossedProductAlgebra(sgrp)
     assert alg.dim == 4
     # explicit matrix units: the class of (a, x) acts as E[x, preimage]
     units = {}
@@ -234,7 +234,7 @@ def test_rotation_crossed_product_dimension():
     out = transformation_theorem(3, ROT3)
     assert out.ok, str(out)
     gpd, sgrp = group_action_semigroup(3, ROT3)
-    assert crossed_product(sgrp).dim == 9
+    assert CrossedProductAlgebra(sgrp).dim == 9
 
 
 def test_covariant_roundtrip_regular():
@@ -244,7 +244,7 @@ def test_covariant_roundtrip_regular():
     cov = groupoid_rep_to_covariant(rep, sgrp)
     assert check_covariant_rep(cov).ok
     assert partial_isometry_form(cov).ok
-    alg = crossed_product(sgrp)
+    alg = CrossedProductAlgebra(sgrp)
     rho, out = integrate_covariant(alg, cov)
     assert out.ok, str(out)
     cov2, out2 = rep_of_crossed_to_covariant(alg, rho)
@@ -258,9 +258,9 @@ def test_covariant_check_flags_broken_projection():
     gpd, w = fixture("P2")
     sgrp = bisection_semigroup(gpd)
     cov = groupoid_rep_to_covariant(regular_representation(gpd, w), sgrp)
-    bad_projs = dict(cov.projections)
-    bad_projs[1] = bad_projs[1] * 0.5
-    broken = CovariantRep(sgrp, cov.dim, bad_projs, cov.isometries)
+    points = cov.points.copy()
+    points[sgrp.carrier.index(1)] *= 0.5
+    broken = CovariantRep(sgrp, cov.dim, points, cov.iso)
     out = check_covariant_rep(broken)
     assert not out.ok
 
@@ -271,6 +271,29 @@ def test_translation_requires_counting_weights():
     rep = regular_representation(gpd, w)
     with pytest.raises(ValueError):
         groupoid_rep_to_covariant(rep, sgrp)
+
+
+@pytest.mark.parametrize("name", ["Z2", "X2", "T2"])
+@pytest.mark.parametrize("entry", ["is_wide", "germ_reconstruction",
+                                   "groupoid_rep_to_covariant",
+                                   "covariant_to_groupoid_rep"])
+def test_entry_points_refuse_another_groupoid(entry, name):
+    # the semigroup of P2 against a groupoid with other objects (Z2),
+    # other arrows (X2) or as many arrows under other labels (T2)
+    gpd, w = fixture("P2")
+    sgrp = bisection_semigroup(gpd)
+    cov = groupoid_rep_to_covariant(regular_representation(gpd, w), sgrp)
+    other = fixture(name)[0]
+    ones = counting_weights(other)
+    run = {"is_wide": lambda: is_wide(other, sgrp),
+           "germ_reconstruction": lambda: germ_reconstruction(other, sgrp),
+           "groupoid_rep_to_covariant": lambda: groupoid_rep_to_covariant(
+               regular_representation(other, ones), sgrp),
+           "covariant_to_groupoid_rep": lambda: covariant_to_groupoid_rep(
+               other, ones, cov)}[entry]
+    with pytest.raises(ValueError, match="not the one of the semigroup's "
+                                         "bisections"):
+        run()
 
 
 def test_etale_battery_fixtures():
@@ -320,9 +343,9 @@ def test_covariant_checks_fail_on_nan_isometry():
     els, n = sgrp.elements, len(sgrp.elements)
     # an all-NaN isometry at the bisection {(1, 2)}
     a = next(i for i, e in enumerate(els) if e.tag == frozenset({(1, 2)}))
-    isometries = dict(fine.isometries)
-    isometries[els[a]] = np.full((fine.dim, fine.dim), np.nan)
-    cov = CovariantRep(sgrp, fine.dim, fine.projections, isometries)
+    iso = fine.iso.copy()
+    iso[a] = np.nan
+    cov = CovariantRep(sgrp, fine.dim, fine.points, iso)
     first = {
         "partial-isometries": els[a],
         "involution": next(els[b] for b in range(n)
@@ -361,12 +384,11 @@ def test_batched_covariant_checks_match_pair_loops(points):
         regular_representation(gpd, counting_weights(gpd)), sgrp)
     # scale the isometry of the first element that is not idempotent
     a = int(np.flatnonzero(~sgrp.idem)[0])
-    isometries = dict(fine.isometries)
-    isometries[els[a]] = isometries[els[a]] * (1 + 1e-6)
-    cov = CovariantRep(sgrp, fine.dim, fine.projections, isometries)
+    iso = fine.iso.copy()
+    iso[a] *= 1 + 1e-6
+    cov = CovariantRep(sgrp, fine.dim, fine.points, iso)
 
-    iso = [cov.isometries[e] for e in els]
-    pts = [cov.projections[x] for x in carrier]
+    pts = cov.points
     zero = np.zeros((cov.dim, cov.dim), dtype=complex)
     dom = [sum((pts[x] for x in np.flatnonzero(row >= 0)), zero)
            for row in act]
@@ -392,7 +414,7 @@ def test_batched_covariant_checks_match_pair_loops(points):
 def test_crossed_rep_fails_on_nan_operator():
     gpd, w = fixture("P2")
     sgrp = bisection_semigroup(gpd)
-    alg = crossed_product(sgrp)
+    alg = CrossedProductAlgebra(sgrp)
     cov = groupoid_rep_to_covariant(regular_representation(gpd, w), sgrp)
     rho, out = integrate_covariant(alg, cov)
     assert out.ok
@@ -470,15 +492,13 @@ def _translation_groupoids():
 
 
 def test_tag_matrix_matches_tag_membership():
+    # the tags are read off the vectors, in the groupoid's arrow order
     for gpd in _translation_groupoids():
         sgrp = bisection_semigroup(gpd)
-        tags = sgrp.tag_matrix(gpd.arrows)
+        tags = sgrp.tags
         assert tags.tolist() == [[g in a.tag for g in gpd.arrows]
                                  for a in sgrp.elements], gpd
-        assert sgrp.tag_matrix(gpd.arrows) is tags
-        # an arrow order of its own gets a matrix of its own
-        back = tuple(reversed(gpd.arrows))
-        assert np.array_equal(sgrp.tag_matrix(back), tags[:, ::-1])
+        assert sgrp.tags is tags
 
 
 def test_semigroup_tables_are_read_only():
@@ -486,10 +506,10 @@ def test_semigroup_tables_are_read_only():
     full = bisection_semigroup(gpd)
     mul = np.array(full.mul)
     sgrp = crossed.InverseSemigroup(full.elements, mul, full.star, full.act,
-                                    gpd.objects, full.bisections)
-    alg = crossed_product(sgrp)
+                                    full.bisections)
+    alg = CrossedProductAlgebra(sgrp)
     for table in (sgrp.mul, sgrp.act, sgrp.star, sgrp.le, sgrp.idem,
-                  sgrp.tag_matrix(gpd.arrows), *sgrp.germs, alg.table,
+                  sgrp.tags, *sgrp.germs, alg.table,
                   alg.star_table):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = table[0]
@@ -534,11 +554,11 @@ def reference_back_checks(gpd, cov):
     cover = {g: [i for i, a in enumerate(els) if g in a.tag]
              for g in gpd.arrows}
     missing = sorted((g for g in gpd.arrows if not cover[g]), key=str)
-    frames = {x: np.eye(cov.dim)[:, np.diag(cov.projections[x]).real > 0.5]
-              for x in gpd.objects}
+    frames = {x: np.eye(cov.dim)[:, np.diag(p).real > 0.5]
+              for x, p in zip(gpd.objects, cov.points)}
 
     def cut(a, g):
-        return (frames[gpd.rng[g]].conj().T @ cov.isometries[els[a]]
+        return (frames[gpd.rng[g]].conj().T @ cov.iso[a]
                 @ frames[gpd.src[g]])
 
     agree = _worst_of((_worst_of((max_abs(cut(a, g) - cut(cover[g][0], g)),
@@ -606,9 +626,9 @@ def test_back_blocks_agree_matches_reference(gpd, coeff_size, dims):
     assert got["blocks-agree"].passed and got["trisection"].passed
     # scale the isometry of the last element that is not idempotent
     a = int(np.flatnonzero(~sgrp.idem)[-1])
-    isometries = dict(fine.isometries)
-    isometries[sgrp.elements[a]] = isometries[sgrp.elements[a]] * (1 + 1e-6)
-    cov = CovariantRep(sgrp, fine.dim, fine.projections, isometries)
+    iso = fine.iso.copy()
+    iso[a] *= 1 + 1e-6
+    cov = CovariantRep(sgrp, fine.dim, fine.points, iso)
     _, agree, tri = reference_back_checks(gpd, cov)
     got = _back_report(gpd, w, cov)
     assert agree[0] > 1e-7
@@ -624,15 +644,14 @@ def test_back_trisection_matches_reference(gpd, coeff_size, dims):
     # scale the block of one arrow that is not a unit in every element
     # through it: blocks still agree, but products through it do not
     g = next(g for g in gpd.arrows if g not in gpd.unit.values())
-    rows = np.diag(fine.projections[gpd.rng[g]]).real > 0.5
-    cols = np.diag(fine.projections[gpd.src[g]]).real > 0.5
-    isometries = {}
-    for a, u in fine.isometries.items():
-        u = u.copy()
+    point = dict(zip(gpd.objects, fine.points))
+    rows = np.diag(point[gpd.rng[g]]).real > 0.5
+    cols = np.diag(point[gpd.src[g]]).real > 0.5
+    iso = fine.iso.copy()
+    for a, u in zip(sgrp.elements, iso):
         if g in a.tag:
             u[np.ix_(rows, cols)] *= 1 + 1e-6
-        isometries[a] = u
-    cov = CovariantRep(sgrp, fine.dim, fine.projections, isometries)
+    cov = CovariantRep(sgrp, fine.dim, fine.points, iso)
     _, agree, tri = reference_back_checks(gpd, cov)
     got = _back_report(gpd, w, cov)
     assert got["blocks-agree"].passed and agree == (0.0, None)

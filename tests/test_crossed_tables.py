@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from gcstar import crossed
-from gcstar.crossed import (InverseSemigroup, bisection_from_arrows,
-                            bisection_semigroup, crossed_product,
+from gcstar.crossed import (CrossedProductAlgebra, InverseSemigroup,
+                            bisection_from_arrows, bisection_semigroup,
                             germ_classes, is_wide, semigroup_from_bisections)
 from gcstar.fingroupoid import (build_preset, disjoint_union, fixture,
                                 space_groupoid, transformation_groupoid)
@@ -328,7 +328,7 @@ def test_validate_and_is_wide_match_reference(semigroup):
     gpd, sgrp, ref = semigroup
     assert verdicts(sgrp.validate()) == ref.validate()
     assert verdicts(is_wide(gpd, sgrp)) == reference_is_wide(gpd, ref)
-    alg = crossed_product(sgrp)
+    alg = CrossedProductAlgebra(sgrp)
     assert verdicts(alg.check()) == reference_algebra_check(
         alg.table, alg.star_table, alg.unit_indices)
 
@@ -349,7 +349,7 @@ def _rebuild(sgrp, mul=None, star=None, act=None):
     return InverseSemigroup(
         sgrp.elements, sgrp.mul if mul is None else mul,
         sgrp.star if star is None else star,
-        sgrp.act if act is None else act, sgrp.carrier, sgrp.bisections)
+        sgrp.act if act is None else act, sgrp.bisections)
 
 
 def _validate_mutants():
@@ -415,7 +415,7 @@ def _algebra_mutants():
     gpd, sgrp = _p2()
 
     def corrupt(table=None, star=None, units=None):
-        alg = crossed_product(sgrp)
+        alg = CrossedProductAlgebra(sgrp)
         if table is not None:
             alg.table = alg.table.copy()
             alg.table[table[:2]] = table[2]
@@ -426,7 +426,7 @@ def _algebra_mutants():
             alg.unit_indices = units
         return alg
 
-    alg = crossed_product(sgrp)
+    alg = CrossedProductAlgebra(sgrp)
     zero = tuple(int(i) for i in np.argwhere(alg.table < 0)[0])
     return [
         ("associativity", corrupt(table=zero + (0,))),
@@ -493,8 +493,7 @@ def _certificate_mutants():
 def test_a_failing_certificate_hands_the_verdict_to_the_scan(name, gpd,
                                                               sgrp):
     if name == "meets-realized":
-        assert not crossed._meets_realized(sgrp.le,
-                                           sgrp.tag_matrix(gpd.arrows))
+        assert not crossed._meets_realized(sgrp.le, sgrp.tags)
         out = is_wide(gpd, sgrp)
         assert verdicts(out) == reference_is_wide(gpd, Reference(sgrp))
     else:
@@ -513,16 +512,18 @@ def test_vectors_with_a_misfiled_arrow_fail_the_certificate():
            for arrows in ([], [(1, 2)])]
     vectors = [[-1, -1], [gpd.arrows.index((1, 2)), -1]]
     mutant = InverseSemigroup(els, np.zeros((2, 2)), [0, 1],
-                              [[-1, -1], [0, -1]], sgrp.carrier,
-                              (gpd, vectors))
+                              [[-1, -1], [0, -1]], (gpd, vectors))
     assert not crossed._embedded(mutant)
     out = mutant.validate()
     assert verdicts(out) == Reference(mutant).validate()
     assert "action-multiplicative" in failing(out)
     # an entry naming no arrow fails the certificate instead of raising
     far = InverseSemigroup(els, mutant.mul, mutant.star, mutant.act,
-                           sgrp.carrier, (gpd, [[-1, -1], [4, -1]]))
+                           (gpd, [[-1, -1], [4, -1]]))
     assert not crossed._embedded(far)
+    # and it has no tags, so is_wide refuses it
+    with pytest.raises(ValueError, match="a bisection vector names no arrow"):
+        is_wide(gpd, far)
 
 
 def _count_scans(monkeypatch):

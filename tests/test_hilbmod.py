@@ -9,11 +9,13 @@ from gcstar.hilbmod import (ModuleMap, check_gamma, check_module_map,
                             creation, dump_module_map, gamma_compose,
                             grade_leak, identity_map, induced_unitary,
                             is_intertwiner, is_isometry, is_unitary,
-                            module_from_dims, tensor, tensor_map,
-                            tensor_map_left)
+                            module_from_dims, tensor, tensor_map_left)
 from gcstar.measures import (GradedSpace, compose_families,
                              groupoid_families, haar_system)
 from gcstar.sampling import SplitMix64
+
+from test_measures import positions
+from test_modmap_entries import tensor_map
 
 
 def two_point_space():
@@ -267,7 +269,8 @@ def test_induced_unitary_from_ratio():
                      right_space=alpha.right_space)
     phi = {p: p for p in alpha.basis}
     # ratio 1/4 has an exact square root, so the check is exact
-    m = induced_unitary(alpha, c2, phi, {x: 0.25 for x in gpd.objects})
+    m = induced_unitary(alpha, c2, *positions(
+        alpha, c2, phi, {x: 0.25 for x in gpd.objects}))
     out = is_unitary(m, tol=0.0)
     assert out.ok, str(out)
 

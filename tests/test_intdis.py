@@ -89,7 +89,7 @@ def test_conv_rep_shape_guard():
     gpd, w = fixture("Z2")
     space = module_from_dims(gpd.objects, ("w",), {("x", "w"): 2})
     with pytest.raises(ValueError):
-        ConvRep(gpd, w, space, {0: np.eye(2), 1: np.eye(3)})
+        ConvRep(gpd, w, space, [np.eye(2), np.eye(3)])
 
 
 def test_integrated_intertwiner_identity():
@@ -197,8 +197,8 @@ def test_disintegrate_rejects_corrupted_operators():
     gpd, w = fixture("P2")
     module, blocks = random_cocycle(rng, gpd, w)
     conv = conv_rep_of(from_cocycle(gpd, w, module, blocks))
-    ops = dict(zip(gpd.arrows, conv.ops))
-    ops[(1, 2)] = 1.1 * ops[(1, 2)]
+    ops = conv.ops.copy()
+    ops[gpd.arrows.index((1, 2))] *= 1.1
     broken = ConvRep(gpd, w, conv.space, ops)
     with pytest.raises(VerificationError) as err:
         disintegrate(broken)

@@ -249,6 +249,15 @@ def labels(c1, c2, phi, delta):
     return phi, dict(zip(c2.right_space, delta.tolist()))
 
 
+def positions(c1, c2, phi, delta):
+    """The label mappings as position arguments, the inverse of labels:
+    the c2 position of each c1 point (-1 for none) and delta over
+    c2.right_space (NaN for none)."""
+    phi = [c2.index.get(phi.get(x), -1) for x in c1.basis]
+    return (np.array(phi, dtype=np.intp),
+            np.array([delta.get(y, math.nan) for y in c2.right_space]))
+
+
 def same_checks(c1, c2, phi, delta):
     """check_corr_isomorphism on positions and the label reference give
     the same names, verdicts, defects and witnesses; returns the first."""
@@ -380,9 +389,15 @@ def test_induced_unitary_reads_labels_as_positions():
     c2 = scaled(c1, 4.0)
     phi = np.arange(c1.dim)[::-1].copy()
     delta = np.array([0.25, 0.5])
-    want = induced_unitary(c1, c2, *labels(c1, c2, phi, delta))
+    # positions inverts labels, and the unitary is the label loop's
+    by_label, ratio = labels(c1, c2, phi, delta)
+    back = positions(c1, c2, by_label, ratio)
+    assert np.array_equal(back[0], phi) and np.array_equal(back[1], delta)
+    want = np.zeros((c2.dim, c1.dim), dtype=complex)
+    for x, y in by_label.items():
+        want[c2.index[y], c1.index[x]] = np.sqrt(ratio[c2.right[y]])
     got = induced_unitary(c1, c2, phi, delta)
-    assert np.array_equal(got.matrix, want.matrix)
+    assert np.array_equal(got.matrix, want)
     assert np.array_equal(got.rows, phi)
 
 

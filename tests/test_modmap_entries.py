@@ -24,7 +24,7 @@ from gcstar.fingroupoid import FIXTURE_NAMES, fixture
 from gcstar.hilbmod import (ModuleMap, associator, check_gamma,
                             entry_gap, gamma_compose, grade_leak,
                             identity_map, induced_unitary, is_intertwiner,
-                            lift, tensor, tensor_map, tensor_map_left)
+                            lift, tensor, tensor_map_left)
 from gcstar.measures import (GradedSpace, arrow_correspondence,
                              check_corr_isomorphism, compose_families,
                              groupoid_families)
@@ -34,6 +34,8 @@ from gcstar.reps import (Representation, blockwise, check_cocycle,
                          face_transfer, from_cocycle, induce,
                          regular_representation)
 from gcstar.sampling import SplitMix64, random_cocycle
+
+from test_measures import positions
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +158,13 @@ def ref_require_graded(m, side):
     leak, bad = ref_grade_leak(m, side)
     if not leak <= 1e-13:
         raise ValueError(f"map moves {side} grade {bad[0]!r} -> {bad[1]!r}")
+
+
+def tensor_map(m, f):
+    """m tensor identity by lift; m must preserve right grades.  The
+    batteries lift on the left only (tensor_map_left), so this right
+    lift is kept here as a reference."""
+    return lift(m, tensor(m.source, f), tensor(m.target, f), 0)
 
 
 def ref_tensor_map(m, f):
@@ -329,7 +338,8 @@ def ref_regular_matrix(gpd, weights):
     fib_t = ref_tensor(fam.alpha, module)
     phi = {(g, h): (g, gpd.comp[(g, h)]) for (g, h) in fib_s.basis}
     delta = {x: 1.0 for x in gpd.objects}
-    check_corr_isomorphism(fib_s, fib_t, phi, delta).require()
+    check_corr_isomorphism(fib_s, fib_t,
+                           *positions(fib_s, fib_t, phi, delta)).require()
     return ref_induced_unitary(fib_s, fib_t, phi, delta).matrix
 
 
@@ -394,8 +404,9 @@ def test_relabelings_exactly_equal(name):
     c1 = fam.alpha
     phi = {p: p for p in c1.basis}
     delta = {x: 0.5 + x if isinstance(x, int) else 2.0 for x in gpd.objects}
-    assert np.array_equal(induced_unitary(c1, c1, phi, delta).matrix,
-                          ref_induced_unitary(c1, c1, phi, delta).matrix)
+    assert np.array_equal(
+        induced_unitary(c1, c1, *positions(c1, c1, phi, delta)).matrix,
+        ref_induced_unitary(c1, c1, phi, delta).matrix)
     assert np.array_equal(regular_representation(gpd, w).umap.matrix,
                           ref_regular_matrix(gpd, w))
 

@@ -182,8 +182,8 @@ def test_oracle_agreement_mutant(monkeypatch, objw):
 def test_star_certificate_mutant(objw):
     gpd, w, _, rep = _case(objw)
     conv = conv_rep_of(rep)
-    ops = dict(zip(gpd.arrows, conv.ops))
-    g = (1, 2)
+    ops = conv.ops.copy()
+    g = gpd.arrows.index((1, 2))
     assert max_abs(ops[g]) > 0.0
     ops[g] = (1.0 + 1e-6) * ops[g]
     with pytest.raises(VerificationError) as err:

@@ -18,7 +18,7 @@ import pytest
 from gcstar.cli import parse_preset
 from gcstar.fingroupoid import FIXTURE_NAMES, fixture
 from gcstar.hilbmod import (ModuleMap, check_gamma, grade_leak, tensor,
-                            tensor_map, tensor_map_left)
+                            tensor_map_left)
 from gcstar.measures import (GradedSpace, arrow_correspondence,
                              compose_families, groupoid_families)
 from gcstar.reps import (check_representation, from_cocycle, induce,
@@ -27,7 +27,7 @@ from gcstar.sampling import SplitMix64, random_cocycle
 
 from test_modmap_entries import (dense, ref_grade_leak, ref_regular_matrix,
                                  ref_tensor, ref_tensor_map,
-                                 ref_tensor_map_left)
+                                 ref_tensor_map_left, tensor_map)
 
 # the fixtures and presets of test_modmap_entries.py
 NAMES = FIXTURE_NAMES + ("pair:4", "pair:8", "group:8", "transformation:4",

@@ -9,10 +9,13 @@ The rows are the CLI limits tabled in ROADMAP.md that finish within
 30 s; --quick keeps the rows that took under 3 s there, for a smoke
 run.  For each row the file records the command, the median, min and
 max wall time, each run's peak RSS (ru_maxrss of the child, from
-os.wait4) and exit code; for the whole run, the git revision, nproc
-and the Python and numpy versions.  A run that outlives 120 s is
-killed and records the signal as a negative exit code.  The script
-exits 1 when any run exits otherwise than its row expects.
+os.wait4) and exit code; for the whole run, the git revision, nproc,
+the Python and numpy versions, and the 1, 5 and 15 minute load averages
+at its start and end, since rows taken on a busy machine read slower
+and a before/after pair is only comparable at like loads.  A run that
+outlives 120 s is killed and records the signal as a negative exit
+code.  The script exits 1 when any run exits otherwise than its row
+expects.
 """
 
 from __future__ import annotations
@@ -92,6 +95,11 @@ def nproc():
     return os.cpu_count()
 
 
+def loadavg():
+    """The 1, 5 and 15 minute load averages of the machine."""
+    return [round(v, 2) for v in os.getloadavg()]
+
+
 def numpy_version():
     try:
         return metadata.version("numpy")
@@ -132,13 +140,16 @@ def main(argv=None):
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     rows = [r for r in ROWS if r[0] < QUICK_S] if args.quick else list(ROWS)
+    start = loadavg()
+    results = bench(rows, args.repeat)
     doc = {
         "revision": revision(),
         "nproc": nproc(),
         "python": platform.python_version(),
         "numpy": numpy_version(),
         "quick": args.quick,
-        "rows": bench(rows, args.repeat),
+        "loadavg": {"start": start, "end": loadavg()},
+        "rows": results,
     }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
