@@ -107,7 +107,6 @@ from .crossed import (
     CrossedProductAlgebra,
     InverseSemigroup,
     PartialBijection,
-    all_bisections,
     bisection_from_arrows,
     bisection_semigroup,
     canonical_iso_cstar,

@@ -385,13 +385,13 @@ def cmd_trafo(args):
     with open(args.group) as fh:
         order = _field(json.load(fh), "order", int, "the --group file")
     with open(args.action) as fh:
-        raw = _field(json.load(fh), "map", dict, "the --action file")
-    action = {}
-    for x, y in _labels(raw, "the --action map").items():
-        try:
-            action[int(x)] = int(y)
-        except (ValueError, OverflowError):
-            action[x] = y
+        raw = _labels(_field(json.load(fh), "map", dict, "the --action file"),
+                      "the --action map")
+    # int points when every label reads as an int, else strings throughout
+    try:
+        action = {int(x): int(y) for x, y in raw.items()}
+    except (ValueError, OverflowError):
+        action = {x: str(y) for x, y in raw.items()}
     gpd = build_preset("transformation", order=order, action=action)
     weights = counting_weights(gpd)
     rng = SplitMix64(args.seed)

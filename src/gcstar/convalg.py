@@ -25,20 +25,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .report import Report, relative_defects
+from .report import Report, _chunked, relative_defects
 from .measures import fibre_sums, object_weights
 
 _CHUNK = 2 ** 15
-
-
-def _chunked(fn, n, size):
-    """fn(sl) for slices sl covering range(n), about _CHUNK / size rows
-    each, concatenated along the first axis."""
-    step = max(1, _CHUNK // max(1, size))
-    if n <= step:
-        return fn(slice(0, n))
-    return np.concatenate([fn(slice(lo, lo + step))
-                           for lo in range(0, n, step)])
 
 
 def delta_function(gpd, g):
@@ -81,7 +71,7 @@ def convolve(gpd, weights, f1, f2):
         keys = np.arange(len(terms))[:, None] * a + k
         return fibre_sums(keys.ravel(), terms.ravel(),
                           len(terms) * a).reshape(-1, a)
-    return _chunked(rows, len(f1), len(h)).reshape(shape)
+    return _chunked(rows, len(f1), len(h), _CHUNK).reshape(shape)
 
 
 def star(gpd, f):
@@ -156,7 +146,8 @@ def _spectral_norms(scale, mats):
     def top(sl):
         hat = (scale[..., :, None] * mats[sl]) / scale[..., None, :]
         return np.linalg.eigvalsh(hat.conj().swapaxes(-1, -2) @ hat)[..., -1]
-    return np.sqrt(np.maximum(_chunked(top, len(mats), mats[0].size), 0.0))
+    return np.sqrt(np.maximum(_chunked(top, len(mats), mats[0].size,
+                                       _CHUNK), 0.0))
 
 
 def cstar_norm(gpd, weights, f):
@@ -170,7 +161,7 @@ def cstar_norm(gpd, weights, f):
     scale = np.sqrt(_fibre_weights(gpd, c))
     norms = _chunked(lambda sl: _spectral_norms(scale, _regular_blocks(
         gpd, c, funcs[sl])).max(axis=-1, initial=0.0), len(funcs),
-        gpd.source_layout.factor.size)
+        gpd.source_layout.factor.size, _CHUNK)
     return float(norms[0]) if np.ndim(f) == 1 else norms
 
 
@@ -207,11 +198,11 @@ def check_convolution(gpd, weights, funcs, tol=1e-10):
     w, size = _fibre_weights(gpd, c), gpd.source_layout.factor.size
     rep.add_worst_at("regular-multiplicative", _chunked(
         lambda sl: relative_defects(reg(prods[sl]), reg(funcs[:-1][sl])
-                                    @ reg(funcs[1:][sl])), len(prods), size),
-        tol)
+                                    @ reg(funcs[1:][sl])), len(prods), size,
+        _CHUNK), tol)
     rep.add_worst_at("regular-star", _chunked(lambda sl: relative_defects(
         reg(funcs[sl]).conj().swapaxes(-1, -2) * (w[:, None] / w[..., None]),
-        reg(stars[sl])), len(funcs), size), tol)
+        reg(stars[sl])), len(funcs), size, _CHUNK), tol)
 
     norms = cstar_norm(gpd, weights, funcs)
     squares = cstar_norm(gpd, weights, mul(stars, funcs))

@@ -20,13 +20,14 @@ the tags, the covariant and the crossed product representations are
 arrays over those numbers; element and point labels appear only in
 witnesses, error messages and basis.
 
-The closure holds a bisection as an int vector over the objects, the
-arrow leaving each object (-1 where none does), composes vectors in
-rounds by gathers from gpd.codes and finds products among the known
-vectors by a binary search of their sorted keys; one bound on the bytes
-of the |S| x |S| tables (_guard) limits it and the enumeration of all
-bisections.  The semigroup keeps those vectors, and quadratic
-certificates stand in for the scans where their lemmas hold: the
+A bisection is an int vector over the objects, the arrow leaving each
+object (-1 where none does).  All bisections are enumerated as vectors;
+the closure composes vectors in rounds by gathers from gpd.codes, finds
+products by a binary search of the sorted keys of the known vectors,
+orders them by ranks of the str of their labels and builds each label
+once; one bound on the bytes of the |S| x |S| tables (_guard) limits
+the enumeration and the closure.  The semigroup keeps those vectors,
+and quadratic certificates stand in for the scans where their lemmas hold: the
 vectors embed S in the bisections of the groupoid (associativity,
 action-multiplicative; see InverseSemigroup), a least element below
 every element through each arrow realizes all meets (meets-realized;
@@ -36,9 +37,10 @@ as its isometries do (partial_isometry_form).  Where a premise fails,
 the scan decides.  The certificate products, the germ and crossed
 product tables (reduced by class with reduceat) and the restriction
 and covariance checks (stacked over the pairs of the order and of the
-action) run in chunks of 2^16 or, for the operator stacks, 2^14
-entries; the translation back to blocks reads the element x arrow tags
-and cuts every block it compares in one gather per block shape.
+action) run in chunks of _CHUNK or, for the operator stacks,
+_OP_CHUNK entries (_chunked); the translation back to blocks reads
+the element x arrow tags and cuts every block it compares in one
+gather per block shape.
 """
 
 from __future__ import annotations
@@ -47,16 +49,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .report import (Report, VerificationError, max_abs, max_abs_each,
-                     worst_at)
+from .report import (Report, VerificationError, _chunked, max_abs,
+                     max_abs_each, worst_at)
 from .fingroupoid import _first_nonassociative, transformation_groupoid
-from .reps import blockwise, check_cocycle, from_cocycle
+from .reps import CocycleFamily, blockwise, check_cocycle, from_cocycle
 from .hilbmod import module_from_dims
 from .intdis import conv_rep_of
 
 # the bound on the |S| x |S| tables of a semigroup: mul, the closure's
 # product numbers (8 bytes a pair each) and the order le (1 byte)
 _TABLE_BYTES, _PAIR_BYTES = 2 ** 28, 17
+# entries of one chunk: of the certificate products, the closure's
+# products and the class ranges, and of one stack of operators
+_CHUNK, _OP_CHUNK = 2 ** 16, 2 ** 14
 
 
 def _guard(count, what):
@@ -96,11 +101,6 @@ class PartialBijection:
         return f"Bisection({sorted(self.tag, key=str)!r})"
 
 
-def _sort_key(pb):
-    return (len(pb.mapping), sorted(map(str, pb.mapping.items())),
-            sorted(map(str, pb.tag)))
-
-
 def bisection_from_arrows(gpd, arrows):
     arrows = frozenset(arrows)
     srcs = [gpd.src[g] for g in arrows]
@@ -110,27 +110,6 @@ def bisection_from_arrows(gpd, arrows):
                          "is not a bisection")
     return PartialBijection({gpd.src[g]: gpd.rng[g] for g in arrows},
                             tag=arrows)
-
-
-def all_bisections(gpd):
-    """Every bisection, the empty one included; held to the memory bound
-    of _guard as they are found."""
-    arrows = sorted(gpd.arrows, key=str)
-    found, what = [], f"the bisection semigroup of {len(arrows)} arrows"
-
-    def grow(i, chosen, used_s, used_r):
-        if i == len(arrows):
-            found.append(bisection_from_arrows(gpd, frozenset(chosen)))
-            _guard(len(found), what)
-            return
-        grow(i + 1, chosen, used_s, used_r)
-        g = arrows[i]
-        if gpd.src[g] not in used_s and gpd.rng[g] not in used_r:
-            grow(i + 1, chosen + [g],
-                 used_s | {gpd.src[g]}, used_r | {gpd.rng[g]})
-
-    grow(0, [], set(), set())
-    return sorted(found, key=_sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +189,7 @@ class InverseSemigroup:
     associative.  Then composing vectors is associative, a -> vectors[a]
     embeds S in it, so associativity holds, and act[ab] is act[a] after
     act[b], so action-multiplicative holds.  The certificate checks the
-    products in row chunks of about 2^16 entries, |S|^2 |objects| in all,
+    products in row chunks of about _CHUNK entries, |S|^2 |objects| in all,
     and the groupoid's composition on its composable triples.
 
     The tables are read-only copies, so what is derived from them is
@@ -318,7 +297,7 @@ class InverseSemigroup:
         return rep
 
 
-def _embedded(sgrp, size=2 ** 16):
+def _embedded(sgrp):
     """Whether the bisection vectors certify associativity and
     action-multiplicative, by the lemma of InverseSemigroup."""
     gpd, vecs = sgrp.bisections
@@ -338,13 +317,10 @@ def _embedded(sgrp, size=2 ** 16):
             and _first_nonassociative(t.comp) is None):
         return False
     left = np.pad(vecs, ((0, 0), (0, 1)), constant_values=-1)
-    step = max(1, size // max(n * m, 1))
-    for a in range(0, n, step):
-        # row a: vectors[a] after vectors[b] for every b
-        after = comp[left[a:a + step][:, rng[vecs]], vecs]
-        if not np.array_equal(vecs[sgrp.mul[a:a + step]], after):
-            return False
-    return True
+    # row a: vectors[a] after vectors[b] for every b
+    return bool(_chunked(lambda r: (vecs[sgrp.mul[r]] == comp[
+        left[r][:, rng[vecs]], vecs]).all(axis=(1, 2)), n, n * m,
+        _CHUNK).all())
 
 
 def _filed(sgrp):
@@ -361,8 +337,8 @@ def _filed(sgrp):
 def semigroup_from_bisections(gpd, generators):
     """Close tagged bisections under composition and inversion.
 
-    Elements are listed in _sort_key order, and act on the objects
-    through their own partial bijections; see _close.
+    Elements are listed in the order of _close, and act on the objects
+    through their own partial bijections.
     """
     number = {g: k for k, g in enumerate(gpd.arrows)}
     gens = np.full((len(generators), len(gpd.objects)), -1, dtype=np.intp)
@@ -372,17 +348,25 @@ def semigroup_from_bisections(gpd, generators):
     return _close(gpd, gens)
 
 
-def _close(gpd, gens, size=2 ** 16):
+def _close(gpd, gens):
     """The semigroup generated by the bisection vectors gens and their
     inverses, in rounds.
 
     Each round composes the elements that the last round found with
     every element known when it starts, in both orders, as stacked
-    gathers of about size vectors, so every ordered pair is composed
+    gathers of about _CHUNK vectors, so every ordered pair is composed
     once and the number of rounds is the depth of the closure.  Each
     product is searched in the sorted keys of the known vectors, and
     only the keys it adds are inserted.  The elements that products add
     are held to the memory bound of _guard; the generators are not.
+
+    Elements are ordered by entry count, then by the sorted str of their
+    (source, range) pairs, then by the sorted str of their arrows, the
+    first found first among equals.  Each str stands as its rank among
+    those of all arrows: ranks compare as their strings do, and sorted
+    lists of one length compare element by element, so a stable lexsort
+    of the sorted rank rows gives that order.  Then each element's label
+    is built once, straight from its vector.
     """
     codes, arrows, m = gpd.codes, gpd.arrows, len(gpd.objects)
     # a trailing -1 entry on each table and vector, so that the index -1
@@ -440,15 +424,11 @@ def _close(gpd, gens, size=2 ** 16):
     def products(left, right):
         """Numbers of left[i] after right[j], a len(left) x len(right)
         table."""
-        out = np.empty((len(left), len(right)), dtype=np.intp)
-        if not out.size:
-            return out
-        step = max(1, size // max(len(right), 1))
-        for r in range(0, len(left), step):
-            batch = comp[left[r:r + step][:, rng[right]], right]
-            out[r:r + step] = place(batch.reshape(-1, m + 1)).reshape(
-                -1, len(right))
-        return out
+        if not (len(left) and len(right)):
+            return np.empty((len(left), len(right)), dtype=np.intp)
+        return _chunked(lambda r: place(comp[left[r][:, rng[right]], right]
+                                        .reshape(-1, m + 1)).reshape(
+            -1, len(right)), len(left), len(right), _CHUNK)
 
     gens = np.pad(gens, ((0, 0), (0, 1)), constant_values=-1)
     place(np.stack([gens, inverse(gens)], axis=1).reshape(-1, m + 1), False)
@@ -459,25 +439,47 @@ def _close(gpd, gens, size=2 ** 16):
                        products(vecs[:start], vecs[start:stop])))
         start = stop
 
-    n = len(vecs)
-    labels = [bisection_from_arrows(gpd, [arrows[g] for g in v if g >= 0])
-              for v in vecs.tolist()]
-    order = np.array(sorted(range(n), key=lambda k: _sort_key(labels[k])),
-                     dtype=np.intp)
+    n, star, vecs = len(vecs), place(inverse(vecs)), vecs[:, :m]
+    ends = [(gpd.src[g], gpd.rng[g]) for g in arrows]
+    columns = [(vecs >= 0).sum(axis=1)]
+    for labels in (ends, arrows):
+        strs = [str(v) for v in labels]
+        at = {v: i for i, v in enumerate(sorted(set(strs)))}
+        ranks = np.array([at[v] for v in strs] + [len(at)], dtype=np.intp)
+        columns[:0] = np.sort(ranks[vecs], axis=1).T[::-1]
+    order = np.lexsort(np.array(columns))
     rank = np.argsort(order)
     mul = np.empty((n, n), dtype=np.intp)
     while rounds:
         start, stop, new, old = rounds.pop()
         mul[rank[start:stop, None], rank[:stop]] = rank[new]
         mul[rank[:start, None], rank[start:stop]] = rank[old]
-    return InverseSemigroup(
-        [labels[k] for k in order], mul, rank[place(inverse(vecs))[order]],
-        rng[vecs[order, :m]], (gpd, vecs[order, :m]))
+    vecs = vecs[order]
+    labels = [PartialBijection([ends[g] for g in v if g >= 0],
+                               [arrows[g] for g in v if g >= 0])
+              for v in vecs.tolist()]
+    return InverseSemigroup(labels, mul, rank[star[order]], rng[vecs],
+                            (gpd, vecs))
 
 
 def bisection_semigroup(gpd):
-    """The inverse semigroup of every bisection of the groupoid."""
-    return semigroup_from_bisections(gpd, all_bisections(gpd))
+    """The inverse semigroup of every bisection of the groupoid.
+
+    The vectors are enumerated object by object: each partial vector is
+    extended by -1, and by each arrow leaving the object whose range it
+    does not reach yet.  The count only grows, so _guard bounds it before
+    each object's rows are made.
+    """
+    t, vecs = gpd.codes, np.empty((1, 0), dtype=np.intp)
+    rng = np.append(t.rng, -1)
+    for x in range(len(gpd.objects)):
+        out = np.flatnonzero(t.src == x)
+        row, k = np.nonzero((rng[vecs][:, :, None] != t.rng[out]).all(axis=1))
+        _guard(len(vecs) + len(row),
+               f"the bisection semigroup of {len(gpd.arrows)} arrows")
+        vecs = np.vstack([np.pad(vecs, ((0, 0), (0, 1)), constant_values=-1),
+                          np.column_stack([vecs[row], out[k]])])
+    return _close(gpd, vecs)
 
 
 def _meets_realized(le, tags):
@@ -649,7 +651,7 @@ def _members(cls, count):
     return a, x, np.searchsorted(cls[a, x], np.arange(count + 1))
 
 
-def _class_ranges(bounds, rows, owner, entries, size=2 ** 16):
+def _class_ranges(bounds, rows, owner, entries):
     """Least and largest entry of a member x member table per pair of
     classes, class i being the members bounds[i]:bounds[i + 1] on either
     axis, as k x k tables (low, high).
@@ -657,7 +659,7 @@ def _class_ranges(bounds, rows, owner, entries, size=2 ** 16):
     Member p reads row owner[p] of a table with the given number of
     rows: entries(r) gives the rows in the slice r against every member,
     twice, once to take the least and once the largest entry.  The rows
-    are taken in chunks of about size entries, each reduced over the
+    are taken in chunks of about _CHUNK entries, each reduced over the
     column classes by reduceat, and the reduced rows of the members over
     the row classes.
     """
@@ -666,7 +668,7 @@ def _class_ranges(bounds, rows, owner, entries, size=2 ** 16):
         return np.empty((2, 0, 0), dtype=np.intp)
     cut = bounds[:-1]
     low, high = (np.empty((rows, k), dtype=np.intp) for _ in range(2))
-    step = max(1, size // int(bounds[-1]))
+    step = max(1, _CHUNK // int(bounds[-1]))
     for r in range(0, rows, step):
         lows, highs = entries(slice(r, r + step))
         low[r:r + step] = np.minimum.reduceat(lows, cut, axis=1)
@@ -953,15 +955,6 @@ def _rows(n, row):
     return np.concatenate([np.empty(0)] + [row(a) for a in range(n)])
 
 
-def _stacked(count, dim, gaps, size=2 ** 14):
-    """max_abs_each(gaps(p)) over the instances p = 0..count-1, each a
-    dim x dim gap, one stacked slice of about size entries at a time."""
-    step = max(1, size // max(dim * dim, 1))
-    return np.concatenate([np.empty(0)] + [
-        max_abs_each(gaps(slice(p, p + step)))
-        for p in range(0, count, step)])
-
-
 def check_covariant_rep(cov, tol=1e-10):
     """Projection axioms, partial isometry axioms, covariance.
 
@@ -992,14 +985,16 @@ def check_covariant_rep(cov, tol=1e-10):
     rep.add_worst_at("involution", max_abs_each(iso[sgrp.star] - adj), tol,
                      lambda k: els[k])
     a, b = np.nonzero(le)
-    rep.add_worst_at("restriction", _stacked(len(a), cov.dim, lambda p: (
-                         iso[a[p]] - iso[b[p]] @ dom[a[p]])),
+    rep.add_worst_at("restriction", _chunked(lambda p: max_abs_each(
+                         iso[a[p]] - iso[b[p]] @ dom[a[p]]),
+                         len(a), cov.dim ** 2, _OP_CHUNK),
                      tol, lambda k: sgrp.label((int(a[k]), int(b[k]))))
 
     b, x = np.nonzero(act >= 0)
-    rep.add_worst_at("covariance", _stacked(len(b), cov.dim, lambda p: (
+    rep.add_worst_at("covariance", _chunked(lambda p: max_abs_each(
                          iso[b[p]] @ pts[x[p]] @ adj[b[p]]
-                         - pts[act[b[p], x[p]]])),
+                         - pts[act[b[p], x[p]]]),
+                         len(b), cov.dim ** 2, _OP_CHUNK),
                      tol, lambda k: (els[b[k]], sgrp.carrier[x[k]]))
     return rep
 
@@ -1053,8 +1048,9 @@ def _block_form(cov, tol):
     g, h = g[covered[g] & covered[h]], h[covered[g] & covered[h]]
     if len(g) >= n * n or not np.array_equal(_place(vecs, ops), cov.iso):
         return None
-    gaps = _stacked(len(g), cov.dim, lambda p: (
-        ops[g[p]] @ ops[h[p]] - ops[t.comp[g[p], h[p]]]))
+    gaps = _chunked(lambda p: max_abs_each(
+        ops[g[p]] @ ops[h[p]] - ops[t.comp[g[p], h[p]]]), len(g),
+        cov.dim ** 2, _OP_CHUNK)
     if not (gaps <= tol).all():
         return None
     d, k = worst_at(gaps)
@@ -1219,9 +1215,7 @@ def covariant_to_groupoid_rep(gpd, weights, cov, tol=1e-10):
     frames = []
     for x, p in zip(gpd.objects, cov.points):
         size = int(round(float(np.trace(p).real)))
-        off = p - np.diag(np.diag(p))
-        offmass = max_abs(off)
-        if offmass <= tol:
+        if max_abs(p - np.diag(np.diag(p))) <= tol:
             # indicator projection: keep the standard basis and its order
             keep = [i for i in range(cov.dim) if p[i, i].real > 0.5]
             frames.append(np.eye(cov.dim, dtype=complex)[:, keep])
@@ -1270,12 +1264,11 @@ def covariant_to_groupoid_rep(gpd, weights, cov, tol=1e-10):
             - cut(ab[p], x[p], z[p], hx, hz))),
         tol, lambda k: (arrows[g[k]], arrows[h[k]]))
 
-    coeff = ("w",)
-    dims = {(x, "w"): int(d) for x, d in zip(gpd.objects, hat)}
-    module = module_from_dims(gpd.objects, coeff, dims)
-    rep = from_cocycle(gpd, weights, module, blocks)
-    out.extend(check_cocycle(blockwise(rep), tol), prefix="block-")
-    return rep, out
+    module = module_from_dims(gpd.objects, ("w",), {
+        (x, "w"): int(d) for x, d in zip(gpd.objects, hat)})
+    out.extend(check_cocycle(CocycleFamily(gpd, weights, module, blocks), tol),
+               prefix="block-")
+    return from_cocycle(gpd, weights, module, blocks), out
 
 
 def etale_battery(gpd, weights, sgrp=None, rep=None, tol=1e-10):

@@ -38,6 +38,7 @@ import numpy as np
 
 from .report import Report
 
+_CHUNK = 2 ** 16  # triples of one chunk of _first_nonassociative
 
 ArrowCodes = namedtuple("ArrowCodes", "src rng inv unit comp pairs")
 SourceLayout = namedtuple("SourceLayout", "m place factor")
@@ -155,14 +156,14 @@ class FiniteGroupoid:
                 f"{len(self.arrows)} arrows)")
 
 
-def _first_nonassociative(comp, size=2 ** 16):
+def _first_nonassociative(comp):
     """The first composable triple (g, h, k) of arrow positions, in
     composable_triples() order, with (gh)k != g(hk), or None.
 
     comp is an |A| x |A| table of products, -1 off the composable pairs,
     whose products are composable where their factors' ends say so.  The
     triples are the pairs (g, h) of the table, each followed by the pairs
-    (h, k), taken in chunks of about size triples.
+    (h, k), taken in chunks of about _CHUNK triples.
     """
     n, flat = len(comp), comp.ravel()
     first, second = np.nonzero(comp >= 0)
@@ -172,7 +173,7 @@ def _first_nonassociative(comp, size=2 ** 16):
     ends = np.cumsum(count)
     p = 0
     while p < len(first):
-        q = max(p + 1, int(np.searchsorted(ends, ends[p] - count[p] + size,
+        q = max(p + 1, int(np.searchsorted(ends, ends[p] - count[p] + _CHUNK,
                                            side="right")))
         c = count[p:q]
         pair = np.repeat(np.arange(p, q), c)

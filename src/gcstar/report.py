@@ -41,6 +41,17 @@ def max_abs_each(x):
     return np.abs(x).max(axis=tuple(range(1, x.ndim)), initial=0.0)
 
 
+def _chunked(fn, n, size, chunk):
+    """fn(sl) for slices sl covering range(n), about chunk / size rows
+    each, concatenated along the first axis: a stack of n rows of size
+    entries built chunk entries at a time."""
+    step = max(1, chunk // max(1, size))
+    if n <= step:
+        return fn(slice(0, n))
+    return np.concatenate([fn(slice(lo, lo + step))
+                           for lo in range(0, n, step)])
+
+
 def relative_defects(a, b):
     """max_abs(a[i] - b[i]) / max(1, max_abs(a[i]), max_abs(b[i])) for
     each i along the first axis, as an array; b None stands for zeros."""

@@ -16,7 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .report import Report, VerificationError, max_abs_each, worst_at
+from .report import (Report, VerificationError, _chunked, max_abs_each,
+                     worst_at)
 from .measures import (GroupoidFamilies, _recode, arrow_correspondence,
                        check_corr_isomorphism, haar_system)
 from .hilbmod import (ModuleMap, _entries, _find_points, associator,
@@ -230,13 +231,12 @@ def check_cocycle(fam, tol=1e-10):
     for key in np.unique(triple):
         r, c, s = (int(i) for i in np.unravel_index(key, dims))
         sel = np.flatnonzero(triple == key)
-        step = max(1, _CHUNK // max(r * s, 1))
-        for a in range(0, len(sel), step):
-            k = sel[a:a + step]
-            g, h = g_all[k], h_all[k]
+
+        def gaps(p):
+            g, h = g_all[sel[p]], h_all[sel[p]]
             prod = stack[r, c][place[g]] @ stack[c, s][place[h]]
-            multiplicative[k] = max_abs_each(
-                stack[r, s][place[t.comp[g, h]]] - prod)
+            return max_abs_each(stack[r, s][place[t.comp[g, h]]] - prod)
+        multiplicative[sel] = _chunked(gaps, len(sel), r * s, _CHUNK)
     rep.add_worst_at("multiplicative", multiplicative, tol,
                      lambda k: (gpd.arrows[g_all[k]], gpd.arrows[h_all[k]]))
 
@@ -244,14 +244,15 @@ def check_cocycle(fam, tol=1e-10):
     for key in np.unique(shape):
         r, c = (int(i) for i in np.unravel_index(key, dims[:2]))
         sel = np.flatnonzero(shape == key)
-        step = max(1, _CHUNK // max(r * c + c * c, 1))
-        for a in range(0, len(sel) if r * c else 0, step):
-            k = sel[a:a + step]
-            u = stack[r, c][a:a + step]
+
+        def gaps(p):
+            k, u = sel[p], stack[r, c][p]
             gram = u.conj().transpose(0, 2, 1) @ (
                 weights(t.rng[k], r)[:, :, None] * u)
-            unitarity[k] = max_abs_each(
+            return max_abs_each(
                 gram - weights(t.src[k], c)[:, :, None] * np.eye(c))
+        if r * c:
+            unitarity[sel] = _chunked(gaps, len(sel), r * c + c * c, _CHUNK)
         # an empty block between fibres of different sizes is flagged by
         # the size test, with defect 1
         if r != c:

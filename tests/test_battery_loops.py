@@ -29,6 +29,8 @@ from gcstar.reps import (CocycleFamily, Representation, _fibre_starts,
                          regular_representation)
 from gcstar.sampling import SplitMix64, random_cocycle, random_groupoid
 
+from test_crossed import sort_key
+
 ROT3 = {1: 2, 2: 3, 3: 1}
 
 
@@ -542,9 +544,7 @@ def test_covariant_chunks_give_the_same_defects(monkeypatch):
     name, rep, sgrp = COVARIANT[-1]
     cov = groupoid_rep_to_covariant(rep, sgrp)
     want = _checks(check_covariant_rep(cov))
-    real = crossed._stacked
-    monkeypatch.setattr(crossed, "_stacked",
-                        lambda count, dim, gaps: real(count, dim, gaps, 1))
+    monkeypatch.setattr(crossed, "_OP_CHUNK", 1)
     assert _checks(check_covariant_rep(cov)) == want
 
 
@@ -599,8 +599,8 @@ def reference_closure_by_element(gpd, generators):
         prod[i, :i + 1], prod[:i, i] = got[0::2], got[1::2]
     labels = [crossed.bisection_from_arrows(
         gpd, [arrows[g] for g in v if g >= 0]) for v in vecs.tolist()]
-    order = np.array(sorted(range(n), key=lambda k: crossed._sort_key(
-        labels[k])), dtype=np.intp)
+    order = np.array(sorted(range(n), key=lambda k: sort_key(labels[k])),
+                     dtype=np.intp)
     rank = np.argsort(order)
     return InverseSemigroup(
         [labels[k] for k in order], rank[prod[np.ix_(order, order)]],
@@ -622,13 +622,15 @@ def _closure_cases():
     points, which close to 1,546 bisections."""
     p2, p3 = fixture("P2")[0], build_preset("pair", points=3)
     t3 = build_preset("transformation", order=3, action=SHIFT[3])
-    out = [(name, gpd, crossed.all_bisections(gpd)) for name, gpd in (
+    ladder = (
         ("Z2", fixture("Z2")[0]), ("P2", p2), ("pair:3", p3),
         ("transformation:3", t3), ("P2+P2", disjoint_union(p2, p2)),
         ("transformation:3+space:1",
          disjoint_union(t3, build_preset("space", points=1))),
         ("pair:3+group:2",
-         disjoint_union(p3, build_preset("group", order=2))))]
+         disjoint_union(p3, build_preset("group", order=2))))
+    out = [(name, gpd, bisection_semigroup(gpd).elements)
+           for name, gpd in ladder]
     for n, step in SHIFT.items():
         gpd = build_preset("transformation", order=n, action=step)
         out.append((f"trafo:{n}", gpd, [crossed.bisection_from_arrows(
@@ -637,7 +639,7 @@ def _closure_cases():
     for name, gpd in (("pair:4", build_preset("pair", points=4)),
                       ("random-5", random_groupoid(SplitMix64(5))[0]),
                       ("P2+T3", disjoint_union(p2, t3))):
-        every = crossed.all_bisections(gpd)
+        every = bisection_semigroup(gpd).elements
         for trial in range(3):
             picks = {rng.next_u64() % len(every) for _ in range(1 + trial)}
             out.append((f"{name} random {trial}", gpd,
@@ -663,14 +665,11 @@ def test_closure_in_rounds_matches_the_closure_by_element(name, gpd,
 def test_closure_chunks_give_the_same_semigroup(monkeypatch):
     gpd = disjoint_union(build_preset("pair", points=3),
                          build_preset("group", order=2))
-    generators = crossed.all_bisections(gpd)
+    generators = bisection_semigroup(gpd).elements
     want = crossed.semigroup_from_bisections(gpd, generators)
-    real = crossed._close
     # one product per chunk, a row of products, rows that share a chunk
     for size in (1, len(want.elements), 3 * len(want.elements) + 1):
-        monkeypatch.setattr(crossed, "_close",
-                            lambda gpd, gens, size=size: real(gpd, gens,
-                                                              size))
+        monkeypatch.setattr(crossed, "_CHUNK", size)
         got = crossed.semigroup_from_bisections(gpd, generators)
         assert got.elements == want.elements
         assert np.array_equal(got.mul, want.mul)

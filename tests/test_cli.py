@@ -306,11 +306,12 @@ def test_malformed_json_exits_2_naming_the_entry(capsys, tmp_path, argv,
 
 
 def test_etale_refuses_to_enumerate_past_the_bisection_limit(capsys):
-    # pair:6 has 13,327 bisections: its mul table alone would take 1.4 GB
+    # pair:6 has 13,327 bisections: its mul table alone would take 1.4 GB;
+    # the enumeration stops at its 4,051 partial vectors over five objects
     code, out, err = run(capsys, "etale", "--preset", "pair:6")
     assert code == 2
     assert err.startswith("error: the bisection semigroup of 36 arrows has "
-                          "at least 3,974 elements")
+                          "at least 4,051 elements")
     assert "over the bound of 268.4 MB" in err
     assert out == ""
 
@@ -373,6 +374,26 @@ def test_trafo_files(capsys, tmp_path):
                        "--group", str(tmp_path / "group.json"),
                        "--action", str(tmp_path / "action.json"))
     assert code == 0, out
+
+
+def test_trafo_reads_the_action_map_as_a_whole(capsys, tmp_path,
+                                               monkeypatch):
+    # "1": "2" reads as ints but "2": "a" does not, so every point of this
+    # 3-cycle stays a string; a map that reads as ints keeps int points
+    seen, real = [], cli.transformation_theorem
+    monkeypatch.setattr(cli, "transformation_theorem",
+                        lambda order, action, **kw: seen.append(action)
+                        or real(order, action, **kw))
+    (tmp_path / "group.json").write_text(json.dumps({"order": 3}))
+    for step, want in (({"1": "2", "2": "a", "a": "1"},
+                        {"1": "2", "2": "a", "a": "1"}),
+                       ({"1": 2, "2": "3", "3": 1}, {1: 2, 2: 3, 3: 1})):
+        (tmp_path / "action.json").write_text(json.dumps({"map": step}))
+        code, out, err = run(capsys, "trafo",
+                             "--group", str(tmp_path / "group.json"),
+                             "--action", str(tmp_path / "action.json"))
+        assert (code, err) == (0, ""), err
+        assert seen.pop() == want
 
 
 def test_trafo_needs_both_files(capsys):

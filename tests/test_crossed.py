@@ -6,7 +6,9 @@ the empty set, four singletons and two global sections, and a two
 point space has the subsets of its unit arrows.
 
 The closure is compared against a pairwise closure on arrow-label tags,
-written below without the integer tables.
+written below without the integer tables, and the enumeration of all
+bisections against a recursion over the arrows that builds their labels
+and sorts them by the str of their entries.
 """
 
 import dataclasses
@@ -17,8 +19,8 @@ import pytest
 
 from gcstar import crossed
 from gcstar.crossed import (CovariantRep, CrossedProductAlgebra,
-                            PartialBijection, all_bisections,
-                            bisection_from_arrows, bisection_semigroup,
+                            PartialBijection, bisection_from_arrows,
+                            bisection_semigroup,
                             canonical_iso_cstar, check_covariant_rep,
                             check_crossed_rep, covariant_to_groupoid_rep,
                             etale_battery, germ_classes,
@@ -53,9 +55,35 @@ def invert_tag(gpd, a):
     return frozenset(gpd.inv[g] for g in a)
 
 
+def sort_key(pb):
+    """The element order: entry count, then the sorted str of the
+    (source, range) pairs, then the sorted str of the arrows."""
+    return (len(pb.mapping), sorted(map(str, pb.mapping.items())),
+            sorted(map(str, pb.tag)))
+
+
+def reference_bisections(gpd):
+    """Every bisection, the empty one included, as labels found by a
+    recursion over the str-sorted arrows, in sort_key order."""
+    arrows, found = sorted(gpd.arrows, key=str), []
+
+    def grow(i, chosen, used_s, used_r):
+        if i == len(arrows):
+            found.append(bisection_from_arrows(gpd, chosen))
+            return
+        grow(i + 1, chosen, used_s, used_r)
+        g = arrows[i]
+        if gpd.src[g] not in used_s and gpd.rng[g] not in used_r:
+            grow(i + 1, chosen + [g],
+                 used_s | {gpd.src[g]}, used_r | {gpd.rng[g]})
+
+    grow(0, [], set(), set())
+    return sorted(found, key=sort_key)
+
+
 def reference_closure(gpd, generators):
     """(elements, mul, star, act) of the closure of the generator tags,
-    elements in _sort_key order, by composing every pair of tags."""
+    elements in sort_key order, by composing every pair of tags."""
     tags = []
     for a in generators:
         tags += [a.tag, invert_tag(gpd, a.tag)]
@@ -66,7 +94,7 @@ def reference_closure(gpd, generators):
         grown = any(c not in tags for c in products)
         tags = list(dict.fromkeys(tags + products))
     elements = sorted((bisection_from_arrows(gpd, t) for t in tags),
-                      key=crossed._sort_key)
+                      key=sort_key)
     place = {a.tag: i for i, a in enumerate(elements)}
     point = {x: i for i, x in enumerate(gpd.objects)}
     mul = [[place[compose_tags(gpd, a.tag, b.tag)] for b in elements]
@@ -104,26 +132,29 @@ def test_bisection_from_arrows_guard():
 def test_bisection_counts():
     for name, count in (("Z2", 3), ("P2", 7), ("X2", 4)):
         gpd, _ = fixture(name)
-        assert len(all_bisections(gpd)) == count
+        assert len(bisection_semigroup(gpd).elements) == count
 
 
 def test_all_bisections_guard(monkeypatch):
-    # pair:6 has 13,327 bisections; its mul table alone would take 1.4 GB
+    # pair:6 has 13,327 bisections; its mul table alone would take 1.4 GB.
+    # The enumeration extends its vectors object by object, and its
+    # 4,051 partial vectors over the first five objects (the partial
+    # injections of 5 points into 6) are the first count past the bound
+    # of 3,973 elements
     gpd = pair_groupoid((1, 2, 3, 4, 5, 6))
-    limit = math.isqrt(crossed._TABLE_BYTES // crossed._PAIR_BYTES)
+    assert math.isqrt(crossed._TABLE_BYTES // crossed._PAIR_BYTES) == 3973
     with pytest.raises(ValueError, match=(
-            f"the bisection semigroup of 36 arrows has at least {limit + 1:,} "
-            "elements, "
-            r"whose \|S\| x \|S\| tables need at least [0-9.,]+ MB, over "
-            r"the bound of 268.4 MB")):
-        all_bisections(gpd)
+            "the bisection semigroup of 36 arrows has at least 4,051 "
+            r"elements, whose \|S\| x \|S\| tables need at least 279.0 MB, "
+            r"over the bound of 268.4 MB")):
+        bisection_semigroup(gpd)
     # P2 has 7 bisections
     gpd, _ = fixture("P2")
     monkeypatch.setattr(crossed, "_TABLE_BYTES", 49 * crossed._PAIR_BYTES)
-    assert len(all_bisections(gpd)) == 7
+    assert len(bisection_semigroup(gpd).elements) == 7
     monkeypatch.setattr(crossed, "_TABLE_BYTES", 49 * crossed._PAIR_BYTES - 1)
     with pytest.raises(ValueError, match="at least 7 elements"):
-        all_bisections(gpd)
+        bisection_semigroup(gpd)
 
 
 def test_compose_invert_bisections():
@@ -433,7 +464,7 @@ def test_closure_matches_pairwise_reference(monkeypatch):
     groupoids = [fixture(name)[0] for name in ("Z2", "P2", "X2")] + [
         p3, build_preset("pair", points=4), t3, disjoint_union(p2, p2),
         disjoint_union(t3, build_preset("space", points=1))]
-    cases = [(gpd, all_bisections(gpd)) for gpd in groupoids]
+    cases = [(gpd, bisection_semigroup(gpd).elements) for gpd in groupoids]
     # the generators of group_action_semigroup(12, ...), 144 arrows on 12
     # points: a vector's key does not fit an int64, so the closure falls
     # back to fixed-width byte keys
@@ -455,7 +486,7 @@ def test_closure_matches_pairwise_reference(monkeypatch):
         assert sgrp.act.tolist() == act, gpd
 
     n = len(sgrp.elements)
-    bisections = all_bisections(gpd)
+    bisections = bisection_semigroup(gpd).elements
 
     def bound(count):
         monkeypatch.setattr(crossed, "_TABLE_BYTES",
@@ -480,6 +511,73 @@ def test_closure_matches_pairwise_reference(monkeypatch):
         semigroup_from_bisections(gpd, gens[:1])
     bound(5)
     assert len(semigroup_from_bisections(gpd, gens[:1]).elements) == 5
+
+
+def reference_tables(gpd, elements):
+    """(mul, star, act) of labelled bisections: each product and inverse
+    composed from the labels' arrows as a vector over the objects and
+    found by that vector among the elements'."""
+    t, m = gpd.codes, len(gpd.objects)
+    number = {g: k for k, g in enumerate(gpd.arrows)}
+    point = {x: i for i, x in enumerate(gpd.objects)}
+    # a trailing -1 on each vector, so that the index -1 reads -1
+    vecs = np.full((len(elements), m + 1), -1, dtype=np.intp)
+    for k, a in enumerate(elements):
+        tag = [number[g] for g in a.tag]
+        vecs[k, t.src[tag]] = tag
+    comp = np.pad(t.comp, (0, 1), constant_values=-1)
+    rng = np.append(t.rng, -1)
+    radix = (len(gpd.arrows) + 1) ** np.arange(m + 1)
+    keys = (vecs + 1) @ radix
+    by_key = np.argsort(keys)
+
+    def find(batch):
+        want = (batch + 1) @ radix
+        got = by_key[np.searchsorted(keys[by_key], want) % len(keys)]
+        assert np.array_equal(keys[got], want)
+        return got
+
+    mul = np.array([find(comp[v[rng[vecs]], vecs]) for v in vecs])
+    inverse = np.full_like(vecs, -1)
+    g = vecs[vecs >= 0]
+    inverse[np.nonzero(vecs >= 0)[0], t.rng[g]] = t.inv[g]
+    act = [[point[a(x)] if x in a.mapping else -1 for x in gpd.objects]
+           for a in elements]
+    return mul, find(inverse), np.array(act, dtype=np.intp)
+
+
+def _bisection_groupoids():
+    """The fixtures, the unions of the etale ladder, and pair and
+    transformation groupoids up to 25 arrows; the arrows of the pair
+    groupoid on 8..11 sort otherwise by str ("10" before "8")."""
+    p2, p3 = (build_preset("pair", points=n) for n in (2, 3))
+    t3 = build_preset("transformation", order=3, action=ROT3)
+    return [(name, fixture(name)[0]) for name in FIXTURE_NAMES] + [
+        ("P2+P2", disjoint_union(p2, p2)),
+        ("transformation:3+space:1",
+         disjoint_union(t3, build_preset("space", points=1))),
+        ("pair:3+group:2",
+         disjoint_union(p3, build_preset("group", order=2))),
+        ("pair:3", p3), ("pair:4", build_preset("pair", points=4)),
+        ("pair:5", build_preset("pair", points=5)),
+        ("transformation:4", build_preset(
+            "transformation", order=4, action={1: 2, 2: 3, 3: 4, 4: 1})),
+        ("pair:8..11", pair_groupoid(range(8, 12)))]
+
+
+BISECTION_GROUPOIDS = _bisection_groupoids()
+
+
+@pytest.mark.parametrize("name, gpd", BISECTION_GROUPOIDS,
+                         ids=[n for n, _ in BISECTION_GROUPOIDS])
+def test_bisection_semigroup_matches_the_label_recursion(name, gpd):
+    sgrp = bisection_semigroup(gpd)
+    elements = reference_bisections(gpd)
+    assert sgrp.elements == tuple(elements)
+    mul, star, act = reference_tables(gpd, elements)
+    assert np.array_equal(sgrp.mul, mul)
+    assert np.array_equal(sgrp.star, star)
+    assert np.array_equal(sgrp.act, act)
 
 
 # ---------------------------------------------------------------------------

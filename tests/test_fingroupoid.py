@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gcstar import fingroupoid
 from gcstar.cli import parse_preset
 from gcstar.fingroupoid import (FIXTURE_NAMES, FiniteGroupoid,
                                 _first_nonassociative, arrow_weights,
@@ -272,12 +273,13 @@ def test_associativity_on_the_table_matches_the_label_walk(gpd):
     assert checks["associativity"].passed == (want is None)
 
 
-def test_the_triple_scan_reports_the_first_of_two_failures():
+def test_the_triple_scan_reports_the_first_of_two_failures(monkeypatch):
     gpd = _associativity_cases()[-2]
     bad = [t for t in gpd.composable_triples()
            if gpd.comp[(gpd.comp[t[:2]], t[2])]
            != gpd.comp[(t[0], gpd.comp[t[1:]])]]
     assert len(bad) >= 2
     for size in (1, 2, 2 ** 16):
-        got = _first_nonassociative(gpd.codes.comp, size)
+        monkeypatch.setattr(fingroupoid, "_CHUNK", size)
+        got = _first_nonassociative(gpd.codes.comp)
         assert tuple(gpd.arrows[i] for i in got) == bad[0]
