@@ -35,7 +35,6 @@ from .measures import (
     check_iterated_integrals,
     compare_integrals,
     compose_families,
-    groupoid_families,
     haar_system,
 )
 from .hilbmod import (

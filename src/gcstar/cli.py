@@ -171,7 +171,7 @@ def load_bundle(path):
             raise ValueError(f"bundle {table!r} table misses {what} "
                              f"{key!r}") from None
 
-    dims, unitaries = {}, {}
+    dims, unitaries = {}, []
     for x in gpd.objects:
         n = dims[(x, "w")] = entry("dims", x, "object")
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
@@ -179,8 +179,8 @@ def load_bundle(path):
                              f"non-negative integer, got {n!r}")
     for g in gpd.arrows:
         what = f"bundle 'U' block of arrow {g!r}"
-        u = unitaries[g] = _matrix_from_json(entry("U", g, "arrow"), what)
-        if not np.isfinite(u).all():
+        unitaries.append(_matrix_from_json(entry("U", g, "arrow"), what))
+        if not np.isfinite(unitaries[-1]).all():
             raise ValueError(f"{what} has a non-finite entry")
     module = module_from_dims(gpd.objects, ("w",), dims)
     return from_cocycle(gpd, weights, module, unitaries)
@@ -387,11 +387,14 @@ def cmd_trafo(args):
     with open(args.action) as fh:
         raw = _labels(_field(json.load(fh), "map", dict, "the --action file"),
                       "the --action map")
-    # int points when every label reads as an int, else strings throughout
-    try:
-        action = {int(x): int(y) for x, y in raw.items()}
-    except (ValueError, OverflowError):
-        action = {x: str(y) for x, y in raw.items()}
+    # int points when every label is a JSON integer or a string of one,
+    # else strings throughout; int() would truncate a float
+    action = {x: str(y) for x, y in raw.items()}
+    if not any(isinstance(y, float) for y in raw.values()):
+        try:
+            action = {int(x): int(y) for x, y in raw.items()}
+        except ValueError:
+            pass
     gpd = build_preset("transformation", order=order, action=action)
     weights = counting_weights(gpd)
     rng = SplitMix64(args.seed)

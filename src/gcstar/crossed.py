@@ -52,7 +52,8 @@ import numpy as np
 from .report import (Report, VerificationError, _chunked, max_abs,
                      max_abs_each, worst_at)
 from .fingroupoid import _first_nonassociative, transformation_groupoid
-from .reps import CocycleFamily, blockwise, check_cocycle, from_cocycle
+from .reps import (CocycleFamily, _block_entries, _fibres, blockwise,
+                   check_cocycle, from_cocycle)
 from .hilbmod import module_from_dims
 from .intdis import conv_rep_of
 
@@ -1141,25 +1142,14 @@ def groupoid_rep_to_covariant(rep, sgrp):
     _require_counting(rep.weights)
     gpd, module = rep.groupoid, rep.module
     _tags_over(gpd, sgrp)
-    fam = blockwise(rep)
-    dim = module.dim
-    fibers = [module.left_positions(x) for x in gpd.objects]
-    # every arrow's block in one scatter, row-major, into its zero
-    # extension; a last zero matrix stands for no arrow
-    t = gpd.codes
-    sizes = np.array([len(f) for f in fibers], dtype=np.intp)
-    position = np.concatenate([np.empty(0, dtype=np.intp)] + fibers)
-    first = np.cumsum(sizes) - sizes
-    vals = np.concatenate([np.empty(0, dtype=complex)] + [
-        fam.unitaries[g].ravel() for g in gpd.arrows])
-    size = sizes[t.rng] * sizes[t.src]
-    # the place of each entry in its block
-    e = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-    k = np.repeat(np.arange(len(gpd.arrows)), size)
-    cols = sizes[t.src[k]]
+    dim, fibres = module.dim, _fibres(gpd, module)
+    # every arrow's block in one scatter into its zero extension; a last
+    # zero matrix stands for no arrow
+    k, _, _, row, col = _block_entries(gpd, fibres)
     ops = np.zeros((len(gpd.arrows) + 1, dim, dim), dtype=complex)
-    ops[k, position[first[t.rng[k]] + e // cols],
-        position[first[t.src[k]] + e % cols]] = vals
+    ops[k, row, col] = np.concatenate([np.empty(0, dtype=complex)] + [
+        u.ravel() for u in blockwise(rep).unitaries])
+    position, _, sizes = fibres
     points = np.zeros((len(sizes), dim, dim), dtype=complex)
     points[np.repeat(np.arange(len(sizes)), sizes), position, position] = 1
     cov = CovariantRep(sgrp, dim, points, _place(sgrp.bisections[1], ops))
@@ -1247,9 +1237,9 @@ def covariant_to_groupoid_rep(gpd, weights, cov, tol=1e-10):
             cut(a[p], x[p], y[p], hx, hy)
             - cut(first[g[p]], x[p], y[p], hx, hy))),
         tol, lambda k: arrows[g[k]])
-    blocks = {g: framed[first[k], start[x]:start[x + 1], start[y]:start[y + 1]]
-              for k, (g, x, y) in enumerate(zip(arrows, codes.rng.tolist(),
-                                                codes.src.tolist()))}
+    blocks = [framed[a, start[x]:start[x + 1], start[y]:start[y + 1]]
+              for a, x, y in zip(first.tolist(), codes.rng.tolist(),
+                                 codes.src.tolist())]
 
     g, h = codes.pairs
     ab, gh = sgrp.mul[first[g], first[h]], codes.comp[g, h]

@@ -125,12 +125,6 @@ class FiniteGroupoid:
         return tuple((g, h) for g in self.arrows
                      for h in self.arrows_into(self.src[g]))
 
-    def composable_triples(self):
-        """Triples (g, h, k) of composable pairs, in the order of pairs."""
-        return tuple((g, h, k) for g in self.arrows
-                     for h in self.arrows_into(self.src[g])
-                     for k in self.arrows_into(self.src[h]))
-
     def orbits(self):
         """Partition of the objects into connected components."""
         parent = {x: x for x in self.objects}
@@ -157,8 +151,8 @@ class FiniteGroupoid:
 
 
 def _first_nonassociative(comp):
-    """The first composable triple (g, h, k) of arrow positions, in
-    composable_triples() order, with (gh)k != g(hk), or None.
+    """The first composable triple (g, h, k) of arrow positions, ordered
+    by the pair (g, h) and then k, with (gh)k != g(hk), or None.
 
     comp is an |A| x |A| table of products, -1 off the composable pairs,
     whose products are composable where their factors' ends say so.  The

@@ -2,20 +2,19 @@
 
 The spaces are measures.GradedSpace: an orthogonal basis, each vector
 carrying a left grade, a right grade and a positive weight, its squared
-length, stored as int grade codes and a weight array with the label
-dicts as a view.  Balanced tensor products pair a right grade with a
-left grade and multiply the weights; the tensor of two correspondences
-is their fibre product.  A tensor records its two factors and the factor
-positions (ia, ib) of each of its points, and lists its points in
-lexicographic order of (ia, ib), so the keys ia |f| + ib increase: the
-associator is the identity on positions and lift finds its target
-points by one searchsorted.  tensor reads the left-grade runs of its
-second factor (GradedSpace.left_runs, derived once per space) instead
-of sorting.  The maps built on tensors read positions, not labels; the
-label basis is built only when read, and same_space compares tensors by
-their factors.  The relabelings between a tensor of function spaces and
-the function space of a composite set are scale one on basis vectors,
-hence exact in floating point.
+length, stored as int grade codes and a weight array.  Balanced tensor
+products pair a right grade with a left grade and multiply the weights;
+the tensor of two correspondences is their fibre product.  A tensor
+records its two factors and the factor positions (ia, ib) of each of its
+points, and lists its points in lexicographic order of (ia, ib), so the
+keys ia |f| + ib increase: the associator is the identity on positions
+and lift finds its target points by one searchsorted.  tensor reads the
+left-grade runs of its second factor (GradedSpace.left_runs, derived
+once per space) instead of sorting.  The maps built on tensors read
+positions, not labels; the label basis is built only when read, and
+same_space compares tensors by their factors.  The relabelings between a
+tensor of function spaces and the function space of a composite set are
+scale one on basis vectors, hence exact in floating point.
 
 Module maps are stored against the bases, as a dense matrix or as
 entries (int rows, int cols, complex vals); the structured maps built
@@ -35,8 +34,8 @@ import json
 import numpy as np
 
 from .report import Report, max_abs, worst_at
-from .measures import (GradedSpace, _recode, compose_families,
-                       groupoid_families)
+from .measures import (GradedSpace, GroupoidFamilies, _recode,
+                       compose_families)
 
 _GRADE_GUARD = 1e-13
 
@@ -368,8 +367,9 @@ def gamma_compose(lam, mu):
     """Tensor of two fibred function spaces onto the composite space.
 
     lam fibres X over Y and mu fibres Y over Z.  The balanced basis
-    pairs are exactly (x, lam.right[x]), sent to x with scale one; weights
-    match bit for bit because the composite weight is the same product.
+    pairs are exactly (x, the grade of x over Y), one per point x of lam
+    in its order, sent to x with scale one; weights match bit for bit
+    because the composite weight is the same product.
     """
     src = tensor(lam, mu)
     (_, ia), _ = src.factors
@@ -442,7 +442,7 @@ def check_gamma(gpd, weights, tol=1e-12):
 
     Runs every composition route from a pair family to a vertex family.
     """
-    fam = groupoid_families(gpd, weights)
+    fam = GroupoidFamilies(gpd, weights)
     rep = Report("gamma maps")
     routes = (
         ("compose-lam0-src", fam.lam0, fam.alpha_r),

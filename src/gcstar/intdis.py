@@ -33,8 +33,8 @@ from .hilbmod import (ModuleMap, _entries, _join, creation, lift,
                       module_from_dims, tensor)
 from .convalg import (_product, _spectral_norms, convolve, fiber_sups,
                       i_norm, identity_element, star)
-from .reps import (CocycleFamily, blockwise, check_cocycle, check_intertwiner,
-                   from_cocycle, induce)
+from .reps import (CocycleFamily, _block_entries, _fibres, blockwise,
+                   check_cocycle, check_intertwiner, from_cocycle, induce)
 
 
 def _sqrt_split(funcs):
@@ -107,18 +107,14 @@ def oracle_integrate(fam, funcs):
     _integrate so the two routes stay independent checks of each other.
     """
     gpd, module, d = fam.groupoid, fam.module, fam.module.dim
-    t = gpd.codes
     coeffs = np.asarray(funcs, dtype=complex) \
-        * object_weights(gpd, fam.weights)[t.src]
-    pos = [module.left_positions(x) for x in gpd.objects]
-    blocks = [fam.raw[g] for g in gpd.arrows]
+        * object_weights(gpd, fam.weights)[gpd.codes.src]
     # every block entry, arrow by arrow, its arrow and its flat place
-    vals = np.concatenate([b.ravel() for b in blocks])
-    owner = np.repeat(np.arange(len(blocks)), [b.size for b in blocks])
-    at = np.concatenate([(pos[r][:, None] * d + pos[s]).ravel() for
-                         r, s in zip(t.rng.tolist(), t.src.tolist())])
+    owner, _, _, row, col = _block_entries(gpd, _fibres(gpd, module))
+    vals = np.concatenate([b.ravel() for b in fam.raw])
+    at = row * d + col
     k, g = np.nonzero(coeffs)
-    w, e = _join(owner, len(blocks), g)
+    w, e = _join(owner, len(gpd.arrows), g)
     return fibre_sums(k[w] * d * d + at[e], _product(
         coeffs[k[w], g[w]], vals[e]), len(coeffs) * d * d).reshape(-1, d, d)
 
@@ -276,11 +272,13 @@ def _domain(gpd, side):
 
 
 def _pair_inner(gpd, weights, side, at):
-    """pair_inner_s or pair_inner_r as a function of the values of two
-    pair functions on the domain of side, whose places table is at: the
-    arrows x meeting rng(h) for each pair (h, k), at their source for
-    side "s" and their range for "r", summed at k in the order of h,
-    then x."""
+    """The inner product, per arrow, of two pair functions on the domain
+    of side, whose places table is at, as a function of their values
+    there.  At an arrow k it integrates conj(f1(x, h)) f2(x, h k) over
+    the arrows h into rng(k) and the arrows x meeting rng(h), at their
+    source for side "s" (composable pairs, weight c(rng x) c(rng h)) and
+    at their range for "r" (range pairs, weight c(src x) c(rng h));
+    summed at k in the order of h, then x."""
     t, c = gpd.codes, object_weights(gpd, weights)
     meet, far = (t.src, t.rng) if side == "s" else (t.rng, t.src)
     h, k = t.pairs
@@ -293,33 +291,6 @@ def _pair_inner(gpd, weights, side, at):
         terms = _product(vals1[left].conj(), vals2[right])
         return fibre_sums(k, terms * cx * ch, len(gpd.arrows))
     return inner
-
-
-def _pair_inner_of(gpd, weights, big1, big2, side):
-    g, h, at = _domain(gpd, side)
-    return _pair_inner(gpd, weights, side, at)(
-        pair_values(gpd, big1, g, h), pair_values(gpd, big2, g, h))
-
-
-def pair_inner_s(gpd, weights, big1, big2):
-    """Source side inner product of two pair functions, per arrow.
-
-    Both arguments are dicts on composable pairs; the result is an
-    array in arrow order, whose value at an arrow k integrates
-    conj(big1(x, h)) big2(x, h k) over h landing at rng(k) and x
-    landing at rng(h), weighted by c(rng x) c(rng h).
-    """
-    return _pair_inner_of(gpd, weights, big1, big2, "s")
-
-
-def pair_inner_r(gpd, weights, big1, big2):
-    """Range side inner product of two range paired functions.
-
-    Arguments are dicts on pairs (x, h) with rng(x) == rng(h); the
-    result is an array in arrow order, whose value at k integrates
-    conj(big1(x, h)) big2(x, h k) with weights c(src x) c(rng h).
-    """
-    return _pair_inner_of(gpd, weights, big1, big2, "r")
 
 
 def upsilon(gpd, big):
@@ -461,7 +432,7 @@ def disintegrate(conv, tol=1e-9):
     _require(out, "certificates failed")
 
     coeffs = space.right_space
-    dims, frame_cols, spectrum = {}, {}, []
+    dims, frame_cols, spectrum = {}, [], []
     for x in gpd.objects:
         for k, w in enumerate(coeffs):
             idx = np.flatnonzero(space.right_codes == k)
@@ -474,8 +445,7 @@ def disintegrate(conv, tol=1e-9):
             rank = int(np.sum(s > 0.5))
             spectrum.append(np.minimum(abs(s), abs(s - 1.0)))
             dims[(x, w)] = rank
-            cols = u[:, :rank] / dhat[idx][:, None]
-            frame_cols[(x, w)] = (idx, cols)
+            frame_cols.append((idx, u[:, :rank] / dhat[idx][:, None]))
     out.add_worst_at("projection-spectrum", np.concatenate([[], *spectrum]),
                      tol)
 
@@ -485,11 +455,13 @@ def disintegrate(conv, tol=1e-9):
             f"rank gap: fibers span {total_rank} dimensions, "
             f"the space has {space.dim}")
 
+    # module_from_dims lists (x, w, i) in the order of the loop above
     module = module_from_dims(gpd.objects, coeffs, dims)
     frame_mat = np.zeros((space.dim, module.dim), dtype=complex)
-    for (x, w), (idx, cols) in frame_cols.items():
-        for i in range(cols.shape[1]):
-            frame_mat[idx, module.index[(x, w, i)]] = cols[:, i]
+    at = 0
+    for idx, cols in frame_cols:
+        frame_mat[idx, at:at + cols.shape[1]] = cols
+        at += cols.shape[1]
     frame = ModuleMap(module, space, frame_mat)
     out.add_worst_at("frame-isometry", abs(
         frame.adjoint().compose(frame).matrix - np.eye(module.dim)), tol)
@@ -510,9 +482,9 @@ def disintegrate(conv, tol=1e-9):
     _require(out, "certificates failed")
 
     size = np.bincount(lc, minlength=len(gpd.objects))
-    unitaries = {g: np.sqrt(cw[s] / cw[r]) * block[:size[r], :size[s]]
-                 for g, r, s, block in zip(gpd.arrows, t.rng.tolist(),
-                                           t.src.tolist(), blocks)}
+    unitaries = [np.sqrt(cw[s] / cw[r]) * block[:size[r], :size[s]]
+                 for r, s, block in zip(t.rng.tolist(), t.src.tolist(),
+                                        blocks)]
     fam = CocycleFamily(gpd, c, module, unitaries)
     out.extend(check_cocycle(fam, max(tol, 1e-9)), prefix="block-")
     _require(out, "extracted blocks are not a unitary cocycle")

@@ -7,13 +7,13 @@ is the identity) and integrates fibrewise; a correspondence reads the
 two gradings as its two legs; a module reads the points as an orthogonal
 basis whose weights are squared lengths.  A space stores its points by
 position: an int code per point into each grade set and a float64 weight
-array; the label dicts left, right, weight and index are read-only views
-built on first use, and so is the basis of a tensor, from its factor
-positions.  For a groupoid with invariant object weights c this module
-builds the two arrow families (along range and along source), the three
-families on composable pairs, and the three induced families obtained by
-composing them.  The composed families agree bit for bit with each other
-where two routes exist, and the tests insist on that.
+array; labels enter through the constructor, and a tensor builds its
+basis from its factor positions on first use.  For a groupoid with
+invariant object weights c this module builds the two arrow families
+(along range and along source), the three families on composable pairs,
+and the three induced families obtained by composing them.  The composed
+families agree bit for bit with each other where two routes exist, and
+the tests insist on that.
 """
 
 from __future__ import annotations
@@ -60,8 +60,6 @@ class GradedSpace:
     left_codes, right_codes : int arrays, the position of each point's
                   grade in left_space and right_space
     weight_array : float64 array, the weight of each point
-    left, right, weight, index : read-only dicts point -> left grade,
-                  right grade, weight and position, built on first use
     left_lookup : read-only dict left grade -> code, built on first use
     left_runs   : the points grouped by left grade, built on first use
     factors     : for a balanced tensor e x f, ((e, ia), (f, ib)) with
@@ -119,26 +117,6 @@ class GradedSpace:
         (e, ia), (f, ib) = self.factors
         return tuple(zip(map(e.basis.__getitem__, ia.tolist()),
                          map(f.basis.__getitem__, ib.tolist())))
-
-    @cached_property
-    def left(self):
-        return MappingProxyType(dict(zip(self.basis, map(
-            self.left_space.__getitem__, self.left_codes.tolist()))))
-
-    @cached_property
-    def right(self):
-        return MappingProxyType(dict(zip(self.basis, map(
-            self.right_space.__getitem__, self.right_codes.tolist()))))
-
-    @cached_property
-    def weight(self):
-        return MappingProxyType(
-            dict(zip(self.basis, self.weight_array.tolist())))
-
-    @cached_property
-    def index(self):
-        """Position of each point in the basis, built on first use."""
-        return MappingProxyType({b: i for i, b in enumerate(self.basis)})
 
     @cached_property
     def left_lookup(self):
@@ -294,24 +272,18 @@ class GroupoidFamilies:
         self.mu2 = compose_families(self.lam0, self.alpha_r)
 
 
-def groupoid_families(gpd, weights):
-    return GroupoidFamilies(gpd, weights)
-
-
 def _family_equal(fam1, fam2):
     """Absolute weight differences; inf on a map or point mismatch."""
-    if set(fam1.basis) != set(fam2.basis):
+    if not (fam1.basis == fam2.basis and fam1.right_space == fam2.right_space
+            and np.array_equal(fam1.right_codes, fam2.right_codes)):
         return math.inf
-    for p in fam1.basis:
-        if fam1.right[p] != fam2.right[p]:
-            return math.inf
-    return [abs(fam1.weight[p] - fam2.weight[p]) for p in fam1.basis]
+    return abs(fam1.weight_array - fam2.weight_array)
 
 
 def check_family_identities(gpd, weights):
     """mu0, mu1 and mu2, defined through lam1, lam0 and lam0, agree
     exactly with their compositions through lam2, lam2 and lam1."""
-    fam = groupoid_families(gpd, weights)
+    fam = GroupoidFamilies(gpd, weights)
     rep = Report("vertex family identities")
     routes = (
         ("mu0-via-lam2", fam.mu0, compose_families(fam.lam2, fam.alpha)),
@@ -329,11 +301,11 @@ def compare_integrals(gpd, weights, psi, fam=None):
     The left side integrates psi(g, inverse(g) k) over arrows g into
     rng(k) and then over arrows k out of each object; the right side
     integrates psi directly with the third vertex family.  psi is read
-    once, at the composable pairs; fam is groupoid_families(gpd,
+    once, at the composable pairs; fam is GroupoidFamilies(gpd,
     weights), built here when None.  Returns the two dicts on objects.
     """
     if fam is None:
-        fam = groupoid_families(gpd, weights)
+        fam = GroupoidFamilies(gpd, weights)
     t, c = gpd.codes, object_weights(gpd, weights)
     g, h = t.pairs
     vals = pair_values(gpd, psi, g, h)
@@ -351,7 +323,7 @@ def check_iterated_integrals(gpd, weights, functions):
     """Substitution identity for a batch of pair functions; the families
     are built once and each function is read once."""
     rep = Report("iterated integrals")
-    fam = groupoid_families(gpd, weights)
+    fam = GroupoidFamilies(gpd, weights)
     for i, psi in enumerate(functions):
         left, right = (np.array([side[x] for x in gpd.objects])
                        for side in compare_integrals(gpd, weights, psi, fam))

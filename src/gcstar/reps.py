@@ -19,7 +19,7 @@ import numpy as np
 from .report import (Report, VerificationError, _chunked, max_abs_each,
                      worst_at)
 from .measures import (GroupoidFamilies, _recode, arrow_correspondence,
-                       check_corr_isomorphism, haar_system)
+                       check_corr_isomorphism, haar_system, object_weights)
 from .hilbmod import (ModuleMap, _entries, _find_points, associator,
                       check_module_map, entry_gap, gamma_compose, grade_leak,
                       induced_unitary, is_intertwiner, is_unitary, lift,
@@ -62,7 +62,7 @@ class Representation:
 
     @cached_property
     def families(self):
-        """groupoid_families of the groupoid, on the legs of this
+        """GroupoidFamilies of the groupoid, on the legs of this
         representation; built on first read."""
         return GroupoidFamilies(self.groupoid, self.weights,
                                 (self.target_leg, self.source_leg))
@@ -75,35 +75,60 @@ class Representation:
 class CocycleFamily:
     """Fiber blocks of a representation: raw and normalized forms.
 
-    raw[g] maps the source fiber of the module to the range fiber with
-    the scaling a representation block carries; unitaries[g] is the
-    rescaled block that composes multiplicatively and is unitary for
-    the weighted fiber inner products.
+    unitaries and raw are lists in arrow order.  unitaries[k] is the
+    block of arrow number k that composes multiplicatively and is unitary
+    for the weighted fiber inner products, from the module fibre over its
+    source to the fibre over its range; raw[k] is the same map with the
+    scaling a representation block carries, by default sqrt(c(rng) /
+    c(src)) times unitaries[k].  A dict, or a list with another length
+    than the arrows, raises ValueError.
     """
 
     def __init__(self, gpd, weights, module, unitaries, raw=None):
         self.groupoid = gpd
         self.weights = {x: float(weights[x]) for x in gpd.objects}
         self.module = module
-        self.unitaries = {g: np.asarray(unitaries[g], dtype=complex)
-                          for g in gpd.arrows}
+        for blocks in (unitaries, raw):
+            if isinstance(blocks, dict):
+                raise ValueError("blocks must be a list in arrow order")
+            if blocks is not None and len(blocks) != len(gpd.arrows):
+                raise ValueError(f"{len(blocks)} blocks for "
+                                 f"{len(gpd.arrows)} arrows")
+        self.unitaries = [np.asarray(u, dtype=complex) for u in unitaries]
         if raw is None:
-            c = self.weights
-            raw = {g: np.sqrt(c[gpd.rng[g]] / c[gpd.src[g]])
-                   * self.unitaries[g] for g in gpd.arrows}
-        self.raw = {g: np.asarray(raw[g], dtype=complex)
-                    for g in gpd.arrows}
+            t, c = gpd.codes, object_weights(gpd, self.weights)
+            raw = [s * u for s, u in
+                   zip(np.sqrt(c[t.rng] / c[t.src]), self.unitaries)]
+        self.raw = [np.asarray(b, dtype=complex) for b in raw]
 
 
-def _fibre_starts(space):
-    """Where each arrow's vectors start in a tensor arrows x module.
+def _fibres(gpd, module):
+    """The module points over each object, read from module.left_runs:
+    (points, first, size), the points over object number x being
+    points[first[x]:first[x] + size[x]], in module order."""
+    order, starts, sizes = module.left_runs
+    obj = _recode(np.arange(len(gpd.objects)), gpd.objects,
+                  module.left_space)
+    size = sizes[obj]
+    first = np.cumsum(size) - size
+    return (order[np.repeat(starts[obj] - first, size)
+                  + np.arange(size.sum())], first, size)
 
-    The tensor lists its vectors arrow by arrow, the vectors of arrow
-    number k at positions starts[k] to starts[k + 1], one per module
-    vector over the arrow's end, in module order.
-    """
-    (leg, ia), _ = space.factors
-    return np.searchsorted(ia, np.arange(leg.dim + 1))
+
+def _block_entries(gpd, fibres):
+    """Every fibre-block entry place for the layout fibres = _fibres(gpd,
+    module), arrow by arrow and row-major within a block: arrays (arrow,
+    i, j, row, col), entry (i, j) of the block of arrow number arrow
+    sitting at (row, col) in the module."""
+    points, first, size = fibres
+    t = gpd.codes
+    cols = size[t.src]
+    n = size[t.rng] * cols
+    arrow = np.repeat(np.arange(len(n)), n)
+    i, j = np.divmod(np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n),
+                     cols[arrow])
+    return (arrow, i, j, points[first[t.rng[arrow]] + i],
+            points[first[t.src[arrow]] + j])
 
 
 def blockwise(rep):
@@ -111,12 +136,15 @@ def blockwise(rep):
 
     The blocks are filled from the nonzero entries of the unitary, in
     either storage form.  Entries between the vectors of two different
-    arrows lie outside every block and are left out.
+    arrows lie outside every block and are left out.  Each tensor lists
+    its vectors arrow by arrow, those of arrow k one per module vector
+    over its end (_fibres), from t0[k] in the target and s0[k] in the
+    source.
     """
-    gpd = rep.groupoid
-    c = rep.weights
-    s0, t0 = _fibre_starts(rep.source), _fibre_starts(rep.target)
-    slen, tlen = np.diff(s0), np.diff(t0)
+    gpd, c, t = rep.groupoid, rep.weights, rep.groupoid.codes
+    fibre = _fibres(gpd, rep.module)[2]
+    slen, tlen = fibre[t.src], fibre[t.rng]
+    s0, t0 = np.cumsum(slen) - slen, np.cumsum(tlen) - tlen
     size = slen * tlen
     offset = np.cumsum(size) - size
     (_, sa), _ = rep.source.factors
@@ -128,12 +156,11 @@ def blockwise(rep):
     flat = np.zeros(int(size.sum()), dtype=complex)
     flat[offset[arrow] + (rows - t0[arrow]) * slen[arrow]
          + cols - s0[arrow]] = vals
-    blocks = [flat[offset[k]:offset[k] + size[k]].reshape(tlen[k], slen[k])
-              for k in range(len(gpd.arrows))]
-    raw = dict(zip(gpd.arrows, blocks))
-    uni = {g: np.sqrt(c[gpd.src[g]] / c[gpd.rng[g]]) * block
-           for g, block in raw.items()}
-    return CocycleFamily(gpd, c, rep.module, uni, raw)
+    raw = [flat[offset[k]:offset[k] + size[k]].reshape(tlen[k], slen[k])
+           for k in range(len(gpd.arrows))]
+    cw = object_weights(gpd, c)
+    return CocycleFamily(gpd, c, rep.module, [
+        s * b for s, b in zip(np.sqrt(cw[t.src] / cw[t.rng]), raw)], raw)
 
 
 def _require_fibre_shapes(gpd, blocks, rows, cols):
@@ -153,26 +180,27 @@ def _require_fibre_shapes(gpd, blocks, rows, cols):
 
 
 def from_cocycle(gpd, weights, module, unitaries):
-    """Assemble a representation from normalized fiber blocks.
+    """Assemble a representation from normalized fiber blocks, a list in
+    arrow order or a dict keyed by arrow label (random_cocycle's).
 
-    A block of another shape than (range fiber, source fiber) raises a
-    ValueError naming its arrow; any empty array is an empty block.  The
-    entries are laid out for all blocks at once, block by block in arrow
-    order and row-major within a block.
+    A list of another length than the arrows, or a block of another
+    shape than (range fiber, source fiber), raises a ValueError; any
+    empty array is an empty block.  The entries are laid out for all
+    blocks at once (_block_entries): arrow k's vectors in each tensor
+    run over the module fibre at its end, one arrow after another.
     """
+    if isinstance(unitaries, dict):
+        unitaries = [unitaries[g] for g in gpd.arrows]
     fam = CocycleFamily(gpd, weights, module, unitaries)
     rep = Representation(gpd, weights, module, None)
-    s0, t0 = _fibre_starts(rep.source), _fibre_starts(rep.target)
-    slen, tlen = np.diff(s0), np.diff(t0)
-    blocks = [fam.raw[g] for g in gpd.arrows]
-    size = _require_fibre_shapes(gpd, blocks, tlen, slen)
-    if size.any():
-        arrow = np.repeat(np.arange(len(blocks)), size)
-        # the place of each entry in its block, row-major
-        e = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    t, fibres = gpd.codes, _fibres(gpd, module)
+    rows, cols = fibres[2][t.rng], fibres[2][t.src]
+    if _require_fibre_shapes(gpd, fam.raw, rows, cols).any():
+        arrow, i, j, _, _ = _block_entries(gpd, fibres)
         rep.umap = ModuleMap(rep.source, rep.target, entries=(
-            t0[arrow] + e // slen[arrow], s0[arrow] + e % slen[arrow],
-            np.concatenate([b.ravel() for b in blocks])))
+            (np.cumsum(rows) - rows)[arrow] + i,
+            (np.cumsum(cols) - cols)[arrow] + j,
+            np.concatenate([b.ravel() for b in fam.raw])))
     return rep
 
 
@@ -193,18 +221,14 @@ def check_cocycle(fam, tol=1e-10):
     t = gpd.codes
     rep = Report("cocycle family")
 
-    order, starts, sizes = module.left_runs
-    obj = _recode(np.arange(len(gpd.objects)), gpd.objects,
-                  module.left_space)
-    size = sizes[obj]
+    points, first, size = _fibres(gpd, module)
 
     def weights(x, n):
         """The module weights over the objects x, of fibre size n each."""
-        return module.weight_array[order[starts[obj[x]][:, None]
-                                         + np.arange(n)]]
+        return module.weight_array[points[first[x][:, None] + np.arange(n)]]
 
     rows, cols = size[t.rng], size[t.src]
-    blocks = [fam.unitaries[g] for g in gpd.arrows]
+    blocks = fam.unitaries
     _require_fibre_shapes(gpd, blocks, rows, cols)
     # arrow k's block is stack[rows[k], cols[k]][place[k]]
     dims = (int(size.max(initial=0)) + 1,) * 3
@@ -396,8 +420,7 @@ def invariant_support(rep):
     two ends have fibers of different dimension.
     """
     gpd, t, module = rep.groupoid, rep.groupoid.codes, rep.module
-    sizes = module.left_runs[2][_recode(np.arange(len(gpd.objects)),
-                                        gpd.objects, module.left_space)]
+    sizes = _fibres(gpd, module)[2]
     support = tuple(x for x, n in zip(gpd.objects, sizes) if n)
     out = Report("invariant support")
     bad = np.flatnonzero(sizes[t.src] != sizes[t.rng])

@@ -199,14 +199,18 @@ def random_cocycle(rng, gpd, weights, coeff_size=1, max_dim=3):
 
     The module has orthonormal fibers of dimension at most max_dim,
     constant along each orbit and independent across the coefficient
-    labels 0..coeff_size-1; blocks[g] is the unitary fiber matrix of
-    the arrow g.  Tree transport times a diagonalized cyclic isotropy
-    representation makes blocks multiplicative up to rounding.
+    labels 0..coeff_size-1; blocks maps each arrow label, in arrow
+    order, to its unitary fiber matrix, from the fibre over its source to
+    the fibre over its range, block diagonal over the labels.  perfbench
+    reads these blocks by arrow label; from_cocycle takes them as they
+    are.  Tree transport times a diagonalized cyclic
+    isotropy representation makes blocks multiplicative up to rounding.
     """
     coeff = tuple(range(coeff_size))
     orbits = gpd.orbits()
     dims = {}
-    per_arrow = {w: {} for w in coeff}
+    # the diagonal blocks of each arrow, one per label in label order
+    parts = [[] for _ in gpd.arrows]
     for orbit in orbits:
         root = orbit[0]
         gen, order = _isotropy_generator(gpd, root)
@@ -232,27 +236,23 @@ def random_cocycle(rng, gpd, weights, coeff_size=1, max_dim=3):
             pi_pow = {0: np.eye(d, dtype=complex)}
             for k in range(1, order):
                 pi_pow[k] = pi_pow[k - 1] @ pi_gen
-            for g in gpd.arrows:
+            for g, part in zip(gpd.arrows, parts):
                 if gpd.src[g] not in tree:
                     continue
                 x, y = gpd.src[g], gpd.rng[g]
                 loop = gpd.comp[(gpd.inv[tree[y]],
                                  gpd.comp[(g, tree[x])])]
                 k = power_index[loop]
-                per_arrow[w][g] = (transport[y] @ pi_pow[k]
-                                   @ transport[x].conj().T)
-    module = module_from_dims(gpd.objects, coeff, dims)
-    blocks = {}
-    for g in gpd.arrows:
-        x, y = gpd.src[g], gpd.rng[g]
-        cols = sum(dims[(x, w)] for w in coeff)
-        rows = sum(dims[(y, w)] for w in coeff)
-        mat = np.zeros((rows, cols), dtype=complex)
-        ro = co = 0
-        for w in coeff:
-            dr, dc = dims[(y, w)], dims[(x, w)]
-            mat[ro:ro + dr, co:co + dc] = per_arrow[w][g]
-            ro += dr
-            co += dc
-        blocks[g] = mat
-    return module, blocks
+                part.append(transport[y] @ pi_pow[k]
+                            @ transport[x].conj().T)
+    blocks = []
+    for part in parts:
+        # one orbit holds both ends, so every diagonal block is square
+        mat = np.zeros((sum(map(len, part)),) * 2, dtype=complex)
+        at = 0
+        for b in part:
+            mat[at:at + len(b), at:at + len(b)] = b
+            at += len(b)
+        blocks.append(mat)
+    return (module_from_dims(gpd.objects, coeff, dims),
+            dict(zip(gpd.arrows, blocks)))

@@ -26,6 +26,7 @@ from gcstar.reps import (blockwise, check_intertwiner, check_representation,
 from gcstar.sampling import (SplitMix64, mutate_groupoid, random_cocycle,
                              random_function, random_groupoid)
 from test_arrow_codes import dense_operator_norm, dense_regular_matrix
+from test_measures import views
 from test_modmap_entries import tensor_map
 
 
@@ -123,8 +124,7 @@ def test_criterion_05_integration_bounds():
     gpd, w = fixture("Z2")
     module = module_from_dims(gpd.objects, ("w",), {("x", "w"): 2})
     swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    rep = from_cocycle(gpd, w, module,
-                       {0: np.eye(2, dtype=complex), 1: swap})
+    rep = from_cocycle(gpd, w, module, [np.eye(2, dtype=complex), swap])
     f = delta_function(gpd, 0) + delta_function(gpd, 1)
     norm = dense_operator_norm(integrate_rep(rep, f))
     bound = integration_bound(gpd, w, f)
@@ -251,9 +251,9 @@ def test_criterion_10_space_groupoid_degeneracy():
     gpd, w = fixture("X2")
     module = module_from_dims(gpd.objects, ("w",),
                               {(x, "w"): 1 for x in gpd.objects})
+    # X2 has the units 1 and 2 as its arrows, in that order
     bad = from_cocycle(gpd, w, module,
-                       {1: -np.eye(1, dtype=complex),
-                        2: np.eye(1, dtype=complex)})
+                       [-np.eye(1, dtype=complex), np.eye(1, dtype=complex)])
     assert not check_representation(bad).ok
 
 
@@ -266,17 +266,15 @@ def direct_sum_with_inclusion(gpd, w, rng):
     db = {x: len(mb.left_fiber(x)) for x in gpd.objects}
     m2 = module_from_dims(gpd.objects, (0,),
                           {(x, 0): d1[x] + db[x] for x in gpd.objects})
-    blocks2 = {}
-    for g in gpd.arrows:
-        blocks2[g] = np.block(
-            [[b1[g], np.zeros((b1[g].shape[0], bb[g].shape[1]))],
-             [np.zeros((bb[g].shape[0], b1[g].shape[1])), bb[g]]])
+    blocks2 = [np.block([[u, np.zeros((u.shape[0], v.shape[1]))],
+                         [np.zeros((v.shape[0], u.shape[1])), v]])
+               for u, v in zip(b1.values(), bb.values())]
     rep1 = from_cocycle(gpd, w, m1, b1)
     rep2 = from_cocycle(gpd, w, m2, blocks2)
     mat = np.zeros((m2.dim, m1.dim), dtype=complex)
     for x in gpd.objects:
         for i in range(d1[x]):
-            mat[m2.index[(x, 0, i)], m1.index[(x, 0, i)]] = 1.0
+            mat[views(m2).index[(x, 0, i)], views(m1).index[(x, 0, i)]] = 1.0
     return rep1, rep2, ModuleMap(m1, m2, mat)
 
 
@@ -304,10 +302,10 @@ def test_criterion_11_naturality():
             mat = vmap.matrix.copy()
             x0 = gpd.objects[0]
             fib2 = [b for b in vmap.target.basis
-                    if vmap.target.left[b] == x0]
-            col = vmap.source.index[(x0, 0, 0)]
-            mat[vmap.target.index[fib2[0]], col] += 0.3
-            mat[vmap.target.index[fib2[-1]], col] += 0.2j
+                    if views(vmap.target).left[b] == x0]
+            col = views(vmap.source).index[(x0, 0, 0)]
+            mat[views(vmap.target).index[fib2[0]], col] += 0.3
+            mat[views(vmap.target).index[fib2[-1]], col] += 0.2j
             bent = ModuleMap(vmap.source, vmap.target, mat)
             lhs, rhs = commutes_both_ways(rep1, rep2, bent)
             assert lhs == rhs, (name, t)
@@ -317,7 +315,7 @@ def test_criterion_11_naturality():
         gpd, w = fixture(name)
         module, blocks = random_cocycle(rng, gpd, w)
         rep = from_cocycle(gpd, w, module, blocks)
-        labels = sorted({module.right[b] for b in module.basis}, key=str)
+        labels = sorted(set(views(module).right.values()), key=str)
         for t in range(5):
             dims = {(lab, "e"): 1 + rng.randint(2) for lab in labels}
             ebasis = module_from_dims(labels, ("e",), dims)

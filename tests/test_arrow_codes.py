@@ -28,13 +28,14 @@ from gcstar.fingroupoid import (FIXTURE_NAMES, FiniteGroupoid, build_preset,
                                 counting_weights, disjoint_union, fixture,
                                 validate_groupoid, validate_haar)
 from gcstar.hilbmod import ModuleMap
-from gcstar.measures import (arrow_correspondence, compare_integrals,
-                             groupoid_families, object_weights)
-from gcstar.intdis import _integrate, pair_inner_r, pair_inner_s, upsilon
+from gcstar.measures import (GroupoidFamilies, arrow_correspondence,
+                             compare_integrals, object_weights, pair_values)
+from gcstar.intdis import _domain, _integrate, _pair_inner, upsilon
 from gcstar.reps import from_cocycle
 from gcstar.sampling import random_cocycle
 from gcstar.sampling import (SplitMix64, mutate_groupoid, random_function,
                              random_groupoid)
+from test_measures import views
 
 
 def _groupoids():
@@ -148,7 +149,7 @@ def ref_regular_matrix(gpd, weights, f):
     for h in gpd.arrows:
         for g in gpd.arrows_into(gpd.rng[h]):
             h2 = gpd.comp[(gpd.inv[g], h)]
-            mat[space.index[h], space.index[h2]] += \
+            mat[views(space).index[h], views(space).index[h2]] += \
                 f[g] * weights[gpd.src[g]]
     return mat
 
@@ -199,7 +200,7 @@ def ref_left_integral(gpd, weights, psi):
 def ref_integrate(space, func):
     out = {y: 0.0 for y in space.right_space}
     for b in space.basis:
-        out[space.right[b]] += func[b] * space.weight[b]
+        out[views(space).right[b]] += func[b] * views(space).weight[b]
     return out
 
 
@@ -232,6 +233,14 @@ def ref_pair_inner_r(gpd, c, big1, big2):
                 out[k] += (np.conj(big1[(x, h)]) * big2[(x, hk)]
                            * c[gpd.src[x]] * c[gpd.rng[h]])
     return out
+
+
+def pair_inner(gpd, weights, big1, big2, side):
+    """intdis._pair_inner of two pair functions given as dicts on the
+    domain of side: composable pairs for "s", range pairs for "r"."""
+    g, h, at = _domain(gpd, side)
+    return _pair_inner(gpd, weights, side, at)(
+        pair_values(gpd, big1, g, h), pair_values(gpd, big2, g, h))
 
 
 def ref_upsilon(gpd, big):
@@ -294,12 +303,12 @@ def test_regular_matrix_and_fiber_sups_match_bit_for_bit(name, gpd, w):
 
 @pytest.mark.parametrize("name, gpd, w", CASES, ids=IDS)
 def test_families_and_left_integral_match_bit_for_bit(name, gpd, w):
-    fam = groupoid_families(gpd, w)
+    fam = GroupoidFamilies(gpd, w)
     lam0, lam1, lam2, gh = ref_pair_weights(gpd, w)
     assert fam.lam0.basis == gpd.composable_pairs()
     for lam, want in ((fam.lam0, lam0), (fam.lam1, lam1), (fam.lam2, lam2)):
         assert lam.weight_array.tolist() == want
-    assert [fam.lam1.right[p] for p in fam.lam1.basis] == gh
+    assert [views(fam.lam1).right[p] for p in fam.lam1.basis] == gh
     for psi in _pair_funcs(gpd, 4):
         left, right = compare_integrals(gpd, w, psi)
         assert list(left) == list(gpd.objects)
@@ -318,9 +327,9 @@ def test_pair_certificates_match_bit_for_bit(name, gpd, w):
     ref1 = ref_upsilon(gpd, big1)
     assert list(up1) == list(ref1)
     assert _bits(up1.values()) == _bits(ref1.values())
-    assert _bits(pair_inner_s(gpd, w, big1, big2)) \
+    assert _bits(pair_inner(gpd, w, big1, big2, "s")) \
         == _bits(ref_pair_inner_s(gpd, c, big1, big2).values())
-    assert _bits(pair_inner_r(gpd, w, up1, up2)) \
+    assert _bits(pair_inner(gpd, w, up1, up2, "r")) \
         == _bits(ref_pair_inner_r(gpd, c, up1, up2).values())
 
 

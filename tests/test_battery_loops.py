@@ -24,9 +24,8 @@ from gcstar.fingroupoid import (FiniteGroupoid, build_preset, counting_weights,
                                 disjoint_union, fixture)
 from gcstar.hilbmod import ModuleMap, _entries, module_from_dims
 from gcstar.report import Report, VerificationError, max_abs_each, worst_at
-from gcstar.reps import (CocycleFamily, Representation, _fibre_starts,
-                         blockwise, check_cocycle, from_cocycle,
-                         regular_representation)
+from gcstar.reps import (CocycleFamily, Representation, blockwise,
+                         check_cocycle, from_cocycle, regular_representation)
 from gcstar.sampling import SplitMix64, random_cocycle, random_groupoid
 
 from test_crossed import sort_key
@@ -44,15 +43,16 @@ def reference_check_cocycle(fam, tol=1e-10):
     def gap(a, b):
         return worst_at(abs(a - b))[0]
 
-    units = [fam.unitaries[gpd.unit[x]] for x in gpd.objects]
+    block = dict(zip(gpd.arrows, fam.unitaries))
+    units = [block[gpd.unit[x]] for x in gpd.objects]
     rep.add_worst_at("unit-blocks", np.fromiter(
         (gap(u, np.eye(len(u))) for u in units), float, len(units)), tol,
         lambda k: gpd.objects[k])
 
     pairs = gpd.composable_pairs()
     rep.add_worst_at("multiplicative", np.fromiter(
-        (gap(fam.unitaries[gpd.comp[(g, h)]],
-             fam.unitaries[g] @ fam.unitaries[h]) for g, h in pairs),
+        (gap(block[gpd.comp[(g, h)]], block[g] @ block[h])
+         for g, h in pairs),
         float, len(pairs)), tol, lambda k: pairs[k])
 
     module = fam.module
@@ -60,7 +60,7 @@ def reference_check_cocycle(fam, tol=1e-10):
              for x in gpd.objects}
 
     def unitarity(g):
-        ws, wt, u = fibre[gpd.src[g]], fibre[gpd.rng[g]], fam.unitaries[g]
+        ws, wt, u = fibre[gpd.src[g]], fibre[gpd.rng[g]], block[g]
         gram = u.conj().T @ (wt[:, None] * u)
         d = gap(gram, np.diag(ws)) if u.size else 0.0
         return d if len(ws) == len(wt) else max(d, 1.0)
@@ -70,16 +70,24 @@ def reference_check_cocycle(fam, tol=1e-10):
     return rep
 
 
+def fibre_starts(space):
+    """Where each arrow's vectors start in a tensor arrows x module, read
+    off its factor positions: arrow number k's at starts[k] to
+    starts[k + 1]."""
+    (leg, ia), _ = space.factors
+    return np.searchsorted(ia, np.arange(leg.dim + 1))
+
+
 def reference_from_cocycle(gpd, weights, module, unitaries):
     fam = CocycleFamily(gpd, weights, module, unitaries)
     rep = Representation(gpd, weights, module, None)
-    s0 = _fibre_starts(rep.source).tolist()
-    t0 = _fibre_starts(rep.target).tolist()
+    s0 = fibre_starts(rep.source).tolist()
+    t0 = fibre_starts(rep.target).tolist()
     rows, cols, vals = [], [], []
     for k, g in enumerate(gpd.arrows):
         trows = np.arange(t0[k], t0[k + 1])
         scols = np.arange(s0[k], s0[k + 1])
-        block = fam.raw[g]
+        block = fam.raw[k]
         if block.shape != (len(trows), len(scols)) \
                 and (block.size or (len(trows) and len(scols))):
             raise ValueError(
@@ -101,10 +109,10 @@ def reference_rep_to_covariant_iso(rep, sgrp):
     dim = module.dim
     fibers = {x: module.left_positions(x) for x in gpd.objects}
     iso = np.zeros((len(sgrp.elements), dim, dim), dtype=complex)
-    for g in gpd.arrows:
+    for g, u in zip(gpd.arrows, fam.unitaries):
         rows, cols = fibers[gpd.rng[g]], fibers[gpd.src[g]]
         holds = np.array([g in a.tag for a in sgrp.elements], dtype=bool)
-        iso[np.ix_(holds, rows, cols)] += fam.unitaries[g]
+        iso[np.ix_(holds, rows, cols)] += u
     projections = {x: np.diag(np.isin(np.arange(dim), fibers[x]))
                    .astype(complex) for x in gpd.objects}
     return iso, projections
@@ -276,19 +284,19 @@ def _families():
     gpd, w = fixture("P2")
     fam = blockwise(from_cocycle(gpd, w, *random_cocycle(rng, gpd, w)))
     for value in (np.nan, np.inf):
-        blocks = {g: u.copy() for g, u in fam.unitaries.items()}
-        blocks[(1, 2)][0, 0] = value
+        blocks = [u.copy() for u in fam.unitaries]
+        blocks[gpd.arrows.index((1, 2))][0, 0] = value
         out.append((f"{value} block",
                     CocycleFamily(gpd, w, fam.module, blocks)))
     module = module_from_dims(gpd.objects, ("w",), {(1, "w"): 1, (2, "w"): 0})
-    blocks = {g: np.zeros((len(module.left_fiber(gpd.rng[g])),
-                           len(module.left_fiber(gpd.src[g]))), dtype=complex)
-              for g in gpd.arrows}
-    blocks[(1, 1)] = np.eye(1, dtype=complex)
+    blocks = [np.zeros((len(module.left_fiber(gpd.rng[g])),
+                        len(module.left_fiber(gpd.src[g]))), dtype=complex)
+              for g in gpd.arrows]
+    blocks[gpd.arrows.index((1, 1))] = np.eye(1, dtype=complex)
     out.append(("empty block", CocycleFamily(gpd, w, module, blocks)))
     empty = FiniteGroupoid((), (), {}, {}, {}, {}, {})
     out.append(("empty groupoid", CocycleFamily(
-        empty, {}, module_from_dims((), ("w",), {}), {})))
+        empty, {}, module_from_dims((), ("w",), {}), [])))
     return out
 
 
@@ -326,10 +334,10 @@ def _inf_beside_an_empty_fibre():
     the pairs through the empty fibre have empty products, defect 0."""
     gpd, w = fixture("P2")
     module = module_from_dims(gpd.objects, ("w",), {(1, "w"): 1, (2, "w"): 0})
-    blocks = {g: np.zeros((len(module.left_fiber(gpd.rng[g])),
-                           len(module.left_fiber(gpd.src[g]))), dtype=complex)
-              for g in gpd.arrows}
-    blocks[(1, 1)] = np.full((1, 1), np.inf, dtype=complex)
+    blocks = [np.zeros((len(module.left_fiber(gpd.rng[g])),
+                        len(module.left_fiber(gpd.src[g]))), dtype=complex)
+              for g in gpd.arrows]
+    blocks[gpd.arrows.index((1, 1))] = np.full((1, 1), np.inf, dtype=complex)
     with np.errstate(invalid="ignore"):  # the raw blocks: inf * (1 + 0j)
         return CocycleFamily(gpd, w, module, blocks)
 
@@ -392,9 +400,9 @@ def test_from_cocycle_names_the_first_misshapen_block():
     gpd, w = fixture("P2")
     module = module_from_dims(gpd.objects, ("w",),
                               {(x, "w"): 1 for x in gpd.objects})
-    blocks = {g: np.eye(1, dtype=complex) for g in gpd.arrows}
-    blocks[(2, 1)] = np.zeros((1, 3))
-    blocks[(1, 2)] = np.zeros((0,))
+    blocks = [np.eye(1, dtype=complex) for _ in gpd.arrows]
+    blocks[gpd.arrows.index((2, 1))] = np.zeros((1, 3))
+    blocks[gpd.arrows.index((1, 2))] = np.zeros((0,))
     for run in (from_cocycle, reference_from_cocycle):
         with pytest.raises(ValueError) as err:
             run(gpd, w, module, blocks)
@@ -765,8 +773,9 @@ def _block_mutants(rep, sgrp):
     scaled = groupoid_rep_to_covariant(rep, sgrp)
     scaled.iso[a][np.ix_(rows, cols)] *= 1 + 1e-6
     fam = blockwise(rep)
-    blocks = {h: u.copy() for h, u in fam.unitaries.items()}
-    blocks[g] = blocks[g] * (1 + 1e-6)
+    blocks = [u.copy() for u in fam.unitaries]
+    k = gpd.arrows.index(g)
+    blocks[k] = blocks[k] * (1 + 1e-6)
     perturbed = groupoid_rep_to_covariant(
         from_cocycle(gpd, rep.weights, rep.module, blocks), sgrp)
     off = groupoid_rep_to_covariant(rep, sgrp)

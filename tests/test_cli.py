@@ -396,6 +396,19 @@ def test_trafo_reads_the_action_map_as_a_whole(capsys, tmp_path,
         assert seen.pop() == want
 
 
+def test_trafo_refuses_a_fractional_action_value(capsys, tmp_path):
+    # int() would read 2.5 as 2 and run the swap of 1 and 2; as strings
+    # "2.5" is not a point
+    (tmp_path / "group.json").write_text(json.dumps({"order": 2}))
+    (tmp_path / "action.json").write_text(
+        json.dumps({"map": {"1": 2.5, "2": 1}}))
+    code, out, err = run(capsys, "trafo",
+                         "--group", str(tmp_path / "group.json"),
+                         "--action", str(tmp_path / "action.json"))
+    assert (code, out) == (2, "")
+    assert "action image of '1' is not a point" in err
+
+
 def test_trafo_needs_both_files(capsys):
     code, _, err = run(capsys, "trafo")
     assert code == 2

@@ -10,11 +10,11 @@ from gcstar.hilbmod import (ModuleMap, check_gamma, check_module_map,
                             grade_leak, identity_map, induced_unitary,
                             is_intertwiner, is_isometry, is_unitary,
                             module_from_dims, tensor, tensor_map_left)
-from gcstar.measures import (GradedSpace, compose_families,
-                             groupoid_families, haar_system)
+from gcstar.measures import (GradedSpace, GroupoidFamilies,
+                             compose_families, haar_system)
 from gcstar.sampling import SplitMix64
 
-from test_measures import positions
+from test_measures import positions, views
 from test_modmap_entries import tensor_map
 
 
@@ -35,8 +35,8 @@ def test_weighted_inner_products():
 def test_module_from_dims_layout():
     m = module_from_dims(("x", "y"), ("w",), {("x", "w"): 2, ("y", "w"): 1})
     assert m.basis == (("x", "w", 0), ("x", "w", 1), ("y", "w", 0))
-    assert m.left[("y", "w", 0)] == "y"
-    assert m.weight[("x", "w", 1)] == 1.0
+    assert views(m).left[("y", "w", 0)] == "y"
+    assert views(m).weight[("x", "w", 1)] == 1.0
     assert m.left_fiber("x") == (("x", "w", 0), ("x", "w", 1))
 
 
@@ -99,9 +99,9 @@ def test_tensor_balanced_pairs():
     # only middle grades that agree pair up: 1*2 + 1*1
     assert t.dim == 3
     for (a, b) in t.basis:
-        assert e.right[a] == f.left[b]
-        assert t.left[(a, b)] == "x"
-        assert t.right[(a, b)] == "z"
+        assert views(e).right[a] == views(f).left[b]
+        assert views(t).left[(a, b)] == "x"
+        assert views(t).right[(a, b)] == "z"
 
 
 def test_tensor_map_grade_guard():
@@ -128,12 +128,14 @@ def test_tensor_map_refuses_nan_map():
 
 def _leak_by_scan(m, side):
     """Per-entry scan, source-major, that grade_leak must reproduce."""
-    grade_s, grade_t = getattr(m.source, side), getattr(m.target, side)
+    grade_s, grade_t = (getattr(views(m.source), side),
+                        getattr(views(m.target), side))
+    at_s, at_t = views(m.source).index, views(m.target).index
     worst, bad = 0.0, None
     for a in m.source.basis:
         for a2 in m.target.basis:
             if grade_s[a] != grade_t[a2]:
-                v = abs(m.matrix[m.target.index[a2], m.source.index[a]])
+                v = abs(m.matrix[at_t[a2], at_s[a]])
                 if v > worst:
                     worst, bad = v, (a, a2)
     return worst, bad
@@ -153,7 +155,7 @@ def test_grade_leak_matches_scan(side, kind):
     rng = SplitMix64(17)
     for _ in range(25):
         src, tgt = _random_graded(rng, "s"), _random_graded(rng, "t")
-        gs, gt = getattr(src, side), getattr(tgt, side)
+        gs, gt = getattr(views(src), side), getattr(views(tgt), side)
         same = np.array([[gt[b2] == gs[b] for b in src.basis]
                          for b2 in tgt.basis])
         mat = np.array([[rng.cgauss() for _ in src.basis]
@@ -200,10 +202,10 @@ def test_regroup_unitary():
 
 def test_gamma_compose_weight_bitwise():
     gpd, w = fixture("W2")
-    fam = groupoid_families(gpd, w)
+    fam = GroupoidFamilies(gpd, w)
     m = gamma_compose(fam.lam0, fam.alpha_r)
     for (x, y) in m.source.basis:
-        assert m.source.weight[(x, y)] == m.target.weight[x]
+        assert views(m.source).weight[(x, y)] == views(m.target).weight[x]
 
 
 def test_check_gamma_all_fixtures_exact():
@@ -218,8 +220,8 @@ def _mutated_composite(change):
     """compose_families with change applied to a copy of its result."""
     def mutant(lam, mu):
         fam = compose_families(lam, mu)
-        basis, right, weight = list(fam.basis), dict(fam.right), \
-            dict(fam.weight)
+        basis, right, weight = list(fam.basis), dict(views(fam).right), \
+            dict(views(fam).weight)
         change(basis, right, weight)
         return GradedSpace(basis, {p: p for p in basis}, right, weight,
                            left_space=basis, right_space=fam.right_space)
@@ -263,8 +265,8 @@ def test_check_gamma_mutants_fail(monkeypatch, change, failing):
 def test_induced_unitary_from_ratio():
     gpd, w = fixture("W2")
     alpha, _ = haar_system(gpd, w)
-    c2 = GradedSpace(alpha.basis, alpha.left, alpha.right,
-                     {p: 4.0 * alpha.weight[p] for p in alpha.basis},
+    c2 = GradedSpace(alpha.basis, views(alpha).left, views(alpha).right,
+                     {p: 4.0 * views(alpha).weight[p] for p in alpha.basis},
                      left_space=alpha.left_space,
                      right_space=alpha.right_space)
     phi = {p: p for p in alpha.basis}
@@ -304,7 +306,7 @@ def test_isometry_non_surjective():
 
 def test_dump_module_map_roundtrip(tmp_path):
     gpd, w = fixture("Z2")
-    fam = groupoid_families(gpd, w)
+    fam = GroupoidFamilies(gpd, w)
     m = gamma_compose(fam.lam0, fam.alpha_r)
     bin_path, json_path = dump_module_map(m, str(tmp_path / "gamma"))
     raw = np.frombuffer(open(bin_path, "rb").read(), dtype="<c16")

@@ -19,19 +19,19 @@ from gcstar.intdis import (ConvRep, check_conv_rep,
                            check_integrated_intertwiner, check_integration,
                            check_naturality, check_pair_exchange, conv_rep_of,
                            disintegrate, integrate_rep, integration_bound,
-                           oracle_integrate, pair_inner_r, pair_inner_s,
-                           roundtrip_rep, upsilon)
+                           oracle_integrate, roundtrip_rep, upsilon)
 from gcstar.report import VerificationError
 from gcstar.reps import blockwise, from_cocycle, regular_representation
 from gcstar.sampling import SplitMix64, random_cocycle, random_function
-from test_arrow_codes import dense_operator_norm
+from test_arrow_codes import dense_operator_norm, pair_inner
+from test_measures import views
 
 
 def trivial_rep(gpd, weights):
     dims = {(x, "w"): 1 for x in gpd.objects}
     module = module_from_dims(gpd.objects, ("w",), dims)
     return from_cocycle(gpd, weights, module,
-                        {g: np.eye(1, dtype=complex) for g in gpd.arrows})
+                        [np.eye(1, dtype=complex) for _ in gpd.arrows])
 
 
 def rand_funcs(gpd, rng, count):
@@ -122,7 +122,7 @@ def test_pair_inner_closed_form_w2():
     big2 = {p: 0.0 for p in pairs}
     big1[((1, 2), (2, 1))] = 1.0
     big2[((1, 2), (2, 2))] = 1.0
-    out = dict(zip(gpd.arrows, pair_inner_s(gpd, w, big1, big2)))
+    out = dict(zip(gpd.arrows, pair_inner(gpd, w, big1, big2, "s")))
     # k = inverse((2,1)) (2,2) = (1,2); value c(rng (1,2)) c(rng (2,1))
     assert out[(1, 2)] == 4.0
     assert all(out[k] == 0.0 for k in gpd.arrows if k != (1, 2))
@@ -160,9 +160,9 @@ def test_pair_exchange_matches_the_arrow_loop():
         out = check_pair_exchange(gpd, w, funcs)
         for i, check in enumerate(out.checks):
             f1, f2 = funcs[i], funcs[(i + 1) % len(funcs)]
-            lhs = pair_inner_s(gpd, w, f1, f2).tolist()
-            rhs = pair_inner_r(gpd, w, upsilon(gpd, f1),
-                               upsilon(gpd, f2)).tolist()
+            lhs = pair_inner(gpd, w, f1, f2, "s").tolist()
+            rhs = pair_inner(gpd, w, upsilon(gpd, f1), upsilon(gpd, f2),
+                             "r").tolist()
             defects = [abs(a - b) / max(abs(a), abs(b), 1.0)
                        for a, b in zip(lhs, rhs)]
             d = max(defects, default=0.0)
@@ -224,8 +224,9 @@ def test_pair_exchange_fails_on_nan():
     fine = {p: rng.cgauss() for p in pairs}
     nan_fn = dict(fine)
     nan_fn[pairs[-1]] = complex(np.nan, 0.0)
-    lhs = pair_inner_s(gpd, w, nan_fn, fine)
-    rhs = pair_inner_r(gpd, w, upsilon(gpd, nan_fn), upsilon(gpd, fine))
+    lhs = pair_inner(gpd, w, nan_fn, fine, "s")
+    rhs = pair_inner(gpd, w, upsilon(gpd, nan_fn), upsilon(gpd, fine),
+                     "r")
     first = gpd.arrows[np.flatnonzero(np.isnan(abs(lhs - rhs)))[0]]
     out = check_pair_exchange(gpd, w, [nan_fn, fine])
     check = out.checks[0]
@@ -262,8 +263,9 @@ def test_naturality_passes():
 
 
 def _row(space, left, right):
-    return next(space.index[b] for b in space.basis
-                if space.left[b] == left and space.right[b] == right)
+    v = views(space)
+    return next(v.index[b] for b in space.basis
+                if v.left[b] == left and v.right[b] == right)
 
 
 def _scale_entry(mat, src, tgt):
@@ -273,12 +275,13 @@ def _scale_entry(mat, src, tgt):
 
 def _cross_objects(mat, src, tgt):
     """Column (1, w, 0) picks up a vector over object 2."""
-    mat[_row(tgt, 2, src.right[src.basis[0]]), 0] = 0.5
+    mat[_row(tgt, 2, views(src).right[src.basis[0]]), 0] = 0.5
 
 
 def _cross_labels(mat, src, tgt):
     """Column (1, w, 0) picks up a vector over the other label."""
-    other = next(v for v in tgt.right_space if v != src.right[src.basis[0]])
+    first = views(src).right[src.basis[0]]
+    other = next(v for v in tgt.right_space if v != first)
     mat[_row(tgt, 1, other), 0] = 0.5
 
 
@@ -290,7 +293,7 @@ def _cross_labels(mat, src, tgt):
 def test_naturality_frame_mutants(name, bend):
     rep, conv, rep2 = _naturality_case()
     frame = rep2.frame
-    assert frame.source.left[frame.source.basis[0]] == 1
+    assert views(frame.source).left[frame.source.basis[0]] == 1
     mat = frame.matrix.copy()
     bend(mat, frame.source, frame.target)
     rep2.frame = ModuleMap(frame.source, frame.target, mat)

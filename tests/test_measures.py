@@ -6,22 +6,39 @@ the pair groupoid is written through its three points (i, j, k) with
 g = (i, j), h = (j, k).
 """
 
+import functools
 import itertools
 import math
 import re
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 import pytest
 
 from gcstar.fingroupoid import FIXTURE_NAMES, FiniteGroupoid, fixture
 from gcstar.hilbmod import induced_unitary, tensor
-from gcstar.measures import (GradedSpace, arrow_correspondence,
+from gcstar.measures import (GradedSpace, GroupoidFamilies,
+                             arrow_correspondence,
                              check_corr_isomorphism, check_family_identities,
                              check_iterated_integrals, compare_integrals,
-                             compose_families, groupoid_families,
-                             haar_system)
+                             compose_families, haar_system)
 from gcstar.report import Report
 from gcstar.sampling import SplitMix64
+
+
+@functools.lru_cache(maxsize=32)
+def views(space):
+    """The label dicts of a space, read-only and read off its codes:
+    left, right, weight and index map each point to its left grade,
+    right grade, weight and position."""
+    grades = (
+        ("left", map(space.left_space.__getitem__, space.left_codes.tolist())),
+        ("right", map(space.right_space.__getitem__,
+                      space.right_codes.tolist())),
+        ("weight", space.weight_array.tolist()),
+        ("index", range(space.dim)))
+    return SimpleNamespace(**{name: MappingProxyType(dict(zip(
+        space.basis, values))) for name, values in grades})
 
 
 def pair_key(i, j, k):
@@ -42,33 +59,33 @@ def test_alpha_fiber_and_integral_w2():
     ones = {g: 1.0 for g in gpd.arrows}
     # the fiber over each object carries total mass c(1)+c(2) = 5
     assert alpha.integrate(ones) == {1: 5.0, 2: 5.0}
-    assert {g for g in alpha.basis if alpha.right[g] == 1} \
+    assert {g for g in alpha.basis if views(alpha).right[g] == 1} \
         == {(1, 1), (1, 2)}
-    assert all(alpha.left[g] == g for g in alpha.basis)
-    assert alpha.weight[(1, 2)] == 4.0   # c(src) = c(2)
-    assert alpha_r.weight[(1, 2)] == 1.0  # c(rng) = c(1)
+    assert all(views(alpha).left[g] == g for g in alpha.basis)
+    assert views(alpha).weight[(1, 2)] == 4.0   # c(src) = c(2)
+    assert views(alpha_r).weight[(1, 2)] == 1.0  # c(rng) = c(1)
 
 
 def test_lambda_weights_w2():
     gpd, w = fixture("W2")
-    fam = groupoid_families(gpd, w)
+    fam = GroupoidFamilies(gpd, w)
     p = pair_key(1, 2, 1)
-    assert fam.lam0.weight[p] == 1.0   # c(rng g) = c(1)
-    assert fam.lam1.weight[p] == 4.0   # c(rng h) = c(2)
-    assert fam.lam2.weight[p] == 1.0   # c(src h) = c(1)
+    assert views(fam.lam0).weight[p] == 1.0   # c(rng g) = c(1)
+    assert views(fam.lam1).weight[p] == 4.0   # c(rng h) = c(2)
+    assert views(fam.lam2).weight[p] == 1.0   # c(src h) = c(1)
 
 
 def test_mu_tables_w2_frozen():
     gpd, w = fixture("W2")
-    fam = groupoid_families(gpd, w)
+    fam = GroupoidFamilies(gpd, w)
     assert len(fam.mu0.basis) == 8
     for i in (1, 2):
         for j in (1, 2):
             for k in (1, 2):
                 p = pair_key(i, j, k)
-                assert fam.mu0.weight[p] == W2_MU0[(i, j, k)]
-                assert fam.mu1.weight[p] == W2_MU1[(i, j, k)]
-                assert fam.mu2.weight[p] == W2_MU2[(i, j, k)]
+                assert views(fam.mu0).weight[p] == W2_MU0[(i, j, k)]
+                assert views(fam.mu1).weight[p] == W2_MU1[(i, j, k)]
+                assert views(fam.mu2).weight[p] == W2_MU2[(i, j, k)]
 
 
 def test_family_identities_all_fixtures():
@@ -88,7 +105,7 @@ def test_families_reject_composite_with_wrong_range():
                             comp, gpd.inv, gpd.unit)
     with pytest.raises(ValueError, match=re.escape(
             "inconsistent nerve data at pair ((1, 2), (2, 1))")):
-        groupoid_families(broken, w)
+        GroupoidFamilies(broken, w)
 
 
 def ref_nerve_error(gpd):
@@ -129,7 +146,7 @@ def test_families_guard_matches_old_nerve(name):
                                     gpd.rng, comp, gpd.inv, gpd.unit)
             want = ref_nerve_error(broken)
             try:
-                groupoid_families(broken, w)
+                GroupoidFamilies(broken, w)
                 got = None
             except ValueError as exc:
                 got = str(exc)
@@ -140,12 +157,12 @@ def test_families_guard_matches_old_nerve(name):
 
 def test_compose_families_weight_is_product():
     gpd, w = fixture("W2")
-    fam = groupoid_families(gpd, w)
+    fam = GroupoidFamilies(gpd, w)
     comp = compose_families(fam.lam0, fam.alpha_r)
     p = pair_key(2, 1, 2)
     # lam0 carries c(rng g) = c(2) = 4; the face lands on h = (1, 2)
     # whose alpha_r weight is c(rng h) = c(1) = 1
-    assert comp.weight[p] == 4.0
+    assert views(comp).weight[p] == 4.0
 
 
 def test_compare_integrals_hand_case():
@@ -171,22 +188,22 @@ def test_iterated_integrals_random():
 def test_arrow_correspondence_weights():
     gpd, w = fixture("W2")
     cs = arrow_correspondence(gpd, w, "s")
-    assert cs.left[(1, 2)] == 1 and cs.right[(1, 2)] == 2
-    assert cs.weight[(1, 2)] == 1.0
-    assert cs.weight[(2, 1)] == 4.0
+    assert views(cs).left[(1, 2)] == 1 and views(cs).right[(1, 2)] == 2
+    assert views(cs).weight[(1, 2)] == 1.0
+    assert views(cs).weight[(2, 1)] == 4.0
     cr = arrow_correspondence(gpd, w, "r")
-    assert cr.left[(1, 2)] == 2 and cr.right[(1, 2)] == 1
-    assert cr.weight[(1, 2)] == 4.0
+    assert views(cr).left[(1, 2)] == 2 and views(cr).right[(1, 2)] == 1
+    assert views(cr).weight[(1, 2)] == 4.0
 
 
 def test_fibre_product_matches_mu2():
     gpd, w = fixture("W2")
     cs = arrow_correspondence(gpd, w, "s")
     fp = tensor(cs, cs)
-    fam = groupoid_families(gpd, w)
+    fam = GroupoidFamilies(gpd, w)
     assert set(fp.basis) == set(fam.mu2.basis)
     for p in fp.basis:
-        assert fp.weight[p] == fam.mu2.weight[p]
+        assert views(fp).weight[p] == views(fam.mu2).weight[p]
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +215,8 @@ def ref_corr_ratio(c1, c2, phi):
     out = {}
     for x in c1.basis:
         y = phi[x]
-        base = c2.right[y]
-        val = c1.weight[x] / c2.weight[y]
+        base = views(c2).right[y]
+        val = views(c1).weight[x] / views(c2).weight[y]
         if base in out and out[base] != val:
             raise ValueError(f"ratio not constant over base {base!r}")
         out[base] = val
@@ -218,16 +235,16 @@ def ref_check_corr_isomorphism(c1, c2, phi, delta, tol=0.0):
     rep.add("bijection", ok, witness=bad)
     if not ok:
         return rep
-    bad = next((x for x in c1.basis
-                if c2.left[phi[x]] != c1.left[x]), None)
+    v1, v2 = views(c1), views(c2)
+    bad = next((x for x in c1.basis if v2.left[phi[x]] != v1.left[x]), None)
     rep.add("left-grading", bad is None, witness=bad)
-    bad = next((x for x in c1.basis
-                if c2.right[phi[x]] != c1.right[x]), None)
+    bad = next((x for x in c1.basis if v2.right[phi[x]] != v1.right[x]),
+               None)
     rep.add("right-grading", bad is None, witness=bad)
 
     def ratio_gap(x):
-        want = delta[c2.right[phi[x]]] * c2.weight[phi[x]]
-        return abs(c1.weight[x] - want) / max(abs(c1.weight[x]), 1.0)
+        want = delta[v2.right[phi[x]]] * v2.weight[phi[x]]
+        return abs(v1.weight[x] - want) / max(abs(v1.weight[x]), 1.0)
     rep.add_worst_at("weight-ratio", [ratio_gap(x) for x in c1.basis], tol,
                      lambda k: c1.basis[k])
     try:
@@ -253,7 +270,7 @@ def positions(c1, c2, phi, delta):
     """The label mappings as position arguments, the inverse of labels:
     the c2 position of each c1 point (-1 for none) and delta over
     c2.right_space (NaN for none)."""
-    phi = [c2.index.get(phi.get(x), -1) for x in c1.basis]
+    phi = [views(c2).index.get(phi.get(x), -1) for x in c1.basis]
     return (np.array(phi, dtype=np.intp),
             np.array([delta.get(y, math.nan) for y in c2.right_space]))
 
@@ -271,11 +288,11 @@ def same_checks(c1, c2, phi, delta):
 def scaled(c, factor, at=None):
     """c with every weight times factor, or only the weight at position
     at, as a space built from labels."""
-    weights = dict(c.weight)
+    weights = dict(views(c).weight)
     for k, p in enumerate(c.basis):
         if at is None or k == at:
             weights[p] *= factor
-    return GradedSpace(c.basis, c.left, c.right, weights,
+    return GradedSpace(c.basis, views(c).left, views(c).right, weights,
                        left_space=c.left_space, right_space=c.right_space)
 
 
@@ -335,11 +352,12 @@ def test_corr_ratio_inconsistent_raises():
 
 def _swap(c, i, j, side):
     """c with the side grades of points i and j exchanged."""
-    grade = dict(getattr(c, side))
+    v = views(c)
+    grade = dict(getattr(v, side))
     grade[c.basis[i]], grade[c.basis[j]] = \
         grade[c.basis[j]], grade[c.basis[i]]
-    left, right = (grade, c.right) if side == "left" else (c.left, grade)
-    return GradedSpace(c.basis, left, right, c.weight,
+    left, right = (grade, v.right) if side == "left" else (v.left, grade)
+    return GradedSpace(c.basis, left, right, v.weight,
                        left_space=c.left_space, right_space=c.right_space)
 
 
@@ -394,8 +412,9 @@ def test_induced_unitary_reads_labels_as_positions():
     back = positions(c1, c2, by_label, ratio)
     assert np.array_equal(back[0], phi) and np.array_equal(back[1], delta)
     want = np.zeros((c2.dim, c1.dim), dtype=complex)
+    v1, v2 = views(c1), views(c2)
     for x, y in by_label.items():
-        want[c2.index[y], c1.index[x]] = np.sqrt(ratio[c2.right[y]])
+        want[v2.index[y], v1.index[x]] = np.sqrt(ratio[v2.right[y]])
     got = induced_unitary(c1, c2, phi, delta)
     assert np.array_equal(got.matrix, want)
     assert np.array_equal(got.rows, phi)
@@ -404,10 +423,10 @@ def test_induced_unitary_reads_labels_as_positions():
 def test_measure_family_rejects_nonpositive():
     gpd, w = fixture("P2")
     alpha, _ = haar_system(gpd, w)
-    bad = dict(alpha.weight)
+    bad = dict(views(alpha).weight)
     bad[(1, 1)] = 0.0
     with pytest.raises(ValueError):
-        GradedSpace(alpha.basis, alpha.left, alpha.right, bad)
+        GradedSpace(alpha.basis, views(alpha).left, views(alpha).right, bad)
 
 
 def test_iterated_integrals_match_the_object_loop():

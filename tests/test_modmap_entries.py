@@ -25,9 +25,9 @@ from gcstar.hilbmod import (ModuleMap, associator, check_gamma,
                             entry_gap, gamma_compose, grade_leak,
                             identity_map, induced_unitary, is_intertwiner,
                             lift, tensor, tensor_map_left)
-from gcstar.measures import (GradedSpace, arrow_correspondence,
-                             check_corr_isomorphism, compose_families,
-                             groupoid_families)
+from gcstar.measures import (GradedSpace, GroupoidFamilies,
+                             arrow_correspondence, check_corr_isomorphism,
+                             compose_families)
 from gcstar.report import Report, max_abs, relative_defects, worst_at
 from gcstar.reps import (Representation, blockwise, check_cocycle,
                          check_intertwiner, check_representation,
@@ -35,7 +35,7 @@ from gcstar.reps import (Representation, blockwise, check_cocycle,
                          regular_representation)
 from gcstar.sampling import SplitMix64, random_cocycle
 
-from test_measures import positions
+from test_measures import positions, views
 
 
 # ---------------------------------------------------------------------------
@@ -69,20 +69,22 @@ def ref_tensor(e, f):
     """The balanced tensor by a scan of all pairs; also the point loop of
     the fibre product of two correspondences."""
     basis = tuple((a, b) for a in e.basis for b in f.basis
-                  if e.right[a] == f.left[b])
+                  if views(e).right[a] == views(f).left[b])
     return GradedSpace(
         basis,
-        {(a, b): e.left[a] for (a, b) in basis},
-        {(a, b): f.right[b] for (a, b) in basis},
-        {(a, b): e.weight[a] * f.weight[b] for (a, b) in basis},
+        {(a, b): views(e).left[a] for (a, b) in basis},
+        {(a, b): views(f).right[b] for (a, b) in basis},
+        {(a, b): views(e).weight[a] * views(f).weight[b] for (a, b) in basis},
         left_space=e.left_space, right_space=f.right_space)
 
 
 def ref_grade_leak(m, side):
     codes = {}
-    src = np.array([codes.setdefault(getattr(m.source, side)[b], len(codes))
+    grade_s, grade_t = (getattr(views(m.source), side),
+                        getattr(views(m.target), side))
+    src = np.array([codes.setdefault(grade_s[b], len(codes))
                     for b in m.source.basis], dtype=int)
-    tgt = np.array([codes.setdefault(getattr(m.target, side)[b], len(codes))
+    tgt = np.array([codes.setdefault(grade_t[b], len(codes))
                     for b in m.target.basis], dtype=int)
     leak = np.hypot(m.matrix.real, m.matrix.imag).T
     leak[src[:, None] == tgt[None, :]] = 0.0
@@ -172,12 +174,13 @@ def ref_tensor_map(m, f):
     src = ref_tensor(m.source, f)
     tgt = ref_tensor(m.target, f)
     mat = np.zeros((tgt.dim, src.dim), dtype=complex)
+    at_s, at_t = views(src).index, views(tgt).index
+    at_ms, at_mt = views(m.source).index, views(m.target).index
     for (a, b) in src.basis:
-        j = src.index[(a, b)]
+        j = at_s[(a, b)]
         for a2 in m.target.basis:
-            if (a2, b) in tgt.index:
-                mat[tgt.index[(a2, b)], j] = \
-                    m.matrix[m.target.index[a2], m.source.index[a]]
+            if (a2, b) in at_t:
+                mat[at_t[(a2, b)], j] = m.matrix[at_mt[a2], at_ms[a]]
     return DenseMap(src, tgt, mat)
 
 
@@ -186,12 +189,13 @@ def ref_tensor_map_left(e, m):
     src = ref_tensor(e, m.source)
     tgt = ref_tensor(e, m.target)
     mat = np.zeros((tgt.dim, src.dim), dtype=complex)
+    at_s, at_t = views(src).index, views(tgt).index
+    at_ms, at_mt = views(m.source).index, views(m.target).index
     for (a, b) in src.basis:
-        j = src.index[(a, b)]
+        j = at_s[(a, b)]
         for b2 in m.target.basis:
-            if (a, b2) in tgt.index:
-                mat[tgt.index[(a, b2)], j] = \
-                    m.matrix[m.target.index[b2], m.source.index[b]]
+            if (a, b2) in at_t:
+                mat[at_t[(a, b2)], j] = m.matrix[at_mt[b2], at_ms[b]]
     return DenseMap(src, tgt, mat)
 
 
@@ -200,7 +204,7 @@ def ref_regroup(e, f, g):
     tgt = ref_tensor(e, ref_tensor(f, g))
     mat = np.zeros((tgt.dim, src.dim), dtype=complex)
     for ((a, b), c) in src.basis:
-        mat[tgt.index[(a, (b, c))], src.index[((a, b), c)]] = 1.0
+        mat[views(tgt).index[(a, (b, c))], views(src).index[((a, b), c)]] = 1.0
     return DenseMap(src, tgt, mat)
 
 
@@ -209,15 +213,16 @@ def ref_gamma_compose(lam, mu):
     tgt = compose_families(lam, mu)
     mat = np.zeros((tgt.dim, src.dim), dtype=complex)
     for (x, y) in src.basis:
-        mat[tgt.index[x], src.index[(x, y)]] = 1.0
+        mat[views(tgt).index[x], views(src).index[(x, y)]] = 1.0
     return DenseMap(src, tgt, mat)
 
 
 def ref_induced_unitary(c1, c2, phi, delta):
     mat = np.zeros((c2.dim, c1.dim), dtype=complex)
+    v1, v2 = views(c1), views(c2)
     for x in c1.basis:
         y = phi[x]
-        mat[c2.index[y], c1.index[x]] = np.sqrt(delta[c2.right[y]])
+        mat[v2.index[y], v1.index[x]] = np.sqrt(delta[v2.right[y]])
     return DenseMap(c1, c2, mat)
 
 
@@ -266,7 +271,7 @@ def ref_check_representation(rep, tol=1e-10):
 
 
 def ref_check_gamma(gpd, weights, tol=1e-12):
-    fam = groupoid_families(gpd, weights)
+    fam = GroupoidFamilies(gpd, weights)
     rep = Report("gamma maps")
     for name, lam, mu in (
             ("compose-lam0-src", fam.lam0, fam.alpha_r),
@@ -302,37 +307,37 @@ def ref_check_intertwiner(rep1, rep2, vmap, tol=1e-10):
 def ref_from_cocycle_matrix(rep, blocks_raw):
     mat = np.zeros((rep.target.dim, rep.source.dim), dtype=complex)
     gpd, module = rep.groupoid, rep.module
-    for g in gpd.arrows:
+    src, tgt = views(rep.source).index, views(rep.target).index
+    for g, block in zip(gpd.arrows, blocks_raw):
         sfib = module.left_fiber(gpd.src[g])
         tfib = module.left_fiber(gpd.rng[g])
         for j, m in enumerate(sfib):
-            col = rep.source.index[(g, m)]
             for i, m2 in enumerate(tfib):
-                mat[rep.target.index[(g, m2)], col] = blocks_raw[g][i, j]
+                mat[tgt[(g, m2)], src[(g, m)]] = block[i, j]
     return mat
 
 
 def ref_blockwise(rep):
-    """The blocks sliced from the dense matrix by label lookups."""
+    """The blocks sliced from the dense matrix by label lookups, as two
+    lists in arrow order."""
     gpd, c = rep.groupoid, rep.weights
-    raw, uni = {}, {}
+    src, tgt = views(rep.source).index, views(rep.target).index
+    raw, uni = [], []
     for g in gpd.arrows:
-        scols = [rep.source.index[(g, m)]
-                 for m in rep.module.left_fiber(gpd.src[g])]
-        trows = [rep.target.index[(g, m)]
-                 for m in rep.module.left_fiber(gpd.rng[g])]
+        scols = [src[(g, m)] for m in rep.module.left_fiber(gpd.src[g])]
+        trows = [tgt[(g, m)] for m in rep.module.left_fiber(gpd.rng[g])]
         block = rep.umap.matrix[np.ix_(trows, scols)] \
             if trows and scols else np.zeros((len(trows), len(scols)),
                                              dtype=complex)
-        raw[g] = block
-        uni[g] = np.sqrt(c[gpd.src[g]] / c[gpd.rng[g]]) * block
+        raw.append(block)
+        uni.append(np.sqrt(c[gpd.src[g]] / c[gpd.rng[g]]) * block)
     return raw, uni
 
 
 def ref_regular_matrix(gpd, weights):
     # ref_tensor is the point loop of the fibre product, so these are
     # the fibre products of the two legs with the arrow module
-    fam = groupoid_families(gpd, weights)
+    fam = GroupoidFamilies(gpd, weights)
     module = arrow_correspondence(gpd, weights, "s")
     fib_s = ref_tensor(fam.alpha_r, module)
     fib_t = ref_tensor(fam.alpha, module)
@@ -361,7 +366,7 @@ def cocycle_rep(name, seed=5, coeff_size=2):
     gpd, w = fixture(name)
     module, blocks = random_cocycle(SplitMix64(seed), gpd, w,
                                     coeff_size=coeff_size, max_dim=2)
-    return gpd, w, module, blocks
+    return gpd, w, module, list(blocks.values())
 
 
 def reps_of(name):
@@ -376,7 +381,7 @@ def reps_of(name):
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_tensor_basis_order_matches_scan(name):
     gpd, w = fixture(name)
-    fam = groupoid_families(gpd, w)
+    fam = GroupoidFamilies(gpd, w)
     cs = arrow_correspondence(gpd, w, "s")
     cr = arrow_correspondence(gpd, w, "r")
     spaces = [fam.alpha, fam.alpha_r, fam.lam0, fam.lam1, fam.lam2, cs, cr]
@@ -384,14 +389,14 @@ def test_tensor_basis_order_matches_scan(name):
         for f in spaces:
             new, ref = tensor(e, f), ref_tensor(e, f)
             assert new.basis == ref.basis
-            assert new.left == ref.left and new.right == ref.right
-            assert new.weight == ref.weight
+            for view in ("left", "right", "weight"):
+                assert getattr(views(new), view) == getattr(views(ref), view)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_relabelings_exactly_equal(name):
     gpd, w = fixture(name)
-    fam = groupoid_families(gpd, w)
+    fam = GroupoidFamilies(gpd, w)
     for lam in (fam.lam0, fam.lam1, fam.lam2):
         for mu in (fam.alpha, fam.alpha_r):
             assert np.array_equal(gamma_compose(lam, mu).matrix,
@@ -450,8 +455,8 @@ def test_face_transfers_exactly_equal(name):
 def test_from_cocycle_exactly_equal(name):
     gpd, w, module, blocks = cocycle_rep(name)
     rep = from_cocycle(gpd, w, module, blocks)
-    raw = {g: np.sqrt(w[gpd.rng[g]] / w[gpd.src[g]]) * np.asarray(blocks[g])
-           for g in gpd.arrows}
+    raw = [np.sqrt(w[gpd.rng[g]] / w[gpd.src[g]]) * np.asarray(b)
+           for g, b in zip(gpd.arrows, blocks)]
     assert np.array_equal(rep.umap.matrix, ref_from_cocycle_matrix(rep, raw))
 
 
@@ -469,8 +474,8 @@ def test_intertwiner_verdicts_match_reference(name):
     rep = from_cocycle(gpd, w, module, blocks)
     n = module.dim
     rng = SplitMix64(11)
-    same_left = np.array([[module.left[a] == module.left[b]
-                           and module.right[a] == module.right[b]
+    same_left = np.array([[views(module).left[a] == views(module).left[b]
+                           and views(module).right[a] == views(module).right[b]
                            for b in module.basis] for a in module.basis])
     graded = np.array([[rng.cgauss() for _ in range(n)]
                        for _ in range(n)]) * same_left
@@ -488,10 +493,10 @@ def test_intertwiner_verdicts_match_reference(name):
 
 def _same_blocks(fam, raw, uni):
     for got, want in ((fam.raw, raw), (fam.unitaries, uni)):
-        assert list(got) == list(want)
-        for g in want:
-            assert got[g].shape == want[g].shape, g
-            assert np.array_equal(got[g], want[g]), g
+        assert len(got) == len(want)
+        for k, (a, b) in enumerate(zip(got, want)):
+            assert a.shape == b.shape, k
+            assert np.array_equal(a, b), k
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES + ("pair:4",))
@@ -548,7 +553,7 @@ def test_lift_and_associator_refuse_factors_of_another_basis():
 
 def _blocks_mutant(name, change):
     gpd, w, module, blocks = cocycle_rep(name)
-    blocks = {g: np.array(b, dtype=complex) for g, b in blocks.items()}
+    blocks = [np.array(b, dtype=complex) for b in blocks]
     change(gpd, blocks)
     return from_cocycle(gpd, w, module, blocks)
 
@@ -561,8 +566,8 @@ def _last_non_unit(gpd):
 @pytest.mark.parametrize("name", ["Z2", "P2", "W2", "T2"])
 def test_non_multiplicative_block_fails_transfer(name):
     def flip(gpd, blocks):
-        g = _last_non_unit(gpd)
-        blocks[g] = blocks[g] * np.exp(0.3j)
+        k = gpd.arrows.index(_last_non_unit(gpd))
+        blocks[k] = blocks[k] * np.exp(0.3j)
     rep = _blocks_mutant(name, flip)
     new, ref = check_representation(rep), ref_check_representation(rep)
     same_reports(new, ref)
@@ -573,8 +578,7 @@ def test_non_multiplicative_block_fails_transfer(name):
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_nan_block_matches_reference(name):
     def poison(gpd, blocks):
-        g = gpd.arrows[-1]
-        blocks[g] = np.full_like(blocks[g], np.nan)
+        blocks[-1] = np.full_like(blocks[-1], np.nan)
     rep = _blocks_mutant(name, poison)
     new, ref = check_representation(rep), ref_check_representation(rep)
     same_reports(new, ref)
@@ -638,7 +642,7 @@ def test_grade_leak_entries_match_dense(kind):
         mat = np.array([[rng.cgauss() for _ in sb] for _ in tb])
         mat[np.abs(mat) < 0.7] = 0.0
         leaks = [(i, j) for i, b2 in enumerate(tb) for j, b in enumerate(sb)
-                 if tgt.left[b2] != src.left[b]]
+                 if views(tgt).left[b2] != views(src).left[b]]
         if kind in ("none", "nan-inside", "zero-crossing"):
             for i, j in leaks:
                 mat[i, j] = 0.0
@@ -651,7 +655,7 @@ def test_grade_leak_entries_match_dense(kind):
         if kind == "nan-inside":
             inside = [(i, j) for i, b2 in enumerate(tb)
                       for j, b in enumerate(sb)
-                      if tgt.left[b2] == src.left[b]]
+                      if views(tgt).left[b2] == views(src).left[b]]
             if inside:
                 i, j = inside[rng.randint(len(inside))]
                 mat[i, j] = np.nan

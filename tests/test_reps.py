@@ -15,12 +15,13 @@ from gcstar.reps import (CocycleFamily, Representation, blockwise,
                          check_representation, face_transfer, from_cocycle,
                          induce, invariant_support, regular_representation)
 from gcstar.sampling import SplitMix64, random_cocycle
+from test_measures import views
 
 
 def ones_cocycle(gpd, weights):
     dims = {(x, "w"): 1 for x in gpd.objects}
     module = module_from_dims(gpd.objects, ("w",), dims)
-    unitaries = {g: np.eye(1, dtype=complex) for g in gpd.arrows}
+    unitaries = [np.eye(1, dtype=complex) for _ in gpd.arrows]
     return from_cocycle(gpd, weights, module, unitaries)
 
 
@@ -48,9 +49,10 @@ def test_representation_refuses_a_unitary_on_another_module():
 def test_blockwise_normalization_w2():
     gpd, w = fixture("W2")
     rep = blockwise(ones_cocycle(gpd, w))
-    assert rep.raw[(1, 2)][0, 0] == 0.5
-    assert rep.raw[(2, 1)][0, 0] == 2.0
-    assert rep.unitaries[(1, 2)][0, 0] == 1.0
+    g12, g21 = gpd.arrows.index((1, 2)), gpd.arrows.index((2, 1))
+    assert rep.raw[g12][0, 0] == 0.5
+    assert rep.raw[g21][0, 0] == 2.0
+    assert rep.unitaries[g12][0, 0] == 1.0
 
 
 def test_cocycle_family_default_raw():
@@ -58,8 +60,37 @@ def test_cocycle_family_default_raw():
     module = module_from_dims(gpd.objects, ("w",),
                               {(x, "w"): 1 for x in gpd.objects})
     fam = CocycleFamily(gpd, w, module,
-                        {g: np.eye(1, dtype=complex) for g in gpd.arrows})
-    assert fam.raw[(1, 2)][0, 0] == 0.5
+                        [np.eye(1, dtype=complex) for _ in gpd.arrows])
+    assert fam.raw[gpd.arrows.index((1, 2))][0, 0] == 0.5
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_a_block_list_of_another_length_is_refused(extra):
+    gpd, w = fixture("W2")
+    module = module_from_dims(gpd.objects, ("w",),
+                              {(x, "w"): 1 for x in gpd.objects})
+    blocks = [np.eye(1, dtype=complex)] * (len(gpd.arrows) + extra)
+    message = f"^{len(blocks)} blocks for {len(gpd.arrows)} arrows$"
+    for build in (CocycleFamily, from_cocycle):
+        with pytest.raises(ValueError, match=message):
+            build(gpd, w, module, blocks)
+    with pytest.raises(ValueError, match=message):
+        CocycleFamily(gpd, w, module, blocks[:len(gpd.arrows)], raw=blocks)
+
+
+def test_a_block_dict_is_read_by_label_in_from_cocycle_only():
+    gpd, w = fixture("P2")
+    module, blocks = random_cocycle(SplitMix64(3), gpd, w)
+    listed = list(blocks.values())
+    message = "^blocks must be a list in arrow order$"
+    with pytest.raises(ValueError, match=message):
+        CocycleFamily(gpd, w, module, blocks)
+    with pytest.raises(ValueError, match=message):
+        CocycleFamily(gpd, w, module, listed, raw=blocks)
+    # the reversed dict holds the same blocks under the same labels
+    got = from_cocycle(gpd, w, module, dict(reversed(blocks.items())))
+    want = from_cocycle(gpd, w, module, listed)
+    assert np.array_equal(got.umap.matrix, want.umap.matrix)
 
 
 def test_regular_matrix_z2_frozen():
@@ -86,8 +117,10 @@ def test_from_cocycle_roundtrip():
         module, blocks = random_cocycle(rng, gpd, w, coeff_size=2)
         rep = from_cocycle(gpd, w, module, blocks)
         back = blockwise(rep)
-        for g in gpd.arrows:
-            assert np.max(np.abs(back.unitaries[g] - blocks[g])) <= 1e-12
+        assert list(blocks) == list(gpd.arrows)
+        assert len(back.unitaries) == len(gpd.arrows)
+        for got, want in zip(back.unitaries, blocks.values()):
+            assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_random_cocycle_reps_check():
@@ -103,8 +136,8 @@ def test_check_cocycle_flags_broken_multiplicativity():
     gpd, w = fixture("P2")
     module = module_from_dims(gpd.objects, ("w",),
                               {(x, "w"): 1 for x in gpd.objects})
-    blocks = {g: np.eye(1, dtype=complex) for g in gpd.arrows}
-    blocks[(1, 2)] = -np.eye(1, dtype=complex)
+    blocks = [np.eye(1, dtype=complex) for _ in gpd.arrows]
+    blocks[gpd.arrows.index((1, 2))] = -np.eye(1, dtype=complex)
     fam = CocycleFamily(gpd, w, module, blocks)
     out = check_cocycle(fam)
     names = {c.name: c.passed for c in out.checks}
@@ -116,7 +149,8 @@ def test_check_cocycle_flags_broken_multiplicativity():
 def test_check_cocycle_flags_bad_unit():
     gpd, w = fixture("Z2")
     module = module_from_dims(gpd.objects, ("w",), {("x", "w"): 1})
-    blocks = {0: -np.eye(1, dtype=complex), 1: np.eye(1, dtype=complex)}
+    # Z2 lists its unit 0 first
+    blocks = [-np.eye(1, dtype=complex), np.eye(1, dtype=complex)]
     out = check_cocycle(CocycleFamily(gpd, w, module, blocks))
     assert not out.ok
     assert any(c.name == "unit-blocks" and not c.passed
@@ -156,8 +190,8 @@ def test_intertwiner_random_map_fails():
     # keep object grades intact so the commutation check actually runs
     for a in module.basis:
         for b in module.basis:
-            if module.left[a] != module.left[b]:
-                mat[module.index[a], module.index[b]] = 0.0
+            if views(module).left[a] != views(module).left[b]:
+                mat[views(module).index[a], views(module).index[b]] = 0.0
     vmap = ModuleMap(module, module, mat)
     out = check_intertwiner(rep, rep, vmap)
     commutes = next(c for c in out.checks if c.name == "commutes")
@@ -171,8 +205,8 @@ def test_intertwiner_grade_mismatch_short_circuits():
     rep = from_cocycle(gpd, w, module, blocks)
     mat = np.zeros((module.dim, module.dim), dtype=complex)
     a, b = module.basis[0], module.basis[-1]
-    assert module.left[a] != module.left[b]
-    mat[module.index[a], module.index[b]] = 1.0
+    assert views(module).left[a] != views(module).left[b]
+    mat[views(module).index[a], views(module).index[b]] = 1.0
     out = check_intertwiner(rep, rep, ModuleMap(module, module, mat))
     commutes = next(c for c in out.checks if c.name == "commutes")
     assert not commutes.passed
@@ -184,7 +218,7 @@ def test_induce_dimensions_and_check():
     rng = SplitMix64(26)
     module, blocks = random_cocycle(rng, gpd, w, coeff_size=2)
     rep = from_cocycle(gpd, w, module, blocks)
-    labels = sorted({module.right[b] for b in module.basis}, key=str)
+    labels = sorted({views(module).right[b] for b in module.basis}, key=str)
     ebasis = module_from_dims(labels, ("e",),
                               {(lab, "e"): 2 for lab in labels})
     big = induce(rep, ebasis)
@@ -196,8 +230,8 @@ def test_induce_dimensions_and_check():
 def test_invariant_support_space_groupoid():
     gpd, w = fixture("X2")
     module = module_from_dims(gpd.objects, ("w",), {(1, "w"): 2})
-    unitaries = {1: np.eye(2, dtype=complex),
-                 2: np.zeros((0, 0), dtype=complex)}
+    # X2 has the units 1 and 2 as its arrows, in that order
+    unitaries = [np.eye(2, dtype=complex), np.zeros((0, 0), dtype=complex)]
     rep = from_cocycle(gpd, w, module, unitaries)
     support, out = invariant_support(rep)
     assert support == (1,)
@@ -208,10 +242,10 @@ def test_invariant_support_flags_uneven_dims():
     gpd, w = fixture("P2")
     module = module_from_dims(gpd.objects, ("w",),
                               {(1, "w"): 1, (2, "w"): 0})
-    unitaries = {g: np.zeros((len(module.left_fiber(gpd.rng[g])),
-                              len(module.left_fiber(gpd.src[g]))),
-                             dtype=complex) for g in gpd.arrows}
-    unitaries[(1, 1)] = np.eye(1, dtype=complex)
+    unitaries = [np.zeros((len(module.left_fiber(gpd.rng[g])),
+                           len(module.left_fiber(gpd.src[g]))),
+                          dtype=complex) for g in gpd.arrows]
+    unitaries[gpd.arrows.index((1, 1))] = np.eye(1, dtype=complex)
     rep = from_cocycle(gpd, w, module, unitaries)
     support, out = invariant_support(rep)
     assert not out.ok
@@ -221,8 +255,8 @@ def test_check_cocycle_fails_on_nan_blocks():
     gpd, w = fixture("P2")
     module = module_from_dims(gpd.objects, ("w",),
                               {(x, "w"): 1 for x in gpd.objects})
-    nan_blocks = {g: np.full((1, 1), np.nan, dtype=complex)
-                  for g in gpd.arrows}
+    nan_blocks = [np.full((1, 1), np.nan, dtype=complex)
+                  for _ in gpd.arrows]
     out = check_cocycle(CocycleFamily(gpd, w, module, nan_blocks))
     first = {"unit-blocks": gpd.objects[0],
              "multiplicative": gpd.composable_pairs()[0],
@@ -237,8 +271,8 @@ def test_from_cocycle_rejects_wrong_block_shape():
     gpd, w = fixture("P2")
     module = module_from_dims(gpd.objects, ("w",),
                               {(x, "w"): 1 for x in gpd.objects})
-    blocks = {g: np.eye(1, dtype=complex) for g in gpd.arrows}
-    blocks[(1, 2)] = np.eye(2, dtype=complex)
+    blocks = [np.eye(1, dtype=complex) for _ in gpd.arrows]
+    blocks[gpd.arrows.index((1, 2))] = np.eye(2, dtype=complex)
     with pytest.raises(ValueError) as err:
         from_cocycle(gpd, w, module, blocks)
     assert str(err.value) == ("block of arrow (1, 2) has shape (2, 2), "

@@ -8,6 +8,7 @@ itself.
 import numpy as np
 import pytest
 
+from gcstar.cli import parse_preset
 from gcstar.fingroupoid import (FIXTURE_NAMES, arrow_weights, build_preset,
                                 fixture, validate_groupoid, validate_haar)
 from gcstar.sampling import (SplitMix64, haar_unitary, mutate_groupoid,
@@ -99,14 +100,29 @@ def test_random_cocycle_multiplicative():
             assert np.max(np.abs(b - np.eye(b.shape[0]))) <= 1e-12
 
 
+@pytest.mark.parametrize("name", ["W2", "pair:3", "transformation:4"])
+def test_random_cocycle_blocks_follow_the_arrows(name):
+    gpd, weights = parse_preset(name)
+    module, blocks = random_cocycle(SplitMix64(12), gpd, weights,
+                                    coeff_size=2)
+    # the fibre sizes of the module, in object order
+    fibre = np.bincount(module.left_codes)[
+        [module.left_space.index(x) for x in gpd.objects]]
+    t = gpd.codes
+    assert list(blocks) == list(gpd.arrows)
+    assert [b.shape for b in blocks.values()] == list(
+        zip(fibre[t.rng].tolist(), fibre[t.src].tolist()))
+
+
 def test_random_cocycle_dims_constant_on_orbits():
     rng = SplitMix64(10)
     gpd, weights = fixture("P2")
     module, blocks = random_cocycle(rng, gpd, weights, coeff_size=3)
     for w in (0, 1, 2):
-        sizes = {len([b for b in module.basis
-                      if module.left[b] == x and module.right[b] == w])
-                 for x in gpd.objects}
+        at = module.right_codes == module.right_space.index(w)
+        sizes = {int(np.count_nonzero(
+            at & (module.left_codes == module.left_space.index(x))))
+            for x in gpd.objects}
         assert len(sizes) == 1
 
 

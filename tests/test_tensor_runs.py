@@ -19,12 +19,13 @@ from gcstar.cli import parse_preset
 from gcstar.fingroupoid import FIXTURE_NAMES, fixture
 from gcstar.hilbmod import (ModuleMap, check_gamma, grade_leak, tensor,
                             tensor_map_left)
-from gcstar.measures import (GradedSpace, arrow_correspondence,
-                             compose_families, groupoid_families)
+from gcstar.measures import (GradedSpace, GroupoidFamilies,
+                             arrow_correspondence, compose_families)
 from gcstar.reps import (check_representation, from_cocycle, induce,
                          regular_representation)
 from gcstar.sampling import SplitMix64, random_cocycle
 
+from test_measures import views
 from test_modmap_entries import (dense, ref_grade_leak, ref_regular_matrix,
                                  ref_tensor, ref_tensor_map,
                                  ref_tensor_map_left, tensor_map)
@@ -50,8 +51,8 @@ def copied(space):
 
 def same_space_fields(new, ref):
     assert new.basis == ref.basis
-    assert new.left == ref.left and new.right == ref.right
-    assert new.weight == ref.weight
+    for view in ("left", "right", "weight"):
+        assert getattr(views(new), view) == getattr(views(ref), view)
 
 
 def grade_blocks(space, side, perm, seed=3):
@@ -74,7 +75,7 @@ def grade_blocks(space, side, perm, seed=3):
 
 def general_spaces(name):
     gpd, w = groupoid(name)
-    fam = groupoid_families(gpd, w)
+    fam = GroupoidFamilies(gpd, w)
     corr = [arrow_correspondence(gpd, w, leg) for leg in "sr"]
     return fam, corr
 
