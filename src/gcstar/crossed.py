@@ -52,8 +52,8 @@ import numpy as np
 from .report import (Report, VerificationError, _chunked, max_abs,
                      max_abs_each, worst_at)
 from .fingroupoid import _first_nonassociative, transformation_groupoid
-from .reps import (CocycleFamily, _block_entries, _fibres, blockwise,
-                   check_cocycle, from_cocycle)
+from .reps import (CocycleFamily, _block_entries, _fibres, _per_shape,
+                   blockwise, check_cocycle, from_cocycle)
 from .hilbmod import module_from_dims
 from .intdis import conv_rep_of
 
@@ -1142,14 +1142,13 @@ def groupoid_rep_to_covariant(rep, sgrp):
     _require_counting(rep.weights)
     gpd, module = rep.groupoid, rep.module
     _tags_over(gpd, sgrp)
-    dim, fibres = module.dim, _fibres(gpd, module)
+    dim, fam = module.dim, blockwise(rep)
     # every arrow's block in one scatter into its zero extension; a last
     # zero matrix stands for no arrow
-    k, _, _, row, col = _block_entries(gpd, fibres)
+    k, _, _, row, col = fam.entries
     ops = np.zeros((len(gpd.arrows) + 1, dim, dim), dtype=complex)
-    ops[k, row, col] = np.concatenate([np.empty(0, dtype=complex)] + [
-        u.ravel() for u in blockwise(rep).unitaries])
-    position, _, sizes = fibres
+    ops[k, row, col] = fam.unitaries
+    position, _, sizes = _fibres(gpd, module)
     points = np.zeros((len(sizes), dim, dim), dtype=complex)
     points[np.repeat(np.arange(len(sizes)), sizes), position, position] = 1
     cov = CovariantRep(sgrp, dim, points, _place(sgrp.bisections[1], ops))
@@ -1164,19 +1163,6 @@ def _place(vecs, ops):
     for x in range(vecs.shape[1]):
         iso += ops[vecs[:, x]]
     return iso
-
-
-def _per_shape(shapes, defects_of):
-    """Defects of rows grouped by shape: defects_of(p, *shape) for the
-    boolean row mask p of each distinct row of shapes, in row order."""
-    out = np.zeros(len(shapes))
-    if not len(shapes):
-        return out
-    key = np.ravel_multi_index(shapes.T, shapes.max(axis=0) + 1)
-    for k in set(key.tolist()):
-        p = key == k
-        out[p] = defects_of(p, *shapes[np.argmax(p)].tolist())
-    return out
 
 
 def covariant_to_groupoid_rep(gpd, weights, cov, tol=1e-10):
@@ -1237,9 +1223,6 @@ def covariant_to_groupoid_rep(gpd, weights, cov, tol=1e-10):
             cut(a[p], x[p], y[p], hx, hy)
             - cut(first[g[p]], x[p], y[p], hx, hy))),
         tol, lambda k: arrows[g[k]])
-    blocks = [framed[a, start[x]:start[x + 1], start[y]:start[y + 1]]
-              for a, x, y in zip(first.tolist(), codes.rng.tolist(),
-                                 codes.src.tolist())]
 
     g, h = codes.pairs
     ab, gh = sgrp.mul[first[g], first[h]], codes.comp[g, h]
@@ -1256,6 +1239,10 @@ def covariant_to_groupoid_rep(gpd, weights, cov, tol=1e-10):
 
     module = module_from_dims(gpd.objects, ("w",), {
         (x, "w"): int(d) for x, d in zip(gpd.objects, hat)})
+    # the module lists the points over x from start[x], in frame order,
+    # so its positions are the frame's columns
+    k, _, _, row, col = _block_entries(gpd, _fibres(gpd, module))
+    blocks = framed[first[k], row, col]
     out.extend(check_cocycle(CocycleFamily(gpd, weights, module, blocks), tol),
                prefix="block-")
     return from_cocycle(gpd, weights, module, blocks), out

@@ -28,7 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from .report import Report, VerificationError, relative_defects
-from .measures import _relative_gaps, fibre_sums, object_weights, pair_values
+from .measures import (_recode, _relative_gaps, fibre_sums, object_weights,
+                       pair_values)
 from .hilbmod import (ModuleMap, _entries, _join, creation, lift,
                       module_from_dims, tensor)
 from .convalg import (_product, _spectral_norms, convolve, fiber_sups,
@@ -106,13 +107,12 @@ def oracle_integrate(fam, funcs):
     at one position are summed in arrow order; kept separate from
     _integrate so the two routes stay independent checks of each other.
     """
-    gpd, module, d = fam.groupoid, fam.module, fam.module.dim
+    gpd, d = fam.groupoid, fam.module.dim
     coeffs = np.asarray(funcs, dtype=complex) \
         * object_weights(gpd, fam.weights)[gpd.codes.src]
     # every block entry, arrow by arrow, its arrow and its flat place
-    owner, _, _, row, col = _block_entries(gpd, _fibres(gpd, module))
-    vals = np.concatenate([b.ravel() for b in fam.raw])
-    at = row * d + col
+    owner, _, _, row, col = fam.entries
+    at, vals = row * d + col, fam.raw
     k, g = np.nonzero(coeffs)
     w, e = _join(owner, len(gpd.arrows), g)
     return fibre_sums(k[w] * d * d + at[e], _product(
@@ -229,10 +229,9 @@ def check_conv_rep(conv, funcs, tol=1e-10):
     # rng(g); np.hypot rounds like abs() (see hilbmod.grade_leak), and
     # the witness is the first largest entry or NaN, arrow-major, then
     # column b, then row b2
-    space, arrows = conv.space, gpd.arrows
-    code = space.left_lookup
-    ends = np.array([[code.get(gpd.src[g], -1), code.get(gpd.rng[g], -1)]
-                     for g in arrows], dtype=np.intp).reshape(-1, 2, 1, 1)
+    space, arrows, t = conv.space, gpd.arrows, gpd.codes
+    code = _recode(np.arange(len(gpd.objects)), gpd.objects, space.left_space)
+    ends = np.stack([code[t.src], code[t.rng]], axis=1).reshape(-1, 2, 1, 1)
     lc, ops = space.left_codes, conv.ops.transpose(0, 2, 1)
     leak = np.where((lc[:, None] == ends[:, 0]) & (lc == ends[:, 1]), 0.0,
                     np.hypot(ops.real, ops.imag))
@@ -328,23 +327,6 @@ def check_pair_exchange(gpd, weights, functions):
 # ---------------------------------------------------------------------------
 # disintegration
 
-def _fibre_blocks(gpd, module, stack):
-    """The block of each stack[g] from the src(g) fibre to the rng(g)
-    fibre of module, zero-padded to the largest fibre: (|A|, m, m).
-    module is graded over gpd.objects, each fibre contiguous."""
-    t = gpd.codes
-    start = np.searchsorted(module.left_codes,
-                            np.arange(len(gpd.objects) + 1))
-    size = np.diff(start)
-    i = np.arange(size.max(initial=0))
-    rok, cok = i < size[t.rng, None], i < size[t.src, None]
-    rows = np.where(rok, start[t.rng, None] + i, 0)
-    cols = np.where(cok, start[t.src, None] + i, 0)
-    got = stack[np.arange(len(stack))[:, None, None], rows[:, :, None],
-                cols[:, None, :]]
-    return np.where(rok[:, :, None] & cok[:, None, :], got, 0.0)
-
-
 def _star_certificate(gpd, c, blocks):
     """relative_defects of B(g)* B(g2) against c(rng g) B(g^-1 g2) over
     the pairs with rng g == rng g2, B the fibre blocks, c the object
@@ -419,9 +401,7 @@ def disintegrate(conv, tol=1e-9):
 
     gram = space.gram_diagonal()
     dhat = np.sqrt(gram)
-    projections = {x: conv.ops[u] / c[x] for x, u in
-                   zip(gpd.objects, t.unit.tolist())}
-    units = np.array(list(projections.values()))
+    units = conv.ops[t.unit] / cw[:, None, None]
     out.add_worst_at("projections-idempotent", abs(units @ units - units), tol)
     out.add_worst_at("projections-selfadjoint", abs(
         units.conj().transpose(0, 2, 1) * (gram / gram[:, None]) - units),
@@ -433,13 +413,13 @@ def disintegrate(conv, tol=1e-9):
 
     coeffs = space.right_space
     dims, frame_cols, spectrum = {}, [], []
-    for x in gpd.objects:
+    for x, unit in zip(gpd.objects, units):
         for k, w in enumerate(coeffs):
             idx = np.flatnonzero(space.right_codes == k)
             if not idx.size:
                 dims[(x, w)] = 0
                 continue
-            sub = projections[x][np.ix_(idx, idx)]
+            sub = unit[np.ix_(idx, idx)]
             hat = (dhat[idx][:, None] * sub) / dhat[idx][None, :]
             u, s, _ = np.linalg.svd(hat)
             rank = int(np.sum(s > 0.5))
@@ -466,25 +446,26 @@ def disintegrate(conv, tol=1e-9):
     out.add_worst_at("frame-isometry", abs(
         frame.adjoint().compose(frame).matrix - np.eye(module.dim)), tol)
 
-    # module is graded over gpd.objects, so its left codes are object
-    # positions
-    lc = module.left_codes
     small = frame.adjoint().matrix @ (
         conv.ops / cw[t.src, None, None]) @ frame_mat
-    at_rng, at_src = lc == t.rng[:, None], lc == t.src[:, None]
-    off = np.where(at_rng[:, :, None] & at_src[:, None, :], 0.0, small)
-    out.add_worst_at("compression-offblock", abs(off), tol)
-    blocks = _fibre_blocks(gpd, module, small)
+    # every block entry gathered once: what is left beside the blocks is
+    # the off-block defect, and the entries padded to the largest fibre
+    # are the star certificate's blocks
+    fibres = _fibres(gpd, module)
+    arrow, i, j, row, col = _block_entries(gpd, fibres)
+    vals = small[arrow, row, col]
+    small[arrow, row, col] = 0.0
+    out.add_worst_at("compression-offblock", abs(small), tol)
+    blocks = np.zeros((len(gpd.arrows),) + (int(fibres[2].max(initial=0)),)
+                      * 2, dtype=complex)
+    blocks[arrow, i, j] = vals
     defects, pairs = _star_certificate(
         gpd, cw, cw[t.src, None, None] * blocks)
     out.add_worst_at("star-certificate", defects, tol, lambda k: (
         gpd.arrows[pairs[k, 0]], gpd.arrows[pairs[k, 1]]))
     _require(out, "certificates failed")
 
-    size = np.bincount(lc, minlength=len(gpd.objects))
-    unitaries = [np.sqrt(cw[s] / cw[r]) * block[:size[r], :size[s]]
-                 for r, s, block in zip(t.rng.tolist(), t.src.tolist(),
-                                        blocks)]
+    unitaries = np.sqrt(cw[t.src] / cw[t.rng])[arrow] * vals
     fam = CocycleFamily(gpd, c, module, unitaries)
     out.extend(check_cocycle(fam, max(tol, 1e-9)), prefix="block-")
     _require(out, "extracted blocks are not a unitary cocycle")

@@ -15,6 +15,7 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .report import (Report, VerificationError, _chunked, max_abs_each,
                      worst_at)
@@ -75,31 +76,34 @@ class Representation:
 class CocycleFamily:
     """Fiber blocks of a representation: raw and normalized forms.
 
-    unitaries and raw are lists in arrow order.  unitaries[k] is the
-    block of arrow number k that composes multiplicatively and is unitary
-    for the weighted fiber inner products, from the module fibre over its
-    source to the fibre over its range; raw[k] is the same map with the
-    scaling a representation block carries, by default sqrt(c(rng) /
-    c(src)) times unitaries[k].  A dict, or a list with another length
-    than the arrows, raises ValueError.
+    unitaries and raw are flat complex arrays in the order of entries =
+    _block_entries(gpd, _fibres(gpd, module)), built on first read:
+    arrow by arrow, row-major within a block.  The block of arrow number
+    k, from the module fibre over its source to the fibre over its range,
+    composes multiplicatively and is unitary for the weighted fiber inner
+    products in unitaries; raw holds the same maps with the scaling a
+    representation block carries, by default sqrt(c(rng) / c(src)) times
+    unitaries.  Either may be given as a list of blocks in arrow order
+    instead (_flat_blocks).
     """
 
     def __init__(self, gpd, weights, module, unitaries, raw=None):
         self.groupoid = gpd
         self.weights = {x: float(weights[x]) for x in gpd.objects}
         self.module = module
-        for blocks in (unitaries, raw):
-            if isinstance(blocks, dict):
-                raise ValueError("blocks must be a list in arrow order")
-            if blocks is not None and len(blocks) != len(gpd.arrows):
-                raise ValueError(f"{len(blocks)} blocks for "
-                                 f"{len(gpd.arrows)} arrows")
-        self.unitaries = [np.asarray(u, dtype=complex) for u in unitaries]
+        t, size = gpd.codes, _fibres(gpd, module)[2]
+        rows, cols = size[t.rng], size[t.src]
+        self.unitaries = _flat_blocks(gpd, rows, cols, unitaries)
         if raw is None:
-            t, c = gpd.codes, object_weights(gpd, self.weights)
-            raw = [s * u for s, u in
-                   zip(np.sqrt(c[t.rng] / c[t.src]), self.unitaries)]
-        self.raw = [np.asarray(b, dtype=complex) for b in raw]
+            c = object_weights(gpd, self.weights)
+            raw = np.repeat(np.sqrt(c[t.rng] / c[t.src]), rows * cols) \
+                * self.unitaries
+        self.raw = _flat_blocks(gpd, rows, cols, raw)
+
+    @cached_property
+    def entries(self):
+        return _block_entries(self.groupoid,
+                              _fibres(self.groupoid, self.module))
 
 
 def _fibres(gpd, module):
@@ -132,14 +136,14 @@ def _block_entries(gpd, fibres):
 
 
 def blockwise(rep):
-    """Extract the fiber blocks of a representation arrow by arrow.
+    """Extract the fiber blocks of a representation as a CocycleFamily.
 
-    The blocks are filled from the nonzero entries of the unitary, in
-    either storage form.  Entries between the vectors of two different
-    arrows lie outside every block and are left out.  Each tensor lists
-    its vectors arrow by arrow, those of arrow k one per module vector
-    over its end (_fibres), from t0[k] in the target and s0[k] in the
-    source.
+    The flat block array is filled from the nonzero entries of the
+    unitary, in either storage form.  Entries between the vectors of two
+    different arrows lie outside every block and are left out.  Each
+    tensor lists its vectors arrow by arrow, those of arrow k one per
+    module vector over its end (_fibres), from t0[k] in the target and
+    s0[k] in the source.
     """
     gpd, c, t = rep.groupoid, rep.weights, rep.groupoid.codes
     fibre = _fibres(gpd, rep.module)[2]
@@ -156,133 +160,143 @@ def blockwise(rep):
     flat = np.zeros(int(size.sum()), dtype=complex)
     flat[offset[arrow] + (rows - t0[arrow]) * slen[arrow]
          + cols - s0[arrow]] = vals
-    raw = [flat[offset[k]:offset[k] + size[k]].reshape(tlen[k], slen[k])
-           for k in range(len(gpd.arrows))]
     cw = object_weights(gpd, c)
-    return CocycleFamily(gpd, c, rep.module, [
-        s * b for s, b in zip(np.sqrt(cw[t.src] / cw[t.rng]), raw)], raw)
+    return CocycleFamily(gpd, c, rep.module, np.repeat(
+        np.sqrt(cw[t.src] / cw[t.rng]), size) * flat, flat)
 
 
-def _require_fibre_shapes(gpd, blocks, rows, cols):
-    """The sizes of the blocks; ValueError names the first block whose
-    shape is not (rows, cols) of its arrow, save an empty array."""
-    size = np.array([b.size for b in blocks], dtype=np.intp)
-    fits = np.array([b.shape == (r, c) for b, r, c in
-                     zip(blocks, rows.tolist(), cols.tolist())], dtype=bool)
-    bad = np.flatnonzero(~fits & ((size > 0) | ((rows > 0) & (cols > 0))))
-    if bad.size:
-        k = bad[0]
-        raise ValueError(
-            f"block of arrow {gpd.arrows[k]!r} has shape {blocks[k].shape}, "
-            f"expected {(int(rows[k]), int(cols[k]))} (range fibre, source "
-            f"fibre)")
-    return size
+def _flat_blocks(gpd, rows, cols, blocks):
+    """Fibre blocks as one flat complex array in block-entry order, the
+    block of arrow number k being rows[k] x cols[k]: a flat array as it
+    is, a list in arrow order checked and flattened.  ValueError for a
+    flat array with another length than the block entries, a dict, a
+    list with another length than the arrows, or a block of another
+    shape than (range fibre, source fibre), save an empty array; the
+    first such block is named."""
+    if isinstance(blocks, np.ndarray) and blocks.ndim == 1:
+        n = int(np.sum(rows * cols))
+        if len(blocks) != n:
+            raise ValueError(f"{len(blocks)} entries for {n} block entries")
+        return np.asarray(blocks, dtype=complex)
+    if isinstance(blocks, dict):
+        raise ValueError("blocks must be a list in arrow order")
+    if len(blocks) != len(gpd.arrows):
+        raise ValueError(f"{len(blocks)} blocks for "
+                         f"{len(gpd.arrows)} arrows")
+    blocks = [np.asarray(b, dtype=complex) for b in blocks]
+    for g, b, r, c in zip(gpd.arrows, blocks, rows.tolist(), cols.tolist()):
+        if b.shape != (r, c) and (b.size or r * c):
+            raise ValueError(
+                f"block of arrow {g!r} has shape {b.shape}, expected "
+                f"{(r, c)} (range fibre, source fibre)")
+    return np.concatenate([np.empty(0, dtype=complex)]
+                          + [b.ravel() for b in blocks])
 
 
 def from_cocycle(gpd, weights, module, unitaries):
-    """Assemble a representation from normalized fiber blocks, a list in
-    arrow order or a dict keyed by arrow label (random_cocycle's).
+    """Assemble a representation from normalized fiber blocks: a flat
+    array in block-entry order, a list in arrow order or a dict keyed by
+    arrow label (random_cocycle's), read as CocycleFamily reads them.
 
-    A list of another length than the arrows, or a block of another
-    shape than (range fiber, source fiber), raises a ValueError; any
-    empty array is an empty block.  The entries are laid out for all
-    blocks at once (_block_entries): arrow k's vectors in each tensor
-    run over the module fibre at its end, one arrow after another.
+    Each entry of the family's raw array goes to its place in the
+    unitary: arrow k's vectors in each tensor run over the module fibre
+    at its end, one arrow after another.
     """
     if isinstance(unitaries, dict):
         unitaries = [unitaries[g] for g in gpd.arrows]
     fam = CocycleFamily(gpd, weights, module, unitaries)
     rep = Representation(gpd, weights, module, None)
-    t, fibres = gpd.codes, _fibres(gpd, module)
-    rows, cols = fibres[2][t.rng], fibres[2][t.src]
-    if _require_fibre_shapes(gpd, fam.raw, rows, cols).any():
-        arrow, i, j, _, _ = _block_entries(gpd, fibres)
+    arrow, i, j, _, _ = fam.entries
+    if len(arrow):
+        t, size = gpd.codes, _fibres(gpd, module)[2]
+        rows, cols = size[t.rng], size[t.src]
         rep.umap = ModuleMap(rep.source, rep.target, entries=(
             (np.cumsum(rows) - rows)[arrow] + i,
-            (np.cumsum(cols) - cols)[arrow] + j,
-            np.concatenate([b.ravel() for b in fam.raw])))
+            (np.cumsum(cols) - cols)[arrow] + j, fam.raw))
     return rep
 
 
 _CHUNK = 2 ** 15  # entries of one stacked product in check_cocycle
 
 
+def _per_shape(shapes, defects_of):
+    """Defects of rows grouped by shape: defects_of(p, *shape) for the
+    boolean row mask p of each distinct row of shapes, in row order."""
+    out = np.zeros(len(shapes))
+    key = np.ravel_multi_index(shapes.T, shapes.max(axis=0, initial=0) + 1)
+    for k in set(key.tolist()):
+        p = key == k
+        out[p] = defects_of(p, *shapes[np.argmax(p)].tolist())
+    return out
+
+
 def check_cocycle(fam, tol=1e-10):
     """Units, multiplicativity and weighted unitarity of fiber blocks.
 
-    The blocks are stacked once per shape (range fibre, source fibre); a
-    block of another shape raises ValueError (save an empty array).  The
-    composable pairs, and for fiber-unitary the arrows, are grouped by
-    block shape and taken in chunks of about _CHUNK product entries, each
-    factor gathered from the stack of its shape (gh by codes.comp), so
-    each defect is that of the one pair or arrow it names, bit for bit.
+    The objects, the composable pairs and the arrows are grouped by block
+    shape (_per_shape), the pairs and arrows taken in chunks of about
+    _CHUNK product entries, and each block is gathered at its shape
+    (range fibre, source fibre) from the flat fam.unitaries (gh by
+    codes.comp), so each defect is that of the one pair or arrow it
+    names, bit for bit.
     """
     gpd, module = fam.groupoid, fam.module
     t = gpd.codes
     rep = Report("cocycle family")
 
     points, first, size = _fibres(gpd, module)
+    rows, cols = size[t.rng], size[t.src]
+    offset = np.cumsum(rows * cols) - rows * cols
+    # for each block size n, the windows of n entries that start at each
+    # place of the flat array: a block is one row of them
+    windows = {n: sliding_window_view(fam.unitaries, n)
+               for n in set((rows * cols).tolist())}
+
+    def blocks(k, r, c):
+        """The blocks of the arrows k, each r x c."""
+        return windows[r * c][offset[k]].reshape(len(k), r, c)
 
     def weights(x, n):
         """The module weights over the objects x, of fibre size n each."""
         return module.weight_array[points[first[x][:, None] + np.arange(n)]]
 
-    rows, cols = size[t.rng], size[t.src]
-    blocks = fam.unitaries
-    _require_fibre_shapes(gpd, blocks, rows, cols)
-    # arrow k's block is stack[rows[k], cols[k]][place[k]]
-    dims = (int(size.max(initial=0)) + 1,) * 3
-    shape = np.ravel_multi_index((rows, cols), dims[:2])
-    stack, place = {}, np.empty(len(blocks), dtype=np.intp)
-    for key in np.unique(shape):
-        r, c = (int(i) for i in np.unravel_index(key, dims[:2]))
-        sel = np.flatnonzero(shape == key)
-        place[sel] = np.arange(len(sel))
-        stack[r, c] = np.stack([blocks[k] for k in sel]) if r * c \
-            else np.zeros((len(sel), r, c), dtype=complex)
-
-    unit_gap = np.zeros(len(gpd.objects))
-    for n in np.unique(size).tolist():
-        xs = np.flatnonzero(size == n)
-        unit_gap[xs] = max_abs_each(
-            stack[n, n][place[t.unit[xs]]] - np.eye(n))
-    rep.add_worst_at("unit-blocks", unit_gap, tol, lambda k: gpd.objects[k])
+    rep.add_worst_at("unit-blocks", _per_shape(
+        size[:, None], lambda p, n: max_abs_each(
+            blocks(t.unit[p], n, n) - np.eye(n))),
+        tol, lambda k: gpd.objects[k])
 
     g_all, h_all = t.pairs
-    multiplicative = np.zeros(len(g_all))
-    triple = np.ravel_multi_index((rows[g_all], cols[g_all], cols[h_all]),
-                                  dims)
-    for key in np.unique(triple):
-        r, c, s = (int(i) for i in np.unravel_index(key, dims))
-        sel = np.flatnonzero(triple == key)
 
-        def gaps(p):
-            g, h = g_all[sel[p]], h_all[sel[p]]
-            prod = stack[r, c][place[g]] @ stack[c, s][place[h]]
-            return max_abs_each(stack[r, s][place[t.comp[g, h]]] - prod)
-        multiplicative[sel] = _chunked(gaps, len(sel), r * s, _CHUNK)
-    rep.add_worst_at("multiplicative", multiplicative, tol,
-                     lambda k: (gpd.arrows[g_all[k]], gpd.arrows[h_all[k]]))
+    def products(p, r, c, s):
+        sel = np.flatnonzero(p)
 
-    unitarity = np.zeros(len(blocks))
-    for key in np.unique(shape):
-        r, c = (int(i) for i in np.unravel_index(key, dims[:2]))
-        sel = np.flatnonzero(shape == key)
+        def gaps(q):
+            g, h = g_all[sel[q]], h_all[sel[q]]
+            prod = blocks(g, r, c) @ blocks(h, c, s)
+            return max_abs_each(blocks(t.comp[g, h], r, s) - prod)
+        return _chunked(gaps, len(sel), r * s, _CHUNK)
+    rep.add_worst_at("multiplicative", _per_shape(
+        np.stack([rows[g_all], cols[g_all], cols[h_all]], axis=1), products),
+        tol, lambda k: (gpd.arrows[g_all[k]], gpd.arrows[h_all[k]]))
 
-        def gaps(p):
-            k, u = sel[p], stack[r, c][p]
+    def unitarity(p, r, c):
+        sel = np.flatnonzero(p)
+
+        def gaps(q):
+            k = sel[q]
+            u = blocks(k, r, c)
             gram = u.conj().transpose(0, 2, 1) @ (
                 weights(t.rng[k], r)[:, :, None] * u)
             return max_abs_each(
                 gram - weights(t.src[k], c)[:, :, None] * np.eye(c))
-        if r * c:
-            unitarity[sel] = _chunked(gaps, len(sel), r * c + c * c, _CHUNK)
+        out = _chunked(gaps, len(sel), r * c + c * c, _CHUNK) if r * c \
+            else np.zeros(len(sel))
         # an empty block between fibres of different sizes is flagged by
         # the size test, with defect 1
-        if r != c:
-            unitarity[sel] = np.maximum(unitarity[sel], 1.0)
-    rep.add_worst_at("fiber-unitary", unitarity, tol,
-                     lambda k: gpd.arrows[k])
+        return out if r == c else np.maximum(out, 1.0)
+    rep.add_worst_at("fiber-unitary", _per_shape(
+        np.stack([rows, cols], axis=1), unitarity),
+        tol, lambda k: gpd.arrows[k])
     return rep
 
 
@@ -330,8 +344,7 @@ def check_representation(rep, tol=1e-10):
     out.extend(is_unitary(rep.umap, tol))
     out.extend(is_intertwiner(rep.umap, tol), prefix="arrow-")
 
-    fam = blockwise(rep)
-    out.extend(check_cocycle(fam, tol), prefix="block-")
+    out.extend(check_cocycle(blockwise(rep), tol), prefix="block-")
 
     try:
         d0, d1, d2 = (face_transfer(rep, i) for i in range(3))

@@ -29,6 +29,7 @@ from gcstar.reps import (CocycleFamily, Representation, blockwise,
 from gcstar.sampling import SplitMix64, random_cocycle, random_groupoid
 
 from test_crossed import sort_key
+from test_reps import per_arrow
 
 ROT3 = {1: 2, 2: 3, 3: 1}
 
@@ -43,7 +44,7 @@ def reference_check_cocycle(fam, tol=1e-10):
     def gap(a, b):
         return worst_at(abs(a - b))[0]
 
-    block = dict(zip(gpd.arrows, fam.unitaries))
+    block = dict(zip(gpd.arrows, per_arrow(fam, fam.unitaries)))
     units = [block[gpd.unit[x]] for x in gpd.objects]
     rep.add_worst_at("unit-blocks", np.fromiter(
         (gap(u, np.eye(len(u))) for u in units), float, len(units)), tol,
@@ -84,10 +85,11 @@ def reference_from_cocycle(gpd, weights, module, unitaries):
     s0 = fibre_starts(rep.source).tolist()
     t0 = fibre_starts(rep.target).tolist()
     rows, cols, vals = [], [], []
+    raw = per_arrow(fam, fam.raw)
     for k, g in enumerate(gpd.arrows):
         trows = np.arange(t0[k], t0[k + 1])
         scols = np.arange(s0[k], s0[k + 1])
-        block = fam.raw[k]
+        block = raw[k]
         if block.shape != (len(trows), len(scols)) \
                 and (block.size or (len(trows) and len(scols))):
             raise ValueError(
@@ -109,7 +111,7 @@ def reference_rep_to_covariant_iso(rep, sgrp):
     dim = module.dim
     fibers = {x: module.left_positions(x) for x in gpd.objects}
     iso = np.zeros((len(sgrp.elements), dim, dim), dtype=complex)
-    for g, u in zip(gpd.arrows, fam.unitaries):
+    for g, u in zip(gpd.arrows, per_arrow(fam, fam.unitaries)):
         rows, cols = fibers[gpd.rng[g]], fibers[gpd.src[g]]
         holds = np.array([g in a.tag for a in sgrp.elements], dtype=bool)
         iso[np.ix_(holds, rows, cols)] += u
@@ -284,7 +286,7 @@ def _families():
     gpd, w = fixture("P2")
     fam = blockwise(from_cocycle(gpd, w, *random_cocycle(rng, gpd, w)))
     for value in (np.nan, np.inf):
-        blocks = [u.copy() for u in fam.unitaries]
+        blocks = [u.copy() for u in per_arrow(fam, fam.unitaries)]
         blocks[gpd.arrows.index((1, 2))][0, 0] = value
         out.append((f"{value} block",
                     CocycleFamily(gpd, w, fam.module, blocks)))
@@ -773,7 +775,7 @@ def _block_mutants(rep, sgrp):
     scaled = groupoid_rep_to_covariant(rep, sgrp)
     scaled.iso[a][np.ix_(rows, cols)] *= 1 + 1e-6
     fam = blockwise(rep)
-    blocks = [u.copy() for u in fam.unitaries]
+    blocks = [u.copy() for u in per_arrow(fam, fam.unitaries)]
     k = gpd.arrows.index(g)
     blocks[k] = blocks[k] * (1 + 1e-6)
     perturbed = groupoid_rep_to_covariant(

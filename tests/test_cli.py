@@ -573,3 +573,54 @@ def test_one_parser_serves_every_main_call(capsys):
         if "--bogus" in argv:
             assert code == 2 and "unrecognized arguments" in err
     assert cli._parser() is cli._parser()
+
+
+def _string_groupoid(objects, arrows, compose):
+    """A groupoid file with string labels: arrows as (id, src, rng)
+    triples, each arrow's inverse the id with its two letters swapped."""
+    return {"objects": list(objects),
+            "arrows": [{"id": g, "src": s, "rng": r} for g, s, r in arrows],
+            "compose": compose,
+            "inverse": {g: g[0] + g[2:0:-1] for g, _, _ in arrows}}
+
+
+UNITS = [(f"e{x}{x}", x, x) for x in "abc"]
+PAIR2 = [("eaa", "a", "a"), ("ebb", "b", "b"), ("eab", "b", "a"),
+         ("eba", "a", "b")]
+PAIR2_TABLE = [["eaa", "eaa", "eaa"], ["eaa", "eab", "eab"],
+               ["ebb", "ebb", "ebb"], ["ebb", "eba", "eba"],
+               ["eab", "ebb", "eab"], ["eab", "eba", "eaa"],
+               ["eba", "eaa", "eba"], ["eba", "eab", "ebb"]]
+
+
+@pytest.mark.parametrize("data, name, witness", [
+    # six extra keys: the first in table order
+    (_string_groupoid("abc", UNITS, [[g, g, g] for g, _, _ in UNITS] + [
+        [f"e{x}{x}", f"e{y}{y}", f"e{x}{x}"] for x in "abc" for y in "abc"
+        if x != y]), "composition-domain", "('eaa', 'ebb')"),
+    # three missing pairs: the first in composable_pairs order
+    (_string_groupoid("ab", PAIR2, [r for r in PAIR2_TABLE if r[:2] not in (
+        ["eaa", "eab"], ["ebb", "eba"], ["eab", "ebb"])]),
+     "composition-domain", "('eaa', 'eab')"),
+    # three products on the wrong object: the first in that order
+    (_string_groupoid("ab", PAIR2, [
+        [g, h, {"eaa": "ebb", "ebb": "eaa", "eba": "eaa"}.get(g, gh)]
+        if h[1] != h[2] else [g, h, gh] for g, h, gh in PAIR2_TABLE]),
+     "composition-matching", "('eaa', 'eab')"),
+], ids=["extra", "missing", "matching"])
+def test_validation_witnesses_do_not_depend_on_the_hash_seed(tmp_path, data,
+                                                             name, witness):
+    path = tmp_path / "groupoid.json"
+    path.write_text(json.dumps(data))
+    outs = set()
+    for seed in range(1, 6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "gcstar.cli", "validate", str(path)],
+            env=env, capture_output=True, text=True)
+        assert fresh.returncode == 2, fresh.stderr
+        outs.add(fresh.stdout)
+    assert len(outs) == 1
+    line = next(ln for ln in outs.pop().splitlines() if f" {name} " in ln)
+    assert "FAIL" in line and line.endswith(f"witness={witness}")

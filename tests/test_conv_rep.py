@@ -10,9 +10,11 @@ that share a range; the dense certificate over all arrow pairs it
 replaced is kept here as the reference (_dense_star_pairs), with the
 older routes through a structure-constant delta and a loop over the
 operators and through one label lookup per arrow pair, and so are the
-old triple loop of the support-pattern check, the old arrow-order loop
-of ConvRep.op and the old loops that split a function into the two
-square-root factors of integrate_rep.
+zero-padded layout of searchsorted fibre starts that disintegrate once
+cut its blocks by (_fibre_blocks), the old triple loop of the
+support-pattern check, the old arrow-order loop of ConvRep.op and the
+old loops that split a function into the two square-root factors of
+integrate_rep.
 """
 
 import sys
@@ -25,9 +27,9 @@ from gcstar import cli, intdis
 from gcstar.convalg import delta_function, identity_element, star
 from gcstar.fingroupoid import FIXTURE_NAMES, build_preset, fixture
 from gcstar.hilbmod import ModuleMap
-from gcstar.intdis import (ConvRep, _fibre_blocks, _integrate,
-                           _star_certificate, check_conv_rep, conv_rep_of,
-                           disintegrate, integrate_rep, oracle_integrate)
+from gcstar.intdis import (ConvRep, _integrate, _star_certificate,
+                           check_conv_rep, conv_rep_of, disintegrate,
+                           integrate_rep, oracle_integrate)
 from gcstar.measures import object_weights
 from gcstar.report import (VerificationError, max_abs, relative_defects,
                            worst_at)
@@ -35,6 +37,7 @@ from gcstar.reps import blockwise, from_cocycle
 from gcstar.sampling import (SplitMix64, random_cocycle, random_function,
                              random_groupoid)
 from test_measures import views
+from test_reps import per_arrow
 
 
 def _cases():
@@ -151,9 +154,50 @@ def test_star_pairs_match_the_structure_constant_route(rep):
             assert rhs.tobytes() == rhs0.tobytes()
 
 
+def _fibre_blocks(gpd, module, stack):
+    """The block of each stack[g] from the src(g) fibre to the rng(g)
+    fibre of module, zero-padded to the largest fibre: (|A|, m, m).
+    module is graded over gpd.objects, each fibre contiguous."""
+    t = gpd.codes
+    start = np.searchsorted(module.left_codes,
+                            np.arange(len(gpd.objects) + 1))
+    size = np.diff(start)
+    i = np.arange(size.max(initial=0))
+    rok, cok = i < size[t.rng, None], i < size[t.src, None]
+    rows = np.where(rok, start[t.rng, None] + i, 0)
+    cols = np.where(cok, start[t.src, None] + i, 0)
+    got = stack[np.arange(len(stack))[:, None, None], rows[:, :, None],
+                cols[:, None, :]]
+    return np.where(rok[:, :, None] & cok[:, None, :], got, 0.0)
+
+
 def _compressed(conv, frame):
     """M(g) = F* G L(g) F for every arrow, F the frame of a disintegration."""
     return frame.adjoint().matrix @ conv.ops @ frame.matrix
+
+
+@pytest.mark.parametrize("rep", [r for _, r in CASES], ids=IDS)
+def test_star_certificate_blocks_are_those_of_the_padded_layout(monkeypatch,
+                                                                rep):
+    # the block entries gathered once and padded give the blocks the
+    # searchsorted layout cut, bit for bit
+    seen = []
+    certificate = intdis._star_certificate
+
+    def kept(gpd, c, blocks):
+        seen.append(blocks)
+        return certificate(gpd, c, blocks)
+    monkeypatch.setattr(intdis, "_star_certificate", kept)
+    gpd = rep.groupoid
+    t, c = gpd.codes, object_weights(gpd, rep.weights)
+    conv = conv_rep_of(rep)
+    rep2, _ = disintegrate(conv)
+    frame = rep2.frame
+    small = frame.adjoint().matrix @ (
+        conv.ops / c[t.src, None, None]) @ frame.matrix
+    want = c[t.src, None, None] * _fibre_blocks(gpd, rep2.module, small)
+    assert len(seen) == 1 and seen[0].shape == want.shape
+    assert seen[0].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("rep", [r for _, r in CASES], ids=IDS)
@@ -335,7 +379,8 @@ def _old_oracle(rep, f):
     gpd, c, module = rep.groupoid, rep.weights, rep.module
     at = views(module).index
     mat = np.zeros((module.dim, module.dim), dtype=complex)
-    for g, block in zip(gpd.arrows, blockwise(rep).raw):
+    fam = blockwise(rep)
+    for g, block in zip(gpd.arrows, per_arrow(fam, fam.raw)):
         coeff = f[g] * c[gpd.src[g]]
         if coeff == 0:
             continue
@@ -462,8 +507,9 @@ def test_compression_matches_the_arrow_loop(monkeypatch, rep):
     family = intdis.CocycleFamily
 
     def kept(gpd, weights, module, unitaries, raw=None):
-        seen["unitaries"] = unitaries
-        return family(gpd, weights, module, unitaries, raw)
+        fam = family(gpd, weights, module, unitaries, raw)
+        seen["unitaries"] = per_arrow(fam, unitaries)
+        return fam
     monkeypatch.setattr(intdis, "CocycleFamily", kept)
     conv = conv_rep_of(rep)
     rep2, out = disintegrate(conv)

@@ -36,6 +36,7 @@ from gcstar.reps import (Representation, blockwise, check_cocycle,
 from gcstar.sampling import SplitMix64, random_cocycle
 
 from test_measures import positions, views
+from test_reps import per_arrow
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +493,8 @@ def test_intertwiner_verdicts_match_reference(name):
 
 
 def _same_blocks(fam, raw, uni):
-    for got, want in ((fam.raw, raw), (fam.unitaries, uni)):
+    for got, want in ((per_arrow(fam, fam.raw), raw),
+                      (per_arrow(fam, fam.unitaries), uni)):
         assert len(got) == len(want)
         for k, (a, b) in enumerate(zip(got, want)):
             assert a.shape == b.shape, k

@@ -10,12 +10,23 @@ import pytest
 
 from gcstar.fingroupoid import FIXTURE_NAMES, fixture
 from gcstar.hilbmod import ModuleMap, is_unitary, module_from_dims, tensor
-from gcstar.reps import (CocycleFamily, Representation, blockwise,
+from gcstar.reps import (CocycleFamily, Representation, _fibres, blockwise,
                          check_cocycle, check_intertwiner,
                          check_representation, face_transfer, from_cocycle,
                          induce, invariant_support, regular_representation)
 from gcstar.sampling import SplitMix64, random_cocycle
 from test_measures import views
+
+
+def per_arrow(fam, flat):
+    """A flat array in the block-entry order of fam as one block per
+    arrow, in arrow order, each (range fibre, source fibre)."""
+    t = fam.groupoid.codes
+    size = _fibres(fam.groupoid, fam.module)[2]
+    rows, cols = size[t.rng], size[t.src]
+    return [b.reshape(r, c) for b, r, c in
+            zip(np.split(flat, np.cumsum(rows * cols)[:-1]), rows.tolist(),
+                cols.tolist())]
 
 
 def ones_cocycle(gpd, weights):
@@ -50,9 +61,10 @@ def test_blockwise_normalization_w2():
     gpd, w = fixture("W2")
     rep = blockwise(ones_cocycle(gpd, w))
     g12, g21 = gpd.arrows.index((1, 2)), gpd.arrows.index((2, 1))
-    assert rep.raw[g12][0, 0] == 0.5
-    assert rep.raw[g21][0, 0] == 2.0
-    assert rep.unitaries[g12][0, 0] == 1.0
+    raw, unitaries = per_arrow(rep, rep.raw), per_arrow(rep, rep.unitaries)
+    assert raw[g12][0, 0] == 0.5
+    assert raw[g21][0, 0] == 2.0
+    assert unitaries[g12][0, 0] == 1.0
 
 
 def test_cocycle_family_default_raw():
@@ -61,7 +73,7 @@ def test_cocycle_family_default_raw():
                               {(x, "w"): 1 for x in gpd.objects})
     fam = CocycleFamily(gpd, w, module,
                         [np.eye(1, dtype=complex) for _ in gpd.arrows])
-    assert fam.raw[gpd.arrows.index((1, 2))][0, 0] == 0.5
+    assert per_arrow(fam, fam.raw)[gpd.arrows.index((1, 2))][0, 0] == 0.5
 
 
 @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
@@ -93,6 +105,39 @@ def test_a_block_dict_is_read_by_label_in_from_cocycle_only():
     assert np.array_equal(got.umap.matrix, want.umap.matrix)
 
 
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_a_flat_block_array_of_another_length_is_refused(extra):
+    gpd, w = fixture("P2")
+    module, blocks = random_cocycle(SplitMix64(3), gpd, w, coeff_size=2)
+    fam = CocycleFamily(gpd, w, module, list(blocks.values()))
+    n = len(fam.entries[0])
+    flat = np.ones(n + extra, dtype=complex)
+    message = f"^{n + extra} entries for {n} block entries$"
+    for build in (CocycleFamily, from_cocycle):
+        with pytest.raises(ValueError, match=message):
+            build(gpd, w, module, flat)
+    with pytest.raises(ValueError, match=message):
+        CocycleFamily(gpd, w, module, fam.unitaries, raw=flat)
+
+
+def test_a_block_list_and_its_flat_array_give_one_family():
+    gpd, w = fixture("W2")
+    module, blocks = random_cocycle(SplitMix64(4), gpd, w, coeff_size=2)
+    listed = CocycleFamily(gpd, w, module, list(blocks.values()))
+    flat = CocycleFamily(gpd, w, module, listed.unitaries)
+    # arrow by arrow, row-major within a block
+    assert listed.unitaries.tobytes() == np.concatenate(
+        [b.ravel() for b in blocks.values()]).tobytes()
+    for a, b in zip(listed.entries + (listed.raw,),
+                    flat.entries + (flat.raw,)):
+        assert a.tobytes() == b.tobytes()
+    for got, want in zip(per_arrow(flat, flat.unitaries), blocks.values()):
+        assert np.array_equal(got, want)
+    assert np.array_equal(
+        from_cocycle(gpd, w, module, listed.unitaries).umap.matrix,
+        from_cocycle(gpd, w, module, blocks).umap.matrix)
+
+
 def test_regular_matrix_z2_frozen():
     gpd, w = fixture("Z2")
     rep = regular_representation(gpd, w)
@@ -118,8 +163,9 @@ def test_from_cocycle_roundtrip():
         rep = from_cocycle(gpd, w, module, blocks)
         back = blockwise(rep)
         assert list(blocks) == list(gpd.arrows)
-        assert len(back.unitaries) == len(gpd.arrows)
-        for got, want in zip(back.unitaries, blocks.values()):
+        got_blocks = per_arrow(back, back.unitaries)
+        assert len(got_blocks) == len(gpd.arrows)
+        for got, want in zip(got_blocks, blocks.values()):
             assert np.max(np.abs(got - want)) <= 1e-12
 
 
