@@ -1242,10 +1242,9 @@ def covariant_to_groupoid_rep(gpd, weights, cov, tol=1e-10):
     # the module lists the points over x from start[x], in frame order,
     # so its positions are the frame's columns
     k, _, _, row, col = _block_entries(gpd, _fibres(gpd, module))
-    blocks = framed[first[k], row, col]
-    out.extend(check_cocycle(CocycleFamily(gpd, weights, module, blocks), tol),
-               prefix="block-")
-    return from_cocycle(gpd, weights, module, blocks), out
+    fam = CocycleFamily(gpd, weights, module, framed[first[k], row, col])
+    out.extend(check_cocycle(fam, tol), prefix="block-")
+    return from_cocycle(gpd, weights, module, fam), out
 
 
 def etale_battery(gpd, weights, sgrp=None, rep=None, tol=1e-10):

@@ -465,12 +465,12 @@ def disintegrate(conv, tol=1e-9):
         gpd.arrows[pairs[k, 0]], gpd.arrows[pairs[k, 1]]))
     _require(out, "certificates failed")
 
-    unitaries = np.sqrt(cw[t.src] / cw[t.rng])[arrow] * vals
-    fam = CocycleFamily(gpd, c, module, unitaries)
+    fam = CocycleFamily(gpd, c, module,
+                        np.sqrt(cw[t.src] / cw[t.rng])[arrow] * vals)
     out.extend(check_cocycle(fam, max(tol, 1e-9)), prefix="block-")
     _require(out, "extracted blocks are not a unitary cocycle")
 
-    rep = from_cocycle(gpd, c, module, unitaries)
+    rep = from_cocycle(gpd, c, module, fam)
     rep.frame = frame
     return rep, out
 

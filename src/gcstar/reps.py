@@ -15,7 +15,6 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .report import (Report, VerificationError, _chunked, max_abs_each,
                      worst_at)
@@ -77,21 +76,22 @@ class CocycleFamily:
     """Fiber blocks of a representation: raw and normalized forms.
 
     unitaries and raw are flat complex arrays in the order of entries =
-    _block_entries(gpd, _fibres(gpd, module)), built on first read:
-    arrow by arrow, row-major within a block.  The block of arrow number
-    k, from the module fibre over its source to the fibre over its range,
-    composes multiplicatively and is unitary for the weighted fiber inner
-    products in unitaries; raw holds the same maps with the scaling a
-    representation block carries, by default sqrt(c(rng) / c(src)) times
-    unitaries.  Either may be given as a list of blocks in arrow order
-    instead (_flat_blocks).
+    _block_entries(gpd, fibres), built on first read, fibres being
+    _fibres(gpd, module): arrow by arrow, row-major within a block.  The
+    block of arrow number k, from the module fibre over its source to the
+    fibre over its range, composes multiplicatively and is unitary for
+    the weighted fiber inner products in unitaries; raw holds the same
+    maps with the scaling a representation block carries, by default
+    sqrt(c(rng) / c(src)) times unitaries.  Either may be given as a list
+    of blocks in arrow order instead (_flat_blocks).
     """
 
     def __init__(self, gpd, weights, module, unitaries, raw=None):
         self.groupoid = gpd
         self.weights = {x: float(weights[x]) for x in gpd.objects}
         self.module = module
-        t, size = gpd.codes, _fibres(gpd, module)[2]
+        self.fibres = _fibres(gpd, module)
+        t, size = gpd.codes, self.fibres[2]
         rows, cols = size[t.rng], size[t.src]
         self.unitaries = _flat_blocks(gpd, rows, cols, unitaries)
         if raw is None:
@@ -102,8 +102,7 @@ class CocycleFamily:
 
     @cached_property
     def entries(self):
-        return _block_entries(self.groupoid,
-                              _fibres(self.groupoid, self.module))
+        return _block_entries(self.groupoid, self.fibres)
 
 
 def _fibres(gpd, module):
@@ -196,7 +195,9 @@ def _flat_blocks(gpd, rows, cols, blocks):
 def from_cocycle(gpd, weights, module, unitaries):
     """Assemble a representation from normalized fiber blocks: a flat
     array in block-entry order, a list in arrow order or a dict keyed by
-    arrow label (random_cocycle's), read as CocycleFamily reads them.
+    arrow label (random_cocycle's), read as CocycleFamily reads them, or
+    a CocycleFamily on the same groupoid, weights and module, used as it
+    is.
 
     Each entry of the family's raw array goes to its place in the
     unitary: arrow k's vectors in each tensor run over the module fibre
@@ -204,11 +205,12 @@ def from_cocycle(gpd, weights, module, unitaries):
     """
     if isinstance(unitaries, dict):
         unitaries = [unitaries[g] for g in gpd.arrows]
-    fam = CocycleFamily(gpd, weights, module, unitaries)
+    fam = unitaries if isinstance(unitaries, CocycleFamily) \
+        else CocycleFamily(gpd, weights, module, unitaries)
     rep = Representation(gpd, weights, module, None)
     arrow, i, j, _, _ = fam.entries
     if len(arrow):
-        t, size = gpd.codes, _fibres(gpd, module)[2]
+        t, size = gpd.codes, fam.fibres[2]
         rows, cols = size[t.rng], size[t.src]
         rep.umap = ModuleMap(rep.source, rep.target, entries=(
             (np.cumsum(rows) - rows)[arrow] + i,
@@ -244,17 +246,14 @@ def check_cocycle(fam, tol=1e-10):
     t = gpd.codes
     rep = Report("cocycle family")
 
-    points, first, size = _fibres(gpd, module)
+    points, first, size = fam.fibres
     rows, cols = size[t.rng], size[t.src]
     offset = np.cumsum(rows * cols) - rows * cols
-    # for each block size n, the windows of n entries that start at each
-    # place of the flat array: a block is one row of them
-    windows = {n: sliding_window_view(fam.unitaries, n)
-               for n in set((rows * cols).tolist())}
 
     def blocks(k, r, c):
         """The blocks of the arrows k, each r x c."""
-        return windows[r * c][offset[k]].reshape(len(k), r, c)
+        return fam.unitaries[offset[k][:, None] + np.arange(r * c)] \
+            .reshape(len(k), r, c)
 
     def weights(x, n):
         """The module weights over the objects x, of fibre size n each."""

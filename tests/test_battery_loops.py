@@ -23,6 +23,7 @@ from gcstar.crossed import (CovariantRep, CrossedProductAlgebra,
 from gcstar.fingroupoid import (FiniteGroupoid, build_preset, counting_weights,
                                 disjoint_union, fixture)
 from gcstar.hilbmod import ModuleMap, _entries, module_from_dims
+from gcstar.measures import object_weights
 from gcstar.report import Report, VerificationError, max_abs_each, worst_at
 from gcstar.reps import (CocycleFamily, Representation, blockwise,
                          check_cocycle, from_cocycle, regular_representation)
@@ -80,16 +81,17 @@ def fibre_starts(space):
 
 
 def reference_from_cocycle(gpd, weights, module, unitaries):
-    fam = CocycleFamily(gpd, weights, module, unitaries)
     rep = Representation(gpd, weights, module, None)
+    if isinstance(unitaries, np.ndarray) and unitaries.ndim == 1:
+        unitaries = per_arrow(rep, unitaries)
+    c = object_weights(gpd, rep.weights)
     s0 = fibre_starts(rep.source).tolist()
     t0 = fibre_starts(rep.target).tolist()
     rows, cols, vals = [], [], []
-    raw = per_arrow(fam, fam.raw)
     for k, g in enumerate(gpd.arrows):
         trows = np.arange(t0[k], t0[k + 1])
         scols = np.arange(s0[k], s0[k + 1])
-        block = raw[k]
+        block = np.asarray(unitaries[k], dtype=complex)
         if block.shape != (len(trows), len(scols)) \
                 and (block.size or (len(trows) and len(scols))):
             raise ValueError(
@@ -98,7 +100,8 @@ def reference_from_cocycle(gpd, weights, module, unitaries):
         if block.size:
             rows.append(np.repeat(trows, len(scols)))
             cols.append(np.tile(scols, len(trows)))
-            vals.append(block.ravel())
+            scale = np.sqrt(c[gpd.codes.rng[k]] / c[gpd.codes.src[k]])
+            vals.append(scale * block.ravel())
     if rows:
         rep.umap = ModuleMap(rep.source, rep.target, entries=(
             np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)))

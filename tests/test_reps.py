@@ -19,7 +19,8 @@ from test_measures import views
 
 
 def per_arrow(fam, flat):
-    """A flat array in the block-entry order of fam as one block per
+    """A flat array in the block-entry order of fam, a CocycleFamily or a
+    Representation (read for its groupoid and module), as one block per
     arrow, in arrow order, each (range fibre, source fibre)."""
     t = fam.groupoid.codes
     size = _fibres(fam.groupoid, fam.module)[2]
@@ -133,9 +134,11 @@ def test_a_block_list_and_its_flat_array_give_one_family():
         assert a.tobytes() == b.tobytes()
     for got, want in zip(per_arrow(flat, flat.unitaries), blocks.values()):
         assert np.array_equal(got, want)
-    assert np.array_equal(
-        from_cocycle(gpd, w, module, listed.unitaries).umap.matrix,
-        from_cocycle(gpd, w, module, blocks).umap.matrix)
+    # a family is taken as it is
+    for given in (listed.unitaries, flat):
+        assert np.array_equal(
+            from_cocycle(gpd, w, module, given).umap.matrix,
+            from_cocycle(gpd, w, module, blocks).umap.matrix)
 
 
 def test_regular_matrix_z2_frozen():
